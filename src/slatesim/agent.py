@@ -115,19 +115,13 @@ QEval = Callable[[int, tuple[int, ...], tuple[int, ...]], np.ndarray]
 
 
 def net_qeval(qnet: CascadeQNet, state_vec: np.ndarray, catalog: ItemCatalog) -> QEval:
-    """Vectorized per-position evaluator of a cascade net for one embedded state."""
-    dn = qnet.pw.out_dim
-    d = catalog.d
+    """Vectorized per-position evaluator of a cascade net for one embedded state.
+
+    Head j scores each candidate as the last item after the fixed [s; f_1 .. f_{j-1}]."""
 
     def qeval(j: int, prefix: tuple[int, ...], cands: tuple[int, ...]) -> np.ndarray:
-        L = qnet.heads.L[j - 1]
-        c = qnet.heads.c[j - 1]
-        q = qnet.heads.q[j - 1]
         fixed = np.concatenate([state_vec] + [catalog.features(i) for i in prefix])
-        z0 = L[:, : dn + d * (j - 1)] @ fixed + c
-        cand_feats = catalog.feature_matrix(cands)
-        Z = z0[:, None] + L[:, dn + d * (j - 1):] @ cand_feats.T
-        return q @ nets.act(Z, qnet.heads.activation)
+        return nets.head_scores(qnet.heads[j - 1], fixed, catalog.feature_matrix(cands))
 
     return qeval
 
@@ -164,7 +158,7 @@ def cascade_slate(qnet: CascadeQNet, buffer: HistoryBuffer, pool: Sequence[int],
                   catalog: ItemCatalog, counter: EvalCounter | None = None) -> list[int]:
     """Embed the history and run the cascade over the pool."""
     s = nets.embed_state(buffer, qnet.pw)
-    return cascade_argmax(net_qeval(qnet, s, catalog), pool, qnet.heads.k, counter)
+    return cascade_argmax(net_qeval(qnet, s, catalog), pool, qnet.k, counter)
 
 
 def compute_target(reward: float, next_hist: np.ndarray, next_pool: Sequence[int],
@@ -174,7 +168,7 @@ def compute_target(reward: float, next_hist: np.ndarray, next_pool: Sequence[int
     if terminal:
         return float(reward)
     s = nets.embed_history(next_hist, qnet.pw)
-    _, values = cascade_plan(net_qeval(qnet, s, catalog), next_pool, qnet.heads.k)
+    _, values = cascade_plan(net_qeval(qnet, s, catalog), next_pool, qnet.k)
     return float(reward + gamma * values[-1])
 
 
@@ -337,16 +331,15 @@ def train_cdqn(env_factory: EnvFactory, config: CDQNConfig,
 def _additive_value_and_grad(qnet: CascadeQNet, F: np.ndarray, slate_feats: np.ndarray,
                              targets: np.ndarray):
     """Squared error of the additive slate value sum_i Q(s, a_i) against fixed targets."""
-    view = ScorerNet(pw=qnet.pw, head=qnet.heads.head(1))
+    view = ScorerNet(pw=qnet.pw, head=qnet.heads[0])
     cache = nets.scorer_batch(view, F, slate_feats)
     qsum = cache.scores.sum(axis=1)
     resid = qsum - targets
     value = float(np.mean(resid * resid))
     w = np.repeat((2.0 * resid / len(resid))[:, None], slate_feats.shape[1], axis=1)
     g = nets.scorer_batch_grad(view, cache, w)
-    renamed = {"W": g.grads["W"], "B": g.grads["B"], "L1": g.grads["V"],
-               "c1": g.grads["b"], "q1": g.grads["v"]}
-    return value, GradientBundle(renamed)
+    names = nets.cascade_head_names(1)
+    return value, GradientBundle({names.get(name, name): t for name, t in g.grads.items()})
 
 
 def train_additive_q(env_factory: EnvFactory, config: CDQNConfig,
@@ -428,9 +421,9 @@ def constraint_diagnostic(qnet: CascadeQNet, hists: Sequence[np.ndarray],
     rows = []
     for idx, (hist, pool) in enumerate(zip(hists, pools)):
         s = nets.embed_history(hist, qnet.pw)
-        _, values = cascade_plan(net_qeval(qnet, s, catalog), pool, qnet.heads.k)
+        _, values = cascade_plan(net_qeval(qnet, s, catalog), pool, qnet.k)
         qk = values[-1]
-        for j in range(1, qnet.heads.k + 1):
+        for j in range(1, qnet.k + 1):
             rows.append((idx, j, values[j - 1], qk))
     return rows
 
@@ -439,11 +432,11 @@ def save_policy(path, qnet: CascadeQNet, extra_meta: dict[str, str] | None = Non
     tensors = dict(nets.named_tensors(qnet))
     meta = {
         "kind": "cascade_policy",
-        "k": str(qnet.heads.k),
+        "k": str(qnet.k),
         "d": str(qnet.pw.d),
         "m": str(qnet.pw.m),
         "n": str(qnet.pw.n),
-        "hidden": str(qnet.heads.q[0].shape[0]),
+        "hidden": str(qnet.heads[0].v.shape[0]),
         "activation": qnet.pw.activation.value,
     }
     if extra_meta:
@@ -458,10 +451,7 @@ def load_policy(path) -> CascadeQNet:
     activation = Activation(meta["activation"])
     k = int(meta["k"])
     pw = nets.PositionWeightParams(W=tensors["W"], B=tensors["B"], activation=activation)
-    heads = nets.CascadeQParams(
-        L=[tensors[f"L{j}"] for j in range(1, k + 1)],
-        c=[tensors[f"c{j}"] for j in range(1, k + 1)],
-        q=[tensors[f"q{j}"] for j in range(1, k + 1)],
-        activation=activation,
-    )
+    heads = [nets.ScorerParams(**{attr: tensors[name] for attr, name in nets.cascade_head_names(j).items()},
+                               activation=activation)
+             for j in range(1, k + 1)]
     return CascadeQNet(pw=pw, heads=heads)

@@ -12,8 +12,37 @@ PROB_FLOOR = 1e-300
 
 
 class Regularizer(Enum):
+    """Omega in the user's choice rule  max over the simplex of <phi, r> - Omega(phi) / eta.
+
+    Every method works on the last axis, so a (..., slots) array is solved row by row."""
+
     SHANNON_ENTROPY = "entropy"
     L2 = "l2"
+
+    def probs(self, r: np.ndarray, eta: float) -> np.ndarray:
+        """The maximizing phi: softmax(eta r), or the projection of eta r / 2 (may be sparse)."""
+        if self is Regularizer.SHANNON_ENTROPY:
+            return softmax(eta * r)
+        return project_to_simplex(0.5 * eta * r)
+
+    def inner_max(self, r: np.ndarray, eta: float) -> np.ndarray:
+        """The maximum itself: logsumexp(eta r) / eta, or the objective at the projection."""
+        if self is Regularizer.SHANNON_ENTROPY:
+            return logsumexp(eta * r) / eta
+        phi = self.probs(r, eta)
+        return np.sum(phi * r, axis=-1) - self.omega(phi) / eta
+
+    def omega(self, phi: np.ndarray) -> np.ndarray:
+        """sum phi log phi (0 log 0 = 0) for entropy, sum phi^2 for L2."""
+        if self is Regularizer.SHANNON_ENTROPY:
+            return np.sum(np.where(phi > 0, phi * np.log(np.clip(phi, PROB_FLOOR, None)), 0.0), axis=-1)
+        return np.sum(phi * phi, axis=-1)
+
+    def omega_grad(self, phi: np.ndarray) -> np.ndarray:
+        """d Omega / d phi: log phi + 1 for entropy, 2 phi for L2."""
+        if self is Regularizer.SHANNON_ENTROPY:
+            return np.log(np.clip(phi, PROB_FLOOR, None)) + 1.0
+        return 2.0 * phi
 
 
 @dataclass(frozen=True)
@@ -38,26 +67,35 @@ def _check_rewards(rewards: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Overflow-safe softmax (max subtraction)."""
-    z = logits - np.max(logits)
+    """Overflow-safe softmax over the last axis (max subtraction)."""
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def logsumexp(logits: np.ndarray) -> np.ndarray:
+    """Overflow-safe log-sum-exp over the last axis."""
+    zmax = logits.max(axis=-1)
+    return zmax + np.log(np.sum(np.exp(logits - zmax[..., None]), axis=-1))
 
 
 def entropy_choice_probs(rewards, config: ChoiceConfig = ChoiceConfig()) -> np.ndarray:
     """Optimal mixed choice under the entropy regularizer: softmax of eta * rewards."""
-    r = _check_rewards(rewards)
-    return softmax(config.eta * r)
+    return Regularizer.SHANNON_ENTROPY.probs(_check_rewards(rewards), config.eta)
 
 
 def project_to_simplex(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort and threshold, O(n log n))."""
+    """Euclidean projection of each row (last axis) onto the probability simplex.
+
+    Sort and threshold, O(n log n): the support is every index up to the last
+    rho with u_rho - css_rho / rho > 0."""
     y = np.asarray(y, dtype=float)
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, y.size + 1)
-    rho = np.nonzero(u - css / idx > 0)[0][-1]
-    tau = css[rho] / (rho + 1.0)
+    u = np.sort(y, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    idx = np.arange(1, y.shape[-1] + 1)
+    positive = (u - css / idx > 0)[..., ::-1]
+    rho = y.shape[-1] - 1 - np.argmax(positive, axis=-1)[..., None]
+    tau = np.take_along_axis(css, rho, axis=-1) / (rho + 1.0)
     return np.maximum(y - tau, 0.0)
 
 
@@ -68,15 +106,12 @@ def l2_choice_probs(rewards, config: ChoiceConfig = ChoiceConfig()) -> np.ndarra
     the square, the projection of (eta / 2) * r onto the simplex. The result may
     be sparse: low-reward slots get exactly zero probability.
     """
-    r = _check_rewards(rewards)
-    return project_to_simplex(0.5 * config.eta * r)
+    return Regularizer.L2.probs(_check_rewards(rewards), config.eta)
 
 
 def choice_probs(rewards, config: ChoiceConfig) -> np.ndarray:
-    """Dispatch to the solver matching config.regularizer."""
-    if config.regularizer is Regularizer.SHANNON_ENTROPY:
-        return entropy_choice_probs(rewards, config)
-    return l2_choice_probs(rewards, config)
+    """The solver matching config.regularizer."""
+    return config.regularizer.probs(_check_rewards(rewards), config.eta)
 
 
 def gumbel_sample_choice(rewards, config: ChoiceConfig, rng: np.random.Generator) -> int:
@@ -115,7 +150,4 @@ def regularizer_value(probs, kind: Regularizer) -> float:
     p = np.asarray(probs, dtype=float)
     if np.any(p < -1e-6) or abs(p.sum() - 1.0) > 1e-6:
         raise ValueError("probs are off the simplex")
-    if kind is Regularizer.SHANNON_ENTROPY:
-        pos = p[p > 0]
-        return float(np.sum(pos * np.log(pos)))
-    return float(np.sum(p * p))
+    return float(kind.omega(p))

@@ -36,22 +36,42 @@ def parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-class _Options:
-    """Merge order: CLI flag beats config-file value beats default."""
+def _one_of(choices: tuple[str, ...]):
+    """Cast for a string option restricted to `choices` (shared with the argparse flag)."""
+    def cast(raw: str) -> str:
+        if raw not in choices:
+            raise ValueError(f"{raw!r} is not one of {', '.join(choices)}")
+        return raw
+    return cast
 
-    def __init__(self, args: argparse.Namespace, config: dict[str, str]):
+
+_METHODS = ("mle", "minimax")
+_POLICY_KINDS = ("cdqn", "additive")
+
+
+class _Options:
+    """Merge order: CLI flag beats config-file value beats default.
+
+    Both sources go through `cast`, so an enum option parses with its
+    constructor and a bad config-file value names the file and the key."""
+
+    def __init__(self, args: argparse.Namespace, config: dict[str, str], path: str | None = None):
         self.args = args
         self.config = config
+        self.path = path
 
     def get(self, name: str, cast, default=None):
         cli_val = getattr(self.args, name.replace("-", "_"), None)
         if cli_val is not None:
-            return cli_val
+            return cast(cli_val)
         if name in self.config:
             raw = self.config[name]
             if cast is bool:
                 return raw.lower() in ("1", "true", "yes", "on")
-            return cast(raw)
+            try:
+                return cast(raw)
+            except ValueError as exc:
+                raise ValueError(f"{self.path}: bad value for key {name!r}: {exc}") from None
         return default
 
 
@@ -62,7 +82,7 @@ def _load_options(args: argparse.Namespace) -> _Options:
         if not os.path.exists(path):
             raise FileNotFoundError(f"config file not found: {path}")
         config = parse_config_file(path)
-    return _Options(args, config)
+    return _Options(args, config, path)
 
 
 def _catalog_from_options(opt: _Options):
@@ -136,8 +156,8 @@ def cmd_train_user_model(args: argparse.Namespace) -> int:
     d, m, _k = read_meta(data_path)
     catalog, trajectories = load_trajectories(data_path)
     seed = opt.get("seed", int, 0)
-    reg = Regularizer.L2 if opt.get("regularizer", str, "entropy") == "l2" else Regularizer.SHANNON_ENTROPY
-    scheme = InitScheme.ENTROPY_INIT if opt.get("init-scheme", str, "fresh") == "entropy" else InitScheme.FRESH
+    reg = opt.get("regularizer", Regularizer, Regularizer.SHANNON_ENTROPY)
+    scheme = opt.get("init-scheme", InitScheme, InitScheme.FRESH)
     config = TrainConfig(
         eta=opt.get("eta", float, 1.0),
         lr_alpha=opt.get("lr-alpha", float, 0.05),
@@ -167,7 +187,7 @@ def cmd_train_user_model(args: argparse.Namespace) -> int:
         _log(f"[train-user-model] epoch={epoch} " +
              " ".join(f"{k}={v:.5g}" for k, v in stats.items()))
 
-    method = opt.get("method", str, "minimax" if reg is Regularizer.L2 else "mle")
+    method = opt.get("method", _one_of(_METHODS), "minimax" if reg is Regularizer.L2 else "mle")
     if method == "mle":
         model = training.train_mle(catalog, train, config, valid=valid, on_epoch=on_epoch)
     else:
@@ -198,8 +218,7 @@ def cmd_train_policy(args: argparse.Namespace) -> int:
         horizon=opt.get("horizon", int, 10),
         nonclick_reward=opt.get("nonclick-reward", float, 0.0),
     ))
-    mode = (RewardMode.PLUS_MINUS_ONE if opt.get("reward-mode", str, "learned") == "pm1"
-            else RewardMode.LEARNED_REWARD)
+    mode = opt.get("reward-mode", RewardMode, RewardMode.LEARNED_REWARD)
     config = CDQNConfig(
         gamma=opt.get("gamma", float, 0.9),
         epsilon=opt.get("epsilon", float, 0.2),
@@ -223,7 +242,7 @@ def cmd_train_policy(args: argparse.Namespace) -> int:
             _log(f"[train-policy] iter={it + 1}/{config.iterations} "
                  f"td_loss={stats['mean_td_loss']:.5g} eps={stats['epsilon']:.3f}")
 
-    kind = opt.get("policy-kind", str, "cdqn")
+    kind = opt.get("policy-kind", _one_of(_POLICY_KINDS), "cdqn")
     if kind == "additive":
         qnet = agent.train_additive_q(factory, config, on_iteration=on_iteration)
     else:
@@ -313,7 +332,7 @@ def cmd_diagnose_q(args: argparse.Namespace) -> int:
     n_states = opt.get("states", int, 500)
     seed = opt.get("seed", int, 0)
     env = SlateEnv(catalog, EnvConfig(
-        k=qnet.heads.k,
+        k=qnet.k,
         pool_size=opt.get("pool-size", int, 20),
         horizon=opt.get("horizon", int, 10),
     ))
@@ -324,7 +343,7 @@ def cmd_diagnose_q(args: argparse.Namespace) -> int:
     path = os.path.join(out_dir, "q_constraints.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    for j in range(1, qnet.heads.k + 1):
+    for j in range(1, qnet.k + 1):
         qj = np.array([r[2] for r in rows if r[1] == j])
         qk = np.array([r[3] for r in rows if r[1] == j])
         corr = pearson(qj, qk)
@@ -403,9 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-theta", type=float)
     p.add_argument("--lr-alpha", type=float)
     p.add_argument("--eta", type=float)
-    p.add_argument("--regularizer", choices=["entropy", "l2"])
-    p.add_argument("--init-scheme", choices=["fresh", "entropy"])
-    p.add_argument("--method", choices=["mle", "minimax"])
+    p.add_argument("--regularizer", choices=[r.value for r in Regularizer])
+    p.add_argument("--init-scheme", choices=[s.value for s in InitScheme])
+    p.add_argument("--method", choices=_METHODS)
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--hidden", type=int)
@@ -438,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--capacity", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--hidden", type=int)
-    p.add_argument("--reward-mode", choices=["learned", "pm1"])
-    p.add_argument("--policy-kind", choices=["cdqn", "additive"])
+    p.add_argument("--reward-mode", choices=[r.value for r in RewardMode])
+    p.add_argument("--policy-kind", choices=_POLICY_KINDS)
     p.set_defaults(func=cmd_train_policy)
 
     p = sub.add_parser("evaluate", help="evaluate a policy roster on fixed test episodes")

@@ -167,11 +167,6 @@ class HistoryBuffer:
         return HistoryBuffer(self.m, self.d, self._mat.copy())
 
 
-def push_click(buffer: HistoryBuffer, features: Sequence[float]) -> HistoryBuffer:
-    """Push one clicked feature vector into the buffer (in place) and return it."""
-    return buffer.push(features)
-
-
 @dataclass(frozen=True)
 class DatasetSplit:
     train: frozenset[int]

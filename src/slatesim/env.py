@@ -74,8 +74,6 @@ class SlateEnv:
 # a policy maps (history buffer, candidate pool, per-step rng) to a slate of k ids
 Policy = Callable[[HistoryBuffer, tuple[int, ...], np.random.Generator], Sequence[int]]
 
-GroundTruthUser = UserModel
-
 
 def make_ground_truth_user(
     catalog: ItemCatalog,
@@ -111,11 +109,6 @@ def draw_candidates(env: SlateEnv, clicked_ids: frozenset[int], t: int, seed: in
     rng = np.random.default_rng((seed, _POOL_STREAM, t))
     picked = rng.choice(len(avail), size=size, replace=False)
     return tuple(sorted(avail[i] for i in picked))
-
-
-def candidates(env: SlateEnv, state: EnvState) -> tuple[int, ...]:
-    """The pool the current step chooses from (drawn when the state was created)."""
-    return state.pool
 
 
 def reset(env: SlateEnv, user: UserModel, seed: int) -> EnvState:

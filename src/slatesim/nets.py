@@ -1,9 +1,13 @@
 """Shallow parameterized scorers with exact hand-derived gradients.
 
-Three architectures share one position-weighted history embedding:
+Every network is a position-weighted history embedding feeding scorer heads:
   * state embedding  s = vec[act(F @ W + B)]  with F the d x m click history,
-  * state+item scorer  v' act(V [s; f] + b)  used for rewards and behavior logits,
-  * per-position slate scorers  q_j' act(L_j [s; f_1 .. f_j] + c_j).
+  * scorer head  v' act(V [s; f] + b), scoring one "item" input f against s.
+
+The reward and behavior models are one head each, with f an item's features.
+The slate value model has one head per slate position: head j is a plain
+scorer head whose item input is the concatenated prefix [f_1; ...; f_j], so
+every head, cascade or not, runs the same forward and backward pass.
 
 Gradients for the supported losses (NLL, the two adversarial updates, squared
 TD error) are computed analytically, including backprop through the embedding.
@@ -14,11 +18,11 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .choice import Regularizer
+from .choice import Regularizer, logsumexp, softmax
 
 
 class Activation(Enum):
@@ -95,31 +99,6 @@ class ScorerParams:
 
 
 @dataclass
-class CascadeQParams:
-    """Per-position heads; position j (1-based) consumes the state plus j item vectors."""
-
-    L: list[np.ndarray]
-    c: list[np.ndarray]
-    q: list[np.ndarray]
-    activation: Activation = Activation.ELU
-
-    def __post_init__(self):
-        if not (len(self.L) == len(self.c) == len(self.q)) or not self.L:
-            raise ValueError("need matching non-empty L, c, q lists")
-        self.L = [np.asarray(a, dtype=float) for a in self.L]
-        self.c = [np.asarray(a, dtype=float) for a in self.c]
-        self.q = [np.asarray(a, dtype=float) for a in self.q]
-
-    @property
-    def k(self) -> int:
-        return len(self.L)
-
-    def head(self, j: int) -> ScorerParams:
-        """View of position j's tensors as a plain scorer head (arrays are shared)."""
-        return ScorerParams(self.L[j - 1], self.c[j - 1], self.q[j - 1], self.activation)
-
-
-@dataclass
 class ScorerNet:
     """Full reward/behavior scorer: its own embedding plus a head."""
 
@@ -129,10 +108,25 @@ class ScorerNet:
 
 @dataclass
 class CascadeQNet:
-    """Slate value model: one shared embedding feeding k per-position heads."""
+    """Slate value model: one shared embedding feeding k per-position scorer heads.
+
+    heads[j - 1] scores the state against the prefix [f_1; ...; f_j] of j items."""
 
     pw: PositionWeightParams
-    heads: CascadeQParams
+    heads: list[ScorerParams]
+
+    def __post_init__(self):
+        if not self.heads:
+            raise ValueError("need at least one head")
+
+    @property
+    def k(self) -> int:
+        return len(self.heads)
+
+
+def cascade_head_names(j: int) -> dict[str, str]:
+    """Checkpoint and gradient names of cascade head j's V, b, v: L{j}, c{j}, q{j}."""
+    return {"V": f"L{j}", "b": f"c{j}", "v": f"q{j}"}
 
 
 # ---------------------------------------------------------------------------
@@ -170,32 +164,11 @@ def head_scores(head: ScorerParams, state: np.ndarray, feats: np.ndarray) -> np.
     dn = head.V.shape[1] - feats.shape[1]
     if state.shape != (dn,):
         raise ValueError(f"state length {state.shape} incompatible with head input {head.V.shape[1]}")
-    Vs, Vf = head.V[:, :dn], head.V[:, dn:]
-    z = (Vs @ state)[None, :] + feats @ Vf.T + head.b[None, :]
+    # in-place sums: this is the cascade argmax's inner call
+    z = feats @ head.V[:, dn:].T
+    z += head.V[:, :dn] @ state
+    z += head.b
     return act(z, head.activation) @ head.v
-
-
-def reward_score(theta: ScorerParams, state: np.ndarray, item_features: np.ndarray) -> float:
-    """Scalar reward of one item in one state."""
-    return float(head_scores(theta, state, np.asarray(item_features))[0])
-
-
-def behavior_logit(alpha: ScorerParams, state: np.ndarray, item_features: np.ndarray) -> float:
-    """Behavior-model logit; identical computation to reward_score with its own parameters."""
-    return float(head_scores(alpha, state, np.asarray(item_features))[0])
-
-
-def qj_value(params: CascadeQParams, j: int, state: np.ndarray, chosen_features: Sequence[np.ndarray]) -> float:
-    """Value of position j given the state and exactly j chosen item feature vectors."""
-    if not (1 <= j <= params.k):
-        raise ValueError(f"position {j} outside 1..{params.k}")
-    if len(chosen_features) != j:
-        raise ValueError(f"expected {j} feature vectors, got {len(chosen_features)}")
-    x = np.concatenate([np.asarray(state, dtype=float)] + [np.asarray(f, dtype=float) for f in chosen_features])
-    L, c, q = params.L[j - 1], params.c[j - 1], params.q[j - 1]
-    if x.shape[0] != L.shape[1]:
-        raise ValueError(f"input length {x.shape[0]} != head width {L.shape[1]}")
-    return float(q @ act(L @ x + c, params.activation))
 
 
 # ---------------------------------------------------------------------------
@@ -248,31 +221,15 @@ def scorer_batch_grad(net: ScorerNet, cache: _ScorerCache, slot_w: np.ndarray) -
 # losses and their exact gradients
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _reg_rows(phi: np.ndarray, kind: Regularizer) -> np.ndarray:
-    if kind is Regularizer.SHANNON_ENTROPY:
-        safe = np.clip(phi, 1e-300, None)
-        return np.sum(np.where(phi > 0, phi * np.log(safe), 0.0), axis=1)
-    return np.sum(phi * phi, axis=1)
-
-
 def nll_value_and_grad(net: ScorerNet, F, feats, chosen, eta: float):
     """Mean negative log-likelihood of the observed choices under softmax(eta * scores)."""
     chosen = np.asarray(chosen, dtype=int)
     cache = scorer_batch(net, F, feats)
     logits = eta * cache.scores
-    zmax = logits.max(axis=1)
-    lse = zmax + np.log(np.sum(np.exp(logits - zmax[:, None]), axis=1))
     batch = logits.shape[0]
     rows = np.arange(batch)
-    value = float(np.mean(lse - logits[rows, chosen]))
-    p = _softmax_rows(logits)
-    w = p.copy()
+    value = float(np.mean(logsumexp(logits) - logits[rows, chosen]))
+    w = softmax(logits)
     w[rows, chosen] -= 1.0
     w *= eta / batch
     return value, scorer_batch_grad(net, cache, w)
@@ -290,7 +247,7 @@ def minimax_reward_value_and_grad(net: ScorerNet, F, feats, chosen, phi: np.ndar
     rows = np.arange(batch)
     value = float(np.mean(
         np.sum(phi * cache.scores, axis=1)
-        - _reg_rows(phi, regularizer) / eta
+        - regularizer.omega(phi) / eta
         - cache.scores[rows, chosen]
     ))
     w = phi.copy()
@@ -306,12 +263,9 @@ def minimax_behavior_value_and_grad(net: ScorerNet, F, feats, rewards: np.ndarra
     phi_alpha is the softmax of the behavior logits; the returned gradient is of
     the mean objective w.r.t. the behavior parameters (caller ascends)."""
     cache = scorer_batch(net, F, feats)
-    phi = _softmax_rows(cache.scores)
-    value = float(np.mean(np.sum(phi * rewards, axis=1) - _reg_rows(phi, regularizer) / eta))
-    if regularizer is Regularizer.SHANNON_ENTROPY:
-        g = rewards - (np.log(np.clip(phi, 1e-300, None)) + 1.0) / eta
-    else:
-        g = rewards - 2.0 * phi / eta
+    phi = softmax(cache.scores)
+    value = float(np.mean(np.sum(phi * rewards, axis=1) - regularizer.omega(phi) / eta))
+    g = rewards - regularizer.omega_grad(phi) / eta
     w = phi * (g - np.sum(phi * g, axis=1, keepdims=True))
     w /= cache.scores.shape[0]
     return value, scorer_batch_grad(net, cache, w)
@@ -320,31 +274,18 @@ def minimax_behavior_value_and_grad(net: ScorerNet, F, feats, rewards: np.ndarra
 def td_value_and_grad(qnet: CascadeQNet, j: int, F, slate_feats: np.ndarray, targets: np.ndarray):
     """Mean squared TD error of position j against fixed targets.
 
-    slate_feats: (batch, j, d) features of the first j slate items."""
+    slate_feats: (batch, j, d) features of the first j slate items, which head j
+    scores as one concatenated item."""
     if slate_feats.shape[1] != j:
         raise ValueError(f"expected {j} item vectors per row, got {slate_feats.shape[1]}")
     batch = slate_feats.shape[0]
-    s, Ze = _embed_batch(np.asarray(F, dtype=float), qnet.pw)
-    x = np.concatenate([s, slate_feats.reshape(batch, -1)], axis=1)
-    L, c, q = qnet.heads.L[j - 1], qnet.heads.c[j - 1], qnet.heads.q[j - 1]
-    z = x @ L.T + c[None, :]
-    h = act(z, qnet.heads.activation)
-    qvals = h @ q
-    resid = qvals - np.asarray(targets, dtype=float)
+    view = ScorerNet(pw=qnet.pw, head=qnet.heads[j - 1])
+    cache = scorer_batch(view, np.asarray(F, dtype=float), slate_feats.reshape(batch, 1, -1))
+    resid = cache.scores[:, 0] - np.asarray(targets, dtype=float)
     value = float(np.mean(resid * resid))
-    coef = 2.0 * resid / batch
-    dq = h.T @ coef
-    dz = coef[:, None] * act_grad(z, qnet.heads.activation) * q[None, :]
-    dL = dz.T @ x
-    dc = dz.sum(axis=0)
-    dn = qnet.pw.out_dim
-    ds = dz @ L[:, :dn]
-    d, n = qnet.pw.d, qnet.pw.n
-    dSe = ds.reshape(batch, n, d).transpose(0, 2, 1)
-    dZe = dSe * act_grad(Ze, qnet.pw.activation)
-    dW = np.einsum("bdm,bdn->mn", np.asarray(F, dtype=float), dZe)
-    dB = dZe.sum(axis=0)
-    return value, GradientBundle({"W": dW, "B": dB, f"L{j}": dL, f"c{j}": dc, f"q{j}": dq})
+    g = scorer_batch_grad(view, cache, (2.0 * resid / batch)[:, None])
+    names = cascade_head_names(j)
+    return value, GradientBundle({names.get(name, name): t for name, t in g.grads.items()})
 
 
 LOSS_KINDS = ("nll", "minimax-reward", "minimax-behavior", "squared-td")
@@ -407,17 +348,13 @@ def named_tensors(params) -> dict[str, np.ndarray]:
         return {"W": params.W, "B": params.B}
     if isinstance(params, ScorerParams):
         return {"V": params.V, "b": params.b, "v": params.v}
-    if isinstance(params, CascadeQParams):
-        out = {}
-        for j in range(1, params.k + 1):
-            out[f"L{j}"] = params.L[j - 1]
-            out[f"c{j}"] = params.c[j - 1]
-            out[f"q{j}"] = params.q[j - 1]
-        return out
     if isinstance(params, ScorerNet):
         return {**named_tensors(params.pw), **named_tensors(params.head)}
     if isinstance(params, CascadeQNet):
-        return {**named_tensors(params.pw), **named_tensors(params.heads)}
+        out = named_tensors(params.pw)
+        for j, head in enumerate(params.heads, start=1):
+            out.update({name: getattr(head, attr) for attr, name in cascade_head_names(j).items()})
+        return out
     raise TypeError(f"no tensor registry for {type(params).__name__}")
 
 
@@ -478,12 +415,8 @@ def init_scorer_net(d: int, m: int, n: int, hidden: int, rng: np.random.Generato
 def init_cascade_net(d: int, m: int, n: int, hidden: int, k: int, rng: np.random.Generator,
                      activation: Activation = Activation.ELU) -> CascadeQNet:
     pw = init_position_weight(d, m, n, rng, activation)
-    L, c, q = [], [], []
-    for j in range(1, k + 1):
-        L.append(_uniform(rng, (hidden, d * n + d * j)))
-        c.append(_uniform(rng, (hidden,)))
-        q.append(_uniform(rng, (hidden,)))
-    return CascadeQNet(pw=pw, heads=CascadeQParams(L=L, c=c, q=q, activation=activation))
+    heads = [init_scorer_head(d * n + d * j, hidden, rng, activation) for j in range(1, k + 1)]
+    return CascadeQNet(pw=pw, heads=heads)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +499,9 @@ def _rel_err(analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarray]) ->
 def run_gradient_check(seed: int = 0, trials: int = 100, dims_max: int = 6, h: float = 1e-5) -> float:
     """Compare every analytic gradient against central differences on random instances.
 
-    Cycles through the four loss kinds; returns the worst relative error seen."""
+    Cycles through the four loss kinds; the regularizer of the two minimax kinds
+    alternates every full cycle, so each (minimax kind, regularizer) pair occurs.
+    Returns the worst relative error seen."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(trials):
@@ -576,7 +511,7 @@ def run_gradient_check(seed: int = 0, trials: int = 100, dims_max: int = 6, h: f
         F = rng.standard_normal((batch, d, m))
         feats = rng.standard_normal((batch, slots, d))
         kind = LOSS_KINDS[trial % len(LOSS_KINDS)]
-        reg = Regularizer.SHANNON_ENTROPY if trial % 2 == 0 else Regularizer.L2
+        reg = list(Regularizer)[(trial // len(LOSS_KINDS)) % len(Regularizer)]
         if kind == "squared-td":
             k = int(rng.integers(1, 4))
             j = int(rng.integers(1, k + 1))

@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import nets
-from .choice import ChoiceConfig, PROB_FLOOR, Regularizer, project_to_simplex
+from .choice import ChoiceConfig, PROB_FLOOR, Regularizer, logsumexp, softmax
 from .data import HistoryBuffer, ItemCatalog, Trajectory
 from .nets import Activation, GradientBundle, ScorerNet
 
@@ -175,9 +175,7 @@ def nll_loss(theta: ScorerNet, examples: Sequence[Example], eta: float) -> float
     value = 0.0
     for n, F, feats, chosen in _batch_groups(examples):
         logits = eta * nets.scorer_batch(theta, F, feats).scores
-        zmax = logits.max(axis=1)
-        lse = zmax + np.log(np.sum(np.exp(logits - zmax[:, None]), axis=1))
-        value += float(np.sum(lse - logits[np.arange(n), chosen]))
+        value += float(np.sum(logsumexp(logits) - logits[np.arange(n), chosen]))
     return value / len(examples)
 
 
@@ -190,10 +188,7 @@ def induced_softmax_alpha(theta: ScorerNet, eta: float) -> ScorerNet:
 
 def behavior_probs(alpha: ScorerNet, F: np.ndarray, feats: np.ndarray) -> np.ndarray:
     """Softmax of the behavior logits, one row per record."""
-    scores = nets.scorer_batch(alpha, F, feats).scores
-    z = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return softmax(nets.scorer_batch(alpha, F, feats).scores)
 
 
 def minimax_objective(theta: ScorerNet, alpha: ScorerNet | None, examples: Sequence[Example],
@@ -207,26 +202,12 @@ def minimax_objective(theta: ScorerNet, alpha: ScorerNet | None, examples: Seque
     total = 0.0
     for n, F, feats, chosen in _batch_groups(examples):
         r = nets.scorer_batch(theta, F, feats).scores
-        rows = np.arange(n)
         if exact_inner:
-            if regularizer is Regularizer.SHANNON_ENTROPY:
-                logits = eta * r
-                zmax = logits.max(axis=1)
-                lse = zmax + np.log(np.sum(np.exp(logits - zmax[:, None]), axis=1))
-                inner = lse / eta
-            else:
-                inner = np.empty(n)
-                for i in range(n):
-                    phi = project_to_simplex(0.5 * eta * r[i])
-                    inner[i] = float(phi @ r[i] - np.sum(phi * phi) / eta)
+            inner = regularizer.inner_max(r, eta)
         else:
             phi = behavior_probs(alpha, F, feats)
-            if regularizer is Regularizer.SHANNON_ENTROPY:
-                reg = np.sum(np.where(phi > 0, phi * np.log(np.clip(phi, PROB_FLOOR, None)), 0.0), axis=1)
-            else:
-                reg = np.sum(phi * phi, axis=1)
-            inner = np.sum(phi * r, axis=1) - reg / eta
-        total += float(np.sum(inner - r[rows, chosen]))
+            inner = np.sum(phi * r, axis=1) - regularizer.omega(phi) / eta
+        total += float(np.sum(inner - r[np.arange(n), chosen]))
     return total / len(examples)
 
 
@@ -234,16 +215,14 @@ def model_choice_probs(model: UserModel, hist: np.ndarray, disp: np.ndarray) -> 
     """The model's choice distribution over one display (rows of `disp`)."""
     s = nets.embed_history(hist, model.theta.pw)
     rewards = nets.head_scores(model.theta.head, s, disp)
-    if model.config.regularizer is Regularizer.SHANNON_ENTROPY:
-        z = model.config.eta * rewards
-        z -= z.max()
-        e = np.exp(z)
-        return e / e.sum()
-    return project_to_simplex(0.5 * model.config.eta * rewards)
+    return model.config.regularizer.probs(rewards, model.config.eta)
 
 
-def _reward_scores(theta: ScorerNet, examples: Sequence[Example]) -> list[np.ndarray]:
-    """Per-example reward score rows, in the original example order."""
+def _reward_scores(theta: ScorerNet, examples: Sequence[Example],
+                   transform: Callable[[np.ndarray], np.ndarray] | None = None) -> list[np.ndarray]:
+    """Per-example reward score rows, in the original example order.
+
+    `transform`, if given, maps each slot-count group's (records, slots) score block first."""
     order: list[tuple[int, np.ndarray]] = []
     groups: dict[int, list[int]] = {}
     for i, ex in enumerate(examples):
@@ -253,6 +232,8 @@ def _reward_scores(theta: ScorerNet, examples: Sequence[Example]) -> list[np.nda
         F = np.stack([examples[i].hist for i in idxs])
         feats = np.stack([examples[i].disp for i in idxs])
         scores = nets.scorer_batch(theta, F, feats).scores
+        if transform is not None:
+            scores = transform(scores)
         order.extend(zip(idxs, scores))
     order.sort(key=lambda t: t[0])
     return [s for _, s in order]
@@ -278,21 +259,11 @@ def heldout_loglik(model: UserModel, examples: Sequence[Example]) -> float:
     """Mean log-probability of the true choices under the model's choice distribution."""
     if not examples:
         raise ValueError("empty evaluation set")
-    scores = _reward_scores(model.theta, examples)
-    logs = np.empty(len(examples))
-    clamped = 0
-    for i, (ex, row) in enumerate(zip(examples, scores)):
-        if model.config.regularizer is Regularizer.SHANNON_ENTROPY:
-            z = model.config.eta * row
-            z -= z.max()
-            e = np.exp(z)
-            p = e[ex.chosen] / e.sum()
-        else:
-            p = project_to_simplex(0.5 * model.config.eta * row)[ex.chosen]
-        if p < PROB_FLOOR:
-            p = PROB_FLOOR
-            clamped += 1
-        logs[i] = np.log(p)
+    reg, eta = model.config.regularizer, model.config.eta
+    probs = _reward_scores(model.theta, examples, lambda r: reg.probs(r, eta))
+    p = np.array([row[ex.chosen] for ex, row in zip(examples, probs)])
+    clamped = int(np.count_nonzero(p < PROB_FLOOR))
+    logs = np.log(np.maximum(p, PROB_FLOOR))
     if clamped:
         warnings.warn(f"{clamped} record(s) had zero model probability; clamped to {PROB_FLOOR}")
     return float(np.mean(logs))
@@ -383,10 +354,7 @@ def minimax_value_grads(theta: ScorerNet, alpha: ScorerNet | None,
         if config.exact_inner:
             if config.regularizer is not Regularizer.SHANNON_ENTROPY:
                 raise ValueError("exact inner maximization is closed-form only for entropy")
-            z = config.eta * r
-            z -= z.max(axis=1, keepdims=True)
-            e = np.exp(z)
-            phi = e / e.sum(axis=1, keepdims=True)
+            phi = config.regularizer.probs(r, config.eta)
         else:
             va, ga = nets.minimax_behavior_value_and_grad(
                 alpha, F, feats, r, config.eta, config.regularizer)

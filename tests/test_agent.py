@@ -85,20 +85,6 @@ class TestCascadeArgmax:
         with pytest.raises(ValueError, match="pool smaller"):
             cascade_argmax(table_qeval([{}]), (1, 2), 3)
 
-    def test_net_qeval_matches_qj_value(self):
-        from slatesim.nets import qj_value
-        rng = np.random.default_rng(5)
-        catalog = synth_catalog(8, 3, seed=1)
-        qnet = init_cascade_net(3, 4, 2, 5, 3, rng)
-        state = rng.standard_normal(6)
-        qeval = net_qeval(qnet, state, catalog)
-        prefix = (2, 5)
-        cands = (1, 3, 7)
-        vals = qeval(3, prefix, cands)
-        for i, a in enumerate(cands):
-            feats = [catalog.features(x) for x in prefix] + [catalog.features(a)]
-            assert vals[i] == pytest.approx(qj_value(qnet.heads, 3, state, feats), abs=1e-12)
-
 
 class TestReplayMemory:
     def _tr(self, i):
@@ -147,18 +133,14 @@ class TestComputeTarget:
         # linear one-unit heads on an all-positive catalog: Q^j is the plain sum
         # of state and prefix feature coordinates, so the bootstrap is hand-computable
         from slatesim.data import ItemCatalog
-        from slatesim.nets import (Activation, CascadeQNet, CascadeQParams,
-                                   PositionWeightParams)
+        from slatesim.nets import (Activation, CascadeQNet, PositionWeightParams,
+                                   ScorerParams)
         catalog = ItemCatalog([(1, [1.0]), (2, [2.0]), (3, [4.0])])
         d, m, n, k = 1, 2, 1, 2
         pw = PositionWeightParams(W=np.zeros((m, n)), B=np.zeros((d, n)),
                                   activation=Activation.RELU)
-        heads = CascadeQParams(
-            L=[np.ones((1, d * n + d * 1)), np.ones((1, d * n + d * 2))],
-            c=[np.zeros(1), np.zeros(1)],
-            q=[np.ones(1), np.ones(1)],
-            activation=Activation.RELU,
-        )
+        heads = [ScorerParams(V=np.ones((1, d * n + d * j)), b=np.zeros(1), v=np.ones(1),
+                              activation=Activation.RELU) for j in (1, 2)]
         qnet = CascadeQNet(pw=pw, heads=heads)
         # embedded state is 0 (zero weights); Q^2(s, a1, a2) = f(a1) + f(a2)
         # greedy cascade over pool {1,2,3}: picks 3 then 2, value 6
@@ -275,7 +257,7 @@ class TestTrainCdqn:
         cfg = CDQNConfig(iterations=2, horizon=2, batch_users=3, minibatch=4,
                          lr=0.01, seed=6, n=2, hidden=4, capacity=5)
         qnet = train_cdqn(factory, cfg)
-        assert qnet.heads.k == 3
+        assert qnet.k == 3
 
     def test_training_deterministic(self):
         factory, *_ = self._factory()
@@ -303,7 +285,7 @@ class TestTrainCdqn:
         cfg = CDQNConfig(iterations=3, horizon=4, batch_users=4, minibatch=8,
                          lr=0.01, seed=9, n=2, hidden=4)
         qnet = train_additive_q(factory, cfg)
-        assert qnet.heads.k == 1
+        assert qnet.k == 1
         buf = HistoryBuffer(3, 4)
         slate = additive_q_policy(qnet, buf, catalog.item_ids, 3, catalog)
         assert len(slate) == 3
@@ -314,7 +296,7 @@ class TestConstraintDiagnostic:
         catalog = synth_catalog(8, 3, seed=15)
         qnet = init_cascade_net(3, 3, 2, 4, 3, np.random.default_rng(16))
         for j in range(3):
-            qnet.heads.q[j][:] = 0.0
+            qnet.heads[j].v[:] = 0.0
         rows = constraint_diagnostic(qnet, [np.zeros((3, 3))] * 4, [catalog.item_ids] * 4,
                                      catalog)
         assert len(rows) == 12
@@ -334,6 +316,6 @@ class TestPolicyCheckpoint:
         path = tmp_path / "policy.ckpt"
         save_policy(path, qnet, extra_meta={"reward_mode": "learned"})
         loaded = load_policy(path)
-        assert loaded.heads.k == 3
+        assert loaded.k == 3
         for name, t in named_tensors(qnet).items():
             assert np.array_equal(t, named_tensors(loaded)[name])

@@ -63,6 +63,8 @@ class TestEntropyChoice:
             r = rng.standard_normal(5)
             star = entropy_choice_probs(r, cfg)
             best = objective(star, r, eta, Regularizer.SHANNON_ENTROPY)
+            # the closed-form maximum (log-sum-exp / eta) is the objective at the maximizer
+            assert abs(Regularizer.SHANNON_ENTROPY.inner_max(r, eta) - best) <= 1e-12
             for cand in random_simplex(rng, 5, 10_000):
                 assert best - objective(cand, r, eta, Regularizer.SHANNON_ENTROPY) >= -1e-9
 
@@ -81,6 +83,7 @@ class TestL2Choice:
             r = rng.standard_normal(5)
             star = l2_choice_probs(r, L2)
             best = objective(star, r, 1.0, Regularizer.L2)
+            assert abs(Regularizer.L2.inner_max(r, 1.0) - best) <= 1e-12
             for cand in random_simplex(rng, 5, 10_000):
                 assert best - objective(cand, r, 1.0, Regularizer.L2) >= -1e-9
 
@@ -97,6 +100,9 @@ class TestL2Choice:
         p = project_to_simplex(y)
         assert np.all(p >= 0)
         assert abs(p.sum() - 1.0) <= 1e-9
+        # a stacked call projects each row exactly as the row-by-row calls do
+        rows = np.stack([y, -y, 0.1 * y, np.zeros(n)])
+        assert np.array_equal(project_to_simplex(rows), np.stack([project_to_simplex(r) for r in rows]))
 
 
 class TestGumbelSampling:

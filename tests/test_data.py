@@ -10,7 +10,6 @@ from slatesim.data import (
     ItemCatalog,
     Trajectory,
     load_trajectories,
-    push_click,
     read_meta,
     save_trajectories,
     split_users,
@@ -75,7 +74,7 @@ class TestHistoryBuffer:
     def test_fresh_push_zero_pads_left(self):
         buf = HistoryBuffer(m=3, d=2)
         f = np.array([1.0, 2.0])
-        push_click(buf, f)
+        buf.push(f)
         assert np.array_equal(buf.matrix[:, 0], [0, 0])
         assert np.array_equal(buf.matrix[:, 1], [0, 0])
         assert np.array_equal(buf.matrix[:, 2], f)

@@ -9,7 +9,6 @@ from slatesim.env import (
     EnvConfig,
     EnvError,
     SlateEnv,
-    candidates,
     draw_candidates,
     make_ground_truth_user,
     reset,
@@ -93,7 +92,7 @@ class TestCandidates:
         env = SlateEnv(catalog, EnvConfig(k=3, pool_size=10, horizon=3,
                                           candidate_policy=CandidatePolicy.FULL_CATALOG))
         state = reset(env, user, seed=1)
-        assert candidates(env, state) == catalog.item_ids
+        assert state.pool == catalog.item_ids
 
     def test_excludes_clicked(self, setup):
         catalog, _, env = setup

@@ -147,6 +147,30 @@ class TestCli:
     def test_unknown_command_exits_2(self):
         assert cli_main(["no-such-command"]) == 2
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("train-policy", "policy-kind", "Additive"),
+        ("train-policy", "reward-mode", "PM1"),
+        ("train-user-model", "regularizer", "L2"),
+        ("train-user-model", "init-scheme", "Entropy"),
+        ("train-user-model", "method", "MLE"),
+    ])
+    def test_bad_config_value_exits_2_and_names_file_and_key(self, tmp_path, capsys,
+                                                             command, key, value):
+        # config-file values are not checked by argparse; a near miss must not fall back silently
+        assert cli_main(["gen-data", "--users", "3", "--horizon", "2", "--k", "2",
+                         "--pool-size", "3", "--catalog-size", "5", "--dim", "2", "--m", "2",
+                         "--n", "2", "--hidden", "3", "--seed", "1", "--out", str(tmp_path)]) == 0
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"k=2\npool-size=3\niterations=1\nepochs=1\n{key} = {value}\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = cli_main([command, "--config", str(cfg), "--data", str(tmp_path / "data.txt"),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "bad.cfg" in err and repr(key) in err and repr(value) in err
+        assert not list(out.glob("*.ckpt"))
+
     def test_end_to_end_pipeline(self, tmp_path, capsys):
         out = str(tmp_path)
         # 1. generate a tiny synthetic click log

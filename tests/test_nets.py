@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
 
+from slatesim.agent import net_qeval
 from slatesim.choice import Regularizer
-from slatesim.data import HistoryBuffer
+from slatesim.data import HistoryBuffer, synth_catalog
 from slatesim.nets import (
     Activation,
-    CascadeQParams,
     GradientBundle,
     PositionWeightParams,
     ScorerNet,
     ScorerParams,
-    behavior_logit,
     embed_history,
     embed_state,
     finite_difference_grad,
     grad,
+    head_scores,
     init_cascade_net,
     init_scorer_net,
     load_tensors,
@@ -22,8 +22,6 @@ from slatesim.nets import (
     minimax_reward_value_and_grad,
     named_tensors,
     nll_value_and_grad,
-    qj_value,
-    reward_score,
     run_gradient_check,
     save_tensors,
     sgd_step,
@@ -99,12 +97,12 @@ class TestEmbedState:
 class TestScorers:
     def test_zero_output_layer(self):
         head = ScorerParams(V=np.ones((3, 5)), b=np.ones(3), v=np.zeros(3))
-        assert reward_score(head, np.zeros(3), np.zeros(2)) == 0.0
+        assert head_scores(head, np.zeros(3), np.zeros(2))[0] == 0.0
 
     def test_linear_regime_sums_inputs(self):
         head = ScorerParams(V=np.ones((1, 4)), b=np.zeros(1), v=np.ones(1),
                             activation=Activation.RELU)
-        out = reward_score(head, np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+        out = head_scores(head, np.array([1.0, 2.0]), np.array([3.0, 4.0]))[0]
         assert out == pytest.approx(10.0)
 
     def test_matches_forward_oracle(self):
@@ -117,47 +115,58 @@ class TestScorers:
             state = rng.standard_normal(dn)
             feats = rng.standard_normal(d)
             expect = oracle_score(head.V, head.b, head.v, kind, state, feats)
-            assert reward_score(head, state, feats) == pytest.approx(expect, abs=1e-12)
-            assert behavior_logit(head, state, feats) == pytest.approx(expect, abs=1e-12)
+            assert head_scores(head, state, feats)[0] == pytest.approx(expect, abs=1e-12)
 
 
 class TestCascadeHeads:
-    def _params(self, rng, d=3, dn=6, hid=4, k=3):
-        return CascadeQParams(
-            L=[rng.standard_normal((hid, dn + d * j)) for j in range(1, k + 1)],
-            c=[rng.standard_normal(hid) for _ in range(k)],
-            q=[rng.standard_normal(hid) for _ in range(k)],
-        )
+    # head j is a plain scorer head whose item input is the prefix [f_1; ...; f_j]
+    def _heads(self, rng, d=3, dn=6, hid=4, k=3):
+        return [ScorerParams(V=rng.standard_normal((hid, dn + d * j)), b=rng.standard_normal(hid),
+                             v=rng.standard_normal(hid)) for j in range(1, k + 1)]
 
     def test_zero_head_gives_zero(self):
         rng = np.random.default_rng(0)
-        params = self._params(rng)
-        params.q[1] = np.zeros_like(params.q[1])
-        out = qj_value(params, 2, np.zeros(6), [np.zeros(3), np.zeros(3)])
+        heads = self._heads(rng)
+        heads[1].v = np.zeros_like(heads[1].v)
+        out = head_scores(heads[1], np.zeros(6), np.zeros(6))[0]
         assert out == 0.0
 
     def test_wrong_arity(self):
-        params = self._params(np.random.default_rng(1))
+        qnet = init_cascade_net(3, 2, 2, 4, 3, np.random.default_rng(1))
         with pytest.raises(ValueError, match="expected 2"):
-            qj_value(params, 2, np.zeros(6), [np.zeros(3)])
+            td_value_and_grad(qnet, 2, np.zeros((1, 3, 2)), np.zeros((1, 1, 3)), np.zeros(1))
 
     def test_j1_matches_scorer_oracle(self):
         rng = np.random.default_rng(2)
-        params = self._params(rng)
+        head = self._heads(rng)[0]
         state, f = rng.standard_normal(6), rng.standard_normal(3)
-        expect = oracle_score(params.L[0], params.c[0], params.q[0],
-                              params.activation, state, f)
-        assert qj_value(params, 1, state, [f]) == pytest.approx(expect, abs=1e-12)
+        expect = oracle_score(head.V, head.b, head.v, head.activation, state, f)
+        assert head_scores(head, state, f)[0] == pytest.approx(expect, abs=1e-12)
 
     def test_order_sensitivity(self):
         # the per-position heads impose no symmetry in the chosen-item ordering
         rng = np.random.default_rng(3)
-        params = self._params(rng)
+        head = self._heads(rng)[1]
         state = rng.standard_normal(6)
         f1, f2 = rng.standard_normal(3), rng.standard_normal(3)
-        a = qj_value(params, 2, state, [f1, f2])
-        b = qj_value(params, 2, state, [f2, f1])
+        a = head_scores(head, state, np.concatenate([f1, f2]))[0]
+        b = head_scores(head, state, np.concatenate([f2, f1]))[0]
         assert a != pytest.approx(b, abs=1e-9)
+
+    def test_net_qeval_matches_oracle_score(self):
+        rng = np.random.default_rng(5)
+        catalog = synth_catalog(8, 3, seed=1)
+        qnet = init_cascade_net(3, 4, 2, 5, 3, rng)
+        state = rng.standard_normal(6)
+        qeval = net_qeval(qnet, state, catalog)
+        prefix = (2, 5)
+        cands = (1, 3, 7)
+        vals = qeval(3, prefix, cands)
+        head = qnet.heads[2]
+        for i, a in enumerate(cands):
+            feats = np.concatenate([catalog.features(x) for x in prefix + (a,)])
+            expect = oracle_score(head.V, head.b, head.v, head.activation, state, feats)
+            assert vals[i] == pytest.approx(expect, abs=1e-12)
 
 
 class TestGradients:
