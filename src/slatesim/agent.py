@@ -11,7 +11,7 @@ import numpy as np
 
 from . import nets
 from .data import HistoryBuffer, ItemCatalog
-from .env import Policy, SlateEnv, reset, step
+from .env import EnvState, Policy, SlateEnv, reset, step
 from .nets import Activation, CascadeQNet, GradientBundle, ScorerNet
 from .training import UserModel
 
@@ -78,9 +78,6 @@ class CDQNConfig:
     reward_mode: RewardMode = RewardMode.LEARNED_REWARD
     n: int = 4
     hidden: int = 16
-    activation: Activation = Activation.ELU
-    frozen_target_period: int = 0
-    momentum: float = 0.0
 
     def __post_init__(self):
         if not (0.0 <= self.gamma < 1.0):
@@ -253,22 +250,23 @@ def _mode_reward(outcome, config: CDQNConfig) -> float:
     return outcome.reward
 
 
-def train_cdqn(env_factory: EnvFactory, config: CDQNConfig,
-               on_iteration: Callable[[int, dict], None] | None = None,
-               on_transition: Callable[[Transition], None] | None = None) -> CascadeQNet:
-    """Cascaded TD learning with experience replay and epsilon-greedy exploration.
+def _train_replay(env_factory: EnvFactory, config: CDQNConfig, heads: int,
+                  act: Callable[[CascadeQNet, EnvState], list[int]],
+                  target: Callable[[CascadeQNet, Transition], float],
+                  loss: Callable[[CascadeQNet, np.ndarray, list[Transition], np.ndarray],
+                                 tuple[float, GradientBundle]],
+                  on_iteration: Callable[[int, dict], None] | None,
+                  on_transition: Callable[[Transition], None] | None) -> CascadeQNet:
+    """Epsilon-greedy sessions, experience replay and one SGD step per horizon step.
 
-    Every position's network regresses on the shared target
-    y = r + gamma * Q^k(next state, greedy cascade slate)."""
+    A net of `heads` value heads plays `act` (or, with probability epsilon, a
+    random slate), then regresses `loss` on a replay minibatch against the
+    bootstrapped targets `target` computes with the current net."""
     env0, user0, _ = env_factory(0)
-    catalog = env0.catalog
     k = env0.config.k
     rng = np.random.default_rng(config.seed)
-    qnet = nets.init_cascade_net(catalog.d, user0.m, config.n, config.hidden, k, rng,
-                                 config.activation)
+    qnet = nets.init_cascade_net(env0.catalog.d, user0.m, config.n, config.hidden, heads, rng)
     memory = ReplayMemory(config.capacity)
-    velocity: dict[str, np.ndarray] = {}
-    target_net = qnet
     updates = 0
     episode = 0
     for it in range(config.iterations):
@@ -285,7 +283,7 @@ def train_cdqn(env_factory: EnvFactory, config: CDQNConfig,
                 if rng.random() < eps:
                     slate = random_slate(state.pool, k, rng)
                 else:
-                    slate = cascade_slate(qnet, state.buffer, state.pool, catalog)
+                    slate = act(qnet, state)
                 out = step(env, state, slate, user)
                 transition = Transition(
                     hist=state.buffer.matrix.copy(),
@@ -301,31 +299,47 @@ def train_cdqn(env_factory: EnvFactory, config: CDQNConfig,
                 session[2] = out.next_state
             if len(memory) >= config.minibatch:
                 batch = memory.sample(config.minibatch, rng)
-                if config.frozen_target_period > 0 and updates % config.frozen_target_period == 0:
-                    target_net = nets.clone_params(qnet)
-                boot = target_net if config.frozen_target_period > 0 else qnet
-                targets = np.array([
-                    compute_target(tr.reward, tr.next_hist, tr.next_pool, boot,
-                                   catalog, config.gamma, tr.terminal)
-                    for tr in batch
-                ])
+                targets = np.array([target(qnet, tr) for tr in batch])
                 F = np.stack([tr.hist for tr in batch])
-                total = GradientBundle()
-                loss = 0.0
-                for j in range(1, k + 1):
-                    feats = np.stack([catalog.feature_matrix(tr.slate[:j]) for tr in batch])
-                    value, bundle = nets.td_value_and_grad(qnet, j, F, feats, targets)
-                    loss += value
-                    total.add_(bundle)
-                if not np.isfinite(loss):
+                value, bundle = loss(qnet, F, batch, targets)
+                if not np.isfinite(value):
                     raise TrainingDivergedError(it)
-                nets.sgd_step(qnet, total, config.lr, momentum=config.momentum, velocity=velocity)
+                nets.sgd_step(qnet, bundle, config.lr)
                 updates += 1
-                losses.append(loss / k)
+                losses.append(value)
         if on_iteration is not None:
             on_iteration(it, {"epsilon": eps, "updates": updates,
                               "mean_td_loss": float(np.mean(losses)) if losses else float("nan")})
     return qnet
+
+
+def train_cdqn(env_factory: EnvFactory, config: CDQNConfig,
+               on_iteration: Callable[[int, dict], None] | None = None,
+               on_transition: Callable[[Transition], None] | None = None) -> CascadeQNet:
+    """Cascaded TD learning with experience replay and epsilon-greedy exploration.
+
+    Every position's network regresses on the shared target
+    y = r + gamma * Q^k(next state, greedy cascade slate); the reported loss
+    is the mean over positions."""
+    env0, _, _ = env_factory(0)
+    catalog, k = env0.catalog, env0.config.k
+
+    def cascade_loss(qnet, F, batch, targets):
+        total = GradientBundle()
+        value = 0.0
+        for j in range(1, k + 1):
+            feats = np.stack([catalog.feature_matrix(tr.slate[:j]) for tr in batch])
+            head_value, bundle = nets.td_value_and_grad(qnet, j, F, feats, targets)
+            value += head_value
+            total.add_(bundle)
+        return value / k, total
+
+    return _train_replay(
+        env_factory, config, k,
+        act=lambda qnet, state: cascade_slate(qnet, state.buffer, state.pool, catalog),
+        target=lambda qnet, tr: compute_target(tr.reward, tr.next_hist, tr.next_pool, qnet,
+                                               catalog, config.gamma, tr.terminal),
+        loss=cascade_loss, on_iteration=on_iteration, on_transition=on_transition)
 
 
 def _additive_value_and_grad(qnet: CascadeQNet, F: np.ndarray, slate_feats: np.ndarray,
@@ -348,64 +362,24 @@ def train_additive_q(env_factory: EnvFactory, config: CDQNConfig,
 
     The greedy slate is the top-k by single-item value and the bootstrap target
     uses the additive maximum, i.e. the sum of the next state's top-k values."""
-    env0, user0, _ = env_factory(0)
-    catalog = env0.catalog
-    k = env0.config.k
-    rng = np.random.default_rng(config.seed)
-    qnet = nets.init_cascade_net(catalog.d, user0.m, config.n, config.hidden, 1, rng,
-                                 config.activation)
-    memory = ReplayMemory(config.capacity)
-    velocity: dict[str, np.ndarray] = {}
-    updates = 0
-    episode = 0
+    env0, _, _ = env_factory(0)
+    catalog, k = env0.catalog, env0.config.k
 
-    def additive_target(tr: Transition) -> float:
+    def additive_target(qnet: CascadeQNet, tr: Transition) -> float:
         if tr.terminal:
             return tr.reward
         s = nets.embed_history(tr.next_hist, qnet.pw)
         vals = np.sort(net_qeval(qnet, s, catalog)(1, (), tr.next_pool))[::-1]
         return tr.reward + config.gamma * float(vals[:k].sum())
 
-    for it in range(config.iterations):
-        eps = _epsilon_at(config, it)
-        sessions = []
-        for _ in range(config.batch_users):
-            env, user, ep_seed = env_factory(episode)
-            episode += 1
-            sessions.append([env, user, reset(env, user, ep_seed)])
-        losses = []
-        for t in range(config.horizon):
-            for session in sessions:
-                env, user, state = session
-                if rng.random() < eps:
-                    slate = random_slate(state.pool, k, rng)
-                else:
-                    slate = additive_q_policy(qnet, state.buffer, state.pool, k, catalog)
-                out = step(env, state, slate, user)
-                memory.add(Transition(
-                    hist=state.buffer.matrix.copy(),
-                    slate=tuple(slate),
-                    reward=_mode_reward(out, config),
-                    next_hist=out.next_state.buffer.matrix.copy(),
-                    next_pool=out.next_state.pool,
-                    terminal=(t == config.horizon - 1),
-                ))
-                session[2] = out.next_state
-            if len(memory) >= config.minibatch:
-                batch = memory.sample(config.minibatch, rng)
-                targets = np.array([additive_target(tr) for tr in batch])
-                F = np.stack([tr.hist for tr in batch])
-                feats = np.stack([catalog.feature_matrix(tr.slate) for tr in batch])
-                value, bundle = _additive_value_and_grad(qnet, F, feats, targets)
-                if not np.isfinite(value):
-                    raise TrainingDivergedError(it)
-                nets.sgd_step(qnet, bundle, config.lr, momentum=config.momentum, velocity=velocity)
-                updates += 1
-                losses.append(value)
-        if on_iteration is not None:
-            on_iteration(it, {"epsilon": eps, "updates": updates,
-                              "mean_td_loss": float(np.mean(losses)) if losses else float("nan")})
-    return qnet
+    def additive_loss(qnet, F, batch, targets):
+        feats = np.stack([catalog.feature_matrix(tr.slate) for tr in batch])
+        return _additive_value_and_grad(qnet, F, feats, targets)
+
+    return _train_replay(
+        env_factory, config, 1,
+        act=lambda qnet, state: additive_q_policy(qnet, state.buffer, state.pool, k, catalog),
+        target=additive_target, loss=additive_loss, on_iteration=on_iteration, on_transition=None)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from enum import EnumMeta
 
 import numpy as np
 
@@ -42,34 +43,73 @@ def _one_of(choices: tuple[str, ...]):
         if raw not in choices:
             raise ValueError(f"{raw!r} is not one of {', '.join(choices)}")
         return raw
+    cast.choices = choices
     return cast
 
 
-_METHODS = ("mle", "minimax")
-_POLICY_KINDS = ("cdqn", "additive")
+# the policy kinds backed by a trained Q-network checkpoint
+_Q_KINDS = (PolicyKind.CDQN, PolicyKind.ADDITIVE_Q)
+
+# Every flag of every subcommand, declared once: name -> cast. The cast parses
+# the flag and its config-file key alike; an enum flag parses with its
+# constructor and offers the enum's values as argparse choices.
+_FLAGS = {
+    # common
+    "seed": int, "out": str, "config": str,
+    # catalog
+    "data": str, "catalog-size": int, "dim": int, "catalog-seed": int,
+    # ground-truth user
+    "user-model": str, "gt-seed": int, "gt-m": int, "gt-n": int, "gt-hidden": int,
+    "gt-reward-scale": float,
+    # env
+    "k": int, "pool-size": int, "horizon": int, "nonclick-reward": float,
+    # scorer architecture (gen-data, train-user-model, train-policy)
+    "m": int, "n": int, "hidden": int,
+    # gen-data
+    "users": int, "reward-scale": float,
+    # train-user-model
+    "epochs": int, "batch-size": int, "lr-theta": float, "lr-alpha": float, "eta": float,
+    "regularizer": Regularizer, "init-scheme": InitScheme,
+    "method": _one_of(("mle", "minimax")), "patience": int,
+    # train-policy
+    "gamma": float, "epsilon": float, "epsilon-final": float, "iterations": int,
+    "batch-users": int, "minibatch": int, "lr": float, "capacity": int,
+    "reward-mode": RewardMode, "policy-kind": _one_of(tuple(kind.value for kind in _Q_KINDS)),
+    # evaluate
+    "spec": str, "roster": str, "policy": str, "policy-cdqn": str, "policy-additive": str,
+    "greedy-user-model": str, "n-users": int, "reps": int,
+    # diagnose-q, gradcheck
+    "states": int, "trials": int, "dims-max": int,
+}
+_COMMON = ("seed", "out", "config")
+_CATALOG = ("catalog-size", "dim", "catalog-seed")
+_USER = ("user-model", "gt-seed", "gt-m", "gt-n", "gt-hidden", "gt-reward-scale")
+_ENV = ("k", "pool-size", "horizon", "nonclick-reward")
 
 
 class _Options:
     """Merge order: CLI flag beats config-file value beats default.
 
-    Both sources go through `cast`, so an enum option parses with its
-    constructor and a bad config-file value names the file and the key."""
+    Both sources go through the flag's cast from `_FLAGS`, so a bad
+    config-file value names the file and the key. A flag the subcommand does
+    not take resolves to the default, so one config file can serve every
+    stage of a pipeline."""
 
     def __init__(self, args: argparse.Namespace, config: dict[str, str], path: str | None = None):
         self.args = args
         self.config = config
         self.path = path
 
-    def get(self, name: str, cast, default=None):
-        cli_val = getattr(self.args, name.replace("-", "_"), None)
+    def get(self, name: str, default=None):
+        cast = _FLAGS[name]
+        if name not in self.args.flags:
+            return default
+        cli_val = getattr(self.args, name.replace("-", "_"))
         if cli_val is not None:
             return cast(cli_val)
         if name in self.config:
-            raw = self.config[name]
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
             try:
-                return cast(raw)
+                return cast(self.config[name])
             except ValueError as exc:
                 raise ValueError(f"{self.path}: bad value for key {name!r}: {exc}") from None
         return default
@@ -77,36 +117,44 @@ class _Options:
 
 def _load_options(args: argparse.Namespace) -> _Options:
     config: dict[str, str] = {}
-    path = getattr(args, "config", None)
+    path = args.config
     if path:
         if not os.path.exists(path):
             raise FileNotFoundError(f"config file not found: {path}")
         config = parse_config_file(path)
+        unknown = [key for key in config if key not in _FLAGS]
+        if unknown:
+            raise ValueError(f"{path}: unknown key {unknown[0]!r}")
     return _Options(args, config, path)
 
 
 def _catalog_from_options(opt: _Options):
-    data_path = opt.get("data", str)
+    data_path = opt.get("data")
     if data_path:
         if not os.path.exists(data_path):
             raise FileNotFoundError(f"data file not found: {data_path}")
         catalog, _ = load_trajectories(data_path)
         return catalog
-    K = opt.get("catalog-size", int, 30)
-    d = opt.get("dim", int, 8)
-    seed = opt.get("catalog-seed", int, 1)
+    K = opt.get("catalog-size", 30)
+    d = opt.get("dim", 8)
+    seed = opt.get("catalog-seed", 1)
     return synth_catalog(K, d, seed)
 
 
 def _user_from_options(opt: _Options, catalog):
-    path = opt.get("user-model", str)
+    path = opt.get("user-model")
     if path:
         if not os.path.exists(path):
             raise FileNotFoundError(f"user model checkpoint not found: {path}")
         return load_user_model(path)
-    dims = (opt.get("gt-m", int, 5), opt.get("gt-n", int, 4), opt.get("gt-hidden", int, 16))
-    return make_ground_truth_user(catalog, dims, opt.get("gt-seed", int, 1),
-                                  opt.get("gt-reward-scale", float, 1.0))
+    dims = (opt.get("gt-m", 5), opt.get("gt-n", 4), opt.get("gt-hidden", 16))
+    return make_ground_truth_user(catalog, dims, opt.get("gt-seed", 1),
+                                  opt.get("gt-reward-scale", 1.0))
+
+
+def _env_config(opt: _Options, k: int) -> EnvConfig:
+    return EnvConfig(k=k, pool_size=opt.get("pool-size", 20), horizon=opt.get("horizon", 10),
+                     nonclick_reward=opt.get("nonclick-reward", 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -115,18 +163,18 @@ def _user_from_options(opt: _Options, catalog):
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
     opt = _load_options(args)
-    out_dir = opt.get("out", str, "out")
-    seed = opt.get("seed", int, 0)
-    users = opt.get("users", int, 50)
-    horizon = opt.get("horizon", int, 20)
-    k = opt.get("k", int, 5)
-    pool_size = opt.get("pool-size", int, 20)
-    K = opt.get("catalog-size", int, 50)
-    d = opt.get("dim", int, 8)
-    m = opt.get("m", int, 5)
-    n = opt.get("n", int, 4)
-    hidden = opt.get("hidden", int, 16)
-    reward_scale = opt.get("reward-scale", float, 1.0)
+    out_dir = opt.get("out", "out")
+    seed = opt.get("seed", 0)
+    users = opt.get("users", 50)
+    horizon = opt.get("horizon", 20)
+    k = opt.get("k", 5)
+    pool_size = opt.get("pool-size", 20)
+    K = opt.get("catalog-size", 50)
+    d = opt.get("dim", 8)
+    m = opt.get("m", 5)
+    n = opt.get("n", 4)
+    hidden = opt.get("hidden", 16)
+    reward_scale = opt.get("reward-scale", 1.0)
     os.makedirs(out_dir, exist_ok=True)
     catalog = synth_catalog(K, d, seed)
     user = make_ground_truth_user(catalog, (m, n, hidden), seed + 1, reward_scale)
@@ -148,29 +196,29 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 def cmd_train_user_model(args: argparse.Namespace) -> int:
     opt = _load_options(args)
-    data_path = opt.get("data", str)
+    data_path = opt.get("data")
     if not data_path or not os.path.exists(data_path):
         raise FileNotFoundError(f"data file not found: {data_path}")
-    out_dir = opt.get("out", str, "out")
+    out_dir = opt.get("out", "out")
     os.makedirs(out_dir, exist_ok=True)
     d, m, _k = read_meta(data_path)
     catalog, trajectories = load_trajectories(data_path)
-    seed = opt.get("seed", int, 0)
-    reg = opt.get("regularizer", Regularizer, Regularizer.SHANNON_ENTROPY)
-    scheme = opt.get("init-scheme", InitScheme, InitScheme.FRESH)
+    seed = opt.get("seed", 0)
+    reg = opt.get("regularizer", Regularizer.SHANNON_ENTROPY)
+    scheme = opt.get("init-scheme", InitScheme.FRESH)
     config = TrainConfig(
-        eta=opt.get("eta", float, 1.0),
-        lr_alpha=opt.get("lr-alpha", float, 0.05),
-        lr_theta=opt.get("lr-theta", float, 0.05),
-        batch_size=opt.get("batch-size", int, 64),
-        epochs=opt.get("epochs", int, 50),
+        eta=opt.get("eta", 1.0),
+        lr_alpha=opt.get("lr-alpha", 0.05),
+        lr_theta=opt.get("lr-theta", 0.05),
+        batch_size=opt.get("batch-size", 64),
+        epochs=opt.get("epochs", 50),
         regularizer=reg,
         init_scheme=scheme,
         seed=seed,
-        m=opt.get("m", int, m if m > 0 else 5),
-        n=opt.get("n", int, 4),
-        hidden=opt.get("hidden", int, 16),
-        patience=opt.get("patience", int, 10),
+        m=opt.get("m", m if m > 0 else 5),
+        n=opt.get("n", 4),
+        hidden=opt.get("hidden", 16),
+        patience=opt.get("patience", 10),
     )
     split = split_users([t.user_id for t in trajectories], seed=seed)
     train = [t for t in trajectories if t.user_id in split.train]
@@ -187,7 +235,7 @@ def cmd_train_user_model(args: argparse.Namespace) -> int:
         _log(f"[train-user-model] epoch={epoch} " +
              " ".join(f"{k}={v:.5g}" for k, v in stats.items()))
 
-    method = opt.get("method", _one_of(_METHODS), "minimax" if reg is Regularizer.L2 else "mle")
+    method = opt.get("method", "minimax" if reg is Regularizer.L2 else "mle")
     if method == "mle":
         model = training.train_mle(catalog, train, config, valid=valid, on_epoch=on_epoch)
     else:
@@ -207,32 +255,27 @@ def cmd_train_user_model(args: argparse.Namespace) -> int:
 
 def cmd_train_policy(args: argparse.Namespace) -> int:
     opt = _load_options(args)
-    out_dir = opt.get("out", str, "out")
+    out_dir = opt.get("out", "out")
     os.makedirs(out_dir, exist_ok=True)
     catalog = _catalog_from_options(opt)
     user = _user_from_options(opt, catalog)
-    seed = opt.get("seed", int, 0)
-    env = SlateEnv(catalog, EnvConfig(
-        k=opt.get("k", int, 3),
-        pool_size=opt.get("pool-size", int, 20),
-        horizon=opt.get("horizon", int, 10),
-        nonclick_reward=opt.get("nonclick-reward", float, 0.0),
-    ))
-    mode = opt.get("reward-mode", RewardMode, RewardMode.LEARNED_REWARD)
+    seed = opt.get("seed", 0)
+    env = SlateEnv(catalog, _env_config(opt, opt.get("k", 3)))
+    mode = opt.get("reward-mode", RewardMode.LEARNED_REWARD)
     config = CDQNConfig(
-        gamma=opt.get("gamma", float, 0.9),
-        epsilon=opt.get("epsilon", float, 0.2),
-        epsilon_final=opt.get("epsilon-final", float),
-        iterations=opt.get("iterations", int, 150),
+        gamma=opt.get("gamma", 0.9),
+        epsilon=opt.get("epsilon", 0.2),
+        epsilon_final=opt.get("epsilon-final"),
+        iterations=opt.get("iterations", 150),
         horizon=env.config.horizon,
-        batch_users=opt.get("batch-users", int, 10),
-        minibatch=opt.get("minibatch", int, 32),
-        lr=opt.get("lr", float, 0.05),
+        batch_users=opt.get("batch-users", 10),
+        minibatch=opt.get("minibatch", 32),
+        lr=opt.get("lr", 0.05),
         seed=seed,
-        capacity=opt.get("capacity", int, 10_000),
+        capacity=opt.get("capacity", 10_000),
         reward_mode=mode,
-        n=opt.get("n", int, 4),
-        hidden=opt.get("hidden", int, 16),
+        n=opt.get("n", 4),
+        hidden=opt.get("hidden", 16),
     )
     # training episodes stay on even seeds; evaluation uses odd ones
     factory = agent.make_env_factory(env, user, 2 * seed)
@@ -242,67 +285,55 @@ def cmd_train_policy(args: argparse.Namespace) -> int:
             _log(f"[train-policy] iter={it + 1}/{config.iterations} "
                  f"td_loss={stats['mean_td_loss']:.5g} eps={stats['epsilon']:.3f}")
 
-    kind = opt.get("policy-kind", _one_of(_POLICY_KINDS), "cdqn")
-    if kind == "additive":
+    kind = PolicyKind(opt.get("policy-kind", PolicyKind.CDQN.value))
+    if kind is PolicyKind.ADDITIVE_Q:
         qnet = agent.train_additive_q(factory, config, on_iteration=on_iteration)
     else:
         qnet = agent.train_cdqn(factory, config, on_iteration=on_iteration)
     ckpt = os.path.join(out_dir, "policy.ckpt")
-    agent.save_policy(ckpt, qnet, extra_meta={"reward_mode": mode.value, "policy_kind": kind})
+    agent.save_policy(ckpt, qnet, extra_meta={"reward_mode": mode.value, "policy_kind": kind.value})
     _log(f"[train-policy] wrote {ckpt}")
     return 0
 
 
-_ROSTER_KINDS = {
-    "random": PolicyKind.RANDOM,
-    "greedy": PolicyKind.GREEDY_USER_MODEL,
-    "cdqn": PolicyKind.CDQN,
-    "additive": PolicyKind.ADDITIVE_Q,
-}
-
-
 def _experiment_spec(opt: _Options) -> ExperimentSpec:
     roster = []
-    for name in opt.get("roster", str, "random").split(","):
+    for name in opt.get("roster", "random").split(","):
         name = name.strip()
         if not name:
             continue
-        if name not in _ROSTER_KINDS:
-            raise ValueError(f"unknown roster policy {name!r}; choose from {sorted(_ROSTER_KINDS)}")
-        kind = _ROSTER_KINDS[name]
+        try:
+            kind = PolicyKind(name)
+        except ValueError:
+            choices = sorted(member.value for member in PolicyKind)
+            raise ValueError(f"unknown roster policy {name!r}; choose from {choices}") from None
         path = None
-        if kind in (PolicyKind.CDQN, PolicyKind.ADDITIVE_Q):
-            path = opt.get(f"policy-{name}", str) or opt.get("policy", str)
+        if kind in _Q_KINDS:
+            path = opt.get(f"policy-{name}") or opt.get("policy")
         elif kind is PolicyKind.GREEDY_USER_MODEL:
-            path = opt.get("greedy-user-model", str)
+            path = opt.get("greedy-user-model")
         roster.append(RosterEntry(name, kind, path))
-    env = EnvConfig(
-        k=opt.get("k", int, 3),
-        pool_size=opt.get("pool-size", int, 20),
-        horizon=opt.get("horizon", int, 10),
-        nonclick_reward=opt.get("nonclick-reward", float, 0.0),
-    )
     return ExperimentSpec(
-        seed=opt.get("seed", int, 0),
-        catalog_size=opt.get("catalog-size", int, 30),
-        dim=opt.get("dim", int, 8),
-        catalog_seed=opt.get("catalog-seed", int, 1),
-        user_model_path=opt.get("user-model", str),
-        gt_m=opt.get("gt-m", int, 5),
-        gt_n=opt.get("gt-n", int, 4),
-        gt_hidden=opt.get("gt-hidden", int, 16),
-        gt_seed=opt.get("gt-seed", int, 1),
-        gt_reward_scale=opt.get("gt-reward-scale", float, 1.0),
-        env=env,
-        n_users=opt.get("n-users", int, 20),
-        repetitions=opt.get("reps", int, 50),
-        out_dir=opt.get("out", str, "out"),
+        seed=opt.get("seed", 0),
+        catalog_size=opt.get("catalog-size", 30),
+        dim=opt.get("dim", 8),
+        catalog_seed=opt.get("catalog-seed", 1),
+        user_model_path=opt.get("user-model"),
+        gt_m=opt.get("gt-m", 5),
+        gt_n=opt.get("gt-n", 4),
+        gt_hidden=opt.get("gt-hidden", 16),
+        gt_seed=opt.get("gt-seed", 1),
+        gt_reward_scale=opt.get("gt-reward-scale", 1.0),
+        env=_env_config(opt, opt.get("k", 3)),
+        n_users=opt.get("n-users", 20),
+        repetitions=opt.get("reps", 50),
+        out_dir=opt.get("out", "out"),
         roster=roster,
     )
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    spec_path = getattr(args, "spec", None)
+    spec_path = args.spec
     if spec_path:
         if not os.path.exists(spec_path):
             raise FileNotFoundError(f"spec file not found: {spec_path}")
@@ -321,21 +352,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_diagnose_q(args: argparse.Namespace) -> int:
     opt = _load_options(args)
-    policy_path = opt.get("policy", str)
+    policy_path = opt.get("policy")
     if not policy_path or not os.path.exists(policy_path):
         raise FileNotFoundError(f"policy checkpoint not found: {policy_path}")
-    out_dir = opt.get("out", str, "out")
+    out_dir = opt.get("out", "out")
     os.makedirs(out_dir, exist_ok=True)
     qnet = agent.load_policy(policy_path)
     catalog = _catalog_from_options(opt)
     user = _user_from_options(opt, catalog)
-    n_states = opt.get("states", int, 500)
-    seed = opt.get("seed", int, 0)
-    env = SlateEnv(catalog, EnvConfig(
-        k=qnet.k,
-        pool_size=opt.get("pool-size", int, 20),
-        horizon=opt.get("horizon", int, 10),
-    ))
+    n_states = opt.get("states", 500)
+    seed = opt.get("seed", 0)
+    env = SlateEnv(catalog, _env_config(opt, qnet.k))
     hists, pools = collect_states(env, user, qnet, n_states, seed)
     rows = agent.constraint_diagnostic(qnet, hists, pools, catalog)
     lines = ["state_idx,j,qj,qk"]
@@ -378,9 +405,9 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     opt = _load_options(args)
-    seed = opt.get("seed", int, 0)
-    trials = opt.get("trials", int, 100)
-    err = nets.run_gradient_check(seed=seed, trials=trials, dims_max=opt.get("dims-max", int, 6))
+    seed = opt.get("seed", 0)
+    trials = opt.get("trials", 100)
+    err = nets.run_gradient_check(seed=seed, trials=trials, dims_max=opt.get("dims-max", 6))
     print(f"max relative error {err:.3e}")
     return 0 if err <= 1e-4 else 1
 
@@ -389,127 +416,46 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 # argument wiring
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", type=str)
-    p.add_argument("--config", type=str)
+_COMMANDS = {
+    "gen-data": (cmd_gen_data, "simulate click logs from a synthetic user",
+                 _COMMON + ("users", "horizon", "k", "pool-size", "catalog-size", "dim",
+                            "m", "n", "hidden", "reward-scale")),
+    "train-user-model": (cmd_train_user_model, "fit the choice model from a click log",
+                         _COMMON + ("data", "epochs", "batch-size", "lr-theta", "lr-alpha", "eta",
+                                    "regularizer", "init-scheme", "method", "m", "n", "hidden",
+                                    "patience")),
+    "train-policy": (cmd_train_policy, "train a slate policy against a user model",
+                     _COMMON + ("data",) + _CATALOG + _USER + _ENV
+                     + ("gamma", "epsilon", "epsilon-final", "iterations", "batch-users",
+                        "minibatch", "lr", "capacity", "n", "hidden", "reward-mode",
+                        "policy-kind")),
+    "evaluate": (cmd_evaluate, "evaluate a policy roster on fixed test episodes",
+                 _COMMON + ("spec", "roster", "policy", "policy-cdqn", "policy-additive",
+                            "greedy-user-model") + _CATALOG + _USER + _ENV
+                 + ("n-users", "reps")),
+    "diagnose-q": (cmd_diagnose_q, "export per-position cascade values for a policy",
+                   _COMMON + ("policy", "data") + _CATALOG + _USER
+                   + ("pool-size", "horizon", "states")),
+    "gradcheck": (cmd_gradcheck, "finite-difference check of all analytic gradients",
+                  _COMMON + ("trials", "dims-max")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="slatesim",
                                      description="Simulated slate recommendation pipelines")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="simulate click logs from a synthetic user")
-    _add_common(p)
-    p.add_argument("--users", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--pool-size", type=int)
-    p.add_argument("--catalog-size", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--reward-scale", type=float)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train-user-model", help="fit the choice model from a click log")
-    _add_common(p)
-    p.add_argument("--data", type=str)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr-theta", type=float)
-    p.add_argument("--lr-alpha", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--regularizer", choices=[r.value for r in Regularizer])
-    p.add_argument("--init-scheme", choices=[s.value for s in InitScheme])
-    p.add_argument("--method", choices=_METHODS)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--patience", type=int)
-    p.set_defaults(func=cmd_train_user_model)
-
-    p = sub.add_parser("train-policy", help="train a slate policy against a user model")
-    _add_common(p)
-    p.add_argument("--data", type=str)
-    p.add_argument("--catalog-size", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--catalog-seed", type=int)
-    p.add_argument("--user-model", type=str)
-    p.add_argument("--gt-seed", type=int)
-    p.add_argument("--gt-m", type=int)
-    p.add_argument("--gt-n", type=int)
-    p.add_argument("--gt-hidden", type=int)
-    p.add_argument("--gt-reward-scale", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--pool-size", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--nonclick-reward", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--epsilon-final", type=float)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--batch-users", type=int)
-    p.add_argument("--minibatch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--capacity", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--reward-mode", choices=[r.value for r in RewardMode])
-    p.add_argument("--policy-kind", choices=_POLICY_KINDS)
-    p.set_defaults(func=cmd_train_policy)
-
-    p = sub.add_parser("evaluate", help="evaluate a policy roster on fixed test episodes")
-    _add_common(p)
-    p.add_argument("--spec", type=str)
-    p.add_argument("--roster", type=str)
-    p.add_argument("--policy", type=str)
-    p.add_argument("--policy-cdqn", type=str)
-    p.add_argument("--policy-additive", type=str)
-    p.add_argument("--greedy-user-model", type=str)
-    p.add_argument("--user-model", type=str)
-    p.add_argument("--catalog-size", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--catalog-seed", type=int)
-    p.add_argument("--gt-seed", type=int)
-    p.add_argument("--gt-m", type=int)
-    p.add_argument("--gt-n", type=int)
-    p.add_argument("--gt-hidden", type=int)
-    p.add_argument("--gt-reward-scale", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--pool-size", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--nonclick-reward", type=float)
-    p.add_argument("--n-users", type=int)
-    p.add_argument("--reps", type=int)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("diagnose-q", help="export per-position cascade values for a policy")
-    _add_common(p)
-    p.add_argument("--policy", type=str)
-    p.add_argument("--data", type=str)
-    p.add_argument("--catalog-size", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--catalog-seed", type=int)
-    p.add_argument("--user-model", type=str)
-    p.add_argument("--gt-seed", type=int)
-    p.add_argument("--gt-m", type=int)
-    p.add_argument("--gt-n", type=int)
-    p.add_argument("--gt-hidden", type=int)
-    p.add_argument("--gt-reward-scale", type=float)
-    p.add_argument("--pool-size", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--states", type=int)
-    p.set_defaults(func=cmd_diagnose_q)
-
-    p = sub.add_parser("gradcheck", help="finite-difference check of all analytic gradients")
-    _add_common(p)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--dims-max", type=int)
-    p.set_defaults(func=cmd_gradcheck)
-
+    for command, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in flags:
+            cast = _FLAGS[name]
+            if isinstance(cast, EnumMeta):
+                p.add_argument(f"--{name}", choices=[member.value for member in cast])
+            elif hasattr(cast, "choices"):
+                p.add_argument(f"--{name}", choices=cast.choices)
+            else:
+                p.add_argument(f"--{name}", type=cast)
+        p.set_defaults(func=func, flags=frozenset(flags))
     return parser
 
 

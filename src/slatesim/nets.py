@@ -358,12 +358,8 @@ def named_tensors(params) -> dict[str, np.ndarray]:
     raise TypeError(f"no tensor registry for {type(params).__name__}")
 
 
-def sgd_step(params, bundle: GradientBundle, learning_rate: float,
-             ascend: bool = False, momentum: float = 0.0,
-             velocity: dict[str, np.ndarray] | None = None):
-    """In-place SGD update p <- p -/+ lr * g; returns params.
-
-    With momentum > 0 the caller owns `velocity` (name -> array) across steps."""
+def sgd_step(params, bundle: GradientBundle, learning_rate: float, ascend: bool = False):
+    """In-place SGD update p <- p -/+ lr * g; returns params."""
     tensors = named_tensors(params)
     sign = 1.0 if ascend else -1.0
     for name, g in bundle.grads.items():
@@ -372,15 +368,7 @@ def sgd_step(params, bundle: GradientBundle, learning_rate: float,
         t = tensors[name]
         if t.shape != g.shape:
             raise ValueError(f"shape mismatch for {name}: {t.shape} vs {g.shape}")
-        step = g
-        if momentum > 0.0:
-            if velocity is None:
-                raise ValueError("momentum requires a velocity dict")
-            vel = velocity.setdefault(name, np.zeros_like(t))
-            vel *= momentum
-            vel += g
-            step = vel
-        t += sign * learning_rate * step
+        t += sign * learning_rate * g
     return params
 
 

@@ -30,6 +30,12 @@ class OscillationWarning(UserWarning):
     pass
 
 
+# train_minimax warns once when the theta objective's variance over the last
+# OSCILLATION_WINDOW updates exceeds OSCILLATION_THRESHOLD.
+OSCILLATION_WINDOW = 50
+OSCILLATION_THRESHOLD = 5.0
+
+
 @dataclass
 class TrainConfig:
     eta: float = 1.0
@@ -44,17 +50,11 @@ class TrainConfig:
     m: int = 5
     n: int = 4
     hidden: int = 16
-    activation: Activation = Activation.ELU
     # optimization details
     shuffle: bool = True
     patience: int = 10
-    momentum: float = 0.0
-    alpha_steps: int = 1
-    theta_steps: int = 1
     exact_inner: bool = False
     init_epochs: int | None = None
-    oscillation_window: int = 50
-    oscillation_threshold: float = 5.0
 
     def __post_init__(self):
         if self.eta <= 0 or self.lr_alpha < 0 or self.lr_theta < 0:
@@ -298,7 +298,7 @@ def train_mle(
     if config.regularizer is not Regularizer.SHANNON_ENTROPY:
         raise ValueError("maximum-likelihood training requires the entropy regularizer")
     rng = np.random.default_rng(config.seed)
-    theta = nets.init_scorer_net(catalog.d, config.m, config.n, config.hidden, rng, config.activation)
+    theta = nets.init_scorer_net(catalog.d, config.m, config.n, config.hidden, rng)
     examples = build_examples(catalog, trajectories, config.m)
     if not examples:
         raise ValueError("no training records")
@@ -310,13 +310,12 @@ def train_mle(
     best_value = metric()
     best_snap = _snapshot(theta)
     best_epoch = 0
-    velocity: dict[str, np.ndarray] = {}
     for epoch in range(1, config.epochs + 1):
         for idx in _batches(len(examples), config.batch_size, rng, config.shuffle):
             value, g = nll_value_grad(theta, [examples[i] for i in idx], config.eta)
             if not np.isfinite(value):
                 raise TrainingDiverged(epoch)
-            nets.sgd_step(theta, g, config.lr_theta, momentum=config.momentum, velocity=velocity)
+            nets.sgd_step(theta, g, config.lr_theta)
         current = metric()
         if not np.isfinite(current):
             raise TrainingDiverged(epoch)
@@ -378,8 +377,9 @@ def train_minimax(
     """Alternating adversarial estimation of the reward and behavior scorers.
 
     Ascends the behavior objective and descends the reward objective once per
-    minibatch (ratio configurable). With init_scheme=ENTROPY_INIT the entropy
-    model is trained first and both scorers start from it."""
+    minibatch, and warns with OscillationWarning when the reward objective
+    oscillates. With init_scheme=ENTROPY_INIT the entropy model is trained
+    first and both scorers start from it."""
     rng = np.random.default_rng(config.seed)
     if config.init_scheme is InitScheme.ENTROPY_INIT:
         mle_config = replace(config, regularizer=Regularizer.SHANNON_ENTROPY,
@@ -389,8 +389,8 @@ def train_minimax(
         theta = nets.clone_params(base.theta)
         alpha = nets.clone_params(base.alpha)
     else:
-        theta = nets.init_scorer_net(catalog.d, config.m, config.n, config.hidden, rng, config.activation)
-        alpha = nets.init_scorer_net(catalog.d, config.m, config.n, config.hidden, rng, config.activation)
+        theta = nets.init_scorer_net(catalog.d, config.m, config.n, config.hidden, rng)
+        alpha = nets.init_scorer_net(catalog.d, config.m, config.n, config.hidden, rng)
     examples = build_examples(catalog, trajectories, config.m)
     if not examples:
         raise ValueError("no training records")
@@ -405,31 +405,25 @@ def train_minimax(
     best_value = metric()
     best_theta, best_alpha = _snapshot(theta), _snapshot(alpha)
     best_epoch = 0
-    vel_theta: dict[str, np.ndarray] = {}
-    vel_alpha: dict[str, np.ndarray] = {}
     recent: list[float] = []
     warned = False
     for epoch in range(1, config.epochs + 1):
         for idx in _batches(len(examples), config.batch_size, rng, config.shuffle):
             batch = [examples[i] for i in idx]
             if not config.exact_inner:
-                for _ in range(config.alpha_steps):
-                    _, _, alpha_bundle = minimax_value_grads(theta, alpha, batch, config)
-                    nets.sgd_step(alpha, alpha_bundle, config.lr_alpha, ascend=True,
-                                  momentum=config.momentum, velocity=vel_alpha)
-            for _ in range(config.theta_steps):
-                value, theta_bundle, _ = minimax_value_grads(theta, alpha, batch, config)
-                if not np.isfinite(value):
-                    raise TrainingDiverged(epoch)
-                nets.sgd_step(theta, theta_bundle, config.lr_theta,
-                              momentum=config.momentum, velocity=vel_theta)
-                recent.append(value)
-        if len(recent) >= config.oscillation_window and not warned:
-            window = np.array(recent[-config.oscillation_window:])
-            if float(np.var(window)) > config.oscillation_threshold:
+                _, _, alpha_bundle = minimax_value_grads(theta, alpha, batch, config)
+                nets.sgd_step(alpha, alpha_bundle, config.lr_alpha, ascend=True)
+            value, theta_bundle, _ = minimax_value_grads(theta, alpha, batch, config)
+            if not np.isfinite(value):
+                raise TrainingDiverged(epoch)
+            nets.sgd_step(theta, theta_bundle, config.lr_theta)
+            recent.append(value)
+        if len(recent) >= OSCILLATION_WINDOW and not warned:
+            window = np.array(recent[-OSCILLATION_WINDOW:])
+            if float(np.var(window)) > OSCILLATION_THRESHOLD:
                 warnings.warn(
                     f"objective variance {np.var(window):.3g} over the last "
-                    f"{config.oscillation_window} updates exceeds {config.oscillation_threshold}",
+                    f"{OSCILLATION_WINDOW} updates exceeds {OSCILLATION_THRESHOLD}",
                     OscillationWarning)
                 warned = True
         current = metric()

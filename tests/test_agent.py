@@ -259,12 +259,13 @@ class TestTrainCdqn:
         qnet = train_cdqn(factory, cfg)
         assert qnet.k == 3
 
-    def test_training_deterministic(self):
+    @pytest.mark.parametrize("train", [train_cdqn, train_additive_q], ids=lambda f: f.__name__)
+    def test_training_deterministic(self, train):
         factory, *_ = self._factory()
         cfg = CDQNConfig(iterations=3, horizon=4, batch_users=4, minibatch=8,
                          lr=0.05, seed=7, n=2, hidden=4)
-        q1 = train_cdqn(factory, cfg)
-        q2 = train_cdqn(factory, cfg)
+        q1 = train(factory, cfg)
+        q2 = train(factory, cfg)
         for name, t in named_tensors(q1).items():
             assert np.array_equal(t, named_tensors(q2)[name])
 

@@ -171,6 +171,21 @@ class TestCli:
         assert "bad.cfg" in err and repr(key) in err and repr(value) in err
         assert not list(out.glob("*.ckpt"))
 
+    def test_unknown_config_key_exits_2_and_names_file_and_key(self, tmp_path, capsys):
+        # keys use dashes like the flags; a key no subcommand takes must not be dropped silently
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(f"pool_size=6\nout={tmp_path / 'out'}\n")
+        code = cli_main(["evaluate", "--spec", str(cfg)])
+        assert code == 2
+        assert "typo.cfg: unknown key 'pool_size'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_roster_policy_exits_2(self, tmp_path, capsys):
+        code = cli_main(["evaluate", "--roster", "random,bogus", "--out", str(tmp_path)])
+        assert code == 2
+        assert ("unknown roster policy 'bogus'; choose from "
+                "['additive', 'cdqn', 'greedy', 'random']") in capsys.readouterr().err
+
     def test_end_to_end_pipeline(self, tmp_path, capsys):
         out = str(tmp_path)
         # 1. generate a tiny synthetic click log

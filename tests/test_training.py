@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from slatesim.nets import init_scorer_net, named_tensors, scorer_batch
 from slatesim.training import (
     Example,
     InitScheme,
+    OscillationWarning,
     TrainConfig,
     TrainingDiverged,
     UserModel,
@@ -226,6 +229,26 @@ class TestTrainMinimax:
             init_epochs=25, **shared))
         hex_ = build_examples(catalog, heldout, 3)
         assert heldout_loglik(l2, hex_) >= heldout_loglik(ent, hex_) - 1e-9
+
+    @pytest.mark.parametrize("lr_theta, warnings_expected", [(0.5, 1), (0.01, 0)])
+    def test_oscillation_warning(self, lr_theta, warnings_expected):
+        # a large reward step makes the L2 objective oscillate over the last 50
+        # updates; the warning is raised once per fit, and a small step stays quiet
+        from slatesim.agent import random_slate
+        from slatesim.env import EnvConfig, SlateEnv, make_ground_truth_user, rollout
+        catalog = synth_catalog(12, 4, seed=1)
+        user = make_ground_truth_user(catalog, (3, 2, 6), seed=2, reward_scale=3.0)
+        env = SlateEnv(catalog, EnvConfig(k=3, pool_size=6, horizon=6))
+        trajs = [rollout(env, user, lambda b, p, rng: random_slate(p, 3, rng),
+                         seed=2 * u, user_id=u)[0] for u in range(30)]
+        cfg = TrainConfig(regularizer=Regularizer.L2, epochs=20, batch_size=8, lr_theta=lr_theta,
+                          m=3, n=2, hidden=6, seed=1, patience=100)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            train_minimax(catalog, trajs, cfg)
+        messages = [str(w.message) for w in caught if issubclass(w.category, OscillationWarning)]
+        assert len(messages) == warnings_expected
+        assert all("over the last 50 updates exceeds 5.0" in msg for msg in messages)
 
     def test_deterministic_per_seed(self):
         catalog, trajs, _ = self._dataset(users=4, T=4)
