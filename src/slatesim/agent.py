@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import nets
-from .data import HistoryBuffer, ItemCatalog
+from .data import NON_CLICK_ID, HistoryBuffer, ItemCatalog
 from .env import EnvState, Policy, SlateEnv, reset, step
 from .nets import Activation, CascadeQNet, GradientBundle, ScorerNet
 from .training import UserModel
@@ -158,15 +158,81 @@ def cascade_slate(qnet: CascadeQNet, buffer: HistoryBuffer, pool: Sequence[int],
     return cascade_argmax(net_qeval(qnet, s, catalog), pool, qnet.k, counter)
 
 
-def compute_target(reward: float, next_hist: np.ndarray, next_pool: Sequence[int],
-                   qnet: CascadeQNet, catalog: ItemCatalog, gamma: float,
-                   terminal: bool = False) -> float:
-    """TD target y = r + gamma * Q^k at the greedy cascade slate of the next state."""
-    if terminal:
-        return float(reward)
-    s = nets.embed_history(next_hist, qnet.pw)
-    _, values = cascade_plan(net_qeval(qnet, s, catalog), next_pool, qnet.k)
-    return float(reward + gamma * values[-1])
+def pad_pools(pools: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted, deduplicated pools as a (B, P) id array padded with the non-click id, and its mask.
+
+    Ascending ids keep the cascade's lowest-id tie-break under a first-maximum argmax."""
+    rows = [sorted(set(pool)) for pool in pools]
+    sizes = np.array([len(row) for row in rows], dtype=int)
+    mask = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    ids = np.full(mask.shape, NON_CLICK_ID, dtype=int)
+    ids[mask] = [i for row in rows for i in row]
+    return ids, mask
+
+
+def cascade_batch(qnet: CascadeQNet, S: np.ndarray, pools: np.ndarray, mask: np.ndarray,
+                  catalog: ItemCatalog) -> tuple[np.ndarray, np.ndarray]:
+    """The greedy cascade of `cascade_plan` for B embedded states at once.
+
+    S: (B, dn) states; pools: (B, P) ascending ids per row (see pad_pools), of
+    which `mask` marks the real ones. Head j scores all B x P candidates against
+    each row's [s; f_1 .. f_{j-1}]. Returns the slates (B, k) and the achieved
+    per-position values (B, k); ties break toward the lowest item id."""
+    k = qnet.k
+    pools, mask = np.asarray(pools, dtype=int), np.asarray(mask, dtype=bool)
+    B, P = pools.shape
+    sizes = mask.sum(axis=1)
+    if B and sizes.min() < k:
+        raise ValueError(f"pool smaller than k: {int(sizes.min())} < {k}")
+    feats = catalog.feature_matrix(pools.ravel()).reshape(B, P, catalog.d)
+    rows = np.arange(B)
+    free = mask.copy()
+    prefix = np.asarray(S, dtype=float)
+    slates = np.empty((B, k), dtype=int)
+    values = np.empty((B, k))
+    for j in range(k):
+        q = nets.head_scores(qnet.heads[j], prefix, feats)
+        q[~free] = -np.inf
+        best = np.argmax(q, axis=1)  # first maximum wins: lowest id on ties
+        slates[:, j] = pools[rows, best]
+        values[:, j] = q[rows, best]
+        free[rows, best] = False
+        prefix = np.concatenate([prefix, feats[rows, best]], axis=1)
+    return slates, values
+
+
+def compute_target(rewards: Sequence[float], next_hists: Sequence[np.ndarray],
+                   next_pools: Sequence[Sequence[int]], qnet: CascadeQNet, catalog: ItemCatalog,
+                   gamma: float, terminal: Sequence[bool] | None = None) -> np.ndarray:
+    """TD targets y = r + gamma * Q^k at the greedy cascade slate of each next state.
+
+    Terminal rows keep their reward; the live rows go through one cascade_batch."""
+    y = np.array(rewards, dtype=float)
+    live = np.arange(len(y)) if terminal is None else np.flatnonzero(~np.asarray(terminal, bool))
+    if len(live):
+        S, _ = nets._embed_batch(np.stack([next_hists[i] for i in live]), qnet.pw)
+        ids, mask = pad_pools([next_pools[i] for i in live])
+        _, values = cascade_batch(qnet, S, ids, mask, catalog)
+        y[live] += gamma * values[:, -1]
+    return y
+
+
+def additive_target(rewards: Sequence[float], next_hists: Sequence[np.ndarray],
+                    next_pools: Sequence[Sequence[int]], qnet: CascadeQNet, catalog: ItemCatalog,
+                    gamma: float, k: int, terminal: Sequence[bool] | None = None) -> np.ndarray:
+    """Additive-baseline TD targets y = r + gamma * (sum of the next state's top-k item values).
+
+    Head 1 scores every live row's masked pool in one scorer_batch; terminal rows keep r."""
+    y = np.array(rewards, dtype=float)
+    live = np.arange(len(y)) if terminal is None else np.flatnonzero(~np.asarray(terminal, bool))
+    if len(live):
+        ids, mask = pad_pools([next_pools[i] for i in live])
+        feats = catalog.feature_matrix(ids.ravel()).reshape(ids.shape + (catalog.d,))
+        F = np.stack([next_hists[i] for i in live])
+        view = ScorerNet(pw=qnet.pw, head=qnet.heads[0])
+        vals = np.where(mask, nets.scorer_batch(view, F, feats).scores, -np.inf)
+        y[live] += gamma * np.sort(vals, axis=1)[:, ::-1][:, :k].sum(axis=1)
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +318,7 @@ def _mode_reward(outcome, config: CDQNConfig) -> float:
 
 def _train_replay(env_factory: EnvFactory, config: CDQNConfig, heads: int,
                   act: Callable[[CascadeQNet, EnvState], list[int]],
-                  target: Callable[[CascadeQNet, Transition], float],
+                  target: Callable[[CascadeQNet, list[Transition]], np.ndarray],
                   loss: Callable[[CascadeQNet, np.ndarray, list[Transition], np.ndarray],
                                  tuple[float, GradientBundle]],
                   on_iteration: Callable[[int, dict], None] | None,
@@ -299,7 +365,7 @@ def _train_replay(env_factory: EnvFactory, config: CDQNConfig, heads: int,
                 session[2] = out.next_state
             if len(memory) >= config.minibatch:
                 batch = memory.sample(config.minibatch, rng)
-                targets = np.array([target(qnet, tr) for tr in batch])
+                targets = target(qnet, batch)
                 F = np.stack([tr.hist for tr in batch])
                 value, bundle = loss(qnet, F, batch, targets)
                 if not np.isfinite(value):
@@ -325,21 +391,26 @@ def train_cdqn(env_factory: EnvFactory, config: CDQNConfig,
     catalog, k = env0.catalog, env0.config.k
 
     def cascade_loss(qnet, F, batch, targets):
+        ids = [i for tr in batch for i in tr.slate]
+        slate_feats = catalog.feature_matrix(ids).reshape(len(batch), k, catalog.d)
         total = GradientBundle()
         value = 0.0
         for j in range(1, k + 1):
-            feats = np.stack([catalog.feature_matrix(tr.slate[:j]) for tr in batch])
-            head_value, bundle = nets.td_value_and_grad(qnet, j, F, feats, targets)
+            head_value, bundle = nets.td_value_and_grad(qnet, j, F, slate_feats[:, :j], targets)
             value += head_value
             total.add_(bundle)
         return value / k, total
 
+    def cascade_target(qnet, batch):
+        return compute_target([tr.reward for tr in batch], [tr.next_hist for tr in batch],
+                              [tr.next_pool for tr in batch], qnet, catalog, config.gamma,
+                              [tr.terminal for tr in batch])
+
     return _train_replay(
         env_factory, config, k,
         act=lambda qnet, state: cascade_slate(qnet, state.buffer, state.pool, catalog),
-        target=lambda qnet, tr: compute_target(tr.reward, tr.next_hist, tr.next_pool, qnet,
-                                               catalog, config.gamma, tr.terminal),
-        loss=cascade_loss, on_iteration=on_iteration, on_transition=on_transition)
+        target=cascade_target, loss=cascade_loss, on_iteration=on_iteration,
+        on_transition=on_transition)
 
 
 def _additive_value_and_grad(qnet: CascadeQNet, F: np.ndarray, slate_feats: np.ndarray,
@@ -365,13 +436,6 @@ def train_additive_q(env_factory: EnvFactory, config: CDQNConfig,
     env0, _, _ = env_factory(0)
     catalog, k = env0.catalog, env0.config.k
 
-    def additive_target(qnet: CascadeQNet, tr: Transition) -> float:
-        if tr.terminal:
-            return tr.reward
-        s = nets.embed_history(tr.next_hist, qnet.pw)
-        vals = np.sort(net_qeval(qnet, s, catalog)(1, (), tr.next_pool))[::-1]
-        return tr.reward + config.gamma * float(vals[:k].sum())
-
     def additive_loss(qnet, F, batch, targets):
         feats = np.stack([catalog.feature_matrix(tr.slate) for tr in batch])
         return _additive_value_and_grad(qnet, F, feats, targets)
@@ -379,7 +443,11 @@ def train_additive_q(env_factory: EnvFactory, config: CDQNConfig,
     return _train_replay(
         env_factory, config, 1,
         act=lambda qnet, state: additive_q_policy(qnet, state.buffer, state.pool, k, catalog),
-        target=additive_target, loss=additive_loss, on_iteration=on_iteration, on_transition=None)
+        target=lambda qnet, batch: additive_target(
+            [tr.reward for tr in batch], [tr.next_hist for tr in batch],
+            [tr.next_pool for tr in batch], qnet, catalog, config.gamma, k,
+            [tr.terminal for tr in batch]),
+        loss=additive_loss, on_iteration=on_iteration, on_transition=None)
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +460,12 @@ def constraint_diagnostic(qnet: CascadeQNet, hists: Sequence[np.ndarray],
     """Per state and position: (state_idx, j, Q^j at the greedy prefix, Q^k at the full slate).
 
     For mutually consistent networks every pair lies on the diagonal."""
-    rows = []
-    for idx, (hist, pool) in enumerate(zip(hists, pools)):
-        s = nets.embed_history(hist, qnet.pw)
-        _, values = cascade_plan(net_qeval(qnet, s, catalog), pool, qnet.k)
-        qk = values[-1]
-        for j in range(1, qnet.k + 1):
-            rows.append((idx, j, values[j - 1], qk))
-    return rows
+    if len(hists) == 0:
+        return []
+    S, _ = nets._embed_batch(np.stack(hists), qnet.pw)
+    _, values = cascade_batch(qnet, S, *pad_pools(pools), catalog)
+    return [(idx, j, float(row[j - 1]), float(row[-1]))
+            for idx, row in enumerate(values) for j in range(1, qnet.k + 1)]
 
 
 def save_policy(path, qnet: CascadeQNet, extra_meta: dict[str, str] | None = None) -> None:

@@ -334,6 +334,9 @@ def _experiment_spec(opt: _Options) -> ExperimentSpec:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     spec_path = args.spec
+    if spec_path and args.config:
+        raise ValueError(f"--config {args.config} and --spec {spec_path} are both given; "
+                         "pass one of them")
     if spec_path:
         if not os.path.exists(spec_path):
             raise FileNotFoundError(f"spec file not found: {spec_path}")

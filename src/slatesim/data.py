@@ -23,7 +23,9 @@ class ItemCatalog:
     """Items with fixed-dimension feature vectors.
 
     Item id 0 is reserved for the non-click pseudo-item and always carries an
-    all-zero feature vector; it is injected automatically when absent.
+    all-zero feature vector; it is injected automatically when absent. The
+    features live in one read-only (K+1, d) `matrix` whose rows follow the
+    ascending `ids`.
     """
 
     def __init__(self, items: Iterable[tuple[int, Sequence[float]]], d: int | None = None):
@@ -32,7 +34,7 @@ class ItemCatalog:
             item_id = int(item_id)
             if item_id in feats:
                 raise ValueError(f"duplicate item id {item_id}")
-            arr = np.array(vec, dtype=float)
+            arr = np.asarray(vec, dtype=float)
             if arr.ndim != 1:
                 raise ValueError("feature vectors must be one-dimensional")
             if d is None:
@@ -52,33 +54,40 @@ class ItemCatalog:
                 raise ValueError("item id 0 is reserved for the zero-feature non-click pseudo-item")
         else:
             feats[NON_CLICK_ID] = np.zeros(d)
-        for arr in feats.values():
-            arr.setflags(write=False)
         self.d = int(d)
-        self._feats = feats
+        self.ids: tuple[int, ...] = tuple(sorted(feats))
+        self.matrix = np.array([feats[i] for i in self.ids], dtype=float)
+        self.matrix.setflags(write=False)
+        self._row = {item_id: r for r, item_id in enumerate(self.ids)}
+        self._item_ids = tuple(i for i in self.ids if i != NON_CLICK_ID)
 
     @property
     def item_ids(self) -> tuple[int, ...]:
         """Real item ids (non-click pseudo-item excluded), ascending."""
-        return tuple(sorted(i for i in self._feats if i != NON_CLICK_ID))
+        return self._item_ids
 
     def features(self, item_id: int) -> np.ndarray:
+        """Read-only feature row of one item."""
         try:
-            return self._feats[item_id]
+            return self.matrix[self._row[item_id]]
         except KeyError:
             raise KeyError(f"unknown item id {item_id}") from None
 
     def feature_matrix(self, ids: Sequence[int]) -> np.ndarray:
-        """Stack features for `ids` into a (len(ids), d) array."""
-        if len(ids) == 0:
-            return np.zeros((0, self.d))
-        return np.stack([self.features(i) for i in ids])
+        """Features for `ids` as a fresh (len(ids), d) array."""
+        if isinstance(ids, np.ndarray):
+            ids = ids.tolist()
+        try:
+            rows = [self._row[i] for i in ids]
+        except KeyError as exc:
+            raise KeyError(f"unknown item id {exc.args[0]}") from None
+        return self.matrix.take(rows, axis=0)
 
     def __contains__(self, item_id: int) -> bool:
-        return item_id in self._feats
+        return item_id in self._row
 
     def __len__(self) -> int:
-        return len(self._feats)
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -233,8 +242,8 @@ def save_trajectories(
     """
     k = max((len(r.displayed) for t in trajectories for r in t.records), default=0)
     lines = [f"meta d={catalog.d} m={int(m)} k={k}"]
-    for item_id in sorted(catalog._feats):
-        vals = " ".join(_fmt(x) for x in catalog.features(item_id))
+    for item_id, feats in zip(catalog.ids, catalog.matrix):
+        vals = " ".join(_fmt(x) for x in feats)
         lines.append(f"item {item_id} {vals}")
     for traj in trajectories:
         for rec in traj.records:

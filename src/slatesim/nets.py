@@ -158,15 +158,22 @@ def _embed_batch(F: np.ndarray, pw: PositionWeightParams):
 
 
 def head_scores(head: ScorerParams, state: np.ndarray, feats: np.ndarray) -> np.ndarray:
-    """Scores of each row of `feats` (slots, d) against one state vector."""
+    """Scores of each row of `feats` (slots, d) against one state vector (dn,).
+
+    Batched: state (batch, dn) and feats (batch, slots, d) give (batch, slots)."""
     state = np.asarray(state, dtype=float)
     feats = np.atleast_2d(np.asarray(feats, dtype=float))
-    dn = head.V.shape[1] - feats.shape[1]
-    if state.shape != (dn,):
-        raise ValueError(f"state length {state.shape} incompatible with head input {head.V.shape[1]}")
+    d = feats.shape[-1]
+    dn = head.V.shape[1] - d
+    if state.shape != feats.shape[:-2] + (dn,):
+        raise ValueError(f"state shape {state.shape} incompatible with head input "
+                         f"{head.V.shape[1]} and item features {feats.shape}")
     # in-place sums: this is the cascade argmax's inner call
-    z = feats @ head.V[:, dn:].T
-    z += head.V[:, :dn] @ state
+    z = (feats.reshape(-1, d) @ head.V[:, dn:].T).reshape(feats.shape[:-1] + (head.V.shape[0],))
+    if state.ndim == 1:
+        z += head.V[:, :dn] @ state
+    else:
+        z += (state @ head.V[:, :dn].T)[..., None, :]
     z += head.b
     return act(z, head.activation) @ head.v
 

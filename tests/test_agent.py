@@ -12,7 +12,9 @@ from slatesim.agent import (
     RewardMode,
     Transition,
     additive_q_policy,
+    additive_target,
     cascade_argmax,
+    cascade_batch,
     cascade_plan,
     cascade_slate,
     compute_target,
@@ -22,6 +24,7 @@ from slatesim.agent import (
     make_env_factory,
     make_policy,
     net_qeval,
+    pad_pools,
     random_slate,
     save_policy,
     train_additive_q,
@@ -29,7 +32,7 @@ from slatesim.agent import (
 )
 from slatesim.data import HistoryBuffer, synth_catalog
 from slatesim.env import EnvConfig, SlateEnv, make_ground_truth_user, reset, rollout
-from slatesim.nets import embed_state, init_cascade_net, named_tensors
+from slatesim.nets import embed_history, embed_state, init_cascade_net, named_tensors
 
 
 def table_qeval(tables):
@@ -120,14 +123,15 @@ class TestComputeTarget:
 
     def test_gamma_zero(self):
         catalog, qnet = self._setup()
-        y = compute_target(1.5, np.zeros((2, 3)), (1, 2, 3), qnet, catalog, gamma=0.0)
-        assert y == pytest.approx(1.5)
+        y = compute_target([1.5], [np.zeros((2, 3))], [(1, 2, 3)], qnet, catalog, gamma=0.0)
+        assert y.shape == (1,)
+        assert y[0] == pytest.approx(1.5)
 
     def test_terminal(self):
         catalog, qnet = self._setup()
-        y = compute_target(-0.7, np.zeros((2, 3)), (1, 2, 3), qnet, catalog,
-                           gamma=0.9, terminal=True)
-        assert y == pytest.approx(-0.7)
+        y = compute_target([-0.7], [np.zeros((2, 3))], [(1, 2, 3)], qnet, catalog,
+                           gamma=0.9, terminal=[True])
+        assert y[0] == pytest.approx(-0.7)
 
     def test_hand_built_deterministic_mdp(self):
         # linear one-unit heads on an all-positive catalog: Q^j is the plain sum
@@ -144,8 +148,104 @@ class TestComputeTarget:
         qnet = CascadeQNet(pw=pw, heads=heads)
         # embedded state is 0 (zero weights); Q^2(s, a1, a2) = f(a1) + f(a2)
         # greedy cascade over pool {1,2,3}: picks 3 then 2, value 6
-        y = compute_target(0.5, np.zeros((1, 2)), (1, 2, 3), qnet, catalog, gamma=0.5)
-        assert y == pytest.approx(0.5 + 0.5 * 6.0)
+        y = compute_target([0.5], [np.zeros((1, 2))], [(1, 2, 3)], qnet, catalog, gamma=0.5)
+        assert y[0] == pytest.approx(0.5 + 0.5 * 6.0)
+
+
+class TestCascadeBatch:
+    def _random_case(self, n_states=1000, k=3):
+        catalog = synth_catalog(20, 3, seed=31)
+        rng = np.random.default_rng(32)
+        qnet = init_cascade_net(3, 4, 2, 6, k, rng)
+        hists = [rng.standard_normal((3, 4)) for _ in range(n_states)]
+        pools = []
+        for _ in range(n_states):
+            pool = list(rng.choice(catalog.item_ids, size=int(rng.integers(k, 13)), replace=False))
+            if rng.random() < 0.3:  # repeat some ids, in any order
+                pool += list(rng.choice(pool, size=int(rng.integers(1, 4))))
+            rng.shuffle(pool)
+            pools.append(tuple(int(i) for i in pool))
+        return catalog, qnet, hists, pools
+
+    def test_matches_cascade_plan_on_random_states(self):
+        # ragged pools, duplicate ids and pools of exactly k items, all in one batch
+        catalog, qnet, hists, pools = self._random_case()
+        assert min(len(set(p)) for p in pools) == qnet.k
+        assert any(len(set(p)) != len(p) for p in pools)
+        S = np.stack([embed_history(h, qnet.pw) for h in hists])
+        slates, values = cascade_batch(qnet, S, *pad_pools(pools), catalog)
+        assert slates.shape == values.shape == (len(hists), qnet.k)
+        for row, (h, pool) in enumerate(zip(hists, pools)):
+            oracle_slate, oracle_values = cascade_plan(
+                net_qeval(qnet, embed_history(h, qnet.pw), catalog), pool, qnet.k)
+            assert slates[row].tolist() == oracle_slate
+            assert np.max(np.abs(values[row] - oracle_values)) <= 1e-12
+
+    def test_tied_features_resolve_to_lowest_id(self):
+        # items 2, 3 and 5 share features; linear unit heads on a zero state make
+        # Q^j the exact sum of the prefix features, so the scores tie exactly
+        from slatesim.data import ItemCatalog
+        from slatesim.nets import (Activation, CascadeQNet, PositionWeightParams,
+                                   ScorerParams)
+        catalog = ItemCatalog([(1, [1.0, 0.0]), (2, [2.0, 1.0]), (3, [2.0, 1.0]),
+                               (4, [0.0, 1.0]), (5, [2.0, 1.0])])
+        pw = PositionWeightParams(W=np.zeros((2, 1)), B=np.zeros((2, 1)),
+                                  activation=Activation.RELU)
+        heads = [ScorerParams(V=np.ones((1, 2 + 2 * j)), b=np.zeros(1), v=np.ones(1),
+                              activation=Activation.RELU) for j in (1, 2, 3)]
+        qnet = CascadeQNet(pw=pw, heads=heads)
+        pools = [(5, 4, 3, 1, 2), (4, 5, 1, 3), (1, 2, 3)]
+        slates, values = cascade_batch(qnet, np.zeros((3, 2)), *pad_pools(pools), catalog)
+        assert slates.tolist() == [[2, 3, 5], [3, 5, 1], [2, 3, 1]]
+        assert values.tolist() == [[3.0, 6.0, 9.0], [3.0, 6.0, 7.0], [3.0, 6.0, 7.0]]
+        for row, pool in enumerate(pools):
+            assert cascade_plan(net_qeval(qnet, np.zeros(2), catalog), pool, 3)[0] == \
+                slates[row].tolist()
+
+    @pytest.mark.parametrize("pool", [(1, 2), (2, 1, 2, 1)])
+    def test_pool_smaller_than_k(self, pool):
+        catalog, qnet, _, _ = self._random_case(n_states=1)
+        ids, mask = pad_pools([(1, 2, 3, 4), pool])
+        with pytest.raises(ValueError, match="pool smaller than k: 2 < 3"):
+            cascade_batch(qnet, np.zeros((2, qnet.pw.out_dim)), ids, mask, catalog)
+
+    def test_pad_pools(self):
+        ids, mask = pad_pools([(4, 2, 4), (3, 1, 2, 5)])
+        assert ids.tolist() == [[2, 4, 0, 0], [1, 2, 3, 5]]
+        assert mask.tolist() == [[True, True, False, False], [True, True, True, True]]
+
+    def test_batched_targets_match_per_row_loop(self):
+        catalog, qnet, hists, pools = self._random_case(n_states=200)
+        rng = np.random.default_rng(33)
+        rewards = rng.standard_normal(len(hists))
+        terminal = rng.random(len(hists)) < 0.25
+        assert terminal.any() and not terminal.all()
+        y = compute_target(rewards, hists, pools, qnet, catalog, 0.9, terminal)
+        for row, (r, h, pool, done) in enumerate(zip(rewards, hists, pools, terminal)):
+            if done:
+                expected = r
+            else:
+                _, values = cascade_plan(net_qeval(qnet, embed_history(h, qnet.pw), catalog),
+                                         pool, qnet.k)
+                expected = r + 0.9 * values[-1]
+            assert abs(y[row] - expected) <= 1e-12
+        assert np.array_equal(compute_target(rewards, hists, pools, qnet, catalog, 0.9,
+                                             np.ones(len(hists), dtype=bool)), rewards)
+
+    def test_batched_additive_targets_match_per_row_loop(self):
+        catalog, _, hists, pools = self._random_case(n_states=200)
+        qnet = init_cascade_net(3, 4, 2, 6, 1, np.random.default_rng(34))
+        rng = np.random.default_rng(35)
+        rewards = rng.standard_normal(len(hists))
+        terminal = rng.random(len(hists)) < 0.25
+        y = additive_target(rewards, hists, pools, qnet, catalog, 0.9, 3, terminal)
+        for row, (r, h, pool, done) in enumerate(zip(rewards, hists, pools, terminal)):
+            expected = r
+            if not done:
+                ids = tuple(sorted(set(pool)))
+                vals = net_qeval(qnet, embed_history(h, qnet.pw), catalog)(1, (), ids)
+                expected = r + 0.9 * np.sort(vals)[::-1][:3].sum()
+            assert abs(y[row] - expected) <= 1e-12
 
 
 class TestPolicies:

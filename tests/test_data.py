@@ -45,6 +45,38 @@ class TestItemCatalog:
         assert np.array_equal(mat[0], cat.features(2))
         assert np.array_equal(mat[1], cat.features(1))
 
+    def test_features_are_read_only(self):
+        cat = make_catalog(d=2)
+        row = cat.features(3)
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 99.0
+        assert not cat.matrix.flags.writeable
+
+    def test_feature_matrix_is_a_fresh_array(self):
+        cat = make_catalog(d=2)
+        before = cat.feature_matrix(cat.item_ids).copy()
+        for ids in ([1, 2, 2], cat.item_ids):
+            mat = cat.feature_matrix(ids)
+            mat[:] = -7.0
+        assert np.array_equal(cat.feature_matrix(cat.item_ids), before)
+        assert np.array_equal(cat.features(2), [1.0, 2.0])
+        assert cat.feature_matrix(np.array([2, 1])).tolist() == [[1.0, 2.0], [0.0, 1.0]]
+        assert cat.feature_matrix([]).shape == (0, 2)
+
+    @pytest.mark.parametrize("lookup", [lambda cat: cat.features(42),
+                                        lambda cat: cat.feature_matrix([1, 42, 2]),
+                                        lambda cat: cat.feature_matrix(np.array([42]))])
+    def test_unknown_id_names_the_id(self, lookup):
+        with pytest.raises(KeyError, match="unknown item id 42"):
+            lookup(make_catalog())
+
+    def test_item_ids_ascending_without_pseudo_item(self):
+        cat = ItemCatalog([(9, [1.0]), (3, [2.0]), (0, [0.0]), (5, [3.0])])
+        assert cat.item_ids == (3, 5, 9)
+        assert cat.ids == (0, 3, 5, 9)
+        assert cat.matrix[:, 0].tolist() == [0.0, 2.0, 3.0, 1.0]
+        assert len(cat) == 4 and 0 in cat and 4 not in cat
+
 
 class TestClickRecord:
     def test_chosen_must_be_displayed(self):
@@ -206,6 +238,25 @@ class TestSerialization:
         save_trajectories(cat2, trajs2, p2, m=2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_save_matches_golden_bytes(self, tmp_path):
+        # written by the per-item-dict catalog; the dense matrix must not change a byte
+        cat = synth_catalog(4, 3, seed=5)
+        trajs = [Trajectory(3, (ClickRecord(1, (4, 1), 1, reward=0.125), ClickRecord(2, (2, 3), 0))),
+                 Trajectory(0, (ClickRecord(1, (1, 2), 2),))]
+        path = tmp_path / "data.txt"
+        save_trajectories(cat, trajs, path, m=2)
+        assert path.read_bytes() == (
+            b"meta d=3 m=2 k=2\n"
+            b"item 0 0 0 0\n"
+            b"item 1 -0.511427511 -0.844602922 -0.158391307\n"
+            b"item 2 0.345672599 0.93401024 0.0901960416\n"
+            b"item 3 -0.453978999 -0.644667561 0.615066504\n"
+            b"item 4 0.791310636 0.132032709 -0.596988141\n"
+            b"rec 3 1 1 | 4 1 ; r=0.125\n"
+            b"rec 3 2 0 | 2 3\n"
+            b"rec 0 1 2 | 1 2\n"
+        )
+
     def test_meta_header(self, tmp_path):
         cat, trajs = self._sample()
         path = tmp_path / "data.txt"
@@ -227,7 +278,7 @@ class TestSerialization:
         path.write_text("")
         cat, trajs = load_trajectories(path)
         assert trajs == []
-        assert list(cat._feats) == [0]
+        assert cat.ids == (0,)
 
     def test_chosen_not_displayed_error(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -180,6 +180,17 @@ class TestCli:
         assert "typo.cfg: unknown key 'pool_size'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_config_with_spec_exits_2_and_names_both_files(self, tmp_path, capsys):
+        # evaluate reads its options from one file; the second must not be dropped silently
+        a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        a.write_text(f"out={tmp_path / 'A'}\n")
+        b.write_text(f"out={tmp_path / 'B'}\n")
+        code = cli_main(["evaluate", "--config", str(a), "--spec", str(b)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "a.cfg" in err and "b.cfg" in err
+        assert not (tmp_path / "A").exists() and not (tmp_path / "B").exists()
+
     def test_unknown_roster_policy_exits_2(self, tmp_path, capsys):
         code = cli_main(["evaluate", "--roster", "random,bogus", "--out", str(tmp_path)])
         assert code == 2
