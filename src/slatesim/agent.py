@@ -170,6 +170,12 @@ def pad_pools(pools: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     return ids, mask
 
 
+def _check_pool_sizes(mask: np.ndarray, k: int) -> None:
+    sizes = mask.sum(axis=1)
+    if len(sizes) and sizes.min() < k:
+        raise ValueError(f"pool smaller than k: {int(sizes.min())} < {k}")
+
+
 def cascade_batch(qnet: CascadeQNet, S: np.ndarray, pools: np.ndarray, mask: np.ndarray,
                   catalog: ItemCatalog) -> tuple[np.ndarray, np.ndarray]:
     """The greedy cascade of `cascade_plan` for B embedded states at once.
@@ -180,11 +186,9 @@ def cascade_batch(qnet: CascadeQNet, S: np.ndarray, pools: np.ndarray, mask: np.
     per-position values (B, k); ties break toward the lowest item id."""
     k = qnet.k
     pools, mask = np.asarray(pools, dtype=int), np.asarray(mask, dtype=bool)
-    B, P = pools.shape
-    sizes = mask.sum(axis=1)
-    if B and sizes.min() < k:
-        raise ValueError(f"pool smaller than k: {int(sizes.min())} < {k}")
-    feats = catalog.feature_matrix(pools.ravel()).reshape(B, P, catalog.d)
+    _check_pool_sizes(mask, k)
+    B = len(pools)
+    feats = catalog.feature_matrix(pools)
     rows = np.arange(B)
     free = mask.copy()
     prefix = np.asarray(S, dtype=float)
@@ -227,7 +231,7 @@ def additive_target(rewards: Sequence[float], next_hists: Sequence[np.ndarray],
     live = np.arange(len(y)) if terminal is None else np.flatnonzero(~np.asarray(terminal, bool))
     if len(live):
         ids, mask = pad_pools([next_pools[i] for i in live])
-        feats = catalog.feature_matrix(ids.ravel()).reshape(ids.shape + (catalog.d,))
+        feats = catalog.feature_matrix(ids)
         F = np.stack([next_hists[i] for i in live])
         view = ScorerNet(pw=qnet.pw, head=qnet.heads[0])
         vals = np.where(mask, nets.scorer_batch(view, F, feats).scores, -np.inf)
@@ -239,28 +243,31 @@ def additive_target(rewards: Sequence[float], next_hists: Sequence[np.ndarray],
 # policies
 
 
-def greedy_user_model_policy(user_model: UserModel, buffer: HistoryBuffer,
-                             pool: Sequence[int], k: int, catalog: ItemCatalog) -> list[int]:
-    """Top-k pool items by the behavior logit; ties go to the lower item id."""
-    ids = sorted(int(i) for i in set(pool))
-    if len(ids) < k:
-        raise ValueError(f"pool smaller than k: {len(ids)} < {k}")
-    s = nets.embed_state(buffer, user_model.alpha.pw)
-    logits = nets.head_scores(user_model.alpha.head, s, catalog.feature_matrix(ids))
-    order = np.argsort(-logits, kind="stable")
-    return [ids[i] for i in order[:k]]
+def _top_k(pw: nets.PositionWeightParams, head: nets.ScorerParams, hists: np.ndarray,
+           pools: Sequence[Sequence[int]], k: int, catalog: ItemCatalog) -> np.ndarray:
+    """Per row of histories (B, d, m) and pools, the k pool items `head` scores highest.
+
+    Returns (B, k) ids, best first. Pools ascend (pad_pools), so the stable
+    sort breaks ties toward the lower item id."""
+    ids, mask = pad_pools(pools)
+    _check_pool_sizes(mask, k)
+    scores = nets.head_scores(head, nets.embed_history(hists, pw), catalog.feature_matrix(ids))
+    order = np.argsort(-np.where(mask, scores, -np.inf), axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(ids, order, axis=1)
 
 
-def additive_q_policy(qnet: CascadeQNet, buffer: HistoryBuffer, pool: Sequence[int],
-                      k: int, catalog: ItemCatalog) -> list[int]:
-    """Top-k items by the single-item Q values (the argmax of the additive slate value)."""
-    ids = sorted(int(i) for i in set(pool))
-    if len(ids) < k:
-        raise ValueError(f"pool smaller than k: {len(ids)} < {k}")
-    s = nets.embed_state(buffer, qnet.pw)
-    vals = net_qeval(qnet, s, catalog)(1, (), tuple(ids))
-    order = np.argsort(-vals, kind="stable")
-    return [ids[i] for i in order[:k]]
+def greedy_user_model_policy(user_model: UserModel, hists: np.ndarray,
+                             pools: Sequence[Sequence[int]], k: int,
+                             catalog: ItemCatalog) -> np.ndarray:
+    """Per row, the top-k pool items by the behavior logit, as (B, k) ids; ties go to the lower id."""
+    return _top_k(user_model.alpha.pw, user_model.alpha.head, hists, pools, k, catalog)
+
+
+def additive_q_policy(qnet: CascadeQNet, hists: np.ndarray, pools: Sequence[Sequence[int]],
+                      k: int, catalog: ItemCatalog) -> np.ndarray:
+    """Per row, the top-k items by the single-item Q values (the argmax of the additive
+    slate value), as (B, k) ids; ties go to the lower id."""
+    return _top_k(qnet.pw, qnet.heads[0], hists, pools, k, catalog)
 
 
 def random_slate(pool: Sequence[int], k: int, rng: np.random.Generator) -> list[int]:
@@ -272,17 +279,21 @@ def random_slate(pool: Sequence[int], k: int, rng: np.random.Generator) -> list[
 
 
 def make_policy(handle: PolicyHandle, catalog: ItemCatalog, k: int) -> Policy:
-    """Wrap a policy handle as a (buffer, pool, rng) -> slate callable."""
+    """Wrap a policy handle as a batched (hists, pools, row_rng) -> (B, k) slates policy."""
     if handle.kind is PolicyKind.RANDOM:
-        return lambda buffer, pool, rng: random_slate(pool, k, rng)
+        return lambda hists, pools, row_rng: np.array(
+            [random_slate(pool, k, row_rng(i)) for i, pool in enumerate(pools)], dtype=int)
     if handle.kind is PolicyKind.GREEDY_USER_MODEL:
         model = handle.user_model
-        return lambda buffer, pool, rng: greedy_user_model_policy(model, buffer, pool, k, catalog)
-    if handle.kind is PolicyKind.ADDITIVE_Q:
-        qnet = handle.qnet
-        return lambda buffer, pool, rng: additive_q_policy(qnet, buffer, pool, k, catalog)
+        return lambda hists, pools, row_rng: greedy_user_model_policy(model, hists, pools, k, catalog)
     qnet = handle.qnet
-    return lambda buffer, pool, rng: cascade_slate(qnet, buffer, pool, catalog)
+    if handle.kind is PolicyKind.ADDITIVE_Q:
+        return lambda hists, pools, row_rng: additive_q_policy(qnet, hists, pools, k, catalog)
+
+    def cascade(hists, pools, row_rng):
+        return cascade_batch(qnet, nets.embed_history(hists, qnet.pw), *pad_pools(pools), catalog)[0]
+
+    return cascade
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +453,8 @@ def train_additive_q(env_factory: EnvFactory, config: CDQNConfig,
 
     return _train_replay(
         env_factory, config, 1,
-        act=lambda qnet, state: additive_q_policy(qnet, state.buffer, state.pool, k, catalog),
+        act=lambda qnet, state: additive_q_policy(qnet, state.buffer.matrix[None], [state.pool],
+                                                  k, catalog)[0].tolist(),
         target=lambda qnet, batch: additive_target(
             [tr.reward for tr in batch], [tr.next_hist for tr in batch],
             [tr.next_pool for tr in batch], qnet, catalog, config.gamma, k,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -57,11 +58,13 @@ class ChoiceConfig:
             raise ValueError(f"eta must be > 0, got {self.eta}")
 
 
-def _check_rewards(rewards: np.ndarray) -> np.ndarray:
+def _check_rewards(rewards: np.ndarray, ndim: int = 1) -> np.ndarray:
+    """Rewards as a float array of `ndim` axes (1: a vector, 2: one row per draw), non-empty and finite."""
     arr = np.asarray(rewards, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("rewards must be a non-empty vector")
-    if not np.all(np.isfinite(arr)):
+    if arr.ndim != ndim or arr.size < 1:
+        raise ValueError("rewards must be a non-empty vector" if ndim == 1
+                         else "rewards must be a non-empty (rows, slots) array")
+    if not np.isfinite(arr).all():
         raise ValueError("rewards contain NaN or Inf")
     return arr
 
@@ -129,20 +132,33 @@ def gumbel_sample_choices(rewards, config: ChoiceConfig, rng: np.random.Generato
     if config.regularizer is not Regularizer.SHANNON_ENTROPY:
         raise ValueError("gumbel sampling is only exact for the entropy regularizer")
     r = _check_rewards(rewards)
-    u = np.clip(rng.random((size, r.size)), 1e-300, 1.0 - 1e-16)
-    noise = -np.log(-np.log(u))
-    return np.argmax(config.eta * r[None, :] + noise, axis=1)
+    return _gumbel_argmax(config.eta * r[None, :], rng.random((size, r.size)))
 
 
-def sample_choice(rewards, config: ChoiceConfig, rng: np.random.Generator) -> int:
-    """Draw one choice index from the regularized choice distribution."""
+def _gumbel_argmax(logits: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """argmax over the last axis of logits + g, with g = -log(-log(u)) standard Gumbel."""
+    # np.clip(u, 1e-300, 1 - 1e-16) without its Python wrapper, which costs more than both ufuncs
+    noise = -np.log(-np.log(np.minimum(np.maximum(u, 1e-300), 1.0 - 1e-16)))
+    return np.argmax(logits + noise, axis=-1)
+
+
+def sample_choice(rewards, config: ChoiceConfig,
+                  rng: np.random.Generator | Sequence[np.random.Generator]):
+    """Draw one choice index from the regularized choice distribution.
+
+    Row-batched: (B, slots) rewards and a sequence of B generators give one
+    index per row, and each row draws exactly what it would draw alone."""
+    if np.ndim(rewards) == 1:
+        return int(sample_choice(_check_rewards(rewards)[None], config, [rng])[0])
+    r = _check_rewards(rewards, ndim=2)
     if config.regularizer is Regularizer.SHANNON_ENTROPY:
-        return gumbel_sample_choice(rewards, config, rng)
-    # projected distribution can be sparse; inverse-CDF sample it directly
-    probs = l2_choice_probs(rewards, config)
-    cdf = np.cumsum(probs)
-    idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-    return min(idx, probs.size - 1)
+        u = np.array([g.random(r.shape[1]) for g in rng])
+        return _gumbel_argmax(config.eta * r, u)
+    # projected distribution can be sparse; inverse-CDF sample it directly:
+    # the index is the number of CDF entries <= u (searchsorted, side="right")
+    cdf = np.cumsum(config.regularizer.probs(r, config.eta), axis=1)
+    u = np.array([g.random() for g in rng])
+    return np.minimum(np.sum(cdf <= u[:, None], axis=1), r.shape[1] - 1)
 
 
 def regularizer_value(probs, kind: Regularizer) -> float:

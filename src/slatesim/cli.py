@@ -13,7 +13,7 @@ from . import agent, metrics, nets, training
 from .agent import CDQNConfig, PolicyKind, RewardMode
 from .choice import Regularizer
 from .data import load_trajectories, read_meta, save_trajectories, split_users, synth_catalog
-from .env import EnvConfig, SlateEnv, make_ground_truth_user, reset, rollout, step
+from .env import EnvConfig, SlateEnv, make_ground_truth_user, reset, rollout_batch, step
 from .metrics import ExperimentSpec, RosterEntry, run_experiment
 from .training import InitScheme, TrainConfig, load_user_model, save_user_model
 
@@ -179,13 +179,11 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     catalog = synth_catalog(K, d, seed)
     user = make_ground_truth_user(catalog, (m, n, hidden), seed + 1, reward_scale)
     env = SlateEnv(catalog, EnvConfig(k=k, pool_size=pool_size, horizon=horizon))
-    policy = lambda buffer, pool, rng: agent.random_slate(pool, k, rng)
-    trajectories = []
-    for u in range(users):
-        traj, _, _ = rollout(env, user, policy, T=horizon, seed=2 * (seed + u), user_id=u)
-        trajectories.append(traj)
-        if (u + 1) % max(1, users // 10) == 0:
-            _log(f"[gen-data] simulated {u + 1}/{users} users")
+    policy = agent.make_policy(agent.PolicyHandle(PolicyKind.RANDOM), catalog, k)
+    results = rollout_batch(env, user, policy, [2 * (seed + u) for u in range(users)],
+                            T=horizon, user_ids=range(users))
+    trajectories = [traj for traj, _, _ in results]
+    _log(f"[gen-data] simulated {users} users")
     data_path = os.path.join(out_dir, "data.txt")
     save_trajectories(catalog, trajectories, data_path, m=m)
     user_path = os.path.join(out_dir, "ground_truth_user.ckpt")

@@ -60,11 +60,28 @@ class ItemCatalog:
         self.matrix.setflags(write=False)
         self._row = {item_id: r for r, item_id in enumerate(self.ids)}
         self._item_ids = tuple(i for i in self.ids if i != NON_CLICK_ID)
+        self._id_array = np.array(self.ids, dtype=int)
+        self._is_item = self._id_array != NON_CLICK_ID
+        self._item_array = self._id_array[self._is_item]
+        self._item_array.setflags(write=False)
 
     @property
     def item_ids(self) -> tuple[int, ...]:
         """Real item ids (non-click pseudo-item excluded), ascending."""
         return self._item_ids
+
+    def item_ids_except(self, excluded: Iterable[int]) -> np.ndarray:
+        """Real item ids not in `excluded`, ascending, as a read-only array.
+
+        One boolean mask over the id array; excluded ids outside the catalog are ignored."""
+        rows = [self._row[i] for i in excluded if i in self._row]
+        if not rows:
+            return self._item_array
+        keep = self._is_item.copy()
+        keep[rows] = False
+        out = self._id_array[keep]
+        out.setflags(write=False)
+        return out
 
     def features(self, item_id: int) -> np.ndarray:
         """Read-only feature row of one item."""
@@ -74,14 +91,15 @@ class ItemCatalog:
             raise KeyError(f"unknown item id {item_id}") from None
 
     def feature_matrix(self, ids: Sequence[int]) -> np.ndarray:
-        """Features for `ids` as a fresh (len(ids), d) array."""
+        """Features for `ids` as a fresh (len(ids), d) array; an id array of any shape S gives S + (d,)."""
+        shape = (len(ids),)
         if isinstance(ids, np.ndarray):
-            ids = ids.tolist()
+            shape, ids = ids.shape, ids.ravel().tolist()
         try:
             rows = [self._row[i] for i in ids]
         except KeyError as exc:
             raise KeyError(f"unknown item id {exc.args[0]}") from None
-        return self.matrix.take(rows, axis=0)
+        return self.matrix.take(rows, axis=0).reshape(shape + (self.d,))
 
     def __contains__(self, item_id: int) -> bool:
         return item_id in self._row
@@ -168,12 +186,18 @@ class HistoryBuffer:
         arr = np.asarray(features, dtype=float)
         if arr.shape != (self.d,):
             raise ValueError(f"feature length {arr.shape} does not match d={self.d}")
-        self._mat[:, :-1] = self._mat[:, 1:]
-        self._mat[:, -1] = arr
+        push_columns(self._mat, arr)
         return self
 
     def copy(self) -> "HistoryBuffer":
         return HistoryBuffer(self.m, self.d, self._mat.copy())
+
+
+def push_columns(mats: np.ndarray, features: np.ndarray) -> None:
+    """Shift each d x m history in `mats` (..., d, m) one column toward the oldest, in
+    place, and write the matching row of `features` (..., d) as the newest column."""
+    mats[..., :-1] = mats[..., 1:]
+    mats[..., -1] = features
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import nets
 from .choice import ChoiceConfig, Regularizer, sample_choice
-from .data import NON_CLICK_ID, ClickRecord, HistoryBuffer, ItemCatalog, Trajectory
+from .data import NON_CLICK_ID, ClickRecord, HistoryBuffer, ItemCatalog, Trajectory, push_columns
 from .training import UserModel, induced_softmax_alpha
 
 # independent substreams per episode seed
@@ -71,8 +71,12 @@ class SlateEnv:
             raise ValueError("pool_size exceeds catalog size")
 
 
-# a policy maps (history buffer, candidate pool, per-step rng) to a slate of k ids
-Policy = Callable[[HistoryBuffer, tuple[int, ...], np.random.Generator], Sequence[int]]
+# A policy maps B sessions to B slates in one call: the click histories
+# (B, d, m), the candidate pools (B ascending id tuples) and row_rng, where
+# row_rng(i) builds row i's generator for this step (build it only to draw from
+# it), to a (B, k) array of item ids.
+RowRng = Callable[[int], np.random.Generator]
+Policy = Callable[[np.ndarray, Sequence[tuple[int, ...]], RowRng], np.ndarray]
 
 
 def make_ground_truth_user(
@@ -97,66 +101,130 @@ def make_ground_truth_user(
 def draw_candidates(env: SlateEnv, clicked_ids: frozenset[int], t: int, seed: int) -> tuple[int, ...]:
     """The candidate pool for step t, deterministic per (seed, t)."""
     cfg = env.config
-    if cfg.exclude_clicked:
-        avail = [i for i in env.catalog.item_ids if i not in clicked_ids]
-    else:
-        avail = list(env.catalog.item_ids)
+    avail = env.catalog.item_ids_except(clicked_ids if cfg.exclude_clicked else ())
     if len(avail) < cfg.k:
         raise EnvError(f"pool exhausted: {len(avail)} items remain, slate needs {cfg.k}")
     if cfg.candidate_policy is CandidatePolicy.FULL_CATALOG:
-        return tuple(avail)
+        return tuple(avail.tolist())
     size = min(cfg.pool_size, len(avail))
     rng = np.random.default_rng((seed, _POOL_STREAM, t))
     picked = rng.choice(len(avail), size=size, replace=False)
-    return tuple(sorted(avail[i] for i in picked))
+    return tuple(sorted(avail[picked].tolist()))
+
+
+def _reset_rows(env: SlateEnv, user: UserModel, seeds: Sequence[int]):
+    """Fresh episodes: zero histories (B, d, m), empty click sets, step-0 candidate pools."""
+    if user.d != env.catalog.d:
+        raise ValueError("user model feature dimension does not match the catalog")
+    hists = np.zeros((len(seeds), env.catalog.d, user.m))
+    return hists, [frozenset()] * len(seeds), [draw_candidates(env, frozenset(), 0, s) for s in seeds]
 
 
 def reset(env: SlateEnv, user: UserModel, seed: int) -> EnvState:
     """Fresh episode: zero history, empty click set, step-0 candidate pool."""
-    if user.d != env.catalog.d:
-        raise ValueError("user model feature dimension does not match the catalog")
-    buffer = HistoryBuffer(user.m, env.catalog.d)
-    pool = draw_candidates(env, frozenset(), 0, seed)
-    return EnvState(buffer=buffer, t=0, clicked_ids=frozenset(), pool=pool, seed=seed)
+    hists, clicked, pools = _reset_rows(env, user, [seed])
+    return EnvState(buffer=HistoryBuffer(user.m, env.catalog.d, hists[0]), t=0,
+                    clicked_ids=clicked[0], pool=pools[0], seed=seed)
 
 
-def slate_scores(user: UserModel, buffer: HistoryBuffer, slate_feats: np.ndarray) -> np.ndarray:
-    """User rewards for each slate row plus the zero-feature non-click slot (last)."""
-    s = nets.embed_state(buffer, user.theta.pw)
-    feats = np.vstack([slate_feats, np.zeros((1, slate_feats.shape[1]))])
-    return nets.head_scores(user.theta.head, s, feats)
+def slate_scores(user: UserModel, hists: np.ndarray, slate_feats: np.ndarray) -> np.ndarray:
+    """User rewards for each slate item plus the zero-feature non-click slot (last).
+
+    One history (d, m) with slate features (k, d) gives (k+1,) scores; B
+    histories (B, d, m) with (B, k, d) give (B, k+1) in one head_scores call."""
+    slate_feats = np.asarray(slate_feats, dtype=float)
+    nonclick = np.zeros(slate_feats.shape[:-2] + (1, slate_feats.shape[-1]))
+    feats = np.concatenate([slate_feats, nonclick], axis=-2)
+    return nets.head_scores(user.theta.head, nets.embed_history(hists, user.theta.pw), feats)
+
+
+def _step_rows(env: SlateEnv, user: UserModel, t: int, seeds: Sequence[int], hists: np.ndarray,
+               clicked: list[frozenset[int]], pools: list[tuple[int, ...]], slates):
+    """Advance B sessions at step t in lockstep: the one step kernel behind step and rollout_batch.
+
+    Checks each row's slate against its pool, scores every slate plus the
+    non-click slot with one slate_scores call, draws each row's choice from
+    its own (seed, click stream, t) generator, and pays the clicked item's
+    score or the non-click constant. A click is pushed into its row of `hists`
+    in place; `clicked` and `pools` are replaced row by row with the next
+    step's. Returns the slates as lists, the chosen ids (0 for no click) and
+    the rewards."""
+    k, d = env.config.k, env.catalog.d
+    slates = slates.tolist() if isinstance(slates, np.ndarray) else [[int(i) for i in s] for s in slates]
+    for slate, pool in zip(slates, pools):
+        if len(slate) != k:
+            raise ValueError(f"slate wrong size: got {len(slate)}, expected {k}")
+        if len(set(slate)) != k:
+            raise ValueError("duplicate items in slate")
+        missing = [i for i in slate if i not in pool]
+        if missing:
+            raise ValueError(f"slate not in pool: {missing}")
+    feats = env.catalog.feature_matrix([i for slate in slates for i in slate]).reshape(len(slates), k, d)
+    scores = slate_scores(user, hists, feats)
+    idx = sample_choice(scores, user.config,
+                        [np.random.default_rng((seed, _CLICK_STREAM, t)) for seed in seeds])
+    chosen, rewards = [], []
+    for i, (slate, j, row_scores) in enumerate(zip(slates, idx.tolist(), scores.tolist())):
+        if j < k:
+            chosen.append(slate[j])
+            rewards.append(row_scores[j])
+            push_columns(hists[i], feats[i, j])
+            clicked[i] = clicked[i] | {slate[j]}
+        else:
+            chosen.append(NON_CLICK_ID)
+            rewards.append(float(env.config.nonclick_reward))
+        pools[i] = draw_candidates(env, clicked[i], t + 1, seeds[i])
+    return slates, chosen, rewards
 
 
 def step(env: SlateEnv, state: EnvState, slate: Sequence[int], user: UserModel) -> StepOutcome:
     """Show a slate, sample the user's choice, emit the reward, and advance the state.
 
     The reward is the user's score of the clicked item; a non-click pays the
-    configured constant (default 0) and leaves the history untouched."""
-    slate = [int(i) for i in slate]
-    if len(slate) != env.config.k:
-        raise ValueError(f"slate wrong size: got {len(slate)}, expected {env.config.k}")
-    if len(set(slate)) != len(slate):
-        raise ValueError("duplicate items in slate")
-    pool = set(state.pool)
-    missing = [i for i in slate if i not in pool]
-    if missing:
-        raise ValueError(f"slate not in pool: {missing}")
-    feats = env.catalog.feature_matrix(slate)
-    scores = slate_scores(user, state.buffer, feats)
-    rng = np.random.default_rng((state.seed, _CLICK_STREAM, state.t))
-    idx = sample_choice(scores, user.config, rng)
-    clicked = idx < len(slate)
-    chosen = slate[idx] if clicked else NON_CLICK_ID
-    reward = float(scores[idx]) if clicked else float(env.config.nonclick_reward)
-    buffer = state.buffer.copy()
-    clicked_ids = state.clicked_ids
-    if clicked:
-        buffer.push(feats[idx])
-        clicked_ids = clicked_ids | {chosen}
-    pool_next = draw_candidates(env, clicked_ids, state.t + 1, state.seed)
-    next_state = EnvState(buffer=buffer, t=state.t + 1, clicked_ids=clicked_ids,
-                          pool=pool_next, seed=state.seed)
-    return StepOutcome(chosen=chosen, reward=reward, clicked=clicked, next_state=next_state)
+    configured constant (default 0) and leaves the history untouched. This is
+    the one-session (B=1) entry into the kernel rollout_batch steps."""
+    hists = state.buffer.matrix[None].copy()
+    clicked, pools = [state.clicked_ids], [state.pool]
+    _, chosen, rewards = _step_rows(env, user, state.t, [state.seed], hists, clicked, pools, [slate])
+    next_state = EnvState(buffer=HistoryBuffer(user.m, env.catalog.d, hists[0]), t=state.t + 1,
+                          clicked_ids=clicked[0], pool=pools[0], seed=state.seed)
+    return StepOutcome(chosen=chosen[0], reward=rewards[0], clicked=chosen[0] != NON_CLICK_ID,
+                       next_state=next_state)
+
+
+def rollout_batch(
+    env: SlateEnv,
+    user: UserModel,
+    policy: Policy,
+    seeds: Sequence[int],
+    T: int | None = None,
+    user_ids: Sequence[int] | None = None,
+) -> list[tuple[Trajectory, float, int]]:
+    """Run one episode per seed for T steps in lockstep, one policy call and one step per t.
+
+    Each row draws its pools, clicks and policy randomness from generators
+    keyed (seed, stream, t), so a row's episode is the one that seed gives when
+    run alone. Returns one (trajectory with per-step rewards, time-averaged
+    reward, clicks) per seed, in order."""
+    horizon = env.config.horizon if T is None else T
+    seeds = [int(s) for s in seeds]
+    user_ids = [0] * len(seeds) if user_ids is None else list(user_ids)
+    hists, clicked, pools = _reset_rows(env, user, seeds)
+    records: list[list[ClickRecord]] = [[] for _ in seeds]
+    for t in range(horizon):
+        row_rng = lambda i, t=t: np.random.default_rng((seeds[i], _POLICY_STREAM, t))
+        slates = policy(hists, pools, row_rng)
+        slates, chosen, rewards = _step_rows(env, user, t, seeds, hists, clicked, pools, slates)
+        for row, slate, c, r in zip(records, slates, chosen, rewards):
+            row.append(ClickRecord(step=t + 1, displayed=tuple(slate), chosen=c, reward=r))
+    out = []
+    for u, row in zip(user_ids, records):
+        total = 0.0
+        for rec in row:  # in step order, as the episode pays them (sum() may compensate)
+            total += rec.reward
+        out.append((Trajectory(user_id=u, records=tuple(row)),
+                    total / horizon if horizon > 0 else 0.0, sum(rec.clicked for rec in row)))
+    return out
 
 
 def rollout(
@@ -168,19 +236,4 @@ def rollout(
     user_id: int = 0,
 ) -> tuple[Trajectory, float, int]:
     """Run T steps; returns (trajectory with per-step rewards, time-averaged reward, clicks)."""
-    horizon = env.config.horizon if T is None else T
-    state = reset(env, user, seed)
-    records = []
-    total = 0.0
-    clicks = 0
-    for t in range(1, horizon + 1):
-        rng = np.random.default_rng((seed, _POLICY_STREAM, state.t))
-        slate = [int(i) for i in policy(state.buffer, state.pool, rng)]
-        out = step(env, state, slate, user)
-        records.append(ClickRecord(step=t, displayed=tuple(slate), chosen=out.chosen,
-                                   reward=out.reward))
-        total += out.reward
-        clicks += int(out.clicked)
-        state = out.next_state
-    avg = total / horizon if horizon > 0 else 0.0
-    return Trajectory(user_id=user_id, records=tuple(records)), avg, clicks
+    return rollout_batch(env, user, policy, [seed], T, [user_id])[0]

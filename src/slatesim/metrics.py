@@ -10,7 +10,7 @@ import numpy as np
 
 from .agent import PolicyHandle, PolicyKind, load_policy, make_policy
 from .data import ItemCatalog, synth_catalog
-from .env import EnvConfig, SlateEnv, make_ground_truth_user, rollout
+from .env import EnvConfig, SlateEnv, make_ground_truth_user, rollout_batch
 from .training import UserModel, load_user_model
 
 
@@ -133,6 +133,7 @@ def _resolve_policies(spec: ExperimentSpec, catalog: ItemCatalog, user: UserMode
 def run_experiment(spec: ExperimentSpec) -> list[MetricReport]:
     """Evaluate every roster policy on the same fixed set of test episodes.
 
+    Each policy plays all n_users x repetitions episodes in one rollout_batch.
     Writes one per-rollout metrics file per policy plus aggregate.csv; byte
     output is deterministic for a fixed spec."""
     env, user, catalog = build_experiment_env(spec)
@@ -144,13 +145,12 @@ def run_experiment(spec: ExperimentSpec) -> list[MetricReport]:
     reports = []
     agg_lines = ["policy,n_users,reps,horizon,avg_cum_reward,std_cum_reward,"
                  "stderr_cum_reward,avg_ctr,std_ctr,stderr_ctr"]
+    episodes = [(u, rep) for rep in range(spec.repetitions) for u in range(spec.n_users)]
+    seeds = [eval_env_seed(spec.seed, u, rep, spec.n_users) for u, rep in episodes]
     for name, policy in policies:
-        rows = []
-        for rep in range(spec.repetitions):
-            for u in range(spec.n_users):
-                seed = eval_env_seed(spec.seed, u, rep, spec.n_users)
-                _, avg_reward, clicks = rollout(env, user, policy, T=T, seed=seed, user_id=u)
-                rows.append((u, rep, avg_reward, clicks / T))
+        results = rollout_batch(env, user, policy, seeds, T, [u for u, _ in episodes])
+        rows = [(u, rep, avg_reward, clicks / T)
+                for (u, rep), (_, avg_reward, clicks) in zip(episodes, results)]
         lines = ["user_id,rep,cum_reward,ctr"]
         lines += [f"{u},{rep},{_fmt(cr)},{_fmt(ct)}" for u, rep, cr, ct in rows]
         with open(os.path.join(spec.out_dir, f"{name}_metrics.csv"), "w",

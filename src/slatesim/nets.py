@@ -136,12 +136,14 @@ def cascade_head_names(j: int) -> dict[str, str]:
 def embed_history(F: np.ndarray, pw: PositionWeightParams) -> np.ndarray:
     """Embed one d x m history matrix into a length d*n state vector.
 
-    Columns of act(F @ W + B) are concatenated (column-major vec)."""
+    Columns of act(F @ W + B) are concatenated (column-major vec). Batched:
+    (B, d, m) histories give (B, dn) states, each row bit-identical to its
+    single-history embedding (the matmul runs per history)."""
     F = np.asarray(F, dtype=float)
-    if F.shape != (pw.d, pw.m):
+    if F.shape[-2:] != (pw.d, pw.m):
         raise ValueError(f"history shape {F.shape} does not match ({pw.d}, {pw.m})")
     S = act(F @ pw.W + pw.B, pw.activation)
-    return S.T.reshape(-1)
+    return S.swapaxes(-1, -2).reshape(F.shape[:-2] + (-1,))
 
 
 def embed_state(buffer, pw: PositionWeightParams) -> np.ndarray:

@@ -10,13 +10,14 @@ import pytest
 from slatesim.agent import (
     CDQNConfig,
     EvalCounter,
+    PolicyHandle,
+    PolicyKind,
     RewardMode,
     cascade_plan,
     cascade_slate,
     constraint_diagnostic,
-    greedy_user_model_policy,
     make_env_factory,
-    random_slate,
+    make_policy,
     train_cdqn,
 )
 from slatesim.choice import (
@@ -32,10 +33,10 @@ from slatesim.env import (
     make_ground_truth_user,
     reset,
     rollout,
+    rollout_batch,
     step,
 )
 from slatesim.metrics import ExperimentSpec, RosterEntry, run_experiment
-from slatesim.agent import PolicyKind
 from slatesim.nets import (
     Activation,
     PositionWeightParams,
@@ -244,7 +245,7 @@ def test_criterion_5_model_recovery():
     catalog = synth_catalog(K, d, seed=101)
     gt = history_gated_user(catalog, m, np.random.default_rng(108), 2.0, 0.8, 1.8)
     env = SlateEnv(catalog, EnvConfig(k=k, pool_size=20, horizon=20))
-    policy = lambda buf, pool, rng: random_slate(pool, k, rng)
+    policy = make_policy(PolicyHandle(PolicyKind.RANDOM), catalog, k)
     trajs = [rollout(env, gt, policy, seed=2 * u, user_id=u)[0] for u in range(200)]
     held = [rollout(env, gt, policy, seed=2 * (10_000 + u) + 1, user_id=u)[0]
             for u in range(30)]
@@ -306,13 +307,10 @@ def policy_bench():
     train_time = time.time() - t0
 
     def evaluate(policy, n_seeds=10, n_users=20):
-        rewards, ctrs = [], []
-        for s in range(n_seeds):
-            for u in range(n_users):
-                seed = 2 * (1000 + s * n_users + u) + 1
-                _, avg, clicks = rollout(env, user, policy, seed=seed)
-                rewards.append(avg)
-                ctrs.append(clicks / T)
+        seeds = [2 * (1000 + s * n_users + u) + 1 for s in range(n_seeds) for u in range(n_users)]
+        results = rollout_batch(env, user, policy, seeds)
+        rewards = [avg for _, avg, _ in results]
+        ctrs = [clicks / T for _, _, clicks in results]
         arr = np.array(rewards)
         return arr.mean(), arr.std(ddof=1) / np.sqrt(arr.size), float(np.mean(ctrs))
 
@@ -325,9 +323,9 @@ def test_criterion_6_policy_ordering(policy_bench):
     t0 = time.time()
     b = policy_bench
     catalog, user, k = b["catalog"], b["user"], b["k"]
-    cdqn = lambda buf, pool, rng: cascade_slate(b["q_learned"], buf, pool, catalog)
-    greedy = lambda buf, pool, rng: greedy_user_model_policy(user, buf, pool, k, catalog)
-    rand = lambda buf, pool, rng: random_slate(pool, k, rng)
+    cdqn = make_policy(PolicyHandle(PolicyKind.CDQN, qnet=b["q_learned"]), catalog, k)
+    greedy = make_policy(PolicyHandle(PolicyKind.GREEDY_USER_MODEL, user_model=user), catalog, k)
+    rand = make_policy(PolicyHandle(PolicyKind.RANDOM), catalog, k)
     mu_c, se_c, _ = b["evaluate"](cdqn)
     mu_g, se_g, _ = b["evaluate"](greedy)
     mu_r, se_r, _ = b["evaluate"](rand)
@@ -371,9 +369,9 @@ def test_criterion_7_constraint_diagnostic(policy_bench):
 def test_criterion_8_reward_mode_contrast(policy_bench):
     t0 = time.time()
     b = policy_bench
-    catalog = b["catalog"]
-    learned = lambda buf, pool, rng: cascade_slate(b["q_learned"], buf, pool, catalog)
-    pm1 = lambda buf, pool, rng: cascade_slate(b["q_pm1"], buf, pool, catalog)
+    catalog, k = b["catalog"], b["k"]
+    learned = make_policy(PolicyHandle(PolicyKind.CDQN, qnet=b["q_learned"]), catalog, k)
+    pm1 = make_policy(PolicyHandle(PolicyKind.CDQN, qnet=b["q_pm1"]), catalog, k)
     mu_l, _, ctr_l = b["evaluate"](learned)
     mu_p, _, ctr_p = b["evaluate"](pm1)
     ctr_gap = abs(ctr_l - ctr_p)

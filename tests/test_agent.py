@@ -35,6 +35,11 @@ from slatesim.env import EnvConfig, SlateEnv, make_ground_truth_user, reset, rol
 from slatesim.nets import embed_history, embed_state, init_cascade_net, named_tensors
 
 
+def one_state(policy_fn, model, buf, pool, k, catalog):
+    """A batched policy function run on one (history, pool) state: the slate as a list of ids."""
+    return policy_fn(model, buf.matrix[None], [pool], k, catalog)[0].tolist()
+
+
 def table_qeval(tables):
     """Wrap per-position {(prefix..., cand): value} dicts as a qeval callable."""
 
@@ -258,7 +263,7 @@ class TestPolicies:
         catalog, user = self._setup()
         buf = HistoryBuffer(3, 4)
         pool = (3, 1, 7)
-        slate = greedy_user_model_policy(user, buf, pool, 3, catalog)
+        slate = one_state(greedy_user_model_policy, user, buf, pool, 3, catalog)
         assert sorted(slate) == sorted(pool)
 
     def test_greedy_matches_sort_oracle(self):
@@ -268,7 +273,7 @@ class TestPolicies:
         buf = HistoryBuffer(3, 4)
         for _ in range(100):
             pool = tuple(rng.choice(catalog.item_ids, size=8, replace=False))
-            slate = greedy_user_model_policy(user, buf, pool, 3, catalog)
+            slate = one_state(greedy_user_model_policy, user, buf, pool, 3, catalog)
             s = embed_state(buf, user.alpha.pw)
             ids = sorted(set(int(i) for i in pool))
             logits = head_scores(user.alpha.head, s, catalog.feature_matrix(ids))
@@ -284,7 +289,7 @@ class TestPolicies:
         logits = nets.head_scores(user.alpha.head, s, catalog.feature_matrix(catalog.item_ids))
         order = np.argsort(-logits, kind="stable")
         expected = [catalog.item_ids[i] for i in order[:3]]
-        assert greedy_user_model_policy(user, buf, catalog.item_ids, 3, catalog) == expected
+        assert one_state(greedy_user_model_policy, user, buf, catalog.item_ids, 3, catalog) == expected
 
     def test_additive_matches_subset_enumeration(self):
         # top-k of a separable objective is the exact argmax over all C(6,2) subsets
@@ -297,23 +302,43 @@ class TestPolicies:
         single = dict(zip(pool, net_qeval(qnet, s, catalog)(1, (), pool)))
         best_pair = max(itertools.combinations(pool, 2),
                         key=lambda pair: single[pair[0]] + single[pair[1]])
-        slate = additive_q_policy(qnet, buf, pool, 2, catalog)
+        slate = one_state(additive_q_policy, qnet, buf, pool, 2, catalog)
         assert set(slate) == set(best_pair)
 
     def test_additive_is_pool_order_invariant(self):
         catalog = synth_catalog(9, 3, seed=9)
         qnet = init_cascade_net(3, 3, 2, 5, 1, np.random.default_rng(10))
         buf = HistoryBuffer(3, 3)
-        a = additive_q_policy(qnet, buf, (1, 2, 3, 4, 5), 3, catalog)
-        b = additive_q_policy(qnet, buf, (5, 3, 1, 4, 2), 3, catalog)
+        a = one_state(additive_q_policy, qnet, buf, (1, 2, 3, 4, 5), 3, catalog)
+        b = one_state(additive_q_policy, qnet, buf, (5, 3, 1, 4, 2), 3, catalog)
         assert a == b
+
+    @pytest.mark.parametrize("policy_fn", [greedy_user_model_policy, additive_q_policy])
+    def test_batched_top_k_matches_rows_alone(self, policy_fn):
+        # ragged pools (padding), repeated and shuffled ids: each row of one
+        # batched call is the slate that row gets alone
+        catalog, user = self._setup()
+        model = user if policy_fn is greedy_user_model_policy else \
+            init_cascade_net(4, 3, 2, 5, 1, np.random.default_rng(13))
+        rng = np.random.default_rng(14)
+        hists = rng.standard_normal((40, 4, 3))
+        pools = []
+        for _ in range(40):
+            pool = list(rng.choice(catalog.item_ids, size=rng.integers(3, 12), replace=False))
+            pools.append(tuple(pool + pool[:2]) if rng.random() < 0.3 else tuple(pool))
+        batch = policy_fn(model, hists, pools, 3, catalog)
+        assert batch.shape == (40, 3)
+        for row, h, pool in zip(batch, hists, pools):
+            assert row.tolist() == one_state(policy_fn, model, HistoryBuffer(3, 4, h), pool, 3, catalog)
+        with pytest.raises(ValueError, match="pool smaller than k"):
+            policy_fn(model, hists[:2], [pools[0], (1, 2, 2)], 3, catalog)
 
     def test_k1_additive_equals_cascade(self):
         catalog = synth_catalog(7, 3, seed=11)
         qnet = init_cascade_net(3, 3, 2, 5, 1, np.random.default_rng(12))
         buf = HistoryBuffer(3, 3)
         pool = catalog.item_ids
-        assert additive_q_policy(qnet, buf, pool, 1, catalog) == \
+        assert one_state(additive_q_policy, qnet, buf, pool, 1, catalog) == \
             cascade_slate(qnet, buf, pool, catalog)
 
     def test_policy_handles_validate(self):
@@ -388,7 +413,7 @@ class TestTrainCdqn:
         qnet = train_additive_q(factory, cfg)
         assert qnet.k == 1
         buf = HistoryBuffer(3, 4)
-        slate = additive_q_policy(qnet, buf, catalog.item_ids, 3, catalog)
+        slate = one_state(additive_q_policy, qnet, buf, catalog.item_ids, 3, catalog)
         assert len(slate) == 3
 
 

@@ -1,10 +1,14 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
-from slatesim.agent import random_slate
-from slatesim.choice import entropy_choice_probs
-from slatesim.data import synth_catalog
+from slatesim.agent import PolicyHandle, PolicyKind, make_policy
+from slatesim.choice import ChoiceConfig, Regularizer, entropy_choice_probs
+from slatesim.data import ItemCatalog, load_trajectories, save_trajectories, synth_catalog
 from slatesim.env import (
+    _POOL_STREAM,
     CandidatePolicy,
     EnvConfig,
     EnvError,
@@ -13,10 +17,15 @@ from slatesim.env import (
     make_ground_truth_user,
     reset,
     rollout,
+    rollout_batch,
     slate_scores,
     step,
 )
-from slatesim.nets import embed_state, named_tensors
+from slatesim.nets import embed_state, init_cascade_net, named_tensors
+
+
+def random_policy(env):
+    return make_policy(PolicyHandle(PolicyKind.RANDOM), env.catalog, env.config.k)
 
 
 @pytest.fixture
@@ -39,7 +48,7 @@ class TestGroundTruthUser:
         catalog, user, env = setup
         state = reset(env, user, seed=3)
         feats = catalog.feature_matrix(state.pool[:3])
-        scores = slate_scores(user, state.buffer, feats)
+        scores = slate_scores(user, state.buffer.matrix, feats)
         probs = entropy_choice_probs(scores, user.config)
         assert probs.shape == (4,)
         assert abs(probs.sum() - 1.0) <= 1e-9
@@ -53,7 +62,7 @@ class TestGroundTruthUser:
         slate = [1, 2, 3]
         state0 = reset(env, user, seed=1)
         feats = catalog.feature_matrix(slate)
-        probs = entropy_choice_probs(slate_scores(user, state0.buffer, feats), user.config)
+        probs = entropy_choice_probs(slate_scores(user, state0.buffer.matrix, feats), user.config)
         counts = np.zeros(4)
         draws = 100_000
         for s in range(draws):
@@ -127,6 +136,66 @@ class TestCandidates:
         assert a != c or True  # different t may coincide; equality of (a, b) is the contract
 
 
+def list_scan_pool(env, clicked_ids, t, seed):
+    """The pool draw as first written: a Python scan of the catalog for unclicked ids."""
+    cfg = env.config
+    if cfg.exclude_clicked:
+        avail = [i for i in env.catalog.item_ids if i not in clicked_ids]
+    else:
+        avail = list(env.catalog.item_ids)
+    if len(avail) < cfg.k:
+        raise EnvError(f"pool exhausted: {len(avail)} items remain, slate needs {cfg.k}")
+    if cfg.candidate_policy is CandidatePolicy.FULL_CATALOG:
+        return tuple(avail)
+    size = min(cfg.pool_size, len(avail))
+    rng = np.random.default_rng((seed, _POOL_STREAM, t))
+    picked = rng.choice(len(avail), size=size, replace=False)
+    return tuple(sorted(avail[i] for i in picked))
+
+
+class TestPoolDrawMatchesListScan:
+    @pytest.fixture(scope="class")
+    def gappy_catalog(self, tmp_path_factory):
+        # ids with gaps, read back from a data file as the CLI would
+        ids = [2, 5, 6, 11, 17, 23, 40, 41, 57, 90, 91, 300]
+        rng = np.random.default_rng(3)
+        path = tmp_path_factory.mktemp("cat") / "data.txt"
+        save_trajectories(ItemCatalog([(i, rng.standard_normal(3)) for i in ids]), [], path)
+        catalog, _ = load_trajectories(path)
+        assert catalog.item_ids == tuple(ids)
+        return catalog
+
+    @pytest.mark.parametrize("config", [
+        EnvConfig(k=3, pool_size=5),
+        EnvConfig(k=3, pool_size=12),
+        EnvConfig(k=2, pool_size=4, exclude_clicked=False),
+        EnvConfig(k=3, pool_size=5, candidate_policy=CandidatePolicy.FULL_CATALOG),
+        EnvConfig(k=3, pool_size=5, exclude_clicked=False,
+                  candidate_policy=CandidatePolicy.FULL_CATALOG),
+    ])
+    def test_same_pools(self, gappy_catalog, config):
+        env = SlateEnv(gappy_catalog, config)
+        ids = gappy_catalog.item_ids
+        rng = np.random.default_rng(4)
+        for trial in range(60):
+            n_clicked = trial % 10  # 0 to 9 of the 12 ids
+            clicked = frozenset(int(i) for i in rng.choice(ids, size=n_clicked, replace=False))
+            if trial % 7 == 0:
+                clicked |= {999}  # an id outside the catalog changes nothing
+            pool = draw_candidates(env, clicked, trial % 5, seed=trial)
+            assert pool == list_scan_pool(env, clicked, trial % 5, trial)
+            assert type(pool) is tuple and all(type(i) is int for i in pool)
+
+    def test_same_exhaustion_error(self, gappy_catalog):
+        env = SlateEnv(gappy_catalog, EnvConfig(k=3, pool_size=5))
+        clicked = frozenset(gappy_catalog.item_ids[:-2])
+        with pytest.raises(EnvError) as expected:
+            list_scan_pool(env, clicked, 0, 1)
+        with pytest.raises(EnvError, match="pool exhausted") as got:
+            draw_candidates(env, clicked, 0, seed=1)
+        assert str(got.value) == str(expected.value)
+
+
 class TestStep:
     def test_dominant_item_gets_clicked(self, setup):
         # a score gap of ~100 makes the favorite all but certain
@@ -136,12 +205,12 @@ class TestStep:
         user.theta.head.v *= 60.0
         try:
             state0 = reset(env, user, seed=1)
-            all_scores = slate_scores(user, state0.buffer,
+            all_scores = slate_scores(user, state0.buffer.matrix,
                                       catalog.feature_matrix(catalog.item_ids))[:-1]
             order = np.argsort(-all_scores)
             slate = [catalog.item_ids[order[0]], catalog.item_ids[order[-1]],
                      catalog.item_ids[order[-2]]]
-            scores = slate_scores(user, state0.buffer, catalog.feature_matrix(slate))
+            scores = slate_scores(user, state0.buffer.matrix, catalog.feature_matrix(slate))
             assert scores[0] - np.partition(scores, -2)[-2] > 20
             wins = 0
             draws = 10_000
@@ -180,7 +249,7 @@ class TestStep:
                                       catalog.features(out.chosen))
                 assert out.chosen in out.next_state.clicked_ids
                 assert out.reward == pytest.approx(
-                    slate_scores(user, state.buffer,
+                    slate_scores(user, state.buffer.matrix,
                                  catalog.feature_matrix(slate))[slate.index(out.chosen)])
                 return
         pytest.fail("no click in 500 episodes")
@@ -208,8 +277,7 @@ class TestStep:
 class TestRollout:
     def test_zero_horizon(self, setup):
         _, user, env = setup
-        traj, avg, clicks = rollout(env, user, lambda b, p, r: random_slate(p, 3, r),
-                                    T=0, seed=1)
+        traj, avg, clicks = rollout(env, user, random_policy(env), T=0, seed=1)
         assert len(traj) == 0 and avg == 0.0 and clicks == 0
 
     def test_uniform_user_ctr_near_k_over_k_plus_one(self, setup):
@@ -220,8 +288,7 @@ class TestRollout:
                                           exclude_clicked=False))
         clicks = steps = 0
         for u in range(300):
-            _, _, c = rollout(env, user, lambda b, p, r: random_slate(p, 3, r),
-                              T=10, seed=2 * u + 1)
+            _, _, c = rollout(env, user, random_policy(env), T=10, seed=2 * u + 1)
             clicks += c
             steps += 10
         assert abs(clicks / steps - 0.75) <= 0.03
@@ -229,12 +296,8 @@ class TestRollout:
     def test_greedy_oracle_beats_random(self, setup):
         # the user's own reward ranking is a strong slate policy
         catalog, user, env = setup
-        from slatesim.agent import greedy_user_model_policy
-
-        def greedy(buffer, pool, rng):
-            return greedy_user_model_policy(user, buffer, pool, 3, catalog)
-
-        rand = lambda b, p, r: random_slate(p, 3, r)
+        greedy = make_policy(PolicyHandle(PolicyKind.GREEDY_USER_MODEL, user_model=user), catalog, 3)
+        rand = random_policy(env)
         for seed in range(10):
             g = np.mean([rollout(env, user, greedy, seed=100 * seed + i)[1] for i in range(20)])
             r = np.mean([rollout(env, user, rand, seed=100 * seed + i)[1] for i in range(20)])
@@ -243,7 +306,7 @@ class TestRollout:
     def test_records_carry_rewards_and_are_serializable(self, setup, tmp_path):
         catalog, user, env = setup
         from slatesim.data import load_trajectories, save_trajectories
-        traj, avg, _ = rollout(env, user, lambda b, p, r: random_slate(p, 3, r), seed=5)
+        traj, avg, _ = rollout(env, user, random_policy(env), seed=5)
         assert all(rec.reward is not None for rec in traj.records)
         path = tmp_path / "roll.txt"
         save_trajectories(catalog, [traj], path, m=3)
@@ -252,8 +315,72 @@ class TestRollout:
 
     def test_rollout_deterministic(self, setup):
         _, user, env = setup
-        pol = lambda b, p, r: random_slate(p, 3, r)
+        pol = random_policy(env)
         t1, a1, c1 = rollout(env, user, pol, seed=13)
         t2, a2, c2 = rollout(env, user, pol, seed=13)
         assert a1 == a2 and c1 == c2
         assert [r.chosen for r in t1.records] == [r.chosen for r in t2.records]
+
+
+class TestRolloutBatch:
+    """rollout_batch over B seeds equals each seed run alone."""
+
+    SEEDS = [1, 4, 9, 16, 25, 36, 49]
+
+    def _policies(self, env, user):
+        catalog, k = env.catalog, env.config.k
+        qnet = init_cascade_net(catalog.d, user.m, 2, 6, k, np.random.default_rng(5))
+        return [make_policy(PolicyHandle(PolicyKind.RANDOM), catalog, k),
+                make_policy(PolicyHandle(PolicyKind.GREEDY_USER_MODEL, user_model=user), catalog, k),
+                make_policy(PolicyHandle(PolicyKind.CDQN, qnet=qnet), catalog, k)]
+
+    def _assert_rows_independent(self, env, user):
+        for policy in self._policies(env, user):
+            batch = rollout_batch(env, user, policy, self.SEEDS, user_ids=range(len(self.SEEDS)))
+            for u, (seed, (traj, avg, clicks)) in enumerate(zip(self.SEEDS, batch)):
+                alone, alone_avg, alone_clicks = rollout(env, user, policy, seed=seed, user_id=u)
+                assert traj.user_id == alone.user_id == u
+                assert [(r.step, r.displayed, r.chosen) for r in traj.records] == \
+                    [(r.step, r.displayed, r.chosen) for r in alone.records]
+                assert np.allclose([r.reward for r in traj.records],
+                                   [r.reward for r in alone.records], rtol=0, atol=1e-12)
+                assert clicks == alone_clicks
+                assert abs(avg - alone_avg) <= 1e-12
+
+    def test_entropy_user(self, setup):
+        _, user, env = setup
+        self._assert_rows_independent(env, user)
+
+    def test_l2_user_nonclick_reward(self, setup):
+        # the inverse-CDF branch of the row-batched sample_choice, and a paid non-click
+        catalog, user, _ = setup
+        l2 = dataclasses.replace(user, config=ChoiceConfig(1.0, Regularizer.L2))
+        env = SlateEnv(catalog, EnvConfig(k=3, pool_size=5, horizon=6, nonclick_reward=-0.25))
+        batch = rollout_batch(env, l2, self._policies(env, l2)[0], self.SEEDS)
+        assert any(not r.clicked for traj, _, _ in batch for r in traj.records)
+        assert all(r.reward == -0.25 for traj, _, _ in batch for r in traj.records if not r.clicked)
+        self._assert_rows_independent(env, l2)
+
+    def test_nan_scores_raise(self, setup):
+        catalog, user, env = setup
+        broken = copy.deepcopy(user)
+        broken.theta.head.v[0] = np.nan
+        policy = self._policies(env, user)[0]
+        for seeds in (self.SEEDS, [self.SEEDS[0]]):
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                rollout_batch(env, broken, policy, seeds)
+
+    @pytest.mark.parametrize("bad_slate, message", [
+        (lambda pool: pool[:2], "slate wrong size"),
+        (lambda pool: (pool[0],) * 3, "duplicate items in slate"),
+        (lambda pool: pool[:2] + (max(pool) + 999,), "slate not in pool"),
+    ], ids=["size", "duplicate", "outside-pool"])
+    def test_slate_checks_name_the_fault(self, setup, bad_slate, message):
+        # every row's slate is checked, not only the first
+        _, user, env = setup
+
+        def last_row_bad(hists, pools, row_rng):
+            return [pool[:3] for pool in pools[:-1]] + [bad_slate(pools[-1])]
+
+        with pytest.raises(ValueError, match=message):
+            rollout_batch(env, user, last_row_bad, self.SEEDS)

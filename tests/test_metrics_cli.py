@@ -1,9 +1,10 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slatesim.agent import PolicyKind
+from slatesim.agent import PolicyKind, save_policy
 from slatesim.cli import cli_main, parse_config_file
 from slatesim.env import EnvConfig
 from slatesim.metrics import (
@@ -14,6 +15,9 @@ from slatesim.metrics import (
     run_experiment,
     eval_env_seed,
 )
+from slatesim.nets import init_cascade_net
+
+GOLDEN = Path(__file__).parent / "golden" / "eval_criterion9"
 
 
 class TestMetricFunctions:
@@ -111,6 +115,23 @@ class TestRunExperiment:
         se40 = run_experiment(spec40)[0].stderr_cumulative_reward
         ratio = se40 / se10
         assert 0.25 <= ratio <= 0.85  # ~ sqrt(10/40) = 0.5
+
+    @pytest.mark.parametrize("name", ["aggregate.csv", "random_metrics.csv",
+                                      "greedy_metrics.csv", "cdqn_metrics.csv"])
+    def test_metric_files_match_golden_bytes(self, tmp_path, name):
+        # written by the one-episode-at-a-time evaluator in the criterion-9 world;
+        # a change to the random-number layout or to any slate changes these bytes
+        policy = tmp_path / "cdqn_policy.ckpt"
+        save_policy(policy, init_cascade_net(4, 3, 2, 6, 3, np.random.default_rng(7)))
+        run_experiment(ExperimentSpec(
+            seed=5, catalog_size=15, dim=4, catalog_seed=3,
+            gt_m=3, gt_n=2, gt_hidden=6, gt_seed=4, gt_reward_scale=2.0,
+            env=EnvConfig(k=3, pool_size=8, horizon=5),
+            n_users=4, repetitions=3, out_dir=str(tmp_path / "out"),
+            roster=[RosterEntry("random", PolicyKind.RANDOM),
+                    RosterEntry("greedy", PolicyKind.GREEDY_USER_MODEL),
+                    RosterEntry("cdqn", PolicyKind.CDQN, str(policy))]))
+        assert (tmp_path / "out" / name).read_bytes() == (GOLDEN / name).read_bytes()
 
     def test_missing_checkpoint_rejected_before_running(self, tmp_path):
         roster = [RosterEntry("cdqn", PolicyKind.CDQN, path=str(tmp_path / "nope.ckpt"))]

@@ -111,12 +111,12 @@ class TestNllLoss:
 
 class TestTrainMle:
     def _dataset(self, seed=0, users=12, T=8, K=15, d=4, k=3):
-        from slatesim.agent import random_slate
+        from slatesim.agent import PolicyHandle, PolicyKind, make_policy
         from slatesim.env import EnvConfig, SlateEnv, make_ground_truth_user, rollout
         catalog = synth_catalog(K, d, seed)
         user = make_ground_truth_user(catalog, (3, 2, 6), seed + 1, reward_scale=2.0)
         env = SlateEnv(catalog, EnvConfig(k=k, pool_size=8, horizon=T))
-        trajs = [rollout(env, user, lambda b, p, rng: random_slate(p, k, rng),
+        trajs = [rollout(env, user, make_policy(PolicyHandle(PolicyKind.RANDOM), catalog, k),
                          seed=2 * u, user_id=u)[0] for u in range(users)]
         return catalog, trajs, user
 
@@ -212,14 +212,14 @@ class TestTrainMinimax:
     def test_l2_with_entropy_init_no_worse_than_entropy_model(self):
         # data generated by an L2 ground-truth chooser; the adversarially trained
         # L2 model should explain held-out choices at least as well
-        from slatesim.agent import random_slate
+        from slatesim.agent import PolicyHandle, PolicyKind, make_policy
         from slatesim.env import EnvConfig, SlateEnv, make_ground_truth_user, rollout
         catalog = synth_catalog(15, 4, seed=31)
         gt = make_user_model_l2(catalog)
         env = SlateEnv(catalog, EnvConfig(k=3, pool_size=8, horizon=8))
-        trajs = [rollout(env, gt, lambda b, p, rng: random_slate(p, 3, rng),
+        trajs = [rollout(env, gt, make_policy(PolicyHandle(PolicyKind.RANDOM), catalog, 3),
                          seed=2 * u, user_id=u)[0] for u in range(40)]
-        heldout = [rollout(env, gt, lambda b, p, rng: random_slate(p, 3, rng),
+        heldout = [rollout(env, gt, make_policy(PolicyHandle(PolicyKind.RANDOM), catalog, 3),
                            seed=2 * u, user_id=u)[0] for u in range(40, 55)]
         shared = dict(epochs=25, batch_size=32, lr_theta=0.08, lr_alpha=0.08,
                       m=3, n=2, hidden=6, seed=3)
@@ -234,12 +234,12 @@ class TestTrainMinimax:
     def test_oscillation_warning(self, lr_theta, warnings_expected):
         # a large reward step makes the L2 objective oscillate over the last 50
         # updates; the warning is raised once per fit, and a small step stays quiet
-        from slatesim.agent import random_slate
+        from slatesim.agent import PolicyHandle, PolicyKind, make_policy
         from slatesim.env import EnvConfig, SlateEnv, make_ground_truth_user, rollout
         catalog = synth_catalog(12, 4, seed=1)
         user = make_ground_truth_user(catalog, (3, 2, 6), seed=2, reward_scale=3.0)
         env = SlateEnv(catalog, EnvConfig(k=3, pool_size=6, horizon=6))
-        trajs = [rollout(env, user, lambda b, p, rng: random_slate(p, 3, rng),
+        trajs = [rollout(env, user, make_policy(PolicyHandle(PolicyKind.RANDOM), catalog, 3),
                          seed=2 * u, user_id=u)[0] for u in range(30)]
         cfg = TrainConfig(regularizer=Regularizer.L2, epochs=20, batch_size=8, lr_theta=lr_theta,
                           m=3, n=2, hidden=6, seed=1, patience=100)
@@ -350,11 +350,11 @@ class TestHeldoutLoglik:
     def test_generator_beats_perturbations_on_average(self):
         rng = np.random.default_rng(52)
         gt = make_user_model(rng, d=3, m=3)
-        from slatesim.agent import random_slate
+        from slatesim.agent import PolicyHandle, PolicyKind, make_policy
         from slatesim.env import EnvConfig, SlateEnv, rollout
         catalog = synth_catalog(40, 3, seed=6)
         env = SlateEnv(catalog, EnvConfig(k=3, pool_size=8, horizon=10))
-        trajs = [rollout(env, gt, lambda b, p, r: random_slate(p, 3, r),
+        trajs = [rollout(env, gt, make_policy(PolicyHandle(PolicyKind.RANDOM), catalog, 3),
                          seed=2 * u, user_id=u)[0] for u in range(30)]
         ex = build_examples(catalog, trajs, 3)
         base = heldout_loglik(gt, ex)
