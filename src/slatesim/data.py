@@ -11,7 +11,7 @@ NON_CLICK_ID = 0
 
 
 class DataFormatError(ValueError):
-    """Malformed trajectory file."""
+    """Malformed trajectory file; the message names the file."""
 
 
 def _fmt(x: float) -> str:
@@ -300,15 +300,26 @@ def _parse_meta(line: str, lineno: int) -> tuple[int, int, int]:
 
 def read_meta(path) -> tuple[int, int, int]:
     """Return (d, m, k) from a trajectory file header."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-    return _parse_meta(first, 1)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _parse_meta(fh.readline().rstrip("\n"), 1)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def load_trajectories(path) -> tuple[ItemCatalog, list[Trajectory]]:
-    """Read a trajectory file; validates every record and injects the pseudo-item."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """Read a trajectory file; validates every record and injects the pseudo-item.
+
+    Any malformed content (undecodable text included) raises DataFormatError
+    naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _parse_trajectories(fh.read().splitlines())
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
+def _parse_trajectories(lines: list[str]) -> tuple[ItemCatalog, list[Trajectory]]:
     if not lines:
         return ItemCatalog([], d=1), []
     d, _m, _k = _parse_meta(lines[0], 1)

@@ -191,6 +191,7 @@ class _ScorerCache:
     Ze: np.ndarray     # (batch, d, n)
     s: np.ndarray      # (batch, dn)
     z: np.ndarray      # (batch, slots, hidden)
+    h: np.ndarray      # act(z)
     scores: np.ndarray  # (batch, slots)
 
 
@@ -202,16 +203,15 @@ def scorer_batch(net: ScorerNet, F: np.ndarray, feats: np.ndarray) -> _ScorerCac
     dn = net.pw.out_dim
     Vs, Vf = net.head.V[:, :dn], net.head.V[:, dn:]
     z = (s @ Vs.T)[:, None, :] + np.einsum("bsd,ld->bsl", feats, Vf) + net.head.b[None, None, :]
-    scores = act(z, net.head.activation) @ net.head.v
-    return _ScorerCache(F=F, feats=feats, Ze=Ze, s=s, z=z, scores=scores)
+    h = act(z, net.head.activation)
+    return _ScorerCache(F=F, feats=feats, Ze=Ze, s=s, z=z, h=h, scores=h @ net.head.v)
 
 
 def scorer_batch_grad(net: ScorerNet, cache: _ScorerCache, slot_w: np.ndarray) -> "GradientBundle":
     """Gradient of sum_{b,s} slot_w[b,s] * score[b,s] w.r.t. all net parameters."""
     dn = net.pw.out_dim
     Vs = net.head.V[:, :dn]
-    h = act(cache.z, net.head.activation)
-    dv = np.einsum("bs,bsl->l", slot_w, h)
+    dv = np.einsum("bs,bsl->l", slot_w, cache.h)
     dz = slot_w[:, :, None] * act_grad(cache.z, net.head.activation) * net.head.v[None, None, :]
     db = dz.sum(axis=(0, 1))
     dVf = np.einsum("bsl,bsd->ld", dz, cache.feats)

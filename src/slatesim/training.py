@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -11,7 +12,7 @@ import numpy as np
 
 from . import nets
 from .choice import ChoiceConfig, PROB_FLOOR, Regularizer, logsumexp, softmax
-from .data import HistoryBuffer, ItemCatalog, Trajectory
+from .data import NON_CLICK_ID, ItemCatalog, Trajectory
 from .nets import Activation, GradientBundle, ScorerNet
 
 
@@ -104,48 +105,114 @@ class Example:
         return self.chosen < self.n_items
 
 
+class ExampleSet:
+    """Page views stacked once into dense arrays, one group per display slot count.
+
+    Group g (ascending slot count S_g) holds `hist[g]` (N_g, d, m) and `disp[g]`
+    (N_g, S_g, d); example i is row `row[i]` of group `group[i]`, and its
+    `chosen` slot and `n_items` are flat arrays in example order. `take(idx)`
+    selects examples by index and shares the group arrays. `len`, int
+    indexing and iteration give read-only `Example` rows."""
+
+    def __init__(self, hist: tuple[np.ndarray, ...], disp: tuple[np.ndarray, ...],
+                 group: np.ndarray, row: np.ndarray, chosen: np.ndarray, n_items: np.ndarray):
+        self.hist, self.disp = hist, disp
+        self.group, self.row, self.chosen, self.n_items = group, row, chosen, n_items
+        for a in hist + disp:
+            a.setflags(write=False)
+
+    @classmethod
+    def from_examples(cls, examples: Sequence[Example]) -> ExampleSet:
+        slots = np.array([ex.disp.shape[0] for ex in examples], dtype=int)
+        groups = np.unique(slots)
+        group = np.searchsorted(groups, slots)
+        row = np.zeros(len(examples), dtype=int)
+        hist, disp = [], []
+        for g in range(len(groups)):
+            members = np.flatnonzero(group == g)
+            row[members] = np.arange(len(members))
+            hist.append(np.stack([examples[i].hist for i in members]))
+            disp.append(np.stack([examples[i].disp for i in members]))
+        return cls(tuple(hist), tuple(disp), group, row,
+                   np.array([ex.chosen for ex in examples], dtype=int),
+                   np.array([ex.n_items for ex in examples], dtype=int))
+
+    def take(self, idx) -> ExampleSet:
+        idx = np.asarray(idx, dtype=int)
+        return ExampleSet(self.hist, self.disp, self.group[idx], self.row[idx],
+                          self.chosen[idx], self.n_items[idx])
+
+    @property
+    def clicked(self) -> np.ndarray:
+        return self.chosen < self.n_items
+
+    def blocks(self):
+        """Per group, ascending slot count: (positions, hist, disp, chosen, n_items) of the
+        examples in that group, in example order. A whole group in stored order is
+        passed as the read-only group arrays, any other selection as copies."""
+        for g, (hist, disp) in enumerate(zip(self.hist, self.disp)):
+            pos = np.flatnonzero(self.group == g)
+            if pos.size:
+                rows = self.row[pos]
+                if not (len(rows) == len(hist) and np.array_equal(rows, np.arange(len(hist)))):
+                    hist, disp = hist[rows], disp[rows]
+                yield pos, hist, disp, self.chosen[pos], self.n_items[pos]
+
+    def __len__(self) -> int:
+        return len(self.group)
+
+    def __getitem__(self, i) -> Example:
+        i = operator.index(i)
+        g, r = self.group[i], self.row[i]
+        return Example(hist=self.hist[g][r], disp=self.disp[g][r],
+                       chosen=int(self.chosen[i]), n_items=int(self.n_items[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def _as_set(examples: ExampleSet | Sequence[Example]) -> ExampleSet:
+    return examples if isinstance(examples, ExampleSet) else ExampleSet.from_examples(examples)
+
+
 def build_examples(
     catalog: ItemCatalog,
     trajectories: Sequence[Trajectory],
     m: int,
     include_nonclick: bool = True,
-) -> list[Example]:
-    """Convert trajectories into examples; histories are taken from the observed clicks."""
-    examples = []
+) -> ExampleSet:
+    """Convert trajectories into examples; histories are taken from the observed clicks.
+
+    One pass over the records collects item ids: a history is the window of the
+    last m clicked ids, padded with the non-click pseudo-item, whose all-zero
+    features also fill the non-click slot. Each slot-count group then looks up
+    all its features at once."""
+    groups: dict[int, tuple[list, list]] = {}  # slot count -> (history windows, shown ids)
+    slots, row, chosen, n_items = [], [], [], []
     for traj in trajectories:
-        buf = HistoryBuffer(m, catalog.d)
+        window = (NON_CLICK_ID,) * m
         for rec in traj.records:
-            feats = catalog.feature_matrix(rec.displayed)
-            if include_nonclick:
-                feats = np.vstack([feats, np.zeros((1, catalog.d))])
             if rec.clicked:
-                slot = rec.displayed.index(rec.chosen)
+                chosen.append(rec.displayed.index(rec.chosen))
             elif include_nonclick:
-                slot = len(rec.displayed)
+                chosen.append(len(rec.displayed))
             else:
                 raise ValueError("non-click record cannot be represented without the non-click slot")
-            examples.append(Example(hist=buf.matrix.copy(), disp=feats,
-                                    chosen=slot, n_items=len(rec.displayed)))
+            ids = rec.displayed + (NON_CLICK_ID,) if include_nonclick else rec.displayed
+            windows, shown = groups.setdefault(len(ids), ([], []))
+            slots.append(len(ids))
+            row.append(len(shown))
+            windows.append(window)
+            shown.append(ids)
+            n_items.append(len(rec.displayed))
             if rec.clicked:
-                buf.push(catalog.features(rec.chosen))
-    return examples
-
-
-def _batch_groups(examples: Sequence[Example]):
-    """Group examples by slot count so each group stacks into dense arrays."""
-    groups: dict[int, list[Example]] = {}
-    for ex in examples:
-        groups.setdefault(ex.disp.shape[0], []).append(ex)
-    out = []
-    for slots in sorted(groups):
-        exs = groups[slots]
-        out.append((
-            len(exs),
-            np.stack([e.hist for e in exs]),
-            np.stack([e.disp for e in exs]),
-            np.array([e.chosen for e in exs], dtype=int),
-        ))
-    return out
+                window = window[1:] + (rec.chosen,)
+    order = sorted(groups)
+    hist = tuple(np.ascontiguousarray(catalog.feature_matrix(np.array(groups[s][0])).transpose(0, 2, 1))
+                 for s in order)
+    disp = tuple(catalog.feature_matrix(np.array(groups[s][1])) for s in order)
+    return ExampleSet(hist, disp, np.searchsorted(order, slots).astype(int), np.array(row, dtype=int),
+                      np.array(chosen, dtype=int), np.array(n_items, dtype=int))
 
 
 def _weighted(parts):
@@ -160,22 +227,26 @@ def _weighted(parts):
     return value, bundle
 
 
-def nll_value_grad(theta: ScorerNet, examples: Sequence[Example], eta: float):
-    if not examples:
-        raise ValueError("empty batch")
-    parts = [(n,) + nets.nll_value_and_grad(theta, F, feats, chosen, eta)
-             for n, F, feats, chosen in _batch_groups(examples)]
+def _nonempty(examples: ExampleSet | Sequence[Example], message: str = "empty batch") -> ExampleSet:
+    examples = _as_set(examples)
+    if not len(examples):
+        raise ValueError(message)
+    return examples
+
+
+def nll_value_grad(theta: ScorerNet, examples: ExampleSet | Sequence[Example], eta: float):
+    parts = [(len(pos),) + nets.nll_value_and_grad(theta, F, feats, chosen, eta)
+             for pos, F, feats, chosen, _ in _nonempty(examples).blocks()]
     return _weighted(parts)
 
 
-def nll_loss(theta: ScorerNet, examples: Sequence[Example], eta: float) -> float:
+def nll_loss(theta: ScorerNet, examples: ExampleSet | Sequence[Example], eta: float) -> float:
     """Mean per-record negative log-likelihood under softmax(eta * reward)."""
-    if not examples:
-        raise ValueError("empty batch")
+    examples = _nonempty(examples)
     value = 0.0
-    for n, F, feats, chosen in _batch_groups(examples):
+    for pos, F, feats, chosen, _ in examples.blocks():
         logits = eta * nets.scorer_batch(theta, F, feats).scores
-        value += float(np.sum(logsumexp(logits) - logits[np.arange(n), chosen]))
+        value += float(np.sum(logsumexp(logits) - logits[np.arange(len(pos)), chosen]))
     return value / len(examples)
 
 
@@ -191,23 +262,23 @@ def behavior_probs(alpha: ScorerNet, F: np.ndarray, feats: np.ndarray) -> np.nda
     return softmax(nets.scorer_batch(alpha, F, feats).scores)
 
 
-def minimax_objective(theta: ScorerNet, alpha: ScorerNet | None, examples: Sequence[Example],
+def minimax_objective(theta: ScorerNet, alpha: ScorerNet | None,
+                      examples: ExampleSet | Sequence[Example],
                       eta: float, regularizer: Regularizer, exact_inner: bool = False) -> float:
     """Mean per-record adversarial objective  <phi, r> - R(phi)/eta - r_true.
 
     With exact_inner=True the inner maximization is solved in closed form
     (entropy: log-sum-exp; L2: simplex projection) instead of using alpha."""
-    if not examples:
-        raise ValueError("empty batch")
+    examples = _nonempty(examples)
     total = 0.0
-    for n, F, feats, chosen in _batch_groups(examples):
+    for pos, F, feats, chosen, _ in examples.blocks():
         r = nets.scorer_batch(theta, F, feats).scores
         if exact_inner:
             inner = regularizer.inner_max(r, eta)
         else:
             phi = behavior_probs(alpha, F, feats)
             inner = np.sum(phi * r, axis=1) - regularizer.omega(phi) / eta
-        total += float(np.sum(inner - r[np.arange(n), chosen]))
+        total += float(np.sum(inner - r[np.arange(len(pos)), chosen]))
     return total / len(examples)
 
 
@@ -218,50 +289,36 @@ def model_choice_probs(model: UserModel, hist: np.ndarray, disp: np.ndarray) -> 
     return model.config.regularizer.probs(rewards, model.config.eta)
 
 
-def _reward_scores(theta: ScorerNet, examples: Sequence[Example],
-                   transform: Callable[[np.ndarray], np.ndarray] | None = None) -> list[np.ndarray]:
-    """Per-example reward score rows, in the original example order.
-
-    `transform`, if given, maps each slot-count group's (records, slots) score block first."""
-    order: list[tuple[int, np.ndarray]] = []
-    groups: dict[int, list[int]] = {}
-    for i, ex in enumerate(examples):
-        groups.setdefault(ex.disp.shape[0], []).append(i)
-    for slots in sorted(groups):
-        idxs = groups[slots]
-        F = np.stack([examples[i].hist for i in idxs])
-        feats = np.stack([examples[i].disp for i in idxs])
-        scores = nets.scorer_batch(theta, F, feats).scores
-        if transform is not None:
-            scores = transform(scores)
-        order.extend(zip(idxs, scores))
-    order.sort(key=lambda t: t[0])
-    return [s for _, s in order]
+def _reward_scores(theta: ScorerNet, examples: ExampleSet):
+    """Per slot-count group: (positions, reward scores (records, slots), chosen, n_items)."""
+    for pos, F, feats, chosen, n_items in examples.blocks():
+        yield pos, nets.scorer_batch(theta, F, feats).scores, chosen, n_items
 
 
-def precision_at_k(model: UserModel, examples: Sequence[Example], k_eval: int) -> float:
+def precision_at_k(model: UserModel, examples: ExampleSet | Sequence[Example], k_eval: int) -> float:
     """Fraction of clicked page views whose true item ranks in the model's top k_eval."""
-    clicks = [ex for ex in examples if ex.clicked]
-    if not clicks:
+    examples = _as_set(examples)
+    clicks = examples.take(np.flatnonzero(examples.clicked))
+    if not len(clicks):
         raise ValueError("no clicked records to evaluate")
-    if k_eval < 1 or any(ex.n_items < k_eval for ex in clicks):
+    if k_eval < 1 or np.any(clicks.n_items < k_eval):
         raise ValueError("k_eval must be within the display size")
-    scores = _reward_scores(model.theta, clicks)
     hits = 0
-    for ex, row in zip(clicks, scores):
-        item_scores = row[: ex.n_items]
-        top = np.argsort(-item_scores, kind="stable")[:k_eval]
-        hits += int(ex.chosen in top)
+    for _, scores, chosen, n_items in _reward_scores(model.theta, clicks):
+        for n in np.unique(n_items):
+            sel = n_items == n
+            top = np.argsort(-scores[sel, :n], axis=1, kind="stable")[:, :k_eval]
+            hits += int(np.count_nonzero(top == chosen[sel, None]))
     return hits / len(clicks)
 
 
-def heldout_loglik(model: UserModel, examples: Sequence[Example]) -> float:
+def heldout_loglik(model: UserModel, examples: ExampleSet | Sequence[Example]) -> float:
     """Mean log-probability of the true choices under the model's choice distribution."""
-    if not examples:
-        raise ValueError("empty evaluation set")
+    examples = _nonempty(examples, "empty evaluation set")
     reg, eta = model.config.regularizer, model.config.eta
-    probs = _reward_scores(model.theta, examples, lambda r: reg.probs(r, eta))
-    p = np.array([row[ex.chosen] for ex, row in zip(examples, probs)])
+    p = np.empty(len(examples))
+    for pos, scores, chosen, _ in _reward_scores(model.theta, examples):
+        p[pos] = reg.probs(scores, eta)[np.arange(len(pos)), chosen]
     clamped = int(np.count_nonzero(p < PROB_FLOOR))
     logs = np.log(np.maximum(p, PROB_FLOOR))
     if clamped:
@@ -284,25 +341,36 @@ def _restore(net: ScorerNet, snap: dict[str, np.ndarray]) -> None:
         t[...] = snap[name]
 
 
+def _fit_sets(catalog: ItemCatalog, trajectories: Sequence[Trajectory] | ExampleSet,
+              valid: Sequence[Trajectory] | ExampleSet | None, m: int):
+    """Training and validation examples; an ExampleSet passes through unchanged."""
+    def examples(data):
+        return data if isinstance(data, ExampleSet) else build_examples(catalog, data, m)
+
+    train = examples(trajectories)
+    if not len(train):
+        raise ValueError("no training records")
+    return train, (examples(valid) if valid else None)
+
+
 def train_mle(
     catalog: ItemCatalog,
-    trajectories: Sequence[Trajectory],
+    trajectories: Sequence[Trajectory] | ExampleSet,
     config: TrainConfig,
-    valid: Sequence[Trajectory] | None = None,
+    valid: Sequence[Trajectory] | ExampleSet | None = None,
     on_epoch: Callable[[int, dict], None] | None = None,
 ) -> UserModel:
     """Fit the reward scorer by maximum likelihood; the behavior net is its induced softmax.
 
-    Keeps the best-validation snapshot and stops early after `config.patience`
-    epochs without improvement. Raises TrainingDiverged on non-finite loss."""
+    `trajectories` and `valid` may be examples built by `build_examples` with
+    `config.m`. Keeps the best-validation snapshot and stops early after
+    `config.patience` epochs without improvement. Raises TrainingDiverged on
+    non-finite loss."""
     if config.regularizer is not Regularizer.SHANNON_ENTROPY:
         raise ValueError("maximum-likelihood training requires the entropy regularizer")
     rng = np.random.default_rng(config.seed)
     theta = nets.init_scorer_net(catalog.d, config.m, config.n, config.hidden, rng)
-    examples = build_examples(catalog, trajectories, config.m)
-    if not examples:
-        raise ValueError("no training records")
-    valid_examples = build_examples(catalog, valid, config.m) if valid else None
+    examples, valid_examples = _fit_sets(catalog, trajectories, valid, config.m)
 
     def metric() -> float:
         return nll_loss(theta, valid_examples if valid_examples else examples, config.eta)
@@ -312,7 +380,7 @@ def train_mle(
     best_epoch = 0
     for epoch in range(1, config.epochs + 1):
         for idx in _batches(len(examples), config.batch_size, rng, config.shuffle):
-            value, g = nll_value_grad(theta, [examples[i] for i in idx], config.eta)
+            value, g = nll_value_grad(theta, examples.take(idx), config.eta)
             if not np.isfinite(value):
                 raise TrainingDiverged(epoch)
             nets.sgd_step(theta, g, config.lr_theta)
@@ -327,7 +395,7 @@ def train_mle(
             train_nll = nll_loss(theta, examples, config.eta)
             stats = {"train_nll": train_nll, "valid_nll": current}
             eval_set = valid_examples if valid_examples else examples
-            if any(ex.clicked for ex in eval_set):
+            if eval_set.clicked.any():
                 probe = UserModel(theta, theta, ChoiceConfig(config.eta, config.regularizer))
                 stats["prec1"] = precision_at_k(probe, eval_set, 1)
             on_epoch(epoch, stats)
@@ -339,39 +407,43 @@ def train_mle(
                      config=ChoiceConfig(config.eta, Regularizer.SHANNON_ENTROPY))
 
 
-def minimax_value_grads(theta: ScorerNet, alpha: ScorerNet | None,
-                        examples: Sequence[Example], config: TrainConfig):
-    """One alternating update's ingredients on a minibatch.
-
-    Returns (theta objective value, theta bundle, alpha bundle or None). The
-    expectation over the generator is an exact sum over display slots."""
-    groups = _batch_groups(examples)
-    theta_parts = []
-    alpha_parts = []
-    for n, F, feats, chosen in groups:
+def minimax_alpha_grad(theta: ScorerNet, alpha: ScorerNet, examples: ExampleSet | Sequence[Example],
+                       config: TrainConfig) -> GradientBundle:
+    """The behavior scorer's half of an alternating update: the gradient of the mean
+    generator objective against theta's rewards (the caller ascends it)."""
+    parts = []
+    for pos, F, feats, _, _ in _nonempty(examples).blocks():
         r = nets.scorer_batch(theta, F, feats).scores
+        parts.append((len(pos),) + nets.minimax_behavior_value_and_grad(
+            alpha, F, feats, r, config.eta, config.regularizer))
+    return _weighted(parts)[1]
+
+
+def minimax_value_grads(theta: ScorerNet, alpha: ScorerNet | None,
+                        examples: ExampleSet | Sequence[Example], config: TrainConfig):
+    """The reward scorer's half of an alternating update, against alpha's choice
+    distribution (or the closed-form one with `config.exact_inner`).
+
+    Returns (theta objective value, theta bundle). The expectation over the
+    generator is an exact sum over display slots."""
+    if config.exact_inner and config.regularizer is not Regularizer.SHANNON_ENTROPY:
+        raise ValueError("exact inner maximization is closed-form only for entropy")
+    parts = []
+    for pos, F, feats, chosen, _ in _nonempty(examples).blocks():
         if config.exact_inner:
-            if config.regularizer is not Regularizer.SHANNON_ENTROPY:
-                raise ValueError("exact inner maximization is closed-form only for entropy")
-            phi = config.regularizer.probs(r, config.eta)
+            phi = config.regularizer.probs(nets.scorer_batch(theta, F, feats).scores, config.eta)
         else:
-            va, ga = nets.minimax_behavior_value_and_grad(
-                alpha, F, feats, r, config.eta, config.regularizer)
-            alpha_parts.append((n, va, ga))
             phi = behavior_probs(alpha, F, feats)
-        vt, gt = nets.minimax_reward_value_and_grad(
-            theta, F, feats, chosen, phi, config.eta, config.regularizer)
-        theta_parts.append((n, vt, gt))
-    theta_value, theta_bundle = _weighted(theta_parts)
-    alpha_bundle = _weighted(alpha_parts)[1] if alpha_parts else None
-    return theta_value, theta_bundle, alpha_bundle
+        parts.append((len(pos),) + nets.minimax_reward_value_and_grad(
+            theta, F, feats, chosen, phi, config.eta, config.regularizer))
+    return _weighted(parts)
 
 
 def train_minimax(
     catalog: ItemCatalog,
-    trajectories: Sequence[Trajectory],
+    trajectories: Sequence[Trajectory] | ExampleSet,
     config: TrainConfig,
-    valid: Sequence[Trajectory] | None = None,
+    valid: Sequence[Trajectory] | ExampleSet | None = None,
     on_epoch: Callable[[int, dict], None] | None = None,
 ) -> UserModel:
     """Alternating adversarial estimation of the reward and behavior scorers.
@@ -379,22 +451,19 @@ def train_minimax(
     Ascends the behavior objective and descends the reward objective once per
     minibatch, and warns with OscillationWarning when the reward objective
     oscillates. With init_scheme=ENTROPY_INIT the entropy model is trained
-    first and both scorers start from it."""
+    first on the same examples and both scorers start from it."""
     rng = np.random.default_rng(config.seed)
+    examples, valid_examples = _fit_sets(catalog, trajectories, valid, config.m)
     if config.init_scheme is InitScheme.ENTROPY_INIT:
         mle_config = replace(config, regularizer=Regularizer.SHANNON_ENTROPY,
                              init_scheme=InitScheme.FRESH, exact_inner=False,
                              epochs=config.init_epochs if config.init_epochs is not None else config.epochs)
-        base = train_mle(catalog, trajectories, mle_config, valid=valid)
+        base = train_mle(catalog, examples, mle_config, valid=valid_examples)
         theta = nets.clone_params(base.theta)
         alpha = nets.clone_params(base.alpha)
     else:
         theta = nets.init_scorer_net(catalog.d, config.m, config.n, config.hidden, rng)
         alpha = nets.init_scorer_net(catalog.d, config.m, config.n, config.hidden, rng)
-    examples = build_examples(catalog, trajectories, config.m)
-    if not examples:
-        raise ValueError("no training records")
-    valid_examples = build_examples(catalog, valid, config.m) if valid else None
 
     def metric() -> float:
         probe = UserModel(theta, alpha, ChoiceConfig(config.eta, config.regularizer))
@@ -409,11 +478,11 @@ def train_minimax(
     warned = False
     for epoch in range(1, config.epochs + 1):
         for idx in _batches(len(examples), config.batch_size, rng, config.shuffle):
-            batch = [examples[i] for i in idx]
+            batch = examples.take(idx)
             if not config.exact_inner:
-                _, _, alpha_bundle = minimax_value_grads(theta, alpha, batch, config)
-                nets.sgd_step(alpha, alpha_bundle, config.lr_alpha, ascend=True)
-            value, theta_bundle, _ = minimax_value_grads(theta, alpha, batch, config)
+                nets.sgd_step(alpha, minimax_alpha_grad(theta, alpha, batch, config),
+                              config.lr_alpha, ascend=True)
+            value, theta_bundle = minimax_value_grads(theta, alpha, batch, config)
             if not np.isfinite(value):
                 raise TrainingDiverged(epoch)
             nets.sgd_step(theta, theta_bundle, config.lr_theta)

@@ -298,6 +298,35 @@ class TestSerialization:
         with pytest.raises(DataFormatError, match="inconsistent feature dimension"):
             load_trajectories(path)
 
+    @pytest.mark.parametrize("body, message", [
+        ("meta d=1 m=0 k=1\nitem 1 0.5\nrec 0 2 1 | 1\nrec 0 1 0 | 1\n",
+         "user 0 must start at step 1"),
+        ("meta d=1 m=0 k=1\nitem 1 0.5\nrec 4 1 1 | 1\nrec 4 1 0 | 1\n",
+         "strictly increasing for user 4"),
+        ("meta d=1 m=0 k=1\nitem 1 0.5\nitem 1 0.25\n", "duplicate item id 1"),
+        ("meta d=1 m=0 k=1\nitem 0 0.5\n", "reserved"),
+        ("meta d=1 m=0\n", "line 1"),
+        ("meta d=1 m=0 k=1\nitem x 0.5\n", "line 2"),
+    ])
+    def test_every_load_error_names_the_file(self, tmp_path, body, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(body)
+        with pytest.raises(DataFormatError, match=message) as info:
+            load_trajectories(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_undecodable_file_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"meta d=1 m=0 k=1\nitem 1 \xff\n")
+        with pytest.raises(DataFormatError, match="bad.txt: 'utf-8' codec"):
+            load_trajectories(path)
+
+    def test_read_meta_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("meta d=1\n")
+        with pytest.raises(DataFormatError, match=r"bad.txt: line 1"):
+            read_meta(path)
+
     def test_unknown_display_item_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("meta d=1 m=0 k=1\nitem 1 0.5\nrec 0 1 1 | 1 9\n")

@@ -1,0 +1,356 @@
+"""The dense ExampleSet against the per-example stacking it replaced.
+
+The `old_*` functions below are the list-of-Example implementations that
+regrouped and stacked every minibatch, kept here as oracles: the set must give
+the same groups and the same bits, and the split alpha/theta minimax step must
+equal the combined step that computed both halves on every call.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from slatesim import nets
+from slatesim.choice import ChoiceConfig, PROB_FLOOR, Regularizer, logsumexp, softmax
+from slatesim.data import ClickRecord, HistoryBuffer, Trajectory, synth_catalog
+from slatesim.nets import init_scorer_net, named_tensors
+from slatesim.training import (
+    Example,
+    ExampleSet,
+    TrainConfig,
+    UserModel,
+    build_examples,
+    heldout_loglik,
+    induced_softmax_alpha,
+    minimax_alpha_grad,
+    minimax_objective,
+    minimax_value_grads,
+    nll_loss,
+    nll_value_grad,
+    precision_at_k,
+)
+
+D, M = 3, 2
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-example implementations
+
+
+def old_build_examples(catalog, trajectories, m):
+    examples = []
+    for traj in trajectories:
+        buf = HistoryBuffer(m, catalog.d)
+        for rec in traj.records:
+            feats = np.vstack([catalog.feature_matrix(rec.displayed), np.zeros((1, catalog.d))])
+            slot = rec.displayed.index(rec.chosen) if rec.clicked else len(rec.displayed)
+            examples.append(Example(hist=buf.matrix.copy(), disp=feats,
+                                    chosen=slot, n_items=len(rec.displayed)))
+            if rec.clicked:
+                buf.push(catalog.features(rec.chosen))
+    return examples
+
+
+def old_batch_groups(examples):
+    groups = {}
+    for ex in examples:
+        groups.setdefault(ex.disp.shape[0], []).append(ex)
+    out = []
+    for slots in sorted(groups):
+        exs = groups[slots]
+        out.append((
+            len(exs),
+            np.stack([e.hist for e in exs]),
+            np.stack([e.disp for e in exs]),
+            np.array([e.chosen for e in exs], dtype=int),
+        ))
+    return out
+
+
+def old_weighted(parts):
+    total_n = sum(n for n, _, _ in parts)
+    value = 0.0
+    bundle = None
+    for n, v, g in parts:
+        value += v * n / total_n
+        g.scale_(n / total_n)
+        bundle = g if bundle is None else bundle.add_(g)
+    return value, bundle
+
+
+def old_nll_value_grad(theta, examples, eta):
+    return old_weighted([(n,) + nets.nll_value_and_grad(theta, F, feats, chosen, eta)
+                         for n, F, feats, chosen in old_batch_groups(examples)])
+
+
+def old_nll_loss(theta, examples, eta):
+    value = 0.0
+    for n, F, feats, chosen in old_batch_groups(examples):
+        logits = eta * nets.scorer_batch(theta, F, feats).scores
+        value += float(np.sum(logsumexp(logits) - logits[np.arange(n), chosen]))
+    return value / len(examples)
+
+
+def old_minimax_objective(theta, alpha, examples, eta, regularizer, exact_inner=False):
+    total = 0.0
+    for n, F, feats, chosen in old_batch_groups(examples):
+        r = nets.scorer_batch(theta, F, feats).scores
+        if exact_inner:
+            inner = regularizer.inner_max(r, eta)
+        else:
+            phi = softmax(nets.scorer_batch(alpha, F, feats).scores)
+            inner = np.sum(phi * r, axis=1) - regularizer.omega(phi) / eta
+        total += float(np.sum(inner - r[np.arange(n), chosen]))
+    return total / len(examples)
+
+
+def old_reward_scores(theta, examples, transform=None):
+    order, groups = [], {}
+    for i, ex in enumerate(examples):
+        groups.setdefault(ex.disp.shape[0], []).append(i)
+    for slots in sorted(groups):
+        idxs = groups[slots]
+        scores = nets.scorer_batch(theta, np.stack([examples[i].hist for i in idxs]),
+                                   np.stack([examples[i].disp for i in idxs])).scores
+        if transform is not None:
+            scores = transform(scores)
+        order.extend(zip(idxs, scores))
+    order.sort(key=lambda t: t[0])
+    return [s for _, s in order]
+
+
+def old_precision_at_k(model, examples, k_eval):
+    clicks = [ex for ex in examples if ex.clicked]
+    hits = 0
+    for ex, row in zip(clicks, old_reward_scores(model.theta, clicks)):
+        top = np.argsort(-row[: ex.n_items], kind="stable")[:k_eval]
+        hits += int(ex.chosen in top)
+    return hits / len(clicks)
+
+
+def old_heldout_loglik(model, examples):
+    reg, eta = model.config.regularizer, model.config.eta
+    probs = old_reward_scores(model.theta, examples, lambda r: reg.probs(r, eta))
+    p = np.array([row[ex.chosen] for ex, row in zip(examples, probs)])
+    return float(np.mean(np.log(np.maximum(p, PROB_FLOOR))))
+
+
+def old_minimax_value_grads(theta, alpha, examples, config):
+    """The combined step: both halves computed on every call."""
+    theta_parts, alpha_parts = [], []
+    for n, F, feats, chosen in old_batch_groups(examples):
+        r = nets.scorer_batch(theta, F, feats).scores
+        if config.exact_inner:
+            if config.regularizer is not Regularizer.SHANNON_ENTROPY:
+                raise ValueError("exact inner maximization is closed-form only for entropy")
+            phi = config.regularizer.probs(r, config.eta)
+        else:
+            va, ga = nets.minimax_behavior_value_and_grad(
+                alpha, F, feats, r, config.eta, config.regularizer)
+            alpha_parts.append((n, va, ga))
+            phi = softmax(nets.scorer_batch(alpha, F, feats).scores)
+        vt, gt = nets.minimax_reward_value_and_grad(
+            theta, F, feats, chosen, phi, config.eta, config.regularizer)
+        theta_parts.append((n, vt, gt))
+    theta_value, theta_bundle = old_weighted(theta_parts)
+    alpha_bundle = old_weighted(alpha_parts)[1] if alpha_parts else None
+    return theta_value, theta_bundle, alpha_bundle
+
+
+# ---------------------------------------------------------------------------
+# generated inputs
+
+
+def ragged_examples(seed, slot_counts):
+    """One Example per entry of `slot_counts`, in that (shuffled) order. Most displays
+    end in the all-zero non-click slot, which some records choose; the rest show
+    items only, so one slot count can hold two item counts."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for slots in slot_counts:
+        disp = rng.standard_normal((slots, D))
+        n_items = slots - int(rng.random() < 0.8)
+        disp[n_items:] = 0.0
+        out.append(Example(hist=rng.standard_normal((D, M)), disp=disp,
+                           chosen=int(rng.integers(0, slots)), n_items=n_items))
+    return out
+
+
+def nets_pair(seed):
+    rng = np.random.default_rng(seed)
+    theta = init_scorer_net(D, M, 2, 5, rng)
+    alpha = init_scorer_net(D, M, 2, 5, rng)
+    return theta, alpha
+
+
+def same_bundle(a, b):
+    return a.grads.keys() == b.grads.keys() and all(
+        np.array_equal(a.grads[k], b.grads[k]) for k in a.grads)
+
+
+ragged = st.tuples(st.integers(0, 2**32 - 1),
+                   st.lists(st.integers(2, 7), min_size=1, max_size=40))
+
+
+class TestExampleSetEquivalence:
+    @given(case=ragged, picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_take_groups_equal_stacked_minibatch(self, case, picks):
+        examples = ragged_examples(*case)
+        idx = np.array([p % len(examples) for p in picks])
+        batch = ExampleSet.from_examples(examples).take(idx)
+        blocks = list(batch.blocks())
+        oracle = old_batch_groups([examples[i] for i in idx])
+        assert len(blocks) == len(oracle)
+        for (pos, F, feats, chosen, n_items), (n, oF, ofeats, ochosen) in zip(blocks, oracle):
+            assert len(pos) == n
+            assert F.dtype == oF.dtype and np.array_equal(F, oF)
+            assert feats.dtype == ofeats.dtype and np.array_equal(feats, ofeats)
+            assert chosen.dtype == ochosen.dtype and np.array_equal(chosen, ochosen)
+            assert np.array_equal(n_items, [examples[i].n_items for i in idx[pos]])
+
+    @given(case=ragged, seed=st.integers(0, 1000), eta=st.floats(0.3, 3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_losses_same_bits_on_list_and_set(self, case, seed, eta):
+        examples = ragged_examples(*case)
+        example_set = ExampleSet.from_examples(examples)
+        theta, alpha = nets_pair(seed)
+        value, bundle = old_nll_value_grad(theta, examples, eta)
+        for given_ in (examples, example_set):
+            v, g = nll_value_grad(theta, given_, eta)
+            assert v == value and same_bundle(g, bundle)
+            assert nll_loss(theta, given_, eta) == old_nll_loss(theta, examples, eta)
+            for reg in Regularizer:
+                assert (minimax_objective(theta, alpha, given_, eta, reg)
+                        == old_minimax_objective(theta, alpha, examples, eta, reg))
+            assert (minimax_objective(theta, None, given_, eta, Regularizer.SHANNON_ENTROPY, True)
+                    == old_minimax_objective(theta, None, examples, eta,
+                                             Regularizer.SHANNON_ENTROPY, True))
+
+    @given(case=ragged, seed=st.integers(0, 1000), k_eval=st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_quality_metrics_same_bits_on_list_and_set(self, case, seed, k_eval):
+        examples = ragged_examples(*case)
+        example_set = ExampleSet.from_examples(examples)
+        theta, _ = nets_pair(seed)
+        for reg in Regularizer:
+            model = UserModel(theta, induced_softmax_alpha(theta, 1.3), ChoiceConfig(1.3, reg))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an L2 model clamps zero-probability choices
+                expected = old_heldout_loglik(model, examples)
+                assert heldout_loglik(model, examples) == expected
+                assert heldout_loglik(model, example_set) == expected
+        clicks = [ex for ex in examples if ex.clicked]
+        if not clicks or any(ex.n_items < k_eval for ex in clicks):
+            for given_ in (examples, example_set):
+                with pytest.raises(ValueError):
+                    precision_at_k(model, given_, k_eval)
+            return
+        expected = old_precision_at_k(model, examples, k_eval)
+        assert precision_at_k(model, examples, k_eval) == expected
+        assert precision_at_k(model, example_set, k_eval) == expected
+
+    @given(case=ragged)
+    @settings(max_examples=40, deadline=None)
+    def test_indexing_and_iteration_give_original_rows(self, case):
+        examples = ragged_examples(*case)
+        example_set = ExampleSet.from_examples(examples)
+        assert len(example_set) == len(examples)
+        rows = list(example_set)
+        for i, ex in enumerate(examples):
+            for got in (example_set[i], example_set[np.int64(i)], rows[i],
+                        example_set[i - len(examples)]):
+                assert np.array_equal(got.hist, ex.hist) and np.array_equal(got.disp, ex.disp)
+                assert got.chosen == ex.chosen and got.n_items == ex.n_items
+                assert got.clicked == ex.clicked
+
+    def test_rows_are_read_only(self):
+        example_set = ExampleSet.from_examples(ragged_examples(0, [3, 4, 3]))
+        with pytest.raises(ValueError):
+            example_set[0].hist[0, 0] = 1.0
+
+
+class TestBuildExamples:
+    @given(seed=st.integers(0, 2**32 - 1), users=st.integers(1, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_record_history_buffer(self, seed, users):
+        # ragged slates (1 to 6 items per record) and clicks that outnumber m
+        rng = np.random.default_rng(seed)
+        catalog = synth_catalog(9, D, seed=seed % 100)
+        trajs = []
+        for u in range(users):
+            records = []
+            for step in range(1, int(rng.integers(1, 9)) + 1):
+                shown = tuple(int(i) for i in rng.choice(np.arange(1, 10), int(rng.integers(1, 7)),
+                                                         replace=False))
+                chosen = shown[int(rng.integers(len(shown)))] if rng.random() < 0.7 else 0
+                records.append(ClickRecord(step, shown, chosen))
+            trajs.append(Trajectory(u, tuple(records)))
+        oracle = old_build_examples(catalog, trajs, M)
+        example_set = build_examples(catalog, trajs, M)
+        assert len(example_set) == len(oracle)
+        for got, ex in zip(example_set, oracle):
+            assert np.array_equal(got.hist, ex.hist) and np.array_equal(got.disp, ex.disp)
+            assert (got.chosen, got.n_items) == (ex.chosen, ex.n_items)
+        for (_, F, feats, chosen, _), (_, oF, ofeats, ochosen) in zip(
+                example_set.blocks(), old_batch_groups(oracle)):
+            assert F.flags.c_contiguous and feats.flags.c_contiguous
+            assert np.array_equal(F, oF) and np.array_equal(feats, ofeats)
+            assert np.array_equal(chosen, ochosen)
+
+    def test_empty_logs_give_empty_set(self):
+        catalog = synth_catalog(4, D, seed=0)
+        assert len(build_examples(catalog, [], M)) == 0
+        with pytest.raises(ValueError, match="empty batch"):
+            nll_loss(init_scorer_net(D, M, 2, 5, np.random.default_rng(0)), ExampleSet.from_examples([]), 1.0)
+
+
+class TestSplitMinimaxStep:
+    """One alpha step then one theta step equals two calls of the combined step."""
+
+    @pytest.mark.parametrize("regularizer, exact_inner", [
+        (Regularizer.SHANNON_ENTROPY, False),
+        (Regularizer.SHANNON_ENTROPY, True),
+        (Regularizer.L2, False),
+    ])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_split_step_equals_combined_step(self, regularizer, exact_inner, seed):
+        rng = np.random.default_rng(100 + seed)
+        examples = ragged_examples(seed, [int(s) for s in rng.integers(2, 8, size=40)])
+        idx = rng.permutation(len(examples))[:25]
+        config = TrainConfig(eta=float(rng.uniform(0.5, 2.0)), regularizer=regularizer,
+                             exact_inner=exact_inner, m=M, n=2, hidden=5)
+        theta, alpha = nets_pair(seed)
+        old_theta, old_alpha = nets.clone_params(theta), nets.clone_params(alpha)
+
+        # the combined step, as train_minimax ran it: the first call's alpha half,
+        # then the second call's theta half
+        batch = [examples[i] for i in idx]
+        if not exact_inner:
+            _, _, alpha_bundle = old_minimax_value_grads(old_theta, old_alpha, batch, config)
+            nets.sgd_step(old_alpha, alpha_bundle, 0.1, ascend=True)
+        value, theta_bundle, _ = old_minimax_value_grads(old_theta, old_alpha, batch, config)
+        nets.sgd_step(old_theta, theta_bundle, 0.1)
+
+        split_batch = ExampleSet.from_examples(examples).take(idx)
+        if not exact_inner:
+            new_alpha_bundle = minimax_alpha_grad(theta, alpha, split_batch, config)
+            assert same_bundle(new_alpha_bundle, alpha_bundle)
+            nets.sgd_step(alpha, new_alpha_bundle, 0.1, ascend=True)
+        new_value, new_theta_bundle = minimax_value_grads(theta, alpha, split_batch, config)
+        assert new_value == value and same_bundle(new_theta_bundle, theta_bundle)
+        nets.sgd_step(theta, new_theta_bundle, 0.1)
+
+        for new, old in ((theta, old_theta), (alpha, old_alpha)):
+            for name, t in named_tensors(new).items():
+                assert np.array_equal(t, named_tensors(old)[name])
+
+    def test_exact_inner_needs_entropy(self):
+        theta, alpha = nets_pair(0)
+        batch = ragged_examples(0, [3, 4])
+        config = TrainConfig(regularizer=Regularizer.L2, exact_inner=True, m=M, n=2, hidden=5)
+        with pytest.raises(ValueError, match="closed-form only for entropy"):
+            minimax_value_grads(theta, alpha, batch, config)

@@ -159,6 +159,21 @@ class TestCli:
         assert code == 2
         assert "missing.cfg" in capsys.readouterr().err
 
+    def test_swapped_log_lines_exit_2_and_name_file_and_user(self, tmp_path, capsys):
+        assert cli_main(["gen-data", "--users", "2", "--horizon", "3", "--k", "2",
+                         "--pool-size", "4", "--catalog-size", "6", "--dim", "2",
+                         "--seed", "1", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "data.txt"
+        lines = path.read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith("rec 0 1 "))
+        lines[first], lines[first + 1] = lines[first + 1], lines[first]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = cli_main(["train-user-model", "--data", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}: trajectory for user 0 must start at step 1" in err
+
     def test_gradcheck_succeeds(self, capsys):
         code = cli_main(["gradcheck", "--seed", "7", "--trials", "8"])
         out = capsys.readouterr().out
