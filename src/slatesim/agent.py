@@ -2,53 +2,74 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import nets
-from .data import NON_CLICK_ID, HistoryBuffer, ItemCatalog
-from .env import EnvState, Policy, SlateEnv, reset, step
+from .data import NON_CLICK_ID, ItemCatalog
+from .env import Policy, SlateEnv, reset, step
 from .nets import Activation, CascadeQNet, GradientBundle, ScorerNet
 from .training import UserModel
 
 
-@dataclass(frozen=True)
-class Transition:
+class ReplayBatch(NamedTuple):
+    """Transitions as row-aligned arrays: histories (N, d, m), slates (N, k), rewards,
+    next histories, next pools (N, P) padded as by pad_pools with their mask, terminal flags."""
+
     hist: np.ndarray
-    slate: tuple[int, ...]
-    reward: float
+    slate: np.ndarray
+    reward: np.ndarray
     next_hist: np.ndarray
-    next_pool: tuple[int, ...]
-    terminal: bool
+    next_pool: np.ndarray
+    next_mask: np.ndarray
+    terminal: np.ndarray
 
 
 class ReplayMemory:
-    """FIFO transition store of bounded capacity; sampling is i.i.d. with replacement."""
+    """FIFO transition store of bounded capacity in preallocated ring arrays;
+    sampling is i.i.d. with replacement.
 
-    def __init__(self, capacity: int):
+    Holds pools of up to `pool_width` ids; once full, the oldest rows are overwritten."""
+
+    def __init__(self, capacity: int, hist_shape: tuple[int, int], k: int, pool_width: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._buf: deque[Transition] = deque(maxlen=capacity)
+        self._rows = ReplayBatch(
+            hist=np.zeros((capacity, *hist_shape)), slate=np.zeros((capacity, k), dtype=int),
+            reward=np.zeros(capacity), next_hist=np.zeros((capacity, *hist_shape)),
+            next_pool=np.zeros((capacity, pool_width), dtype=int),
+            next_mask=np.zeros((capacity, pool_width), dtype=bool),
+            terminal=np.zeros(capacity, dtype=bool))
+        self._added = 0
 
-    def add(self, transition: Transition) -> None:
-        self._buf.append(transition)
+    def add(self, rows: ReplayBatch) -> None:
+        """Append the rows in order; of more rows than fit, only the newest are kept."""
+        n = len(rows.reward)
+        keep = min(n, self.capacity)
+        at = (self._added + np.arange(n - keep, n)) % self.capacity
+        for store, new in zip(self._rows, rows):
+            store[at] = new[n - keep:]
+        self._added += n
 
-    def sample(self, size: int, rng: np.random.Generator) -> list[Transition]:
-        if not self._buf:
+    def _take(self, idx: np.ndarray) -> ReplayBatch:
+        """Rows by FIFO position (0 the oldest held), one fancy index per array."""
+        at = (self._added - len(self) + idx) % self.capacity
+        return ReplayBatch(*(store[at] for store in self._rows))
+
+    def sample(self, size: int, rng: np.random.Generator) -> ReplayBatch:
+        if not len(self):
             raise ValueError("cannot sample from an empty memory")
-        idx = rng.integers(0, len(self._buf), size=size)
-        return [self._buf[i] for i in idx]
+        return self._take(rng.integers(0, len(self), size=size))
 
-    def items(self) -> list[Transition]:
-        return list(self._buf)
+    def items(self) -> ReplayBatch:
+        return self._take(np.arange(len(self)))
 
     def __len__(self) -> int:
-        return len(self._buf)
+        return min(self._added, self.capacity)
 
 
 class RewardMode(Enum):
@@ -151,20 +172,22 @@ def cascade_argmax(qeval: QEval, pool: Sequence[int], k: int,
     return cascade_plan(qeval, pool, k, counter)[0]
 
 
-def cascade_slate(qnet: CascadeQNet, buffer: HistoryBuffer, pool: Sequence[int],
+def cascade_slate(qnet: CascadeQNet, hist: np.ndarray, pool: Sequence[int],
                   catalog: ItemCatalog, counter: EvalCounter | None = None) -> list[int]:
-    """Embed the history and run the cascade over the pool."""
-    s = nets.embed_state(buffer, qnet.pw)
+    """Embed one d x m history and run the cascade over the pool."""
+    s = nets.embed_history(hist, qnet.pw)
     return cascade_argmax(net_qeval(qnet, s, catalog), pool, qnet.k, counter)
 
 
-def pad_pools(pools: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+def pad_pools(pools: Sequence[Sequence[int]], width: int | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Sorted, deduplicated pools as a (B, P) id array padded with the non-click id, and its mask.
 
-    Ascending ids keep the cascade's lowest-id tie-break under a first-maximum argmax."""
+    P is `width`, or else the largest pool. Ascending ids keep the cascade's
+    lowest-id tie-break under a first-maximum argmax."""
     rows = [sorted(set(pool)) for pool in pools]
     sizes = np.array([len(row) for row in rows], dtype=int)
-    mask = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    mask = np.arange(sizes.max(initial=0) if width is None else width) < sizes[:, None]
     ids = np.full(mask.shape, NON_CLICK_ID, dtype=int)
     ids[mask] = [i for row in rows for i in row]
     return ids, mask
@@ -205,36 +228,44 @@ def cascade_batch(qnet: CascadeQNet, S: np.ndarray, pools: np.ndarray, mask: np.
     return slates, values
 
 
-def compute_target(rewards: Sequence[float], next_hists: Sequence[np.ndarray],
-                   next_pools: Sequence[Sequence[int]], qnet: CascadeQNet, catalog: ItemCatalog,
-                   gamma: float, terminal: Sequence[bool] | None = None) -> np.ndarray:
-    """TD targets y = r + gamma * Q^k at the greedy cascade slate of each next state.
-
-    Terminal rows keep their reward; the live rows go through one cascade_batch."""
+def _live_rows(rewards, next_hists, next_pools, next_mask, terminal):
+    """Targets set to the rewards, the non-terminal rows, and those rows' next histories
+    and padded pools, cut to the widest of them."""
     y = np.array(rewards, dtype=float)
     live = np.arange(len(y)) if terminal is None else np.flatnonzero(~np.asarray(terminal, bool))
+    mask = np.asarray(next_mask, dtype=bool)[live]
+    width = mask.sum(axis=1).max(initial=0)
+    return (y, live, np.asarray(next_hists, dtype=float)[live], np.asarray(next_pools)[live][:, :width],
+            mask[:, :width])
+
+
+def compute_target(rewards: Sequence[float], next_hists: np.ndarray, next_pools: np.ndarray,
+                   next_mask: np.ndarray, qnet: CascadeQNet, catalog: ItemCatalog, gamma: float,
+                   terminal: Sequence[bool] | None = None) -> np.ndarray:
+    """TD targets y = r + gamma * Q^k at the greedy cascade slate of each next state.
+
+    next_hists: (B, d, m); next_pools and next_mask: (B, P) padded pools (see
+    pad_pools). Terminal rows keep their reward; the live rows go through one
+    cascade_batch."""
+    y, live, F, ids, mask = _live_rows(rewards, next_hists, next_pools, next_mask, terminal)
     if len(live):
-        S, _ = nets._embed_batch(np.stack([next_hists[i] for i in live]), qnet.pw)
-        ids, mask = pad_pools([next_pools[i] for i in live])
+        S, _ = nets._embed_batch(F, qnet.pw)
         _, values = cascade_batch(qnet, S, ids, mask, catalog)
         y[live] += gamma * values[:, -1]
     return y
 
 
-def additive_target(rewards: Sequence[float], next_hists: Sequence[np.ndarray],
-                    next_pools: Sequence[Sequence[int]], qnet: CascadeQNet, catalog: ItemCatalog,
-                    gamma: float, k: int, terminal: Sequence[bool] | None = None) -> np.ndarray:
+def additive_target(rewards: Sequence[float], next_hists: np.ndarray, next_pools: np.ndarray,
+                    next_mask: np.ndarray, qnet: CascadeQNet, catalog: ItemCatalog, gamma: float,
+                    k: int, terminal: Sequence[bool] | None = None) -> np.ndarray:
     """Additive-baseline TD targets y = r + gamma * (sum of the next state's top-k item values).
 
-    Head 1 scores every live row's masked pool in one scorer_batch; terminal rows keep r."""
-    y = np.array(rewards, dtype=float)
-    live = np.arange(len(y)) if terminal is None else np.flatnonzero(~np.asarray(terminal, bool))
+    Arrays as in compute_target. Head 1 scores every live row's masked pool in
+    one scorer_batch; terminal rows keep r."""
+    y, live, F, ids, mask = _live_rows(rewards, next_hists, next_pools, next_mask, terminal)
     if len(live):
-        ids, mask = pad_pools([next_pools[i] for i in live])
-        feats = catalog.feature_matrix(ids)
-        F = np.stack([next_hists[i] for i in live])
         view = ScorerNet(pw=qnet.pw, head=qnet.heads[0])
-        vals = np.where(mask, nets.scorer_batch(view, F, feats).scores, -np.inf)
+        vals = np.where(mask, nets.scorer_batch(view, F, catalog.feature_matrix(ids)).scores, -np.inf)
         y[live] += gamma * np.sort(vals, axis=1)[:, ::-1][:, :k].sum(axis=1)
     return y
 
@@ -321,64 +352,58 @@ def _epsilon_at(config: CDQNConfig, iteration: int) -> float:
     return config.epsilon + (config.epsilon_final - config.epsilon) * frac
 
 
-def _mode_reward(outcome, config: CDQNConfig) -> float:
-    if config.reward_mode is RewardMode.PLUS_MINUS_ONE:
-        return 1.0 if outcome.clicked else -1.0
-    return outcome.reward
+# act(qnet, hists, pools): the greedy slates (G, k) of G sessions' histories (G, d, m) and pools
+Act = Callable[[CascadeQNet, np.ndarray, list[tuple[int, ...]]], np.ndarray]
 
 
-def _train_replay(env_factory: EnvFactory, config: CDQNConfig, heads: int,
-                  act: Callable[[CascadeQNet, EnvState], list[int]],
-                  target: Callable[[CascadeQNet, list[Transition]], np.ndarray],
-                  loss: Callable[[CascadeQNet, np.ndarray, list[Transition], np.ndarray],
-                                 tuple[float, GradientBundle]],
-                  on_iteration: Callable[[int, dict], None] | None,
-                  on_transition: Callable[[Transition], None] | None) -> CascadeQNet:
+def _train_replay(env_factory: EnvFactory, config: CDQNConfig, heads: int, act: Act,
+                  target: Callable[[CascadeQNet, ReplayBatch], np.ndarray],
+                  loss: Callable[[CascadeQNet, ReplayBatch, np.ndarray], tuple[float, GradientBundle]],
+                  on_iteration: Callable[[int, dict], None] | None) -> CascadeQNet:
     """Epsilon-greedy sessions, experience replay and one SGD step per horizon step.
 
-    A net of `heads` value heads plays `act` (or, with probability epsilon, a
-    random slate), then regresses `loss` on a replay minibatch against the
-    bootstrapped targets `target` computes with the current net."""
-    env0, user0, _ = env_factory(0)
-    k = env0.config.k
+    Each iteration runs its `batch_users` sessions in lockstep in the env and
+    user of episode 0. Per horizon step every session in turn draws epsilon
+    and, when it explores, a random slate from the one training generator;
+    the others play `act`, and one env.step advances all of them. A net of
+    `heads` value heads then regresses `loss` on a replay minibatch against
+    the bootstrapped targets `target` computes with the current net."""
+    env, user, _ = env_factory(0)
+    catalog, k, B = env.catalog, env.config.k, config.batch_users
     rng = np.random.default_rng(config.seed)
-    qnet = nets.init_cascade_net(env0.catalog.d, user0.m, config.n, config.hidden, heads, rng)
-    memory = ReplayMemory(config.capacity)
+    qnet = nets.init_cascade_net(catalog.d, user.m, config.n, config.hidden, heads, rng)
+    capacity = min(config.capacity, max(config.iterations * B * config.horizon, 1))
+    memory = ReplayMemory(capacity, (catalog.d, user.m), k, env.pool_width)
     updates = 0
-    episode = 0
     for it in range(config.iterations):
         eps = _epsilon_at(config, it)
-        sessions = []
-        for _ in range(config.batch_users):
-            env, user, ep_seed = env_factory(episode)
-            episode += 1
-            sessions.append([env, user, reset(env, user, ep_seed)])
+        seeds = []
+        for episode in range(it * B, (it + 1) * B):
+            ep_env, ep_user, seed = env_factory(episode)
+            if ep_env is not env or ep_user is not user:
+                raise ValueError(f"env_factory({episode}) gives another env or user than episode 0; "
+                                 "the sessions of an iteration step in one env")
+            seeds.append(seed)
+        hists, clicked, pools = reset(env, user, seeds)
         losses = []
         for t in range(config.horizon):
-            for session in sessions:
-                env, user, state = session
+            slates = np.empty((B, k), dtype=int)
+            greedy = np.ones(B, dtype=bool)
+            for i, pool in enumerate(pools):
                 if rng.random() < eps:
-                    slate = random_slate(state.pool, k, rng)
-                else:
-                    slate = act(qnet, state)
-                out = step(env, state, slate, user)
-                transition = Transition(
-                    hist=state.buffer.matrix.copy(),
-                    slate=tuple(slate),
-                    reward=_mode_reward(out, config),
-                    next_hist=out.next_state.buffer.matrix.copy(),
-                    next_pool=out.next_state.pool,
-                    terminal=(t == config.horizon - 1),
-                )
-                memory.add(transition)
-                if on_transition is not None:
-                    on_transition(transition)
-                session[2] = out.next_state
+                    slates[i] = random_slate(pool, k, rng)
+                    greedy[i] = False
+            if greedy.any():
+                slates[greedy] = act(qnet, hists[greedy], [p for p, g in zip(pools, greedy) if g])
+            before = hists.copy()  # env.step pushes clicks into hists in place
+            _, chosen, rewards = step(env, user, t, seeds, hists, clicked, pools, slates)
+            if config.reward_mode is RewardMode.PLUS_MINUS_ONE:
+                rewards = [1.0 if c != NON_CLICK_ID else -1.0 for c in chosen]
+            memory.add(ReplayBatch(before, slates, np.array(rewards), hists,
+                                   *pad_pools(pools, env.pool_width), np.full(B, t == config.horizon - 1)))
             if len(memory) >= config.minibatch:
                 batch = memory.sample(config.minibatch, rng)
-                targets = target(qnet, batch)
-                F = np.stack([tr.hist for tr in batch])
-                value, bundle = loss(qnet, F, batch, targets)
+                value, bundle = loss(qnet, batch, target(qnet, batch))
                 if not np.isfinite(value):
                     raise TrainingDivergedError(it)
                 nets.sgd_step(qnet, bundle, config.lr)
@@ -391,37 +416,34 @@ def _train_replay(env_factory: EnvFactory, config: CDQNConfig, heads: int,
 
 
 def train_cdqn(env_factory: EnvFactory, config: CDQNConfig,
-               on_iteration: Callable[[int, dict], None] | None = None,
-               on_transition: Callable[[Transition], None] | None = None) -> CascadeQNet:
+               on_iteration: Callable[[int, dict], None] | None = None) -> CascadeQNet:
     """Cascaded TD learning with experience replay and epsilon-greedy exploration.
 
     Every position's network regresses on the shared target
     y = r + gamma * Q^k(next state, greedy cascade slate); the reported loss
-    is the mean over positions."""
+    is the mean over positions. Each greedy session acts through its own
+    cascade_slate."""
     env0, _, _ = env_factory(0)
     catalog, k = env0.catalog, env0.config.k
 
-    def cascade_loss(qnet, F, batch, targets):
-        ids = [i for tr in batch for i in tr.slate]
-        slate_feats = catalog.feature_matrix(ids).reshape(len(batch), k, catalog.d)
+    def cascade_loss(qnet, batch, targets):
+        slate_feats = catalog.feature_matrix(batch.slate)
         total = GradientBundle()
         value = 0.0
         for j in range(1, k + 1):
-            head_value, bundle = nets.td_value_and_grad(qnet, j, F, slate_feats[:, :j], targets)
+            head_value, bundle = nets.td_value_and_grad(qnet, j, batch.hist, slate_feats[:, :j], targets)
             value += head_value
             total.add_(bundle)
         return value / k, total
 
-    def cascade_target(qnet, batch):
-        return compute_target([tr.reward for tr in batch], [tr.next_hist for tr in batch],
-                              [tr.next_pool for tr in batch], qnet, catalog, config.gamma,
-                              [tr.terminal for tr in batch])
-
     return _train_replay(
         env_factory, config, k,
-        act=lambda qnet, state: cascade_slate(qnet, state.buffer, state.pool, catalog),
-        target=cascade_target, loss=cascade_loss, on_iteration=on_iteration,
-        on_transition=on_transition)
+        act=lambda qnet, hists, pools: np.array(
+            [cascade_slate(qnet, h, pool, catalog) for h, pool in zip(hists, pools)], dtype=int),
+        target=lambda qnet, batch: compute_target(
+            batch.reward, batch.next_hist, batch.next_pool, batch.next_mask, qnet, catalog,
+            config.gamma, batch.terminal),
+        loss=cascade_loss, on_iteration=on_iteration)
 
 
 def _additive_value_and_grad(qnet: CascadeQNet, F: np.ndarray, slate_feats: np.ndarray,
@@ -446,20 +468,15 @@ def train_additive_q(env_factory: EnvFactory, config: CDQNConfig,
     uses the additive maximum, i.e. the sum of the next state's top-k values."""
     env0, _, _ = env_factory(0)
     catalog, k = env0.catalog, env0.config.k
-
-    def additive_loss(qnet, F, batch, targets):
-        feats = np.stack([catalog.feature_matrix(tr.slate) for tr in batch])
-        return _additive_value_and_grad(qnet, F, feats, targets)
-
     return _train_replay(
         env_factory, config, 1,
-        act=lambda qnet, state: additive_q_policy(qnet, state.buffer.matrix[None], [state.pool],
-                                                  k, catalog)[0].tolist(),
+        act=lambda qnet, hists, pools: additive_q_policy(qnet, hists, pools, k, catalog),
         target=lambda qnet, batch: additive_target(
-            [tr.reward for tr in batch], [tr.next_hist for tr in batch],
-            [tr.next_pool for tr in batch], qnet, catalog, config.gamma, k,
-            [tr.terminal for tr in batch]),
-        loss=additive_loss, on_iteration=on_iteration, on_transition=None)
+            batch.reward, batch.next_hist, batch.next_pool, batch.next_mask, qnet, catalog,
+            config.gamma, k, batch.terminal),
+        loss=lambda qnet, batch, targets: _additive_value_and_grad(
+            qnet, batch.hist, catalog.feature_matrix(batch.slate), targets),
+        on_iteration=on_iteration)
 
 
 # ---------------------------------------------------------------------------

@@ -381,20 +381,28 @@ def cmd_diagnose_q(args: argparse.Namespace) -> int:
 
 
 def collect_states(env: SlateEnv, user, qnet, n_states: int, seed: int):
-    """Gather visited (history, pool) pairs by rolling the greedy policy on odd seeds."""
-    hists, pools = [], []
-    episode = 0
-    while len(hists) < n_states:
-        state = reset(env, user, 2 * (seed + episode) + 1)
-        for _ in range(env.config.horizon):
-            hists.append(state.buffer.matrix.copy())
-            pools.append(state.pool)
-            if len(hists) >= n_states:
-                break
-            slate = agent.cascade_slate(qnet, state.buffer, state.pool, env.catalog)
-            state = step(env, state, slate, user).next_state
-        episode += 1
-    return hists, pools
+    """Gather visited (history, pool) pairs by rolling the greedy cascade on odd seeds.
+
+    Episode e runs on seed 2 * (seed + e) + 1, and its states are taken in
+    step order, episode after episode, until n_states are in hand. The
+    episodes run in lockstep: each row acts through cascade_slate, then one
+    env.step advances them all."""
+    horizon = env.config.horizon
+    if n_states <= 0:
+        return [], []
+    if horizon < 1:
+        raise ValueError(f"--horizon must be >= 1 to visit states, got {horizon}")
+    steps = min(horizon, n_states)
+    seeds = [2 * (seed + e) + 1 for e in range(-(-n_states // horizon))]
+    hists, clicked, pools = reset(env, user, seeds)
+    visited = []
+    for t in range(steps):
+        visited.append((hists.copy(), list(pools)))
+        if t < steps - 1:
+            slates = [agent.cascade_slate(qnet, h, pool, env.catalog) for h, pool in zip(hists, pools)]
+            step(env, user, t, seeds, hists, clicked, pools, slates)
+    states = [(h[e], p[e]) for e in range(len(seeds)) for h, p in visited][:n_states]
+    return [h for h, _ in states], [p for _, p in states]
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import nets
 from .choice import ChoiceConfig, Regularizer, sample_choice
-from .data import NON_CLICK_ID, ClickRecord, HistoryBuffer, ItemCatalog, Trajectory, push_columns
+from .data import NON_CLICK_ID, ClickRecord, ItemCatalog, Trajectory, push_columns
 from .training import UserModel, induced_softmax_alpha
 
 # independent substreams per episode seed
@@ -44,23 +44,6 @@ class EnvConfig:
             raise ValueError("horizon must be >= 0")
 
 
-@dataclass
-class EnvState:
-    buffer: HistoryBuffer
-    t: int
-    clicked_ids: frozenset[int]
-    pool: tuple[int, ...]
-    seed: int
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    chosen: int
-    reward: float
-    clicked: bool
-    next_state: EnvState
-
-
 @dataclass(frozen=True)
 class SlateEnv:
     catalog: ItemCatalog
@@ -69,6 +52,13 @@ class SlateEnv:
     def __post_init__(self):
         if self.config.pool_size > len(self.catalog.item_ids):
             raise ValueError("pool_size exceeds catalog size")
+
+    @property
+    def pool_width(self) -> int:
+        """The most candidates one pool can hold."""
+        if self.config.candidate_policy is CandidatePolicy.FULL_CATALOG:
+            return len(self.catalog.item_ids)
+        return self.config.pool_size
 
 
 # A policy maps B sessions to B slates in one call: the click histories
@@ -112,43 +102,47 @@ def draw_candidates(env: SlateEnv, clicked_ids: frozenset[int], t: int, seed: in
     return tuple(sorted(avail[picked].tolist()))
 
 
-def _reset_rows(env: SlateEnv, user: UserModel, seeds: Sequence[int]):
-    """Fresh episodes: zero histories (B, d, m), empty click sets, step-0 candidate pools."""
+def reset(env: SlateEnv, user: UserModel, seeds: Sequence[int]):
+    """Fresh episodes, one per seed: zero histories (B, d, m), empty click sets, step-0 pools."""
     if user.d != env.catalog.d:
         raise ValueError("user model feature dimension does not match the catalog")
     hists = np.zeros((len(seeds), env.catalog.d, user.m))
     return hists, [frozenset()] * len(seeds), [draw_candidates(env, frozenset(), 0, s) for s in seeds]
 
 
-def reset(env: SlateEnv, user: UserModel, seed: int) -> EnvState:
-    """Fresh episode: zero history, empty click set, step-0 candidate pool."""
-    hists, clicked, pools = _reset_rows(env, user, [seed])
-    return EnvState(buffer=HistoryBuffer(user.m, env.catalog.d, hists[0]), t=0,
-                    clicked_ids=clicked[0], pool=pools[0], seed=seed)
-
-
 def slate_scores(user: UserModel, hists: np.ndarray, slate_feats: np.ndarray) -> np.ndarray:
     """User rewards for each slate item plus the zero-feature non-click slot (last).
 
-    One history (d, m) with slate features (k, d) gives (k+1,) scores; B
-    histories (B, d, m) with (B, k, d) give (B, k+1) in one head_scores call."""
+    B histories (B, d, m) with slate features (B, k, d) give (B, k+1) scores;
+    one history (d, m) with (k, d) gives (k+1,), the B=1 call. Every product
+    runs per row, so each row's scores are bitwise those of its history
+    scored alone, whatever B is."""
+    if np.ndim(hists) == 2:
+        return slate_scores(user, np.asarray(hists)[None], np.asarray(slate_feats)[None])[0]
     slate_feats = np.asarray(slate_feats, dtype=float)
-    nonclick = np.zeros(slate_feats.shape[:-2] + (1, slate_feats.shape[-1]))
-    feats = np.concatenate([slate_feats, nonclick], axis=-2)
-    return nets.head_scores(user.theta.head, nets.embed_history(hists, user.theta.pw), feats)
+    feats = np.concatenate([slate_feats, np.zeros((len(slate_feats), 1, slate_feats.shape[2]))], axis=1)
+    head = user.theta.head
+    state = nets.embed_history(hists, user.theta.pw)
+    dn = state.shape[1]
+    z = feats @ head.V[:, dn:].T
+    z += state[:, None, :] @ head.V[:, :dn].T
+    z += head.b
+    return nets.act(z, head.activation) @ head.v
 
 
-def _step_rows(env: SlateEnv, user: UserModel, t: int, seeds: Sequence[int], hists: np.ndarray,
-               clicked: list[frozenset[int]], pools: list[tuple[int, ...]], slates):
-    """Advance B sessions at step t in lockstep: the one step kernel behind step and rollout_batch.
+def step(env: SlateEnv, user: UserModel, t: int, seeds: Sequence[int], hists: np.ndarray,
+         clicked: list[frozenset[int]], pools: list[tuple[int, ...]], slates):
+    """Show B sessions their slates at step t, sample each user's choice, pay its reward.
 
-    Checks each row's slate against its pool, scores every slate plus the
-    non-click slot with one slate_scores call, draws each row's choice from
-    its own (seed, click stream, t) generator, and pays the clicked item's
-    score or the non-click constant. A click is pushed into its row of `hists`
-    in place; `clicked` and `pools` are replaced row by row with the next
-    step's. Returns the slates as lists, the chosen ids (0 for no click) and
-    the rewards."""
+    The rows are the state `reset` starts: seeds, histories (B, d, m), click
+    sets and candidate pools; a single session is B=1. Checks each row's
+    slate against its pool, scores every slate plus the non-click slot with
+    one slate_scores call, draws each row's choice from its own (seed, click
+    stream, t) generator, and pays the clicked item's score or the non-click
+    constant (default 0). A click is pushed into its row of `hists` in place;
+    `clicked` and `pools` are replaced row by row with the next step's.
+    Returns the slates as lists, the chosen ids (0 for no click) and the
+    rewards."""
     k, d = env.config.k, env.catalog.d
     slates = slates.tolist() if isinstance(slates, np.ndarray) else [[int(i) for i in s] for s in slates]
     for slate, pool in zip(slates, pools):
@@ -177,21 +171,6 @@ def _step_rows(env: SlateEnv, user: UserModel, t: int, seeds: Sequence[int], his
     return slates, chosen, rewards
 
 
-def step(env: SlateEnv, state: EnvState, slate: Sequence[int], user: UserModel) -> StepOutcome:
-    """Show a slate, sample the user's choice, emit the reward, and advance the state.
-
-    The reward is the user's score of the clicked item; a non-click pays the
-    configured constant (default 0) and leaves the history untouched. This is
-    the one-session (B=1) entry into the kernel rollout_batch steps."""
-    hists = state.buffer.matrix[None].copy()
-    clicked, pools = [state.clicked_ids], [state.pool]
-    _, chosen, rewards = _step_rows(env, user, state.t, [state.seed], hists, clicked, pools, [slate])
-    next_state = EnvState(buffer=HistoryBuffer(user.m, env.catalog.d, hists[0]), t=state.t + 1,
-                          clicked_ids=clicked[0], pool=pools[0], seed=state.seed)
-    return StepOutcome(chosen=chosen[0], reward=rewards[0], clicked=chosen[0] != NON_CLICK_ID,
-                       next_state=next_state)
-
-
 def rollout_batch(
     env: SlateEnv,
     user: UserModel,
@@ -209,12 +188,12 @@ def rollout_batch(
     horizon = env.config.horizon if T is None else T
     seeds = [int(s) for s in seeds]
     user_ids = [0] * len(seeds) if user_ids is None else list(user_ids)
-    hists, clicked, pools = _reset_rows(env, user, seeds)
+    hists, clicked, pools = reset(env, user, seeds)
     records: list[list[ClickRecord]] = [[] for _ in seeds]
     for t in range(horizon):
         row_rng = lambda i, t=t: np.random.default_rng((seeds[i], _POLICY_STREAM, t))
         slates = policy(hists, pools, row_rng)
-        slates, chosen, rewards = _step_rows(env, user, t, seeds, hists, clicked, pools, slates)
+        slates, chosen, rewards = step(env, user, t, seeds, hists, clicked, pools, slates)
         for row, slate, c, r in zip(records, slates, chosen, rewards):
             row.append(ClickRecord(step=t + 1, displayed=tuple(slate), chosen=c, reward=r))
     out = []

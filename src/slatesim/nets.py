@@ -146,11 +146,6 @@ def embed_history(F: np.ndarray, pw: PositionWeightParams) -> np.ndarray:
     return S.swapaxes(-1, -2).reshape(F.shape[:-2] + (-1,))
 
 
-def embed_state(buffer, pw: PositionWeightParams) -> np.ndarray:
-    """Embed a HistoryBuffer (see embed_history)."""
-    return embed_history(buffer.matrix, pw)
-
-
 def _embed_batch(F: np.ndarray, pw: PositionWeightParams):
     # F: (batch, d, m) -> state (batch, dn), plus pre-activation cache
     Ze = np.einsum("bdm,mn->bdn", F, pw.W) + pw.B[None, :, :]
@@ -342,9 +337,6 @@ class GradientBundle:
         for name in self.grads:
             self.grads[name] = self.grads[name] * a
         return self
-
-    def max_abs(self) -> float:
-        return max((float(np.max(np.abs(g))) for g in self.grads.values()), default=0.0)
 
     @staticmethod
     def zeros_like(params) -> "GradientBundle":

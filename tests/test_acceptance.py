@@ -14,7 +14,6 @@ from slatesim.agent import (
     PolicyKind,
     RewardMode,
     cascade_plan,
-    cascade_slate,
     constraint_diagnostic,
     make_env_factory,
     make_policy,
@@ -31,11 +30,10 @@ from slatesim.env import (
     EnvConfig,
     SlateEnv,
     make_ground_truth_user,
-    reset,
     rollout,
     rollout_batch,
-    step,
 )
+from slatesim.cli import collect_states
 from slatesim.metrics import ExperimentSpec, RosterEntry, run_experiment
 from slatesim.nets import (
     Activation,
@@ -342,18 +340,8 @@ def test_criterion_7_constraint_diagnostic(policy_bench):
     b = policy_bench
     catalog, user, env, k = b["catalog"], b["user"], b["env"], b["k"]
     qnet = b["q_learned"]
-    hists, pools = [], []
-    episode = 0
-    while len(hists) < 500:
-        state = reset(env, user, 2 * (5000 + episode) + 1)
-        for _ in range(env.config.horizon):
-            hists.append(state.buffer.matrix.copy())
-            pools.append(state.pool)
-            if len(hists) >= 500:
-                break
-            slate = cascade_slate(qnet, state.buffer, state.pool, catalog)
-            state = step(env, state, slate, user).next_state
-        episode += 1
+    # greedy-cascade states of episodes on seeds 2 * (5000 + e) + 1
+    hists, pools = collect_states(env, user, qnet, 500, 5000)
     rows = constraint_diagnostic(qnet, hists, pools, catalog)
     corrs = []
     for j in range(1, k + 1):

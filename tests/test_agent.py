@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from slatesim.agent import (
     EvalCounter,
     PolicyHandle,
     PolicyKind,
+    ReplayBatch,
     ReplayMemory,
     RewardMode,
-    Transition,
     additive_q_policy,
     additive_target,
     cascade_argmax,
@@ -31,8 +32,9 @@ from slatesim.agent import (
     train_cdqn,
 )
 from slatesim.data import HistoryBuffer, synth_catalog
-from slatesim.env import EnvConfig, SlateEnv, make_ground_truth_user, reset, rollout
-from slatesim.nets import embed_history, embed_state, init_cascade_net, named_tensors
+from slatesim import agent
+from slatesim.env import EnvConfig, SlateEnv, make_ground_truth_user, reset, rollout, step
+from slatesim.nets import embed_history, init_cascade_net, named_tensors
 
 
 def one_state(policy_fn, model, buf, pool, k, catalog):
@@ -95,28 +97,43 @@ class TestCascadeArgmax:
 
 
 class TestReplayMemory:
-    def _tr(self, i):
-        return Transition(hist=np.zeros((1, 1)), slate=(i,), reward=float(i),
-                          next_hist=np.zeros((1, 1)), next_pool=(1,), terminal=False)
+    def _rows(self, ids):
+        """One transition per id i: slate (i,), reward i, next pool (i,)."""
+        n = len(ids)
+        slate = np.array(ids, dtype=int)[:, None]
+        return ReplayBatch(hist=np.zeros((n, 1, 1)), slate=slate, reward=slate[:, 0].astype(float),
+                           next_hist=np.zeros((n, 1, 1)), next_pool=slate.copy(),
+                           next_mask=np.ones((n, 1), dtype=bool), terminal=np.zeros(n, dtype=bool))
+
+    def _memory(self, capacity):
+        return ReplayMemory(capacity, (1, 1), 1, 1)
 
     def test_fifo_eviction_window(self):
-        mem = ReplayMemory(100)
-        for i in range(1, 151):
-            mem.add(self._tr(i))
-        held = [t.slate[0] for t in mem.items()]
-        assert held == list(range(51, 151))
+        mem = self._memory(100)
+        for i in range(1, 151, 10):
+            mem.add(self._rows(range(i, i + 10)))
+        assert len(mem) == 100
+        assert mem.items().slate[:, 0].tolist() == list(range(51, 151))
+
+    def test_more_rows_than_capacity_keep_the_newest(self):
+        mem = self._memory(4)
+        mem.add(self._rows([1, 2, 3]))
+        mem.add(self._rows(range(4, 11)))
+        assert mem.items().reward.tolist() == [7.0, 8.0, 9.0, 10.0]
 
     def test_sampling_deterministic(self):
-        mem = ReplayMemory(10)
-        for i in range(10):
-            mem.add(self._tr(i))
-        a = [t.slate for t in mem.sample(5, np.random.default_rng(3))]
-        b = [t.slate for t in mem.sample(5, np.random.default_rng(3))]
-        assert a == b
+        mem = self._memory(10)
+        mem.add(self._rows(range(10)))
+        a = mem.sample(5, np.random.default_rng(3))
+        b = mem.sample(5, np.random.default_rng(3))
+        assert a.slate.tolist() == b.slate.tolist()
+        # the same draws index the rows as a list of transitions would
+        idx = np.random.default_rng(3).integers(0, 10, size=5)
+        assert a.slate[:, 0].tolist() == idx.tolist()
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            ReplayMemory(5).sample(1, np.random.default_rng(0))
+            self._memory(5).sample(1, np.random.default_rng(0))
 
 
 class TestComputeTarget:
@@ -128,13 +145,13 @@ class TestComputeTarget:
 
     def test_gamma_zero(self):
         catalog, qnet = self._setup()
-        y = compute_target([1.5], [np.zeros((2, 3))], [(1, 2, 3)], qnet, catalog, gamma=0.0)
+        y = compute_target([1.5], [np.zeros((2, 3))], *pad_pools([(1, 2, 3)]), qnet, catalog, gamma=0.0)
         assert y.shape == (1,)
         assert y[0] == pytest.approx(1.5)
 
     def test_terminal(self):
         catalog, qnet = self._setup()
-        y = compute_target([-0.7], [np.zeros((2, 3))], [(1, 2, 3)], qnet, catalog,
+        y = compute_target([-0.7], [np.zeros((2, 3))], *pad_pools([(1, 2, 3)]), qnet, catalog,
                            gamma=0.9, terminal=[True])
         assert y[0] == pytest.approx(-0.7)
 
@@ -153,7 +170,7 @@ class TestComputeTarget:
         qnet = CascadeQNet(pw=pw, heads=heads)
         # embedded state is 0 (zero weights); Q^2(s, a1, a2) = f(a1) + f(a2)
         # greedy cascade over pool {1,2,3}: picks 3 then 2, value 6
-        y = compute_target([0.5], [np.zeros((1, 2))], [(1, 2, 3)], qnet, catalog, gamma=0.5)
+        y = compute_target([0.5], [np.zeros((1, 2))], *pad_pools([(1, 2, 3)]), qnet, catalog, gamma=0.5)
         assert y[0] == pytest.approx(0.5 + 0.5 * 6.0)
 
 
@@ -225,7 +242,7 @@ class TestCascadeBatch:
         rewards = rng.standard_normal(len(hists))
         terminal = rng.random(len(hists)) < 0.25
         assert terminal.any() and not terminal.all()
-        y = compute_target(rewards, hists, pools, qnet, catalog, 0.9, terminal)
+        y = compute_target(rewards, hists, *pad_pools(pools), qnet, catalog, 0.9, terminal)
         for row, (r, h, pool, done) in enumerate(zip(rewards, hists, pools, terminal)):
             if done:
                 expected = r
@@ -234,8 +251,11 @@ class TestCascadeBatch:
                                          pool, qnet.k)
                 expected = r + 0.9 * values[-1]
             assert abs(y[row] - expected) <= 1e-12
-        assert np.array_equal(compute_target(rewards, hists, pools, qnet, catalog, 0.9,
+        assert np.array_equal(compute_target(rewards, hists, *pad_pools(pools), qnet, catalog, 0.9,
                                              np.ones(len(hists), dtype=bool)), rewards)
+        # padding wider than any pool changes no bit
+        wide = compute_target(rewards, hists, *pad_pools(pools, 30), qnet, catalog, 0.9, terminal)
+        assert np.array_equal(wide, y)
 
     def test_batched_additive_targets_match_per_row_loop(self):
         catalog, _, hists, pools = self._random_case(n_states=200)
@@ -243,7 +263,9 @@ class TestCascadeBatch:
         rng = np.random.default_rng(35)
         rewards = rng.standard_normal(len(hists))
         terminal = rng.random(len(hists)) < 0.25
-        y = additive_target(rewards, hists, pools, qnet, catalog, 0.9, 3, terminal)
+        y = additive_target(rewards, hists, *pad_pools(pools), qnet, catalog, 0.9, 3, terminal)
+        wide = additive_target(rewards, hists, *pad_pools(pools, 30), qnet, catalog, 0.9, 3, terminal)
+        assert np.array_equal(wide, y)
         for row, (r, h, pool, done) in enumerate(zip(rewards, hists, pools, terminal)):
             expected = r
             if not done:
@@ -274,7 +296,7 @@ class TestPolicies:
         for _ in range(100):
             pool = tuple(rng.choice(catalog.item_ids, size=8, replace=False))
             slate = one_state(greedy_user_model_policy, user, buf, pool, 3, catalog)
-            s = embed_state(buf, user.alpha.pw)
+            s = embed_history(buf.matrix, user.alpha.pw)
             ids = sorted(set(int(i) for i in pool))
             logits = head_scores(user.alpha.head, s, catalog.feature_matrix(ids))
             oracle = [x for _, x in sorted(zip(-logits, ids))][:3]
@@ -285,7 +307,7 @@ class TestPolicies:
         catalog, user = self._setup()
         from slatesim import nets
         buf = HistoryBuffer(3, 4)
-        s = embed_state(buf, user.alpha.pw)
+        s = embed_history(buf.matrix, user.alpha.pw)
         logits = nets.head_scores(user.alpha.head, s, catalog.feature_matrix(catalog.item_ids))
         order = np.argsort(-logits, kind="stable")
         expected = [catalog.item_ids[i] for i in order[:3]]
@@ -298,7 +320,7 @@ class TestPolicies:
         qnet = init_cascade_net(3, 3, 2, 5, 1, rng)
         buf = HistoryBuffer(3, 3)
         pool = catalog.item_ids
-        s = embed_state(buf, qnet.pw)
+        s = embed_history(buf.matrix, qnet.pw)
         single = dict(zip(pool, net_qeval(qnet, s, catalog)(1, (), pool)))
         best_pair = max(itertools.combinations(pool, 2),
                         key=lambda pair: single[pair[0]] + single[pair[1]])
@@ -339,7 +361,7 @@ class TestPolicies:
         buf = HistoryBuffer(3, 3)
         pool = catalog.item_ids
         assert one_state(additive_q_policy, qnet, buf, pool, 1, catalog) == \
-            cascade_slate(qnet, buf, pool, catalog)
+            cascade_slate(qnet, buf.matrix, pool, catalog)
 
     def test_policy_handles_validate(self):
         with pytest.raises(ValueError, match="needs a qnet"):
@@ -355,7 +377,7 @@ class TestTrainCdqn:
         env = SlateEnv(catalog, EnvConfig(k=k, pool_size=8, horizon=horizon))
         return make_env_factory(env, user, seed), env, user, catalog
 
-    def test_epsilon_one_matches_uniform_random(self):
+    def test_epsilon_one_matches_uniform_random(self, monkeypatch):
         # with epsilon = 1 every slate the trainer plays is a uniform random
         # k-subset of the (fixed) pool
         from slatesim.env import CandidatePolicy
@@ -366,9 +388,16 @@ class TestTrainCdqn:
                                           exclude_clicked=False))
         factory = make_env_factory(env, user, 0)
         seen = []
+
+        def recording_step(*args):
+            slates, chosen, rewards = step(*args)
+            seen.extend(slates)
+            return slates, chosen, rewards
+
+        monkeypatch.setattr(agent, "step", recording_step)
         cfg = CDQNConfig(epsilon=1.0, iterations=50, horizon=1, batch_users=20,
                          minibatch=4, lr=0.0, seed=5, n=2, hidden=4)
-        train_cdqn(factory, cfg, on_transition=lambda tr: seen.append(tr.slate))
+        train_cdqn(factory, cfg)
         assert len(seen) == 1000
         freq = np.zeros(9)
         for slate in seen:
@@ -399,12 +428,32 @@ class TestTrainCdqn:
         cfg = CDQNConfig(iterations=3, horizon=4, batch_users=4, minibatch=8,
                          lr=0.05, seed=8, n=2, hidden=4)
         qnet = train_cdqn(factory, cfg)
-        state = reset(env, user, 21)
-        for _ in range(4):
-            slate = cascade_slate(qnet, state.buffer, state.pool, catalog)
-            assert not (set(slate) & state.clicked_ids)
-            from slatesim.env import step as env_step
-            state = env_step(env, state, slate, user).next_state
+        seeds = [21]
+        hists, clicked, pools = reset(env, user, seeds)
+        for t in range(4):
+            slate = cascade_slate(qnet, hists[0], pools[0], catalog)
+            assert not (set(slate) & clicked[0])
+            step(env, user, t, seeds, hists, clicked, pools, [slate])
+
+    @pytest.mark.parametrize("train", [train_cdqn, train_additive_q], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("other", ["env", "user"])
+    def test_one_env_per_iteration(self, train, other):
+        # the sessions of an iteration step in one env: a factory that changes
+        # the env or the user past episode 0 is refused, naming the episode
+        factory, env, user, catalog = self._factory()
+        swapped = (SlateEnv(catalog, env.config) if other == "env"
+                   else make_ground_truth_user(catalog, (3, 2, 6), seed=14, reward_scale=2.0))
+
+        def drifting(episode):
+            env_i, user_i, seed = factory(episode)
+            if episode == 6:
+                return (swapped, user_i, seed) if other == "env" else (env_i, swapped, seed)
+            return env_i, user_i, seed
+
+        cfg = CDQNConfig(iterations=3, horizon=2, batch_users=4, minibatch=4, lr=0.01, seed=9,
+                         n=2, hidden=4)
+        with pytest.raises(ValueError, match=re.escape("env_factory(6)")):
+            train(drifting, cfg)
 
     def test_additive_training_runs(self):
         factory, env, user, catalog = self._factory()

@@ -21,7 +21,7 @@ from slatesim.env import (
     slate_scores,
     step,
 )
-from slatesim.nets import embed_state, init_cascade_net, named_tensors
+from slatesim.nets import embed_history, head_scores, init_cascade_net, named_tensors
 
 
 def random_policy(env):
@@ -46,9 +46,9 @@ class TestGroundTruthUser:
 
     def test_choice_distribution_sums_to_one(self, setup):
         catalog, user, env = setup
-        state = reset(env, user, seed=3)
-        feats = catalog.feature_matrix(state.pool[:3])
-        scores = slate_scores(user, state.buffer.matrix, feats)
+        hists, _, pools = reset(env, user, [3])
+        feats = catalog.feature_matrix(pools[0][:3])
+        scores = slate_scores(user, hists[0], feats)
         probs = entropy_choice_probs(scores, user.config)
         assert probs.shape == (4,)
         assert abs(probs.sum() - 1.0) <= 1e-9
@@ -60,39 +60,38 @@ class TestGroundTruthUser:
         env = SlateEnv(catalog, EnvConfig(k=3, pool_size=10, horizon=2,
                                           candidate_policy=CandidatePolicy.FULL_CATALOG))
         slate = [1, 2, 3]
-        state0 = reset(env, user, seed=1)
+        hists, _, _ = reset(env, user, [1])
         feats = catalog.feature_matrix(slate)
-        probs = entropy_choice_probs(slate_scores(user, state0.buffer.matrix, feats), user.config)
-        counts = np.zeros(4)
+        probs = entropy_choice_probs(slate_scores(user, hists[0], feats), user.config)
         draws = 100_000
-        for s in range(draws):
-            out = step(env, reset(env, user, seed=s), slate, user)
-            slot = slate.index(out.chosen) if out.clicked else 3
-            counts[slot] += 1
+        seeds = range(draws)
+        _, chosen, _ = step(env, user, 0, seeds, *reset(env, user, seeds), [slate] * draws)
+        counts = np.bincount([slate.index(c) if c else 3 for c in chosen], minlength=4)
         tv = 0.5 * np.abs(counts / draws - probs).sum()
         assert tv <= 0.01
 
 
 class TestReset:
     def test_zero_state(self, setup):
-        _, user, env = setup
-        state = reset(env, user, seed=5)
-        assert state.t == 0
-        assert not state.clicked_ids
-        assert np.all(state.buffer.matrix == 0.0)
+        catalog, user, env = setup
+        hists, clicked, pools = reset(env, user, [5, 6])
+        assert hists.shape == (2, catalog.d, user.m)
+        assert clicked == [frozenset(), frozenset()]
+        assert np.all(hists == 0.0)
+        assert [len(pool) for pool in pools] == [5, 5]
 
     def test_zero_embedding_with_zero_bias(self, setup):
         _, user, env = setup
-        state = reset(env, user, seed=5)
+        hists, _, _ = reset(env, user, [5])
         pw = user.theta.pw
         saved = pw.B.copy()
         pw.B[:] = 0.0
-        assert np.all(embed_state(state.buffer, pw) == 0.0)
+        assert np.all(embed_history(hists, pw) == 0.0)
         pw.B[:] = saved
 
     def test_same_seed_same_pool(self, setup):
         _, user, env = setup
-        assert reset(env, user, seed=7).pool == reset(env, user, seed=7).pool
+        assert reset(env, user, [7])[2] == reset(env, user, [7])[2]
 
 
 class TestCandidates:
@@ -100,8 +99,8 @@ class TestCandidates:
         catalog, user, _ = setup
         env = SlateEnv(catalog, EnvConfig(k=3, pool_size=10, horizon=3,
                                           candidate_policy=CandidatePolicy.FULL_CATALOG))
-        state = reset(env, user, seed=1)
-        assert state.pool == catalog.item_ids
+        _, _, pools = reset(env, user, [1])
+        assert pools[0] == catalog.item_ids
 
     def test_excludes_clicked(self, setup):
         catalog, _, env = setup
@@ -197,6 +196,17 @@ class TestPoolDrawMatchesListScan:
 
 
 class TestStep:
+    SEEDS = range(500)
+
+    def _first_step(self, env, user, seeds=SEEDS):
+        """Each seed's step 0 against the first 3 items of its pool: the state before, the
+        slates, and step's slates, chosen ids and rewards, with the state after in place."""
+        hists, clicked, pools = reset(env, user, seeds)
+        before = hists.copy()
+        slates = [list(pool[:3]) for pool in pools]
+        out = step(env, user, 0, seeds, hists, clicked, pools, slates)
+        return before, slates, out, (hists, clicked, pools)
+
     def test_dominant_item_gets_clicked(self, setup):
         # a score gap of ~100 makes the favorite all but certain
         catalog, user, _ = setup
@@ -204,74 +214,88 @@ class TestStep:
                                           candidate_policy=CandidatePolicy.FULL_CATALOG))
         user.theta.head.v *= 60.0
         try:
-            state0 = reset(env, user, seed=1)
-            all_scores = slate_scores(user, state0.buffer.matrix,
-                                      catalog.feature_matrix(catalog.item_ids))[:-1]
+            hists, _, _ = reset(env, user, [1])
+            all_scores = slate_scores(user, hists[0], catalog.feature_matrix(catalog.item_ids))[:-1]
             order = np.argsort(-all_scores)
             slate = [catalog.item_ids[order[0]], catalog.item_ids[order[-1]],
                      catalog.item_ids[order[-2]]]
-            scores = slate_scores(user, state0.buffer.matrix, catalog.feature_matrix(slate))
+            scores = slate_scores(user, hists[0], catalog.feature_matrix(slate))
             assert scores[0] - np.partition(scores, -2)[-2] > 20
-            wins = 0
             draws = 10_000
-            for s in range(draws):
-                out = step(env, reset(env, user, seed=s), slate, user)
-                wins += (out.chosen == slate[0])
-            assert wins / draws > 0.999
+            seeds = range(draws)
+            _, chosen, _ = step(env, user, 0, seeds, *reset(env, user, seeds), [slate] * draws)
+            assert chosen.count(slate[0]) / draws > 0.999
         finally:
             user.theta.head.v /= 60.0
 
     def test_nonclick_semantics(self, setup):
-        catalog, user, env = setup
-        found = False
-        for s in range(500):
-            state = reset(env, user, seed=s)
-            slate = list(state.pool[:3])
-            out = step(env, state, slate, user)
-            if not out.clicked:
-                found = True
-                assert out.chosen == 0
-                assert out.reward == 0.0
-                assert np.all(out.next_state.buffer.matrix == 0.0)
-                assert out.next_state.clicked_ids == frozenset()
-                break
-        assert found, "no non-click outcome in 500 episodes"
+        _, user, env = setup
+        _, _, (_, chosen, rewards), (hists, clicked, _) = self._first_step(env, user)
+        skipped = [i for i, c in enumerate(chosen) if c == 0]
+        assert skipped, "no non-click outcome in 500 episodes"
+        for i in skipped:
+            assert rewards[i] == 0.0
+            assert np.all(hists[i] == 0.0)
+            assert clicked[i] == frozenset()
 
     def test_click_updates_buffer_and_clicked_set(self, setup):
+        # the paid reward is the clicked slot's score, bit for bit the B=1 score
         catalog, user, env = setup
-        for s in range(500):
-            state = reset(env, user, seed=s)
-            slate = list(state.pool[:3])
-            out = step(env, state, slate, user)
-            if out.clicked:
-                assert out.chosen in slate
-                assert np.array_equal(out.next_state.buffer.matrix[:, -1],
-                                      catalog.features(out.chosen))
-                assert out.chosen in out.next_state.clicked_ids
-                assert out.reward == pytest.approx(
-                    slate_scores(user, state.buffer.matrix,
-                                 catalog.feature_matrix(slate))[slate.index(out.chosen)])
-                return
-        pytest.fail("no click in 500 episodes")
+        before, slates, (_, chosen, rewards), (hists, clicked, _) = self._first_step(env, user)
+        hit = [i for i, c in enumerate(chosen) if c != 0]
+        assert hit, "no click in 500 episodes"
+        for i in hit:
+            assert chosen[i] in slates[i]
+            assert np.array_equal(hists[i][:, -1], catalog.features(chosen[i]))
+            assert clicked[i] == frozenset({chosen[i]})
+            scores = slate_scores(user, before[i], catalog.feature_matrix(slates[i]))
+            assert rewards[i] == scores[slates[i].index(chosen[i])]
 
     def test_determinism(self, setup):
         _, user, env = setup
-        s1, s2 = reset(env, user, seed=9), reset(env, user, seed=9)
-        slate = list(s1.pool[:3])
-        a, b = step(env, s1, slate, user), step(env, s2, slate, user)
-        assert (a.chosen, a.reward, a.clicked) == (b.chosen, b.reward, b.clicked)
-        assert a.next_state.pool == b.next_state.pool
+        _, _, a, state_a = self._first_step(env, user, [9])
+        _, _, b, state_b = self._first_step(env, user, [9])
+        assert a == b
+        assert state_a[1:] == state_b[1:] and np.array_equal(state_a[0], state_b[0])
 
     def test_slate_validation(self, setup):
         _, user, env = setup
-        state = reset(env, user, seed=3)
+        hists, clicked, pools = reset(env, user, [3])
+        pool = pools[0]
+
+        def bad(slate):
+            return step(env, user, 0, [3], hists, clicked, pools, [slate])
+
         with pytest.raises(ValueError, match="wrong size"):
-            step(env, state, list(state.pool[:2]), user)
+            bad(list(pool[:2]))
         with pytest.raises(ValueError, match="duplicate"):
-            step(env, state, [state.pool[0]] * 3, user)
-        outside = max(state.pool) + 999
+            bad([pool[0]] * 3)
         with pytest.raises(ValueError, match="not in pool"):
-            step(env, state, [state.pool[0], state.pool[1], outside], user)
+            bad([pool[0], pool[1], max(pool) + 999])
+
+
+class TestSlateScores:
+    @pytest.mark.parametrize("B", [1, 2, 10, 240])
+    def test_rows_equal_the_b1_call(self, setup, B):
+        # bit for bit, so that a reward does not depend on how many sessions step together
+        catalog, user, _ = setup
+        rng = np.random.default_rng(B)
+        hists = rng.standard_normal((B, catalog.d, user.m))
+        feats = rng.standard_normal((B, 3, catalog.d))
+        scores = slate_scores(user, hists, feats)
+        assert scores.shape == (B, 4)
+        for i in range(B):
+            assert np.array_equal(scores[i], slate_scores(user, hists[i:i + 1], feats[i:i + 1])[0])
+            assert np.array_equal(scores[i], slate_scores(user, hists[i], feats[i]))
+
+    def test_matches_head_scores(self, setup):
+        catalog, user, _ = setup
+        rng = np.random.default_rng(3)
+        hists = rng.standard_normal((6, catalog.d, user.m))
+        feats = rng.standard_normal((6, 3, catalog.d))
+        with_nonclick = np.concatenate([feats, np.zeros((6, 1, catalog.d))], axis=1)
+        expected = head_scores(user.theta.head, embed_history(hists, user.theta.pw), with_nonclick)
+        assert np.allclose(slate_scores(user, hists, feats), expected, rtol=0, atol=1e-12)
 
 
 class TestRollout:
@@ -342,10 +366,9 @@ class TestRolloutBatch:
                 assert traj.user_id == alone.user_id == u
                 assert [(r.step, r.displayed, r.chosen) for r in traj.records] == \
                     [(r.step, r.displayed, r.chosen) for r in alone.records]
-                assert np.allclose([r.reward for r in traj.records],
-                                   [r.reward for r in alone.records], rtol=0, atol=1e-12)
+                assert [r.reward for r in traj.records] == [r.reward for r in alone.records]
                 assert clicks == alone_clicks
-                assert abs(avg - alone_avg) <= 1e-12
+                assert avg == alone_avg
 
     def test_entropy_user(self, setup):
         _, user, env = setup

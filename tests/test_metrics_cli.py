@@ -1,9 +1,12 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slatesim
 from slatesim.agent import PolicyKind, save_policy
 from slatesim.cli import cli_main, parse_config_file
 from slatesim.env import EnvConfig
@@ -320,6 +323,21 @@ class TestCli:
         ]) == 0
         printed = capsys.readouterr().out
         assert "j=1 pearson=" in printed and "j=2 pearson=" in printed
+
+    def test_diagnose_zero_horizon_exits_2_naming_the_flag(self, tmp_path):
+        # an episode of zero steps visits no state; run in a child process with a
+        # timeout because collecting states this way once looped forever
+        policy = tmp_path / "policy.ckpt"
+        save_policy(policy, init_cascade_net(3, 5, 4, 16, 2, np.random.default_rng(0)))
+        src = str(Path(slatesim.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "from slatesim.cli import main; main()", "diagnose-q",
+             "--policy", str(policy), "--catalog-size", "8", "--dim", "3", "--pool-size", "5",
+             "--horizon", "0", "--out", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "--horizon" in proc.stderr
+        assert not (tmp_path / "q_constraints.csv").exists()
 
     def test_config_file_merging_cli_wins(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
