@@ -514,13 +514,9 @@ def save_policy(path, qnet: CascadeQNet, extra_meta: dict[str, str] | None = Non
 
 
 def load_policy(path) -> CascadeQNet:
-    tensors, meta = nets.load_tensors(path)
-    if meta.get("kind") != "cascade_policy":
-        raise ValueError(f"{path}: not a policy checkpoint")
-    activation = Activation(meta["activation"])
-    k = int(meta["k"])
-    pw = nets.PositionWeightParams(W=tensors["W"], B=tensors["B"], activation=activation)
-    heads = [nets.ScorerParams(**{attr: tensors[name] for attr, name in nets.cascade_head_names(j).items()},
-                               activation=activation)
-             for j in range(1, k + 1)]
-    return CascadeQNet(pw=pw, heads=heads)
+    with nets.read_checkpoint(path, "cascade_policy") as (tensors, meta):
+        activation = Activation(meta["activation"])
+        pw = nets.PositionWeightParams(W=tensors["W"], B=tensors["B"], activation=activation)
+        heads = [{attr: tensors[name] for attr, name in nets.cascade_head_names(j).items()}
+                 for j in range(1, int(meta["k"]) + 1)]
+        return CascadeQNet(pw=pw, heads=[nets.ScorerParams(**head, activation=activation) for head in heads])

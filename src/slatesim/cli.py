@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from enum import EnumMeta
@@ -15,7 +16,7 @@ from .choice import Regularizer
 from .data import load_trajectories, read_meta, save_trajectories, split_users, synth_catalog
 from .env import EnvConfig, SlateEnv, make_ground_truth_user, reset, rollout_batch, step
 from .metrics import ExperimentSpec, RosterEntry, run_experiment
-from .training import InitScheme, TrainConfig, load_user_model, save_user_model
+from .training import InitScheme, TrainConfig, UserModel, save_user_model
 
 
 def _log(msg: str) -> None:
@@ -101,9 +102,9 @@ class _Options:
         self.path = path
 
     def get(self, name: str, default=None):
-        cast = _FLAGS[name]
         if name not in self.args.flags:
             return default
+        cast = _FLAGS[name]
         cli_val = getattr(self.args, name.replace("-", "_"))
         if cli_val is not None:
             return cast(cli_val)
@@ -113,6 +114,28 @@ class _Options:
             except ValueError as exc:
                 raise ValueError(f"{self.path}: bad value for key {name!r}: {exc}") from None
         return default
+
+    def fields(self, cls, **given):
+        """Build the config dataclass `cls` from the options that are set.
+
+        A field takes its `given` value unless that is None, else the value of
+        its flag (field `a_b`, flag `a-b`) when the CLI or the config file sets
+        it; every other field keeps the dataclass default."""
+        for field in dataclasses.fields(cls):
+            if given.get(field.name) is None:
+                given[field.name] = self.get(field.name.replace("_", "-"))
+        return cls(**{name: value for name, value in given.items() if value is not None})
+
+    def file(self, name: str, required: bool = False) -> str | None:
+        """The path flag `name` names, which must exist; None when unset and not required."""
+        path = self.get(name)
+        if not path:
+            if required:
+                raise ValueError(f"--{name} is required")
+            return None
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"--{name} file not found: {path}")
+        return path
 
 
 def _load_options(args: argparse.Namespace) -> _Options:
@@ -128,33 +151,21 @@ def _load_options(args: argparse.Namespace) -> _Options:
     return _Options(args, config, path)
 
 
-def _catalog_from_options(opt: _Options):
-    data_path = opt.get("data")
-    if data_path:
-        if not os.path.exists(data_path):
-            raise FileNotFoundError(f"data file not found: {data_path}")
-        catalog, _ = load_trajectories(data_path)
-        return catalog
-    K = opt.get("catalog-size", 30)
-    d = opt.get("dim", 8)
-    seed = opt.get("catalog-seed", 1)
-    return synth_catalog(K, d, seed)
+def _out_dir(opt: _Options) -> str:
+    out_dir = opt.get("out", ExperimentSpec.out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    return out_dir
 
 
-def _user_from_options(opt: _Options, catalog):
-    path = opt.get("user-model")
-    if path:
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"user model checkpoint not found: {path}")
-        return load_user_model(path)
-    dims = (opt.get("gt-m", 5), opt.get("gt-n", 4), opt.get("gt-hidden", 16))
-    return make_ground_truth_user(catalog, dims, opt.get("gt-seed", 1),
-                                  opt.get("gt-reward-scale", 1.0))
+def _world(opt: _Options, **env_fields) -> tuple[ExperimentSpec, SlateEnv, UserModel]:
+    """The options' experiment spec (`env_fields` fix EnvConfig fields), its env and its user.
 
-
-def _env_config(opt: _Options, k: int) -> EnvConfig:
-    return EnvConfig(k=k, pool_size=opt.get("pool-size", 20), horizon=opt.get("horizon", 10),
-                     nonclick_reward=opt.get("nonclick-reward", 0.0))
+    --data, when given, supplies the catalog in place of the spec's synthetic one."""
+    spec = _experiment_spec(opt, **env_fields)
+    data_path = opt.file("data")
+    catalog = load_trajectories(data_path)[0] if data_path else None
+    env, user, _ = metrics.build_experiment_env(spec, catalog)
+    return spec, env, user
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +174,7 @@ def _env_config(opt: _Options, k: int) -> EnvConfig:
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
     opt = _load_options(args)
-    out_dir = opt.get("out", "out")
+    out_dir = _out_dir(opt)
     seed = opt.get("seed", 0)
     users = opt.get("users", 50)
     horizon = opt.get("horizon", 20)
@@ -175,7 +186,6 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     n = opt.get("n", 4)
     hidden = opt.get("hidden", 16)
     reward_scale = opt.get("reward-scale", 1.0)
-    os.makedirs(out_dir, exist_ok=True)
     catalog = synth_catalog(K, d, seed)
     user = make_ground_truth_user(catalog, (m, n, hidden), seed + 1, reward_scale)
     env = SlateEnv(catalog, EnvConfig(k=k, pool_size=pool_size, horizon=horizon))
@@ -194,31 +204,13 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 def cmd_train_user_model(args: argparse.Namespace) -> int:
     opt = _load_options(args)
-    data_path = opt.get("data")
-    if not data_path or not os.path.exists(data_path):
-        raise FileNotFoundError(f"data file not found: {data_path}")
-    out_dir = opt.get("out", "out")
-    os.makedirs(out_dir, exist_ok=True)
-    d, m, _k = read_meta(data_path)
+    data_path = opt.file("data", required=True)
+    out_dir = _out_dir(opt)
+    _, m, _ = read_meta(data_path)
     catalog, trajectories = load_trajectories(data_path)
-    seed = opt.get("seed", 0)
-    reg = opt.get("regularizer", Regularizer.SHANNON_ENTROPY)
-    scheme = opt.get("init-scheme", InitScheme.FRESH)
-    config = TrainConfig(
-        eta=opt.get("eta", 1.0),
-        lr_alpha=opt.get("lr-alpha", 0.05),
-        lr_theta=opt.get("lr-theta", 0.05),
-        batch_size=opt.get("batch-size", 64),
-        epochs=opt.get("epochs", 50),
-        regularizer=reg,
-        init_scheme=scheme,
-        seed=seed,
-        m=opt.get("m", m if m > 0 else 5),
-        n=opt.get("n", 4),
-        hidden=opt.get("hidden", 16),
-        patience=opt.get("patience", 10),
-    )
-    split = split_users([t.user_id for t in trajectories], seed=seed)
+    # --m falls back to the history length the data file was written with
+    config = opt.fields(TrainConfig, m=opt.get("m", m if m > 0 else None))
+    split = split_users([t.user_id for t in trajectories], seed=config.seed)
     train = [t for t in trajectories if t.user_id in split.train]
     valid = [t for t in trajectories if t.user_id in split.valid]
     test = [t for t in trajectories if t.user_id in split.test]
@@ -233,7 +225,7 @@ def cmd_train_user_model(args: argparse.Namespace) -> int:
         _log(f"[train-user-model] epoch={epoch} " +
              " ".join(f"{k}={v:.5g}" for k, v in stats.items()))
 
-    method = opt.get("method", "minimax" if reg is Regularizer.L2 else "mle")
+    method = opt.get("method", "minimax" if config.regularizer is Regularizer.L2 else "mle")
     if method == "mle":
         model = training.train_mle(catalog, train, config, valid=valid, on_epoch=on_epoch)
     else:
@@ -253,30 +245,13 @@ def cmd_train_user_model(args: argparse.Namespace) -> int:
 
 def cmd_train_policy(args: argparse.Namespace) -> int:
     opt = _load_options(args)
-    out_dir = opt.get("out", "out")
-    os.makedirs(out_dir, exist_ok=True)
-    catalog = _catalog_from_options(opt)
-    user = _user_from_options(opt, catalog)
-    seed = opt.get("seed", 0)
-    env = SlateEnv(catalog, _env_config(opt, opt.get("k", 3)))
-    mode = opt.get("reward-mode", RewardMode.LEARNED_REWARD)
-    config = CDQNConfig(
-        gamma=opt.get("gamma", 0.9),
-        epsilon=opt.get("epsilon", 0.2),
-        epsilon_final=opt.get("epsilon-final"),
-        iterations=opt.get("iterations", 150),
-        horizon=env.config.horizon,
-        batch_users=opt.get("batch-users", 10),
-        minibatch=opt.get("minibatch", 32),
-        lr=opt.get("lr", 0.05),
-        seed=seed,
-        capacity=opt.get("capacity", 10_000),
-        reward_mode=mode,
-        n=opt.get("n", 4),
-        hidden=opt.get("hidden", 16),
-    )
+    _, env, user = _world(opt)
+    out_dir = _out_dir(opt)
+    # the two defaults of this command that differ from CDQNConfig's
+    epsilon, iterations = opt.get("epsilon", 0.2), opt.get("iterations", 150)
+    config = opt.fields(CDQNConfig, horizon=env.config.horizon, epsilon=epsilon, iterations=iterations)
     # training episodes stay on even seeds; evaluation uses odd ones
-    factory = agent.make_env_factory(env, user, 2 * seed)
+    factory = agent.make_env_factory(env, user, 2 * config.seed)
 
     def on_iteration(it: int, stats: dict) -> None:
         if (it + 1) % max(1, config.iterations // 10) == 0:
@@ -289,17 +264,18 @@ def cmd_train_policy(args: argparse.Namespace) -> int:
     else:
         qnet = agent.train_cdqn(factory, config, on_iteration=on_iteration)
     ckpt = os.path.join(out_dir, "policy.ckpt")
-    agent.save_policy(ckpt, qnet, extra_meta={"reward_mode": mode.value, "policy_kind": kind.value})
+    agent.save_policy(ckpt, qnet, extra_meta={"reward_mode": config.reward_mode.value,
+                                                 "policy_kind": kind.value})
     _log(f"[train-policy] wrote {ckpt}")
     return 0
 
 
-def _experiment_spec(opt: _Options) -> ExperimentSpec:
+def _roster(opt: _Options) -> list[RosterEntry] | None:
+    names = opt.get("roster")
+    if names is None:
+        return None
     roster = []
-    for name in opt.get("roster", "random").split(","):
-        name = name.strip()
-        if not name:
-            continue
+    for name in filter(None, (name.strip() for name in names.split(","))):
         try:
             kind = PolicyKind(name)
         except ValueError:
@@ -311,23 +287,13 @@ def _experiment_spec(opt: _Options) -> ExperimentSpec:
         elif kind is PolicyKind.GREEDY_USER_MODEL:
             path = opt.get("greedy-user-model")
         roster.append(RosterEntry(name, kind, path))
-    return ExperimentSpec(
-        seed=opt.get("seed", 0),
-        catalog_size=opt.get("catalog-size", 30),
-        dim=opt.get("dim", 8),
-        catalog_seed=opt.get("catalog-seed", 1),
-        user_model_path=opt.get("user-model"),
-        gt_m=opt.get("gt-m", 5),
-        gt_n=opt.get("gt-n", 4),
-        gt_hidden=opt.get("gt-hidden", 16),
-        gt_seed=opt.get("gt-seed", 1),
-        gt_reward_scale=opt.get("gt-reward-scale", 1.0),
-        env=_env_config(opt, opt.get("k", 3)),
-        n_users=opt.get("n-users", 20),
-        repetitions=opt.get("reps", 50),
-        out_dir=opt.get("out", "out"),
-        roster=roster,
-    )
+    return roster
+
+
+def _experiment_spec(opt: _Options, **env_fields) -> ExperimentSpec:
+    return opt.fields(ExperimentSpec, env=opt.fields(EnvConfig, **env_fields), roster=_roster(opt),
+                      user_model_path=opt.get("user-model"), out_dir=opt.get("out"),
+                      repetitions=opt.get("reps"))
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -353,19 +319,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_diagnose_q(args: argparse.Namespace) -> int:
     opt = _load_options(args)
-    policy_path = opt.get("policy")
-    if not policy_path or not os.path.exists(policy_path):
-        raise FileNotFoundError(f"policy checkpoint not found: {policy_path}")
-    out_dir = opt.get("out", "out")
-    os.makedirs(out_dir, exist_ok=True)
-    qnet = agent.load_policy(policy_path)
-    catalog = _catalog_from_options(opt)
-    user = _user_from_options(opt, catalog)
-    n_states = opt.get("states", 500)
-    seed = opt.get("seed", 0)
-    env = SlateEnv(catalog, _env_config(opt, qnet.k))
-    hists, pools = collect_states(env, user, qnet, n_states, seed)
-    rows = agent.constraint_diagnostic(qnet, hists, pools, catalog)
+    qnet = agent.load_policy(opt.file("policy", required=True))
+    spec, env, user = _world(opt, k=qnet.k)
+    out_dir = _out_dir(opt)
+    hists, pools = collect_states(env, user, qnet, opt.get("states", 500), spec.seed)
+    rows = agent.constraint_diagnostic(qnet, hists, pools, env.catalog)
     lines = ["state_idx,j,qj,qk"]
     lines += [f"{idx},{j},{format(qj, '.9g')},{format(qk, '.9g')}" for idx, j, qj, qk in rows]
     path = os.path.join(out_dir, "q_constraints.csv")

@@ -50,7 +50,6 @@ class MetricReport:
     ctr: float
     std_ctr: float
     stderr_ctr: float
-    prec_at: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if not (0.0 <= self.ctr <= 1.0):
@@ -98,8 +97,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def build_experiment_env(spec: ExperimentSpec) -> tuple[SlateEnv, UserModel, ItemCatalog]:
-    catalog = synth_catalog(spec.catalog_size, spec.dim, spec.catalog_seed)
+def build_experiment_env(spec: ExperimentSpec, catalog: ItemCatalog | None = None
+                         ) -> tuple[SlateEnv, UserModel, ItemCatalog]:
+    """The spec's environment, user and catalog; the catalog is synthesised from the spec unless given."""
+    if catalog is None:
+        catalog = synth_catalog(spec.catalog_size, spec.dim, spec.catalog_seed)
     if spec.user_model_path is not None:
         if not os.path.exists(spec.user_model_path):
             raise FileNotFoundError(f"user model checkpoint not found: {spec.user_model_path}")

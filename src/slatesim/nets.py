@@ -16,6 +16,7 @@ TD error) are computed analytically, including backprop through the embedding.
 from __future__ import annotations
 
 import copy
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -428,6 +429,7 @@ def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, str] | No
 
 
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    """A checkpoint's tensors and meta; malformed content raises ValueError naming the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _CKPT_HEADER:
@@ -435,24 +437,43 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     tensors: dict[str, np.ndarray] = {}
     meta: dict[str, str] = {}
     i = 1
-    while i < len(lines):
-        line = lines[i]
-        if line.startswith("meta "):
-            _, key, val = line.split(" ", 2)
-            meta[key] = val
-            i += 1
-        elif line.startswith("tensor "):
-            parts = line.split()
-            name, ndim = parts[1], int(parts[2])
-            shape = tuple(int(x) for x in parts[3:3 + ndim])
-            vals = np.array([float(x) for x in lines[i + 1].split()])
-            tensors[name] = vals.reshape(shape)
-            i += 2
-        elif not line.strip():
-            i += 1
-        else:
-            raise ValueError(f"{path}: unexpected line {line!r}")
+    try:
+        while i < len(lines):
+            line = lines[i]
+            if line.startswith("meta "):
+                _, key, val = line.split(" ", 2)
+                meta[key] = val
+                i += 1
+            elif line.startswith("tensor "):
+                _, name, ndim, *dims = line.split()
+                shape = tuple(int(x) for x in dims)
+                vals = lines[i + 1].split() if i + 1 < len(lines) else []
+                if len(shape) != int(ndim) or len(vals) != np.prod(shape):
+                    raise ValueError(f"tensor {name!r} of shape {shape} has {len(vals)} values")
+                tensors[name] = np.array([float(x) for x in vals]).reshape(shape)
+                i += 2
+            elif not line.strip():
+                i += 1
+            else:
+                raise ValueError(f"unexpected line {line!r}")
+    except ValueError as exc:
+        raise ValueError(f"{path}:{i + 1}: {exc}") from None
     return tensors, meta
+
+
+@contextmanager
+def read_checkpoint(path, kind: str):
+    """Yield the tensors and meta of the `kind` checkpoint at `path`; a missing
+    entry, or a value the `with` block cannot parse, raises ValueError naming the file."""
+    tensors, meta = load_tensors(path)
+    if meta.get("kind") != kind:
+        raise ValueError(f"{path}: not a {kind} checkpoint")
+    try:
+        yield tensors, meta
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing entry {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

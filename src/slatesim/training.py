@@ -542,17 +542,15 @@ def save_user_model(path, model: UserModel, extra_meta: dict[str, str] | None = 
 
 
 def load_user_model(path) -> UserModel:
-    tensors, meta = nets.load_tensors(path)
-    if meta.get("kind") != "user_model":
-        raise ValueError(f"{path}: not a user-model checkpoint")
-    activation = Activation(meta["activation"])
+    with nets.read_checkpoint(path, "user_model") as (tensors, meta):
+        activation = Activation(meta["activation"])
 
-    def scorer(prefix: str) -> ScorerNet:
-        pw = nets.PositionWeightParams(W=tensors[f"{prefix}_W"], B=tensors[f"{prefix}_B"],
-                                       activation=activation)
-        head = nets.ScorerParams(V=tensors[f"{prefix}_V"], b=tensors[f"{prefix}_b"],
-                                 v=tensors[f"{prefix}_v"], activation=activation)
-        return ScorerNet(pw=pw, head=head)
+        def scorer(prefix: str) -> ScorerNet:
+            pw = nets.PositionWeightParams(W=tensors[f"{prefix}_W"], B=tensors[f"{prefix}_B"],
+                                           activation=activation)
+            head = nets.ScorerParams(V=tensors[f"{prefix}_V"], b=tensors[f"{prefix}_b"],
+                                     v=tensors[f"{prefix}_v"], activation=activation)
+            return ScorerNet(pw=pw, head=head)
 
-    config = ChoiceConfig(eta=float(meta["eta"]), regularizer=Regularizer(meta["regularizer"]))
-    return UserModel(theta=scorer("theta"), alpha=scorer("alpha"), config=config)
+        config = ChoiceConfig(eta=float(meta["eta"]), regularizer=Regularizer(meta["regularizer"]))
+        return UserModel(theta=scorer("theta"), alpha=scorer("alpha"), config=config)
