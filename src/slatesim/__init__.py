@@ -1,89 +1,1 @@
 """Simulated slate recommendation: adversarially trained user models and cascading Q policies."""
-
-from .data import (
-    NON_CLICK_ID,
-    ClickRecord,
-    DatasetSplit,
-    HistoryBuffer,
-    ItemCatalog,
-    Trajectory,
-    load_trajectories,
-    read_meta,
-    save_trajectories,
-    split_users,
-    synth_catalog,
-)
-from .choice import (
-    ChoiceConfig,
-    Regularizer,
-    choice_probs,
-    entropy_choice_probs,
-    gumbel_sample_choice,
-    gumbel_sample_choices,
-    l2_choice_probs,
-    regularizer_value,
-    sample_choice,
-)
-from .nets import (
-    Activation,
-    CascadeQNet,
-    GradientBundle,
-    PositionWeightParams,
-    ScorerNet,
-    ScorerParams,
-    grad,
-    run_gradient_check,
-    sgd_step,
-)
-from .training import (
-    Example,
-    ExampleSet,
-    InitScheme,
-    TrainConfig,
-    UserModel,
-    build_examples,
-    heldout_loglik,
-    load_user_model,
-    nll_loss,
-    precision_at_k,
-    save_user_model,
-    train_minimax,
-    train_mle,
-)
-from .env import (
-    CandidatePolicy,
-    EnvConfig,
-    SlateEnv,
-    make_ground_truth_user,
-    reset,
-    rollout,
-    rollout_batch,
-    step,
-)
-from .agent import (
-    CDQNConfig,
-    PolicyHandle,
-    PolicyKind,
-    ReplayBatch,
-    ReplayMemory,
-    RewardMode,
-    additive_q_policy,
-    cascade_argmax,
-    cascade_batch,
-    compute_target,
-    constraint_diagnostic,
-    greedy_user_model_policy,
-    load_policy,
-    make_env_factory,
-    save_policy,
-    train_additive_q,
-    train_cdqn,
-)
-from .metrics import (
-    ExperimentSpec,
-    MetricReport,
-    RosterEntry,
-    metric_avg_cum_reward,
-    metric_ctr,
-    run_experiment,
-)

@@ -58,12 +58,11 @@ class ChoiceConfig:
             raise ValueError(f"eta must be > 0, got {self.eta}")
 
 
-def _check_rewards(rewards: np.ndarray, ndim: int = 1) -> np.ndarray:
-    """Rewards as a float array of `ndim` axes (1: a vector, 2: one row per draw), non-empty and finite."""
+def _check_rewards(rewards: np.ndarray) -> np.ndarray:
+    """Rewards as a float (rows, slots) array, non-empty and finite."""
     arr = np.asarray(rewards, dtype=float)
-    if arr.ndim != ndim or arr.size < 1:
-        raise ValueError("rewards must be a non-empty vector" if ndim == 1
-                         else "rewards must be a non-empty (rows, slots) array")
+    if arr.ndim != 2 or arr.size < 1:
+        raise ValueError("rewards must be a non-empty (rows, slots) array")
     if not np.isfinite(arr).all():
         raise ValueError("rewards contain NaN or Inf")
     return arr
@@ -82,11 +81,6 @@ def logsumexp(logits: np.ndarray) -> np.ndarray:
     return zmax + np.log(np.sum(np.exp(logits - zmax[..., None]), axis=-1))
 
 
-def entropy_choice_probs(rewards, config: ChoiceConfig = ChoiceConfig()) -> np.ndarray:
-    """Optimal mixed choice under the entropy regularizer: softmax of eta * rewards."""
-    return Regularizer.SHANNON_ENTROPY.probs(_check_rewards(rewards), config.eta)
-
-
 def project_to_simplex(y: np.ndarray) -> np.ndarray:
     """Euclidean projection of each row (last axis) onto the probability simplex.
 
@@ -102,39 +96,6 @@ def project_to_simplex(y: np.ndarray) -> np.ndarray:
     return np.maximum(y - tau, 0.0)
 
 
-def l2_choice_probs(rewards, config: ChoiceConfig = ChoiceConfig()) -> np.ndarray:
-    """Optimal mixed choice under the L2 regularizer.
-
-    Maximizing <phi, r> - ||phi||^2 / eta over the simplex is, after completing
-    the square, the projection of (eta / 2) * r onto the simplex. The result may
-    be sparse: low-reward slots get exactly zero probability.
-    """
-    return Regularizer.L2.probs(_check_rewards(rewards), config.eta)
-
-
-def choice_probs(rewards, config: ChoiceConfig) -> np.ndarray:
-    """The solver matching config.regularizer."""
-    return config.regularizer.probs(_check_rewards(rewards), config.eta)
-
-
-def gumbel_sample_choice(rewards, config: ChoiceConfig, rng: np.random.Generator) -> int:
-    """Sample argmax_i (eta * r_i + g_i) with g_i standard Gumbel via -log(-log(U)).
-
-    Only valid for the entropy regularizer, where this reproduces the softmax
-    choice probabilities exactly.
-    """
-    return int(gumbel_sample_choices(rewards, config, rng, 1)[0])
-
-
-def gumbel_sample_choices(rewards, config: ChoiceConfig, rng: np.random.Generator,
-                          size: int) -> np.ndarray:
-    """Vectorized gumbel_sample_choice: `size` independent draws at once."""
-    if config.regularizer is not Regularizer.SHANNON_ENTROPY:
-        raise ValueError("gumbel sampling is only exact for the entropy regularizer")
-    r = _check_rewards(rewards)
-    return _gumbel_argmax(config.eta * r[None, :], rng.random((size, r.size)))
-
-
 def _gumbel_argmax(logits: np.ndarray, u: np.ndarray) -> np.ndarray:
     """argmax over the last axis of logits + g, with g = -log(-log(u)) standard Gumbel."""
     # np.clip(u, 1e-300, 1 - 1e-16) without its Python wrapper, which costs more than both ufuncs
@@ -142,15 +103,12 @@ def _gumbel_argmax(logits: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.argmax(logits + noise, axis=-1)
 
 
-def sample_choice(rewards, config: ChoiceConfig,
-                  rng: np.random.Generator | Sequence[np.random.Generator]):
-    """Draw one choice index from the regularized choice distribution.
+def sample_choice(rewards, config: ChoiceConfig, rng: Sequence[np.random.Generator]) -> np.ndarray:
+    """Draw one choice index per row from the regularized choice distribution.
 
-    Row-batched: (B, slots) rewards and a sequence of B generators give one
-    index per row, and each row draws exactly what it would draw alone."""
-    if np.ndim(rewards) == 1:
-        return int(sample_choice(_check_rewards(rewards)[None], config, [rng])[0])
-    r = _check_rewards(rewards, ndim=2)
+    (B, slots) rewards and a sequence of B generators give B indices, and each
+    row draws exactly what it would draw alone (B=1)."""
+    r = _check_rewards(rewards)
     if config.regularizer is Regularizer.SHANNON_ENTROPY:
         u = np.array([g.random(r.shape[1]) for g in rng])
         return _gumbel_argmax(config.eta * r, u)
@@ -159,11 +117,3 @@ def sample_choice(rewards, config: ChoiceConfig,
     cdf = np.cumsum(config.regularizer.probs(r, config.eta), axis=1)
     u = np.array([g.random() for g in rng])
     return np.minimum(np.sum(cdf <= u[:, None], axis=1), r.shape[1] - 1)
-
-
-def regularizer_value(probs, kind: Regularizer) -> float:
-    """R(phi): sum phi log phi (0 log 0 = 0) for entropy, sum phi^2 for L2."""
-    p = np.asarray(probs, dtype=float)
-    if np.any(p < -1e-6) or abs(p.sum() - 1.0) > 1e-6:
-        raise ValueError("probs are off the simplex")
-    return float(kind.omega(p))

@@ -284,6 +284,9 @@ def _roster(opt: _Options) -> list[RosterEntry] | None:
         path = None
         if kind in _Q_KINDS:
             path = opt.get(f"policy-{name}") or opt.get("policy")
+            if path is None:
+                raise ValueError(f"roster policy {name!r} needs a checkpoint: "
+                                 f"pass --policy-{name} or --policy")
         elif kind is PolicyKind.GREEDY_USER_MODEL:
             path = opt.get("greedy-user-model")
         roster.append(RosterEntry(name, kind, path))
@@ -319,8 +322,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_diagnose_q(args: argparse.Namespace) -> int:
     opt = _load_options(args)
-    qnet = agent.load_policy(opt.file("policy", required=True))
+    policy_path = opt.file("policy", required=True)
+    qnet = agent.load_policy(policy_path)
     spec, env, user = _world(opt, k=qnet.k)
+    metrics.check_fits(policy_path, d=(qnet.pw.d, env.catalog.d), m=(qnet.pw.m, user.m))
     out_dir = _out_dir(opt)
     hists, pools = collect_states(env, user, qnet, opt.get("states", 500), spec.seed)
     rows = agent.constraint_diagnostic(qnet, hists, pools, env.catalog)

@@ -1,4 +1,4 @@
-"""Item catalogs, click trajectories, history buffers, and dataset splits."""
+"""Item catalogs, click trajectories, (B, d, m) click-history updates, and dataset splits."""
 
 from __future__ import annotations
 
@@ -151,46 +151,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.records)
-
-
-class HistoryBuffer:
-    """Sliding window over the last m clicked feature vectors.
-
-    Stored as a d x m matrix whose columns run oldest to newest; positions with
-    no history yet hold zeros. Mutable and single-owner; copy before sharing.
-    """
-
-    def __init__(self, m: int, d: int, matrix: np.ndarray | None = None):
-        if m < 1 or d < 1:
-            raise ValueError("m and d must be >= 1")
-        self.m = int(m)
-        self.d = int(d)
-        if matrix is None:
-            self._mat = np.zeros((d, m))
-        else:
-            matrix = np.array(matrix, dtype=float)
-            if matrix.shape != (d, m):
-                raise ValueError(f"matrix shape {matrix.shape} != ({d}, {m})")
-            self._mat = matrix
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The live d x m column matrix (oldest first). Do not mutate directly."""
-        return self._mat
-
-    def column(self, i: int) -> np.ndarray:
-        return self._mat[:, i].copy()
-
-    def push(self, features: Sequence[float]) -> "HistoryBuffer":
-        """Append the newest clicked features, evicting the oldest column."""
-        arr = np.asarray(features, dtype=float)
-        if arr.shape != (self.d,):
-            raise ValueError(f"feature length {arr.shape} does not match d={self.d}")
-        push_columns(self._mat, arr)
-        return self
-
-    def copy(self) -> "HistoryBuffer":
-        return HistoryBuffer(self.m, self.d, self._mat.copy())
 
 
 def push_columns(mats: np.ndarray, features: np.ndarray) -> None:

@@ -113,12 +113,9 @@ def reset(env: SlateEnv, user: UserModel, seeds: Sequence[int]):
 def slate_scores(user: UserModel, hists: np.ndarray, slate_feats: np.ndarray) -> np.ndarray:
     """User rewards for each slate item plus the zero-feature non-click slot (last).
 
-    B histories (B, d, m) with slate features (B, k, d) give (B, k+1) scores;
-    one history (d, m) with (k, d) gives (k+1,), the B=1 call. Every product
-    runs per row, so each row's scores are bitwise those of its history
-    scored alone, whatever B is."""
-    if np.ndim(hists) == 2:
-        return slate_scores(user, np.asarray(hists)[None], np.asarray(slate_feats)[None])[0]
+    B histories (B, d, m) with slate features (B, k, d) give (B, k+1) scores.
+    Every product runs per row, so each row's scores are bitwise those of its
+    history scored alone (B=1), whatever B is."""
     slate_feats = np.asarray(slate_feats, dtype=float)
     feats = np.concatenate([slate_feats, np.zeros((len(slate_feats), 1, slate_feats.shape[2]))], axis=1)
     head = user.theta.head

@@ -1,10 +1,9 @@
-"""Rollout metrics, experiment specs, and the repeated-evaluation runner."""
+"""Experiment specs and the repeated-evaluation runner."""
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -12,30 +11,6 @@ from .agent import PolicyHandle, PolicyKind, load_policy, make_policy
 from .data import ItemCatalog, synth_catalog
 from .env import EnvConfig, SlateEnv, make_ground_truth_user, rollout_batch
 from .training import UserModel, load_user_model
-
-
-def metric_avg_cum_reward(rollout_rewards: Sequence[Sequence[float]]) -> float:
-    """Time-average each user's rewards first, then average across users."""
-    if not rollout_rewards:
-        raise ValueError("no rollouts")
-    per_user = []
-    for rewards in rollout_rewards:
-        if len(rewards) == 0:
-            raise ValueError("rollout with zero steps")
-        per_user.append(float(np.mean(rewards)))
-    return float(np.mean(per_user))
-
-
-def metric_ctr(user_clicks_steps: Sequence[tuple[int, int]]) -> float:
-    """Per-user clicks/steps, averaged across users."""
-    if not user_clicks_steps:
-        raise ValueError("no rollouts")
-    rates = []
-    for clicks, steps in user_clicks_steps:
-        if steps <= 0:
-            raise ValueError("rollout with zero steps")
-        rates.append(clicks / steps)
-    return float(np.mean(rates))
 
 
 @dataclass
@@ -97,6 +72,14 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
+def check_fits(path: str, **dims: tuple[int, int]) -> None:
+    """Refuse a checkpoint whose dimensions differ from the run's: name=(checkpoint's, run's)."""
+    wrong = [f"{name}={have} where the run has {name}={want}"
+             for name, (have, want) in dims.items() if have != want]
+    if wrong:
+        raise ValueError(f"{path} does not fit the run: {', '.join(wrong)}")
+
+
 def build_experiment_env(spec: ExperimentSpec, catalog: ItemCatalog | None = None
                          ) -> tuple[SlateEnv, UserModel, ItemCatalog]:
     """The spec's environment, user and catalog; the catalog is synthesised from the spec unless given."""
@@ -106,6 +89,7 @@ def build_experiment_env(spec: ExperimentSpec, catalog: ItemCatalog | None = Non
         if not os.path.exists(spec.user_model_path):
             raise FileNotFoundError(f"user model checkpoint not found: {spec.user_model_path}")
         user = load_user_model(spec.user_model_path)
+        check_fits(spec.user_model_path, d=(user.d, catalog.d))
     else:
         user = make_ground_truth_user(catalog, (spec.gt_m, spec.gt_n, spec.gt_hidden),
                                       spec.gt_seed, spec.gt_reward_scale)
@@ -118,13 +102,19 @@ def _resolve_policies(spec: ExperimentSpec, catalog: ItemCatalog, user: UserMode
         if entry.kind in (PolicyKind.CDQN, PolicyKind.ADDITIVE_Q):
             if entry.path is None or not os.path.exists(entry.path):
                 raise FileNotFoundError(f"policy checkpoint not found: {entry.path}")
-            handle = PolicyHandle(entry.kind, qnet=load_policy(entry.path))
+            qnet = load_policy(entry.path)
+            # the additive baseline ranks with its single-item head, whatever the slate size
+            if entry.kind is PolicyKind.CDQN:
+                check_fits(entry.path, k=(qnet.k, spec.env.k))
+            check_fits(entry.path, d=(qnet.pw.d, catalog.d), m=(qnet.pw.m, user.m))
+            handle = PolicyHandle(entry.kind, qnet=qnet)
         elif entry.kind is PolicyKind.GREEDY_USER_MODEL:
             model = user
             if entry.path is not None:
                 if not os.path.exists(entry.path):
                     raise FileNotFoundError(f"user model checkpoint not found: {entry.path}")
                 model = load_user_model(entry.path)
+                check_fits(entry.path, d=(model.d, catalog.d), m=(model.m, user.m))
             handle = PolicyHandle(entry.kind, user_model=model)
         else:
             handle = PolicyHandle(entry.kind)

@@ -296,26 +296,6 @@ def td_value_and_grad(qnet: CascadeQNet, j: int, F, slate_feats: np.ndarray, tar
 LOSS_KINDS = ("nll", "minimax-reward", "minimax-behavior", "squared-td")
 
 
-def grad(loss_kind: str, params, inputs: dict) -> "GradientBundle":
-    """Analytic gradient for one of the fixed loss kinds.
-
-    inputs keys:
-      nll: F, feats, chosen, eta
-      minimax-reward: F, feats, chosen, phi, eta, regularizer
-      minimax-behavior: F, feats, rewards, eta, regularizer
-      squared-td: j, F, slate_feats, targets
-    """
-    if loss_kind == "nll":
-        return nll_value_and_grad(params, **inputs)[1]
-    if loss_kind == "minimax-reward":
-        return minimax_reward_value_and_grad(params, **inputs)[1]
-    if loss_kind == "minimax-behavior":
-        return minimax_behavior_value_and_grad(params, **inputs)[1]
-    if loss_kind == "squared-td":
-        return td_value_and_grad(params, **inputs)[1]
-    raise ValueError(f"unsupported loss kind {loss_kind!r}; expected one of {LOSS_KINDS}")
-
-
 # ---------------------------------------------------------------------------
 # parameter plumbing: bundles, SGD, init, checkpoints
 
@@ -338,10 +318,6 @@ class GradientBundle:
         for name in self.grads:
             self.grads[name] = self.grads[name] * a
         return self
-
-    @staticmethod
-    def zeros_like(params) -> "GradientBundle":
-        return GradientBundle({name: np.zeros_like(t) for name, t in named_tensors(params).items()})
 
 
 def named_tensors(params) -> dict[str, np.ndarray]:

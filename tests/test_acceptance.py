@@ -19,12 +19,7 @@ from slatesim.agent import (
     make_policy,
     train_cdqn,
 )
-from slatesim.choice import (
-    ChoiceConfig,
-    Regularizer,
-    entropy_choice_probs,
-    gumbel_sample_choices,
-)
+from slatesim.choice import ChoiceConfig, Regularizer, _gumbel_argmax
 from slatesim.data import synth_catalog
 from slatesim.env import (
     EnvConfig,
@@ -74,8 +69,9 @@ def test_criterion_1_gumbel_softmax_identity():
     worst = 0.0
     for _ in range(20):
         r = rng.standard_normal(5)
-        probs = entropy_choice_probs(r, cfg)
-        picks = gumbel_sample_choices(r, cfg, rng, draws)
+        probs = cfg.regularizer.probs(r, cfg.eta)
+        # the kernel sample_choice runs, on the uniforms of `draws` rows of r
+        picks = _gumbel_argmax(cfg.eta * r[None], rng.random((draws, 5)))
         emp = np.bincount(picks, minlength=5) / draws
         worst = max(worst, 0.5 * float(np.abs(emp - probs).sum()))
     elapsed = time.time() - t0

@@ -31,15 +31,15 @@ from slatesim.agent import (
     train_additive_q,
     train_cdqn,
 )
-from slatesim.data import HistoryBuffer, synth_catalog
+from slatesim.data import synth_catalog
 from slatesim import agent
 from slatesim.env import EnvConfig, SlateEnv, make_ground_truth_user, reset, rollout, step
 from slatesim.nets import embed_history, init_cascade_net, named_tensors
 
 
-def one_state(policy_fn, model, buf, pool, k, catalog):
-    """A batched policy function run on one (history, pool) state: the slate as a list of ids."""
-    return policy_fn(model, buf.matrix[None], [pool], k, catalog)[0].tolist()
+def one_state(policy_fn, model, hist, pool, k, catalog):
+    """A batched policy function run on one (d, m) history and pool: the slate as a list of ids."""
+    return policy_fn(model, hist[None], [pool], k, catalog)[0].tolist()
 
 
 def table_qeval(tables):
@@ -283,20 +283,20 @@ class TestPolicies:
 
     def test_greedy_whole_pool_when_k_equals_pool(self):
         catalog, user = self._setup()
-        buf = HistoryBuffer(3, 4)
+        hist = np.zeros((4, 3))
         pool = (3, 1, 7)
-        slate = one_state(greedy_user_model_policy, user, buf, pool, 3, catalog)
+        slate = one_state(greedy_user_model_policy, user, hist, pool, 3, catalog)
         assert sorted(slate) == sorted(pool)
 
     def test_greedy_matches_sort_oracle(self):
         catalog, user = self._setup()
         from slatesim.nets import head_scores
         rng = np.random.default_rng(6)
-        buf = HistoryBuffer(3, 4)
+        hist = np.zeros((4, 3))
         for _ in range(100):
             pool = tuple(rng.choice(catalog.item_ids, size=8, replace=False))
-            slate = one_state(greedy_user_model_policy, user, buf, pool, 3, catalog)
-            s = embed_history(buf.matrix, user.alpha.pw)
+            slate = one_state(greedy_user_model_policy, user, hist, pool, 3, catalog)
+            s = embed_history(hist, user.alpha.pw)
             ids = sorted(set(int(i) for i in pool))
             logits = head_scores(user.alpha.head, s, catalog.feature_matrix(ids))
             oracle = [x for _, x in sorted(zip(-logits, ids))][:3]
@@ -306,33 +306,33 @@ class TestPolicies:
         # logits strictly decreasing in id => slate is the lowest ids in order
         catalog, user = self._setup()
         from slatesim import nets
-        buf = HistoryBuffer(3, 4)
-        s = embed_history(buf.matrix, user.alpha.pw)
+        hist = np.zeros((4, 3))
+        s = embed_history(hist, user.alpha.pw)
         logits = nets.head_scores(user.alpha.head, s, catalog.feature_matrix(catalog.item_ids))
         order = np.argsort(-logits, kind="stable")
         expected = [catalog.item_ids[i] for i in order[:3]]
-        assert one_state(greedy_user_model_policy, user, buf, catalog.item_ids, 3, catalog) == expected
+        assert one_state(greedy_user_model_policy, user, hist, catalog.item_ids, 3, catalog) == expected
 
     def test_additive_matches_subset_enumeration(self):
         # top-k of a separable objective is the exact argmax over all C(6,2) subsets
         catalog = synth_catalog(6, 3, seed=7)
         rng = np.random.default_rng(8)
         qnet = init_cascade_net(3, 3, 2, 5, 1, rng)
-        buf = HistoryBuffer(3, 3)
+        hist = np.zeros((3, 3))
         pool = catalog.item_ids
-        s = embed_history(buf.matrix, qnet.pw)
+        s = embed_history(hist, qnet.pw)
         single = dict(zip(pool, net_qeval(qnet, s, catalog)(1, (), pool)))
         best_pair = max(itertools.combinations(pool, 2),
                         key=lambda pair: single[pair[0]] + single[pair[1]])
-        slate = one_state(additive_q_policy, qnet, buf, pool, 2, catalog)
+        slate = one_state(additive_q_policy, qnet, hist, pool, 2, catalog)
         assert set(slate) == set(best_pair)
 
     def test_additive_is_pool_order_invariant(self):
         catalog = synth_catalog(9, 3, seed=9)
         qnet = init_cascade_net(3, 3, 2, 5, 1, np.random.default_rng(10))
-        buf = HistoryBuffer(3, 3)
-        a = one_state(additive_q_policy, qnet, buf, (1, 2, 3, 4, 5), 3, catalog)
-        b = one_state(additive_q_policy, qnet, buf, (5, 3, 1, 4, 2), 3, catalog)
+        hist = np.zeros((3, 3))
+        a = one_state(additive_q_policy, qnet, hist, (1, 2, 3, 4, 5), 3, catalog)
+        b = one_state(additive_q_policy, qnet, hist, (5, 3, 1, 4, 2), 3, catalog)
         assert a == b
 
     @pytest.mark.parametrize("policy_fn", [greedy_user_model_policy, additive_q_policy])
@@ -351,17 +351,17 @@ class TestPolicies:
         batch = policy_fn(model, hists, pools, 3, catalog)
         assert batch.shape == (40, 3)
         for row, h, pool in zip(batch, hists, pools):
-            assert row.tolist() == one_state(policy_fn, model, HistoryBuffer(3, 4, h), pool, 3, catalog)
+            assert row.tolist() == one_state(policy_fn, model, h, pool, 3, catalog)
         with pytest.raises(ValueError, match="pool smaller than k"):
             policy_fn(model, hists[:2], [pools[0], (1, 2, 2)], 3, catalog)
 
     def test_k1_additive_equals_cascade(self):
         catalog = synth_catalog(7, 3, seed=11)
         qnet = init_cascade_net(3, 3, 2, 5, 1, np.random.default_rng(12))
-        buf = HistoryBuffer(3, 3)
+        hist = np.zeros((3, 3))
         pool = catalog.item_ids
-        assert one_state(additive_q_policy, qnet, buf, pool, 1, catalog) == \
-            cascade_slate(qnet, buf.matrix, pool, catalog)
+        assert one_state(additive_q_policy, qnet, hist, pool, 1, catalog) == \
+            cascade_slate(qnet, hist, pool, catalog)
 
     def test_policy_handles_validate(self):
         with pytest.raises(ValueError, match="needs a qnet"):
@@ -461,8 +461,8 @@ class TestTrainCdqn:
                          lr=0.01, seed=9, n=2, hidden=4)
         qnet = train_additive_q(factory, cfg)
         assert qnet.k == 1
-        buf = HistoryBuffer(3, 4)
-        slate = one_state(additive_q_policy, qnet, buf, catalog.item_ids, 3, catalog)
+        hist = np.zeros((4, 3))
+        slate = one_state(additive_q_policy, qnet, hist, catalog.item_ids, 3, catalog)
         assert len(slate) == 3
 
 

@@ -1,0 +1,51 @@
+"""The benchmark under benchmarks/ binds slatesim by name: its traced run wraps
+every function in `spec.SPANS`, and its workloads call slatesim's modules. These
+tests resolve each of those names the way the benchmark does, so that removing
+or renaming one fails here and not only in a benchmark run."""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def load_by_path(name: str) -> types.ModuleType:
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+SPANS = load_by_path("spec").SPANS
+
+
+@pytest.mark.parametrize("span", sorted(SPANS))
+def test_span_resolves_as_tracing_install_does(span):
+    module_name, attr = SPANS[span]
+    owner = importlib.import_module(f"slatesim.{module_name}")
+    *path, leaf = attr.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    original = inspect.getattr_static(owner, leaf)
+    assert callable(original) or isinstance(original, property)
+
+
+def test_workloads_import_and_every_slatesim_name_they_use_exists():
+    workloads = load_by_path("workloads")
+    tree = ast.parse((BENCHMARKS / "workloads.py").read_text(encoding="utf-8"))
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+    modules = {alias: value for alias, value in vars(workloads).items()
+               if isinstance(value, types.ModuleType) and value.__name__.startswith("slatesim.")}
+    assert modules, "workloads.py no longer imports slatesim modules by name"
+    missing = [f"{alias}.{attr}" for alias, attr in sorted(used)
+               if alias in modules and not hasattr(modules[alias], attr)]
+    assert not missing, f"names the benchmark workloads use that slatesim lacks: {missing}"

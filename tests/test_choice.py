@@ -6,21 +6,19 @@ from hypothesis import strategies as st
 from slatesim.choice import (
     ChoiceConfig,
     Regularizer,
-    choice_probs,
-    entropy_choice_probs,
-    gumbel_sample_choice,
-    l2_choice_probs,
+    _gumbel_argmax,
     project_to_simplex,
-    regularizer_value,
     sample_choice,
+    softmax,
 )
 
-ENT = ChoiceConfig(eta=1.0, regularizer=Regularizer.SHANNON_ENTROPY)
-L2 = ChoiceConfig(eta=1.0, regularizer=Regularizer.L2)
+ENTROPY, L2_REG = Regularizer.SHANNON_ENTROPY, Regularizer.L2
+ENT = ChoiceConfig(eta=1.0, regularizer=ENTROPY)
+L2 = ChoiceConfig(eta=1.0, regularizer=L2_REG)
 
 
 def objective(phi, rewards, eta, kind):
-    return float(phi @ rewards) - regularizer_value(phi, kind) / eta
+    return float(phi @ rewards) - float(kind.omega(phi)) / eta
 
 
 def random_simplex(rng, n, count):
@@ -31,67 +29,66 @@ def random_simplex(rng, n, count):
 
 class TestEntropyChoice:
     def test_equal_rewards_uniform(self):
-        probs = entropy_choice_probs(np.zeros(4), ENT)
+        probs = ENTROPY.probs(np.zeros(4), 1.0)
         assert np.allclose(probs, 0.25)
 
     def test_frozen_two_to_one(self):
         # rewards (ln 2, 0) put probability (2/3, 1/3) on the two slots
-        probs = entropy_choice_probs(np.array([np.log(2.0), 0.0]), ENT)
+        probs = ENTROPY.probs(np.array([np.log(2.0), 0.0]), 1.0)
         assert np.allclose(probs, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
     @given(shift=st.floats(-50, 50), seed=st.integers(0, 50))
     @settings(max_examples=40, deadline=None)
     def test_shift_invariance(self, shift, seed):
         r = np.random.default_rng(seed).standard_normal(5)
-        a = entropy_choice_probs(r, ENT)
-        b = entropy_choice_probs(r + shift, ENT)
+        a = ENTROPY.probs(r, 1.0)
+        b = ENTROPY.probs(r + shift, 1.0)
         assert np.allclose(a, b, atol=1e-12)
 
     def test_overflow_safe(self):
-        probs = entropy_choice_probs(np.array([1e4, 0.0]), ENT)
+        probs = ENTROPY.probs(np.array([1e4, 0.0]), 1.0)
         assert np.isfinite(probs).all() and abs(probs.sum() - 1.0) < 1e-12
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
-            entropy_choice_probs(np.array([np.nan, 0.0]), ENT)
+            sample_choice(np.array([[np.nan, 0.0]]), ENT, [np.random.default_rng(0)])
 
     def test_maximizes_regularized_objective(self):
         # closed form must beat 10^4 random simplex candidates
         rng = np.random.default_rng(7)
         for eta in (0.5, 1.0, 2.0):
-            cfg = ChoiceConfig(eta=eta)
             r = rng.standard_normal(5)
-            star = entropy_choice_probs(r, cfg)
-            best = objective(star, r, eta, Regularizer.SHANNON_ENTROPY)
+            star = ENTROPY.probs(r, eta)
+            best = objective(star, r, eta, ENTROPY)
             # the closed-form maximum (log-sum-exp / eta) is the objective at the maximizer
-            assert abs(Regularizer.SHANNON_ENTROPY.inner_max(r, eta) - best) <= 1e-12
+            assert abs(ENTROPY.inner_max(r, eta) - best) <= 1e-12
             for cand in random_simplex(rng, 5, 10_000):
-                assert best - objective(cand, r, eta, Regularizer.SHANNON_ENTROPY) >= -1e-9
+                assert best - objective(cand, r, eta, ENTROPY) >= -1e-9
 
 
 class TestL2Choice:
     def test_equal_rewards_uniform(self):
-        assert np.allclose(l2_choice_probs(np.zeros(3), L2), 1.0 / 3.0)
+        assert np.allclose(L2_REG.probs(np.zeros(3), 1.0), 1.0 / 3.0)
 
     def test_saturating_projection(self):
-        probs = l2_choice_probs(np.array([10.0, 0.0, 0.0]), L2)
+        probs = L2_REG.probs(np.array([10.0, 0.0, 0.0]), 1.0)
         assert np.allclose(probs, [1.0, 0.0, 0.0])
 
     def test_maximizes_vs_random_search(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
             r = rng.standard_normal(5)
-            star = l2_choice_probs(r, L2)
-            best = objective(star, r, 1.0, Regularizer.L2)
-            assert abs(Regularizer.L2.inner_max(r, 1.0) - best) <= 1e-12
+            star = L2_REG.probs(r, 1.0)
+            best = objective(star, r, 1.0, L2_REG)
+            assert abs(L2_REG.inner_max(r, 1.0) - best) <= 1e-12
             for cand in random_simplex(rng, 5, 10_000):
-                assert best - objective(cand, r, 1.0, Regularizer.L2) >= -1e-9
+                assert best - objective(cand, r, 1.0, L2_REG) >= -1e-9
 
     @given(seed=st.integers(0, 100), shift=st.floats(-20, 20))
     @settings(max_examples=40, deadline=None)
     def test_shift_invariance(self, seed, shift):
         r = np.random.default_rng(seed).standard_normal(4)
-        assert np.allclose(l2_choice_probs(r, L2), l2_choice_probs(r + shift, L2), atol=1e-9)
+        assert np.allclose(L2_REG.probs(r, 1.0), L2_REG.probs(r + shift, 1.0), atol=1e-9)
 
     @given(seed=st.integers(0, 200), n=st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
@@ -105,71 +102,68 @@ class TestL2Choice:
         assert np.array_equal(project_to_simplex(rows), np.stack([project_to_simplex(r) for r in rows]))
 
 
+# The sampler is row-batched: n draws for one reward vector are n rows of it, and
+# a generator listed once per row draws the rows' uniforms in turn.
 class TestGumbelSampling:
-    def test_requires_entropy(self):
-        with pytest.raises(ValueError, match="entropy"):
-            gumbel_sample_choice(np.zeros(3), L2, np.random.default_rng(0))
-
     def test_dominant_reward_wins(self):
         rng = np.random.default_rng(0)
-        r = np.array([100.0, 0.0, 0.0])
-        wins = sum(gumbel_sample_choice(r, ENT, rng) == 0 for _ in range(10_000))
-        assert wins / 10_000 > 0.999
+        picks = sample_choice(np.tile([100.0, 0.0, 0.0], (10_000, 1)), ENT, [rng] * 10_000)
+        assert np.mean(picks == 0) > 0.999
 
     def test_deterministic_per_seed(self):
-        r = np.arange(4.0)
+        rows = np.tile(np.arange(4.0), (20, 1))
         rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
-        assert [gumbel_sample_choice(r, ENT, rng1) for _ in range(20)] == \
-               [gumbel_sample_choice(r, ENT, rng2) for _ in range(20)]
+        assert np.array_equal(sample_choice(rows, ENT, [rng1] * 20), sample_choice(rows, ENT, [rng2] * 20))
+
+    def test_rows_draw_the_kernel_criterion_1_measures(self):
+        # one generator shared by 1,000 rows draws the uniforms of one (1000, n) call
+        r = np.random.default_rng(4).standard_normal(5)
+        for cfg in (ENT, ChoiceConfig(eta=2.5)):
+            rng = np.random.default_rng(17)
+            picks = sample_choice(np.tile(r, (1000, 1)), cfg, [rng] * 1000)
+            kernel = _gumbel_argmax(cfg.eta * r[None], np.random.default_rng(17).random((1000, 5)))
+            assert np.array_equal(picks, kernel)
 
     def test_matches_closed_form_distribution(self):
         # empirical Gumbel-argmax frequencies vs the softmax, TV <= 0.01 at 1e5 draws
         rng = np.random.default_rng(123)
         r = rng.standard_normal(5)
-        probs = entropy_choice_probs(r, ENT)
-        counts = np.zeros(5)
-        draws = 100_000
-        for _ in range(draws):
-            counts[gumbel_sample_choice(r, ENT, rng)] += 1
-        tv = 0.5 * np.abs(counts / draws - probs).sum()
+        probs = ENTROPY.probs(r, 1.0)
+        n = 100_000
+        counts = np.bincount(sample_choice(np.tile(r, (n, 1)), ENT, [rng] * n), minlength=5)
+        tv = 0.5 * np.abs(counts / n - probs).sum()
         assert tv <= 0.01
 
     def test_l2_sampling_matches_projection(self):
         rng = np.random.default_rng(3)
         r = np.array([2.0, 1.0, -4.0])
-        probs = l2_choice_probs(r, L2)
-        counts = np.zeros(3)
-        draws = 50_000
-        for _ in range(draws):
-            counts[sample_choice(r, L2, rng)] += 1
-        assert 0.5 * np.abs(counts / draws - probs).sum() <= 0.01
+        probs = L2_REG.probs(r, 1.0)
+        n = 50_000
+        counts = np.bincount(sample_choice(np.tile(r, (n, 1)), L2, [rng] * n), minlength=3)
+        assert 0.5 * np.abs(counts / n - probs).sum() <= 0.01
 
 
 class TestRegularizerValue:
     def test_uniform_entropy(self):
-        val = regularizer_value(np.full(4, 0.25), Regularizer.SHANNON_ENTROPY)
+        val = ENTROPY.omega(np.full(4, 0.25))
         assert val == pytest.approx(-np.log(4.0), abs=1e-9)
         assert val == pytest.approx(-1.3862944, abs=1e-6)
 
     def test_one_hot(self):
         one_hot = np.array([0.0, 1.0, 0.0])
-        assert regularizer_value(one_hot, Regularizer.SHANNON_ENTROPY) == 0.0
-        assert regularizer_value(one_hot, Regularizer.L2) == 1.0
+        assert ENTROPY.omega(one_hot) == 0.0
+        assert L2_REG.omega(one_hot) == 1.0
 
     def test_uniform_l2(self):
         for k in (2, 5, 9):
-            assert regularizer_value(np.full(k, 1.0 / k), Regularizer.L2) == pytest.approx(1.0 / k)
-
-    def test_off_simplex_rejected(self):
-        with pytest.raises(ValueError, match="off the simplex"):
-            regularizer_value(np.array([0.6, 0.6]), Regularizer.L2)
+            assert L2_REG.omega(np.full(k, 1.0 / k)) == pytest.approx(1.0 / k)
 
 
 class TestDispatch:
-    def test_choice_probs_routes_by_regularizer(self):
+    def test_probs_routes_by_regularizer(self):
         r = np.array([3.0, 0.0, 0.0])
-        assert np.allclose(choice_probs(r, ENT), entropy_choice_probs(r, ENT))
-        assert np.allclose(choice_probs(r, L2), l2_choice_probs(r, L2))
+        assert np.array_equal(ENTROPY.probs(r, 2.0), softmax(2.0 * r))
+        assert np.array_equal(L2_REG.probs(r, 2.0), project_to_simplex(r))
 
     def test_eta_must_be_positive(self):
         with pytest.raises(ValueError, match="eta"):
@@ -180,11 +174,5 @@ class TestDispatch:
     def test_argmax_invariant_under_joint_positive_scaling(self, seed, scale):
         # scaling eta by c and rewards by 1/c leaves eta*r (hence the solution) unchanged
         r = np.random.default_rng(seed).standard_normal(6)
-        base = ChoiceConfig(eta=1.0)
-        scaled = ChoiceConfig(eta=scale)
-        assert np.allclose(
-            entropy_choice_probs(r / scale, scaled), entropy_choice_probs(r, base), atol=1e-9
-        )
-        assert np.allclose(
-            l2_choice_probs(r / scale, scaled), l2_choice_probs(r, base), atol=1e-9
-        )
+        for kind in Regularizer:
+            assert np.allclose(kind.probs(r / scale, scale), kind.probs(r, 1.0), atol=1e-9)

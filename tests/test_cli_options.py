@@ -207,7 +207,10 @@ class TestResolvedConfigs:
                     RosterEntry("additive", PolicyKind.ADDITIVE_Q, world["additive"])])
 
     def test_diagnose_q_minimal(self, world, calls, tmp_path):
-        env, user, qnet, n_states, seed = run(["diagnose-q", "--policy", world["policy"]],
+        # a k=2 policy on the default world's d=8 features and m=5 clicks of history
+        policy = tmp_path / "fits.ckpt"
+        save_policy(policy, init_cascade_net(8, 5, 2, 4, 2, np.random.default_rng(0)))
+        env, user, qnet, n_states, seed = run(["diagnose-q", "--policy", str(policy)],
                                               calls, "collect_states")
         assert env.config == env_config(k=2)
         assert qnet.k == 2 and (n_states, seed) == (500, 0)
@@ -227,7 +230,9 @@ class TestResolvedConfigs:
         assert (tmp_path / "o").is_dir()
 
     def test_diagnose_q_config_file_ground_truth(self, world, calls, tmp_path):
-        cfg = {"policy": world["policy"], "catalog-size": 9, "dim": 2, "catalog-seed": 3,
+        policy = tmp_path / "fits.ckpt"  # k=2, on this world's d=2 and gt-m=2
+        save_policy(policy, init_cascade_net(2, 2, 2, 4, 2, np.random.default_rng(0)))
+        cfg = {"policy": policy, "catalog-size": 9, "dim": 2, "catalog-seed": 3,
                "gt-seed": 8, "gt-m": 2, "gt-n": 2, "gt-hidden": 3, "gt-reward-scale": 4,
                "pool-size": 5}
         env, user, _, n_states, seed = run(["diagnose-q"], calls, "collect_states", cfg, tmp_path)

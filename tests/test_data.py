@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from slatesim.data import (
     ClickRecord,
     DataFormatError,
-    HistoryBuffer,
     ItemCatalog,
     Trajectory,
     load_trajectories,
+    push_columns,
     read_meta,
     save_trajectories,
     split_users,
@@ -102,25 +102,24 @@ class TestClickRecord:
             Trajectory(user_id=0, records=(r1, r1))
 
 
-class TestHistoryBuffer:
+class TestPushColumns:
     def test_fresh_push_zero_pads_left(self):
-        buf = HistoryBuffer(m=3, d=2)
+        hist = np.zeros((2, 3))
         f = np.array([1.0, 2.0])
-        buf.push(f)
-        assert np.array_equal(buf.matrix[:, 0], [0, 0])
-        assert np.array_equal(buf.matrix[:, 1], [0, 0])
-        assert np.array_equal(buf.matrix[:, 2], f)
+        push_columns(hist, f)
+        assert np.array_equal(hist[:, 0], [0, 0])
+        assert np.array_equal(hist[:, 1], [0, 0])
+        assert np.array_equal(hist[:, 2], f)
 
     def test_fifo_eviction(self):
-        buf = HistoryBuffer(m=3, d=1)
+        hist = np.zeros((1, 3))
         for x in (1.0, 2.0, 3.0, 4.0):
-            buf.push([x])
-        assert np.array_equal(buf.matrix[0], [2.0, 3.0, 4.0])
+            push_columns(hist, [x])
+        assert np.array_equal(hist[0], [2.0, 3.0, 4.0])
 
     def test_dimension_mismatch(self):
-        buf = HistoryBuffer(m=2, d=2)
-        with pytest.raises(ValueError, match="feature length"):
-            buf.push([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            push_columns(np.zeros((2, 2)), np.array([1.0, 2.0, 3.0]))
 
     @given(
         m=st.integers(1, 6),
@@ -130,24 +129,20 @@ class TestHistoryBuffer:
     @settings(max_examples=60, deadline=None)
     def test_window_property(self, m, d, pushes):
         # column count stays m; contents are the last min(m, pushes) vectors,
-        # right-aligned with zero padding on the left
-        buf = HistoryBuffer(m=m, d=d)
+        # right-aligned with zero padding on the left; a second row pushed in
+        # the same (2, d, m) call holds the negated window
+        hists = np.zeros((2, d, m))
         vecs = [np.full(d, float(x)) for x in pushes]
         for v in vecs:
-            buf.push(v)
-        assert buf.matrix.shape == (d, m)
+            push_columns(hists, np.stack([v, -v]))
+        assert hists.shape == (2, d, m)
         tail = vecs[-m:]
         pad = m - len(tail)
         for i in range(pad):
-            assert np.all(buf.matrix[:, i] == 0.0)
+            assert np.all(hists[:, :, i] == 0.0)
         for i, v in enumerate(tail):
-            assert np.array_equal(buf.matrix[:, pad + i], v)
-
-    def test_copy_is_independent(self):
-        buf = HistoryBuffer(m=2, d=1)
-        other = buf.copy()
-        buf.push([5.0])
-        assert np.all(other.matrix == 0.0)
+            assert np.array_equal(hists[0, :, pad + i], v)
+            assert np.array_equal(hists[1, :, pad + i], -v)
 
 
 class TestSplitUsers:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from slatesim.agent import PolicyHandle, PolicyKind, make_policy
-from slatesim.choice import ChoiceConfig, Regularizer, entropy_choice_probs
+from slatesim.choice import ChoiceConfig, Regularizer
 from slatesim.data import ItemCatalog, load_trajectories, save_trajectories, synth_catalog
 from slatesim.env import (
     _POOL_STREAM,
@@ -48,8 +48,8 @@ class TestGroundTruthUser:
         catalog, user, env = setup
         hists, _, pools = reset(env, user, [3])
         feats = catalog.feature_matrix(pools[0][:3])
-        scores = slate_scores(user, hists[0], feats)
-        probs = entropy_choice_probs(scores, user.config)
+        scores = slate_scores(user, hists, feats[None])[0]
+        probs = user.config.regularizer.probs(scores, user.config.eta)
         assert probs.shape == (4,)
         assert abs(probs.sum() - 1.0) <= 1e-9
 
@@ -62,7 +62,8 @@ class TestGroundTruthUser:
         slate = [1, 2, 3]
         hists, _, _ = reset(env, user, [1])
         feats = catalog.feature_matrix(slate)
-        probs = entropy_choice_probs(slate_scores(user, hists[0], feats), user.config)
+        scores = slate_scores(user, hists, feats[None])[0]
+        probs = user.config.regularizer.probs(scores, user.config.eta)
         draws = 100_000
         seeds = range(draws)
         _, chosen, _ = step(env, user, 0, seeds, *reset(env, user, seeds), [slate] * draws)
@@ -215,11 +216,11 @@ class TestStep:
         user.theta.head.v *= 60.0
         try:
             hists, _, _ = reset(env, user, [1])
-            all_scores = slate_scores(user, hists[0], catalog.feature_matrix(catalog.item_ids))[:-1]
+            all_scores = slate_scores(user, hists, catalog.feature_matrix(catalog.item_ids)[None])[0, :-1]
             order = np.argsort(-all_scores)
             slate = [catalog.item_ids[order[0]], catalog.item_ids[order[-1]],
                      catalog.item_ids[order[-2]]]
-            scores = slate_scores(user, hists[0], catalog.feature_matrix(slate))
+            scores = slate_scores(user, hists, catalog.feature_matrix(slate)[None])[0]
             assert scores[0] - np.partition(scores, -2)[-2] > 20
             draws = 10_000
             seeds = range(draws)
@@ -248,7 +249,7 @@ class TestStep:
             assert chosen[i] in slates[i]
             assert np.array_equal(hists[i][:, -1], catalog.features(chosen[i]))
             assert clicked[i] == frozenset({chosen[i]})
-            scores = slate_scores(user, before[i], catalog.feature_matrix(slates[i]))
+            scores = slate_scores(user, before[i:i + 1], catalog.feature_matrix(slates[i])[None])[0]
             assert rewards[i] == scores[slates[i].index(chosen[i])]
 
     def test_determinism(self, setup):
@@ -286,7 +287,6 @@ class TestSlateScores:
         assert scores.shape == (B, 4)
         for i in range(B):
             assert np.array_equal(scores[i], slate_scores(user, hists[i:i + 1], feats[i:i + 1])[0])
-            assert np.array_equal(scores[i], slate_scores(user, hists[i], feats[i]))
 
     def test_matches_head_scores(self, setup):
         catalog, user, _ = setup

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from slatesim import nets
 from slatesim.choice import ChoiceConfig, PROB_FLOOR, Regularizer, logsumexp, softmax
-from slatesim.data import ClickRecord, HistoryBuffer, Trajectory, synth_catalog
+from slatesim.data import ClickRecord, Trajectory, push_columns, synth_catalog
 from slatesim.nets import init_scorer_net, named_tensors
 from slatesim.training import (
     Example,
@@ -43,14 +43,14 @@ D, M = 3, 2
 def old_build_examples(catalog, trajectories, m):
     examples = []
     for traj in trajectories:
-        buf = HistoryBuffer(m, catalog.d)
+        hist = np.zeros((catalog.d, m))
         for rec in traj.records:
             feats = np.vstack([catalog.feature_matrix(rec.displayed), np.zeros((1, catalog.d))])
             slot = rec.displayed.index(rec.chosen) if rec.clicked else len(rec.displayed)
-            examples.append(Example(hist=buf.matrix.copy(), disp=feats,
+            examples.append(Example(hist=hist.copy(), disp=feats,
                                     chosen=slot, n_items=len(rec.displayed)))
             if rec.clicked:
-                buf.push(catalog.features(rec.chosen))
+                push_columns(hist, catalog.features(rec.chosen))
     return examples
 
 

@@ -9,49 +9,21 @@ import pytest
 import slatesim
 from slatesim.agent import PolicyKind, save_policy
 from slatesim.cli import cli_main, parse_config_file
-from slatesim.env import EnvConfig
+from slatesim.data import synth_catalog
+from slatesim.env import EnvConfig, make_ground_truth_user
 from slatesim.metrics import (
     ExperimentSpec,
     RosterEntry,
-    metric_avg_cum_reward,
-    metric_ctr,
     run_experiment,
     eval_env_seed,
 )
 from slatesim.nets import init_cascade_net
+from slatesim.training import save_user_model
 
 GOLDEN = Path(__file__).parent / "golden" / "eval_criterion9"
 
 
 class TestMetricFunctions:
-    def test_single_user_hand_case(self):
-        assert metric_avg_cum_reward([[1.0, 2.0, 3.0]]) == pytest.approx(2.0)
-
-    def test_all_zero(self):
-        assert metric_avg_cum_reward([[0.0, 0.0], [0.0]]) == 0.0
-
-    def test_user_permutation_invariance(self):
-        a = metric_avg_cum_reward([[1.0], [5.0, 7.0], [2.0, 2.0]])
-        b = metric_avg_cum_reward([[2.0, 2.0], [1.0], [5.0, 7.0]])
-        assert a == pytest.approx(b)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            metric_avg_cum_reward([])
-        with pytest.raises(ValueError):
-            metric_avg_cum_reward([[]])
-
-    def test_ctr_hand_case(self):
-        assert metric_ctr([(2, 4), (4, 4)]) == pytest.approx(0.75)
-
-    def test_ctr_extremes(self):
-        assert metric_ctr([(5, 5), (3, 3)]) == 1.0
-        assert metric_ctr([(0, 7)]) == 0.0
-
-    def test_ctr_zero_steps_rejected(self):
-        with pytest.raises(ValueError):
-            metric_ctr([(0, 0)])
-
     def test_seed_parity(self):
         # evaluation episodes must land on odd seeds
         for base in (0, 3, 17):
@@ -235,6 +207,46 @@ class TestCli:
         assert code == 2
         assert ("unknown roster policy 'bogus'; choose from "
                 "['additive', 'cdqn', 'greedy', 'random']") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["cdqn", "additive"])
+    def test_roster_entry_without_checkpoint_exits_2_naming_the_flags(self, tmp_path, capsys, name):
+        code = cli_main(["evaluate", "--roster", name, "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--policy-{name} or --policy" in err
+        assert "[evaluate]" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, file, mismatch", [
+        (["evaluate", "--roster", "cdqn", "--policy", "P", "--k", "3"], "P", "k=5 where the run has k=3"),
+        (["evaluate", "--roster", "cdqn", "--policy", "P", "--k", "5", "--dim", "6"], "P",
+         "d=8 where the run has d=6"),
+        (["evaluate", "--roster", "cdqn", "--policy", "P", "--k", "5", "--gt-m", "3"], "P",
+         "m=5 where the run has m=3"),
+        (["evaluate", "--roster", "additive", "--policy-additive", "P", "--dim", "6"], "P",
+         "d=8 where the run has d=6"),
+        (["diagnose-q", "--policy", "P", "--dim", "6"], "P", "d=8 where the run has d=6"),
+        (["evaluate", "--roster", "greedy", "--greedy-user-model", "U", "--dim", "6"], "U",
+         "d=8 where the run has d=6"),
+        (["evaluate", "--roster", "greedy", "--greedy-user-model", "U", "--gt-m", "4"], "U",
+         "m=5 where the run has m=4"),
+        (["evaluate", "--roster", "random", "--user-model", "U", "--dim", "6"], "U",
+         "d=8 where the run has d=6"),
+        (["train-policy", "--user-model", "U", "--dim", "6"], "U", "d=8 where the run has d=6"),
+    ])
+    def test_checkpoint_that_does_not_fit_exits_2_naming_the_file(self, tmp_path, capsys,
+                                                                   argv, file, mismatch):
+        # a k=5 policy and a user model, both on d=8 features and m=5 clicks of history
+        paths = {"P": str(tmp_path / "policy.ckpt"), "U": str(tmp_path / "user.ckpt")}
+        save_policy(paths["P"], init_cascade_net(8, 5, 4, 16, 5, np.random.default_rng(0)))
+        save_user_model(paths["U"], make_ground_truth_user(synth_catalog(10, 8), (5, 4, 16), seed=1))
+        out = tmp_path / "out"
+        code = cli_main([paths.get(arg, arg) for arg in argv]
+                        + ["--n-users", "2", "--reps", "1"] * (argv[0] == "evaluate")
+                        + ["--out", str(out)])
+        assert code == 2
+        assert f"{paths[file]} does not fit the run: {mismatch}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_end_to_end_pipeline(self, tmp_path, capsys):
         out = str(tmp_path)

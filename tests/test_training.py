@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slatesim.choice import ChoiceConfig, Regularizer
-from slatesim.data import ClickRecord, HistoryBuffer, ItemCatalog, Trajectory, synth_catalog
+from slatesim.data import ClickRecord, ItemCatalog, Trajectory, synth_catalog
 from slatesim.nets import init_scorer_net, named_tensors, scorer_batch
 from slatesim.training import (
     Example,
