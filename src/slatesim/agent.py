@@ -10,7 +10,7 @@ import numpy as np
 
 from . import nets
 from .data import NON_CLICK_ID, ItemCatalog
-from .env import Policy, SlateEnv, reset, step
+from .env import EpisodeKeys, Policy, SlateEnv, reset, step
 from .nets import Activation, CascadeQNet, GradientBundle, ScorerNet
 from .training import UserModel
 
@@ -123,6 +123,10 @@ class PolicyHandle:
             raise ValueError("greedy policy needs a user model")
 
 
+class NonFiniteQError(ValueError):
+    """A cascade's chosen Q value is not finite, so its argmax may pick a taken or padded id."""
+
+
 @dataclass
 class EvalCounter:
     count: int = 0
@@ -206,7 +210,8 @@ def cascade_batch(qnet: CascadeQNet, S: np.ndarray, pools: np.ndarray, mask: np.
     S: (B, dn) states; pools: (B, P) ascending ids per row (see pad_pools), of
     which `mask` marks the real ones. Head j scores all B x P candidates against
     each row's [s; f_1 .. f_{j-1}]. Returns the slates (B, k) and the achieved
-    per-position values (B, k); ties break toward the lowest item id."""
+    per-position values (B, k); ties break toward the lowest item id. A chosen value
+    that is not finite raises NonFiniteQError."""
     k = qnet.k
     pools, mask = np.asarray(pools, dtype=int), np.asarray(mask, dtype=bool)
     _check_pool_sizes(mask, k)
@@ -223,6 +228,10 @@ def cascade_batch(qnet: CascadeQNet, S: np.ndarray, pools: np.ndarray, mask: np.
         best = np.argmax(q, axis=1)  # first maximum wins: lowest id on ties
         slates[:, j] = pools[rows, best]
         values[:, j] = q[rows, best]
+        if not np.isfinite(values[:, j]).all():
+            bad = np.flatnonzero(~np.isfinite(values[:, j]))
+            raise NonFiniteQError(f"the chosen Q value of position {j + 1} is not finite in "
+                                  f"{len(bad)} of {B} rows, the first row {bad[0]}")
         free[rows, best] = False
         prefix = np.concatenate([prefix, feats[rows, best]], axis=1)
     return slates, values
@@ -384,7 +393,8 @@ def _train_replay(env_factory: EnvFactory, config: CDQNConfig, heads: int, act: 
                 raise ValueError(f"env_factory({episode}) gives another env or user than episode 0; "
                                  "the sessions of an iteration step in one env")
             seeds.append(seed)
-        hists, clicked, pools = reset(env, user, seeds)
+        keys = EpisodeKeys(seeds, config.horizon)
+        hists, clicked, pools = reset(env, user, keys)
         losses = []
         for t in range(config.horizon):
             slates = np.empty((B, k), dtype=int)
@@ -396,14 +406,17 @@ def _train_replay(env_factory: EnvFactory, config: CDQNConfig, heads: int, act: 
             if greedy.any():
                 slates[greedy] = act(qnet, hists[greedy], [p for p, g in zip(pools, greedy) if g])
             before = hists.copy()  # env.step pushes clicks into hists in place
-            _, chosen, rewards = step(env, user, t, seeds, hists, clicked, pools, slates)
+            _, chosen, rewards = step(env, user, t, keys, hists, clicked, pools, slates)
             if config.reward_mode is RewardMode.PLUS_MINUS_ONE:
                 rewards = [1.0 if c != NON_CLICK_ID else -1.0 for c in chosen]
             memory.add(ReplayBatch(before, slates, np.array(rewards), hists,
                                    *pad_pools(pools, env.pool_width), np.full(B, t == config.horizon - 1)))
             if len(memory) >= config.minibatch:
                 batch = memory.sample(config.minibatch, rng)
-                value, bundle = loss(qnet, batch, target(qnet, batch))
+                try:
+                    value, bundle = loss(qnet, batch, target(qnet, batch))
+                except NonFiniteQError as exc:
+                    raise TrainingDivergedError(it) from exc
                 if not np.isfinite(value):
                     raise TrainingDivergedError(it)
                 nets.sgd_step(qnet, bundle, config.lr)

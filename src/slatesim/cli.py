@@ -14,8 +14,8 @@ from . import agent, metrics, nets, training
 from .agent import CDQNConfig, PolicyKind, RewardMode
 from .choice import Regularizer
 from .data import load_trajectories, read_meta, save_trajectories, split_users, synth_catalog
-from .env import EnvConfig, SlateEnv, make_ground_truth_user, reset, rollout_batch, step
-from .metrics import ExperimentSpec, RosterEntry, run_experiment
+from .env import EnvConfig, EpisodeKeys, SlateEnv, make_ground_truth_user, reset, rollout_batch, step
+from .metrics import ExperimentSpec, RosterEntry, load_experiment, run_experiment
 from .training import InitScheme, TrainConfig, UserModel, save_user_model
 
 
@@ -310,8 +310,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         args.config = spec_path
     opt = _load_options(args)
     spec = _experiment_spec(opt)
+    loaded = load_experiment(spec)
     _log(f"[evaluate] {len(spec.roster)} policies x {spec.repetitions} reps x {spec.n_users} users")
-    reports = run_experiment(spec)
+    reports = run_experiment(spec, loaded=loaded)
     for rep in reports:
         print(f"{rep.policy}: avg_cum_reward={rep.avg_cumulative_reward:.6g} "
               f"(+-{rep.stderr_cumulative_reward:.3g}) ctr={rep.ctr:.4f} "
@@ -357,13 +358,14 @@ def collect_states(env: SlateEnv, user, qnet, n_states: int, seed: int):
         raise ValueError(f"--horizon must be >= 1 to visit states, got {horizon}")
     steps = min(horizon, n_states)
     seeds = [2 * (seed + e) + 1 for e in range(-(-n_states // horizon))]
-    hists, clicked, pools = reset(env, user, seeds)
+    keys = EpisodeKeys(seeds, steps)
+    hists, clicked, pools = reset(env, user, keys)
     visited = []
     for t in range(steps):
         visited.append((hists.copy(), list(pools)))
         if t < steps - 1:
             slates = [agent.cascade_slate(qnet, h, pool, env.catalog) for h, pool in zip(hists, pools)]
-            step(env, user, t, seeds, hists, clicked, pools, slates)
+            step(env, user, t, keys, hists, clicked, pools, slates)
     states = [(h[e], p[e]) for e in range(len(seeds)) for h, p in visited][:n_states]
     return [h for h, _ in states], [p for _, p in states]
 

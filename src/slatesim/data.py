@@ -156,8 +156,8 @@ class Trajectory:
 def push_columns(mats: np.ndarray, features: np.ndarray) -> None:
     """Shift each d x m history in `mats` (..., d, m) one column toward the oldest, in
     place, and write the matching row of `features` (..., d) as the newest column."""
-    mats[..., :-1] = mats[..., 1:]
-    mats[..., -1] = features
+    # the shifted window is built before any write, so a misfit raises with `mats` unchanged
+    mats[...] = np.concatenate([mats[..., 1:], np.asarray(features)[..., None]], axis=-1)
 
 
 @dataclass(frozen=True)

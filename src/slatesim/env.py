@@ -7,6 +7,7 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import nets
 from .choice import ChoiceConfig, Regularizer, sample_choice
@@ -17,6 +18,70 @@ from .training import UserModel, induced_softmax_alpha
 _POOL_STREAM = 101
 _CLICK_STREAM = 211
 _POLICY_STREAM = 307
+_STREAMS = (_POOL_STREAM, _CLICK_STREAM, _POLICY_STREAM)
+_M32 = 0xFFFFFFFF
+
+
+# SeedSequence's hashmix xors in a running constant, advances it and multiplies by
+# it; no data enters the constants, so each call's pair is (h[i], h[i + 1]) here
+_MIX_H = np.array([0x43B0D7E5 * pow(0x931E8875, i, 2**32) & _M32 for i in range(17)], np.uint32)[:, None]
+_OUT_H = np.array([0x8B51F9DD * pow(0x58F38DED, i, 2**32) & _M32 for i in range(9)], np.uint32)[:, None]
+
+
+def _hashmix(v: np.ndarray, h: np.ndarray) -> np.ndarray:
+    v = (v ^ h[:-1]) * h[1:]  # uint32 products wrap, as in numpy's C code
+    return v ^ (v >> np.uint32(16))
+
+
+def _seed_states(words: np.ndarray) -> np.ndarray:
+    """numpy's SeedSequence(entropy).generate_state(4, np.uint64) for each column of
+    `words` (4, N) uint32, the entropy zero-padded to the 4-word pool, as rows (N, 4)."""
+    pool = _hashmix(words, _MIX_H[:5])
+    for src in range(4):  # each pool word mixes into the three others, in order
+        dst = [i for i in range(4) if i != src]
+        h = _hashmix(pool[src], _MIX_H[4 + 3 * src:8 + 3 * src])
+        mixed = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * h
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT_H).astype(np.uint64)
+    return np.ascontiguousarray((out[0::2] | (out[1::2] << np.uint64(32))).T)
+
+
+class _SeedState(ISeedSequence):
+    """A seed sequence that hands PCG64 one precomputed generate_state(4, np.uint64)."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+class EpisodeKeys:
+    """The generators of B episodes, hashed for every row, stream and step 0..horizon in one
+    array pass and built on demand: row i's for (stream, t) is bit for bit the one
+    np.random.default_rng gives the key (seeds[i], stream, t)."""
+
+    def __init__(self, seeds: Sequence[int], horizon: int):
+        seeds = [int(s) for s in seeds]
+        if any(not 0 <= s < 2**64 for s in seeds) or horizon < 0:
+            raise ValueError("episode seeds must lie in [0, 2**64) and the horizon be >= 0")
+        self.horizon = horizon
+        seed = np.array(seeds, dtype=np.uint64)[:, None, None]
+        lo, hi, stream, t = np.broadcast_arrays(seed & np.uint64(_M32), seed >> np.uint64(32),
+                                                np.array(_STREAMS, np.uint64)[:, None],
+                                                np.arange(horizon + 1, dtype=np.uint64))
+        # default_rng cuts each int into 32-bit words, low first, and 0 into one word
+        words = np.where(hi > 0, [lo, hi, stream, t], [lo, stream, t, np.zeros_like(t)]).reshape(4, -1)
+        self._states = _seed_states(words.astype(np.uint32)).reshape(*lo.shape, 4)
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def rng(self, row: int, stream: int, t: int) -> np.random.Generator:
+        if not 0 <= t <= self.horizon:
+            raise ValueError(f"step {t} is outside the keyed steps 0..{self.horizon}")
+        state = self._states[row, _STREAMS.index(stream), t]
+        return np.random.Generator(np.random.PCG64(_SeedState(state)))
 
 
 class EnvError(RuntimeError):
@@ -63,8 +128,8 @@ class SlateEnv:
 
 # A policy maps B sessions to B slates in one call: the click histories
 # (B, d, m), the candidate pools (B ascending id tuples) and row_rng, where
-# row_rng(i) builds row i's generator for this step (build it only to draw from
-# it), to a (B, k) array of item ids.
+# row_rng(i) builds row i's policy-stream generator for this step from the
+# episode keys (build it only to draw from it), to a (B, k) array of item ids.
 RowRng = Callable[[int], np.random.Generator]
 Policy = Callable[[np.ndarray, Sequence[tuple[int, ...]], RowRng], np.ndarray]
 
@@ -88,8 +153,9 @@ def make_ground_truth_user(
                      config=ChoiceConfig(eta, Regularizer.SHANNON_ENTROPY))
 
 
-def draw_candidates(env: SlateEnv, clicked_ids: frozenset[int], t: int, seed: int) -> tuple[int, ...]:
-    """The candidate pool for step t, deterministic per (seed, t)."""
+def draw_candidates(env: SlateEnv, clicked_ids: frozenset[int], t: int, keys: EpisodeKeys,
+                    row: int) -> tuple[int, ...]:
+    """Row `row`'s candidate pool for step t, drawn from its (seed, pool stream, t) generator."""
     cfg = env.config
     avail = env.catalog.item_ids_except(clicked_ids if cfg.exclude_clicked else ())
     if len(avail) < cfg.k:
@@ -97,17 +163,18 @@ def draw_candidates(env: SlateEnv, clicked_ids: frozenset[int], t: int, seed: in
     if cfg.candidate_policy is CandidatePolicy.FULL_CATALOG:
         return tuple(avail.tolist())
     size = min(cfg.pool_size, len(avail))
-    rng = np.random.default_rng((seed, _POOL_STREAM, t))
+    rng = keys.rng(row, _POOL_STREAM, t)
     picked = rng.choice(len(avail), size=size, replace=False)
     return tuple(sorted(avail[picked].tolist()))
 
 
-def reset(env: SlateEnv, user: UserModel, seeds: Sequence[int]):
-    """Fresh episodes, one per seed: zero histories (B, d, m), empty click sets, step-0 pools."""
+def reset(env: SlateEnv, user: UserModel, keys: EpisodeKeys):
+    """Fresh episodes, one per keyed row: zero histories (B, d, m), empty click sets, step-0 pools."""
     if user.d != env.catalog.d:
         raise ValueError("user model feature dimension does not match the catalog")
-    hists = np.zeros((len(seeds), env.catalog.d, user.m))
-    return hists, [frozenset()] * len(seeds), [draw_candidates(env, frozenset(), 0, s) for s in seeds]
+    B = len(keys)
+    return (np.zeros((B, env.catalog.d, user.m)), [frozenset()] * B,
+            [draw_candidates(env, frozenset(), 0, keys, i) for i in range(B)])
 
 
 def slate_scores(user: UserModel, hists: np.ndarray, slate_feats: np.ndarray) -> np.ndarray:
@@ -127,12 +194,12 @@ def slate_scores(user: UserModel, hists: np.ndarray, slate_feats: np.ndarray) ->
     return nets.act(z, head.activation) @ head.v
 
 
-def step(env: SlateEnv, user: UserModel, t: int, seeds: Sequence[int], hists: np.ndarray,
+def step(env: SlateEnv, user: UserModel, t: int, keys: EpisodeKeys, hists: np.ndarray,
          clicked: list[frozenset[int]], pools: list[tuple[int, ...]], slates):
     """Show B sessions their slates at step t, sample each user's choice, pay its reward.
 
-    The rows are the state `reset` starts: seeds, histories (B, d, m), click
-    sets and candidate pools; a single session is B=1. Checks each row's
+    The rows are the state `reset` starts: episode keys, histories (B, d, m),
+    click sets and candidate pools; a single session is B=1. Checks each row's
     slate against its pool, scores every slate plus the non-click slot with
     one slate_scores call, draws each row's choice from its own (seed, click
     stream, t) generator, and pays the clicked item's score or the non-click
@@ -152,8 +219,7 @@ def step(env: SlateEnv, user: UserModel, t: int, seeds: Sequence[int], hists: np
             raise ValueError(f"slate not in pool: {missing}")
     feats = env.catalog.feature_matrix([i for slate in slates for i in slate]).reshape(len(slates), k, d)
     scores = slate_scores(user, hists, feats)
-    idx = sample_choice(scores, user.config,
-                        [np.random.default_rng((seed, _CLICK_STREAM, t)) for seed in seeds])
+    idx = sample_choice(scores, user.config, [keys.rng(i, _CLICK_STREAM, t) for i in range(len(slates))])
     chosen, rewards = [], []
     for i, (slate, j, row_scores) in enumerate(zip(slates, idx.tolist(), scores.tolist())):
         if j < k:
@@ -164,7 +230,7 @@ def step(env: SlateEnv, user: UserModel, t: int, seeds: Sequence[int], hists: np
         else:
             chosen.append(NON_CLICK_ID)
             rewards.append(float(env.config.nonclick_reward))
-        pools[i] = draw_candidates(env, clicked[i], t + 1, seeds[i])
+        pools[i] = draw_candidates(env, clicked[i], t + 1, keys, i)
     return slates, chosen, rewards
 
 
@@ -183,14 +249,14 @@ def rollout_batch(
     run alone. Returns one (trajectory with per-step rewards, time-averaged
     reward, clicks) per seed, in order."""
     horizon = env.config.horizon if T is None else T
-    seeds = [int(s) for s in seeds]
-    user_ids = [0] * len(seeds) if user_ids is None else list(user_ids)
-    hists, clicked, pools = reset(env, user, seeds)
-    records: list[list[ClickRecord]] = [[] for _ in seeds]
+    keys = EpisodeKeys(seeds, horizon)
+    user_ids = [0] * len(keys) if user_ids is None else list(user_ids)
+    hists, clicked, pools = reset(env, user, keys)
+    records: list[list[ClickRecord]] = [[] for _ in range(len(keys))]
     for t in range(horizon):
-        row_rng = lambda i, t=t: np.random.default_rng((seeds[i], _POLICY_STREAM, t))
+        row_rng = lambda i, t=t: keys.rng(i, _POLICY_STREAM, t)
         slates = policy(hists, pools, row_rng)
-        slates, chosen, rewards = step(env, user, t, seeds, hists, clicked, pools, slates)
+        slates, chosen, rewards = step(env, user, t, keys, hists, clicked, pools, slates)
         for row, slate, c, r in zip(records, slates, chosen, rewards):
             row.append(ClickRecord(step=t + 1, displayed=tuple(slate), chosen=c, reward=r))
     out = []

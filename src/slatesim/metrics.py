@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import PolicyHandle, PolicyKind, load_policy, make_policy
+from .agent import NonFiniteQError, PolicyHandle, PolicyKind, load_policy, make_policy
 from .data import ItemCatalog, synth_catalog
 from .env import EnvConfig, SlateEnv, make_ground_truth_user, rollout_batch
 from .training import UserModel, load_user_model
@@ -96,7 +96,10 @@ def build_experiment_env(spec: ExperimentSpec, catalog: ItemCatalog | None = Non
     return SlateEnv(catalog=catalog, config=spec.env), user, catalog
 
 
-def _resolve_policies(spec: ExperimentSpec, catalog: ItemCatalog, user: UserModel):
+def load_experiment(spec: ExperimentSpec):
+    """The spec's environment and user, and its roster as (entry, policy) pairs, with
+    every checkpoint loaded and checked against the run."""
+    env, user, catalog = build_experiment_env(spec)
     policies = []
     for entry in spec.roster:
         if entry.kind in (PolicyKind.CDQN, PolicyKind.ADDITIVE_Q):
@@ -118,18 +121,17 @@ def _resolve_policies(spec: ExperimentSpec, catalog: ItemCatalog, user: UserMode
             handle = PolicyHandle(entry.kind, user_model=model)
         else:
             handle = PolicyHandle(entry.kind)
-        policies.append((entry.name, make_policy(handle, catalog, spec.env.k)))
-    return policies
+        policies.append((entry, make_policy(handle, catalog, spec.env.k)))
+    return env, user, policies
 
 
-def run_experiment(spec: ExperimentSpec) -> list[MetricReport]:
+def run_experiment(spec: ExperimentSpec, loaded=None) -> list[MetricReport]:
     """Evaluate every roster policy on the same fixed set of test episodes.
 
-    Each policy plays all n_users x repetitions episodes in one rollout_batch.
-    Writes one per-rollout metrics file per policy plus aggregate.csv; byte
-    output is deterministic for a fixed spec."""
-    env, user, catalog = build_experiment_env(spec)
-    policies = _resolve_policies(spec, catalog, user)
+    Each policy of `loaded` (load_experiment(spec) if not given) plays all n_users x
+    repetitions episodes in one rollout_batch. Writes one per-rollout metrics file per
+    policy plus aggregate.csv; byte output is deterministic for a fixed spec."""
+    env, user, policies = load_experiment(spec) if loaded is None else loaded
     os.makedirs(spec.out_dir, exist_ok=True)
     T = spec.env.horizon
     if T < 1:
@@ -139,8 +141,12 @@ def run_experiment(spec: ExperimentSpec) -> list[MetricReport]:
                  "stderr_cum_reward,avg_ctr,std_ctr,stderr_ctr"]
     episodes = [(u, rep) for rep in range(spec.repetitions) for u in range(spec.n_users)]
     seeds = [eval_env_seed(spec.seed, u, rep, spec.n_users) for u, rep in episodes]
-    for name, policy in policies:
-        results = rollout_batch(env, user, policy, seeds, T, [u for u, _ in episodes])
+    for entry, policy in policies:
+        name = entry.name
+        try:
+            results = rollout_batch(env, user, policy, seeds, T, [u for u, _ in episodes])
+        except NonFiniteQError as exc:
+            raise ValueError(f"{entry.path}: policy {name!r} cannot be evaluated: {exc}") from exc
         rows = [(u, rep, avg_reward, clicks / T)
                 for (u, rep), (_, avg_reward, clicks) in zip(episodes, results)]
         lines = ["user_id,rep,cum_reward,ctr"]

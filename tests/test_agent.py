@@ -7,6 +7,7 @@ import pytest
 from slatesim.agent import (
     CDQNConfig,
     EvalCounter,
+    NonFiniteQError,
     PolicyHandle,
     PolicyKind,
     ReplayBatch,
@@ -30,11 +31,22 @@ from slatesim.agent import (
     save_policy,
     train_additive_q,
     train_cdqn,
+    TrainingDivergedError,
 )
 from slatesim.data import synth_catalog
 from slatesim import agent
-from slatesim.env import EnvConfig, SlateEnv, make_ground_truth_user, reset, rollout, step
+from slatesim.env import EnvConfig, EpisodeKeys, SlateEnv, make_ground_truth_user, reset, rollout, step
 from slatesim.nets import embed_history, init_cascade_net, named_tensors
+
+
+def break_head(qnet, position, value):
+    """Give head `position` large positive hidden units and output weights `value`:
+    -1e308 overflows every candidate's Q value to -inf, NaN makes it NaN."""
+    head = qnet.heads[position - 1]
+    head.V[:] = 0.0
+    head.b[:] = 1e3
+    head.v[:] = value
+    return qnet
 
 
 def one_state(policy_fn, model, hist, pool, k, catalog):
@@ -223,6 +235,16 @@ class TestCascadeBatch:
         for row, pool in enumerate(pools):
             assert cascade_plan(net_qeval(qnet, np.zeros(2), catalog), pool, 3)[0] == \
                 slates[row].tolist()
+
+    @pytest.mark.parametrize("value", [-1e308, np.nan], ids=["overflow", "nan"])
+    def test_non_finite_choice_raises(self, value):
+        # a first-maximum argmax over all -inf (or NaN) scores picks column 0,
+        # which may hold a taken or padded id
+        catalog, qnet, hists, pools = self._random_case(n_states=4)
+        S = np.stack([embed_history(h, qnet.pw) for h in hists])
+        message = "position 2 is not finite in 4 of 4 rows, the first row 0"
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteQError, match=message):
+            cascade_batch(break_head(qnet, 2, value), S, *pad_pools(pools), catalog)
 
     @pytest.mark.parametrize("pool", [(1, 2), (2, 1, 2, 1)])
     def test_pool_smaller_than_k(self, pool):
@@ -428,12 +450,25 @@ class TestTrainCdqn:
         cfg = CDQNConfig(iterations=3, horizon=4, batch_users=4, minibatch=8,
                          lr=0.05, seed=8, n=2, hidden=4)
         qnet = train_cdqn(factory, cfg)
-        seeds = [21]
-        hists, clicked, pools = reset(env, user, seeds)
+        keys = EpisodeKeys([21], 4)
+        hists, clicked, pools = reset(env, user, keys)
         for t in range(4):
             slate = cascade_slate(qnet, hists[0], pools[0], catalog)
             assert not (set(slate) & clicked[0])
-            step(env, user, t, seeds, hists, clicked, pools, [slate])
+            step(env, user, t, keys, hists, clicked, pools, [slate])
+
+    def test_non_finite_target_is_divergence(self, monkeypatch):
+        # the TD target's cascade meets an overflowing head at the first update
+        factory, *_ = self._factory()
+        init = agent.nets.init_cascade_net
+        monkeypatch.setattr(agent.nets, "init_cascade_net",
+                            lambda *args: break_head(init(*args), 2, -1e308))
+        cfg = CDQNConfig(iterations=2, horizon=4, batch_users=4, minibatch=8, lr=0.01, seed=7,
+                         n=2, hidden=4)
+        with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError) as caught:
+            train_cdqn(factory, cfg)
+        assert caught.value.iteration == 0
+        assert isinstance(caught.value.__cause__, NonFiniteQError)
 
     @pytest.mark.parametrize("train", [train_cdqn, train_additive_q], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("other", ["env", "user"])

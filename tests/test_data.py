@@ -121,6 +121,12 @@ class TestPushColumns:
         with pytest.raises(ValueError):
             push_columns(np.zeros((2, 2)), np.array([1.0, 2.0, 3.0]))
 
+    def test_failed_push_leaves_the_history_unchanged(self):
+        hist = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        with pytest.raises(ValueError):
+            push_columns(hist, np.array([7.0, 8.0, 9.0]))
+        assert hist.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
     @given(
         m=st.integers(1, 6),
         d=st.integers(1, 4),

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ from slatesim.agent import PolicyHandle, PolicyKind, make_policy
 from slatesim.choice import ChoiceConfig, Regularizer
 from slatesim.data import ItemCatalog, load_trajectories, save_trajectories, synth_catalog
 from slatesim.env import (
+    _CLICK_STREAM,
+    _POLICY_STREAM,
     _POOL_STREAM,
     CandidatePolicy,
     EnvConfig,
     EnvError,
+    EpisodeKeys,
     SlateEnv,
     draw_candidates,
     make_ground_truth_user,
@@ -46,7 +50,7 @@ class TestGroundTruthUser:
 
     def test_choice_distribution_sums_to_one(self, setup):
         catalog, user, env = setup
-        hists, _, pools = reset(env, user, [3])
+        hists, _, pools = reset(env, user, EpisodeKeys([3], 0))
         feats = catalog.feature_matrix(pools[0][:3])
         scores = slate_scores(user, hists, feats[None])[0]
         probs = user.config.regularizer.probs(scores, user.config.eta)
@@ -60,22 +64,57 @@ class TestGroundTruthUser:
         env = SlateEnv(catalog, EnvConfig(k=3, pool_size=10, horizon=2,
                                           candidate_policy=CandidatePolicy.FULL_CATALOG))
         slate = [1, 2, 3]
-        hists, _, _ = reset(env, user, [1])
+        hists, _, _ = reset(env, user, EpisodeKeys([1], 0))
         feats = catalog.feature_matrix(slate)
         scores = slate_scores(user, hists, feats[None])[0]
         probs = user.config.regularizer.probs(scores, user.config.eta)
         draws = 100_000
-        seeds = range(draws)
-        _, chosen, _ = step(env, user, 0, seeds, *reset(env, user, seeds), [slate] * draws)
+        keys = EpisodeKeys(range(draws), 1)
+        _, chosen, _ = step(env, user, 0, keys, *reset(env, user, keys), [slate] * draws)
         counts = np.bincount([slate.index(c) if c else 3 for c in chosen], minlength=4)
         tv = 0.5 * np.abs(counts / draws - probs).sum()
         assert tv <= 0.01
 
 
+class TestEpisodeKeys:
+    def test_generators_equal_default_rng(self):
+        # 837 seeds x 3 streams x 4 steps = 10,044 keys; seeds of one and of two
+        # 32-bit words, and the edges of each
+        rng = np.random.default_rng(0)
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+        seeds += rng.integers(0, 2**16, 400).tolist()
+        seeds += rng.integers(0, 2**64, 430, dtype=np.uint64).tolist()
+        keys = EpisodeKeys(seeds, 3)
+        for i, seed in enumerate(seeds):
+            for stream in (_POOL_STREAM, _CLICK_STREAM, _POLICY_STREAM):
+                for t in range(4):
+                    got, want = keys.rng(i, stream, t), np.random.default_rng((seed, stream, t))
+                    assert got.bit_generator.state == want.bit_generator.state
+                    assert got.random(3).tolist() == want.random(3).tolist()
+                    assert got.integers(0, 2**62, 2).tolist() == want.integers(0, 2**62, 2).tolist()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_raises(self, seed):
+        with pytest.raises(ValueError, match=re.escape("[0, 2**64)")):
+            EpisodeKeys([3, seed], 2)
+
+    def test_step_beyond_the_horizon_raises(self, setup):
+        _, user, env = setup
+        keys = EpisodeKeys([3], 2)
+        for t in (-1, 3):
+            with pytest.raises(ValueError, match=re.escape("outside the keyed steps 0..2")):
+                keys.rng(0, _CLICK_STREAM, t)
+        hists, clicked, pools = reset(env, user, keys)
+        for t in range(2):
+            step(env, user, t, keys, hists, clicked, pools, [pools[0][:3]])
+        with pytest.raises(ValueError, match=re.escape("step 3 is outside")):
+            step(env, user, 2, keys, hists, clicked, pools, [pools[0][:3]])
+
+
 class TestReset:
     def test_zero_state(self, setup):
         catalog, user, env = setup
-        hists, clicked, pools = reset(env, user, [5, 6])
+        hists, clicked, pools = reset(env, user, EpisodeKeys([5, 6], 0))
         assert hists.shape == (2, catalog.d, user.m)
         assert clicked == [frozenset(), frozenset()]
         assert np.all(hists == 0.0)
@@ -83,7 +122,7 @@ class TestReset:
 
     def test_zero_embedding_with_zero_bias(self, setup):
         _, user, env = setup
-        hists, _, _ = reset(env, user, [5])
+        hists, _, _ = reset(env, user, EpisodeKeys([5], 0))
         pw = user.theta.pw
         saved = pw.B.copy()
         pw.B[:] = 0.0
@@ -92,7 +131,7 @@ class TestReset:
 
     def test_same_seed_same_pool(self, setup):
         _, user, env = setup
-        assert reset(env, user, [7])[2] == reset(env, user, [7])[2]
+        assert reset(env, user, EpisodeKeys([7], 0))[2] == reset(env, user, EpisodeKeys([7], 0))[2]
 
 
 class TestCandidates:
@@ -100,38 +139,40 @@ class TestCandidates:
         catalog, user, _ = setup
         env = SlateEnv(catalog, EnvConfig(k=3, pool_size=10, horizon=3,
                                           candidate_policy=CandidatePolicy.FULL_CATALOG))
-        _, _, pools = reset(env, user, [1])
+        _, _, pools = reset(env, user, EpisodeKeys([1], 0))
         assert pools[0] == catalog.item_ids
 
     def test_excludes_clicked(self, setup):
         catalog, _, env = setup
         clicked = frozenset({1, 2, 3})
+        keys = EpisodeKeys([4], 19)
         for t in range(20):
-            pool = draw_candidates(env, clicked, t, seed=4)
+            pool = draw_candidates(env, clicked, t, keys, 0)
             assert not (set(pool) & clicked)
 
     def test_pool_exhausted(self, setup):
         catalog, _, env = setup
         clicked = frozenset(catalog.item_ids[:-2])
         with pytest.raises(EnvError, match="pool exhausted"):
-            draw_candidates(env, clicked, 0, seed=1)
+            draw_candidates(env, clicked, 0, EpisodeKeys([1], 0), 0)
 
     def test_inclusion_frequencies_uniform(self, setup):
         # K=10, pool of 5: every item appears with frequency 0.5 +- 0.02
         catalog, _, env = setup
         counts = {i: 0 for i in catalog.item_ids}
         draws = 10_000
+        keys = EpisodeKeys(range(draws), 0)
         for s in range(draws):
-            for i in draw_candidates(env, frozenset(), 0, seed=s):
+            for i in draw_candidates(env, frozenset(), 0, keys, s):
                 counts[i] += 1
         for i, c in counts.items():
             assert abs(c / draws - 0.5) <= 0.02
 
     def test_deterministic_per_seed_and_t(self, setup):
         _, _, env = setup
-        a = draw_candidates(env, frozenset(), 3, seed=11)
-        b = draw_candidates(env, frozenset(), 3, seed=11)
-        c = draw_candidates(env, frozenset(), 4, seed=11)
+        a = draw_candidates(env, frozenset(), 3, EpisodeKeys([11], 4), 0)
+        b = draw_candidates(env, frozenset(), 3, EpisodeKeys([11], 4), 0)
+        c = draw_candidates(env, frozenset(), 4, EpisodeKeys([11], 4), 0)
         assert a == b
         assert a != c or True  # different t may coincide; equality of (a, b) is the contract
 
@@ -177,12 +218,13 @@ class TestPoolDrawMatchesListScan:
         env = SlateEnv(gappy_catalog, config)
         ids = gappy_catalog.item_ids
         rng = np.random.default_rng(4)
+        keys = EpisodeKeys(range(60), 4)
         for trial in range(60):
             n_clicked = trial % 10  # 0 to 9 of the 12 ids
             clicked = frozenset(int(i) for i in rng.choice(ids, size=n_clicked, replace=False))
             if trial % 7 == 0:
                 clicked |= {999}  # an id outside the catalog changes nothing
-            pool = draw_candidates(env, clicked, trial % 5, seed=trial)
+            pool = draw_candidates(env, clicked, trial % 5, keys, trial)
             assert pool == list_scan_pool(env, clicked, trial % 5, trial)
             assert type(pool) is tuple and all(type(i) is int for i in pool)
 
@@ -192,7 +234,7 @@ class TestPoolDrawMatchesListScan:
         with pytest.raises(EnvError) as expected:
             list_scan_pool(env, clicked, 0, 1)
         with pytest.raises(EnvError, match="pool exhausted") as got:
-            draw_candidates(env, clicked, 0, seed=1)
+            draw_candidates(env, clicked, 0, EpisodeKeys([1], 0), 0)
         assert str(got.value) == str(expected.value)
 
 
@@ -202,10 +244,11 @@ class TestStep:
     def _first_step(self, env, user, seeds=SEEDS):
         """Each seed's step 0 against the first 3 items of its pool: the state before, the
         slates, and step's slates, chosen ids and rewards, with the state after in place."""
-        hists, clicked, pools = reset(env, user, seeds)
+        keys = EpisodeKeys(seeds, 1)
+        hists, clicked, pools = reset(env, user, keys)
         before = hists.copy()
         slates = [list(pool[:3]) for pool in pools]
-        out = step(env, user, 0, seeds, hists, clicked, pools, slates)
+        out = step(env, user, 0, keys, hists, clicked, pools, slates)
         return before, slates, out, (hists, clicked, pools)
 
     def test_dominant_item_gets_clicked(self, setup):
@@ -215,7 +258,7 @@ class TestStep:
                                           candidate_policy=CandidatePolicy.FULL_CATALOG))
         user.theta.head.v *= 60.0
         try:
-            hists, _, _ = reset(env, user, [1])
+            hists, _, _ = reset(env, user, EpisodeKeys([1], 0))
             all_scores = slate_scores(user, hists, catalog.feature_matrix(catalog.item_ids)[None])[0, :-1]
             order = np.argsort(-all_scores)
             slate = [catalog.item_ids[order[0]], catalog.item_ids[order[-1]],
@@ -223,8 +266,8 @@ class TestStep:
             scores = slate_scores(user, hists, catalog.feature_matrix(slate)[None])[0]
             assert scores[0] - np.partition(scores, -2)[-2] > 20
             draws = 10_000
-            seeds = range(draws)
-            _, chosen, _ = step(env, user, 0, seeds, *reset(env, user, seeds), [slate] * draws)
+            keys = EpisodeKeys(range(draws), 1)
+            _, chosen, _ = step(env, user, 0, keys, *reset(env, user, keys), [slate] * draws)
             assert chosen.count(slate[0]) / draws > 0.999
         finally:
             user.theta.head.v /= 60.0
@@ -261,11 +304,12 @@ class TestStep:
 
     def test_slate_validation(self, setup):
         _, user, env = setup
-        hists, clicked, pools = reset(env, user, [3])
+        keys = EpisodeKeys([3], 1)
+        hists, clicked, pools = reset(env, user, keys)
         pool = pools[0]
 
         def bad(slate):
-            return step(env, user, 0, [3], hists, clicked, pools, [slate])
+            return step(env, user, 0, keys, hists, clicked, pools, [slate])
 
         with pytest.raises(ValueError, match="wrong size"):
             bad(list(pool[:2]))

@@ -248,6 +248,31 @@ class TestCli:
         assert f"{paths[file]} does not fit the run: {mismatch}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_misfitting_policy_fails_before_the_header(self, tmp_path, capsys):
+        path = str(tmp_path / "policy.ckpt")
+        save_policy(path, init_cascade_net(8, 5, 4, 16, 5, np.random.default_rng(0)))
+        code = cli_main(["evaluate", "--roster", "random,cdqn", "--policy", path, "--k", "3",
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {path} does not fit the run: k=5 where the run has k=3" in err
+        assert "[evaluate]" not in err
+
+    def test_overflowing_policy_exits_2_naming_the_file(self, tmp_path, capsys):
+        # every position-2 Q value overflows to -inf: no slate can be chosen
+        path = str(tmp_path / "policy.ckpt")
+        qnet = init_cascade_net(8, 5, 4, 16, 5, np.random.default_rng(0))
+        qnet.heads[1].V[:] = 0.0
+        qnet.heads[1].b[:] = 1e3
+        qnet.heads[1].v[:] = -1e308
+        save_policy(path, qnet)
+        with np.errstate(over="ignore"):
+            code = cli_main(["evaluate", "--roster", "random,cdqn", "--policy", path, "--k", "5",
+                             "--n-users", "2", "--reps", "1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert (f"error: {path}: policy 'cdqn' cannot be evaluated: the chosen Q value of "
+                "position 2 is not finite") in capsys.readouterr().err
+
     def test_end_to_end_pipeline(self, tmp_path, capsys):
         out = str(tmp_path)
         # 1. generate a tiny synthetic click log
