@@ -11,7 +11,7 @@ import numpy as np
 from . import nets
 from .data import NON_CLICK_ID, ItemCatalog
 from .env import EpisodeKeys, Policy, SlateEnv, reset, step
-from .nets import Activation, CascadeQNet, GradientBundle, ScorerNet
+from .nets import CascadeQNet, GradientBundle, ScorerNet
 from .training import UserModel
 
 
@@ -382,7 +382,7 @@ def _train_replay(env_factory: EnvFactory, config: CDQNConfig, heads: int, act: 
     rng = np.random.default_rng(config.seed)
     qnet = nets.init_cascade_net(catalog.d, user.m, config.n, config.hidden, heads, rng)
     capacity = min(config.capacity, max(config.iterations * B * config.horizon, 1))
-    memory = ReplayMemory(capacity, (catalog.d, user.m), k, env.pool_width)
+    memory = ReplayMemory(capacity, (catalog.d, user.m), k, env.config.pool_size)
     updates = 0
     for it in range(config.iterations):
         eps = _epsilon_at(config, it)
@@ -410,7 +410,8 @@ def _train_replay(env_factory: EnvFactory, config: CDQNConfig, heads: int, act: 
             if config.reward_mode is RewardMode.PLUS_MINUS_ONE:
                 rewards = [1.0 if c != NON_CLICK_ID else -1.0 for c in chosen]
             memory.add(ReplayBatch(before, slates, np.array(rewards), hists,
-                                   *pad_pools(pools, env.pool_width), np.full(B, t == config.horizon - 1)))
+                                   *pad_pools(pools, env.config.pool_size),
+                                   np.full(B, t == config.horizon - 1)))
             if len(memory) >= config.minibatch:
                 batch = memory.sample(config.minibatch, rng)
                 try:
@@ -444,7 +445,8 @@ def train_cdqn(env_factory: EnvFactory, config: CDQNConfig,
         total = GradientBundle()
         value = 0.0
         for j in range(1, k + 1):
-            head_value, bundle = nets.td_value_and_grad(qnet, j, batch.hist, slate_feats[:, :j], targets)
+            prefix = slate_feats[:, :j].reshape(len(slate_feats), 1, -1)
+            head_value, bundle = nets.td_value_and_grad(qnet, j, batch.hist, prefix, targets)
             value += head_value
             total.add_(bundle)
         return value / k, total
@@ -459,26 +461,13 @@ def train_cdqn(env_factory: EnvFactory, config: CDQNConfig,
         loss=cascade_loss, on_iteration=on_iteration)
 
 
-def _additive_value_and_grad(qnet: CascadeQNet, F: np.ndarray, slate_feats: np.ndarray,
-                             targets: np.ndarray):
-    """Squared error of the additive slate value sum_i Q(s, a_i) against fixed targets."""
-    view = ScorerNet(pw=qnet.pw, head=qnet.heads[0])
-    cache = nets.scorer_batch(view, F, slate_feats)
-    qsum = cache.scores.sum(axis=1)
-    resid = qsum - targets
-    value = float(np.mean(resid * resid))
-    w = np.repeat((2.0 * resid / len(resid))[:, None], slate_feats.shape[1], axis=1)
-    g = nets.scorer_batch_grad(view, cache, w)
-    names = nets.cascade_head_names(1)
-    return value, GradientBundle({names.get(name, name): t for name, t in g.grads.items()})
-
-
 def train_additive_q(env_factory: EnvFactory, config: CDQNConfig,
                      on_iteration: Callable[[int, dict], None] | None = None) -> CascadeQNet:
     """Same replay loop as train_cdqn for the additive baseline (one single-item network).
 
-    The greedy slate is the top-k by single-item value and the bootstrap target
-    uses the additive maximum, i.e. the sum of the next state's top-k values."""
+    The slate value is the sum of its k single-item values; the greedy slate is the
+    top-k by single-item value and the bootstrap target uses the additive maximum,
+    i.e. the sum of the next state's top-k values."""
     env0, _, _ = env_factory(0)
     catalog, k = env0.catalog, env0.config.k
     return _train_replay(
@@ -487,8 +476,8 @@ def train_additive_q(env_factory: EnvFactory, config: CDQNConfig,
         target=lambda qnet, batch: additive_target(
             batch.reward, batch.next_hist, batch.next_pool, batch.next_mask, qnet, catalog,
             config.gamma, k, batch.terminal),
-        loss=lambda qnet, batch, targets: _additive_value_and_grad(
-            qnet, batch.hist, catalog.feature_matrix(batch.slate), targets),
+        loss=lambda qnet, batch, targets: nets.td_value_and_grad(
+            qnet, 1, batch.hist, catalog.feature_matrix(batch.slate), targets),
         on_iteration=on_iteration)
 
 
@@ -519,7 +508,7 @@ def save_policy(path, qnet: CascadeQNet, extra_meta: dict[str, str] | None = Non
         "m": str(qnet.pw.m),
         "n": str(qnet.pw.n),
         "hidden": str(qnet.heads[0].v.shape[0]),
-        "activation": qnet.pw.activation.value,
+        "activation": nets.ACTIVATION,
     }
     if extra_meta:
         meta.update(extra_meta)
@@ -528,8 +517,7 @@ def save_policy(path, qnet: CascadeQNet, extra_meta: dict[str, str] | None = Non
 
 def load_policy(path) -> CascadeQNet:
     with nets.read_checkpoint(path, "cascade_policy") as (tensors, meta):
-        activation = Activation(meta["activation"])
-        pw = nets.PositionWeightParams(W=tensors["W"], B=tensors["B"], activation=activation)
+        pw = nets.PositionWeightParams(W=tensors["W"], B=tensors["B"])
         heads = [{attr: tensors[name] for attr, name in nets.cascade_head_names(j).items()}
                  for j in range(1, int(meta["k"]) + 1)]
-        return CascadeQNet(pw=pw, heads=[nets.ScorerParams(**head, activation=activation) for head in heads])
+        return CascadeQNet(pw=pw, heads=[nets.ScorerParams(**head) for head in heads])

@@ -329,7 +329,10 @@ def cmd_diagnose_q(args: argparse.Namespace) -> int:
     metrics.check_fits(policy_path, d=(qnet.pw.d, env.catalog.d), m=(qnet.pw.m, user.m))
     out_dir = _out_dir(opt)
     hists, pools = collect_states(env, user, qnet, opt.get("states", 500), spec.seed)
-    rows = agent.constraint_diagnostic(qnet, hists, pools, env.catalog)
+    try:
+        rows = agent.constraint_diagnostic(qnet, hists, pools, env.catalog)
+    except agent.NonFiniteQError as exc:
+        raise ValueError(f"{policy_path}: policy cannot be diagnosed: {exc}") from exc
     lines = ["state_idx,j,qj,qk"]
     lines += [f"{idx},{j},{format(qj, '.9g')},{format(qk, '.9g')}" for idx, j, qj, qk in rows]
     path = os.path.join(out_dir, "q_constraints.csv")

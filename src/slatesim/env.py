@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
@@ -88,18 +87,11 @@ class EnvError(RuntimeError):
     pass
 
 
-class CandidatePolicy(Enum):
-    RANDOM_SUBSET = "random-subset"
-    FULL_CATALOG = "full-catalog"
-
-
 @dataclass(frozen=True)
 class EnvConfig:
     k: int = 3
     pool_size: int = 20
     horizon: int = 10
-    candidate_policy: CandidatePolicy = CandidatePolicy.RANDOM_SUBSET
-    exclude_clicked: bool = True
     nonclick_reward: float = 0.0
 
     def __post_init__(self):
@@ -117,13 +109,6 @@ class SlateEnv:
     def __post_init__(self):
         if self.config.pool_size > len(self.catalog.item_ids):
             raise ValueError("pool_size exceeds catalog size")
-
-    @property
-    def pool_width(self) -> int:
-        """The most candidates one pool can hold."""
-        if self.config.candidate_policy is CandidatePolicy.FULL_CATALOG:
-            return len(self.catalog.item_ids)
-        return self.config.pool_size
 
 
 # A policy maps B sessions to B slates in one call: the click histories
@@ -155,13 +140,12 @@ def make_ground_truth_user(
 
 def draw_candidates(env: SlateEnv, clicked_ids: frozenset[int], t: int, keys: EpisodeKeys,
                     row: int) -> tuple[int, ...]:
-    """Row `row`'s candidate pool for step t, drawn from its (seed, pool stream, t) generator."""
+    """Row `row`'s candidate pool for step t: up to pool_size of the items not yet clicked,
+    drawn from its (seed, pool stream, t) generator, in ascending id order."""
     cfg = env.config
-    avail = env.catalog.item_ids_except(clicked_ids if cfg.exclude_clicked else ())
+    avail = env.catalog.item_ids_except(clicked_ids)
     if len(avail) < cfg.k:
         raise EnvError(f"pool exhausted: {len(avail)} items remain, slate needs {cfg.k}")
-    if cfg.candidate_policy is CandidatePolicy.FULL_CATALOG:
-        return tuple(avail.tolist())
     size = min(cfg.pool_size, len(avail))
     rng = keys.rng(row, _POOL_STREAM, t)
     picked = rng.choice(len(avail), size=size, replace=False)
@@ -191,7 +175,7 @@ def slate_scores(user: UserModel, hists: np.ndarray, slate_feats: np.ndarray) ->
     z = feats @ head.V[:, dn:].T
     z += state[:, None, :] @ head.V[:, :dn].T
     z += head.b
-    return nets.act(z, head.activation) @ head.v
+    return nets.act(z) @ head.v
 
 
 def step(env: SlateEnv, user: UserModel, t: int, keys: EpisodeKeys, hists: np.ndarray,

@@ -15,10 +15,8 @@ TD error) are computed analytically, including backprop through the embedding.
 
 from __future__ import annotations
 
-import copy
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -26,20 +24,12 @@ import numpy as np
 from .choice import Regularizer, logsumexp, softmax
 
 
-class Activation(Enum):
-    RELU = "relu"
-    ELU = "elu"
-
-
-def act(z: np.ndarray, kind: Activation) -> np.ndarray:
-    if kind is Activation.RELU:
-        return np.maximum(z, 0.0)
+def act(z: np.ndarray) -> np.ndarray:
+    """ELU, every network's activation."""
     return np.where(z > 0, z, np.expm1(np.minimum(z, 0.0)))
 
 
-def act_grad(z: np.ndarray, kind: Activation) -> np.ndarray:
-    if kind is Activation.RELU:
-        return (z > 0).astype(float)
+def act_grad(z: np.ndarray) -> np.ndarray:
     return np.where(z > 0, 1.0, np.exp(np.minimum(z, 0.0)))
 
 
@@ -49,7 +39,6 @@ class PositionWeightParams:
 
     W: np.ndarray  # (m, n)
     B: np.ndarray  # (d, n)
-    activation: Activation = Activation.ELU
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=float)
@@ -85,7 +74,6 @@ class ScorerParams:
     V: np.ndarray  # (hidden, dn + d)
     b: np.ndarray  # (hidden,)
     v: np.ndarray  # (hidden,)
-    activation: Activation = Activation.ELU
 
     def __post_init__(self):
         self.V = np.asarray(self.V, dtype=float)
@@ -143,14 +131,14 @@ def embed_history(F: np.ndarray, pw: PositionWeightParams) -> np.ndarray:
     F = np.asarray(F, dtype=float)
     if F.shape[-2:] != (pw.d, pw.m):
         raise ValueError(f"history shape {F.shape} does not match ({pw.d}, {pw.m})")
-    S = act(F @ pw.W + pw.B, pw.activation)
+    S = act(F @ pw.W + pw.B)
     return S.swapaxes(-1, -2).reshape(F.shape[:-2] + (-1,))
 
 
 def _embed_batch(F: np.ndarray, pw: PositionWeightParams):
     # F: (batch, d, m) -> state (batch, dn), plus pre-activation cache
     Ze = np.einsum("bdm,mn->bdn", F, pw.W) + pw.B[None, :, :]
-    Se = act(Ze, pw.activation)
+    Se = act(Ze)
     s = Se.transpose(0, 2, 1).reshape(F.shape[0], -1)
     return s, Ze
 
@@ -173,7 +161,7 @@ def head_scores(head: ScorerParams, state: np.ndarray, feats: np.ndarray) -> np.
     else:
         z += (state @ head.V[:, :dn].T)[..., None, :]
     z += head.b
-    return act(z, head.activation) @ head.v
+    return act(z) @ head.v
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +187,7 @@ def scorer_batch(net: ScorerNet, F: np.ndarray, feats: np.ndarray) -> _ScorerCac
     dn = net.pw.out_dim
     Vs, Vf = net.head.V[:, :dn], net.head.V[:, dn:]
     z = (s @ Vs.T)[:, None, :] + np.einsum("bsd,ld->bsl", feats, Vf) + net.head.b[None, None, :]
-    h = act(z, net.head.activation)
+    h = act(z)
     return _ScorerCache(F=F, feats=feats, Ze=Ze, s=s, z=z, h=h, scores=h @ net.head.v)
 
 
@@ -208,7 +196,7 @@ def scorer_batch_grad(net: ScorerNet, cache: _ScorerCache, slot_w: np.ndarray) -
     dn = net.pw.out_dim
     Vs = net.head.V[:, :dn]
     dv = np.einsum("bs,bsl->l", slot_w, cache.h)
-    dz = slot_w[:, :, None] * act_grad(cache.z, net.head.activation) * net.head.v[None, None, :]
+    dz = slot_w[:, :, None] * act_grad(cache.z) * net.head.v[None, None, :]
     db = dz.sum(axis=(0, 1))
     dVf = np.einsum("bsl,bsd->ld", dz, cache.feats)
     dzb = dz.sum(axis=1)                      # (batch, hidden)
@@ -216,7 +204,7 @@ def scorer_batch_grad(net: ScorerNet, cache: _ScorerCache, slot_w: np.ndarray) -
     ds = dzb @ Vs                             # (batch, dn)
     batch, d, n = cache.Ze.shape
     dSe = ds.reshape(batch, n, d).transpose(0, 2, 1)
-    dZe = dSe * act_grad(cache.Ze, net.pw.activation)
+    dZe = dSe * act_grad(cache.Ze)
     dW = np.einsum("bdm,bdn->mn", cache.F, dZe)
     dB = dZe.sum(axis=0)
     return GradientBundle({"W": dW, "B": dB, "V": np.concatenate([dVs, dVf], axis=1), "b": db, "v": dv})
@@ -276,19 +264,22 @@ def minimax_behavior_value_and_grad(net: ScorerNet, F, feats, rewards: np.ndarra
     return value, scorer_batch_grad(net, cache, w)
 
 
-def td_value_and_grad(qnet: CascadeQNet, j: int, F, slate_feats: np.ndarray, targets: np.ndarray):
-    """Mean squared TD error of position j against fixed targets.
+def td_value_and_grad(qnet: CascadeQNet, j: int, F, slot_feats: np.ndarray, targets: np.ndarray):
+    """Mean squared TD error of Q = the sum over display slots of head j's scores,
+    against fixed targets.
 
-    slate_feats: (batch, j, d) features of the first j slate items, which head j
-    scores as one concatenated item."""
-    if slate_feats.shape[1] != j:
-        raise ValueError(f"expected {j} item vectors per row, got {slate_feats.shape[1]}")
-    batch = slate_feats.shape[0]
+    slot_feats: (batch, slots, j * d), one input of head j per slot. The cascade
+    regresses head j on one slot holding the prefix [f_1; ...; f_j]; the additive
+    baseline regresses head 1 on its k one-item slots."""
+    batch, slots, width = slot_feats.shape
+    if width != j * qnet.pw.d:
+        raise ValueError(f"expected {j} item vectors of {qnet.pw.d} features per slot, "
+                         f"got {width} features")
     view = ScorerNet(pw=qnet.pw, head=qnet.heads[j - 1])
-    cache = scorer_batch(view, np.asarray(F, dtype=float), slate_feats.reshape(batch, 1, -1))
-    resid = cache.scores[:, 0] - np.asarray(targets, dtype=float)
+    cache = scorer_batch(view, np.asarray(F, dtype=float), slot_feats)
+    resid = cache.scores.sum(axis=1) - np.asarray(targets, dtype=float)
     value = float(np.mean(resid * resid))
-    g = scorer_batch_grad(view, cache, (2.0 * resid / batch)[:, None])
+    g = scorer_batch_grad(view, cache, np.repeat((2.0 * resid / batch)[:, None], slots, axis=1))
     names = cascade_head_names(j)
     return value, GradientBundle({names.get(name, name): t for name, t in g.grads.items()})
 
@@ -350,38 +341,30 @@ def sgd_step(params, bundle: GradientBundle, learning_rate: float, ascend: bool 
     return params
 
 
-def clone_params(params):
-    return copy.deepcopy(params)
-
-
 def _uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     fan = shape[0] + (shape[1] if len(shape) > 1 else 1)
     s = np.sqrt(6.0 / fan)
     return rng.uniform(-s, s, size=shape)
 
 
-def init_position_weight(d: int, m: int, n: int, rng: np.random.Generator,
-                         activation: Activation = Activation.ELU) -> PositionWeightParams:
-    return PositionWeightParams(W=_uniform(rng, (m, n)), B=_uniform(rng, (d, n)), activation=activation)
+def init_position_weight(d: int, m: int, n: int, rng: np.random.Generator) -> PositionWeightParams:
+    return PositionWeightParams(W=_uniform(rng, (m, n)), B=_uniform(rng, (d, n)))
 
 
-def init_scorer_head(in_dim: int, hidden: int, rng: np.random.Generator,
-                     activation: Activation = Activation.ELU) -> ScorerParams:
+def init_scorer_head(in_dim: int, hidden: int, rng: np.random.Generator) -> ScorerParams:
     return ScorerParams(V=_uniform(rng, (hidden, in_dim)), b=_uniform(rng, (hidden,)),
-                        v=_uniform(rng, (hidden,)), activation=activation)
+                        v=_uniform(rng, (hidden,)))
 
 
-def init_scorer_net(d: int, m: int, n: int, hidden: int, rng: np.random.Generator,
-                    activation: Activation = Activation.ELU) -> ScorerNet:
-    pw = init_position_weight(d, m, n, rng, activation)
-    head = init_scorer_head(d * n + d, hidden, rng, activation)
+def init_scorer_net(d: int, m: int, n: int, hidden: int, rng: np.random.Generator) -> ScorerNet:
+    pw = init_position_weight(d, m, n, rng)
+    head = init_scorer_head(d * n + d, hidden, rng)
     return ScorerNet(pw=pw, head=head)
 
 
-def init_cascade_net(d: int, m: int, n: int, hidden: int, k: int, rng: np.random.Generator,
-                     activation: Activation = Activation.ELU) -> CascadeQNet:
-    pw = init_position_weight(d, m, n, rng, activation)
-    heads = [init_scorer_head(d * n + d * j, hidden, rng, activation) for j in range(1, k + 1)]
+def init_cascade_net(d: int, m: int, n: int, hidden: int, k: int, rng: np.random.Generator) -> CascadeQNet:
+    pw = init_position_weight(d, m, n, rng)
+    heads = [init_scorer_head(d * n + d * j, hidden, rng) for j in range(1, k + 1)]
     return CascadeQNet(pw=pw, heads=heads)
 
 
@@ -389,6 +372,8 @@ def init_cascade_net(d: int, m: int, n: int, hidden: int, k: int, rng: np.random
 # checkpoint files: versioned text, row-major values, exact round trip
 
 _CKPT_HEADER = "ckpt v1"
+# the activation every checkpoint records, act's ELU; a loader refuses any other
+ACTIVATION = "elu"
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, str] | None = None) -> None:
@@ -439,12 +424,15 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
 
 @contextmanager
 def read_checkpoint(path, kind: str):
-    """Yield the tensors and meta of the `kind` checkpoint at `path`; a missing
-    entry, or a value the `with` block cannot parse, raises ValueError naming the file."""
+    """Yield the tensors and meta of the `kind` checkpoint at `path`; a missing entry,
+    an activation other than ACTIVATION, or a value the `with` block cannot parse
+    raises ValueError naming the file."""
     tensors, meta = load_tensors(path)
     if meta.get("kind") != kind:
         raise ValueError(f"{path}: not a {kind} checkpoint")
     try:
+        if meta["activation"] != ACTIVATION:
+            raise ValueError(f"activation {meta['activation']!r} is not supported, only {ACTIVATION!r}")
         yield tensors, meta
     except KeyError as exc:
         raise ValueError(f"{path}: missing entry {exc}") from None
@@ -504,9 +492,10 @@ def run_gradient_check(seed: int = 0, trials: int = 100, dims_max: int = 6, h: f
             qnet = init_cascade_net(d, m, n, hid, k, rng)
             slate = rng.standard_normal((batch, j, d))
             targets = rng.standard_normal(batch)
-            analytic = td_value_and_grad(qnet, j, F, slate, targets)[1]
+            slot = slate.reshape(batch, 1, -1)
+            analytic = td_value_and_grad(qnet, j, F, slot, targets)[1]
             numeric = finite_difference_grad(
-                lambda: td_value_and_grad(qnet, j, F, slate, targets)[0], qnet, h=h)
+                lambda: td_value_and_grad(qnet, j, F, slot, targets)[0], qnet, h=h)
         else:
             net = init_scorer_net(d, m, n, hid, rng)
             chosen = rng.integers(0, slots, size=batch)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import operator
 import warnings
 from dataclasses import dataclass, replace
@@ -13,7 +14,7 @@ import numpy as np
 from . import nets
 from .choice import ChoiceConfig, PROB_FLOOR, Regularizer, logsumexp, softmax
 from .data import NON_CLICK_ID, ItemCatalog, Trajectory
-from .nets import Activation, GradientBundle, ScorerNet
+from .nets import GradientBundle, ScorerNet
 
 
 class InitScheme(Enum):
@@ -52,7 +53,6 @@ class TrainConfig:
     n: int = 4
     hidden: int = 16
     # optimization details
-    shuffle: bool = True
     patience: int = 10
     exact_inner: bool = False
     init_epochs: int | None = None
@@ -75,9 +75,8 @@ class UserModel:
     config: ChoiceConfig
 
     def __post_init__(self):
-        if self.alpha is not None:
-            if (self.theta.pw.d, self.theta.pw.m) != (self.alpha.pw.d, self.alpha.pw.m):
-                raise ValueError("theta and alpha disagree on feature dim or history length")
+        if (self.theta.pw.d, self.theta.pw.m) != (self.alpha.pw.d, self.alpha.pw.m):
+            raise ValueError("theta and alpha disagree on feature dim or history length")
 
     @property
     def m(self) -> int:
@@ -92,8 +91,8 @@ class UserModel:
 class Example:
     """One page view prepared for training: teacher-forced history and display features.
 
-    `disp` rows are the displayed items' features; when the non-click slot is
-    included it is the all-zero final row. `chosen` indexes into `disp`."""
+    `disp` rows are the displayed items' features, then the all-zero non-click
+    slot as the final row. `chosen` indexes into `disp`."""
 
     hist: np.ndarray
     disp: np.ndarray
@@ -179,7 +178,6 @@ def build_examples(
     catalog: ItemCatalog,
     trajectories: Sequence[Trajectory],
     m: int,
-    include_nonclick: bool = True,
 ) -> ExampleSet:
     """Convert trajectories into examples; histories are taken from the observed clicks.
 
@@ -192,13 +190,8 @@ def build_examples(
     for traj in trajectories:
         window = (NON_CLICK_ID,) * m
         for rec in traj.records:
-            if rec.clicked:
-                chosen.append(rec.displayed.index(rec.chosen))
-            elif include_nonclick:
-                chosen.append(len(rec.displayed))
-            else:
-                raise ValueError("non-click record cannot be represented without the non-click slot")
-            ids = rec.displayed + (NON_CLICK_ID,) if include_nonclick else rec.displayed
+            chosen.append(rec.displayed.index(rec.chosen) if rec.clicked else len(rec.displayed))
+            ids = rec.displayed + (NON_CLICK_ID,)
             windows, shown = groups.setdefault(len(ids), ([], []))
             slots.append(len(ids))
             row.append(len(shown))
@@ -252,7 +245,7 @@ def nll_loss(theta: ScorerNet, examples: ExampleSet | Sequence[Example], eta: fl
 
 def induced_softmax_alpha(theta: ScorerNet, eta: float) -> ScorerNet:
     """Behavior net whose softmax equals the closed-form entropy choice of theta's rewards."""
-    alpha = nets.clone_params(theta)
+    alpha = copy.deepcopy(theta)
     alpha.head.v = alpha.head.v * eta
     return alpha
 
@@ -326,8 +319,8 @@ def heldout_loglik(model: UserModel, examples: ExampleSet | Sequence[Example]) -
     return float(np.mean(logs))
 
 
-def _batches(n: int, batch_size: int, rng: np.random.Generator, shuffle: bool):
-    order = rng.permutation(n) if shuffle else np.arange(n)
+def _batches(n: int, batch_size: int, rng: np.random.Generator):
+    order = rng.permutation(n)
     for start in range(0, n, batch_size):
         yield order[start:start + batch_size]
 
@@ -379,7 +372,7 @@ def train_mle(
     best_snap = _snapshot(theta)
     best_epoch = 0
     for epoch in range(1, config.epochs + 1):
-        for idx in _batches(len(examples), config.batch_size, rng, config.shuffle):
+        for idx in _batches(len(examples), config.batch_size, rng):
             value, g = nll_value_grad(theta, examples.take(idx), config.eta)
             if not np.isfinite(value):
                 raise TrainingDiverged(epoch)
@@ -459,8 +452,7 @@ def train_minimax(
                              init_scheme=InitScheme.FRESH, exact_inner=False,
                              epochs=config.init_epochs if config.init_epochs is not None else config.epochs)
         base = train_mle(catalog, examples, mle_config, valid=valid_examples)
-        theta = nets.clone_params(base.theta)
-        alpha = nets.clone_params(base.alpha)
+        theta, alpha = copy.deepcopy(base.theta), copy.deepcopy(base.alpha)
     else:
         theta = nets.init_scorer_net(catalog.d, config.m, config.n, config.hidden, rng)
         alpha = nets.init_scorer_net(catalog.d, config.m, config.n, config.hidden, rng)
@@ -477,7 +469,7 @@ def train_minimax(
     recent: list[float] = []
     warned = False
     for epoch in range(1, config.epochs + 1):
-        for idx in _batches(len(examples), config.batch_size, rng, config.shuffle):
+        for idx in _batches(len(examples), config.batch_size, rng):
             batch = examples.take(idx)
             if not config.exact_inner:
                 nets.sgd_step(alpha, minimax_alpha_grad(theta, alpha, batch, config),
@@ -530,7 +522,7 @@ def save_user_model(path, model: UserModel, extra_meta: dict[str, str] | None = 
         "kind": "user_model",
         "eta": format(model.config.eta, ".17g"),
         "regularizer": model.config.regularizer.value,
-        "activation": model.theta.pw.activation.value,
+        "activation": nets.ACTIVATION,
         "d": str(model.d),
         "m": str(model.m),
         "n": str(model.theta.pw.n),
@@ -543,13 +535,10 @@ def save_user_model(path, model: UserModel, extra_meta: dict[str, str] | None = 
 
 def load_user_model(path) -> UserModel:
     with nets.read_checkpoint(path, "user_model") as (tensors, meta):
-        activation = Activation(meta["activation"])
-
         def scorer(prefix: str) -> ScorerNet:
-            pw = nets.PositionWeightParams(W=tensors[f"{prefix}_W"], B=tensors[f"{prefix}_B"],
-                                           activation=activation)
+            pw = nets.PositionWeightParams(W=tensors[f"{prefix}_W"], B=tensors[f"{prefix}_B"])
             head = nets.ScorerParams(V=tensors[f"{prefix}_V"], b=tensors[f"{prefix}_b"],
-                                     v=tensors[f"{prefix}_v"], activation=activation)
+                                     v=tensors[f"{prefix}_v"])
             return ScorerNet(pw=pw, head=head)
 
         config = ChoiceConfig(eta=float(meta["eta"]), regularizer=Regularizer(meta["regularizer"]))

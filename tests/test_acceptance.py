@@ -31,7 +31,6 @@ from slatesim.env import (
 from slatesim.cli import collect_states
 from slatesim.metrics import ExperimentSpec, RosterEntry, run_experiment
 from slatesim.nets import (
-    Activation,
     PositionWeightParams,
     ScorerNet,
     ScorerParams,
@@ -175,8 +174,7 @@ def history_gated_user(catalog, m: int, rng: np.random.Generator,
     a gate between two preference directions; an antisymmetric pair of linear
     units carries the history-free component."""
     d = catalog.d
-    pw = PositionWeightParams(W=np.ones((m, 1)), B=np.zeros((d, 1)),
-                              activation=Activation.ELU)
+    pw = PositionWeightParams(W=np.ones((m, 1)), B=np.zeros((d, 1)))
     feats = np.stack([catalog.features(i) for i in catalog.item_ids])
     sampled = []
     for _ in range(500):
@@ -212,7 +210,7 @@ def history_gated_user(catalog, m: int, rng: np.random.Generator,
     V[3, d:] = -c_add * w0
     b[3] = 4.0
     v[3] = -1.0
-    theta = ScorerNet(pw=pw, head=ScorerParams(V=V, b=b, v=v, activation=Activation.ELU))
+    theta = ScorerNet(pw=pw, head=ScorerParams(V=V, b=b, v=v))
     return UserModel(theta=theta, alpha=induced_softmax_alpha(theta, 1.0),
                      config=ChoiceConfig(1.0, Regularizer.SHANNON_ENTROPY))
 

@@ -168,17 +168,16 @@ class TestComputeTarget:
         assert y[0] == pytest.approx(-0.7)
 
     def test_hand_built_deterministic_mdp(self):
-        # linear one-unit heads on an all-positive catalog: Q^j is the plain sum
-        # of state and prefix feature coordinates, so the bootstrap is hand-computable
+        # one-unit heads on an all-positive catalog: every pre-activation is >= 0, where
+        # the ELU is the identity, so Q^j is the plain sum of state and prefix feature
+        # coordinates and the bootstrap is hand-computable
         from slatesim.data import ItemCatalog
-        from slatesim.nets import (Activation, CascadeQNet, PositionWeightParams,
-                                   ScorerParams)
+        from slatesim.nets import CascadeQNet, PositionWeightParams, ScorerParams
         catalog = ItemCatalog([(1, [1.0]), (2, [2.0]), (3, [4.0])])
         d, m, n, k = 1, 2, 1, 2
-        pw = PositionWeightParams(W=np.zeros((m, n)), B=np.zeros((d, n)),
-                                  activation=Activation.RELU)
-        heads = [ScorerParams(V=np.ones((1, d * n + d * j)), b=np.zeros(1), v=np.ones(1),
-                              activation=Activation.RELU) for j in (1, 2)]
+        pw = PositionWeightParams(W=np.zeros((m, n)), B=np.zeros((d, n)))
+        heads = [ScorerParams(V=np.ones((1, d * n + d * j)), b=np.zeros(1), v=np.ones(1))
+                 for j in (1, 2)]
         qnet = CascadeQNet(pw=pw, heads=heads)
         # embedded state is 0 (zero weights); Q^2(s, a1, a2) = f(a1) + f(a2)
         # greedy cascade over pool {1,2,3}: picks 3 then 2, value 6
@@ -216,17 +215,16 @@ class TestCascadeBatch:
             assert np.max(np.abs(values[row] - oracle_values)) <= 1e-12
 
     def test_tied_features_resolve_to_lowest_id(self):
-        # items 2, 3 and 5 share features; linear unit heads on a zero state make
-        # Q^j the exact sum of the prefix features, so the scores tie exactly
+        # items 2, 3 and 5 share features; unit heads on a zero state and non-negative
+        # features keep every pre-activation >= 0, where the ELU is the identity, so
+        # Q^j is the exact sum of the prefix features and the scores tie exactly
         from slatesim.data import ItemCatalog
-        from slatesim.nets import (Activation, CascadeQNet, PositionWeightParams,
-                                   ScorerParams)
+        from slatesim.nets import CascadeQNet, PositionWeightParams, ScorerParams
         catalog = ItemCatalog([(1, [1.0, 0.0]), (2, [2.0, 1.0]), (3, [2.0, 1.0]),
                                (4, [0.0, 1.0]), (5, [2.0, 1.0])])
-        pw = PositionWeightParams(W=np.zeros((2, 1)), B=np.zeros((2, 1)),
-                                  activation=Activation.RELU)
-        heads = [ScorerParams(V=np.ones((1, 2 + 2 * j)), b=np.zeros(1), v=np.ones(1),
-                              activation=Activation.RELU) for j in (1, 2, 3)]
+        pw = PositionWeightParams(W=np.zeros((2, 1)), B=np.zeros((2, 1)))
+        heads = [ScorerParams(V=np.ones((1, 2 + 2 * j)), b=np.zeros(1), v=np.ones(1))
+                 for j in (1, 2, 3)]
         qnet = CascadeQNet(pw=pw, heads=heads)
         pools = [(5, 4, 3, 1, 2), (4, 5, 1, 3), (1, 2, 3)]
         slates, values = cascade_batch(qnet, np.zeros((3, 2)), *pad_pools(pools), catalog)
@@ -401,13 +399,10 @@ class TestTrainCdqn:
 
     def test_epsilon_one_matches_uniform_random(self, monkeypatch):
         # with epsilon = 1 every slate the trainer plays is a uniform random
-        # k-subset of the (fixed) pool
-        from slatesim.env import CandidatePolicy
+        # k-subset of the pool, at step 0 the whole catalog
         catalog = synth_catalog(8, 4, seed=13)
         user = make_ground_truth_user(catalog, (3, 2, 6), seed=14, reward_scale=2.0)
-        env = SlateEnv(catalog, EnvConfig(k=2, pool_size=8, horizon=1,
-                                          candidate_policy=CandidatePolicy.FULL_CATALOG,
-                                          exclude_clicked=False))
+        env = SlateEnv(catalog, EnvConfig(k=2, pool_size=8, horizon=1))
         factory = make_env_factory(env, user, 0)
         seen = []
 

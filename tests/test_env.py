@@ -12,7 +12,6 @@ from slatesim.env import (
     _CLICK_STREAM,
     _POLICY_STREAM,
     _POOL_STREAM,
-    CandidatePolicy,
     EnvConfig,
     EnvError,
     EpisodeKeys,
@@ -61,8 +60,7 @@ class TestGroundTruthUser:
         # 1e5 independent first steps against a fixed slate: empirical chosen
         # distribution matches the closed-form choice probabilities (TV <= 0.01)
         catalog, user, _ = setup
-        env = SlateEnv(catalog, EnvConfig(k=3, pool_size=10, horizon=2,
-                                          candidate_policy=CandidatePolicy.FULL_CATALOG))
+        env = SlateEnv(catalog, EnvConfig(k=3, pool_size=10, horizon=2))
         slate = [1, 2, 3]
         hists, _, _ = reset(env, user, EpisodeKeys([1], 0))
         feats = catalog.feature_matrix(slate)
@@ -137,8 +135,7 @@ class TestReset:
 class TestCandidates:
     def test_full_catalog_returns_everything(self, setup):
         catalog, user, _ = setup
-        env = SlateEnv(catalog, EnvConfig(k=3, pool_size=10, horizon=3,
-                                          candidate_policy=CandidatePolicy.FULL_CATALOG))
+        env = SlateEnv(catalog, EnvConfig(k=3, pool_size=10, horizon=3))
         _, _, pools = reset(env, user, EpisodeKeys([1], 0))
         assert pools[0] == catalog.item_ids
 
@@ -180,14 +177,9 @@ class TestCandidates:
 def list_scan_pool(env, clicked_ids, t, seed):
     """The pool draw as first written: a Python scan of the catalog for unclicked ids."""
     cfg = env.config
-    if cfg.exclude_clicked:
-        avail = [i for i in env.catalog.item_ids if i not in clicked_ids]
-    else:
-        avail = list(env.catalog.item_ids)
+    avail = [i for i in env.catalog.item_ids if i not in clicked_ids]
     if len(avail) < cfg.k:
         raise EnvError(f"pool exhausted: {len(avail)} items remain, slate needs {cfg.k}")
-    if cfg.candidate_policy is CandidatePolicy.FULL_CATALOG:
-        return tuple(avail)
     size = min(cfg.pool_size, len(avail))
     rng = np.random.default_rng((seed, _POOL_STREAM, t))
     picked = rng.choice(len(avail), size=size, replace=False)
@@ -209,10 +201,7 @@ class TestPoolDrawMatchesListScan:
     @pytest.mark.parametrize("config", [
         EnvConfig(k=3, pool_size=5),
         EnvConfig(k=3, pool_size=12),
-        EnvConfig(k=2, pool_size=4, exclude_clicked=False),
-        EnvConfig(k=3, pool_size=5, candidate_policy=CandidatePolicy.FULL_CATALOG),
-        EnvConfig(k=3, pool_size=5, exclude_clicked=False,
-                  candidate_policy=CandidatePolicy.FULL_CATALOG),
+        EnvConfig(k=2, pool_size=4),
     ])
     def test_same_pools(self, gappy_catalog, config):
         env = SlateEnv(gappy_catalog, config)
@@ -254,8 +243,7 @@ class TestStep:
     def test_dominant_item_gets_clicked(self, setup):
         # a score gap of ~100 makes the favorite all but certain
         catalog, user, _ = setup
-        env = SlateEnv(catalog, EnvConfig(k=3, pool_size=10, horizon=2,
-                                          candidate_policy=CandidatePolicy.FULL_CATALOG))
+        env = SlateEnv(catalog, EnvConfig(k=3, pool_size=10, horizon=2))
         user.theta.head.v *= 60.0
         try:
             hists, _, _ = reset(env, user, EpisodeKeys([1], 0))
@@ -349,11 +337,11 @@ class TestRollout:
         assert len(traj) == 0 and avg == 0.0 and clicks == 0
 
     def test_uniform_user_ctr_near_k_over_k_plus_one(self, setup):
-        # all-equal rewards make the choice uniform over k+1 slots
-        catalog, user, _ = setup
+        # all-equal rewards make the choice uniform over k+1 slots; 20 items leave a
+        # full pool of 5 after 10 clicks
+        _, user, _ = setup
         user.theta.head.v = np.zeros_like(user.theta.head.v)
-        env = SlateEnv(catalog, EnvConfig(k=3, pool_size=5, horizon=10,
-                                          exclude_clicked=False))
+        env = SlateEnv(synth_catalog(20, 4, seed=1), EnvConfig(k=3, pool_size=5, horizon=10))
         clicks = steps = 0
         for u in range(300):
             _, _, c = rollout(env, user, random_policy(env), T=10, seed=2 * u + 1)

@@ -6,6 +6,7 @@ the same groups and the same bits, and the split alpha/theta minimax step must
 equal the combined step that computed both halves on every call.
 """
 
+import copy
 import warnings
 
 import numpy as np
@@ -324,7 +325,7 @@ class TestSplitMinimaxStep:
         config = TrainConfig(eta=float(rng.uniform(0.5, 2.0)), regularizer=regularizer,
                              exact_inner=exact_inner, m=M, n=2, hidden=5)
         theta, alpha = nets_pair(seed)
-        old_theta, old_alpha = nets.clone_params(theta), nets.clone_params(alpha)
+        old_theta, old_alpha = copy.deepcopy(theta), copy.deepcopy(alpha)
 
         # the combined step, as train_minimax ran it: the first call's alpha half,
         # then the second call's theta half

@@ -258,7 +258,13 @@ class TestCli:
         assert f"error: {path} does not fit the run: k=5 where the run has k=3" in err
         assert "[evaluate]" not in err
 
-    def test_overflowing_policy_exits_2_naming_the_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, args, says, output", [
+        ("evaluate", ["--roster", "random,cdqn", "--k", "5", "--n-users", "2", "--reps", "1"],
+         "policy 'cdqn' cannot be evaluated", "aggregate.csv"),
+        ("diagnose-q", ["--states", "20"], "policy cannot be diagnosed", "q_constraints.csv"),
+    ], ids=["evaluate", "diagnose-q"])
+    def test_overflowing_policy_exits_2_naming_the_file(self, tmp_path, capsys, command, args, says,
+                                                       output):
         # every position-2 Q value overflows to -inf: no slate can be chosen
         path = str(tmp_path / "policy.ckpt")
         qnet = init_cascade_net(8, 5, 4, 16, 5, np.random.default_rng(0))
@@ -267,11 +273,11 @@ class TestCli:
         qnet.heads[1].v[:] = -1e308
         save_policy(path, qnet)
         with np.errstate(over="ignore"):
-            code = cli_main(["evaluate", "--roster", "random,cdqn", "--policy", path, "--k", "5",
-                             "--n-users", "2", "--reps", "1", "--out", str(tmp_path / "out")])
+            code = cli_main([command, "--policy", path, *args, "--out", str(tmp_path / "out")])
         assert code == 2
-        assert (f"error: {path}: policy 'cdqn' cannot be evaluated: the chosen Q value of "
+        assert (f"error: {path}: {says}: the chosen Q value of "
                 "position 2 is not finite") in capsys.readouterr().err
+        assert not (tmp_path / "out" / output).exists()
 
     def test_end_to_end_pipeline(self, tmp_path, capsys):
         out = str(tmp_path)

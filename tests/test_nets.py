@@ -5,7 +5,6 @@ from slatesim.agent import net_qeval
 from slatesim.choice import Regularizer
 from slatesim.data import synth_catalog
 from slatesim.nets import (
-    Activation,
     GradientBundle,
     PositionWeightParams,
     ScorerNet,
@@ -27,19 +26,16 @@ from slatesim.nets import (
 )
 
 
-def oracle_act(z, kind):
-    # straight-line reference, scalar by scalar
+def oracle_act(z):
+    # straight-line ELU reference, scalar by scalar
     out = np.zeros_like(z, dtype=float)
     for idx in np.ndindex(z.shape):
         x = z[idx]
-        if kind is Activation.RELU:
-            out[idx] = x if x > 0 else 0.0
-        else:
-            out[idx] = x if x > 0 else np.exp(x) - 1.0
+        out[idx] = x if x > 0 else np.exp(x) - 1.0
     return out
 
 
-def oracle_embed(F, W, B, kind):
+def oracle_embed(F, W, B):
     # explicit loops: column c of act(F W + B), concatenated column-major
     d, m = F.shape
     n = W.shape[1]
@@ -47,39 +43,35 @@ def oracle_embed(F, W, B, kind):
     for i in range(d):
         for c in range(n):
             Z[i, c] = sum(F[i, p] * W[p, c] for p in range(m)) + B[i, c]
-    S = oracle_act(Z, kind)
+    S = oracle_act(Z)
     return np.concatenate([S[:, c] for c in range(n)])
 
 
-def oracle_score(V, b, v, kind, state, feats):
+def oracle_score(V, b, v, state, feats):
     x = np.concatenate([state, feats])
     z = np.array([sum(V[r, i] * x[i] for i in range(x.size)) + b[r] for r in range(V.shape[0])])
-    h = oracle_act(z, kind)
+    h = oracle_act(z)
     return float(sum(v[r] * h[r] for r in range(v.size)))
 
 
 class TestEmbedState:
     def test_zero_params_give_zero_vector(self):
-        pw = PositionWeightParams(W=np.zeros((3, 2)), B=np.zeros((4, 2)),
-                                  activation=Activation.RELU)
+        pw = PositionWeightParams(W=np.zeros((3, 2)), B=np.zeros((4, 2)))
         out = embed_history(np.random.default_rng(0).standard_normal((4, 3)), pw)
         assert out.shape == (8,)
         assert np.all(out == 0.0)
 
     def test_zero_history_any_weights(self):
         rng = np.random.default_rng(1)
-        pw = PositionWeightParams(W=rng.standard_normal((3, 2)), B=np.zeros((4, 2)),
-                                  activation=Activation.RELU)
+        pw = PositionWeightParams(W=rng.standard_normal((3, 2)), B=np.zeros((4, 2)))
         assert np.all(embed_history(np.zeros((4, 3)), pw) == 0.0)
 
     def test_matches_dense_algebra_oracle(self):
         rng = np.random.default_rng(2)
-        for kind in Activation:
-            d, m, n = 3, 4, 2
-            pw = PositionWeightParams(W=rng.standard_normal((m, n)),
-                                      B=rng.standard_normal((d, n)), activation=kind)
-            F = rng.standard_normal((d, m))
-            assert np.allclose(embed_history(F, pw), oracle_embed(F, pw.W, pw.B, kind), atol=1e-12)
+        d, m, n = 3, 4, 2
+        pw = PositionWeightParams(W=rng.standard_normal((m, n)), B=rng.standard_normal((d, n)))
+        F = rng.standard_normal((d, m))
+        assert np.allclose(embed_history(F, pw), oracle_embed(F, pw.W, pw.B), atol=1e-12)
 
     def test_output_length(self):
         pw = PositionWeightParams(W=np.ones((3, 5)), B=np.ones((2, 5)))
@@ -97,22 +89,20 @@ class TestScorers:
         assert head_scores(head, np.zeros(3), np.zeros(2))[0] == 0.0
 
     def test_linear_regime_sums_inputs(self):
-        head = ScorerParams(V=np.ones((1, 4)), b=np.zeros(1), v=np.ones(1),
-                            activation=Activation.RELU)
+        # a positive pre-activation, where the ELU is the identity
+        head = ScorerParams(V=np.ones((1, 4)), b=np.zeros(1), v=np.ones(1))
         out = head_scores(head, np.array([1.0, 2.0]), np.array([3.0, 4.0]))[0]
         assert out == pytest.approx(10.0)
 
     def test_matches_forward_oracle(self):
         rng = np.random.default_rng(5)
-        for kind in Activation:
-            dn, d, hid = 6, 3, 4
-            head = ScorerParams(V=rng.standard_normal((hid, dn + d)),
-                                b=rng.standard_normal(hid),
-                                v=rng.standard_normal(hid), activation=kind)
-            state = rng.standard_normal(dn)
-            feats = rng.standard_normal(d)
-            expect = oracle_score(head.V, head.b, head.v, kind, state, feats)
-            assert head_scores(head, state, feats)[0] == pytest.approx(expect, abs=1e-12)
+        dn, d, hid = 6, 3, 4
+        head = ScorerParams(V=rng.standard_normal((hid, dn + d)), b=rng.standard_normal(hid),
+                            v=rng.standard_normal(hid))
+        state = rng.standard_normal(dn)
+        feats = rng.standard_normal(d)
+        expect = oracle_score(head.V, head.b, head.v, state, feats)
+        assert head_scores(head, state, feats)[0] == pytest.approx(expect, abs=1e-12)
 
 
 class TestCascadeHeads:
@@ -137,7 +127,7 @@ class TestCascadeHeads:
         rng = np.random.default_rng(2)
         head = self._heads(rng)[0]
         state, f = rng.standard_normal(6), rng.standard_normal(3)
-        expect = oracle_score(head.V, head.b, head.v, head.activation, state, f)
+        expect = oracle_score(head.V, head.b, head.v, state, f)
         assert head_scores(head, state, f)[0] == pytest.approx(expect, abs=1e-12)
 
     def test_order_sensitivity(self):
@@ -162,7 +152,7 @@ class TestCascadeHeads:
         head = qnet.heads[2]
         for i, a in enumerate(cands):
             feats = np.concatenate([catalog.features(x) for x in prefix + (a,)])
-            expect = oracle_score(head.V, head.b, head.v, head.activation, state, feats)
+            expect = oracle_score(head.V, head.b, head.v, state, feats)
             assert vals[i] == pytest.approx(expect, abs=1e-12)
 
 
@@ -185,12 +175,29 @@ class TestGradients:
         _, g1 = nll_value_and_grad(net, F, feats, np.array([0, 2, 3]), eta=1.0)
         assert set(g1.grads) == {"W", "B", "V", "b", "v"}
         qnet = init_cascade_net(2, 3, 2, 4, 2, rng)
-        _, g2 = td_value_and_grad(qnet, 2, F, rng.standard_normal((3, 2, 2)), np.ones(3))
+        _, g2 = td_value_and_grad(qnet, 2, F, rng.standard_normal((3, 1, 4)), np.ones(3))
         assert set(g2.grads) == {"W", "B", "L2", "c2", "q2"}
 
     def test_finite_difference_all_kinds(self):
         # acceptance runs 100 trials; keep the unit version small but complete
         assert run_gradient_check(seed=123, trials=16, dims_max=5) <= 1e-4
+
+    @pytest.mark.parametrize("slots", [1, 2, 5])
+    def test_td_k_slot_form_matches_finite_differences(self, slots):
+        # the additive learner's TD loss: Q is head 1's scores summed over `slots` one-item slots
+        rng = np.random.default_rng(40 + slots)
+        d, m, n, hid, batch = 3, 4, 2, 5, 4
+        qnet = init_cascade_net(d, m, n, hid, 2, rng)
+        F = rng.standard_normal((batch, d, m))
+        slate = rng.standard_normal((batch, slots, d))
+        targets = rng.standard_normal(batch)
+        value, bundle = td_value_and_grad(qnet, 1, F, slate, targets)
+        q = head_scores(qnet.heads[0], embed_history(F, qnet.pw), slate).sum(axis=1)
+        assert value == pytest.approx(np.mean((q - targets) ** 2), rel=1e-12)
+        assert set(bundle.grads) == {"W", "B", "L1", "c1", "q1"}
+        numeric = finite_difference_grad(lambda: td_value_and_grad(qnet, 1, F, slate, targets)[0], qnet)
+        for name, g in bundle.grads.items():
+            assert np.allclose(g, numeric[name], rtol=0, atol=1e-6), name
 
     def test_nll_stationary_at_generating_parameters(self):
         # data drawn from the model's own softmax: gradient norm at the generator

@@ -17,28 +17,27 @@ import pytest
 from slatesim import agent
 from slatesim.agent import CDQNConfig, RewardMode, make_env_factory, train_additive_q, train_cdqn
 from slatesim.data import synth_catalog
-from slatesim.env import CandidatePolicy, EnvConfig, SlateEnv, make_ground_truth_user
+from slatesim.env import EnvConfig, SlateEnv, make_ground_truth_user
 from slatesim.nets import named_tensors
 
 GOLDEN = Path(__file__).parent / "golden" / "train_digests.json"
 
-# name -> (trainer, reward mode, candidate policy). The full-catalog cases
-# shrink each pool by the items already clicked, so replay holds ragged pools.
+# name -> (trainer, reward mode, pool size). A pool the size of the 14-item
+# catalog holds every item not yet clicked, so replay holds ragged pools.
 CASES = {
-    "cdqn_learned": (train_cdqn, RewardMode.LEARNED_REWARD, CandidatePolicy.RANDOM_SUBSET),
-    "cdqn_pm1": (train_cdqn, RewardMode.PLUS_MINUS_ONE, CandidatePolicy.FULL_CATALOG),
-    "additive_learned": (train_additive_q, RewardMode.LEARNED_REWARD, CandidatePolicy.FULL_CATALOG),
-    "additive_pm1": (train_additive_q, RewardMode.PLUS_MINUS_ONE, CandidatePolicy.RANDOM_SUBSET),
+    "cdqn_learned": (train_cdqn, RewardMode.LEARNED_REWARD, 6),
+    "cdqn_pm1": (train_cdqn, RewardMode.PLUS_MINUS_ONE, 14),
+    "additive_learned": (train_additive_q, RewardMode.LEARNED_REWARD, 14),
+    "additive_pm1": (train_additive_q, RewardMode.PLUS_MINUS_ONE, 6),
 }
 
 
 def train_case(name: str):
     """Train one case: 8 iterations of 6 sessions x 5 steps, into a replay of 100 (it wraps)."""
-    trainer, mode, candidates = CASES[name]
+    trainer, mode, pool_size = CASES[name]
     catalog = synth_catalog(14, 4, seed=5)
     user = make_ground_truth_user(catalog, (3, 2, 6), seed=6, reward_scale=2.0)
-    env = SlateEnv(catalog, EnvConfig(k=3, pool_size=6, horizon=5, candidate_policy=candidates,
-                                      nonclick_reward=-0.1))
+    env = SlateEnv(catalog, EnvConfig(k=3, pool_size=pool_size, horizon=5, nonclick_reward=-0.1))
     config = CDQNConfig(gamma=0.8, epsilon=0.4, epsilon_final=0.05, iterations=8, horizon=5,
                         batch_users=6, minibatch=12, lr=0.01, seed=11, capacity=100,
                         reward_mode=mode, n=2, hidden=6)
