@@ -258,8 +258,7 @@ def compute_target(rewards: Sequence[float], next_hists: np.ndarray, next_pools:
     cascade_batch."""
     y, live, F, ids, mask = _live_rows(rewards, next_hists, next_pools, next_mask, terminal)
     if len(live):
-        S, _ = nets._embed_batch(F, qnet.pw)
-        _, values = cascade_batch(qnet, S, ids, mask, catalog)
+        _, values = cascade_batch(qnet, nets.embed_history(F, qnet.pw), ids, mask, catalog)
         y[live] += gamma * values[:, -1]
     return y
 
@@ -493,7 +492,7 @@ def constraint_diagnostic(qnet: CascadeQNet, hists: Sequence[np.ndarray],
     For mutually consistent networks every pair lies on the diagonal."""
     if len(hists) == 0:
         return []
-    S, _ = nets._embed_batch(np.stack(hists), qnet.pw)
+    S = nets.embed_history(np.stack(hists), qnet.pw)
     _, values = cascade_batch(qnet, S, *pad_pools(pools), catalog)
     return [(idx, j, float(row[j - 1]), float(row[-1]))
             for idx, row in enumerate(values) for j in range(1, qnet.k + 1)]

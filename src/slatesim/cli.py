@@ -13,8 +13,8 @@ import numpy as np
 from . import agent, metrics, nets, training
 from .agent import CDQNConfig, PolicyKind, RewardMode
 from .choice import Regularizer
-from .data import load_trajectories, read_meta, save_trajectories, split_users, synth_catalog
-from .env import EnvConfig, EpisodeKeys, SlateEnv, make_ground_truth_user, reset, rollout_batch, step
+from .data import load_trajectories, read_meta, save_trajectories, split_users
+from .env import EnvConfig, EpisodeKeys, SlateEnv, reset, rollout_batch, step
 from .metrics import ExperimentSpec, RosterEntry, load_experiment, run_experiment
 from .training import InitScheme, TrainConfig, UserModel, save_user_model
 
@@ -186,9 +186,10 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     n = opt.get("n", 4)
     hidden = opt.get("hidden", 16)
     reward_scale = opt.get("reward-scale", 1.0)
-    catalog = synth_catalog(K, d, seed)
-    user = make_ground_truth_user(catalog, (m, n, hidden), seed + 1, reward_scale)
-    env = SlateEnv(catalog, EnvConfig(k=k, pool_size=pool_size, horizon=horizon))
+    spec = ExperimentSpec(catalog_size=K, dim=d, catalog_seed=seed, gt_m=m, gt_n=n, gt_hidden=hidden,
+                          gt_seed=seed + 1, gt_reward_scale=reward_scale,
+                          env=EnvConfig(k=k, pool_size=pool_size, horizon=horizon))
+    env, user, catalog = metrics.build_experiment_env(spec)
     policy = agent.make_policy(agent.PolicyHandle(PolicyKind.RANDOM), catalog, k)
     results = rollout_batch(env, user, policy, [2 * (seed + u) for u in range(users)],
                             T=horizon, user_ids=range(users))

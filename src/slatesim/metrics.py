@@ -93,7 +93,13 @@ def build_experiment_env(spec: ExperimentSpec, catalog: ItemCatalog | None = Non
     else:
         user = make_ground_truth_user(catalog, (spec.gt_m, spec.gt_n, spec.gt_hidden),
                                       spec.gt_seed, spec.gt_reward_scale)
-    return SlateEnv(catalog=catalog, config=spec.env), user, catalog
+    size, env = len(catalog.item_ids), spec.env
+    # refused before any run starts: every step also draws the next step's pool, so k
+    # items must outlast `horizon` clicks (draw_candidates raises EnvError mid-run)
+    if size - env.horizon < env.k:
+        raise ValueError(f"a catalog of {size} items minus a horizon of {env.horizon} clicks "
+                         f"leaves fewer than k={env.k} items for a slate")
+    return SlateEnv(catalog=catalog, config=env), user, catalog
 
 
 def load_experiment(spec: ExperimentSpec):

@@ -25,12 +25,15 @@ from .choice import Regularizer, logsumexp, softmax
 
 
 def act(z: np.ndarray) -> np.ndarray:
-    """ELU, every network's activation."""
-    return np.where(z > 0, z, np.expm1(np.minimum(z, 0.0)))
+    """ELU, every network's activation: max(z, expm1(min(z, 0))) in one fresh buffer. It and
+    act_grad's exp(min(z, 0)) are bit for bit the np.where(z > 0, ...) forms, and faster."""
+    out = np.minimum(z, 0.0)
+    return np.maximum(z, np.expm1(out, out=out), out=out)
 
 
 def act_grad(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0, 1.0, np.exp(np.minimum(z, 0.0)))
+    out = np.minimum(z, 0.0)
+    return np.exp(out, out=out)
 
 
 @dataclass
@@ -61,10 +64,6 @@ class PositionWeightParams:
     @property
     def d(self) -> int:
         return self.B.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.d * self.n
 
 
 @dataclass
@@ -122,31 +121,27 @@ def cascade_head_names(j: int) -> dict[str, str]:
 # forward passes
 
 
-def embed_history(F: np.ndarray, pw: PositionWeightParams) -> np.ndarray:
+def embed_history(F: np.ndarray, pw: PositionWeightParams, pre: bool = False):
     """Embed one d x m history matrix into a length d*n state vector.
 
     Columns of act(F @ W + B) are concatenated (column-major vec). Batched:
     (B, d, m) histories give (B, dn) states, each row bit-identical to its
-    single-history embedding (the matmul runs per history)."""
+    single-history embedding (the matmul runs per history). With `pre`, returns
+    the state and the pre-activation F @ W + B, which the backward pass reuses."""
     F = np.asarray(F, dtype=float)
     if F.shape[-2:] != (pw.d, pw.m):
         raise ValueError(f"history shape {F.shape} does not match ({pw.d}, {pw.m})")
-    S = act(F @ pw.W + pw.B)
-    return S.swapaxes(-1, -2).reshape(F.shape[:-2] + (-1,))
+    Ze = F @ pw.W + pw.B
+    s = act(Ze).swapaxes(-1, -2).reshape(F.shape[:-2] + (-1,))
+    return (s, Ze) if pre else s
 
 
-def _embed_batch(F: np.ndarray, pw: PositionWeightParams):
-    # F: (batch, d, m) -> state (batch, dn), plus pre-activation cache
-    Ze = np.einsum("bdm,mn->bdn", F, pw.W) + pw.B[None, :, :]
-    Se = act(Ze)
-    s = Se.transpose(0, 2, 1).reshape(F.shape[0], -1)
-    return s, Ze
-
-
-def head_scores(head: ScorerParams, state: np.ndarray, feats: np.ndarray) -> np.ndarray:
+def head_scores(head: ScorerParams, state: np.ndarray, feats: np.ndarray, pre: bool = False):
     """Scores of each row of `feats` (slots, d) against one state vector (dn,).
 
-    Batched: state (batch, dn) and feats (batch, slots, d) give (batch, slots)."""
+    Batched: state (batch, dn) and feats (batch, slots, d) give (batch, slots).
+    With `pre`, returns the pre-activation z, act(z) and the scores, which the
+    backward pass reuses."""
     state = np.asarray(state, dtype=float)
     feats = np.atleast_2d(np.asarray(feats, dtype=float))
     d = feats.shape[-1]
@@ -161,7 +156,8 @@ def head_scores(head: ScorerParams, state: np.ndarray, feats: np.ndarray) -> np.
     else:
         z += (state @ head.V[:, :dn].T)[..., None, :]
     z += head.b
-    return act(z) @ head.v
+    h = act(z)
+    return (z, h, h @ head.v) if pre else h @ head.v
 
 
 # ---------------------------------------------------------------------------
@@ -182,30 +178,28 @@ class _ScorerCache:
 def scorer_batch(net: ScorerNet, F: np.ndarray, feats: np.ndarray) -> _ScorerCache:
     """Forward a batch of histories against per-record display features.
 
-    F: (batch, d, m); feats: (batch, slots, d)."""
-    s, Ze = _embed_batch(F, net.pw)
-    dn = net.pw.out_dim
-    Vs, Vf = net.head.V[:, :dn], net.head.V[:, dn:]
-    z = (s @ Vs.T)[:, None, :] + np.einsum("bsd,ld->bsl", feats, Vf) + net.head.b[None, None, :]
-    h = act(z)
-    return _ScorerCache(F=F, feats=feats, Ze=Ze, s=s, z=z, h=h, scores=h @ net.head.v)
+    F: (batch, d, m); feats: (batch, slots, d). The state is embed_history's
+    and the scores head_scores', bit for bit."""
+    s, Ze = embed_history(F, net.pw, pre=True)
+    z, h, scores = head_scores(net.head, s, feats, pre=True)
+    return _ScorerCache(F=F, feats=feats, Ze=Ze, s=s, z=z, h=h, scores=scores)
 
 
 def scorer_batch_grad(net: ScorerNet, cache: _ScorerCache, slot_w: np.ndarray) -> "GradientBundle":
     """Gradient of sum_{b,s} slot_w[b,s] * score[b,s] w.r.t. all net parameters."""
-    dn = net.pw.out_dim
-    Vs = net.head.V[:, :dn]
-    dv = np.einsum("bs,bsl->l", slot_w, cache.h)
-    dz = slot_w[:, :, None] * act_grad(cache.z) * net.head.v[None, None, :]
+    batch, d, n = cache.Ze.shape
+    rows = slot_w.size                        # contractions over (batch, slot) pairs are matmuls
+    dv = slot_w.reshape(-1) @ cache.h.reshape(rows, -1)
+    dz = act_grad(cache.z)
+    dz *= slot_w[:, :, None]
+    dz *= net.head.v
     db = dz.sum(axis=(0, 1))
-    dVf = np.einsum("bsl,bsd->ld", dz, cache.feats)
+    dVf = dz.reshape(rows, -1).T @ cache.feats.reshape(rows, -1)
     dzb = dz.sum(axis=1)                      # (batch, hidden)
     dVs = dzb.T @ cache.s                     # (hidden, dn)
-    ds = dzb @ Vs                             # (batch, dn)
-    batch, d, n = cache.Ze.shape
-    dSe = ds.reshape(batch, n, d).transpose(0, 2, 1)
-    dZe = dSe * act_grad(cache.Ze)
-    dW = np.einsum("bdm,bdn->mn", cache.F, dZe)
+    ds = dzb @ net.head.V[:, :d * n]          # (batch, dn)
+    dZe = ds.reshape(batch, n, d).transpose(0, 2, 1) * act_grad(cache.Ze)
+    dW = cache.F.reshape(-1, net.pw.m).T @ dZe.reshape(-1, n)
     dB = dZe.sum(axis=0)
     return GradientBundle({"W": dW, "B": dB, "V": np.concatenate([dVs, dVf], axis=1), "b": db, "v": dv})
 

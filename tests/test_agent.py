@@ -249,7 +249,7 @@ class TestCascadeBatch:
         catalog, qnet, _, _ = self._random_case(n_states=1)
         ids, mask = pad_pools([(1, 2, 3, 4), pool])
         with pytest.raises(ValueError, match="pool smaller than k: 2 < 3"):
-            cascade_batch(qnet, np.zeros((2, qnet.pw.out_dim)), ids, mask, catalog)
+            cascade_batch(qnet, np.zeros((2, qnet.pw.d * qnet.pw.n)), ids, mask, catalog)
 
     def test_pad_pools(self):
         ids, mask = pad_pools([(4, 2, 4), (3, 1, 2, 5)])

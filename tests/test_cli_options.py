@@ -172,13 +172,13 @@ class TestResolvedConfigs:
         assert (tmp_path / "o").is_dir()
 
     def test_train_policy_config_file_with_user_model(self, world, calls, tmp_path):
-        cfg = {"user-model": world["user"], "catalog-size": 10, "dim": 3, "catalog-seed": 4,
+        cfg = {"user-model": world["user"], "catalog-size": 12, "dim": 3, "catalog-seed": 4,
                "gt-m": 2, "k": 2, "pool-size": 4}
         factory, config = run(["train-policy"], calls, "train_cdqn", cfg, tmp_path)
         env, user, _ = factory(0)
         assert config == cdqn_config()
         assert env.config == env_config(k=2, pool_size=4)
-        assert_world(env, user, synth_catalog(10, 3, 4), load_user_model(world["user"]), tmp_path)
+        assert_world(env, user, synth_catalog(12, 3, 4), load_user_model(world["user"]), tmp_path)
 
     def test_evaluate_minimal(self, calls):
         (spec,) = run(["evaluate"], calls, "run_experiment")
@@ -231,13 +231,13 @@ class TestResolvedConfigs:
     def test_diagnose_q_config_file_ground_truth(self, world, calls, tmp_path):
         policy = tmp_path / "fits.ckpt"  # k=2, on this world's d=2 and gt-m=2
         save_policy(policy, init_cascade_net(2, 2, 2, 4, 2, np.random.default_rng(0)))
-        cfg = {"policy": policy, "catalog-size": 9, "dim": 2, "catalog-seed": 3,
+        cfg = {"policy": policy, "catalog-size": 12, "dim": 2, "catalog-seed": 3,
                "gt-seed": 8, "gt-m": 2, "gt-n": 2, "gt-hidden": 3, "gt-reward-scale": 4,
                "pool-size": 5}
         env, user, _, n_states, seed = run(["diagnose-q"], calls, "collect_states", cfg, tmp_path)
         assert env.config == env_config(k=2, pool_size=5)
         assert (n_states, seed) == (500, 0)
-        catalog = synth_catalog(9, 2, 3)
+        catalog = synth_catalog(12, 2, 3)
         assert_world(env, user, catalog, make_ground_truth_user(catalog, (2, 2, 3), 8, 4.0), tmp_path)
 
 

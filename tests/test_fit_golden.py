@@ -1,8 +1,10 @@
 """Fitted user-model tensors are byte-stable: three fixed-seed fits against recorded digests.
 
-The digests in golden/fit_digests.json were recorded when each minibatch was
-still stacked from per-example arrays; the dense example set must reproduce
-them bit for bit. Print the current digests with
+The digests in golden/fit_digests.json were first recorded when each
+minibatch was still stacked from per-example arrays, and the dense example
+set reproduced them bit for bit. They were re-recorded once, when the
+scorer's contractions moved from np.einsum to matmuls, which moves fitted
+tensors in the last bits. Print the current digests with
 `PYTHONPATH=src python tests/test_fit_golden.py`.
 """
 

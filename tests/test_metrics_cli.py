@@ -172,7 +172,7 @@ class TestCli:
                          "--pool-size", "3", "--catalog-size", "5", "--dim", "2", "--m", "2",
                          "--n", "2", "--hidden", "3", "--seed", "1", "--out", str(tmp_path)]) == 0
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"k=2\npool-size=3\niterations=1\nepochs=1\n{key} = {value}\n")
+        cfg.write_text(f"k=2\npool-size=3\nhorizon=3\niterations=1\nepochs=1\n{key} = {value}\n")
         out = tmp_path / "out"
         capsys.readouterr()
         code = cli_main([command, "--config", str(cfg), "--data", str(tmp_path / "data.txt"),
@@ -257,6 +257,25 @@ class TestCli:
         assert code == 2
         assert f"error: {path} does not fit the run: k=5 where the run has k=3" in err
         assert "[evaluate]" not in err
+
+    @pytest.mark.parametrize("command, args", [
+        ("evaluate", ["--k", "3", "--n-users", "5", "--reps", "2", "--gt-reward-scale", "3"]),
+        ("gen-data", ["--k", "3", "--users", "5"]),
+        ("train-policy", ["--k", "3", "--iterations", "2"]),
+        ("diagnose-q", ["--policy", "POLICY"]),  # k=3 from the policy
+    ])
+    def test_exhaustible_catalog_exits_2_before_the_header(self, tmp_path, capsys, command, args):
+        # ten clicks can leave fewer than k=3 of 8 items for the next pool; this once
+        # failed mid-run with exit 1 and "EnvError: pool exhausted"
+        policy = str(tmp_path / "policy.ckpt")
+        save_policy(policy, init_cascade_net(8, 5, 4, 16, 3, np.random.default_rng(0)))
+        code = cli_main([command, "--catalog-size", "8", "--pool-size", "5", "--horizon", "10",
+                         *[policy if a == "POLICY" else a for a in args],
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("error: a catalog of 8 items minus a horizon of 10 clicks leaves "
+                       "fewer than k=3 items for a slate\n")
 
     @pytest.mark.parametrize("command, args, says, output", [
         ("evaluate", ["--roster", "random,cdqn", "--k", "5", "--n-users", "2", "--reps", "1"],

@@ -9,6 +9,8 @@ from slatesim.nets import (
     PositionWeightParams,
     ScorerNet,
     ScorerParams,
+    act,
+    act_grad,
     embed_history,
     finite_difference_grad,
     head_scores,
@@ -21,6 +23,7 @@ from slatesim.nets import (
     nll_value_and_grad,
     run_gradient_check,
     save_tensors,
+    scorer_batch,
     sgd_step,
     td_value_and_grad,
 )
@@ -103,6 +106,64 @@ class TestScorers:
         feats = rng.standard_normal(d)
         expect = oracle_score(head.V, head.b, head.v, state, feats)
         assert head_scores(head, state, feats)[0] == pytest.approx(expect, abs=1e-12)
+
+
+def where_act(z):
+    # the np.where forms act and act_grad replaced, which they match bit for bit
+    return np.where(z > 0, z, np.expm1(np.minimum(z, 0.0)))
+
+
+def where_act_grad(z):
+    return np.where(z > 0, 1.0, np.exp(np.minimum(z, 0.0)))
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+class TestActivation:
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+               -1e-17, -1e-8, -37.0, -745.0, -746.0, -1e300, 1e300]
+
+    @pytest.mark.parametrize("shape", [(20, 16), (80, 50, 16)])
+    @pytest.mark.parametrize("fn, reference", [(act, where_act), (act_grad, where_act_grad)])
+    def test_bits_match_where_form(self, shape, fn, reference):
+        rng = np.random.default_rng(len(shape))
+        z = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 4, size=shape)
+        z.reshape(-1)[rng.choice(z.size, len(self.SPECIAL), replace=False)] = self.SPECIAL
+        got = fn(z)
+        assert got.shape == shape
+        assert np.array_equal(bits(got), bits(reference(z)))
+
+    def test_sign_of_zero(self):
+        # np.minimum(-0.0, 0.0) may give either zero; act must give the np.where form's
+        for z in (np.array([0.0, -0.0]), np.array([-0.0]), np.full(1000, -0.0)):
+            assert np.signbit(act(z)).tolist() == np.signbit(where_act(z)).tolist()
+            assert act_grad(z).tolist() == [1.0] * len(z)
+
+    @pytest.mark.parametrize("fn", [act, act_grad])
+    def test_input_unchanged(self, fn):
+        z = np.random.default_rng(0).standard_normal((80, 50, 16))
+        before = z.copy()
+        out = fn(z)
+        assert not np.shares_memory(out, z)
+        assert np.array_equal(bits(z), bits(before))
+
+
+class TestOnePass:
+    def test_scorer_batch_is_embed_history_then_head_scores(self):
+        # training's forward and inference's are the same code: bit for bit on random shapes
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            d, m, n, hidden = (int(x) for x in rng.integers(1, 9, size=4))
+            batch, slots = int(rng.integers(1, 71)), int(rng.integers(1, 8))
+            net = init_scorer_net(d, m, n, hidden, rng)
+            F = rng.standard_normal((batch, d, m))
+            feats = rng.standard_normal((batch, slots, d))
+            cache = scorer_batch(net, F, feats)
+            state = embed_history(F, net.pw)
+            assert np.array_equal(bits(cache.s), bits(state))
+            assert np.array_equal(bits(cache.scores), bits(head_scores(net.head, state, feats)))
 
 
 class TestCascadeHeads:

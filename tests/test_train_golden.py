@@ -1,11 +1,15 @@
 """Trained Q-networks are byte-stable: both replay trainers in both reward modes against recorded digests.
 
-The digests in golden/train_digests.json were recorded when the replay loop
-still stepped its sessions one at a time; stepping them in lockstep must
-reproduce them bit for bit. Each case records the sha256 of the trained
-tensors and of the (slate, chosen) sequence the trainer played, in the order
-the sessions played it (step by step, sessions in order). Print the current
-digests with `PYTHONPATH=src python tests/test_train_golden.py`.
+Each case records the sha256 of the trained tensors and of the (slate, chosen)
+sequence the trainer played, in the order the sessions played it (step by
+step, sessions in order). The played digests in golden/train_digests.json
+were recorded when the replay loop still stepped its sessions one at a time;
+stepping them in lockstep reproduces them bit for bit. The tensor digests
+were re-recorded once, when the scorer's contractions moved from np.einsum to
+matmuls and the TD target's embedding to embed_history: that moved trained
+tensors in the last bits (at most 4.9e-16 of a tensor's largest entry) and
+left every played sequence unchanged. Print the current digests with
+`PYTHONPATH=src python tests/test_train_golden.py`.
 """
 
 import hashlib
