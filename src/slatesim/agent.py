@@ -310,11 +310,11 @@ def additive_q_policy(qnet: CascadeQNet, hists: np.ndarray, pools: Sequence[Sequ
 
 
 def random_slate(pool: Sequence[int], k: int, rng: np.random.Generator) -> list[int]:
-    ids = sorted(int(i) for i in set(pool))
-    if len(ids) < k:
-        raise ValueError(f"pool smaller than k: {len(ids)} < {k}")
-    picked = rng.choice(len(ids), size=k, replace=False)
-    return [ids[i] for i in picked]
+    """k distinct items of a pool of ascending unique ids (the Policy contract's form)."""
+    if len(pool) < k:
+        raise ValueError(f"pool smaller than k: {len(pool)} < {k}")
+    picked = rng.choice(len(pool), size=k, replace=False)
+    return [pool[i] for i in picked]
 
 
 def make_policy(handle: PolicyHandle, catalog: ItemCatalog, k: int) -> Policy:

@@ -329,8 +329,8 @@ def cmd_diagnose_q(args: argparse.Namespace) -> int:
     spec, env, user = _world(opt, k=qnet.k)
     metrics.check_fits(policy_path, d=(qnet.pw.d, env.catalog.d), m=(qnet.pw.m, user.m))
     out_dir = _out_dir(opt)
-    hists, pools = collect_states(env, user, qnet, opt.get("states", 500), spec.seed)
     try:
+        hists, pools = collect_states(env, user, qnet, opt.get("states", 500), spec.seed)
         rows = agent.constraint_diagnostic(qnet, hists, pools, env.catalog)
     except agent.NonFiniteQError as exc:
         raise ValueError(f"{policy_path}: policy cannot be diagnosed: {exc}") from exc
@@ -353,8 +353,8 @@ def collect_states(env: SlateEnv, user, qnet, n_states: int, seed: int):
 
     Episode e runs on seed 2 * (seed + e) + 1, and its states are taken in
     step order, episode after episode, until n_states are in hand. The
-    episodes run in lockstep: each row acts through cascade_slate, then one
-    env.step advances them all."""
+    episodes run in lockstep: one cascade_batch picks every row's slate, then
+    one env.step advances them all."""
     horizon = env.config.horizon
     if n_states <= 0:
         return [], []
@@ -368,7 +368,8 @@ def collect_states(env: SlateEnv, user, qnet, n_states: int, seed: int):
     for t in range(steps):
         visited.append((hists.copy(), list(pools)))
         if t < steps - 1:
-            slates = [agent.cascade_slate(qnet, h, pool, env.catalog) for h, pool in zip(hists, pools)]
+            slates = agent.cascade_batch(qnet, nets.embed_history(hists, qnet.pw),
+                                         *agent.pad_pools(pools), env.catalog)[0]
             step(env, user, t, keys, hists, clicked, pools, slates)
     states = [(h[e], p[e]) for e in range(len(seeds)) for h, p in visited][:n_states]
     return [h for h, _ in states], [p for _, p in states]

@@ -160,12 +160,9 @@ def run_experiment(spec: ExperimentSpec, loaded=None) -> list[MetricReport]:
         with open(os.path.join(spec.out_dir, f"{name}_metrics.csv"), "w",
                   encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
-        per_rep_reward = np.array([
-            np.mean([cr for u, rep, cr, ct in rows if rep == r]) for r in range(spec.repetitions)
-        ])
-        per_rep_ctr = np.array([
-            np.mean([ct for u, rep, cr, ct in rows if rep == r]) for r in range(spec.repetitions)
-        ])
+        # rows are rep-major, so each rep's users are one row of the reshape
+        per_rep_reward = np.array([cr for _, _, cr, _ in rows]).reshape(spec.repetitions, -1).mean(axis=1)
+        per_rep_ctr = np.array([ct for _, _, _, ct in rows]).reshape(spec.repetitions, -1).mean(axis=1)
         ddof = 1 if spec.repetitions > 1 else 0
         std_r = float(np.std(per_rep_reward, ddof=ddof))
         std_c = float(np.std(per_rep_ctr, ddof=ddof))

@@ -32,8 +32,8 @@ class OscillationWarning(UserWarning):
     pass
 
 
-# train_minimax warns once when the theta objective's variance over the last
-# OSCILLATION_WINDOW updates exceeds OSCILLATION_THRESHOLD.
+# With warn_oscillation (train_minimax), _fit warns once when the theta objective's
+# variance over the last OSCILLATION_WINDOW updates exceeds OSCILLATION_THRESHOLD.
 OSCILLATION_WINDOW = 50
 OSCILLATION_THRESHOLD = 5.0
 
@@ -54,7 +54,6 @@ class TrainConfig:
     hidden: int = 16
     # optimization details
     patience: int = 10
-    exact_inner: bool = False
     init_epochs: int | None = None
 
     def __post_init__(self):
@@ -319,21 +318,6 @@ def heldout_loglik(model: UserModel, examples: ExampleSet | Sequence[Example]) -
     return float(np.mean(logs))
 
 
-def _batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
-
-
-def _snapshot(net: ScorerNet) -> dict[str, np.ndarray]:
-    return {name: t.copy() for name, t in nets.named_tensors(net).items()}
-
-
-def _restore(net: ScorerNet, snap: dict[str, np.ndarray]) -> None:
-    for name, t in nets.named_tensors(net).items():
-        t[...] = snap[name]
-
-
 def _fit_sets(catalog: ItemCatalog, trajectories: Sequence[Trajectory] | ExampleSet,
               valid: Sequence[Trajectory] | ExampleSet | None, m: int):
     """Training and validation examples; an ExampleSet passes through unchanged."""
@@ -346,6 +330,53 @@ def _fit_sets(catalog: ItemCatalog, trajectories: Sequence[Trajectory] | Example
     return train, (examples(valid) if valid else None)
 
 
+def _fit(params: Sequence[ScorerNet], examples: ExampleSet, config: TrainConfig,
+         rng: np.random.Generator,
+         theta_grad: Callable[[ExampleSet], tuple[float, GradientBundle]],
+         metric: Callable[[], float], stats: Callable[[float], dict],
+         on_epoch: Callable[[int, dict], None] | None, warn_oscillation: bool = False) -> None:
+    """The epoch loop of both estimators; `params` are the nets it trains, theta first.
+
+    Each minibatch of an `rng` permutation gets `theta_grad(batch)`, the
+    objective and theta's bundle, and one descent step on theta. After each
+    epoch `metric()` (lower is better) is scored and `on_epoch(epoch,
+    stats(metric))` told. The loop stops after `config.patience` epochs
+    without improvement and restores every net to its best-metric snapshot.
+    A non-finite objective or metric raises TrainingDiverged."""
+    tensors = [t for net in params for t in nets.named_tensors(net).values()]
+    best_value = metric()
+    best = [t.copy() for t in tensors]
+    best_epoch = 0
+    recent: list[float] = []
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(len(examples))
+        for start in range(0, len(examples), config.batch_size):
+            value, bundle = theta_grad(examples.take(order[start:start + config.batch_size]))
+            if not np.isfinite(value):
+                raise TrainingDiverged(epoch)
+            nets.sgd_step(params[0], bundle, config.lr_theta)
+            recent.append(value)
+        if warn_oscillation and len(recent) >= OSCILLATION_WINDOW:
+            variance = float(np.var(recent[-OSCILLATION_WINDOW:]))
+            if variance > OSCILLATION_THRESHOLD:
+                warnings.warn(
+                    f"objective variance {variance:.3g} over the last "
+                    f"{OSCILLATION_WINDOW} updates exceeds {OSCILLATION_THRESHOLD}",
+                    OscillationWarning)
+                warn_oscillation = False
+        current = metric()
+        if not np.isfinite(current):
+            raise TrainingDiverged(epoch)
+        if current < best_value:
+            best_value, best, best_epoch = current, [t.copy() for t in tensors], epoch
+        if on_epoch is not None:
+            on_epoch(epoch, stats(current))
+        if epoch - best_epoch >= config.patience:
+            break
+    for t, snap in zip(tensors, best):
+        t[...] = snap
+
+
 def train_mle(
     catalog: ItemCatalog,
     trajectories: Sequence[Trajectory] | ExampleSet,
@@ -356,47 +387,26 @@ def train_mle(
     """Fit the reward scorer by maximum likelihood; the behavior net is its induced softmax.
 
     `trajectories` and `valid` may be examples built by `build_examples` with
-    `config.m`. Keeps the best-validation snapshot and stops early after
-    `config.patience` epochs without improvement. Raises TrainingDiverged on
-    non-finite loss."""
+    `config.m`. The metric is the validation NLL (the training NLL without a
+    validation set); see `_fit` for the early stop and divergence."""
     if config.regularizer is not Regularizer.SHANNON_ENTROPY:
         raise ValueError("maximum-likelihood training requires the entropy regularizer")
     rng = np.random.default_rng(config.seed)
     theta = nets.init_scorer_net(catalog.d, config.m, config.n, config.hidden, rng)
     examples, valid_examples = _fit_sets(catalog, trajectories, valid, config.m)
+    eval_set = valid_examples if valid_examples else examples
 
-    def metric() -> float:
-        return nll_loss(theta, valid_examples if valid_examples else examples, config.eta)
+    def stats(current: float) -> dict:
+        out = {"train_nll": nll_loss(theta, examples, config.eta), "valid_nll": current}
+        if eval_set.clicked.any():
+            probe = UserModel(theta, theta, ChoiceConfig(config.eta, config.regularizer))
+            out["prec1"] = precision_at_k(probe, eval_set, 1)
+        return out
 
-    best_value = metric()
-    best_snap = _snapshot(theta)
-    best_epoch = 0
-    for epoch in range(1, config.epochs + 1):
-        for idx in _batches(len(examples), config.batch_size, rng):
-            value, g = nll_value_grad(theta, examples.take(idx), config.eta)
-            if not np.isfinite(value):
-                raise TrainingDiverged(epoch)
-            nets.sgd_step(theta, g, config.lr_theta)
-        current = metric()
-        if not np.isfinite(current):
-            raise TrainingDiverged(epoch)
-        if current < best_value:
-            best_value = current
-            best_snap = _snapshot(theta)
-            best_epoch = epoch
-        if on_epoch is not None:
-            train_nll = nll_loss(theta, examples, config.eta)
-            stats = {"train_nll": train_nll, "valid_nll": current}
-            eval_set = valid_examples if valid_examples else examples
-            if eval_set.clicked.any():
-                probe = UserModel(theta, theta, ChoiceConfig(config.eta, config.regularizer))
-                stats["prec1"] = precision_at_k(probe, eval_set, 1)
-            on_epoch(epoch, stats)
-        if epoch - best_epoch >= config.patience:
-            break
-    _restore(theta, best_snap)
-    alpha = induced_softmax_alpha(theta, config.eta)
-    return UserModel(theta=theta, alpha=alpha,
+    _fit((theta,), examples, config, rng,
+         lambda batch: nll_value_grad(theta, batch, config.eta),
+         lambda: nll_loss(theta, eval_set, config.eta), stats, on_epoch)
+    return UserModel(theta=theta, alpha=induced_softmax_alpha(theta, config.eta),
                      config=ChoiceConfig(config.eta, Regularizer.SHANNON_ENTROPY))
 
 
@@ -412,23 +422,17 @@ def minimax_alpha_grad(theta: ScorerNet, alpha: ScorerNet, examples: ExampleSet 
     return _weighted(parts)[1]
 
 
-def minimax_value_grads(theta: ScorerNet, alpha: ScorerNet | None,
+def minimax_value_grads(theta: ScorerNet, alpha: ScorerNet,
                         examples: ExampleSet | Sequence[Example], config: TrainConfig):
-    """The reward scorer's half of an alternating update, against alpha's choice
-    distribution (or the closed-form one with `config.exact_inner`).
+    """The reward scorer's half of an alternating update, against alpha's choice distribution.
 
     Returns (theta objective value, theta bundle). The expectation over the
     generator is an exact sum over display slots."""
-    if config.exact_inner and config.regularizer is not Regularizer.SHANNON_ENTROPY:
-        raise ValueError("exact inner maximization is closed-form only for entropy")
     parts = []
     for pos, F, feats, chosen, _ in _nonempty(examples).blocks():
-        if config.exact_inner:
-            phi = config.regularizer.probs(nets.scorer_batch(theta, F, feats).scores, config.eta)
-        else:
-            phi = behavior_probs(alpha, F, feats)
         parts.append((len(pos),) + nets.minimax_reward_value_and_grad(
-            theta, F, feats, chosen, phi, config.eta, config.regularizer))
+            theta, F, feats, chosen, behavior_probs(alpha, F, feats), config.eta,
+            config.regularizer))
     return _weighted(parts)
 
 
@@ -443,13 +447,14 @@ def train_minimax(
 
     Ascends the behavior objective and descends the reward objective once per
     minibatch, and warns with OscillationWarning when the reward objective
-    oscillates. With init_scheme=ENTROPY_INIT the entropy model is trained
+    oscillates. The metric is the held-out negative log-likelihood of the
+    choice rule. With init_scheme=ENTROPY_INIT the entropy model is trained
     first on the same examples and both scorers start from it."""
     rng = np.random.default_rng(config.seed)
     examples, valid_examples = _fit_sets(catalog, trajectories, valid, config.m)
     if config.init_scheme is InitScheme.ENTROPY_INIT:
         mle_config = replace(config, regularizer=Regularizer.SHANNON_ENTROPY,
-                             init_scheme=InitScheme.FRESH, exact_inner=False,
+                             init_scheme=InitScheme.FRESH,
                              epochs=config.init_epochs if config.init_epochs is not None else config.epochs)
         base = train_mle(catalog, examples, mle_config, valid=valid_examples)
         theta, alpha = copy.deepcopy(base.theta), copy.deepcopy(base.alpha)
@@ -457,56 +462,25 @@ def train_minimax(
         theta = nets.init_scorer_net(catalog.d, config.m, config.n, config.hidden, rng)
         alpha = nets.init_scorer_net(catalog.d, config.m, config.n, config.hidden, rng)
 
+    def theta_grad(batch: ExampleSet):
+        nets.sgd_step(alpha, minimax_alpha_grad(theta, alpha, batch, config),
+                      config.lr_alpha, ascend=True)
+        return minimax_value_grads(theta, alpha, batch, config)
+
     def metric() -> float:
         probe = UserModel(theta, alpha, ChoiceConfig(config.eta, config.regularizer))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return -heldout_loglik(probe, valid_examples if valid_examples else examples)
 
-    best_value = metric()
-    best_theta, best_alpha = _snapshot(theta), _snapshot(alpha)
-    best_epoch = 0
-    recent: list[float] = []
-    warned = False
-    for epoch in range(1, config.epochs + 1):
-        for idx in _batches(len(examples), config.batch_size, rng):
-            batch = examples.take(idx)
-            if not config.exact_inner:
-                nets.sgd_step(alpha, minimax_alpha_grad(theta, alpha, batch, config),
-                              config.lr_alpha, ascend=True)
-            value, theta_bundle = minimax_value_grads(theta, alpha, batch, config)
-            if not np.isfinite(value):
-                raise TrainingDiverged(epoch)
-            nets.sgd_step(theta, theta_bundle, config.lr_theta)
-            recent.append(value)
-        if len(recent) >= OSCILLATION_WINDOW and not warned:
-            window = np.array(recent[-OSCILLATION_WINDOW:])
-            if float(np.var(window)) > OSCILLATION_THRESHOLD:
-                warnings.warn(
-                    f"objective variance {np.var(window):.3g} over the last "
-                    f"{OSCILLATION_WINDOW} updates exceeds {OSCILLATION_THRESHOLD}",
-                    OscillationWarning)
-                warned = True
-        current = metric()
-        if not np.isfinite(current):
-            raise TrainingDiverged(epoch)
-        if current < best_value:
-            best_value = current
-            best_theta, best_alpha = _snapshot(theta), _snapshot(alpha)
-            best_epoch = epoch
-        if on_epoch is not None:
-            stats = {"objective": minimax_objective(theta, alpha, examples, config.eta,
-                                                    config.regularizer, config.exact_inner),
-                     "valid_nll": current}
-            on_epoch(epoch, stats)
-        if epoch - best_epoch >= config.patience:
-            break
-    _restore(theta, best_theta)
-    _restore(alpha, best_alpha)
-    if config.exact_inner:
-        alpha = induced_softmax_alpha(theta, config.eta)
-    return UserModel(theta=theta, alpha=alpha,
-                     config=ChoiceConfig(config.eta, config.regularizer))
+    def stats(current: float) -> dict:
+        return {"objective": minimax_objective(theta, alpha, examples, config.eta,
+                                               config.regularizer),
+                "valid_nll": current}
+
+    _fit((theta, alpha), examples, config, rng, theta_grad, metric, stats, on_epoch,
+         warn_oscillation=True)
+    return UserModel(theta=theta, alpha=alpha, config=ChoiceConfig(config.eta, config.regularizer))
 
 
 # ---------------------------------------------------------------------------

@@ -95,8 +95,7 @@ def env_config(k=3, pool_size=20, horizon=10, nonclick_reward=0.0):
 def train_config(**set_values):
     values = dict(eta=1.0, lr_alpha=0.05, lr_theta=0.05, batch_size=64, epochs=50,
                   regularizer=Regularizer.SHANNON_ENTROPY, init_scheme=InitScheme.FRESH, seed=0,
-                  m=5, n=4, hidden=16, patience=10, exact_inner=False,
-                  init_epochs=None)
+                  m=5, n=4, hidden=16, patience=10, init_epochs=None)
     return TrainConfig(**{**values, **set_values})
 
 
@@ -307,9 +306,6 @@ NOT_FLAGS = {
     "repetitions": "--reps",
     # set by the benchmark's L2 fit, which trains its entropy init for fewer epochs
     "init_epochs": "benchmarks/workloads.py",
-    # the closed-form inner maximum, the reference of a fit golden digest and of
-    # the test that minimax with it reproduces maximum likelihood
-    "exact_inner": "tests/test_fit_golden.py, tests/test_training.py",
 }
 
 

@@ -144,21 +144,15 @@ def old_minimax_value_grads(theta, alpha, examples, config):
     theta_parts, alpha_parts = [], []
     for n, F, feats, chosen in old_batch_groups(examples):
         r = nets.scorer_batch(theta, F, feats).scores
-        if config.exact_inner:
-            if config.regularizer is not Regularizer.SHANNON_ENTROPY:
-                raise ValueError("exact inner maximization is closed-form only for entropy")
-            phi = config.regularizer.probs(r, config.eta)
-        else:
-            va, ga = nets.minimax_behavior_value_and_grad(
-                alpha, F, feats, r, config.eta, config.regularizer)
-            alpha_parts.append((n, va, ga))
-            phi = softmax(nets.scorer_batch(alpha, F, feats).scores)
+        va, ga = nets.minimax_behavior_value_and_grad(
+            alpha, F, feats, r, config.eta, config.regularizer)
+        alpha_parts.append((n, va, ga))
+        phi = softmax(nets.scorer_batch(alpha, F, feats).scores)
         vt, gt = nets.minimax_reward_value_and_grad(
             theta, F, feats, chosen, phi, config.eta, config.regularizer)
         theta_parts.append((n, vt, gt))
     theta_value, theta_bundle = old_weighted(theta_parts)
-    alpha_bundle = old_weighted(alpha_parts)[1] if alpha_parts else None
-    return theta_value, theta_bundle, alpha_bundle
+    return theta_value, theta_bundle, old_weighted(alpha_parts)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -312,35 +306,29 @@ class TestBuildExamples:
 class TestSplitMinimaxStep:
     """One alpha step then one theta step equals two calls of the combined step."""
 
-    @pytest.mark.parametrize("regularizer, exact_inner", [
-        (Regularizer.SHANNON_ENTROPY, False),
-        (Regularizer.SHANNON_ENTROPY, True),
-        (Regularizer.L2, False),
-    ])
+    @pytest.mark.parametrize("regularizer", [Regularizer.SHANNON_ENTROPY, Regularizer.L2])
     @pytest.mark.parametrize("seed", range(4))
-    def test_split_step_equals_combined_step(self, regularizer, exact_inner, seed):
+    def test_split_step_equals_combined_step(self, regularizer, seed):
         rng = np.random.default_rng(100 + seed)
         examples = ragged_examples(seed, [int(s) for s in rng.integers(2, 8, size=40)])
         idx = rng.permutation(len(examples))[:25]
         config = TrainConfig(eta=float(rng.uniform(0.5, 2.0)), regularizer=regularizer,
-                             exact_inner=exact_inner, m=M, n=2, hidden=5)
+                             m=M, n=2, hidden=5)
         theta, alpha = nets_pair(seed)
         old_theta, old_alpha = copy.deepcopy(theta), copy.deepcopy(alpha)
 
         # the combined step, as train_minimax ran it: the first call's alpha half,
         # then the second call's theta half
         batch = [examples[i] for i in idx]
-        if not exact_inner:
-            _, _, alpha_bundle = old_minimax_value_grads(old_theta, old_alpha, batch, config)
-            nets.sgd_step(old_alpha, alpha_bundle, 0.1, ascend=True)
+        _, _, alpha_bundle = old_minimax_value_grads(old_theta, old_alpha, batch, config)
+        nets.sgd_step(old_alpha, alpha_bundle, 0.1, ascend=True)
         value, theta_bundle, _ = old_minimax_value_grads(old_theta, old_alpha, batch, config)
         nets.sgd_step(old_theta, theta_bundle, 0.1)
 
         split_batch = ExampleSet.from_examples(examples).take(idx)
-        if not exact_inner:
-            new_alpha_bundle = minimax_alpha_grad(theta, alpha, split_batch, config)
-            assert same_bundle(new_alpha_bundle, alpha_bundle)
-            nets.sgd_step(alpha, new_alpha_bundle, 0.1, ascend=True)
+        new_alpha_bundle = minimax_alpha_grad(theta, alpha, split_batch, config)
+        assert same_bundle(new_alpha_bundle, alpha_bundle)
+        nets.sgd_step(alpha, new_alpha_bundle, 0.1, ascend=True)
         new_value, new_theta_bundle = minimax_value_grads(theta, alpha, split_batch, config)
         assert new_value == value and same_bundle(new_theta_bundle, theta_bundle)
         nets.sgd_step(theta, new_theta_bundle, 0.1)
@@ -348,10 +336,3 @@ class TestSplitMinimaxStep:
         for new, old in ((theta, old_theta), (alpha, old_alpha)):
             for name, t in named_tensors(new).items():
                 assert np.array_equal(t, named_tensors(old)[name])
-
-    def test_exact_inner_needs_entropy(self):
-        theta, alpha = nets_pair(0)
-        batch = ragged_examples(0, [3, 4])
-        config = TrainConfig(regularizer=Regularizer.L2, exact_inner=True, m=M, n=2, hidden=5)
-        with pytest.raises(ValueError, match="closed-form only for entropy"):
-            minimax_value_grads(theta, alpha, batch, config)

@@ -1,4 +1,4 @@
-"""Fitted user-model tensors are byte-stable: three fixed-seed fits against recorded digests.
+"""Fitted user-model tensors are byte-stable: two fixed-seed fits against recorded digests.
 
 The digests in golden/fit_digests.json were first recorded when each
 minibatch was still stacked from per-example arrays, and the dense example
@@ -41,7 +41,6 @@ FITS = {
     "mle": (train_mle, dict()),
     "l2_entropy_init": (train_minimax, dict(regularizer=Regularizer.L2, lr_alpha=0.05,
                                              init_scheme=InitScheme.ENTROPY_INIT, init_epochs=4)),
-    "exact_inner": (train_minimax, dict(exact_inner=True)),
 }
 
 

@@ -5,7 +5,15 @@ import pytest
 
 from slatesim.choice import ChoiceConfig, Regularizer
 from slatesim.data import ClickRecord, ItemCatalog, Trajectory, synth_catalog
-from slatesim.nets import init_scorer_net, named_tensors, scorer_batch
+from slatesim import nets, training
+from slatesim.choice import softmax
+from slatesim.nets import (
+    init_scorer_net,
+    minimax_reward_value_and_grad,
+    named_tensors,
+    nll_value_and_grad,
+    scorer_batch,
+)
 from slatesim.training import (
     Example,
     InitScheme,
@@ -194,17 +202,22 @@ class TestTrainMinimax:
         for name, t in named_tensors(model.alpha).items():
             assert np.array_equal(t, named_tensors(fresh_alpha)[name])
 
-    def test_exact_inner_matches_mle_trajectory(self):
-        # with the generator reset to its closed form each step (eta = 1), the
-        # reward updates are exactly the maximum-likelihood updates. The two trainers
-        # draw their batch orders after different inits, so each epoch is one full batch.
-        catalog, trajs, _ = self._dataset(users=5, T=5)
-        shared = dict(epochs=8, batch_size=10_000, lr_theta=0.07, m=3, n=2, hidden=6,
-                      seed=21, patience=100)
-        mle = train_mle(catalog, trajs, TrainConfig(**shared))
-        mm = train_minimax(catalog, trajs, TrainConfig(exact_inner=True, **shared))
-        for name, t in named_tensors(mm.theta).items():
-            assert np.allclose(t, named_tensors(mle.theta)[name], atol=1e-9)
+    @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
+    def test_entropy_reward_step_is_mle_step_over_eta(self, eta):
+        # the paper's entropy case: against phi = softmax(eta * r), the reward
+        # scorer's objective and every gradient are the NLL's divided by eta
+        rng = np.random.default_rng(int(eta * 10))
+        theta = init_scorer_net(3, 4, 2, 5, rng)
+        F, feats = rng.standard_normal((30, 3, 4)), rng.standard_normal((30, 6, 3))
+        chosen = rng.integers(0, 6, size=30)
+        phi = softmax(eta * scorer_batch(theta, F, feats).scores)
+        mm_value, mm_bundle = minimax_reward_value_and_grad(
+            theta, F, feats, chosen, phi, eta, Regularizer.SHANNON_ENTROPY)
+        nll_value, nll_bundle = nll_value_and_grad(theta, F, feats, chosen, eta)
+        assert np.allclose(mm_value, nll_value / eta, rtol=0, atol=1e-12)
+        assert mm_bundle.grads.keys() == nll_bundle.grads.keys() == named_tensors(theta).keys()
+        for name, g in mm_bundle.grads.items():
+            assert np.allclose(g, nll_bundle.grads[name] / eta, rtol=0, atol=1e-12)
 
     def test_l2_with_entropy_init_no_worse_than_entropy_model(self):
         # data generated by an L2 ground-truth chooser; the adversarially trained
@@ -254,6 +267,74 @@ class TestTrainMinimax:
         m2 = train_minimax(catalog, trajs, cfg)
         for name, t in named_tensors(m1.theta).items():
             assert np.array_equal(t, named_tensors(m2.theta)[name])
+
+
+class TestFitLoop:
+    """The epoch loop both estimators share: early stop, best snapshot, and the calls
+    the benchmark's traced run counts."""
+
+    @pytest.mark.parametrize("fit, lr_theta, extra", [
+        (train_mle, 0.3, {}),
+        (train_minimax, 0.1, dict(regularizer=Regularizer.L2, lr_alpha=0.3)),
+    ], ids=["mle", "minimax"])
+    def test_early_stop_returns_the_best_epoch(self, fit, lr_theta, extra):
+        catalog, trajs, _ = TestTrainMle()._dataset(users=16, T=6)
+        train, valid = trajs[:8], trajs[8:]
+        shared = dict(batch_size=8, lr_theta=lr_theta, m=3, n=2, hidden=6, seed=4, patience=3,
+                      **extra)
+        seen = []
+        model = fit(catalog, train, TrainConfig(epochs=60, **shared), valid=valid,
+                    on_epoch=lambda epoch, stats: seen.append((epoch, stats["valid_nll"])))
+        epochs, valid_nll = zip(*seen)
+        assert list(epochs) == list(range(1, len(seen) + 1))
+        best = int(np.argmin(valid_nll)) + 1
+        assert len(seen) == best + 3 < 60
+        refit = fit(catalog, train, TrainConfig(epochs=best, **shared), valid=valid)
+        for got, want in ((model.theta, refit.theta), (model.alpha, refit.alpha)):
+            for name, t in named_tensors(got).items():
+                assert np.array_equal(t, named_tensors(want)[name])
+
+    def test_fit_calls_go_through_module_globals(self, monkeypatch):
+        # count calls the way the traced benchmark wraps them: every slatesim module
+        # binding of each function is replaced, so a caller that bound one early
+        # (a default argument, a module-level alias) goes uncounted and fails here
+        import sys
+        spans = {training: ("train_mle", "train_minimax", "build_examples", "nll_value_grad",
+                            "minimax_value_grads", "heldout_loglik"),
+                 nets: ("sgd_step",)}
+        modules = [m for key, m in sys.modules.items()
+                   if key == "slatesim" or key.startswith("slatesim.")]
+        calls = {}
+        for owner, names in spans.items():
+            for name in names:
+                original = getattr(owner, name)
+                calls[name] = 0
+
+                def counting(*args, _name=name, _original=original, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                for module in modules:
+                    for key, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, key, counting)
+        catalog, trajs, _ = TestTrainMle()._dataset(users=10, T=5)
+        train, valid = trajs[:7], trajs[7:]
+        init_epochs, epochs, batch_size = 2, 3, 8
+        cfg = TrainConfig(regularizer=Regularizer.L2, init_scheme=InitScheme.ENTROPY_INIT,
+                          init_epochs=init_epochs, epochs=epochs, batch_size=batch_size,
+                          patience=epochs, m=3, n=2, hidden=6, seed=2)
+        training.train_minimax(catalog, train, cfg, valid=valid)
+        batches = -(-sum(len(t) for t in train) // batch_size)
+        assert calls == {
+            "train_mle": 1,
+            "train_minimax": 1,
+            "build_examples": 2,
+            "nll_value_grad": init_epochs * batches,
+            "minimax_value_grads": epochs * batches,
+            "heldout_loglik": epochs + 1,
+            "sgd_step": init_epochs * batches + 2 * epochs * batches,
+        }
 
 
 def make_user_model_l2(catalog, seed=77):
