@@ -276,7 +276,8 @@ class TestFitLoop:
     @pytest.mark.parametrize("fit, lr_theta, extra", [
         (train_mle, 0.3, {}),
         (train_minimax, 0.1, dict(regularizer=Regularizer.L2, lr_alpha=0.3)),
-    ], ids=["mle", "minimax"])
+        (train_minimax, 0.3, dict(regularizer=Regularizer.SHANNON_ENTROPY, lr_alpha=0.3)),
+    ], ids=["mle", "minimax", "minimax_entropy"])
     def test_early_stop_returns_the_best_epoch(self, fit, lr_theta, extra):
         catalog, trajs, _ = TestTrainMle()._dataset(users=16, T=6)
         train, valid = trajs[:8], trajs[8:]
