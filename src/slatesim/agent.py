@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
@@ -127,6 +128,13 @@ class NonFiniteQError(ValueError):
     """A cascade's chosen Q value is not finite, so its argmax may pick a taken or padded id."""
 
 
+def _check_finite(chosen: np.ndarray, position: int) -> None:
+    bad = np.flatnonzero(~np.isfinite(chosen))
+    if len(bad):
+        raise NonFiniteQError(f"the chosen Q value of position {position} is not finite in "
+                              f"{len(bad)} of {len(chosen)} rows, the first row {bad[0]}")
+
+
 @dataclass
 class EvalCounter:
     count: int = 0
@@ -153,7 +161,8 @@ def cascade_plan(qeval: QEval, pool: Sequence[int], k: int,
     """Greedy cascade: fix each slate position in turn by a one-position argmax.
 
     Returns the ordered slate and the per-position achieved values; the last
-    value is Q^k at the full slate. Ties break toward the lowest item id."""
+    value is Q^k at the full slate. Ties break toward the lowest item id. A chosen
+    value that is not finite raises NonFiniteQError, as in cascade_batch."""
     remaining = sorted(int(i) for i in set(pool))
     if len(remaining) < k:
         raise ValueError(f"pool smaller than k: {len(remaining)} < {k}")
@@ -164,6 +173,8 @@ def cascade_plan(qeval: QEval, pool: Sequence[int], k: int,
         if counter is not None:
             counter.count += len(remaining)
         best = int(np.argmax(vals))  # first maximum wins: lowest id on ties
+        if not math.isfinite(vals[best]):
+            _check_finite(vals[best:best + 1], j)
         slate.append(remaining[best])
         values.append(float(vals[best]))
         remaining.pop(best)
@@ -228,10 +239,7 @@ def cascade_batch(qnet: CascadeQNet, S: np.ndarray, pools: np.ndarray, mask: np.
         best = np.argmax(q, axis=1)  # first maximum wins: lowest id on ties
         slates[:, j] = pools[rows, best]
         values[:, j] = q[rows, best]
-        if not np.isfinite(values[:, j]).all():
-            bad = np.flatnonzero(~np.isfinite(values[:, j]))
-            raise NonFiniteQError(f"the chosen Q value of position {j + 1} is not finite in "
-                                  f"{len(bad)} of {B} rows, the first row {bad[0]}")
+        _check_finite(values[:, j], j + 1)
         free[rows, best] = False
         prefix = np.concatenate([prefix, feats[rows, best]], axis=1)
     return slates, values
@@ -395,33 +403,33 @@ def _train_replay(env_factory: EnvFactory, config: CDQNConfig, heads: int, act: 
         keys = EpisodeKeys(seeds, config.horizon)
         hists, clicked, pools = reset(env, user, keys)
         losses = []
-        for t in range(config.horizon):
-            slates = np.empty((B, k), dtype=int)
-            greedy = np.ones(B, dtype=bool)
-            for i, pool in enumerate(pools):
-                if rng.random() < eps:
-                    slates[i] = random_slate(pool, k, rng)
-                    greedy[i] = False
-            if greedy.any():
-                slates[greedy] = act(qnet, hists[greedy], [p for p, g in zip(pools, greedy) if g])
-            before = hists.copy()  # env.step pushes clicks into hists in place
-            _, chosen, rewards = step(env, user, t, keys, hists, clicked, pools, slates)
-            if config.reward_mode is RewardMode.PLUS_MINUS_ONE:
-                rewards = [1.0 if c != NON_CLICK_ID else -1.0 for c in chosen]
-            memory.add(ReplayBatch(before, slates, np.array(rewards), hists,
-                                   *pad_pools(pools, env.config.pool_size),
-                                   np.full(B, t == config.horizon - 1)))
-            if len(memory) >= config.minibatch:
-                batch = memory.sample(config.minibatch, rng)
-                try:
+        try:  # a non-finite Q value met by the act, the target or the loss is divergence
+            for t in range(config.horizon):
+                slates = np.empty((B, k), dtype=int)
+                greedy = np.ones(B, dtype=bool)
+                for i, pool in enumerate(pools):
+                    if rng.random() < eps:
+                        slates[i] = random_slate(pool, k, rng)
+                        greedy[i] = False
+                if greedy.any():
+                    slates[greedy] = act(qnet, hists[greedy], [p for p, g in zip(pools, greedy) if g])
+                before = hists.copy()  # env.step pushes clicks into hists in place
+                _, chosen, rewards = step(env, user, t, keys, hists, clicked, pools, slates)
+                if config.reward_mode is RewardMode.PLUS_MINUS_ONE:
+                    rewards = [1.0 if c != NON_CLICK_ID else -1.0 for c in chosen]
+                memory.add(ReplayBatch(before, slates, np.array(rewards), hists,
+                                       *pad_pools(pools, env.config.pool_size),
+                                       np.full(B, t == config.horizon - 1)))
+                if len(memory) >= config.minibatch:
+                    batch = memory.sample(config.minibatch, rng)
                     value, bundle = loss(qnet, batch, target(qnet, batch))
-                except NonFiniteQError as exc:
-                    raise TrainingDivergedError(it) from exc
-                if not np.isfinite(value):
-                    raise TrainingDivergedError(it)
-                nets.sgd_step(qnet, bundle, config.lr)
-                updates += 1
-                losses.append(value)
+                    if not np.isfinite(value):
+                        raise TrainingDivergedError(it)
+                    nets.sgd_step(qnet, bundle, config.lr)
+                    updates += 1
+                    losses.append(value)
+        except NonFiniteQError as exc:
+            raise TrainingDivergedError(it) from exc
         if on_iteration is not None:
             on_iteration(it, {"epsilon": eps, "updates": updates,
                               "mean_td_loss": float(np.mean(losses)) if losses else float("nan")})
@@ -438,18 +446,6 @@ def train_cdqn(env_factory: EnvFactory, config: CDQNConfig,
     cascade_slate."""
     env0, _, _ = env_factory(0)
     catalog, k = env0.catalog, env0.config.k
-
-    def cascade_loss(qnet, batch, targets):
-        slate_feats = catalog.feature_matrix(batch.slate)
-        total = GradientBundle()
-        value = 0.0
-        for j in range(1, k + 1):
-            prefix = slate_feats[:, :j].reshape(len(slate_feats), 1, -1)
-            head_value, bundle = nets.td_value_and_grad(qnet, j, batch.hist, prefix, targets)
-            value += head_value
-            total.add_(bundle)
-        return value / k, total
-
     return _train_replay(
         env_factory, config, k,
         act=lambda qnet, hists, pools: np.array(
@@ -457,7 +453,9 @@ def train_cdqn(env_factory: EnvFactory, config: CDQNConfig,
         target=lambda qnet, batch: compute_target(
             batch.reward, batch.next_hist, batch.next_pool, batch.next_mask, qnet, catalog,
             config.gamma, batch.terminal),
-        loss=cascade_loss, on_iteration=on_iteration)
+        loss=lambda qnet, batch, targets: nets.td_value_and_grad(
+            qnet, batch.hist, catalog.feature_matrix(batch.slate), targets),
+        on_iteration=on_iteration)
 
 
 def train_additive_q(env_factory: EnvFactory, config: CDQNConfig,
@@ -469,15 +467,22 @@ def train_additive_q(env_factory: EnvFactory, config: CDQNConfig,
     i.e. the sum of the next state's top-k values."""
     env0, _, _ = env_factory(0)
     catalog, k = env0.catalog, env0.config.k
+
+    def slot_loss(qnet, batch, targets):  # Q is head 1's scores summed over the k one-item slots
+        view = ScorerNet(pw=qnet.pw, head=qnet.heads[0])
+        cache = nets.scorer_batch(view, batch.hist, catalog.feature_matrix(batch.slate))
+        resid = cache.scores.sum(axis=1) - targets
+        g = nets.scorer_batch_grad(view, cache, np.repeat((2.0 * resid / len(resid))[:, None], k, axis=1))
+        names = nets.cascade_head_names(1)
+        return float(np.mean(resid * resid)), GradientBundle({names.get(n, n): t for n, t in g.grads.items()})
+
     return _train_replay(
         env_factory, config, 1,
         act=lambda qnet, hists, pools: additive_q_policy(qnet, hists, pools, k, catalog),
         target=lambda qnet, batch: additive_target(
             batch.reward, batch.next_hist, batch.next_pool, batch.next_mask, qnet, catalog,
             config.gamma, k, batch.terminal),
-        loss=lambda qnet, batch, targets: nets.td_value_and_grad(
-            qnet, 1, batch.hist, catalog.feature_matrix(batch.slate), targets),
-        on_iteration=on_iteration)
+        loss=slot_loss, on_iteration=on_iteration)
 
 
 # ---------------------------------------------------------------------------

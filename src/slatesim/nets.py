@@ -6,8 +6,9 @@ Every network is a position-weighted history embedding feeding scorer heads:
 
 The reward and behavior models are one head each, with f an item's features.
 The slate value model has one head per slate position: head j is a plain
-scorer head whose item input is the concatenated prefix [f_1; ...; f_j], so
-every head, cascade or not, runs the same forward and backward pass.
+scorer head whose item input is the prefix [f_1; ...; f_j]. The TD loss pads
+it to [s; f_1; ...; f_k] and runs all k heads as one block matmul forward and
+backward, on one embedding forward and backward that the heads share.
 
 Gradients for the supported losses (NLL, the two adversarial updates, squared
 TD error) are computed analytically, including backprop through the embedding.
@@ -198,10 +199,14 @@ def scorer_batch_grad(net: ScorerNet, cache: _ScorerCache, slot_w: np.ndarray) -
     dzb = dz.sum(axis=1)                      # (batch, hidden)
     dVs = dzb.T @ cache.s                     # (hidden, dn)
     ds = dzb @ net.head.V[:, :d * n]          # (batch, dn)
-    dZe = ds.reshape(batch, n, d).transpose(0, 2, 1) * act_grad(cache.Ze)
-    dW = cache.F.reshape(-1, net.pw.m).T @ dZe.reshape(-1, n)
-    dB = dZe.sum(axis=0)
-    return GradientBundle({"W": dW, "B": dB, "V": np.concatenate([dVs, dVf], axis=1), "b": db, "v": dv})
+    return GradientBundle({**_embed_grad(net.pw, cache.F, cache.Ze, ds),
+                           "V": np.concatenate([dVs, dVf], axis=1), "b": db, "v": dv})
+
+
+def _embed_grad(pw: PositionWeightParams, F: np.ndarray, Ze: np.ndarray, ds: np.ndarray) -> dict:
+    batch, d, n = Ze.shape
+    dZe = ds.reshape(batch, n, d).transpose(0, 2, 1) * act_grad(Ze)
+    return {"W": F.reshape(-1, pw.m).T @ dZe.reshape(-1, n), "B": dZe.sum(axis=0)}
 
 
 # ---------------------------------------------------------------------------
@@ -258,24 +263,35 @@ def minimax_behavior_value_and_grad(net: ScorerNet, F, feats, rewards: np.ndarra
     return value, scorer_batch_grad(net, cache, w)
 
 
-def td_value_and_grad(qnet: CascadeQNet, j: int, F, slot_feats: np.ndarray, targets: np.ndarray):
-    """Mean squared TD error of Q = the sum over display slots of head j's scores,
-    against fixed targets.
+def td_value_and_grad(qnet: CascadeQNet, F, slate_feats: np.ndarray, targets: np.ndarray):
+    """Squared TD error of every cascade head against shared targets, in one pass.
 
-    slot_feats: (batch, slots, j * d), one input of head j per slot. The cascade
-    regresses head j on one slot holding the prefix [f_1; ...; f_j]; the additive
-    baseline regresses head 1 on its k one-item slots."""
-    batch, slots, width = slot_feats.shape
-    if width != j * qnet.pw.d:
-        raise ValueError(f"expected {j} item vectors of {qnet.pw.d} features per slot, "
-                         f"got {width} features")
-    view = ScorerNet(pw=qnet.pw, head=qnet.heads[j - 1])
-    cache = scorer_batch(view, np.asarray(F, dtype=float), slot_feats)
-    resid = cache.scores.sum(axis=1) - np.asarray(targets, dtype=float)
-    value = float(np.mean(resid * resid))
-    g = scorer_batch_grad(view, cache, np.repeat((2.0 * resid / batch)[:, None], slots, axis=1))
-    names = cascade_head_names(j)
-    return value, GradientBundle({names.get(name, name): t for name, t in g.grads.items()})
+    slate_feats: (batch, k, d), the played slates. Returns the mean over heads of each
+    head's mean squared error, and the sum over heads of their gradients (k times the
+    mean's gradient). Head j's input is zero-padded to [s; f_1; ...; f_k], so all heads
+    run as one (k * hidden, dn + k * d) matmul forward and backward on one embedding."""
+    batch, k, d = slate_feats.shape
+    if (k, d) != (qnet.k, qnet.pw.d):
+        raise ValueError(f"expected {qnet.k} item vectors of {qnet.pw.d} features, got {k} of {d}")
+    s, Ze = embed_history(F, qnet.pw, pre=True)
+    X = np.concatenate([s, slate_feats.reshape(batch, -1)], axis=1)
+    sizes = [head.b.size for head in qnet.heads]
+    starts = np.cumsum([0] + sizes[:-1])
+    V = np.zeros((sum(sizes), X.shape[1]))
+    for head, at in zip(qnet.heads, starts):
+        V[at:at + head.b.size, :head.V.shape[1]] = head.V
+    v = np.concatenate([head.v for head in qnet.heads])
+    z = X @ V.T + np.concatenate([head.b for head in qnet.heads])
+    h = act(z)
+    resid = np.add.reduceat(h * v, starts, axis=1) - np.asarray(targets, dtype=float)[:, None]
+    w = np.repeat(2.0 * resid / batch, sizes, axis=1)  # per hidden unit, its head's weight
+    dz = act_grad(z) * w * v
+    grads = _embed_grad(qnet.pw, F, Ze, dz @ V[:, :s.shape[1]])
+    dV, db, dv = dz.T @ X, dz.sum(axis=0), (w * h).sum(axis=0)
+    for j, (head, at) in enumerate(zip(qnet.heads, starts), start=1):
+        rows, names = slice(at, at + head.b.size), cascade_head_names(j)
+        grads.update({names["V"]: dV[rows, :head.V.shape[1]], names["b"]: db[rows], names["v"]: dv[rows]})
+    return float(np.mean(resid * resid)), GradientBundle(grads)
 
 
 LOSS_KINDS = ("nll", "minimax-reward", "minimax-behavior", "squared-td")
@@ -482,14 +498,12 @@ def run_gradient_check(seed: int = 0, trials: int = 100, dims_max: int = 6, h: f
         reg = list(Regularizer)[(trial // len(LOSS_KINDS)) % len(Regularizer)]
         if kind == "squared-td":
             k = int(rng.integers(1, 4))
-            j = int(rng.integers(1, k + 1))
             qnet = init_cascade_net(d, m, n, hid, k, rng)
-            slate = rng.standard_normal((batch, j, d))
+            slate = rng.standard_normal((batch, k, d))
             targets = rng.standard_normal(batch)
-            slot = slate.reshape(batch, 1, -1)
-            analytic = td_value_and_grad(qnet, j, F, slot, targets)[1]
+            analytic = td_value_and_grad(qnet, F, slate, targets)[1]  # of k times the value
             numeric = finite_difference_grad(
-                lambda: td_value_and_grad(qnet, j, F, slot, targets)[0], qnet, h=h)
+                lambda: k * td_value_and_grad(qnet, F, slate, targets)[0], qnet, h=h)
         else:
             net = init_scorer_net(d, m, n, hid, rng)
             chosen = rng.integers(0, slots, size=batch)

@@ -36,7 +36,7 @@ from slatesim.agent import (
 from slatesim.data import synth_catalog
 from slatesim import agent
 from slatesim.env import EnvConfig, EpisodeKeys, SlateEnv, make_ground_truth_user, reset, rollout, step
-from slatesim.nets import embed_history, init_cascade_net, named_tensors
+from slatesim.nets import embed_history, finite_difference_grad, head_scores, init_cascade_net, named_tensors
 
 
 def break_head(qnet, position, value):
@@ -243,6 +243,11 @@ class TestCascadeBatch:
         message = "position 2 is not finite in 4 of 4 rows, the first row 0"
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteQError, match=message):
             cascade_batch(break_head(qnet, 2, value), S, *pad_pools(pools), catalog)
+        # the one-state cascade the trainer acts with raises the same error
+        for h, pool in zip(hists, pools):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                    NonFiniteQError, match="position 2 is not finite in 1 of 1 rows, the first row 0"):
+                cascade_slate(qnet, h, pool, catalog)
 
     @pytest.mark.parametrize("pool", [(1, 2), (2, 1, 2, 1)])
     def test_pool_smaller_than_k(self, pool):
@@ -452,18 +457,76 @@ class TestTrainCdqn:
             assert not (set(slate) & clicked[0])
             step(env, user, t, keys, hists, clicked, pools, [slate])
 
-    def test_non_finite_target_is_divergence(self, monkeypatch):
-        # the TD target's cascade meets an overflowing head at the first update
+    def _diverge(self, monkeypatch, epsilon):
+        """Train on a net whose head 2 overflows; returns the error and the compute_target calls."""
         factory, *_ = self._factory()
         init = agent.nets.init_cascade_net
         monkeypatch.setattr(agent.nets, "init_cascade_net",
                             lambda *args: break_head(init(*args), 2, -1e308))
+        targets = []
+        real_target = agent.compute_target
+        monkeypatch.setattr(agent, "compute_target", lambda *args: targets.append(1) or real_target(*args))
         cfg = CDQNConfig(iterations=2, horizon=4, batch_users=4, minibatch=8, lr=0.01, seed=7,
-                         n=2, hidden=4)
+                         n=2, hidden=4, epsilon=epsilon)
         with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError) as caught:
             train_cdqn(factory, cfg)
-        assert caught.value.iteration == 0
-        assert isinstance(caught.value.__cause__, NonFiniteQError)
+        return caught.value, len(targets)
+
+    def test_non_finite_target_is_divergence(self, monkeypatch):
+        # every session explores, so the TD target's cascade meets the overflowing head
+        # first, at the first update
+        error, targets = self._diverge(monkeypatch, epsilon=1.0)
+        assert error.iteration == 0 and targets == 1
+        assert isinstance(error.__cause__, NonFiniteQError)
+
+    def test_non_finite_act_is_divergence(self, monkeypatch):
+        # no session explores, so the act's cascade meets the overflowing head at the
+        # first step, before any update
+        error, targets = self._diverge(monkeypatch, epsilon=0.0)
+        assert error.iteration == 0 and targets == 0
+        assert isinstance(error.__cause__, NonFiniteQError)
+
+    def test_spans_fire_once_per_update_and_greedy_row(self, monkeypatch):
+        # count calls the way the traced benchmark wraps them: every slatesim module
+        # binding of each function is replaced, so a span that stops firing (or a
+        # caller that bound one early) fails here and not only in a traced run
+        import sys
+        from slatesim import nets
+        spans = {agent: ("compute_target", "cascade_slate", "cascade_plan", "random_slate"),
+                 nets: ("td_value_and_grad", "sgd_step")}
+        modules = [m for key, m in sys.modules.items() if key == "slatesim" or key.startswith("slatesim.")]
+        calls = {}
+
+        def counting(name, original):
+            calls[name] = 0
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for owner, names in spans.items():
+            for name in names:
+                original = getattr(owner, name)
+                wrapped = counting(name, original)
+                for module in modules:
+                    for key, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, key, wrapped)
+        monkeypatch.setattr(ReplayMemory, "sample", counting("sample", ReplayMemory.sample))
+        factory, *_ = self._factory()
+        iterations, horizon, users, minibatch = 3, 4, 4, 8
+        cfg = CDQNConfig(iterations=iterations, horizon=horizon, batch_users=users, minibatch=minibatch,
+                         epsilon=0.3, lr=0.01, seed=12, n=2, hidden=4)
+        stats = []
+        train_cdqn(factory, cfg, on_iteration=lambda it, s: stats.append(s))
+        # the replay holds (step + 1) * users rows after each step; an update needs a minibatch
+        updates = sum((s + 1) * users >= minibatch for s in range(iterations * horizon))
+        greedy = iterations * horizon * users - calls.pop("random_slate")
+        assert stats[-1]["updates"] == updates and 0 < greedy < iterations * horizon * users
+        assert calls == {"compute_target": updates, "td_value_and_grad": updates, "sgd_step": updates,
+                         "sample": updates, "cascade_slate": greedy, "cascade_plan": greedy}
 
     @pytest.mark.parametrize("train", [train_cdqn, train_additive_q], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("other", ["env", "user"])
@@ -494,6 +557,33 @@ class TestTrainCdqn:
         hist = np.zeros((4, 3))
         slate = one_state(additive_q_policy, qnet, hist, catalog.item_ids, 3, catalog)
         assert len(slate) == 3
+
+
+class TestTrainAdditive:
+    @pytest.mark.parametrize("slots", [1, 2, 5])
+    def test_slot_loss_matches_finite_differences(self, monkeypatch, slots):
+        # the additive learner's TD loss, as train_additive_q hands it to the replay loop:
+        # Q is head 1's scores summed over the slate's `slots` one-item slots
+        catalog = synth_catalog(9, 3, seed=40 + slots)
+        user = make_ground_truth_user(catalog, (4, 2, 6), seed=3)
+        env = SlateEnv(catalog, EnvConfig(k=slots, pool_size=9, horizon=2))
+        replay = {}
+        monkeypatch.setattr(agent, "_train_replay", lambda *args, **kwargs: replay.update(kwargs))
+        train_additive_q(make_env_factory(env, user, 0), CDQNConfig())
+        rng = np.random.default_rng(40 + slots)
+        qnet = init_cascade_net(3, 4, 2, 5, 1, rng)
+        batch = 4
+        F = rng.standard_normal((batch, 3, 4))
+        slate = np.array([rng.choice(catalog.item_ids, size=slots, replace=False) for _ in range(batch)])
+        rows = ReplayBatch(F, slate, *([None] * 5))
+        targets = rng.standard_normal(batch)
+        value, bundle = replay["loss"](qnet, rows, targets)
+        q = head_scores(qnet.heads[0], embed_history(F, qnet.pw), catalog.feature_matrix(slate)).sum(axis=1)
+        assert value == pytest.approx(np.mean((q - targets) ** 2), rel=1e-12)
+        assert set(bundle.grads) == {"W", "B", "L1", "c1", "q1"}
+        numeric = finite_difference_grad(lambda: replay["loss"](qnet, rows, targets)[0], qnet)
+        for name, g in bundle.grads.items():
+            assert np.allclose(g, numeric[name], rtol=0, atol=1e-6), name
 
 
 class TestConstraintDiagnostic:

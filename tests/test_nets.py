@@ -11,6 +11,7 @@ from slatesim.nets import (
     ScorerParams,
     act,
     act_grad,
+    cascade_head_names,
     embed_history,
     finite_difference_grad,
     head_scores,
@@ -24,6 +25,7 @@ from slatesim.nets import (
     run_gradient_check,
     save_tensors,
     scorer_batch,
+    scorer_batch_grad,
     sgd_step,
     td_value_and_grad,
 )
@@ -181,8 +183,8 @@ class TestCascadeHeads:
 
     def test_wrong_arity(self):
         qnet = init_cascade_net(3, 2, 2, 4, 3, np.random.default_rng(1))
-        with pytest.raises(ValueError, match="expected 2"):
-            td_value_and_grad(qnet, 2, np.zeros((1, 3, 2)), np.zeros((1, 1, 3)), np.zeros(1))
+        with pytest.raises(ValueError, match="expected 3 item vectors of 3 features, got 2 of 3"):
+            td_value_and_grad(qnet, np.zeros((1, 3, 2)), np.zeros((1, 2, 3)), np.zeros(1))
 
     def test_j1_matches_scorer_oracle(self):
         rng = np.random.default_rng(2)
@@ -236,29 +238,12 @@ class TestGradients:
         _, g1 = nll_value_and_grad(net, F, feats, np.array([0, 2, 3]), eta=1.0)
         assert set(g1.grads) == {"W", "B", "V", "b", "v"}
         qnet = init_cascade_net(2, 3, 2, 4, 2, rng)
-        _, g2 = td_value_and_grad(qnet, 2, F, rng.standard_normal((3, 1, 4)), np.ones(3))
-        assert set(g2.grads) == {"W", "B", "L2", "c2", "q2"}
+        _, g2 = td_value_and_grad(qnet, F, rng.standard_normal((3, 2, 2)), np.ones(3))
+        assert set(g2.grads) == {"W", "B", "L1", "c1", "q1", "L2", "c2", "q2"}
 
     def test_finite_difference_all_kinds(self):
         # acceptance runs 100 trials; keep the unit version small but complete
         assert run_gradient_check(seed=123, trials=16, dims_max=5) <= 1e-4
-
-    @pytest.mark.parametrize("slots", [1, 2, 5])
-    def test_td_k_slot_form_matches_finite_differences(self, slots):
-        # the additive learner's TD loss: Q is head 1's scores summed over `slots` one-item slots
-        rng = np.random.default_rng(40 + slots)
-        d, m, n, hid, batch = 3, 4, 2, 5, 4
-        qnet = init_cascade_net(d, m, n, hid, 2, rng)
-        F = rng.standard_normal((batch, d, m))
-        slate = rng.standard_normal((batch, slots, d))
-        targets = rng.standard_normal(batch)
-        value, bundle = td_value_and_grad(qnet, 1, F, slate, targets)
-        q = head_scores(qnet.heads[0], embed_history(F, qnet.pw), slate).sum(axis=1)
-        assert value == pytest.approx(np.mean((q - targets) ** 2), rel=1e-12)
-        assert set(bundle.grads) == {"W", "B", "L1", "c1", "q1"}
-        numeric = finite_difference_grad(lambda: td_value_and_grad(qnet, 1, F, slate, targets)[0], qnet)
-        for name, g in bundle.grads.items():
-            assert np.allclose(g, numeric[name], rtol=0, atol=1e-6), name
 
     def test_nll_stationary_at_generating_parameters(self):
         # data drawn from the model's own softmax: gradient norm at the generator
@@ -288,6 +273,68 @@ class TestGradients:
                 t += named_tensors(net)[name]
             worse += grad_norm(pert) > base
         assert worse >= 18
+
+
+def per_head_td(qnet, F, slate_feats, targets):
+    # the per-head TD loss the block pass replaced: each head embeds the histories and
+    # regresses its prefix [f_1; ...; f_j] alone; the value is the heads' mean, the
+    # gradient their sum
+    batch, k, _ = slate_feats.shape
+    value, total = 0.0, GradientBundle()
+    for j in range(1, k + 1):
+        view = ScorerNet(pw=qnet.pw, head=qnet.heads[j - 1])
+        cache = scorer_batch(view, F, slate_feats[:, :j].reshape(batch, 1, -1))
+        resid = cache.scores[:, 0] - targets
+        value += float(np.mean(resid * resid))
+        g = scorer_batch_grad(view, cache, (2.0 * resid / batch)[:, None])
+        names = cascade_head_names(j)
+        total.add_(GradientBundle({names.get(name, name): t for name, t in g.grads.items()}))
+    return value / k, total
+
+
+class TestTdBlock:
+    def _case(self, seed, k, d, m, n, hidden, batch):
+        rng = np.random.default_rng(seed)
+        qnet = init_cascade_net(d, m, n, hidden, k, rng)
+        return (qnet, rng.standard_normal((batch, d, m)), rng.standard_normal((batch, k, d)),
+                rng.standard_normal(batch))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_per_head_oracle(self, k):
+        # uneven dims, so no axis can stand in for another
+        for seed, dims in enumerate([(8, 5, 4, 16, 32), (3, 2, 5, 7, 9), (1, 6, 1, 3, 1), (5, 1, 3, 2, 4)]):
+            qnet, F, slate, targets = self._case(100 * k + seed, k, *dims)
+            value, bundle = td_value_and_grad(qnet, F, slate, targets)
+            oracle_value, oracle = per_head_td(qnet, F, slate, targets)
+            assert value == pytest.approx(oracle_value, rel=1e-12, abs=0)
+            assert set(bundle.grads) == set(oracle.grads) == set(named_tensors(qnet))
+            for name, g in oracle.grads.items():
+                assert bundle.grads[name].shape == g.shape, name
+                assert np.max(np.abs(bundle.grads[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_matches_finite_differences(self, k):
+        qnet, F, slate, targets = self._case(k, k, 3, 4, 2, 5, 4)
+        _, bundle = td_value_and_grad(qnet, F, slate, targets)
+        # the gradient is of the heads' summed loss: k times the returned mean
+        numeric = finite_difference_grad(lambda: k * td_value_and_grad(qnet, F, slate, targets)[0], qnet)
+        assert set(bundle.grads) == set(numeric)
+        for name, g in bundle.grads.items():
+            assert np.allclose(g, numeric[name], rtol=0, atol=1e-6), name
+
+    def test_gradient_check_regresses_every_head(self, monkeypatch):
+        import slatesim.nets as nets
+        seen = []
+        real = nets.td_value_and_grad
+
+        def recording(qnet, F, slate_feats, targets):
+            seen.append((qnet.k, slate_feats.shape[1]))
+            return real(qnet, F, slate_feats, targets)
+
+        monkeypatch.setattr(nets, "td_value_and_grad", recording)
+        assert run_gradient_check(seed=5, trials=40, dims_max=4) <= 1e-4
+        assert seen and all(k == slots for k, slots in seen)
+        assert {k for k, _ in seen} == {1, 2, 3}
 
 
 class TestSgdStep:

@@ -5,10 +5,14 @@ sequence the trainer played, in the order the sessions played it (step by
 step, sessions in order). The played digests in golden/train_digests.json
 were recorded when the replay loop still stepped its sessions one at a time;
 stepping them in lockstep reproduces them bit for bit. The tensor digests
-were re-recorded once, when the scorer's contractions moved from np.einsum to
-matmuls and the TD target's embedding to embed_history: that moved trained
-tensors in the last bits (at most 4.9e-16 of a tensor's largest entry) and
-left every played sequence unchanged. Print the current digests with
+were re-recorded twice. First, when the scorer's contractions moved from
+np.einsum to matmuls and the TD target's embedding to embed_history: that
+moved trained tensors in the last bits (at most 4.9e-16 of a tensor's largest
+entry) and left every played sequence unchanged. Second, the cdqn cases only,
+when the TD loss ran all k cascade heads as one block pass on one embedding
+(td_value_and_grad): trained tensors moved by at most 4.8e-16 of a tensor's
+largest entry (W of cdqn_learned); every played sequence and both additive
+cases kept their digests. Print the current digests with
 `PYTHONPATH=src python tests/test_train_golden.py`.
 """
 
