@@ -12,7 +12,7 @@ import numpy as np
 from . import nets
 from .data import NON_CLICK_ID, ItemCatalog
 from .env import EpisodeKeys, Policy, SlateEnv, reset, step
-from .nets import CascadeQNet, GradientBundle, ScorerNet
+from .nets import CascadeQNet, ScorerNet
 from .training import UserModel
 
 
@@ -85,6 +85,10 @@ class PolicyKind(Enum):
     RANDOM = "random"
 
 
+# the policy kinds backed by a trained Q-network checkpoint
+Q_KINDS = (PolicyKind.CDQN, PolicyKind.ADDITIVE_Q)
+
+
 @dataclass
 class CDQNConfig:
     gamma: float = 0.9
@@ -118,7 +122,7 @@ class PolicyHandle:
     user_model: UserModel | None = None
 
     def __post_init__(self):
-        if self.kind in (PolicyKind.CDQN, PolicyKind.ADDITIVE_Q) and self.qnet is None:
+        if self.kind in Q_KINDS and self.qnet is None:
             raise ValueError(f"{self.kind.value} policy needs a qnet")
         if self.kind is PolicyKind.GREEDY_USER_MODEL and self.user_model is None:
             raise ValueError("greedy policy needs a user model")
@@ -181,17 +185,12 @@ def cascade_plan(qeval: QEval, pool: Sequence[int], k: int,
     return slate, values
 
 
-def cascade_argmax(qeval: QEval, pool: Sequence[int], k: int,
-                   counter: EvalCounter | None = None) -> list[int]:
-    """Ordered slate maximizing the cascade in at most k * |pool| evaluations."""
-    return cascade_plan(qeval, pool, k, counter)[0]
-
-
 def cascade_slate(qnet: CascadeQNet, hist: np.ndarray, pool: Sequence[int],
                   catalog: ItemCatalog, counter: EvalCounter | None = None) -> list[int]:
-    """Embed one d x m history and run the cascade over the pool."""
+    """Embed one d x m history; the ordered slate the cascade picks from the pool, in at
+    most k * |pool| evaluations."""
     s = nets.embed_history(hist, qnet.pw)
-    return cascade_argmax(net_qeval(qnet, s, catalog), pool, qnet.k, counter)
+    return cascade_plan(net_qeval(qnet, s, catalog), pool, qnet.k, counter)[0]
 
 
 def pad_pools(pools: Sequence[Sequence[int]], width: int | None = None
@@ -374,7 +373,7 @@ Act = Callable[[CascadeQNet, np.ndarray, list[tuple[int, ...]]], np.ndarray]
 
 def _train_replay(env_factory: EnvFactory, config: CDQNConfig, heads: int, act: Act,
                   target: Callable[[CascadeQNet, ReplayBatch], np.ndarray],
-                  loss: Callable[[CascadeQNet, ReplayBatch, np.ndarray], tuple[float, GradientBundle]],
+                  loss: Callable[[CascadeQNet, ReplayBatch, np.ndarray], tuple[float, dict[str, np.ndarray]]],
                   on_iteration: Callable[[int, dict], None] | None) -> CascadeQNet:
     """Epsilon-greedy sessions, experience replay and one SGD step per horizon step.
 
@@ -422,10 +421,10 @@ def _train_replay(env_factory: EnvFactory, config: CDQNConfig, heads: int, act: 
                                        np.full(B, t == config.horizon - 1)))
                 if len(memory) >= config.minibatch:
                     batch = memory.sample(config.minibatch, rng)
-                    value, bundle = loss(qnet, batch, target(qnet, batch))
+                    value, grads = loss(qnet, batch, target(qnet, batch))
                     if not np.isfinite(value):
                         raise TrainingDivergedError(it)
-                    nets.sgd_step(qnet, bundle, config.lr)
+                    nets.sgd_step(qnet, grads, config.lr)
                     updates += 1
                     losses.append(value)
         except NonFiniteQError as exc:
@@ -474,7 +473,7 @@ def train_additive_q(env_factory: EnvFactory, config: CDQNConfig,
         resid = cache.scores.sum(axis=1) - targets
         g = nets.scorer_batch_grad(view, cache, np.repeat((2.0 * resid / len(resid))[:, None], k, axis=1))
         names = nets.cascade_head_names(1)
-        return float(np.mean(resid * resid)), GradientBundle({names.get(n, n): t for n, t in g.grads.items()})
+        return float(np.mean(resid * resid)), {names.get(n, n): t for n, t in g.items()}
 
     return _train_replay(
         env_factory, config, 1,
@@ -519,8 +518,12 @@ def save_policy(path, qnet: CascadeQNet, extra_meta: dict[str, str] | None = Non
     nets.save_tensors(path, tensors, meta)
 
 
-def load_policy(path) -> CascadeQNet:
+def load_policy(path, kind: PolicyKind) -> CascadeQNet:
+    """The Q-net of a policy checkpoint to play as `kind`; one whose recorded policy_kind
+    differs raises ValueError naming the file."""
     with nets.read_checkpoint(path, "cascade_policy") as (tensors, meta):
+        if meta.get("policy_kind", kind.value) != kind.value:
+            raise ValueError(f"a policy trained as {meta['policy_kind']}, not {kind.value}")
         pw = nets.PositionWeightParams(W=tensors["W"], B=tensors["B"])
         heads = [{attr: tensors[name] for attr, name in nets.cascade_head_names(j).items()}
                  for j in range(1, int(meta["k"]) + 1)]

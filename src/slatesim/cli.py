@@ -13,8 +13,8 @@ import numpy as np
 from . import agent, metrics, nets, training
 from .agent import CDQNConfig, PolicyKind, RewardMode
 from .choice import Regularizer
-from .data import load_trajectories, read_meta, save_trajectories, split_users
-from .env import EnvConfig, EpisodeKeys, SlateEnv, reset, rollout_batch, step
+from .data import fmt, load_trajectories, read_meta, save_trajectories, split_users, write_lines
+from .env import EnvConfig, SlateEnv, rollout_batch
 from .metrics import ExperimentSpec, RosterEntry, load_experiment, run_experiment
 from .training import InitScheme, TrainConfig, UserModel, save_user_model
 
@@ -48,9 +48,6 @@ def _one_of(choices: tuple[str, ...]):
     return cast
 
 
-# the policy kinds backed by a trained Q-network checkpoint
-_Q_KINDS = (PolicyKind.CDQN, PolicyKind.ADDITIVE_Q)
-
 # Every flag of every subcommand, declared once: name -> cast. The cast parses
 # the flag and its config-file key alike; an enum flag parses with its
 # constructor and offers the enum's values as argparse choices.
@@ -75,7 +72,7 @@ _FLAGS = {
     # train-policy
     "gamma": float, "epsilon": float, "epsilon-final": float, "iterations": int,
     "batch-users": int, "minibatch": int, "lr": float, "capacity": int,
-    "reward-mode": RewardMode, "policy-kind": _one_of(tuple(kind.value for kind in _Q_KINDS)),
+    "reward-mode": RewardMode, "policy-kind": _one_of(tuple(kind.value for kind in agent.Q_KINDS)),
     # evaluate
     "spec": str, "roster": str, "policy": str, "policy-cdqn": str, "policy-additive": str,
     "greedy-user-model": str, "n-users": int, "reps": int,
@@ -220,9 +217,8 @@ def cmd_train_user_model(args: argparse.Namespace) -> int:
 
     def on_epoch(epoch: int, stats: dict) -> None:
         train_nll = stats.get("train_nll", stats.get("objective", float("nan")))
-        line = (f"{epoch},{train_nll:.9g},{stats.get('valid_nll', float('nan')):.9g},"
-                f"{stats.get('prec1', float('nan')):.9g}")
-        log_lines.append(line)
+        log_lines.append(",".join([str(epoch)] + [fmt(x) for x in (
+            train_nll, stats.get("valid_nll", float("nan")), stats.get("prec1", float("nan")))]))
         _log(f"[train-user-model] epoch={epoch} " +
              " ".join(f"{k}={v:.5g}" for k, v in stats.items()))
 
@@ -233,8 +229,7 @@ def cmd_train_user_model(args: argparse.Namespace) -> int:
         model = training.train_minimax(catalog, train, config, valid=valid, on_epoch=on_epoch)
     ckpt = os.path.join(out_dir, "user_model.ckpt")
     save_user_model(ckpt, model)
-    with open(os.path.join(out_dir, "train_log.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(log_lines) + "\n")
+    write_lines(os.path.join(out_dir, "train_log.csv"), log_lines)
     if test:
         test_examples = training.build_examples(catalog, test, config.m)
         prec1 = training.precision_at_k(model, test_examples, 1)
@@ -283,7 +278,7 @@ def _roster(opt: _Options) -> list[RosterEntry] | None:
             choices = sorted(member.value for member in PolicyKind)
             raise ValueError(f"unknown roster policy {name!r}; choose from {choices}") from None
         path = None
-        if kind in _Q_KINDS:
+        if kind in agent.Q_KINDS:
             path = opt.get(f"policy-{name}") or opt.get("policy")
             if path is None:
                 raise ValueError(f"roster policy {name!r} needs a checkpoint: "
@@ -325,7 +320,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_diagnose_q(args: argparse.Namespace) -> int:
     opt = _load_options(args)
     policy_path = opt.file("policy", required=True)
-    qnet = agent.load_policy(policy_path)
+    qnet = agent.load_policy(policy_path, PolicyKind.CDQN)
     spec, env, user = _world(opt, k=qnet.k)
     metrics.check_fits(policy_path, d=(qnet.pw.d, env.catalog.d), m=(qnet.pw.m, user.m))
     out_dir = _out_dir(opt)
@@ -335,10 +330,9 @@ def cmd_diagnose_q(args: argparse.Namespace) -> int:
     except agent.NonFiniteQError as exc:
         raise ValueError(f"{policy_path}: policy cannot be diagnosed: {exc}") from exc
     lines = ["state_idx,j,qj,qk"]
-    lines += [f"{idx},{j},{format(qj, '.9g')},{format(qk, '.9g')}" for idx, j, qj, qk in rows]
+    lines += [f"{idx},{j},{fmt(qj)},{fmt(qk)}" for idx, j, qj, qk in rows]
     path = os.path.join(out_dir, "q_constraints.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
     for j in range(1, qnet.k + 1):
         qj = np.array([r[2] for r in rows if r[1] == j])
         qk = np.array([r[3] for r in rows if r[1] == j])
@@ -353,24 +347,22 @@ def collect_states(env: SlateEnv, user, qnet, n_states: int, seed: int):
 
     Episode e runs on seed 2 * (seed + e) + 1, and its states are taken in
     step order, episode after episode, until n_states are in hand. The
-    episodes run in lockstep: one cascade_batch picks every row's slate, then
-    one env.step advances them all."""
+    episodes play make_policy's cdqn policy through one rollout_batch, which
+    records every step's histories and pools before it acts."""
     horizon = env.config.horizon
     if n_states <= 0:
         return [], []
     if horizon < 1:
         raise ValueError(f"--horizon must be >= 1 to visit states, got {horizon}")
-    steps = min(horizon, n_states)
     seeds = [2 * (seed + e) + 1 for e in range(-(-n_states // horizon))]
-    keys = EpisodeKeys(seeds, steps)
-    hists, clicked, pools = reset(env, user, keys)
+    cascade = agent.make_policy(agent.PolicyHandle(PolicyKind.CDQN, qnet=qnet), env.catalog, qnet.k)
     visited = []
-    for t in range(steps):
+
+    def recording(hists, pools, row_rng):
         visited.append((hists.copy(), list(pools)))
-        if t < steps - 1:
-            slates = agent.cascade_batch(qnet, nets.embed_history(hists, qnet.pw),
-                                         *agent.pad_pools(pools), env.catalog)[0]
-            step(env, user, t, keys, hists, clicked, pools, slates)
+        return cascade(hists, pools, row_rng)
+
+    rollout_batch(env, user, recording, seeds, T=min(horizon, n_states))
     states = [(h[e], p[e]) for e in range(len(seeds)) for h, p in visited][:n_states]
     return [h for h, _ in states], [p for _, p in states]
 

@@ -14,9 +14,15 @@ class DataFormatError(ValueError):
     """Malformed trajectory file; the message names the file."""
 
 
-def _fmt(x: float) -> str:
-    # 9 significant digits; round-trips exactly through a second save/load.
+def fmt(x: float) -> str:
+    """Every output file's number format: 9 significant digits, stable under a second save/load."""
     return format(float(x), ".9g")
+
+
+def write_lines(path, lines: Sequence[str]) -> None:
+    """Write `lines` as one UTF-8 text file, each line ended by a newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 class ItemCatalog:
@@ -227,17 +233,16 @@ def save_trajectories(
     k = max((len(r.displayed) for t in trajectories for r in t.records), default=0)
     lines = [f"meta d={catalog.d} m={int(m)} k={k}"]
     for item_id, feats in zip(catalog.ids, catalog.matrix):
-        vals = " ".join(_fmt(x) for x in feats)
+        vals = " ".join(fmt(x) for x in feats)
         lines.append(f"item {item_id} {vals}")
     for traj in trajectories:
         for rec in traj.records:
             ids = " ".join(str(i) for i in rec.displayed)
             line = f"rec {traj.user_id} {rec.step} {rec.chosen} | {ids}"
             if rec.reward is not None:
-                line += f" ; r={_fmt(rec.reward)}"
+                line += f" ; r={fmt(rec.reward)}"
             lines.append(line)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def _parse_meta(line: str, lineno: int) -> tuple[int, int, int]:

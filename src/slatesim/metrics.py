@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import NonFiniteQError, PolicyHandle, PolicyKind, load_policy, make_policy
-from .data import ItemCatalog, synth_catalog
+from .agent import Q_KINDS, NonFiniteQError, PolicyHandle, PolicyKind, load_policy, make_policy
+from .data import ItemCatalog, fmt, synth_catalog, write_lines
 from .env import EnvConfig, SlateEnv, make_ground_truth_user, rollout_batch
 from .training import UserModel, load_user_model
 
@@ -68,10 +68,6 @@ def eval_env_seed(base_seed: int, user: int, rep: int, n_users: int) -> int:
     return 2 * (base_seed + rep * n_users + user) + 1
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
-
-
 def check_fits(path: str, **dims: tuple[int, int]) -> None:
     """Refuse a checkpoint whose dimensions differ from the run's: name=(checkpoint's, run's)."""
     wrong = [f"{name}={have} where the run has {name}={want}"
@@ -108,10 +104,10 @@ def load_experiment(spec: ExperimentSpec):
     env, user, catalog = build_experiment_env(spec)
     policies = []
     for entry in spec.roster:
-        if entry.kind in (PolicyKind.CDQN, PolicyKind.ADDITIVE_Q):
+        if entry.kind in Q_KINDS:
             if entry.path is None or not os.path.exists(entry.path):
                 raise FileNotFoundError(f"policy checkpoint not found: {entry.path}")
-            qnet = load_policy(entry.path)
+            qnet = load_policy(entry.path, entry.kind)
             # the additive baseline ranks with its single-item head, whatever the slate size
             if entry.kind is PolicyKind.CDQN:
                 check_fits(entry.path, k=(qnet.k, spec.env.k))
@@ -156,10 +152,8 @@ def run_experiment(spec: ExperimentSpec, loaded=None) -> list[MetricReport]:
         rows = [(u, rep, avg_reward, clicks / T)
                 for (u, rep), (_, avg_reward, clicks) in zip(episodes, results)]
         lines = ["user_id,rep,cum_reward,ctr"]
-        lines += [f"{u},{rep},{_fmt(cr)},{_fmt(ct)}" for u, rep, cr, ct in rows]
-        with open(os.path.join(spec.out_dir, f"{name}_metrics.csv"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        lines += [f"{u},{rep},{fmt(cr)},{fmt(ct)}" for u, rep, cr, ct in rows]
+        write_lines(os.path.join(spec.out_dir, f"{name}_metrics.csv"), lines)
         # rows are rep-major, so each rep's users are one row of the reshape
         per_rep_reward = np.array([cr for _, _, cr, _ in rows]).reshape(spec.repetitions, -1).mean(axis=1)
         per_rep_ctr = np.array([ct for _, _, _, ct in rows]).reshape(spec.repetitions, -1).mean(axis=1)
@@ -181,11 +175,9 @@ def run_experiment(spec: ExperimentSpec, loaded=None) -> list[MetricReport]:
         reports.append(report)
         agg_lines.append(
             f"{name},{spec.n_users},{spec.repetitions},{T},"
-            f"{_fmt(report.avg_cumulative_reward)},{_fmt(report.std_cumulative_reward)},"
-            f"{_fmt(report.stderr_cumulative_reward)},{_fmt(report.ctr)},"
-            f"{_fmt(report.std_ctr)},{_fmt(report.stderr_ctr)}"
+            f"{fmt(report.avg_cumulative_reward)},{fmt(report.std_cumulative_reward)},"
+            f"{fmt(report.stderr_cumulative_reward)},{fmt(report.ctr)},"
+            f"{fmt(report.std_ctr)},{fmt(report.stderr_ctr)}"
         )
-    with open(os.path.join(spec.out_dir, "aggregate.csv"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(agg_lines) + "\n")
+    write_lines(os.path.join(spec.out_dir, "aggregate.csv"), agg_lines)
     return reports

@@ -11,18 +11,20 @@ it to [s; f_1; ...; f_k] and runs all k heads as one block matmul forward and
 backward, on one embedding forward and backward that the heads share.
 
 Gradients for the supported losses (NLL, the two adversarial updates, squared
-TD error) are computed analytically, including backprop through the embedding.
+TD error) are computed analytically, including backprop through the embedding,
+and returned as name -> array dicts keyed as named_tensors, which sgd_step applies.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .choice import Regularizer, logsumexp, softmax
+from .data import write_lines
 
 
 def act(z: np.ndarray) -> np.ndarray:
@@ -186,8 +188,9 @@ def scorer_batch(net: ScorerNet, F: np.ndarray, feats: np.ndarray) -> _ScorerCac
     return _ScorerCache(F=F, feats=feats, Ze=Ze, s=s, z=z, h=h, scores=scores)
 
 
-def scorer_batch_grad(net: ScorerNet, cache: _ScorerCache, slot_w: np.ndarray) -> "GradientBundle":
-    """Gradient of sum_{b,s} slot_w[b,s] * score[b,s] w.r.t. all net parameters."""
+def scorer_batch_grad(net: ScorerNet, cache: _ScorerCache, slot_w: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradient of sum_{b,s} slot_w[b,s] * score[b,s] w.r.t. all net parameters, keyed as
+    named_tensors(net)."""
     batch, d, n = cache.Ze.shape
     rows = slot_w.size                        # contractions over (batch, slot) pairs are matmuls
     dv = slot_w.reshape(-1) @ cache.h.reshape(rows, -1)
@@ -199,8 +202,8 @@ def scorer_batch_grad(net: ScorerNet, cache: _ScorerCache, slot_w: np.ndarray) -
     dzb = dz.sum(axis=1)                      # (batch, hidden)
     dVs = dzb.T @ cache.s                     # (hidden, dn)
     ds = dzb @ net.head.V[:, :d * n]          # (batch, dn)
-    return GradientBundle({**_embed_grad(net.pw, cache.F, cache.Ze, ds),
-                           "V": np.concatenate([dVs, dVf], axis=1), "b": db, "v": dv})
+    return {**_embed_grad(net.pw, cache.F, cache.Ze, ds),
+            "V": np.concatenate([dVs, dVf], axis=1), "b": db, "v": dv}
 
 
 def _embed_grad(pw: PositionWeightParams, F: np.ndarray, Ze: np.ndarray, ds: np.ndarray) -> dict:
@@ -291,34 +294,14 @@ def td_value_and_grad(qnet: CascadeQNet, F, slate_feats: np.ndarray, targets: np
     for j, (head, at) in enumerate(zip(qnet.heads, starts), start=1):
         rows, names = slice(at, at + head.b.size), cascade_head_names(j)
         grads.update({names["V"]: dV[rows, :head.V.shape[1]], names["b"]: db[rows], names["v"]: dv[rows]})
-    return float(np.mean(resid * resid)), GradientBundle(grads)
+    return float(np.mean(resid * resid)), grads
 
 
 LOSS_KINDS = ("nll", "minimax-reward", "minimax-behavior", "squared-td")
 
 
 # ---------------------------------------------------------------------------
-# parameter plumbing: bundles, SGD, init, checkpoints
-
-
-@dataclass
-class GradientBundle:
-    """Named gradient arrays, shape-congruent with the parameters they address."""
-
-    grads: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def add_(self, other: "GradientBundle") -> "GradientBundle":
-        for name, g in other.grads.items():
-            if name in self.grads:
-                self.grads[name] = self.grads[name] + g
-            else:
-                self.grads[name] = g.copy()
-        return self
-
-    def scale_(self, a: float) -> "GradientBundle":
-        for name in self.grads:
-            self.grads[name] = self.grads[name] * a
-        return self
+# parameter plumbing: SGD, init, checkpoints
 
 
 def named_tensors(params) -> dict[str, np.ndarray]:
@@ -337,11 +320,12 @@ def named_tensors(params) -> dict[str, np.ndarray]:
     raise TypeError(f"no tensor registry for {type(params).__name__}")
 
 
-def sgd_step(params, bundle: GradientBundle, learning_rate: float, ascend: bool = False):
-    """In-place SGD update p <- p -/+ lr * g; returns params."""
+def sgd_step(params, grads: dict[str, np.ndarray], learning_rate: float, ascend: bool = False):
+    """In-place SGD update p <- p -/+ lr * g of each gradient, keyed as named_tensors(params);
+    returns params."""
     tensors = named_tensors(params)
     sign = 1.0 if ascend else -1.0
-    for name, g in bundle.grads.items():
+    for name, g in grads.items():
         if name not in tensors:
             raise KeyError(f"gradient {name!r} has no matching parameter")
         t = tensors[name]
@@ -395,8 +379,7 @@ def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, str] | No
         dims = " ".join(str(s) for s in t.shape)
         lines.append(f"tensor {name} {t.ndim} {dims}".rstrip())
         lines.append(" ".join(format(x, ".17g") for x in t.reshape(-1)))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
@@ -524,5 +507,5 @@ def run_gradient_check(seed: int = 0, trials: int = 100, dims_max: int = 6, h: f
                 numeric = finite_difference_grad(
                     lambda: minimax_behavior_value_and_grad(net, F, feats, rewards, eta, reg)[0],
                     net, h=h)
-        worst = max(worst, _rel_err(analytic.grads, numeric))
+        worst = max(worst, _rel_err(analytic, numeric))
     return worst

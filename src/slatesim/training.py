@@ -14,7 +14,7 @@ import numpy as np
 from . import nets
 from .choice import ChoiceConfig, PROB_FLOOR, Regularizer, logsumexp, softmax
 from .data import NON_CLICK_ID, ItemCatalog, Trajectory
-from .nets import GradientBundle, ScorerNet
+from .nets import ScorerNet
 
 
 class InitScheme(Enum):
@@ -208,15 +208,16 @@ def build_examples(
 
 
 def _weighted(parts):
-    """Combine (count, value, bundle) group results into one mean value and bundle."""
+    """Combine (count, value, grads) group results into one mean value and gradient dict:
+    each group's tensors scaled by count / total, then summed in group order."""
     total_n = sum(n for n, _, _ in parts)
-    value = 0.0
-    bundle: GradientBundle | None = None
+    value, grads = 0.0, {}
     for n, v, g in parts:
         value += v * n / total_n
-        g.scale_(n / total_n)
-        bundle = g if bundle is None else bundle.add_(g)
-    return value, bundle
+        for name, t in g.items():
+            t = t * (n / total_n)
+            grads[name] = grads[name] + t if name in grads else t
+    return value, grads
 
 
 def _nonempty(examples: ExampleSet | Sequence[Example], message: str = "empty batch") -> ExampleSet:
@@ -332,13 +333,13 @@ def _fit_sets(catalog: ItemCatalog, trajectories: Sequence[Trajectory] | Example
 
 def _fit(params: Sequence[ScorerNet], examples: ExampleSet, config: TrainConfig,
          rng: np.random.Generator,
-         theta_grad: Callable[[ExampleSet], tuple[float, GradientBundle]],
+         theta_grad: Callable[[ExampleSet], tuple[float, dict[str, np.ndarray]]],
          metric: Callable[[], float], stats: Callable[[float], dict],
          on_epoch: Callable[[int, dict], None] | None, warn_oscillation: bool = False) -> None:
     """The epoch loop of both estimators; `params` are the nets it trains, theta first.
 
     Each minibatch of an `rng` permutation gets `theta_grad(batch)`, the
-    objective and theta's bundle, and one descent step on theta. After each
+    objective and theta's gradients, and one descent step on theta. After each
     epoch `metric()` (lower is better) is scored and `on_epoch(epoch,
     stats(metric))` told. The loop stops after `config.patience` epochs
     without improvement and restores every net to its best-metric snapshot.
@@ -351,10 +352,10 @@ def _fit(params: Sequence[ScorerNet], examples: ExampleSet, config: TrainConfig,
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(examples))
         for start in range(0, len(examples), config.batch_size):
-            value, bundle = theta_grad(examples.take(order[start:start + config.batch_size]))
+            value, grads = theta_grad(examples.take(order[start:start + config.batch_size]))
             if not np.isfinite(value):
                 raise TrainingDiverged(epoch)
-            nets.sgd_step(params[0], bundle, config.lr_theta)
+            nets.sgd_step(params[0], grads, config.lr_theta)
             recent.append(value)
         if warn_oscillation and len(recent) >= OSCILLATION_WINDOW:
             variance = float(np.var(recent[-OSCILLATION_WINDOW:]))
@@ -411,7 +412,7 @@ def train_mle(
 
 
 def minimax_alpha_grad(theta: ScorerNet, alpha: ScorerNet, examples: ExampleSet | Sequence[Example],
-                       config: TrainConfig) -> GradientBundle:
+                       config: TrainConfig) -> dict[str, np.ndarray]:
     """The behavior scorer's half of an alternating update: the gradient of the mean
     generator objective against theta's rewards (the caller ascends it)."""
     parts = []
@@ -426,7 +427,7 @@ def minimax_value_grads(theta: ScorerNet, alpha: ScorerNet,
                         examples: ExampleSet | Sequence[Example], config: TrainConfig):
     """The reward scorer's half of an alternating update, against alpha's choice distribution.
 
-    Returns (theta objective value, theta bundle). The expectation over the
+    Returns (theta objective value, theta gradients). The expectation over the
     generator is an exact sum over display slots."""
     parts = []
     for pos, F, feats, chosen, _ in _nonempty(examples).blocks():

@@ -1,0 +1,36 @@
+import sys
+
+import pytest
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls({owner: names}) wraps each named function the way the traced benchmark
+    does and returns the name -> call count dict the wrappers fill.
+
+    A module owner's function is replaced at every slatesim module that binds it, so
+    a caller that bound one early (a default argument, a module-level alias) goes
+    uncounted; a class owner's method is replaced on the class."""
+
+    def install(spans: dict) -> dict[str, int]:
+        modules = [m for key, m in sys.modules.items() if key == "slatesim" or key.startswith("slatesim.")]
+        calls = {}
+        for owner, names in spans.items():
+            for name in names:
+                original = getattr(owner, name)
+                calls[name] = 0
+
+                def counting(*args, _name=name, _original=original, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                if isinstance(owner, type):
+                    monkeypatch.setattr(owner, name, counting)
+                    continue
+                for module in modules:
+                    for key, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, key, counting)
+        return calls
+
+    return install

@@ -15,7 +15,6 @@ from slatesim.agent import (
     RewardMode,
     additive_q_policy,
     additive_target,
-    cascade_argmax,
     cascade_batch,
     cascade_plan,
     cascade_slate,
@@ -82,7 +81,7 @@ class TestCascadeArgmax:
         vals = {(a,): rng.standard_normal() for a in items}
         qeval = table_qeval([vals])
         best = max(items, key=lambda a: vals[(a,)])
-        assert cascade_argmax(qeval, items, 1) == [best]
+        assert cascade_plan(qeval, items, 1)[0] == [best]
 
     def test_exact_on_consistent_tables(self):
         # enumeration oracle: with per-position max tables the cascade recovers
@@ -101,11 +100,11 @@ class TestCascadeArgmax:
     def test_tie_breaks_to_lowest_id(self):
         items = (4, 2, 9)
         vals = {(a,): 1.0 for a in items}
-        assert cascade_argmax(table_qeval([vals]), items, 1) == [2]
+        assert cascade_plan(table_qeval([vals]), items, 1)[0] == [2]
 
     def test_pool_smaller_than_k(self):
         with pytest.raises(ValueError, match="pool smaller"):
-            cascade_argmax(table_qeval([{}]), (1, 2), 3)
+            cascade_plan(table_qeval([{}]), (1, 2), 3)[0]
 
 
 class TestReplayMemory:
@@ -486,35 +485,12 @@ class TestTrainCdqn:
         assert error.iteration == 0 and targets == 0
         assert isinstance(error.__cause__, NonFiniteQError)
 
-    def test_spans_fire_once_per_update_and_greedy_row(self, monkeypatch):
-        # count calls the way the traced benchmark wraps them: every slatesim module
-        # binding of each function is replaced, so a span that stops firing (or a
-        # caller that bound one early) fails here and not only in a traced run
-        import sys
+    def test_spans_fire_once_per_update_and_greedy_row(self, count_calls):
+        # calls counted the way the traced benchmark wraps them, so a span that stops
+        # firing (or a caller that bound one early) fails here and not only in a traced run
         from slatesim import nets
-        spans = {agent: ("compute_target", "cascade_slate", "cascade_plan", "random_slate"),
-                 nets: ("td_value_and_grad", "sgd_step")}
-        modules = [m for key, m in sys.modules.items() if key == "slatesim" or key.startswith("slatesim.")]
-        calls = {}
-
-        def counting(name, original):
-            calls[name] = 0
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        for owner, names in spans.items():
-            for name in names:
-                original = getattr(owner, name)
-                wrapped = counting(name, original)
-                for module in modules:
-                    for key, value in list(vars(module).items()):
-                        if value is original:
-                            monkeypatch.setattr(module, key, wrapped)
-        monkeypatch.setattr(ReplayMemory, "sample", counting("sample", ReplayMemory.sample))
+        calls = count_calls({agent: ("compute_target", "cascade_slate", "cascade_plan", "random_slate"),
+                             nets: ("td_value_and_grad", "sgd_step"), ReplayMemory: ("sample",)})
         factory, *_ = self._factory()
         iterations, horizon, users, minibatch = 3, 4, 4, 8
         cfg = CDQNConfig(iterations=iterations, horizon=horizon, batch_users=users, minibatch=minibatch,
@@ -577,12 +553,12 @@ class TestTrainAdditive:
         slate = np.array([rng.choice(catalog.item_ids, size=slots, replace=False) for _ in range(batch)])
         rows = ReplayBatch(F, slate, *([None] * 5))
         targets = rng.standard_normal(batch)
-        value, bundle = replay["loss"](qnet, rows, targets)
+        value, grads = replay["loss"](qnet, rows, targets)
         q = head_scores(qnet.heads[0], embed_history(F, qnet.pw), catalog.feature_matrix(slate)).sum(axis=1)
         assert value == pytest.approx(np.mean((q - targets) ** 2), rel=1e-12)
-        assert set(bundle.grads) == {"W", "B", "L1", "c1", "q1"}
+        assert set(grads) == {"W", "B", "L1", "c1", "q1"}
         numeric = finite_difference_grad(lambda: replay["loss"](qnet, rows, targets)[0], qnet)
-        for name, g in bundle.grads.items():
+        for name, g in grads.items():
             assert np.allclose(g, numeric[name], rtol=0, atol=1e-6), name
 
 
@@ -610,7 +586,7 @@ class TestPolicyCheckpoint:
         qnet = init_cascade_net(3, 4, 2, 5, 3, np.random.default_rng(19))
         path = tmp_path / "policy.ckpt"
         save_policy(path, qnet, extra_meta={"reward_mode": "learned"})
-        loaded = load_policy(path)
+        loaded = load_policy(path, PolicyKind.CDQN)
         assert loaded.k == 3
         for name, t in named_tensors(qnet).items():
             assert np.array_equal(t, named_tensors(loaded)[name])

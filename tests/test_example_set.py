@@ -72,14 +72,19 @@ def old_batch_groups(examples):
 
 
 def old_weighted(parts):
+    # every group's gradients scaled by its share, then added in group order
     total_n = sum(n for n, _, _ in parts)
     value = 0.0
-    bundle = None
+    grads = None
     for n, v, g in parts:
         value += v * n / total_n
-        g.scale_(n / total_n)
-        bundle = g if bundle is None else bundle.add_(g)
-    return value, bundle
+        g = {name: t * (n / total_n) for name, t in g.items()}
+        if grads is None:
+            grads = g
+        else:
+            for name, t in g.items():
+                grads[name] = grads[name] + t if name in grads else t.copy()
+    return value, grads
 
 
 def old_nll_value_grad(theta, examples, eta):
@@ -151,8 +156,8 @@ def old_minimax_value_grads(theta, alpha, examples, config):
         vt, gt = nets.minimax_reward_value_and_grad(
             theta, F, feats, chosen, phi, config.eta, config.regularizer)
         theta_parts.append((n, vt, gt))
-    theta_value, theta_bundle = old_weighted(theta_parts)
-    return theta_value, theta_bundle, old_weighted(alpha_parts)[1]
+    theta_value, theta_grads = old_weighted(theta_parts)
+    return theta_value, theta_grads, old_weighted(alpha_parts)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +186,8 @@ def nets_pair(seed):
     return theta, alpha
 
 
-def same_bundle(a, b):
-    return a.grads.keys() == b.grads.keys() and all(
-        np.array_equal(a.grads[k], b.grads[k]) for k in a.grads)
+def same_grads(a, b):
+    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
 
 
 ragged = st.tuples(st.integers(0, 2**32 - 1),
@@ -213,10 +217,10 @@ class TestExampleSetEquivalence:
         examples = ragged_examples(*case)
         example_set = ExampleSet.from_examples(examples)
         theta, alpha = nets_pair(seed)
-        value, bundle = old_nll_value_grad(theta, examples, eta)
+        value, grads = old_nll_value_grad(theta, examples, eta)
         for given_ in (examples, example_set):
             v, g = nll_value_grad(theta, given_, eta)
-            assert v == value and same_bundle(g, bundle)
+            assert v == value and same_grads(g, grads)
             assert nll_loss(theta, given_, eta) == old_nll_loss(theta, examples, eta)
             for reg in Regularizer:
                 assert (minimax_objective(theta, alpha, given_, eta, reg)
@@ -320,18 +324,18 @@ class TestSplitMinimaxStep:
         # the combined step, as train_minimax ran it: the first call's alpha half,
         # then the second call's theta half
         batch = [examples[i] for i in idx]
-        _, _, alpha_bundle = old_minimax_value_grads(old_theta, old_alpha, batch, config)
-        nets.sgd_step(old_alpha, alpha_bundle, 0.1, ascend=True)
-        value, theta_bundle, _ = old_minimax_value_grads(old_theta, old_alpha, batch, config)
-        nets.sgd_step(old_theta, theta_bundle, 0.1)
+        _, _, alpha_grads = old_minimax_value_grads(old_theta, old_alpha, batch, config)
+        nets.sgd_step(old_alpha, alpha_grads, 0.1, ascend=True)
+        value, theta_grads, _ = old_minimax_value_grads(old_theta, old_alpha, batch, config)
+        nets.sgd_step(old_theta, theta_grads, 0.1)
 
         split_batch = ExampleSet.from_examples(examples).take(idx)
-        new_alpha_bundle = minimax_alpha_grad(theta, alpha, split_batch, config)
-        assert same_bundle(new_alpha_bundle, alpha_bundle)
-        nets.sgd_step(alpha, new_alpha_bundle, 0.1, ascend=True)
-        new_value, new_theta_bundle = minimax_value_grads(theta, alpha, split_batch, config)
-        assert new_value == value and same_bundle(new_theta_bundle, theta_bundle)
-        nets.sgd_step(theta, new_theta_bundle, 0.1)
+        new_alpha_grads = minimax_alpha_grad(theta, alpha, split_batch, config)
+        assert same_grads(new_alpha_grads, alpha_grads)
+        nets.sgd_step(alpha, new_alpha_grads, 0.1, ascend=True)
+        new_value, new_theta_grads = minimax_value_grads(theta, alpha, split_batch, config)
+        assert new_value == value and same_grads(new_theta_grads, theta_grads)
+        nets.sgd_step(theta, new_theta_grads, 0.1)
 
         for new, old in ((theta, old_theta), (alpha, old_alpha)):
             for name, t in named_tensors(new).items():

@@ -298,6 +298,26 @@ class TestCli:
                 "position 2 is not finite") in capsys.readouterr().err
         assert not (tmp_path / "out" / output).exists()
 
+    @pytest.mark.parametrize("trained, k, argv", [
+        ("cdqn", 5, ["evaluate", "--roster", "additive", "--policy-additive", "P"]),
+        ("additive", 1, ["evaluate", "--roster", "cdqn", "--policy-cdqn", "P", "--k", "1"]),
+        ("additive", 1, ["diagnose-q", "--policy", "P"]),
+    ], ids=["cdqn-as-additive", "additive-as-cdqn", "additive-diagnosed"])
+    def test_policy_trained_as_another_kind_exits_2_naming_the_file(self, tmp_path, capsys,
+                                                                  trained, k, argv):
+        # the checkpoints fit the run's d, m and k; only their recorded policy_kind differs
+        path = str(tmp_path / "policy.ckpt")
+        save_policy(path, init_cascade_net(8, 5, 4, 16, k, np.random.default_rng(0)),
+                    extra_meta={"policy_kind": trained})
+        played = "cdqn" if trained == "additive" else "additive"
+        code = cli_main([path if arg == "P" else arg for arg in argv]
+                        + ["--n-users", "2", "--reps", "1"] * (argv[0] == "evaluate")
+                        + ["--out", str(tmp_path / "out")])
+        assert code == 2
+        assert (f"error: {path}: a policy trained as {trained}, not {played}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_end_to_end_pipeline(self, tmp_path, capsys):
         out = str(tmp_path)
         # 1. generate a tiny synthetic click log

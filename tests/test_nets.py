@@ -5,7 +5,6 @@ from slatesim.agent import net_qeval
 from slatesim.choice import Regularizer
 from slatesim.data import synth_catalog
 from slatesim.nets import (
-    GradientBundle,
     PositionWeightParams,
     ScorerNet,
     ScorerParams,
@@ -226,9 +225,9 @@ class TestGradients:
         net = init_scorer_net(3, 4, 2, 5, rng)
         F = rng.standard_normal((2, 3, 4))
         feats = rng.standard_normal((2, 1, 3))
-        value, bundle = nll_value_and_grad(net, F, feats, np.zeros(2, dtype=int), eta=1.3)
+        value, grads = nll_value_and_grad(net, F, feats, np.zeros(2, dtype=int), eta=1.3)
         assert value == pytest.approx(0.0, abs=1e-12)
-        assert max(float(np.max(np.abs(g))) for g in bundle.grads.values()) <= 1e-12
+        assert max(float(np.max(np.abs(g))) for g in grads.values()) <= 1e-12
 
     def test_bundles_name_the_parameters(self):
         rng = np.random.default_rng(6)
@@ -236,10 +235,10 @@ class TestGradients:
         F = rng.standard_normal((3, 2, 3))
         feats = rng.standard_normal((3, 4, 2))
         _, g1 = nll_value_and_grad(net, F, feats, np.array([0, 2, 3]), eta=1.0)
-        assert set(g1.grads) == {"W", "B", "V", "b", "v"}
+        assert set(g1) == {"W", "B", "V", "b", "v"}
         qnet = init_cascade_net(2, 3, 2, 4, 2, rng)
         _, g2 = td_value_and_grad(qnet, F, rng.standard_normal((3, 2, 2)), np.ones(3))
-        assert set(g2.grads) == {"W", "B", "L1", "c1", "q1", "L2", "c2", "q2"}
+        assert set(g2) == {"W", "B", "L1", "c1", "q1", "L2", "c2", "q2"}
 
     def test_finite_difference_all_kinds(self):
         # acceptance runs 100 trials; keep the unit version small but complete
@@ -262,7 +261,7 @@ class TestGradients:
 
         def grad_norm(model):
             g = nll_value_and_grad(model, F, feats, chosen, eta=1.0)[1]
-            return np.sqrt(sum(float(np.sum(t * t)) for t in g.grads.values()))
+            return np.sqrt(sum(float(np.sum(t * t)) for t in g.values()))
 
         base = grad_norm(net)
         worse = 0
@@ -280,7 +279,7 @@ def per_head_td(qnet, F, slate_feats, targets):
     # regresses its prefix [f_1; ...; f_j] alone; the value is the heads' mean, the
     # gradient their sum
     batch, k, _ = slate_feats.shape
-    value, total = 0.0, GradientBundle()
+    value, total = 0.0, {}
     for j in range(1, k + 1):
         view = ScorerNet(pw=qnet.pw, head=qnet.heads[j - 1])
         cache = scorer_batch(view, F, slate_feats[:, :j].reshape(batch, 1, -1))
@@ -288,7 +287,9 @@ def per_head_td(qnet, F, slate_feats, targets):
         value += float(np.mean(resid * resid))
         g = scorer_batch_grad(view, cache, (2.0 * resid / batch)[:, None])
         names = cascade_head_names(j)
-        total.add_(GradientBundle({names.get(name, name): t for name, t in g.grads.items()}))
+        for name, t in g.items():
+            name = names.get(name, name)
+            total[name] = total[name] + t if name in total else t
     return value / k, total
 
 
@@ -304,22 +305,22 @@ class TestTdBlock:
         # uneven dims, so no axis can stand in for another
         for seed, dims in enumerate([(8, 5, 4, 16, 32), (3, 2, 5, 7, 9), (1, 6, 1, 3, 1), (5, 1, 3, 2, 4)]):
             qnet, F, slate, targets = self._case(100 * k + seed, k, *dims)
-            value, bundle = td_value_and_grad(qnet, F, slate, targets)
+            value, grads = td_value_and_grad(qnet, F, slate, targets)
             oracle_value, oracle = per_head_td(qnet, F, slate, targets)
             assert value == pytest.approx(oracle_value, rel=1e-12, abs=0)
-            assert set(bundle.grads) == set(oracle.grads) == set(named_tensors(qnet))
-            for name, g in oracle.grads.items():
-                assert bundle.grads[name].shape == g.shape, name
-                assert np.max(np.abs(bundle.grads[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+            assert set(grads) == set(oracle) == set(named_tensors(qnet))
+            for name, g in oracle.items():
+                assert grads[name].shape == g.shape, name
+                assert np.max(np.abs(grads[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_matches_finite_differences(self, k):
         qnet, F, slate, targets = self._case(k, k, 3, 4, 2, 5, 4)
-        _, bundle = td_value_and_grad(qnet, F, slate, targets)
+        _, grads = td_value_and_grad(qnet, F, slate, targets)
         # the gradient is of the heads' summed loss: k times the returned mean
         numeric = finite_difference_grad(lambda: k * td_value_and_grad(qnet, F, slate, targets)[0], qnet)
-        assert set(bundle.grads) == set(numeric)
-        for name, g in bundle.grads.items():
+        assert set(grads) == set(numeric)
+        for name, g in grads.items():
             assert np.allclose(g, numeric[name], rtol=0, atol=1e-6), name
 
     def test_gradient_check_regresses_every_head(self, monkeypatch):
@@ -342,7 +343,7 @@ class TestSgdStep:
         rng = np.random.default_rng(8)
         net = init_scorer_net(2, 2, 2, 3, rng)
         before = {k: t.copy() for k, t in named_tensors(net).items()}
-        g = GradientBundle({k: np.ones_like(t) for k, t in named_tensors(net).items()})
+        g = {k: np.ones_like(t) for k, t in named_tensors(net).items()}
         sgd_step(net, g, learning_rate=0.0)
         for k, t in named_tensors(net).items():
             assert np.array_equal(t, before[k])
@@ -350,25 +351,25 @@ class TestSgdStep:
     def test_quadratic_single_step(self):
         # f(p) = p^2 from p=1 with lr 0.1 lands on 0.8
         p = PositionWeightParams(W=np.array([[1.0]]), B=np.zeros((1, 1)))
-        g = GradientBundle({"W": 2.0 * p.W})
+        g = {"W": 2.0 * p.W}
         sgd_step(p, g, learning_rate=0.1)
         assert p.W[0, 0] == pytest.approx(0.8)
 
     def test_ascend_flag(self):
         p = PositionWeightParams(W=np.array([[1.0]]), B=np.zeros((1, 1)))
-        sgd_step(p, GradientBundle({"W": np.array([[1.0]])}), 0.5, ascend=True)
+        sgd_step(p, {"W": np.array([[1.0]])}, 0.5, ascend=True)
         assert p.W[0, 0] == pytest.approx(1.5)
 
     def test_shape_mismatch(self):
         p = PositionWeightParams(W=np.ones((2, 2)), B=np.zeros((1, 2)))
         with pytest.raises(ValueError, match="shape mismatch"):
-            sgd_step(p, GradientBundle({"W": np.ones((3, 2))}), 0.1)
+            sgd_step(p, {"W": np.ones((3, 2))}, 0.1)
 
     def test_two_half_steps_equal_one_full_on_linear(self):
         # lr-linearity: constant gradient accumulates additively
         a = PositionWeightParams(W=np.array([[4.0]]), B=np.zeros((1, 1)))
         b = PositionWeightParams(W=np.array([[4.0]]), B=np.zeros((1, 1)))
-        g = GradientBundle({"W": np.array([[1.0]])})
+        g = {"W": np.array([[1.0]])}
         sgd_step(a, g, 0.2)
         sgd_step(b, g, 0.1)
         sgd_step(b, g, 0.1)

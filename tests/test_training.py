@@ -211,13 +211,13 @@ class TestTrainMinimax:
         F, feats = rng.standard_normal((30, 3, 4)), rng.standard_normal((30, 6, 3))
         chosen = rng.integers(0, 6, size=30)
         phi = softmax(eta * scorer_batch(theta, F, feats).scores)
-        mm_value, mm_bundle = minimax_reward_value_and_grad(
+        mm_value, mm_grads = minimax_reward_value_and_grad(
             theta, F, feats, chosen, phi, eta, Regularizer.SHANNON_ENTROPY)
-        nll_value, nll_bundle = nll_value_and_grad(theta, F, feats, chosen, eta)
+        nll_value, nll_grads = nll_value_and_grad(theta, F, feats, chosen, eta)
         assert np.allclose(mm_value, nll_value / eta, rtol=0, atol=1e-12)
-        assert mm_bundle.grads.keys() == nll_bundle.grads.keys() == named_tensors(theta).keys()
-        for name, g in mm_bundle.grads.items():
-            assert np.allclose(g, nll_bundle.grads[name] / eta, rtol=0, atol=1e-12)
+        assert mm_grads.keys() == nll_grads.keys() == named_tensors(theta).keys()
+        for name, g in mm_grads.items():
+            assert np.allclose(g, nll_grads[name] / eta, rtol=0, atol=1e-12)
 
     def test_l2_with_entropy_init_no_worse_than_entropy_model(self):
         # data generated by an L2 ground-truth chooser; the adversarially trained
@@ -295,30 +295,12 @@ class TestFitLoop:
             for name, t in named_tensors(got).items():
                 assert np.array_equal(t, named_tensors(want)[name])
 
-    def test_fit_calls_go_through_module_globals(self, monkeypatch):
-        # count calls the way the traced benchmark wraps them: every slatesim module
-        # binding of each function is replaced, so a caller that bound one early
-        # (a default argument, a module-level alias) goes uncounted and fails here
-        import sys
-        spans = {training: ("train_mle", "train_minimax", "build_examples", "nll_value_grad",
-                            "minimax_value_grads", "heldout_loglik"),
-                 nets: ("sgd_step",)}
-        modules = [m for key, m in sys.modules.items()
-                   if key == "slatesim" or key.startswith("slatesim.")]
-        calls = {}
-        for owner, names in spans.items():
-            for name in names:
-                original = getattr(owner, name)
-                calls[name] = 0
-
-                def counting(*args, _name=name, _original=original, **kwargs):
-                    calls[_name] += 1
-                    return _original(*args, **kwargs)
-
-                for module in modules:
-                    for key, value in list(vars(module).items()):
-                        if value is original:
-                            monkeypatch.setattr(module, key, counting)
+    def test_fit_calls_go_through_module_globals(self, count_calls):
+        # calls counted the way the traced benchmark wraps them, so a caller that bound
+        # one early (a default argument, a module-level alias) goes uncounted and fails here
+        calls = count_calls({training: ("train_mle", "train_minimax", "build_examples", "nll_value_grad",
+                                        "minimax_value_grads", "heldout_loglik"),
+                             nets: ("sgd_step",)})
         catalog, trajs, _ = TestTrainMle()._dataset(users=10, T=5)
         train, valid = trajs[:7], trajs[7:]
         init_epochs, epochs, batch_size = 2, 3, 8
