@@ -11,14 +11,14 @@ import numpy as np
 
 from . import nets
 from .data import NON_CLICK_ID, ItemCatalog
-from .env import EpisodeKeys, Policy, SlateEnv, reset, step
+from .env import EpisodeKeys, Policy, Pools, SlateEnv, reset, step
 from .nets import CascadeQNet, ScorerNet
 from .training import UserModel
 
 
 class ReplayBatch(NamedTuple):
     """Transitions as row-aligned arrays: histories (N, d, m), slates (N, k), rewards,
-    next histories, next pools (N, P) padded as by pad_pools with their mask, terminal flags."""
+    next histories, next pools (N, P) padded as the env's with their mask, terminal flags."""
 
     hist: np.ndarray
     slate: np.ndarray
@@ -113,6 +113,8 @@ class CDQNConfig:
                 raise ValueError("epsilon must be in [0, 1]")
         if self.iterations < 0 or self.horizon < 1 or self.batch_users < 1 or self.minibatch < 1:
             raise ValueError("iterations >= 0 and positive horizon/batch sizes required")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
 
 
 @dataclass
@@ -193,38 +195,27 @@ def cascade_slate(qnet: CascadeQNet, hist: np.ndarray, pool: Sequence[int],
     return cascade_plan(net_qeval(qnet, s, catalog), pool, qnet.k, counter)[0]
 
 
-def pad_pools(pools: Sequence[Sequence[int]], width: int | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted, deduplicated pools as a (B, P) id array padded with the non-click id, and its mask.
-
-    P is `width`, or else the largest pool. Ascending ids keep the cascade's
-    lowest-id tie-break under a first-maximum argmax."""
-    rows = [sorted(set(pool)) for pool in pools]
-    sizes = np.array([len(row) for row in rows], dtype=int)
-    mask = np.arange(sizes.max(initial=0) if width is None else width) < sizes[:, None]
-    ids = np.full(mask.shape, NON_CLICK_ID, dtype=int)
-    ids[mask] = [i for row in rows for i in row]
-    return ids, mask
-
-
-def _check_pool_sizes(mask: np.ndarray, k: int) -> None:
+def _cut_pools(pools: np.ndarray, mask: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Padded pools cut to the widest real pool; a pool smaller than k raises ValueError."""
     sizes = mask.sum(axis=1)
     if len(sizes) and sizes.min() < k:
         raise ValueError(f"pool smaller than k: {int(sizes.min())} < {k}")
+    width = sizes.max(initial=0)
+    return pools[:, :width], mask[:, :width]
 
 
 def cascade_batch(qnet: CascadeQNet, S: np.ndarray, pools: np.ndarray, mask: np.ndarray,
                   catalog: ItemCatalog) -> tuple[np.ndarray, np.ndarray]:
     """The greedy cascade of `cascade_plan` for B embedded states at once.
 
-    S: (B, dn) states; pools: (B, P) ascending ids per row (see pad_pools), of
-    which `mask` marks the real ones. Head j scores all B x P candidates against
+    S: (B, dn) states; pools: (B, P) ascending ids per row, padded as the env's
+    (see env.Policy), of which `mask` marks the real ones, a prefix of the row. It
+    cuts them to the widest real pool. Head j scores all B x P candidates against
     each row's [s; f_1 .. f_{j-1}]. Returns the slates (B, k) and the achieved
     per-position values (B, k); ties break toward the lowest item id. A chosen value
     that is not finite raises NonFiniteQError."""
     k = qnet.k
-    pools, mask = np.asarray(pools, dtype=int), np.asarray(mask, dtype=bool)
-    _check_pool_sizes(mask, k)
+    pools, mask = _cut_pools(np.asarray(pools, dtype=int), np.asarray(mask, dtype=bool), k)
     B = len(pools)
     feats = catalog.feature_matrix(pools)
     rows = np.arange(B)
@@ -249,10 +240,8 @@ def _live_rows(rewards, next_hists, next_pools, next_mask, terminal):
     and padded pools, cut to the widest of them."""
     y = np.array(rewards, dtype=float)
     live = np.arange(len(y)) if terminal is None else np.flatnonzero(~np.asarray(terminal, bool))
-    mask = np.asarray(next_mask, dtype=bool)[live]
-    width = mask.sum(axis=1).max(initial=0)
-    return (y, live, np.asarray(next_hists, dtype=float)[live], np.asarray(next_pools)[live][:, :width],
-            mask[:, :width])
+    return (y, live, np.asarray(next_hists, dtype=float)[live],
+            *_cut_pools(np.asarray(next_pools)[live], np.asarray(next_mask, dtype=bool)[live], 0))
 
 
 def compute_target(rewards: Sequence[float], next_hists: np.ndarray, next_pools: np.ndarray,
@@ -261,7 +250,7 @@ def compute_target(rewards: Sequence[float], next_hists: np.ndarray, next_pools:
     """TD targets y = r + gamma * Q^k at the greedy cascade slate of each next state.
 
     next_hists: (B, d, m); next_pools and next_mask: (B, P) padded pools (see
-    pad_pools). Terminal rows keep their reward; the live rows go through one
+    cascade_batch). Terminal rows keep their reward; the live rows go through one
     cascade_batch."""
     y, live, F, ids, mask = _live_rows(rewards, next_hists, next_pools, next_mask, terminal)
     if len(live):
@@ -290,45 +279,44 @@ def additive_target(rewards: Sequence[float], next_hists: np.ndarray, next_pools
 
 
 def _top_k(pw: nets.PositionWeightParams, head: nets.ScorerParams, hists: np.ndarray,
-           pools: Sequence[Sequence[int]], k: int, catalog: ItemCatalog) -> np.ndarray:
-    """Per row of histories (B, d, m) and pools, the k pool items `head` scores highest.
+           pools: Pools, k: int, catalog: ItemCatalog) -> np.ndarray:
+    """Per row of histories (B, d, m) and padded pools (see env.Policy), the k pool items
+    `head` scores highest.
 
-    Returns (B, k) ids, best first. Pools ascend (pad_pools), so the stable
-    sort breaks ties toward the lower item id."""
-    ids, mask = pad_pools(pools)
-    _check_pool_sizes(mask, k)
+    Returns (B, k) ids, best first. Pools ascend, so the stable sort breaks
+    ties toward the lower item id."""
+    ids, mask = _cut_pools(*pools, k)
     scores = nets.head_scores(head, nets.embed_history(hists, pw), catalog.feature_matrix(ids))
     order = np.argsort(-np.where(mask, scores, -np.inf), axis=1, kind="stable")[:, :k]
     return np.take_along_axis(ids, order, axis=1)
 
 
-def greedy_user_model_policy(user_model: UserModel, hists: np.ndarray,
-                             pools: Sequence[Sequence[int]], k: int,
+def greedy_user_model_policy(user_model: UserModel, hists: np.ndarray, pools: Pools, k: int,
                              catalog: ItemCatalog) -> np.ndarray:
     """Per row, the top-k pool items by the behavior logit, as (B, k) ids; ties go to the lower id."""
     return _top_k(user_model.alpha.pw, user_model.alpha.head, hists, pools, k, catalog)
 
 
-def additive_q_policy(qnet: CascadeQNet, hists: np.ndarray, pools: Sequence[Sequence[int]],
-                      k: int, catalog: ItemCatalog) -> np.ndarray:
+def additive_q_policy(qnet: CascadeQNet, hists: np.ndarray, pools: Pools, k: int,
+                      catalog: ItemCatalog) -> np.ndarray:
     """Per row, the top-k items by the single-item Q values (the argmax of the additive
     slate value), as (B, k) ids; ties go to the lower id."""
     return _top_k(qnet.pw, qnet.heads[0], hists, pools, k, catalog)
 
 
-def random_slate(pool: Sequence[int], k: int, rng: np.random.Generator) -> list[int]:
-    """k distinct items of a pool of ascending unique ids (the Policy contract's form)."""
+def random_slate(pool: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k distinct items of a pool's real ids (one row of the Policy contract's pools)."""
     if len(pool) < k:
         raise ValueError(f"pool smaller than k: {len(pool)} < {k}")
-    picked = rng.choice(len(pool), size=k, replace=False)
-    return [pool[i] for i in picked]
+    return pool[rng.choice(len(pool), size=k, replace=False)]
 
 
 def make_policy(handle: PolicyHandle, catalog: ItemCatalog, k: int) -> Policy:
     """Wrap a policy handle as a batched (hists, pools, row_rng) -> (B, k) slates policy."""
     if handle.kind is PolicyKind.RANDOM:
         return lambda hists, pools, row_rng: np.array(
-            [random_slate(pool, k, row_rng(i)) for i, pool in enumerate(pools)], dtype=int)
+            [random_slate(ids[:n], k, row_rng(i))
+             for i, (ids, n) in enumerate(zip(pools[0], pools[1].sum(axis=1).tolist()))], dtype=int)
     if handle.kind is PolicyKind.GREEDY_USER_MODEL:
         model = handle.user_model
         return lambda hists, pools, row_rng: greedy_user_model_policy(model, hists, pools, k, catalog)
@@ -337,7 +325,7 @@ def make_policy(handle: PolicyHandle, catalog: ItemCatalog, k: int) -> Policy:
         return lambda hists, pools, row_rng: additive_q_policy(qnet, hists, pools, k, catalog)
 
     def cascade(hists, pools, row_rng):
-        return cascade_batch(qnet, nets.embed_history(hists, qnet.pw), *pad_pools(pools), catalog)[0]
+        return cascade_batch(qnet, nets.embed_history(hists, qnet.pw), *pools, catalog)[0]
 
     return cascade
 
@@ -368,7 +356,7 @@ def _epsilon_at(config: CDQNConfig, iteration: int) -> float:
 
 
 # act(qnet, hists, pools): the greedy slates (G, k) of G sessions' histories (G, d, m) and pools
-Act = Callable[[CascadeQNet, np.ndarray, list[tuple[int, ...]]], np.ndarray]
+Act = Callable[[CascadeQNet, np.ndarray, Pools], np.ndarray]
 
 
 def _train_replay(env_factory: EnvFactory, config: CDQNConfig, heads: int, act: Act,
@@ -400,24 +388,23 @@ def _train_replay(env_factory: EnvFactory, config: CDQNConfig, heads: int, act: 
                                  "the sessions of an iteration step in one env")
             seeds.append(seed)
         keys = EpisodeKeys(seeds, config.horizon)
-        hists, clicked, pools = reset(env, user, keys)
+        hists, avail, (ids, mask) = reset(env, user, keys)
         losses = []
         try:  # a non-finite Q value met by the act, the target or the loss is divergence
             for t in range(config.horizon):
                 slates = np.empty((B, k), dtype=int)
                 greedy = np.ones(B, dtype=bool)
-                for i, pool in enumerate(pools):
+                for i, n in enumerate(mask.sum(axis=1).tolist()):
                     if rng.random() < eps:
-                        slates[i] = random_slate(pool, k, rng)
+                        slates[i] = random_slate(ids[i, :n], k, rng)
                         greedy[i] = False
                 if greedy.any():
-                    slates[greedy] = act(qnet, hists[greedy], [p for p, g in zip(pools, greedy) if g])
+                    slates[greedy] = act(qnet, hists[greedy], (ids[greedy], mask[greedy]))
                 before = hists.copy()  # env.step pushes clicks into hists in place
-                _, chosen, rewards = step(env, user, t, keys, hists, clicked, pools, slates)
+                _, chosen, rewards = step(env, user, t, keys, hists, avail, (ids, mask), slates)
                 if config.reward_mode is RewardMode.PLUS_MINUS_ONE:
                     rewards = [1.0 if c != NON_CLICK_ID else -1.0 for c in chosen]
-                memory.add(ReplayBatch(before, slates, np.array(rewards), hists,
-                                       *pad_pools(pools, env.config.pool_size),
+                memory.add(ReplayBatch(before, slates, np.array(rewards), hists, ids, mask,
                                        np.full(B, t == config.horizon - 1)))
                 if len(memory) >= config.minibatch:
                     batch = memory.sample(config.minibatch, rng)
@@ -448,7 +435,8 @@ def train_cdqn(env_factory: EnvFactory, config: CDQNConfig,
     return _train_replay(
         env_factory, config, k,
         act=lambda qnet, hists, pools: np.array(
-            [cascade_slate(qnet, h, pool, catalog) for h, pool in zip(hists, pools)], dtype=int),
+            [cascade_slate(qnet, h, ids[real], catalog) for h, ids, real in zip(hists, *pools)],
+            dtype=int),
         target=lambda qnet, batch: compute_target(
             batch.reward, batch.next_hist, batch.next_pool, batch.next_mask, qnet, catalog,
             config.gamma, batch.terminal),
@@ -488,16 +476,16 @@ def train_additive_q(env_factory: EnvFactory, config: CDQNConfig,
 # diagnostics and checkpoints
 
 
-def constraint_diagnostic(qnet: CascadeQNet, hists: Sequence[np.ndarray],
-                          pools: Sequence[Sequence[int]], catalog: ItemCatalog
-                          ) -> list[tuple[int, int, float, float]]:
+def constraint_diagnostic(qnet: CascadeQNet, hists: np.ndarray, pools: Pools,
+                          catalog: ItemCatalog) -> list[tuple[int, int, float, float]]:
     """Per state and position: (state_idx, j, Q^j at the greedy prefix, Q^k at the full slate).
 
-    For mutually consistent networks every pair lies on the diagonal."""
+    hists (N, d, m) and padded pools (see env.Policy) are the states. For mutually
+    consistent networks every pair lies on the diagonal."""
     if len(hists) == 0:
         return []
-    S = nets.embed_history(np.stack(hists), qnet.pw)
-    _, values = cascade_batch(qnet, S, *pad_pools(pools), catalog)
+    S = nets.embed_history(np.asarray(hists), qnet.pw)
+    _, values = cascade_batch(qnet, S, *pools, catalog)
     return [(idx, j, float(row[j - 1]), float(row[-1]))
             for idx, row in enumerate(values) for j in range(1, qnet.k + 1)]
 

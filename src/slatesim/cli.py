@@ -203,11 +203,11 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 def cmd_train_user_model(args: argparse.Namespace) -> int:
     opt = _load_options(args)
     data_path = opt.file("data", required=True)
-    out_dir = _out_dir(opt)
     _, m, _ = read_meta(data_path)
     catalog, trajectories = load_trajectories(data_path)
     # --m falls back to the history length the data file was written with
     config = opt.fields(TrainConfig, m=opt.get("m", m if m > 0 else None))
+    out_dir = _out_dir(opt)
     split = split_users([t.user_id for t in trajectories], seed=config.seed)
     train = [t for t in trajectories if t.user_id in split.train]
     valid = [t for t in trajectories if t.user_id in split.valid]
@@ -242,10 +242,10 @@ def cmd_train_user_model(args: argparse.Namespace) -> int:
 def cmd_train_policy(args: argparse.Namespace) -> int:
     opt = _load_options(args)
     _, env, user = _world(opt)
-    out_dir = _out_dir(opt)
     # the two defaults of this command that differ from CDQNConfig's
     epsilon, iterations = opt.get("epsilon", 0.2), opt.get("iterations", 150)
     config = opt.fields(CDQNConfig, horizon=env.config.horizon, epsilon=epsilon, iterations=iterations)
+    out_dir = _out_dir(opt)
     # training episodes stay on even seeds; evaluation uses odd ones
     factory = agent.make_env_factory(env, user, 2 * config.seed)
 
@@ -348,10 +348,11 @@ def collect_states(env: SlateEnv, user, qnet, n_states: int, seed: int):
     Episode e runs on seed 2 * (seed + e) + 1, and its states are taken in
     step order, episode after episode, until n_states are in hand. The
     episodes play make_policy's cdqn policy through one rollout_batch, which
-    records every step's histories and pools before it acts."""
+    records every step's histories and pools before it acts. Returns the
+    histories (N, d, m) and the padded pools as an (ids, mask) pair of (N, P) arrays."""
     horizon = env.config.horizon
     if n_states <= 0:
-        return [], []
+        return [], ([], [])
     if horizon < 1:
         raise ValueError(f"--horizon must be >= 1 to visit states, got {horizon}")
     seeds = [2 * (seed + e) + 1 for e in range(-(-n_states // horizon))]
@@ -359,12 +360,14 @@ def collect_states(env: SlateEnv, user, qnet, n_states: int, seed: int):
     visited = []
 
     def recording(hists, pools, row_rng):
-        visited.append((hists.copy(), list(pools)))
+        visited.append((hists.copy(), *(a.copy() for a in pools)))
         return cascade(hists, pools, row_rng)
 
     rollout_batch(env, user, recording, seeds, T=min(horizon, n_states))
-    states = [(h[e], p[e]) for e in range(len(seeds)) for h, p in visited][:n_states]
-    return [h for h, _ in states], [p for _, p in states]
+    # each recorded array stacked (episodes, steps, ...) and read episode after episode
+    hists, ids, mask = (np.stack(arrays, axis=1).reshape(-1, *arrays[0].shape[1:])[:n_states]
+                        for arrays in zip(*visited))
+    return hists, (ids, mask)
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:

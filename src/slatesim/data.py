@@ -66,28 +66,15 @@ class ItemCatalog:
         self.matrix.setflags(write=False)
         self._row = {item_id: r for r, item_id in enumerate(self.ids)}
         self._item_ids = tuple(i for i in self.ids if i != NON_CLICK_ID)
-        self._id_array = np.array(self.ids, dtype=int)
-        self._is_item = self._id_array != NON_CLICK_ID
-        self._item_array = self._id_array[self._is_item]
-        self._item_array.setflags(write=False)
+        self.id_array = np.array(self.ids, dtype=int)
+        self.id_array.setflags(write=False)
+        # id_array plus an id below every id, in the slot searchsorted gives an id above them all
+        self._id_guard = np.append(self.id_array, self.id_array[0] - 1)
 
     @property
     def item_ids(self) -> tuple[int, ...]:
         """Real item ids (non-click pseudo-item excluded), ascending."""
         return self._item_ids
-
-    def item_ids_except(self, excluded: Iterable[int]) -> np.ndarray:
-        """Real item ids not in `excluded`, ascending, as a read-only array.
-
-        One boolean mask over the id array; excluded ids outside the catalog are ignored."""
-        rows = [self._row[i] for i in excluded if i in self._row]
-        if not rows:
-            return self._item_array
-        keep = self._is_item.copy()
-        keep[rows] = False
-        out = self._id_array[keep]
-        out.setflags(write=False)
-        return out
 
     def features(self, item_id: int) -> np.ndarray:
         """Read-only feature row of one item."""
@@ -98,14 +85,17 @@ class ItemCatalog:
 
     def feature_matrix(self, ids: Sequence[int]) -> np.ndarray:
         """Features for `ids` as a fresh (len(ids), d) array; an id array of any shape S gives S + (d,)."""
-        shape = (len(ids),)
-        if isinstance(ids, np.ndarray):
-            shape, ids = ids.shape, ids.ravel().tolist()
+        if isinstance(ids, np.ndarray):  # one searchsorted on the ascending ids
+            rows = self.id_array.searchsorted(ids)
+            unknown = self._id_guard[rows] != ids
+            if np.count_nonzero(unknown):
+                raise KeyError(f"unknown item id {ids[unknown][0]}")
+            return self.matrix[rows]
         try:
             rows = [self._row[i] for i in ids]
         except KeyError as exc:
             raise KeyError(f"unknown item id {exc.args[0]}") from None
-        return self.matrix.take(rows, axis=0).reshape(shape + (self.d,))
+        return self.matrix.take(rows, axis=0)
 
     def __contains__(self, item_id: int) -> bool:
         return item_id in self._row

@@ -10,7 +10,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from . import nets
 from .choice import ChoiceConfig, Regularizer, sample_choice
-from .data import NON_CLICK_ID, ClickRecord, ItemCatalog, Trajectory, push_columns
+from .data import NON_CLICK_ID, ClickRecord, ItemCatalog, Trajectory
 from .training import UserModel, induced_softmax_alpha
 
 # independent substreams per episode seed
@@ -27,6 +27,12 @@ _MIX_H = np.array([0x43B0D7E5 * pow(0x931E8875, i, 2**32) & _M32 for i in range(
 _OUT_H = np.array([0x8B51F9DD * pow(0x58F38DED, i, 2**32) & _M32 for i in range(9)], np.uint32)[:, None]
 
 
+# each pool word mixes into the three others, in order: (source, the others, its constants)
+_MIX_STEPS = [(src, np.array([i for i in range(4) if i != src]), _MIX_H[4 + 3 * src:8 + 3 * src])
+              for src in range(4)]
+_OUT_WORDS = np.array([0, 1, 2, 3, 0, 1, 2, 3])
+
+
 def _hashmix(v: np.ndarray, h: np.ndarray) -> np.ndarray:
     v = (v ^ h[:-1]) * h[1:]  # uint32 products wrap, as in numpy's C code
     return v ^ (v >> np.uint32(16))
@@ -36,12 +42,10 @@ def _seed_states(words: np.ndarray) -> np.ndarray:
     """numpy's SeedSequence(entropy).generate_state(4, np.uint64) for each column of
     `words` (4, N) uint32, the entropy zero-padded to the 4-word pool, as rows (N, 4)."""
     pool = _hashmix(words, _MIX_H[:5])
-    for src in range(4):  # each pool word mixes into the three others, in order
-        dst = [i for i in range(4) if i != src]
-        h = _hashmix(pool[src], _MIX_H[4 + 3 * src:8 + 3 * src])
-        mixed = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * h
+    for src, dst, consts in _MIX_STEPS:
+        mixed = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * _hashmix(pool[src], consts)
         pool[dst] = mixed ^ (mixed >> np.uint32(16))
-    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT_H).astype(np.uint64)
+    out = _hashmix(pool[_OUT_WORDS], _OUT_H).astype(np.uint64)
     return np.ascontiguousarray((out[0::2] | (out[1::2] << np.uint64(32))).T)
 
 
@@ -65,13 +69,17 @@ class EpisodeKeys:
         if any(not 0 <= s < 2**64 for s in seeds) or horizon < 0:
             raise ValueError("episode seeds must lie in [0, 2**64) and the horizon be >= 0")
         self.horizon = horizon
-        seed = np.array(seeds, dtype=np.uint64)[:, None, None]
-        lo, hi, stream, t = np.broadcast_arrays(seed & np.uint64(_M32), seed >> np.uint64(32),
-                                                np.array(_STREAMS, np.uint64)[:, None],
-                                                np.arange(horizon + 1, dtype=np.uint64))
-        # default_rng cuts each int into 32-bit words, low first, and 0 into one word
-        words = np.where(hi > 0, [lo, hi, stream, t], [lo, stream, t, np.zeros_like(t)]).reshape(4, -1)
-        self._states = _seed_states(words.astype(np.uint32)).reshape(*lo.shape, 4)
+        seed = np.array(seeds, dtype=np.uint64)
+        # default_rng cuts each int of (seed, stream, t) into 32-bit words, low first, and 0
+        # into one word: (lo, stream, t, 0), or (lo, hi, stream, t) for a two-word seed
+        words = np.zeros((4, len(seeds), len(_STREAMS), horizon + 1), dtype=np.uint32)
+        words[0] = seed.astype(np.uint32)[:, None, None]  # the cast keeps the low word
+        words[1] = np.array(_STREAMS, dtype=np.uint32)[:, None]
+        words[2] = np.arange(horizon + 1, dtype=np.uint32)
+        wide = np.flatnonzero(seed >> np.uint64(32))
+        words[2:, wide] = words[1:3, wide]
+        words[1, wide] = (seed[wide] >> np.uint64(32)).astype(np.uint32)[:, None, None]
+        self._states = _seed_states(words.reshape(4, -1)).reshape(*words.shape[1:], 4)
 
     def __len__(self) -> int:
         return len(self._states)
@@ -99,6 +107,8 @@ class EnvConfig:
             raise ValueError("need 1 <= k <= pool_size")
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
+        if not np.isfinite(self.nonclick_reward):
+            raise ValueError(f"nonclick_reward must be finite, got {self.nonclick_reward}")
 
 
 @dataclass(frozen=True)
@@ -111,12 +121,14 @@ class SlateEnv:
             raise ValueError("pool_size exceeds catalog size")
 
 
-# A policy maps B sessions to B slates in one call: the click histories
-# (B, d, m), the candidate pools (B ascending id tuples) and row_rng, where
-# row_rng(i) builds row i's policy-stream generator for this step from the
-# episode keys (build it only to draw from it), to a (B, k) array of item ids.
+# A policy maps B sessions to B slates in one call: the click histories (B, d, m),
+# the candidate pools as (B, pool_size) arrays (ids, mask) (each row's ids ascending,
+# padded with the non-click id; the mask marks the real ones, a prefix of the row) and
+# row_rng, where row_rng(i) builds row i's policy-stream generator for this step from
+# the episode keys (build it only to draw from it), to a (B, k) array of item ids.
 RowRng = Callable[[int], np.random.Generator]
-Policy = Callable[[np.ndarray, Sequence[tuple[int, ...]], RowRng], np.ndarray]
+Pools = tuple[np.ndarray, np.ndarray]
+Policy = Callable[[np.ndarray, Pools, RowRng], np.ndarray]
 
 
 def make_ground_truth_user(
@@ -138,27 +150,35 @@ def make_ground_truth_user(
                      config=ChoiceConfig(eta, Regularizer.SHANNON_ENTROPY))
 
 
-def draw_candidates(env: SlateEnv, clicked_ids: frozenset[int], t: int, keys: EpisodeKeys,
-                    row: int) -> tuple[int, ...]:
-    """Row `row`'s candidate pool for step t: up to pool_size of the items not yet clicked,
-    drawn from its (seed, pool stream, t) generator, in ascending id order."""
-    cfg = env.config
-    avail = env.catalog.item_ids_except(clicked_ids)
-    if len(avail) < cfg.k:
-        raise EnvError(f"pool exhausted: {len(avail)} items remain, slate needs {cfg.k}")
-    size = min(cfg.pool_size, len(avail))
-    rng = keys.rng(row, _POOL_STREAM, t)
-    picked = rng.choice(len(avail), size=size, replace=False)
-    return tuple(sorted(avail[picked].tolist()))
+def draw_candidates(env: SlateEnv, avail: np.ndarray, t: int, keys: EpisodeKeys) -> Pools:
+    """Every row's candidate pool for step t: up to pool_size of the items its availability
+    mask (B, K+1) over the catalog rows leaves, drawn from the row's (seed, pool stream, t)
+    generator, as (B, pool_size) ascending ids padded with the non-click id, and their mask."""
+    cfg, catalog = env.config, env.catalog
+    picked = []
+    for i, row in enumerate(avail):
+        items = catalog.id_array[row]
+        if len(items) < cfg.k:
+            raise EnvError(f"pool exhausted: {len(items)} items remain, slate needs {cfg.k}")
+        rng = keys.rng(i, _POOL_STREAM, t)
+        picked.append(items[rng.choice(len(items), size=min(len(items), cfg.pool_size), replace=False)])
+    if min(map(len, picked)) == cfg.pool_size:
+        ids = np.array(picked)
+        ids.sort(axis=1)
+    else:  # a row runs short: pad every sorted row with the non-click id
+        ids = np.full((len(avail), cfg.pool_size), NON_CLICK_ID)
+        for row, items in zip(ids, picked):
+            row[:len(items)] = np.sort(items)
+    return ids, ids != NON_CLICK_ID  # a real item's id is never the non-click id
 
 
 def reset(env: SlateEnv, user: UserModel, keys: EpisodeKeys):
-    """Fresh episodes, one per keyed row: zero histories (B, d, m), empty click sets, step-0 pools."""
+    """Fresh episodes, one per keyed row: zero histories (B, d, m), availability masks
+    (B, K+1) over the catalog rows with every real item set, and the step-0 pools."""
     if user.d != env.catalog.d:
         raise ValueError("user model feature dimension does not match the catalog")
-    B = len(keys)
-    return (np.zeros((B, env.catalog.d, user.m)), [frozenset()] * B,
-            [draw_candidates(env, frozenset(), 0, keys, i) for i in range(B)])
+    avail = np.repeat(env.catalog.id_array[None] != NON_CLICK_ID, len(keys), axis=0)
+    return np.zeros((len(keys), env.catalog.d, user.m)), avail, draw_candidates(env, avail, 0, keys)
 
 
 def slate_scores(user: UserModel, hists: np.ndarray, slate_feats: np.ndarray) -> np.ndarray:
@@ -178,44 +198,58 @@ def slate_scores(user: UserModel, hists: np.ndarray, slate_feats: np.ndarray) ->
     return nets.act(z) @ head.v
 
 
+def _check_slates(slates, pools: Pools, k: int) -> np.ndarray:
+    """The slates as a (B, k) id array. The first row that is the wrong size, repeats an
+    item or shows one outside its pool raises ValueError."""
+    try:
+        arr = np.asarray(slates, dtype=int)
+    except ValueError:  # ragged rows
+        arr = None
+    if arr is None or arr.shape[1:] != (k,):
+        got = next(len(slate) for slate in slates if len(slate) != k)
+        raise ValueError(f"slate wrong size: got {got}, expected {k}")
+    ids, mask = pools
+    # a slate of k distinct pool items covers k real pool entries; a repeat or an outsider fewer
+    covered = np.logical_or.reduce(arr[:, :, None] == ids[:, None, :], axis=1) & mask
+    if np.count_nonzero(covered) < covered.shape[0] * k:
+        row = np.flatnonzero(np.add.reduce(covered, axis=1) < k)[0]
+        slate, pool = arr[row].tolist(), set(ids[row][mask[row]].tolist())
+        if len(set(slate)) != k:
+            raise ValueError("duplicate items in slate")
+        raise ValueError(f"slate not in pool: {[i for i in slate if i not in pool]}")
+    return arr
+
+
 def step(env: SlateEnv, user: UserModel, t: int, keys: EpisodeKeys, hists: np.ndarray,
-         clicked: list[frozenset[int]], pools: list[tuple[int, ...]], slates):
+         avail: np.ndarray, pools: Pools, slates):
     """Show B sessions their slates at step t, sample each user's choice, pay its reward.
 
     The rows are the state `reset` starts: episode keys, histories (B, d, m),
-    click sets and candidate pools; a single session is B=1. Checks each row's
-    slate against its pool, scores every slate plus the non-click slot with
-    one slate_scores call, draws each row's choice from its own (seed, click
-    stream, t) generator, and pays the clicked item's score or the non-click
-    constant (default 0). A click is pushed into its row of `hists` in place;
-    `clicked` and `pools` are replaced row by row with the next step's.
-    Returns the slates as lists, the chosen ids (0 for no click) and the
-    rewards."""
-    k, d = env.config.k, env.catalog.d
-    slates = slates.tolist() if isinstance(slates, np.ndarray) else [[int(i) for i in s] for s in slates]
-    for slate, pool in zip(slates, pools):
-        if len(slate) != k:
-            raise ValueError(f"slate wrong size: got {len(slate)}, expected {k}")
-        if len(set(slate)) != k:
-            raise ValueError("duplicate items in slate")
-        missing = [i for i in slate if i not in pool]
-        if missing:
-            raise ValueError(f"slate not in pool: {missing}")
-    feats = env.catalog.feature_matrix([i for slate in slates for i in slate]).reshape(len(slates), k, d)
+    availability masks (B, K+1) and candidate pools; a single session is B=1.
+    Checks each row's slate against its pool, scores every slate plus the
+    non-click slot with one slate_scores call, draws each row's choice from its
+    own (seed, click stream, t) generator, and pays the clicked item's score or
+    the non-click constant (default 0). In place, a click is pushed into its
+    row of `hists` and clears its item in `avail`, and `pools` is overwritten
+    with the next step's. Returns the slates as lists, the chosen ids (0 for no
+    click) and the rewards."""
+    k, catalog = env.config.k, env.catalog
+    slates = _check_slates(slates, pools, k)
+    feats = catalog.feature_matrix(slates)
     scores = slate_scores(user, hists, feats)
     idx = sample_choice(scores, user.config, [keys.rng(i, _CLICK_STREAM, t) for i in range(len(slates))])
-    chosen, rewards = [], []
-    for i, (slate, j, row_scores) in enumerate(zip(slates, idx.tolist(), scores.tolist())):
-        if j < k:
-            chosen.append(slate[j])
-            rewards.append(row_scores[j])
-            push_columns(hists[i], feats[i, j])
-            clicked[i] = clicked[i] | {slate[j]}
-        else:
-            chosen.append(NON_CLICK_ID)
-            rewards.append(float(env.config.nonclick_reward))
-        pools[i] = draw_candidates(env, clicked[i], t + 1, keys, i)
-    return slates, chosen, rewards
+    shown, slots, slot_scores = slates.tolist(), idx.tolist(), scores.tolist()
+    chosen = [slate[j] if j < k else NON_CLICK_ID for slate, j in zip(shown, slots)]
+    nonclick = float(env.config.nonclick_reward)
+    rewards = [row[j] if j < k else nonclick for row, j in zip(slot_scores, slots)]
+    # a click clears its item's row in `avail` and pushes its features into its history; a
+    # non-click's row is the pseudo-item's, which is never available, and its history stays
+    chosen_rows = catalog.id_array.searchsorted(chosen)
+    avail[np.arange(len(chosen)), chosen_rows] = False
+    pushed = np.concatenate([hists[..., 1:], catalog.matrix[chosen_rows][..., None]], axis=2)
+    np.copyto(hists, pushed, where=(idx < k)[:, None, None])
+    pools[0][...], pools[1][...] = draw_candidates(env, avail, t + 1, keys)
+    return shown, chosen, rewards
 
 
 def rollout_batch(
@@ -235,12 +269,12 @@ def rollout_batch(
     horizon = env.config.horizon if T is None else T
     keys = EpisodeKeys(seeds, horizon)
     user_ids = [0] * len(keys) if user_ids is None else list(user_ids)
-    hists, clicked, pools = reset(env, user, keys)
+    hists, avail, pools = reset(env, user, keys)
     records: list[list[ClickRecord]] = [[] for _ in range(len(keys))]
     for t in range(horizon):
         row_rng = lambda i, t=t: keys.rng(i, _POLICY_STREAM, t)
         slates = policy(hists, pools, row_rng)
-        slates, chosen, rewards = step(env, user, t, keys, hists, clicked, pools, slates)
+        slates, chosen, rewards = step(env, user, t, keys, hists, avail, pools, slates)
         for row, slate, c, r in zip(records, slates, chosen, rewards):
             row.append(ClickRecord(step=t + 1, displayed=tuple(slate), chosen=c, reward=r))
     out = []

@@ -57,8 +57,11 @@ class TrainConfig:
     init_epochs: int | None = None
 
     def __post_init__(self):
-        if self.eta <= 0 or self.lr_alpha < 0 or self.lr_theta < 0:
-            raise ValueError("eta must be positive; learning rates non-negative")
+        if not (np.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
+        for name in ("lr_alpha", "lr_theta"):
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.batch_size < 1 or self.epochs < 0 or self.patience < 1:
             raise ValueError("batch_size >= 1, epochs >= 0, patience >= 1 required")
         if self.m < 1 or self.n < 1 or self.hidden < 1:

@@ -1,3 +1,4 @@
+import inspect
 import sys
 
 import pytest
@@ -10,22 +11,24 @@ def count_calls(monkeypatch):
 
     A module owner's function is replaced at every slatesim module that binds it, so
     a caller that bound one early (a default argument, a module-level alias) goes
-    uncounted; a class owner's method is replaced on the class."""
+    uncounted; a class owner's method or property is replaced on the class."""
 
     def install(spans: dict) -> dict[str, int]:
         modules = [m for key, m in sys.modules.items() if key == "slatesim" or key.startswith("slatesim.")]
         calls = {}
         for owner, names in spans.items():
             for name in names:
-                original = getattr(owner, name)
+                original = inspect.getattr_static(owner, name)
+                is_property = isinstance(original, property)
                 calls[name] = 0
 
-                def counting(*args, _name=name, _original=original, **kwargs):
+                def counting(*args, _name=name, _original=original.fget if is_property else original,
+                             **kwargs):
                     calls[_name] += 1
                     return _original(*args, **kwargs)
 
                 if isinstance(owner, type):
-                    monkeypatch.setattr(owner, name, counting)
+                    monkeypatch.setattr(owner, name, property(counting) if is_property else counting)
                     continue
                 for module in modules:
                     for key, value in list(vars(module).items()):

@@ -25,7 +25,6 @@ from slatesim.agent import (
     make_env_factory,
     make_policy,
     net_qeval,
-    pad_pools,
     random_slate,
     save_policy,
     train_additive_q,
@@ -36,6 +35,8 @@ from slatesim.data import synth_catalog
 from slatesim import agent
 from slatesim.env import EnvConfig, EpisodeKeys, SlateEnv, make_ground_truth_user, reset, rollout, step
 from slatesim.nets import embed_history, finite_difference_grad, head_scores, init_cascade_net, named_tensors
+
+from pools import pad_pools
 
 
 def break_head(qnet, position, value):
@@ -50,7 +51,7 @@ def break_head(qnet, position, value):
 
 def one_state(policy_fn, model, hist, pool, k, catalog):
     """A batched policy function run on one (d, m) history and pool: the slate as a list of ids."""
-    return policy_fn(model, hist[None], [pool], k, catalog)[0].tolist()
+    return policy_fn(model, hist[None], pad_pools([pool]), k, catalog)[0].tolist()
 
 
 def table_qeval(tables):
@@ -372,12 +373,12 @@ class TestPolicies:
         for _ in range(40):
             pool = list(rng.choice(catalog.item_ids, size=rng.integers(3, 12), replace=False))
             pools.append(tuple(pool + pool[:2]) if rng.random() < 0.3 else tuple(pool))
-        batch = policy_fn(model, hists, pools, 3, catalog)
+        batch = policy_fn(model, hists, pad_pools(pools), 3, catalog)
         assert batch.shape == (40, 3)
         for row, h, pool in zip(batch, hists, pools):
             assert row.tolist() == one_state(policy_fn, model, h, pool, 3, catalog)
         with pytest.raises(ValueError, match="pool smaller than k"):
-            policy_fn(model, hists[:2], [pools[0], (1, 2, 2)], 3, catalog)
+            policy_fn(model, hists[:2], pad_pools([pools[0], (1, 2, 2)]), 3, catalog)
 
     def test_k1_additive_equals_cascade(self):
         catalog = synth_catalog(7, 3, seed=11)
@@ -450,11 +451,13 @@ class TestTrainCdqn:
                          lr=0.05, seed=8, n=2, hidden=4)
         qnet = train_cdqn(factory, cfg)
         keys = EpisodeKeys([21], 4)
-        hists, clicked, pools = reset(env, user, keys)
+        hists, avail, pools = reset(env, user, keys)
+        clicked = set()
         for t in range(4):
-            slate = cascade_slate(qnet, hists[0], pools[0], catalog)
-            assert not (set(slate) & clicked[0])
-            step(env, user, t, keys, hists, clicked, pools, [slate])
+            ids, mask = pools
+            slate = cascade_slate(qnet, hists[0], ids[0][mask[0]], catalog)
+            assert not (set(slate) & clicked)
+            clicked.update(c for c in step(env, user, t, keys, hists, avail, pools, [slate])[1] if c)
 
     def _diverge(self, monkeypatch, epsilon):
         """Train on a net whose head 2 overflows; returns the error and the compute_target calls."""
@@ -568,7 +571,7 @@ class TestConstraintDiagnostic:
         qnet = init_cascade_net(3, 3, 2, 4, 3, np.random.default_rng(16))
         for j in range(3):
             qnet.heads[j].v[:] = 0.0
-        rows = constraint_diagnostic(qnet, [np.zeros((3, 3))] * 4, [catalog.item_ids] * 4,
+        rows = constraint_diagnostic(qnet, [np.zeros((3, 3))] * 4, pad_pools([catalog.item_ids] * 4),
                                      catalog)
         assert len(rows) == 12
         assert all(qj == 0.0 and qk == 0.0 for _, _, qj, qk in rows)
@@ -577,7 +580,7 @@ class TestConstraintDiagnostic:
         catalog = synth_catalog(8, 3, seed=17)
         qnet = init_cascade_net(3, 3, 2, 4, 3, np.random.default_rng(18))
         hists = [np.random.default_rng(i).standard_normal((3, 3)) for i in range(7)]
-        rows = constraint_diagnostic(qnet, hists, [catalog.item_ids] * 7, catalog)
+        rows = constraint_diagnostic(qnet, hists, pad_pools([catalog.item_ids] * 7), catalog)
         assert len(rows) == 7 * 3
 
 

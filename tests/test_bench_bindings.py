@@ -49,3 +49,25 @@ def test_workloads_import_and_every_slatesim_name_they_use_exists():
     missing = [f"{alias}.{attr}" for alias, attr in sorted(used)
                if alias in modules and not hasattr(modules[alias], attr)]
     assert not missing, f"names the benchmark workloads use that slatesim lacks: {missing}"
+
+
+def test_every_span_fires_in_one_chunk_of_each_stage(count_calls, tmp_path):
+    # the traced benchmark fails when a span it predicts records no call; one chunk of
+    # each pipeline stage in the README world must call every span at least once
+    workloads = load_by_path("workloads")
+    spans: dict = {}
+    for module_name, attr in SPANS.values():
+        owner = importlib.import_module(f"slatesim.{module_name}")
+        *path, leaf = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        spans.setdefault(owner, []).append(leaf)
+    calls = count_calls(spans)
+    world, tally = workloads.README, workloads.Tally()
+    logging = workloads.Logging(1, world, str(tmp_path))
+    for stage in (workloads.Training(world), workloads.Evaluation(1, world, str(tmp_path)), logging,
+                  workloads.Fitting(1, logging)):
+        stage.chunk(tally, 0, 0)
+    assert tally.problems == [] and tally.failed == 0
+    assert len(calls) == len(SPANS)
+    assert [name for name, count in calls.items() if count == 0] == []

@@ -348,3 +348,22 @@ def test_module_entry_point_runs_without_runtime_warning(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert "max relative error" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["train-policy", "--lr", "nan"], "lr"),
+    (["train-policy", "--lr", "inf"], "lr"),
+    (["train-policy", "--lr", "-0.05"], "lr"),
+    (["train-user-model", "--lr-theta", "nan"], "lr_theta"),
+    (["train-user-model", "--lr-theta", "inf"], "lr_theta"),
+    (["train-user-model", "--eta", "nan"], "eta"),
+    (["evaluate", "--roster", "random", "--nonclick-reward", "nan"], "nonclick_reward"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_bad_numeric_option_exits_2_and_names_the_field(world, tmp_path, monkeypatch, capsys, argv, field):
+    # a non-finite or negative rate, or a non-finite reward, is refused before any run starts
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "train-user-model":
+        argv = argv + ["--data", world["data"]]
+    assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert f"error: {field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -70,6 +70,32 @@ class TestItemCatalog:
         with pytest.raises(KeyError, match="unknown item id 42"):
             lookup(make_catalog())
 
+    @staticmethod
+    def _gappy(seed):
+        rng = np.random.default_rng(seed)
+        return rng, ItemCatalog([(i, rng.standard_normal(3)) for i in (-4, 2, 5, 6, 11, 40, 300)])
+
+    @pytest.mark.parametrize("shape", [(7,), (4, 6), (9, 5)], ids=["n", "B-P", "N-m"])
+    def test_array_lookup_equals_the_sequence_lookup(self, shape):
+        # ids with gaps, one below the pseudo-item: the searchsorted path is bit for bit
+        # the dict path, in the id array's shape
+        rng, cat = self._gappy(sum(shape))
+        query = rng.choice(cat.ids, size=shape)
+        got = cat.feature_matrix(query)
+        want = cat.feature_matrix(query.ravel().tolist()).reshape(shape + (3,))
+        assert got.shape == shape + (3,) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("unknown", [-5, 3, 301, 10**12])
+    def test_array_lookup_raises_the_sequence_lookups_key_error(self, unknown):
+        # below, between and above the ids; the first unknown id in order is named
+        _, cat = self._gappy(0)
+        query = np.array([[2, 5, 40], [unknown, 6, 7]])
+        with pytest.raises(KeyError) as sequence:
+            cat.feature_matrix(query.ravel().tolist())
+        with pytest.raises(KeyError, match=f"unknown item id {unknown}") as array:
+            cat.feature_matrix(query)
+        assert str(array.value) == str(sequence.value)
+
     def test_item_ids_ascending_without_pseudo_item(self):
         cat = ItemCatalog([(9, [1.0]), (3, [2.0]), (0, [0.0]), (5, [3.0])])
         assert cat.item_ids == (3, 5, 9)

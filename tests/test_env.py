@@ -7,7 +7,7 @@ import pytest
 
 from slatesim.agent import PolicyHandle, PolicyKind, make_policy
 from slatesim.choice import ChoiceConfig, Regularizer
-from slatesim.data import ItemCatalog, load_trajectories, save_trajectories, synth_catalog
+from slatesim.data import ItemCatalog, load_trajectories, push_columns, save_trajectories, synth_catalog
 from slatesim.env import (
     _CLICK_STREAM,
     _POLICY_STREAM,
@@ -31,6 +31,17 @@ def random_policy(env):
     return make_policy(PolicyHandle(PolicyKind.RANDOM), env.catalog, env.config.k)
 
 
+def avail_of(catalog, clicked, rows=1):
+    """`rows` availability masks over the catalog rows: every real item not in `clicked`."""
+    return np.array([[i != 0 and i not in clicked for i in catalog.ids]] * rows)
+
+
+def pool_rows(pools):
+    """Padded pools as one ascending id tuple per row."""
+    ids, mask = pools
+    return [tuple(row[real].tolist()) for row, real in zip(ids, mask)]
+
+
 @pytest.fixture
 def setup():
     catalog = synth_catalog(10, 4, seed=1)
@@ -50,7 +61,7 @@ class TestGroundTruthUser:
     def test_choice_distribution_sums_to_one(self, setup):
         catalog, user, env = setup
         hists, _, pools = reset(env, user, EpisodeKeys([3], 0))
-        feats = catalog.feature_matrix(pools[0][:3])
+        feats = catalog.feature_matrix(pools[0][0, :3])
         scores = slate_scores(user, hists, feats[None])[0]
         probs = user.config.regularizer.probs(scores, user.config.eta)
         assert probs.shape == (4,)
@@ -102,21 +113,21 @@ class TestEpisodeKeys:
         for t in (-1, 3):
             with pytest.raises(ValueError, match=re.escape("outside the keyed steps 0..2")):
                 keys.rng(0, _CLICK_STREAM, t)
-        hists, clicked, pools = reset(env, user, keys)
+        hists, avail, pools = reset(env, user, keys)
         for t in range(2):
-            step(env, user, t, keys, hists, clicked, pools, [pools[0][:3]])
+            step(env, user, t, keys, hists, avail, pools, [pools[0][0, :3]])
         with pytest.raises(ValueError, match=re.escape("step 3 is outside")):
-            step(env, user, 2, keys, hists, clicked, pools, [pools[0][:3]])
+            step(env, user, 2, keys, hists, avail, pools, [pools[0][0, :3]])
 
 
 class TestReset:
     def test_zero_state(self, setup):
         catalog, user, env = setup
-        hists, clicked, pools = reset(env, user, EpisodeKeys([5, 6], 0))
+        hists, avail, pools = reset(env, user, EpisodeKeys([5, 6], 0))
         assert hists.shape == (2, catalog.d, user.m)
-        assert clicked == [frozenset(), frozenset()]
+        assert np.array_equal(avail, avail_of(catalog, (), 2))
         assert np.all(hists == 0.0)
-        assert [len(pool) for pool in pools] == [5, 5]
+        assert [len(pool) for pool in pool_rows(pools)] == [5, 5]
 
     def test_zero_embedding_with_zero_bias(self, setup):
         _, user, env = setup
@@ -129,7 +140,8 @@ class TestReset:
 
     def test_same_seed_same_pool(self, setup):
         _, user, env = setup
-        assert reset(env, user, EpisodeKeys([7], 0))[2] == reset(env, user, EpisodeKeys([7], 0))[2]
+        assert pool_rows(reset(env, user, EpisodeKeys([7], 0))[2]) == \
+            pool_rows(reset(env, user, EpisodeKeys([7], 0))[2])
 
 
 class TestCandidates:
@@ -137,21 +149,21 @@ class TestCandidates:
         catalog, user, _ = setup
         env = SlateEnv(catalog, EnvConfig(k=3, pool_size=10, horizon=3))
         _, _, pools = reset(env, user, EpisodeKeys([1], 0))
-        assert pools[0] == catalog.item_ids
+        assert pool_rows(pools) == [catalog.item_ids]
 
     def test_excludes_clicked(self, setup):
         catalog, _, env = setup
         clicked = frozenset({1, 2, 3})
         keys = EpisodeKeys([4], 19)
         for t in range(20):
-            pool = draw_candidates(env, clicked, t, keys, 0)
+            (pool,) = pool_rows(draw_candidates(env, avail_of(catalog, clicked), t, keys))
             assert not (set(pool) & clicked)
 
     def test_pool_exhausted(self, setup):
         catalog, _, env = setup
         clicked = frozenset(catalog.item_ids[:-2])
         with pytest.raises(EnvError, match="pool exhausted"):
-            draw_candidates(env, clicked, 0, EpisodeKeys([1], 0), 0)
+            draw_candidates(env, avail_of(catalog, clicked), 0, EpisodeKeys([1], 0))
 
     def test_inclusion_frequencies_uniform(self, setup):
         # K=10, pool of 5: every item appears with frequency 0.5 +- 0.02
@@ -159,17 +171,17 @@ class TestCandidates:
         counts = {i: 0 for i in catalog.item_ids}
         draws = 10_000
         keys = EpisodeKeys(range(draws), 0)
-        for s in range(draws):
-            for i in draw_candidates(env, frozenset(), 0, keys, s):
+        for pool in pool_rows(draw_candidates(env, avail_of(catalog, (), draws), 0, keys)):
+            for i in pool:
                 counts[i] += 1
         for i, c in counts.items():
             assert abs(c / draws - 0.5) <= 0.02
 
     def test_deterministic_per_seed_and_t(self, setup):
-        _, _, env = setup
-        a = draw_candidates(env, frozenset(), 3, EpisodeKeys([11], 4), 0)
-        b = draw_candidates(env, frozenset(), 3, EpisodeKeys([11], 4), 0)
-        c = draw_candidates(env, frozenset(), 4, EpisodeKeys([11], 4), 0)
+        catalog, _, env = setup
+        a = pool_rows(draw_candidates(env, avail_of(catalog, ()), 3, EpisodeKeys([11], 4)))
+        b = pool_rows(draw_candidates(env, avail_of(catalog, ()), 3, EpisodeKeys([11], 4)))
+        c = pool_rows(draw_candidates(env, avail_of(catalog, ()), 4, EpisodeKeys([11], 4)))
         assert a == b
         assert a != c or True  # different t may coincide; equality of (a, b) is the contract
 
@@ -207,15 +219,16 @@ class TestPoolDrawMatchesListScan:
         env = SlateEnv(gappy_catalog, config)
         ids = gappy_catalog.item_ids
         rng = np.random.default_rng(4)
-        keys = EpisodeKeys(range(60), 4)
         for trial in range(60):
             n_clicked = trial % 10  # 0 to 9 of the 12 ids
             clicked = frozenset(int(i) for i in rng.choice(ids, size=n_clicked, replace=False))
             if trial % 7 == 0:
                 clicked |= {999}  # an id outside the catalog changes nothing
-            pool = draw_candidates(env, clicked, trial % 5, keys, trial)
-            assert pool == list_scan_pool(env, clicked, trial % 5, trial)
-            assert type(pool) is tuple and all(type(i) is int for i in pool)
+            pool_ids, mask = draw_candidates(env, avail_of(gappy_catalog, clicked), trial % 5,
+                                             EpisodeKeys([trial], 4))
+            assert pool_rows((pool_ids, mask)) == [list_scan_pool(env, clicked, trial % 5, trial)]
+            assert pool_ids.shape == mask.shape == (1, config.pool_size)
+            assert np.all(pool_ids[~mask] == 0) and np.array_equal(mask, np.sort(mask)[:, ::-1])
 
     def test_same_exhaustion_error(self, gappy_catalog):
         env = SlateEnv(gappy_catalog, EnvConfig(k=3, pool_size=5))
@@ -223,7 +236,7 @@ class TestPoolDrawMatchesListScan:
         with pytest.raises(EnvError) as expected:
             list_scan_pool(env, clicked, 0, 1)
         with pytest.raises(EnvError, match="pool exhausted") as got:
-            draw_candidates(env, clicked, 0, EpisodeKeys([1], 0), 0)
+            draw_candidates(env, avail_of(gappy_catalog, clicked), 0, EpisodeKeys([1], 0))
         assert str(got.value) == str(expected.value)
 
 
@@ -234,11 +247,11 @@ class TestStep:
         """Each seed's step 0 against the first 3 items of its pool: the state before, the
         slates, and step's slates, chosen ids and rewards, with the state after in place."""
         keys = EpisodeKeys(seeds, 1)
-        hists, clicked, pools = reset(env, user, keys)
+        hists, avail, pools = reset(env, user, keys)
         before = hists.copy()
-        slates = [list(pool[:3]) for pool in pools]
-        out = step(env, user, 0, keys, hists, clicked, pools, slates)
-        return before, slates, out, (hists, clicked, pools)
+        slates = pools[0][:, :3].tolist()
+        out = step(env, user, 0, keys, hists, avail, pools, slates)
+        return before, slates, out, (hists, avail, pools)
 
     def test_dominant_item_gets_clicked(self, setup):
         # a score gap of ~100 makes the favorite all but certain
@@ -261,25 +274,25 @@ class TestStep:
             user.theta.head.v /= 60.0
 
     def test_nonclick_semantics(self, setup):
-        _, user, env = setup
-        _, _, (_, chosen, rewards), (hists, clicked, _) = self._first_step(env, user)
+        catalog, user, env = setup
+        _, _, (_, chosen, rewards), (hists, avail, _) = self._first_step(env, user)
         skipped = [i for i, c in enumerate(chosen) if c == 0]
         assert skipped, "no non-click outcome in 500 episodes"
         for i in skipped:
             assert rewards[i] == 0.0
             assert np.all(hists[i] == 0.0)
-            assert clicked[i] == frozenset()
+            assert np.array_equal(avail[i], avail_of(catalog, ())[0])
 
     def test_click_updates_buffer_and_clicked_set(self, setup):
         # the paid reward is the clicked slot's score, bit for bit the B=1 score
         catalog, user, env = setup
-        before, slates, (_, chosen, rewards), (hists, clicked, _) = self._first_step(env, user)
+        before, slates, (_, chosen, rewards), (hists, avail, _) = self._first_step(env, user)
         hit = [i for i, c in enumerate(chosen) if c != 0]
         assert hit, "no click in 500 episodes"
         for i in hit:
             assert chosen[i] in slates[i]
             assert np.array_equal(hists[i][:, -1], catalog.features(chosen[i]))
-            assert clicked[i] == frozenset({chosen[i]})
+            assert np.array_equal(avail[i], avail_of(catalog, {chosen[i]})[0])
             scores = slate_scores(user, before[i:i + 1], catalog.feature_matrix(slates[i])[None])[0]
             assert rewards[i] == scores[slates[i].index(chosen[i])]
 
@@ -288,16 +301,18 @@ class TestStep:
         _, _, a, state_a = self._first_step(env, user, [9])
         _, _, b, state_b = self._first_step(env, user, [9])
         assert a == b
-        assert state_a[1:] == state_b[1:] and np.array_equal(state_a[0], state_b[0])
+        (hists_a, avail_a, pools_a), (hists_b, avail_b, pools_b) = state_a, state_b
+        assert np.array_equal(hists_a, hists_b) and np.array_equal(avail_a, avail_b)
+        assert pool_rows(pools_a) == pool_rows(pools_b)
 
     def test_slate_validation(self, setup):
         _, user, env = setup
         keys = EpisodeKeys([3], 1)
-        hists, clicked, pools = reset(env, user, keys)
-        pool = pools[0]
+        hists, avail, pools = reset(env, user, keys)
+        pool = pools[0][0]
 
         def bad(slate):
-            return step(env, user, 0, keys, hists, clicked, pools, [slate])
+            return step(env, user, 0, keys, hists, avail, pools, [slate])
 
         with pytest.raises(ValueError, match="wrong size"):
             bad(list(pool[:2]))
@@ -305,6 +320,74 @@ class TestStep:
             bad([pool[0]] * 3)
         with pytest.raises(ValueError, match="not in pool"):
             bad([pool[0], pool[1], max(pool) + 999])
+
+
+    @pytest.mark.parametrize("bad, message", [
+        (lambda pool: pool[:2], "slate wrong size: got 2, expected 3"),
+        (lambda pool: [pool[1]] * 3, "duplicate items in slate"),
+        (lambda pool: [pool[0], 999, pool[1]], "slate not in pool: [999]"),
+        (lambda pool: [0, pool[0], pool[1]], "slate not in pool: [0]"),
+    ], ids=["size", "duplicate", "outside-pool", "non-click-id"])
+    def test_first_bad_row_raises_its_message(self, setup, bad, message):
+        # row 2 of 4 is bad, row 3 is bad another way: row 2's fault is the one named
+        _, user, env = setup
+        keys = EpisodeKeys(range(4), 1)
+        hists, avail, pools = reset(env, user, keys)
+        rows = [list(pool) for pool in pool_rows(pools)]
+        slates = [pool[:3] for pool in rows]
+        slates[2] = bad(rows[2])
+        slates[3] = [rows[3][0]] * 3 if "pool" in message else [rows[3][0], -1, rows[3][1]]
+        with pytest.raises(ValueError) as caught:
+            step(env, user, 0, keys, hists, avail, pools, slates)
+        assert str(caught.value) == message
+
+    def test_padding_is_not_in_the_pool(self, setup):
+        # a short pool's padding holds the non-click id, which no slate may show
+        _, user, env = setup
+        keys = EpisodeKeys([3], 1)
+        hists, avail, _ = reset(env, user, keys)
+        pools = (np.array([[1, 2, 3, 0, 0]]), np.array([[True] * 3 + [False] * 2]))
+        with pytest.raises(ValueError) as caught:
+            step(env, user, 0, keys, hists, avail, pools, [[1, 2, 0]])
+        assert str(caught.value) == "slate not in pool: [0]"
+
+    def test_batched_state_equals_rows_alone(self, setup):
+        # 12 sessions stepped together and each stepped alone: pools (ids and mask),
+        # availability, histories, slates, clicks and rewards agree bit for bit at every
+        # step, steps where some rows' catalogs run short of the pool size included
+        catalog, user, _ = setup
+        env = SlateEnv(catalog, EnvConfig(k=3, pool_size=5, horizon=7))
+        policy, seeds = random_policy(env), list(range(12))
+
+        def play(keys, state, t):
+            slates = policy(state[0], state[2], lambda i: keys.rng(i, _POLICY_STREAM, t))
+            return step(env, user, t, keys, *state, slates)
+
+        def assert_rows_equal():
+            hists, avail, (ids, mask) = batch
+            for i, (_, (h, a, (p, m))) in enumerate(alone):
+                for got, want in ((hists, h), (avail, a), (ids, p), (mask, m)):
+                    assert got[i].tobytes() == want[0].tobytes()
+            sizes.add(tuple(mask.sum(axis=1).tolist()))
+
+        keys, sizes = EpisodeKeys(seeds, 7), set()
+        batch = reset(env, user, keys)
+        alone = [(k, reset(env, user, k)) for k in (EpisodeKeys([s], 7) for s in seeds)]
+        assert_rows_equal()
+        # the clicks as the per-row code kept them: one push per click, one click set per row
+        pushed, clicked = np.zeros_like(batch[0]), [set() for _ in seeds]
+        for t in range(7):
+            out = play(keys, batch, t)
+            for i, (row_keys, state) in enumerate(alone):
+                assert [o[0] for o in play(row_keys, state, t)] == [o[i] for o in out]
+            assert_rows_equal()
+            for i, c in enumerate(out[1]):
+                if c:
+                    push_columns(pushed[i], catalog.features(c))
+                    clicked[i].add(c)
+            assert batch[0].tobytes() == pushed.tobytes()
+            assert np.array_equal(batch[1], [avail_of(catalog, c)[0] for c in clicked])
+        assert any(min(s) < 5 == max(s) for s in sizes), "no step with ragged pools"
 
 
 class TestSlateScores:
@@ -435,7 +518,8 @@ class TestRolloutBatch:
         _, user, env = setup
 
         def last_row_bad(hists, pools, row_rng):
-            return [pool[:3] for pool in pools[:-1]] + [bad_slate(pools[-1])]
+            rows = pool_rows(pools)
+            return [pool[:3] for pool in rows[:-1]] + [bad_slate(rows[-1])]
 
         with pytest.raises(ValueError, match=message):
             rollout_batch(env, user, last_row_bad, self.SEEDS)
