@@ -205,7 +205,8 @@ def _cut_pools(pools: np.ndarray, mask: np.ndarray, k: int) -> tuple[np.ndarray,
 
 
 def cascade_batch(qnet: CascadeQNet, S: np.ndarray, pools: np.ndarray, mask: np.ndarray,
-                  catalog: ItemCatalog) -> tuple[np.ndarray, np.ndarray]:
+                  catalog: ItemCatalog, work: nets.ScoreBuffers | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """The greedy cascade of `cascade_plan` for B embedded states at once.
 
     S: (B, dn) states; pools: (B, P) ascending ids per row, padded as the env's
@@ -213,8 +214,9 @@ def cascade_batch(qnet: CascadeQNet, S: np.ndarray, pools: np.ndarray, mask: np.
     cuts them to the widest real pool. Head j scores all B x P candidates against
     each row's [s; f_1 .. f_{j-1}]. Returns the slates (B, k) and the achieved
     per-position values (B, k); ties break toward the lowest item id. A chosen value
-    that is not finite raises NonFiniteQError."""
+    that is not finite raises NonFiniteQError. The k heads share `work`, or one of the call's."""
     k = qnet.k
+    work = nets.ScoreBuffers() if work is None else work
     pools, mask = _cut_pools(np.asarray(pools, dtype=int), np.asarray(mask, dtype=bool), k)
     B = len(pools)
     feats = catalog.feature_matrix(pools)
@@ -224,7 +226,7 @@ def cascade_batch(qnet: CascadeQNet, S: np.ndarray, pools: np.ndarray, mask: np.
     slates = np.empty((B, k), dtype=int)
     values = np.empty((B, k))
     for j in range(k):
-        q = nets.head_scores(qnet.heads[j], prefix, feats)
+        q = nets.head_scores(qnet.heads[j], prefix, feats, work=work)
         q[~free] = -np.inf
         best = np.argmax(q, axis=1)  # first maximum wins: lowest id on ties
         slates[:, j] = pools[rows, best]
@@ -264,12 +266,11 @@ def additive_target(rewards: Sequence[float], next_hists: np.ndarray, next_pools
                     k: int, terminal: Sequence[bool] | None = None) -> np.ndarray:
     """Additive-baseline TD targets y = r + gamma * (sum of the next state's top-k item values).
 
-    Arrays as in compute_target. Head 1 scores every live row's masked pool in
-    one scorer_batch; terminal rows keep r."""
+    Arrays as in compute_target. Head 1 scores every live row's pool in one
+    _pool_scores call, the top-k policy's; terminal rows keep r."""
     y, live, F, ids, mask = _live_rows(rewards, next_hists, next_pools, next_mask, terminal)
     if len(live):
-        view = ScorerNet(pw=qnet.pw, head=qnet.heads[0])
-        vals = np.where(mask, nets.scorer_batch(view, F, catalog.feature_matrix(ids)).scores, -np.inf)
+        vals = _pool_scores(qnet.pw, qnet.heads[0], F, ids, mask, catalog)
         y[live] += gamma * np.sort(vals, axis=1)[:, ::-1][:, :k].sum(axis=1)
     return y
 
@@ -278,30 +279,38 @@ def additive_target(rewards: Sequence[float], next_hists: np.ndarray, next_pools
 # policies
 
 
+def _pool_scores(pw: nets.PositionWeightParams, head: nets.ScorerParams, hists: np.ndarray, ids: np.ndarray,
+                 mask: np.ndarray, catalog: ItemCatalog, work: nets.ScoreBuffers | None = None) -> np.ndarray:
+    """`head`'s scores (B, P) of each row's padded pool against its history; -inf at the padding."""
+    scores = nets.head_scores(head, nets.embed_history(hists, pw), catalog.feature_matrix(ids), work=work)
+    return np.where(mask, scores, -np.inf)
+
+
 def _top_k(pw: nets.PositionWeightParams, head: nets.ScorerParams, hists: np.ndarray,
-           pools: Pools, k: int, catalog: ItemCatalog) -> np.ndarray:
+           pools: Pools, k: int, catalog: ItemCatalog, work: nets.ScoreBuffers | None = None
+           ) -> np.ndarray:
     """Per row of histories (B, d, m) and padded pools (see env.Policy), the k pool items
-    `head` scores highest.
+    `head` scores highest, scored in `work`'s arrays when given.
 
     Returns (B, k) ids, best first. Pools ascend, so the stable sort breaks
     ties toward the lower item id."""
     ids, mask = _cut_pools(*pools, k)
-    scores = nets.head_scores(head, nets.embed_history(hists, pw), catalog.feature_matrix(ids))
-    order = np.argsort(-np.where(mask, scores, -np.inf), axis=1, kind="stable")[:, :k]
+    order = np.argsort(-_pool_scores(pw, head, hists, ids, mask, catalog, work),
+                       axis=1, kind="stable")[:, :k]
     return np.take_along_axis(ids, order, axis=1)
 
 
 def greedy_user_model_policy(user_model: UserModel, hists: np.ndarray, pools: Pools, k: int,
-                             catalog: ItemCatalog) -> np.ndarray:
+                             catalog: ItemCatalog, work: nets.ScoreBuffers | None = None) -> np.ndarray:
     """Per row, the top-k pool items by the behavior logit, as (B, k) ids; ties go to the lower id."""
-    return _top_k(user_model.alpha.pw, user_model.alpha.head, hists, pools, k, catalog)
+    return _top_k(user_model.alpha.pw, user_model.alpha.head, hists, pools, k, catalog, work)
 
 
 def additive_q_policy(qnet: CascadeQNet, hists: np.ndarray, pools: Pools, k: int,
-                      catalog: ItemCatalog) -> np.ndarray:
+                      catalog: ItemCatalog, work: nets.ScoreBuffers | None = None) -> np.ndarray:
     """Per row, the top-k items by the single-item Q values (the argmax of the additive
     slate value), as (B, k) ids; ties go to the lower id."""
-    return _top_k(qnet.pw, qnet.heads[0], hists, pools, k, catalog)
+    return _top_k(qnet.pw, qnet.heads[0], hists, pools, k, catalog, work)
 
 
 def random_slate(pool: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -312,20 +321,22 @@ def random_slate(pool: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 
 
 def make_policy(handle: PolicyHandle, catalog: ItemCatalog, k: int) -> Policy:
-    """Wrap a policy handle as a batched (hists, pools, row_rng) -> (B, k) slates policy."""
+    """Wrap a policy handle as a batched (hists, pools, row_rng) -> (B, k) slates policy; a
+    scoring policy keeps its head_scores work arrays (nets.ScoreBuffers) for its lifetime."""
     if handle.kind is PolicyKind.RANDOM:
         return lambda hists, pools, row_rng: np.array(
             [random_slate(ids[:n], k, row_rng(i))
              for i, (ids, n) in enumerate(zip(pools[0], pools[1].sum(axis=1).tolist()))], dtype=int)
+    work = nets.ScoreBuffers()
     if handle.kind is PolicyKind.GREEDY_USER_MODEL:
         model = handle.user_model
-        return lambda hists, pools, row_rng: greedy_user_model_policy(model, hists, pools, k, catalog)
+        return lambda hists, pools, row_rng: greedy_user_model_policy(model, hists, pools, k, catalog, work)
     qnet = handle.qnet
     if handle.kind is PolicyKind.ADDITIVE_Q:
-        return lambda hists, pools, row_rng: additive_q_policy(qnet, hists, pools, k, catalog)
+        return lambda hists, pools, row_rng: additive_q_policy(qnet, hists, pools, k, catalog, work)
 
     def cascade(hists, pools, row_rng):
-        return cascade_batch(qnet, nets.embed_history(hists, qnet.pw), *pools, catalog)[0]
+        return cascade_batch(qnet, nets.embed_history(hists, qnet.pw), *pools, catalog, work)[0]
 
     return cascade
 

@@ -171,7 +171,6 @@ def _world(opt: _Options, **env_fields) -> tuple[ExperimentSpec, SlateEnv, UserM
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
     opt = _load_options(args)
-    out_dir = _out_dir(opt)
     seed = opt.get("seed", 0)
     users = opt.get("users", 50)
     horizon = opt.get("horizon", 20)
@@ -186,6 +185,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     spec = ExperimentSpec(catalog_size=K, dim=d, catalog_seed=seed, gt_m=m, gt_n=n, gt_hidden=hidden,
                           gt_seed=seed + 1, gt_reward_scale=reward_scale,
                           env=EnvConfig(k=k, pool_size=pool_size, horizon=horizon))
+    out_dir = _out_dir(opt)
     env, user, catalog = metrics.build_experiment_env(spec)
     policy = agent.make_policy(agent.PolicyHandle(PolicyKind.RANDOM), catalog, k)
     results = rollout_batch(env, user, policy, [2 * (seed + u) for u in range(users)],

@@ -61,6 +61,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.repetitions < 1 or self.n_users < 1:
             raise ValueError("repetitions and n_users must be >= 1")
+        if not (np.isfinite(self.gt_reward_scale) and self.gt_reward_scale > 0):  # else no or reversed taste
+            raise ValueError(f"gt_reward_scale must be finite and > 0, got {self.gt_reward_scale}")
+        for name in ("gt_m", "gt_n", "gt_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def eval_env_seed(base_seed: int, user: int, rep: int, n_users: int) -> int:

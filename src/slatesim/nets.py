@@ -27,11 +27,11 @@ from .choice import Regularizer, logsumexp, softmax
 from .data import write_lines
 
 
-def act(z: np.ndarray) -> np.ndarray:
-    """ELU, every network's activation: max(z, expm1(min(z, 0))) in one fresh buffer. It and
-    act_grad's exp(min(z, 0)) are bit for bit the np.where(z > 0, ...) forms, and faster."""
-    out = np.minimum(z, 0.0)
-    return np.maximum(z, np.expm1(out, out=out), out=out)
+def act(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """ELU, every network's activation: max(z, expm1(min(z, 0))), in a fresh array or in z with
+    `scratch`. It and act_grad's exp(min(z, 0)) are bit for bit the np.where(z > 0, ...) forms."""
+    out = np.minimum(z, 0.0, out=scratch)
+    return np.maximum(z, np.expm1(out, out=out), out=out if scratch is None else z)
 
 
 def act_grad(z: np.ndarray) -> np.ndarray:
@@ -139,12 +139,24 @@ def embed_history(F: np.ndarray, pw: PositionWeightParams, pre: bool = False):
     return (s, Ze) if pre else s
 
 
-def head_scores(head: ScorerParams, state: np.ndarray, feats: np.ndarray, pre: bool = False):
+class ScoreBuffers:
+    """head_scores' two (..., hidden) work arrays, kept across calls until one of another shape."""
+
+    pair = (np.empty(0), np.empty(0))  # each instance sets its own on its first call
+
+    def __call__(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        if self.pair[0].shape != shape:
+            self.pair = (np.empty(shape), np.empty(shape))
+        return self.pair
+
+
+def head_scores(head: ScorerParams, state: np.ndarray, feats: np.ndarray, pre: bool = False,
+                work: ScoreBuffers | None = None):
     """Scores of each row of `feats` (slots, d) against one state vector (dn,).
 
     Batched: state (batch, dn) and feats (batch, slots, d) give (batch, slots).
     With `pre`, returns the pre-activation z, act(z) and the scores, which the
-    backward pass reuses."""
+    backward pass reuses. With `work`, z and act(z) reuse its arrays, bit for bit."""
     state = np.asarray(state, dtype=float)
     feats = np.atleast_2d(np.asarray(feats, dtype=float))
     d = feats.shape[-1]
@@ -153,13 +165,15 @@ def head_scores(head: ScorerParams, state: np.ndarray, feats: np.ndarray, pre: b
         raise ValueError(f"state shape {state.shape} incompatible with head input "
                          f"{head.V.shape[1]} and item features {feats.shape}")
     # in-place sums: this is the cascade argmax's inner call
-    z = (feats.reshape(-1, d) @ head.V[:, dn:].T).reshape(feats.shape[:-1] + (head.V.shape[0],))
+    shape = feats.shape[:-1] + (head.V.shape[0],)
+    z, scratch = (np.empty(shape), None) if work is None else work(shape)
+    np.matmul(feats.reshape(-1, d), head.V[:, dn:].T, out=z.reshape(-1, shape[-1]))
     if state.ndim == 1:
         z += head.V[:, :dn] @ state
     else:
         z += (state @ head.V[:, :dn].T)[..., None, :]
     z += head.b
-    h = act(z)
+    h = act(z, None if pre else scratch)
     return (z, h, h @ head.v) if pre else h @ head.v
 
 

@@ -1,5 +1,6 @@
 import inspect
 import sys
+import tracemalloc
 
 import pytest
 
@@ -37,3 +38,26 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def peak_alloc():
+    """peak_alloc(call) runs call() and returns its result and the peak bytes it had allocated
+    at once, as tracemalloc counts them; numpy reports its array data blocks there too.
+
+    Deterministic where a timing is not: the same call on the same inputs peaks the same."""
+
+    def measure(call):
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+
+    return measure

@@ -34,7 +34,8 @@ from slatesim.agent import (
 from slatesim.data import synth_catalog
 from slatesim import agent
 from slatesim.env import EnvConfig, EpisodeKeys, SlateEnv, make_ground_truth_user, reset, rollout, step
-from slatesim.nets import embed_history, finite_difference_grad, head_scores, init_cascade_net, named_tensors
+from slatesim.nets import (ScoreBuffers, embed_history, finite_difference_grad, head_scores, init_cascade_net,
+                            named_tensors)
 
 from pools import pad_pools
 
@@ -393,6 +394,112 @@ class TestPolicies:
             PolicyHandle(PolicyKind.CDQN)
         with pytest.raises(ValueError, match="user model"):
             PolicyHandle(PolicyKind.GREEDY_USER_MODEL)
+
+
+class TestKeptScoreBuffers:
+    """A scoring policy's kept work arrays give every bit a fresh call gives, whatever ran
+    in them before, and spare the call its (B, P, hidden) allocations."""
+
+    def _world(self, k, seed):
+        catalog = synth_catalog(40, 3, seed=41)
+        rng = np.random.default_rng(seed)
+        qnet = init_cascade_net(3, 4, 2, 6, k, rng)
+        return catalog, rng, qnet, make_ground_truth_user(catalog, (4, 2, 6), seed=44)
+
+    def _calls(self, k, B, rng, catalog):
+        """(hists, ids, mask) of B ragged rows per call, padded past the widest real pool,
+        for cut pool widths that shrink, grow and repeat."""
+        calls = []
+        for width in (max(w, k) for w in (12, 6, 20, 12, 12)):
+            pools = [rng.choice(catalog.item_ids, size=int(rng.integers(k, width + 1)), replace=False)
+                     for _ in range(B - 1)]
+            pools.insert(int(rng.integers(B)), rng.choice(catalog.item_ids, size=width, replace=False))
+            calls.append((rng.standard_normal((B, 3, 4)), *pad_pools(pools, width + 2)))
+        return calls
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("B", [1, 7, 80])
+    def test_cascade_batch_equals_fresh_calls(self, B, k):
+        catalog, rng, qnet, _ = self._world(k, 42 + k)
+        work, pairs = ScoreBuffers(), []
+        for hists, ids, mask in self._calls(k, B, rng, catalog):
+            S = embed_history(hists, qnet.pw)
+            slates, values = cascade_batch(qnet, S, ids, mask, catalog, work)
+            fresh_slates, fresh_values = cascade_batch(qnet, S, ids, mask, catalog)
+            assert np.array_equal(slates, fresh_slates)
+            assert values.tobytes() == fresh_values.tobytes()
+            pairs.append(work.pair)
+        # a new width reallocates the pair; the same B and width reuse it
+        assert pairs[1] is not pairs[0] and pairs[4] is pairs[3]
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("B", [1, 7, 80])
+    @pytest.mark.parametrize("kind", [PolicyKind.CDQN, PolicyKind.GREEDY_USER_MODEL, PolicyKind.ADDITIVE_Q],
+                             ids=lambda kind: kind.value)
+    def test_policies_equal_fresh_calls(self, kind, B, k):
+        catalog, rng, qnet, user = self._world(k, 45 + k)
+        policy = make_policy(PolicyHandle(kind, qnet=qnet, user_model=user), catalog, k)
+        fresh = {
+            PolicyKind.CDQN: lambda hists, pools: cascade_batch(
+                qnet, embed_history(hists, qnet.pw), *pools, catalog)[0],
+            PolicyKind.GREEDY_USER_MODEL: lambda hists, pools: greedy_user_model_policy(
+                user, hists, pools, k, catalog),
+            PolicyKind.ADDITIVE_Q: lambda hists, pools: additive_q_policy(qnet, hists, pools, k, catalog),
+        }[kind]
+        for hists, ids, mask in self._calls(k, B, rng, catalog):
+            assert np.array_equal(policy(hists, (ids, mask), None), fresh(hists, (ids, mask)))
+
+    @pytest.mark.parametrize("B", [1, 7, 80])
+    def test_top_k_scores_equal_fresh_calls(self, B):
+        # the values the greedy and additive policies rank, in one pair the two heads share
+        catalog, rng, qnet, user = self._world(1, 48)
+        work = ScoreBuffers()
+        for hists, ids, mask in self._calls(3, B, rng, catalog):
+            for pw, head in ((user.alpha.pw, user.alpha.head), (qnet.pw, qnet.heads[0])):
+                kept = agent._pool_scores(pw, head, hists, ids, mask, catalog, work)
+                assert kept.tobytes() == agent._pool_scores(pw, head, hists, ids, mask, catalog).tobytes()
+
+    @pytest.mark.parametrize("value", [-1e308, np.nan], ids=["overflow", "nan"])
+    def test_call_after_non_finite_error_equals_fresh_call(self, value):
+        # the error leaves -inf or NaN in the kept arrays; the next call reads none of it
+        catalog, rng, qnet, _ = self._world(3, 49)
+        policy = make_policy(PolicyHandle(PolicyKind.CDQN, qnet=qnet), catalog, 3)
+        work = ScoreBuffers()
+        hists, ids, mask = self._calls(3, 7, rng, catalog)[0]
+        S = embed_history(hists, qnet.pw)
+        head = qnet.heads[1]
+        kept = [t.copy() for t in (head.V, head.b, head.v)]
+        break_head(qnet, 2, value)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for call in (lambda: policy(hists, (ids, mask), None),
+                         lambda: cascade_batch(qnet, S, ids, mask, catalog, work)):
+                with pytest.raises(NonFiniteQError, match="position 2"):
+                    call()
+        for t, before in zip((head.V, head.b, head.v), kept):
+            t[:] = before
+        fresh_slates, fresh_values = cascade_batch(qnet, S, ids, mask, catalog)
+        assert np.array_equal(policy(hists, (ids, mask), None), fresh_slates)
+        slates, values = cascade_batch(qnet, S, ids, mask, catalog, work)
+        assert np.array_equal(slates, fresh_slates) and values.tobytes() == fresh_values.tobytes()
+
+    @pytest.mark.parametrize("kind", [PolicyKind.CDQN, PolicyKind.GREEDY_USER_MODEL],
+                             ids=lambda kind: kind.value)
+    def test_second_call_peaks_below_one_score_block(self, kind, peak_alloc):
+        # at B 80, P 50 and hidden 16 a fresh (B, P, hidden) pre-activation is 512,000 bytes; a
+        # policy's second call at the same shape allocates none (each head's two of them before)
+        B, P, hidden, k = 80, 50, 16, 5
+        catalog = synth_catalog(200, 8, seed=50)
+        rng = np.random.default_rng(51)
+        handle = PolicyHandle(kind, qnet=init_cascade_net(8, 5, 4, hidden, k, rng),
+                              user_model=make_ground_truth_user(catalog, (5, 4, hidden), seed=52))
+        policy = make_policy(handle, catalog, k)
+        hists = rng.standard_normal((B, 8, 5))
+        pools = (np.sort([rng.choice(catalog.item_ids, P, replace=False) for _ in range(B)], axis=1),
+                 np.ones((B, P), dtype=bool))
+        first = policy(hists, pools, None)
+        second, peak = peak_alloc(lambda: policy(hists, pools, None))
+        assert np.array_equal(first, second)
+        assert peak < B * P * hidden * 8
 
 
 class TestTrainCdqn:

@@ -367,3 +367,24 @@ def test_bad_numeric_option_exits_2_and_names_the_field(world, tmp_path, monkeyp
     assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert f"error: {field} must be finite" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["evaluate", "--roster", "random", "--gt-reward-scale", "-3"], "gt_reward_scale must be finite and > 0"),
+    (["evaluate", "--roster", "random", "--gt-reward-scale", "0"], "gt_reward_scale must be finite and > 0"),
+    (["evaluate", "--roster", "random", "--gt-reward-scale", "nan"], "gt_reward_scale must be finite and > 0"),
+    (["evaluate", "--gt-m", "0"], "gt_m must be >= 1"),
+    (["evaluate", "--gt-n", "0"], "gt_n must be >= 1"),
+    (["evaluate", "--gt-hidden", "0"], "gt_hidden must be >= 1"),
+    (["gen-data", "--reward-scale", "-1"], "gt_reward_scale must be finite and > 0"),
+    (["gen-data", "--reward-scale", "inf"], "gt_reward_scale must be finite and > 0"),
+    (["gen-data", "--m", "0"], "gt_m must be >= 1"),
+    (["gen-data", "--n", "0"], "gt_n must be >= 1"),
+    (["gen-data", "--hidden", "0"], "gt_hidden must be >= 1"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_bad_ground_truth_user_exits_2_and_names_the_field(tmp_path, monkeypatch, capsys, argv, message):
+    # a scale <= 0 flattens or reverses the user's preferences; m = 0 makes it memoryless
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -7,6 +7,7 @@ from slatesim.data import synth_catalog
 from slatesim.nets import (
     PositionWeightParams,
     ScorerNet,
+    ScoreBuffers,
     ScorerParams,
     act,
     act_grad,
@@ -142,6 +143,19 @@ class TestActivation:
             assert np.signbit(act(z)).tolist() == np.signbit(where_act(z)).tolist()
             assert act_grad(z).tolist() == [1.0] * len(z)
 
+    @pytest.mark.parametrize("shape", [(20, 16), (80, 50, 16)])
+    def test_in_place_bits_match_where_form(self, shape):
+        # given a scratch array, act writes the ELU over z itself, bit for bit as a fresh one
+        rng = np.random.default_rng(len(shape))
+        z = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 4, size=shape)
+        z.reshape(-1)[rng.choice(z.size, len(self.SPECIAL), replace=False)] = self.SPECIAL
+        expected = where_act(z)
+        assert act(z, np.full(shape, np.nan)) is z
+        assert np.array_equal(bits(z), bits(expected))
+        for zero in (np.array([0.0, -0.0]), np.full(1000, -0.0)):
+            expected = np.signbit(where_act(zero)).tolist()
+            assert np.signbit(act(zero, np.empty_like(zero))).tolist() == expected
+
     @pytest.mark.parametrize("fn", [act, act_grad])
     def test_input_unchanged(self, fn):
         z = np.random.default_rng(0).standard_normal((80, 50, 16))
@@ -165,6 +179,23 @@ class TestOnePass:
             state = embed_history(F, net.pw)
             assert np.array_equal(bits(cache.s), bits(state))
             assert np.array_equal(bits(cache.scores), bits(head_scores(net.head, state, feats)))
+
+
+    def test_kept_work_arrays_give_fresh_bits(self):
+        # one ScoreBuffers across heads and shapes, reused or reallocated, one state or a batch
+        rng = np.random.default_rng(12)
+        work = ScoreBuffers()
+        for _ in range(300):
+            d, m, n = (int(x) for x in rng.integers(1, 9, size=3))
+            hidden, batch, slots = (int(rng.choice(sizes)) for sizes in ([4, 16], [1, 7, 80], [5, 50]))
+            net = init_scorer_net(d, m, n, hidden, rng)
+            state = embed_history(rng.standard_normal((batch, d, m)), net.pw)
+            feats = rng.standard_normal((batch, slots, d))
+            if rng.random() < 0.3:
+                state, feats = state[0], feats[0]
+            expected = head_scores(net.head, state, feats)
+            assert np.array_equal(bits(head_scores(net.head, state, feats, work=work)), bits(expected))
+            assert work.pair[0].shape == feats.shape[:-1] + (hidden,)
 
 
 class TestCascadeHeads:
