@@ -115,6 +115,9 @@ class CDQNConfig:
             raise ValueError("iterations >= 0 and positive horizon/batch sizes required")
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+        for name in ("n", "hidden", "capacity"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -344,19 +347,23 @@ def make_policy(handle: PolicyHandle, catalog: ItemCatalog, k: int) -> Policy:
 # ---------------------------------------------------------------------------
 # training loops (batched users, epsilon-greedy, replay, shared TD target)
 
-# env_factory(episode_index) -> (env, user, episode seed)
-EnvFactory = Callable[[int], tuple[SlateEnv, UserModel, int]]
-
-
 class TrainingDivergedError(RuntimeError):
     def __init__(self, iteration: int):
         super().__init__(f"TD loss became non-finite at iteration {iteration}")
         self.iteration = iteration
 
 
-def make_env_factory(env: SlateEnv, user: UserModel, base_seed: int) -> EnvFactory:
-    """Episodes seeded base_seed + 2*i, preserving the seed's parity across episodes."""
-    return lambda episode: (env, user, base_seed + 2 * episode)
+class TrainingEnv(NamedTuple):
+    """The env and user every training session steps in; episode i is seeded
+    base_seed + 2*i, which keeps the seed's parity across episodes."""
+
+    env: SlateEnv
+    user: UserModel
+    base_seed: int
+
+
+def make_env_factory(env: SlateEnv, user: UserModel, base_seed: int) -> TrainingEnv:
+    return TrainingEnv(env, user, base_seed)
 
 
 def _epsilon_at(config: CDQNConfig, iteration: int) -> float:
@@ -370,19 +377,19 @@ def _epsilon_at(config: CDQNConfig, iteration: int) -> float:
 Act = Callable[[CascadeQNet, np.ndarray, Pools], np.ndarray]
 
 
-def _train_replay(env_factory: EnvFactory, config: CDQNConfig, heads: int, act: Act,
+def _train_replay(world: TrainingEnv, config: CDQNConfig, heads: int, act: Act,
                   target: Callable[[CascadeQNet, ReplayBatch], np.ndarray],
                   loss: Callable[[CascadeQNet, ReplayBatch, np.ndarray], tuple[float, dict[str, np.ndarray]]],
                   on_iteration: Callable[[int, dict], None] | None) -> CascadeQNet:
     """Epsilon-greedy sessions, experience replay and one SGD step per horizon step.
 
-    Each iteration runs its `batch_users` sessions in lockstep in the env and
-    user of episode 0. Per horizon step every session in turn draws epsilon
+    Each iteration runs its `batch_users` sessions in lockstep in the world's
+    env and user. Per horizon step every session in turn draws epsilon
     and, when it explores, a random slate from the one training generator;
     the others play `act`, and one env.step advances all of them. A net of
     `heads` value heads then regresses `loss` on a replay minibatch against
     the bootstrapped targets `target` computes with the current net."""
-    env, user, _ = env_factory(0)
+    env, user, base_seed = world
     catalog, k, B = env.catalog, env.config.k, config.batch_users
     rng = np.random.default_rng(config.seed)
     qnet = nets.init_cascade_net(catalog.d, user.m, config.n, config.hidden, heads, rng)
@@ -391,14 +398,8 @@ def _train_replay(env_factory: EnvFactory, config: CDQNConfig, heads: int, act: 
     updates = 0
     for it in range(config.iterations):
         eps = _epsilon_at(config, it)
-        seeds = []
-        for episode in range(it * B, (it + 1) * B):
-            ep_env, ep_user, seed = env_factory(episode)
-            if ep_env is not env or ep_user is not user:
-                raise ValueError(f"env_factory({episode}) gives another env or user than episode 0; "
-                                 "the sessions of an iteration step in one env")
-            seeds.append(seed)
-        keys = EpisodeKeys(seeds, config.horizon)
+        keys = EpisodeKeys([base_seed + 2 * episode for episode in range(it * B, (it + 1) * B)],
+                           config.horizon)
         hists, avail, (ids, mask) = reset(env, user, keys)
         losses = []
         try:  # a non-finite Q value met by the act, the target or the loss is divergence
@@ -433,7 +434,7 @@ def _train_replay(env_factory: EnvFactory, config: CDQNConfig, heads: int, act: 
     return qnet
 
 
-def train_cdqn(env_factory: EnvFactory, config: CDQNConfig,
+def train_cdqn(world: TrainingEnv, config: CDQNConfig,
                on_iteration: Callable[[int, dict], None] | None = None) -> CascadeQNet:
     """Cascaded TD learning with experience replay and epsilon-greedy exploration.
 
@@ -441,10 +442,9 @@ def train_cdqn(env_factory: EnvFactory, config: CDQNConfig,
     y = r + gamma * Q^k(next state, greedy cascade slate); the reported loss
     is the mean over positions. Each greedy session acts through its own
     cascade_slate."""
-    env0, _, _ = env_factory(0)
-    catalog, k = env0.catalog, env0.config.k
+    catalog, k = world.env.catalog, world.env.config.k
     return _train_replay(
-        env_factory, config, k,
+        world, config, k,
         act=lambda qnet, hists, pools: np.array(
             [cascade_slate(qnet, h, ids[real], catalog) for h, ids, real in zip(hists, *pools)],
             dtype=int),
@@ -456,15 +456,14 @@ def train_cdqn(env_factory: EnvFactory, config: CDQNConfig,
         on_iteration=on_iteration)
 
 
-def train_additive_q(env_factory: EnvFactory, config: CDQNConfig,
+def train_additive_q(world: TrainingEnv, config: CDQNConfig,
                      on_iteration: Callable[[int, dict], None] | None = None) -> CascadeQNet:
     """Same replay loop as train_cdqn for the additive baseline (one single-item network).
 
     The slate value is the sum of its k single-item values; the greedy slate is the
     top-k by single-item value and the bootstrap target uses the additive maximum,
     i.e. the sum of the next state's top-k values."""
-    env0, _, _ = env_factory(0)
-    catalog, k = env0.catalog, env0.config.k
+    catalog, k = world.env.catalog, world.env.config.k
 
     def slot_loss(qnet, batch, targets):  # Q is head 1's scores summed over the k one-item slots
         view = ScorerNet(pw=qnet.pw, head=qnet.heads[0])
@@ -475,7 +474,7 @@ def train_additive_q(env_factory: EnvFactory, config: CDQNConfig,
         return float(np.mean(resid * resid)), {names.get(n, n): t for n, t in g.items()}
 
     return _train_replay(
-        env_factory, config, 1,
+        world, config, 1,
         act=lambda qnet, hists, pools: additive_q_policy(qnet, hists, pools, k, catalog),
         target=lambda qnet, batch: additive_target(
             batch.reward, batch.next_hist, batch.next_pool, batch.next_mask, qnet, catalog,
@@ -501,7 +500,9 @@ def constraint_diagnostic(qnet: CascadeQNet, hists: np.ndarray, pools: Pools,
             for idx, row in enumerate(values) for j in range(1, qnet.k + 1)]
 
 
-def save_policy(path, qnet: CascadeQNet, extra_meta: dict[str, str] | None = None) -> None:
+def save_policy(path, qnet: CascadeQNet, kind: PolicyKind = PolicyKind.CDQN,
+                extra_meta: dict[str, str] | None = None) -> None:
+    """Write the Q-net with its shape and the `kind` it was trained as, which load_policy checks."""
     tensors = dict(nets.named_tensors(qnet))
     meta = {
         "kind": "cascade_policy",
@@ -514,6 +515,7 @@ def save_policy(path, qnet: CascadeQNet, extra_meta: dict[str, str] | None = Non
     }
     if extra_meta:
         meta.update(extra_meta)
+    meta["policy_kind"] = kind.value
     nets.save_tensors(path, tensors, meta)
 
 

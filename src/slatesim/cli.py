@@ -173,6 +173,8 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     opt = _load_options(args)
     seed = opt.get("seed", 0)
     users = opt.get("users", 50)
+    if users < 1:
+        raise ValueError(f"users must be >= 1, got {users}")
     horizon = opt.get("horizon", 20)
     k = opt.get("k", 5)
     pool_size = opt.get("pool-size", 20)
@@ -247,7 +249,7 @@ def cmd_train_policy(args: argparse.Namespace) -> int:
     config = opt.fields(CDQNConfig, horizon=env.config.horizon, epsilon=epsilon, iterations=iterations)
     out_dir = _out_dir(opt)
     # training episodes stay on even seeds; evaluation uses odd ones
-    factory = agent.make_env_factory(env, user, 2 * config.seed)
+    world = agent.make_env_factory(env, user, 2 * config.seed)
 
     def on_iteration(it: int, stats: dict) -> None:
         if (it + 1) % max(1, config.iterations // 10) == 0:
@@ -256,12 +258,11 @@ def cmd_train_policy(args: argparse.Namespace) -> int:
 
     kind = PolicyKind(opt.get("policy-kind", PolicyKind.CDQN.value))
     if kind is PolicyKind.ADDITIVE_Q:
-        qnet = agent.train_additive_q(factory, config, on_iteration=on_iteration)
+        qnet = agent.train_additive_q(world, config, on_iteration=on_iteration)
     else:
-        qnet = agent.train_cdqn(factory, config, on_iteration=on_iteration)
+        qnet = agent.train_cdqn(world, config, on_iteration=on_iteration)
     ckpt = os.path.join(out_dir, "policy.ckpt")
-    agent.save_policy(ckpt, qnet, extra_meta={"reward_mode": config.reward_mode.value,
-                                                 "policy_kind": kind.value})
+    agent.save_policy(ckpt, qnet, kind, extra_meta={"reward_mode": config.reward_mode.value})
     _log(f"[train-policy] wrote {ckpt}")
     return 0
 

@@ -1,9 +1,9 @@
-"""Item catalogs, click trajectories, (B, d, m) click-history updates, and dataset splits."""
+"""Item catalogs, click trajectories and their log files, and dataset splits."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -104,25 +104,16 @@ class ItemCatalog:
         return len(self.ids)
 
 
-@dataclass(frozen=True)
-class ClickRecord:
-    """One page view: the displayed slate and the user's choice (0 = no click)."""
+class ClickRecord(NamedTuple):
+    """One page view: the displayed slate and the user's choice (0 = no click).
+
+    Unchecked: the loader checks the records of a log file, and env.step the slates a
+    rollout records."""
 
     step: int
     displayed: tuple[int, ...]
     chosen: int
     reward: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "displayed", tuple(int(i) for i in self.displayed))
-        if self.step < 1:
-            raise ValueError(f"step must be >= 1, got {self.step}")
-        if len(self.displayed) == 0:
-            raise ValueError("displayed set is empty")
-        if len(set(self.displayed)) != len(self.displayed):
-            raise ValueError(f"duplicate item in displayed set {self.displayed}")
-        if self.chosen != NON_CLICK_ID and self.chosen not in self.displayed:
-            raise ValueError(f"chosen not displayed: {self.chosen} not in {self.displayed}")
 
     @property
     def clicked(self) -> bool:
@@ -136,24 +127,8 @@ class Trajectory:
     user_id: int
     records: tuple[ClickRecord, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        steps = [r.step for r in self.records]
-        if steps:
-            if steps[0] != 1:
-                raise ValueError(f"trajectory for user {self.user_id} must start at step 1")
-            if any(b <= a for a, b in zip(steps, steps[1:])):
-                raise ValueError(f"steps not strictly increasing for user {self.user_id}")
-
     def __len__(self) -> int:
         return len(self.records)
-
-
-def push_columns(mats: np.ndarray, features: np.ndarray) -> None:
-    """Shift each d x m history in `mats` (..., d, m) one column toward the oldest, in
-    place, and write the matching row of `features` (..., d) as the newest column."""
-    # the shifted window is built before any write, so a misfit raises with `mats` unchanged
-    mats[...] = np.concatenate([mats[..., 1:], np.asarray(features)[..., None]], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -320,11 +295,15 @@ def _parse_trajectories(lines: list[str]) -> tuple[ItemCatalog, list[Trajectory]
                 displayed = tuple(int(x) for x in ids_part.split())
             except ValueError:
                 raise DataFormatError(f"line {lineno}: malformed display ids") from None
-            try:
-                rec = ClickRecord(step=step, displayed=displayed, chosen=chosen, reward=reward)
-            except ValueError as exc:
-                raise DataFormatError(f"line {lineno}: {exc}") from None
-            by_user.setdefault(user_id, []).append(rec)
+            if step < 1:
+                raise DataFormatError(f"line {lineno}: step must be >= 1, got {step}")
+            if not displayed:
+                raise DataFormatError(f"line {lineno}: displayed set is empty")
+            if len(set(displayed)) != len(displayed):
+                raise DataFormatError(f"line {lineno}: duplicate item in displayed set {displayed}")
+            if chosen != NON_CLICK_ID and chosen not in displayed:
+                raise DataFormatError(f"line {lineno}: chosen not displayed: {chosen} not in {displayed}")
+            by_user.setdefault(user_id, []).append(ClickRecord(step, displayed, chosen, reward))
         else:
             raise DataFormatError(f"line {lineno}: unknown directive {line.split()[0]!r}")
     catalog = ItemCatalog(items, d=d)
@@ -337,5 +316,10 @@ def _parse_trajectories(lines: list[str]) -> tuple[ItemCatalog, list[Trajectory]
                         f"record for user {user_id} step {rec.step} displays "
                         f"unknown item {item_id}"
                     )
+        steps = [rec.step for rec in recs]
+        if steps[0] != 1:
+            raise DataFormatError(f"trajectory for user {user_id} must start at step 1")
+        if any(b <= a for a, b in zip(steps, steps[1:])):
+            raise DataFormatError(f"steps not strictly increasing for user {user_id}")
         trajectories.append(Trajectory(user_id=user_id, records=tuple(recs)))
     return catalog, trajectories

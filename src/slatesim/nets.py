@@ -152,9 +152,8 @@ class ScoreBuffers:
 
 def head_scores(head: ScorerParams, state: np.ndarray, feats: np.ndarray, pre: bool = False,
                 work: ScoreBuffers | None = None):
-    """Scores of each row of `feats` (slots, d) against one state vector (dn,).
+    """Scores (..., slots) of each row of `feats` (..., slots, d) against its state (..., dn).
 
-    Batched: state (batch, dn) and feats (batch, slots, d) give (batch, slots).
     With `pre`, returns the pre-activation z, act(z) and the scores, which the
     backward pass reuses. With `work`, z and act(z) reuse its arrays, bit for bit."""
     state = np.asarray(state, dtype=float)
@@ -168,10 +167,7 @@ def head_scores(head: ScorerParams, state: np.ndarray, feats: np.ndarray, pre: b
     shape = feats.shape[:-1] + (head.V.shape[0],)
     z, scratch = (np.empty(shape), None) if work is None else work(shape)
     np.matmul(feats.reshape(-1, d), head.V[:, dn:].T, out=z.reshape(-1, shape[-1]))
-    if state.ndim == 1:
-        z += head.V[:, :dn] @ state
-    else:
-        z += (state @ head.V[:, :dn].T)[..., None, :]
+    z += (state @ head.V[:, :dn].T)[..., None, :]
     z += head.b
     h = act(z, None if pre else scratch)
     return (z, h, h @ head.v) if pre else h @ head.v

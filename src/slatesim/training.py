@@ -64,8 +64,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.batch_size < 1 or self.epochs < 0 or self.patience < 1:
             raise ValueError("batch_size >= 1, epochs >= 0, patience >= 1 required")
-        if self.m < 1 or self.n < 1 or self.hidden < 1:
-            raise ValueError("architecture dims must be >= 1")
+        for name in ("m", "n", "hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -491,7 +492,7 @@ def train_minimax(
 # model checkpoints
 
 
-def save_user_model(path, model: UserModel, extra_meta: dict[str, str] | None = None) -> None:
+def save_user_model(path, model: UserModel) -> None:
     tensors = {}
     for prefix, net in (("theta", model.theta), ("alpha", model.alpha)):
         for name, t in nets.named_tensors(net).items():
@@ -506,8 +507,6 @@ def save_user_model(path, model: UserModel, extra_meta: dict[str, str] | None = 
         "n": str(model.theta.pw.n),
         "hidden": str(model.theta.head.v.shape[0]),
     }
-    if extra_meta:
-        meta.update(extra_meta)
     nets.save_tensors(path, tensors, meta)
 
 

@@ -1,5 +1,6 @@
-"""Test helper: pools built by hand (ragged, unsorted, with repeats) in the padded form
-the env hands a policy."""
+"""Test helpers: pools built by hand (ragged, unsorted, with repeats) in the padded form
+the env hands a policy, and the one-click history push that env.step's masked write
+must equal."""
 
 from typing import Sequence
 
@@ -20,3 +21,10 @@ def pad_pools(pools: Sequence[Sequence[int]], width: int | None = None
     ids = np.full(mask.shape, NON_CLICK_ID, dtype=int)
     ids[mask] = [i for row in rows for i in row]
     return ids, mask
+
+
+def push_columns(mats: np.ndarray, features: np.ndarray) -> None:
+    """Shift each d x m history in `mats` (..., d, m) one column toward the oldest, in
+    place, and write the matching row of `features` (..., d) as the newest column."""
+    # the shifted window is built before any write, so a misfit raises with `mats` unchanged
+    mats[...] = np.concatenate([mats[..., 1:], np.asarray(features)[..., None]], axis=-1)

@@ -1,5 +1,4 @@
 import itertools
-import re
 
 import numpy as np
 import pytest
@@ -614,26 +613,6 @@ class TestTrainCdqn:
         assert calls == {"compute_target": updates, "td_value_and_grad": updates, "sgd_step": updates,
                          "sample": updates, "cascade_slate": greedy, "cascade_plan": greedy}
 
-    @pytest.mark.parametrize("train", [train_cdqn, train_additive_q], ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("other", ["env", "user"])
-    def test_one_env_per_iteration(self, train, other):
-        # the sessions of an iteration step in one env: a factory that changes
-        # the env or the user past episode 0 is refused, naming the episode
-        factory, env, user, catalog = self._factory()
-        swapped = (SlateEnv(catalog, env.config) if other == "env"
-                   else make_ground_truth_user(catalog, (3, 2, 6), seed=14, reward_scale=2.0))
-
-        def drifting(episode):
-            env_i, user_i, seed = factory(episode)
-            if episode == 6:
-                return (swapped, user_i, seed) if other == "env" else (env_i, swapped, seed)
-            return env_i, user_i, seed
-
-        cfg = CDQNConfig(iterations=3, horizon=2, batch_users=4, minibatch=4, lr=0.01, seed=9,
-                         n=2, hidden=4)
-        with pytest.raises(ValueError, match=re.escape("env_factory(6)")):
-            train(drifting, cfg)
-
     def test_additive_training_runs(self):
         factory, env, user, catalog = self._factory()
         cfg = CDQNConfig(iterations=3, horizon=4, batch_users=4, minibatch=8,
@@ -700,3 +679,14 @@ class TestPolicyCheckpoint:
         assert loaded.k == 3
         for name, t in named_tensors(qnet).items():
             assert np.array_equal(t, named_tensors(loaded)[name])
+
+    @pytest.mark.parametrize("kind, other", [(PolicyKind.CDQN, PolicyKind.ADDITIVE_Q),
+                                             (PolicyKind.ADDITIVE_Q, PolicyKind.CDQN)])
+    def test_saved_kind_loads_as_itself_only(self, tmp_path, kind, other):
+        path = tmp_path / "policy.ckpt"
+        save_policy(path, init_cascade_net(3, 4, 2, 5, 1, np.random.default_rng(19)), kind)
+        assert load_policy(path, kind).k == 1
+        meta = [line for line in path.read_text().splitlines() if line.startswith("meta ")]
+        assert meta[-1] == f"meta policy_kind {kind.value}"
+        with pytest.raises(ValueError, match=f"a policy trained as {kind.value}, not {other.value}"):
+            load_policy(path, other)

@@ -36,8 +36,8 @@ def world(tmp_path_factory):
     assert cli_main(["gen-data", "--users", "4", "--horizon", "3", "--k", "2",
                      "--pool-size", "4", "--catalog-size", "8", "--dim", "3", "--m", "3",
                      "--n", "2", "--hidden", "4", "--seed", "1", "--out", str(root)]) == 0
-    for name, seed in (("policy.ckpt", 0), ("additive.ckpt", 1)):
-        save_policy(root / name, init_cascade_net(3, 3, 2, 4, 2, np.random.default_rng(seed)))
+    for name, seed, kind in (("policy.ckpt", 0, PolicyKind.CDQN), ("additive.ckpt", 1, PolicyKind.ADDITIVE_Q)):
+        save_policy(root / name, init_cascade_net(3, 3, 2, 4, 2, np.random.default_rng(seed)), kind)
     return {"data": str(root / "data.txt"), "user": str(root / "ground_truth_user.ckpt"),
             "policy": str(root / "policy.ckpt"), "additive": str(root / "additive.ckpt")}
 
@@ -143,7 +143,7 @@ class TestResolvedConfigs:
     def test_train_policy_minimal(self, calls, tmp_path, kind, entry):
         argv = ["train-policy"] + (["--policy-kind", kind] if kind == "additive" else [])
         factory, config = run(argv, calls, entry)
-        env, user, seed = factory(0)
+        env, user, seed = factory
         assert config == cdqn_config()
         assert env.config == env_config()
         assert seed == 0
@@ -159,7 +159,7 @@ class TestResolvedConfigs:
                "n": 2, "hidden": 5, "reward-mode": "pm1", "seed": 3, "out": tmp_path / "o",
                "policy-kind": kind, "epochs": 4, "states": 8}  # epochs, states: other stages' keys
         factory, config = run(["train-policy", "--lr", "0.03"], calls, entry, cfg, tmp_path)
-        env, user, seed = factory(0)
+        env, user, seed = factory
         assert config == cdqn_config(gamma=0.8, epsilon=0.4, epsilon_final=0.05, iterations=7,
                                      horizon=3, batch_users=3, minibatch=5, lr=0.03, seed=3,
                                      capacity=99, reward_mode=RewardMode.PLUS_MINUS_ONE, n=2,
@@ -174,7 +174,7 @@ class TestResolvedConfigs:
         cfg = {"user-model": world["user"], "catalog-size": 12, "dim": 3, "catalog-seed": 4,
                "gt-m": 2, "k": 2, "pool-size": 4}
         factory, config = run(["train-policy"], calls, "train_cdqn", cfg, tmp_path)
-        env, user, _ = factory(0)
+        env, user, _ = factory
         assert config == cdqn_config()
         assert env.config == env_config(k=2, pool_size=4)
         assert_world(env, user, synth_catalog(12, 3, 4), load_user_model(world["user"]), tmp_path)
@@ -366,6 +366,27 @@ def test_bad_numeric_option_exits_2_and_names_the_field(world, tmp_path, monkeyp
         argv = argv + ["--data", world["data"]]
     assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert f"error: {field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["gen-data", "--users", "0"], "users"),
+    (["gen-data", "--users", "-3"], "users"),
+    (["train-policy", "--n", "0"], "n"),
+    (["train-policy", "--hidden", "0"], "hidden"),
+    (["train-policy", "--capacity", "0"], "capacity"),
+    (["train-user-model", "--m", "0"], "m"),
+    (["train-user-model", "--n", "0"], "n"),
+    (["train-user-model", "--hidden", "0"], "hidden"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_size_below_one_exits_2_and_names_the_field(world, tmp_path, monkeypatch, capsys, argv, field):
+    # refused before --out is made; gen-data once failed with "min() arg is an empty sequence"
+    # and train-policy with "inconsistent head shapes", both after making it
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "train-user-model":
+        argv = argv + ["--data", world["data"]]
+    assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert f"error: {field} must be >= 1, got {argv[2]}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from slatesim.agent import PolicyHandle, PolicyKind, make_policy
 from slatesim.choice import ChoiceConfig, Regularizer
-from slatesim.data import ItemCatalog, load_trajectories, push_columns, save_trajectories, synth_catalog
+from slatesim.data import ItemCatalog, load_trajectories, save_trajectories, synth_catalog
 from slatesim.env import (
     _CLICK_STREAM,
     _POLICY_STREAM,
@@ -25,6 +25,8 @@ from slatesim.env import (
     step,
 )
 from slatesim.nets import embed_history, head_scores, init_cascade_net, named_tensors
+
+from pools import push_columns
 
 
 def random_policy(env):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from slatesim import nets
 from slatesim.choice import ChoiceConfig, PROB_FLOOR, Regularizer, logsumexp, softmax
-from slatesim.data import ClickRecord, Trajectory, push_columns, synth_catalog
+from slatesim.data import ClickRecord, Trajectory, synth_catalog
 from slatesim.nets import init_scorer_net, named_tensors
 from slatesim.training import (
     Example,
@@ -33,6 +33,8 @@ from slatesim.training import (
     nll_value_grad,
     precision_at_k,
 )
+
+from pools import push_columns
 
 D, M = 3, 2
 

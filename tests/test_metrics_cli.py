@@ -236,9 +236,11 @@ class TestCli:
     ])
     def test_checkpoint_that_does_not_fit_exits_2_naming_the_file(self, tmp_path, capsys,
                                                                    argv, file, mismatch):
-        # a k=5 policy and a user model, both on d=8 features and m=5 clicks of history
+        # a k=5 policy of the kind the run plays and a user model, both on d=8 features
+        # and m=5 clicks of history
         paths = {"P": str(tmp_path / "policy.ckpt"), "U": str(tmp_path / "user.ckpt")}
-        save_policy(paths["P"], init_cascade_net(8, 5, 4, 16, 5, np.random.default_rng(0)))
+        save_policy(paths["P"], init_cascade_net(8, 5, 4, 16, 5, np.random.default_rng(0)),
+                    PolicyKind.ADDITIVE_Q if "--policy-additive" in argv else PolicyKind.CDQN)
         save_user_model(paths["U"], make_ground_truth_user(synth_catalog(10, 8), (5, 4, 16), seed=1))
         out = tmp_path / "out"
         code = cli_main([paths.get(arg, arg) for arg in argv]
@@ -299,16 +301,21 @@ class TestCli:
         assert not (tmp_path / "out" / output).exists()
 
     @pytest.mark.parametrize("trained, k, argv", [
-        ("cdqn", 5, ["evaluate", "--roster", "additive", "--policy-additive", "P"]),
+        (None, 5, ["evaluate", "--roster", "additive", "--policy-additive", "P"]),
         ("additive", 1, ["evaluate", "--roster", "cdqn", "--policy-cdqn", "P", "--k", "1"]),
         ("additive", 1, ["diagnose-q", "--policy", "P"]),
     ], ids=["cdqn-as-additive", "additive-as-cdqn", "additive-diagnosed"])
     def test_policy_trained_as_another_kind_exits_2_naming_the_file(self, tmp_path, capsys,
                                                                   trained, k, argv):
-        # the checkpoints fit the run's d, m and k; only their recorded policy_kind differs
+        # the checkpoints fit the run's d, m and k; only their recorded policy_kind differs.
+        # None saves with save_policy's default kind, as a net saved from the library is
         path = str(tmp_path / "policy.ckpt")
-        save_policy(path, init_cascade_net(8, 5, 4, 16, k, np.random.default_rng(0)),
-                    extra_meta={"policy_kind": trained})
+        qnet = init_cascade_net(8, 5, 4, 16, k, np.random.default_rng(0))
+        if trained is None:
+            save_policy(path, qnet)
+            trained = "cdqn"
+        else:
+            save_policy(path, qnet, PolicyKind(trained))
         played = "cdqn" if trained == "additive" else "additive"
         code = cli_main([path if arg == "P" else arg for arg in argv]
                         + ["--n-users", "2", "--reps", "1"] * (argv[0] == "evaluate")
