@@ -111,11 +111,11 @@ class CDQNConfig:
         for eps in (self.epsilon, self.epsilon_final):
             if eps is not None and not (0.0 <= eps <= 1.0):
                 raise ValueError("epsilon must be in [0, 1]")
-        if self.iterations < 0 or self.horizon < 1 or self.batch_users < 1 or self.minibatch < 1:
-            raise ValueError("iterations >= 0 and positive horizon/batch sizes required")
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
-        for name in ("n", "hidden", "capacity"):
+        for name in ("horizon", "batch_users", "minibatch", "n", "hidden", "capacity"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 

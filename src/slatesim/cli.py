@@ -154,6 +154,14 @@ def _out_dir(opt: _Options) -> str:
     return out_dir
 
 
+def _horizon(opt: _Options, default: int, needs: str) -> int:
+    """The --horizon option, refused below 1 before any output is made."""
+    horizon = opt.get("horizon", default)
+    if horizon < 1:
+        raise ValueError(f"--horizon must be >= 1 {needs}, got {horizon}")
+    return horizon
+
+
 def _world(opt: _Options, **env_fields) -> tuple[ExperimentSpec, SlateEnv, UserModel]:
     """The options' experiment spec (`env_fields` fix EnvConfig fields), its env and its user.
 
@@ -175,7 +183,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     users = opt.get("users", 50)
     if users < 1:
         raise ValueError(f"users must be >= 1, got {users}")
-    horizon = opt.get("horizon", 20)
+    horizon = _horizon(opt, 20, "to log any record")
     k = opt.get("k", 5)
     pool_size = opt.get("pool-size", 20)
     K = opt.get("catalog-size", 50)
@@ -207,6 +215,8 @@ def cmd_train_user_model(args: argparse.Namespace) -> int:
     data_path = opt.file("data", required=True)
     _, m, _ = read_meta(data_path)
     catalog, trajectories = load_trajectories(data_path)
+    if not trajectories:
+        raise ValueError(f"{data_path}: the log holds no click record to fit")
     # --m falls back to the history length the data file was written with
     config = opt.fields(TrainConfig, m=opt.get("m", m if m > 0 else None))
     out_dir = _out_dir(opt)
@@ -322,6 +332,7 @@ def cmd_diagnose_q(args: argparse.Namespace) -> int:
     opt = _load_options(args)
     policy_path = opt.file("policy", required=True)
     qnet = agent.load_policy(policy_path, PolicyKind.CDQN)
+    _horizon(opt, EnvConfig.horizon, "to visit states")
     spec, env, user = _world(opt, k=qnet.k)
     metrics.check_fits(policy_path, d=(qnet.pw.d, env.catalog.d), m=(qnet.pw.m, user.m))
     out_dir = _out_dir(opt)

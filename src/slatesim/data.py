@@ -254,7 +254,7 @@ def _parse_trajectories(lines: list[str]) -> tuple[ItemCatalog, list[Trajectory]
         return ItemCatalog([], d=1), []
     d, _m, _k = _parse_meta(lines[0], 1)
     items: list[tuple[int, np.ndarray]] = []
-    by_user: dict[int, list[ClickRecord]] = {}
+    by_user: dict[int, list[tuple[int, ClickRecord]]] = {}  # user -> (line number, record)
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
@@ -303,23 +303,24 @@ def _parse_trajectories(lines: list[str]) -> tuple[ItemCatalog, list[Trajectory]
                 raise DataFormatError(f"line {lineno}: duplicate item in displayed set {displayed}")
             if chosen != NON_CLICK_ID and chosen not in displayed:
                 raise DataFormatError(f"line {lineno}: chosen not displayed: {chosen} not in {displayed}")
-            by_user.setdefault(user_id, []).append(ClickRecord(step, displayed, chosen, reward))
+            by_user.setdefault(user_id, []).append((lineno, ClickRecord(step, displayed, chosen, reward)))
         else:
             raise DataFormatError(f"line {lineno}: unknown directive {line.split()[0]!r}")
     catalog = ItemCatalog(items, d=d)
     trajectories = []
-    for user_id, recs in by_user.items():
-        for rec in recs:
+    for user_id, numbered in by_user.items():
+        for lineno, rec in numbered:
             for item_id in rec.displayed:
                 if item_id not in catalog:
                     raise DataFormatError(
-                        f"record for user {user_id} step {rec.step} displays "
+                        f"line {lineno}: record for user {user_id} step {rec.step} displays "
                         f"unknown item {item_id}"
                     )
-        steps = [rec.step for rec in recs]
-        if steps[0] != 1:
-            raise DataFormatError(f"trajectory for user {user_id} must start at step 1")
-        if any(b <= a for a, b in zip(steps, steps[1:])):
-            raise DataFormatError(f"steps not strictly increasing for user {user_id}")
-        trajectories.append(Trajectory(user_id=user_id, records=tuple(recs)))
+        first, head = numbered[0]
+        if head.step != 1:
+            raise DataFormatError(f"line {first}: trajectory for user {user_id} must start at step 1")
+        for (_, prev), (lineno, rec) in zip(numbered, numbered[1:]):
+            if rec.step <= prev.step:
+                raise DataFormatError(f"line {lineno}: steps not strictly increasing for user {user_id}")
+        trajectories.append(Trajectory(user_id=user_id, records=tuple(rec for _, rec in numbered)))
     return catalog, trajectories

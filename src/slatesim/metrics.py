@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ctypes
 import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +64,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.repetitions < 1 or self.n_users < 1:
             raise ValueError("repetitions and n_users must be >= 1")
+        if self.env.horizon < 1:  # an episode of no step has no reward or click rate
+            raise ValueError(f"horizon must be >= 1, got {self.env.horizon}")
         if not (np.isfinite(self.gt_reward_scale) and self.gt_reward_scale > 0):  # else no or reversed taste
             raise ValueError(f"gt_reward_scale must be finite and > 0, got {self.gt_reward_scale}")
         for name in ("gt_m", "gt_n", "gt_hidden"):
@@ -132,30 +137,107 @@ def load_experiment(spec: ExperimentSpec):
     return env, user, policies
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot tell or cannot fork."""
+    can_fork = hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
+    return len(os.sched_getaffinity(0)) if can_fork else 1
+
+
+def _blas_threads(n: int) -> int | None:
+    """Set numpy's OpenBLAS to n threads; returns the count it had, or None where none is found.
+
+    Shard processes must not each keep a pool of spinning BLAS threads on the same CPUs:
+    at OpenBLAS's default of one thread per CPU, a sharded evaluation ran slower than one
+    process did."""
+    try:  # the extension's handle also finds the symbols of the BLAS library it links
+        lib = ctypes.CDLL((getattr(np, "_core", None) or np.core)._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        if hasattr(lib, f"{prefix}_get_num_threads{suffix}"):
+            had = getattr(lib, f"{prefix}_get_num_threads{suffix}")()
+            getattr(lib, f"{prefix}_set_num_threads{suffix}")(n)
+            return had
+    return None
+
+
+def _play(env: SlateEnv, user: UserModel, policies, seeds: list[int], T: int) -> list[list]:
+    """Each policy's (time-averaged reward, clicks) per seed, in roster order, up to the
+    first policy that raises (run_experiment replays that one over all rows)."""
+    played = []
+    for _, policy in policies:
+        try:
+            results = rollout_batch(env, user, policy, seeds, T)
+        except Exception:  # whatever it was, the replay in one process raises it again
+            break
+        played.append([(reward, clicks) for _, reward, clicks in results])
+    return played
+
+
+def _collect(pid: int, fd: int) -> list:
+    """A child's _play, read to EOF before the child is reaped; [] if it died before sending it."""
+    with os.fdopen(fd, "rb") as fh:
+        sent = fh.read()
+    os.waitpid(pid, 0)
+    try:
+        return pickle.loads(sent)
+    except (EOFError, pickle.UnpicklingError):  # truncated or empty
+        return []
+
+
 def run_experiment(spec: ExperimentSpec, loaded=None) -> list[MetricReport]:
     """Evaluate every roster policy on the same fixed set of test episodes.
 
-    Each policy of `loaded` (load_experiment(spec) if not given) plays all n_users x
-    repetitions episodes in one rollout_batch. Writes one per-rollout metrics file per
-    policy plus aggregate.csv; byte output is deterministic for a fixed spec."""
+    The n_users x repetitions episode rows are cut into one contiguous shard per usable
+    CPU. This process plays the first shard of each policy of `loaded` (load_experiment(spec)
+    if not given), and one forked child each other shard, in one rollout_batch per policy.
+    A policy that a shard could not play is replayed here over all rows, so it fails as in
+    one process. Writes one per-rollout metrics file per policy plus aggregate.csv; byte
+    output is deterministic for a fixed spec."""
     env, user, policies = load_experiment(spec) if loaded is None else loaded
     os.makedirs(spec.out_dir, exist_ok=True)
     T = spec.env.horizon
-    if T < 1:
-        raise ValueError("experiment horizon must be >= 1")
     reports = []
     agg_lines = ["policy,n_users,reps,horizon,avg_cum_reward,std_cum_reward,"
                  "stderr_cum_reward,avg_ctr,std_ctr,stderr_ctr"]
     episodes = [(u, rep) for rep in range(spec.repetitions) for u in range(spec.n_users)]
     seeds = [eval_env_seed(spec.seed, u, rep, spec.n_users) for u, rep in episodes]
-    for entry, policy in policies:
+    shards = min(usable_cpus(), len(seeds))
+    cuts = [len(seeds) * i // shards for i in range(shards + 1)]
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe), not yet reaped
+    blas = _blas_threads(1) if shards > 1 else None  # before the forks, which inherit it
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child never returns: os._exit skips the caller's stack
+                try:
+                    with os.fdopen(write_fd, "wb") as fh:
+                        pickle.dump(_play(env, user, policies, seeds[lo:hi], T), fh)
+                finally:
+                    os._exit(0)
+            os.close(write_fd)  # before the next fork, so that only this child holds it
+            children.append((pid, read_fd))
+        played = [_play(env, user, policies, seeds[:cuts[1]], T)]
+        while children:
+            played.append(_collect(*children.pop(0)))
+    finally:
+        for pid, fd in children:
+            os.kill(pid, signal.SIGKILL)
+            _collect(pid, fd)
+        if blas is not None:
+            _blas_threads(blas)
+    for p, (entry, policy) in enumerate(policies):
         name = entry.name
-        try:
-            results = rollout_batch(env, user, policy, seeds, T, [u for u, _ in episodes])
-        except NonFiniteQError as exc:
-            raise ValueError(f"{entry.path}: policy {name!r} cannot be evaluated: {exc}") from exc
+        if all(len(shard) > p for shard in played):
+            results = [row for shard in played for row in shard[p]]
+        else:  # a shard could not play it: replay it here, where it raises as it would alone
+            try:
+                results = [(r, c) for _, r, c in rollout_batch(env, user, policy, seeds, T)]
+            except NonFiniteQError as exc:
+                raise ValueError(f"{entry.path}: policy {name!r} cannot be evaluated: {exc}") from exc
         rows = [(u, rep, avg_reward, clicks / T)
-                for (u, rep), (_, avg_reward, clicks) in zip(episodes, results)]
+                for (u, rep), (avg_reward, clicks) in zip(episodes, results)]
         lines = ["user_id,rep,cum_reward,ctr"]
         lines += [f"{u},{rep},{fmt(cr)},{fmt(ct)}" for u, rep, cr, ct in rows]
         write_lines(os.path.join(spec.out_dir, f"{name}_metrics.csv"), lines)

@@ -62,9 +62,9 @@ class TrainConfig:
         for name in ("lr_alpha", "lr_theta"):
             if not (np.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if self.batch_size < 1 or self.epochs < 0 or self.patience < 1:
-            raise ValueError("batch_size >= 1, epochs >= 0, patience >= 1 required")
-        for name in ("m", "n", "hidden"):
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("batch_size", "patience", "m", "n", "hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 

@@ -1,8 +1,21 @@
 import inspect
+import os
 import sys
 import tracemalloc
 
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test that leaves a child process behind, running or exited but unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail("the test left a child process running" if pid == 0
+                else f"the test left child process {pid} unreaped")
 
 
 @pytest.fixture

@@ -375,9 +375,15 @@ def test_bad_numeric_option_exits_2_and_names_the_field(world, tmp_path, monkeyp
     (["train-policy", "--n", "0"], "n"),
     (["train-policy", "--hidden", "0"], "hidden"),
     (["train-policy", "--capacity", "0"], "capacity"),
+    (["train-policy", "--batch-users", "0"], "batch_users"),
+    (["train-policy", "--minibatch", "0"], "minibatch"),
+    (["train-policy", "--horizon", "0"], "horizon"),
+    (["evaluate", "--horizon", "0"], "horizon"),
     (["train-user-model", "--m", "0"], "m"),
     (["train-user-model", "--n", "0"], "n"),
     (["train-user-model", "--hidden", "0"], "hidden"),
+    (["train-user-model", "--batch-size", "0"], "batch_size"),
+    (["train-user-model", "--patience", "0"], "patience"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_size_below_one_exits_2_and_names_the_field(world, tmp_path, monkeypatch, capsys, argv, field):
     # refused before --out is made; gen-data once failed with "min() arg is an empty sequence"
@@ -386,7 +392,21 @@ def test_size_below_one_exits_2_and_names_the_field(world, tmp_path, monkeypatch
     if argv[0] == "train-user-model":
         argv = argv + ["--data", world["data"]]
     assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 2
-    assert f"error: {field} must be >= 1, got {argv[2]}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {field} must be >= 1, got {argv[2]}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["train-policy", "--iterations", "-1"], "iterations"),
+    (["train-user-model", "--epochs", "-1"], "epochs"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_negative_count_exits_2_and_names_the_field(world, tmp_path, monkeypatch, capsys, argv, field):
+    # zero iterations or epochs is a valid no-op run; a negative count is not
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "train-user-model":
+        argv = argv + ["--data", world["data"]]
+    assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {field} must be >= 0, got {argv[2]}\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -312,9 +312,9 @@ class TestSerialization:
 
     @pytest.mark.parametrize("body, message", [
         ("meta d=1 m=0 k=1\nitem 1 0.5\nrec 0 2 1 | 1\nrec 0 1 0 | 1\n",
-         "user 0 must start at step 1"),
+         "line 3: trajectory for user 0 must start at step 1"),
         ("meta d=1 m=0 k=1\nitem 1 0.5\nrec 4 1 1 | 1\nrec 4 1 0 | 1\n",
-         "strictly increasing for user 4"),
+         "line 4: steps not strictly increasing for user 4"),
         ("meta d=1 m=0 k=1\nitem 1 0.5\nitem 1 0.25\n", "duplicate item id 1"),
         ("meta d=1 m=0 k=1\nitem 0 0.5\n", "reserved"),
         ("meta d=1 m=0\n", "line 1"),
@@ -327,9 +327,9 @@ class TestSerialization:
         ("meta d=1 m=0 k=1\nitem 1 0.5\nitem 2 0.25\nrec 2 1 2 | 1\n",
          "line 4: chosen not displayed: 2 not in (1,)"),
         ("meta d=1 m=0 k=1\nitem 1 0.5\nrec 0 1 1 | 1\nrec 3 2 1 | 1\n",
-         "trajectory for user 3 must start at step 1"),
+         "line 4: trajectory for user 3 must start at step 1"),
         ("meta d=1 m=0 k=1\nitem 1 0.5\nrec 5 1 0 | 1\nrec 5 3 1 | 1\nrec 5 2 0 | 1\n",
-         "steps not strictly increasing for user 5"),
+         "line 5: steps not strictly increasing for user 5"),
     ])
     def test_every_load_error_names_the_file(self, tmp_path, body, message):
         path = tmp_path / "bad.txt"
@@ -353,5 +353,5 @@ class TestSerialization:
     def test_unknown_display_item_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("meta d=1 m=0 k=1\nitem 1 0.5\nrec 0 1 1 | 1 9\n")
-        with pytest.raises(DataFormatError, match="unknown item 9"):
+        with pytest.raises(DataFormatError, match="line 3: record for user 0 step 1 displays unknown item 9"):
             load_trajectories(path)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import slatesim
+from slatesim import metrics
 from slatesim.agent import PolicyKind, save_policy
 from slatesim.cli import cli_main, parse_config_file
 from slatesim.data import synth_catalog
@@ -96,22 +97,153 @@ class TestRunExperiment:
     def test_metric_files_match_golden_bytes(self, tmp_path, name):
         # written by the one-episode-at-a-time evaluator in the criterion-9 world;
         # a change to the random-number layout or to any slate changes these bytes
-        policy = tmp_path / "cdqn_policy.ckpt"
-        save_policy(policy, init_cascade_net(4, 3, 2, 6, 3, np.random.default_rng(7)))
-        run_experiment(ExperimentSpec(
-            seed=5, catalog_size=15, dim=4, catalog_seed=3,
-            gt_m=3, gt_n=2, gt_hidden=6, gt_seed=4, gt_reward_scale=2.0,
-            env=EnvConfig(k=3, pool_size=8, horizon=5),
-            n_users=4, repetitions=3, out_dir=str(tmp_path / "out"),
-            roster=[RosterEntry("random", PolicyKind.RANDOM),
-                    RosterEntry("greedy", PolicyKind.GREEDY_USER_MODEL),
-                    RosterEntry("cdqn", PolicyKind.CDQN, str(policy))]))
+        run_experiment(criterion9_spec(tmp_path, tmp_path / "out"))
         assert (tmp_path / "out" / name).read_bytes() == (GOLDEN / name).read_bytes()
 
     def test_missing_checkpoint_rejected_before_running(self, tmp_path):
         roster = [RosterEntry("cdqn", PolicyKind.CDQN, path=str(tmp_path / "nope.ckpt"))]
         with pytest.raises(FileNotFoundError, match="nope.ckpt"):
             run_experiment(small_spec(tmp_path / "out", roster=roster))
+
+
+def criterion9_spec(tmp_path, out_dir, cdqn=None):
+    """The golden files' world: 4 users x 3 reps = 12 rows, roster random, greedy, cdqn.
+    `cdqn` replaces the roster's seeded net."""
+    policy = tmp_path / "cdqn_policy.ckpt"
+    save_policy(policy, cdqn or init_cascade_net(4, 3, 2, 6, 3, np.random.default_rng(7)))
+    return ExperimentSpec(
+        seed=5, catalog_size=15, dim=4, catalog_seed=3,
+        gt_m=3, gt_n=2, gt_hidden=6, gt_seed=4, gt_reward_scale=2.0,
+        env=EnvConfig(k=3, pool_size=8, horizon=5),
+        n_users=4, repetitions=3, out_dir=str(out_dir),
+        roster=[RosterEntry("random", PolicyKind.RANDOM),
+                RosterEntry("greedy", PolicyKind.GREEDY_USER_MODEL),
+                RosterEntry("cdqn", PolicyKind.CDQN, str(policy))])
+
+
+def written(out_dir) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(Path(out_dir).iterdir())}
+
+
+class Interrupt(BaseException):
+    """Stands for a KeyboardInterrupt without pytest's handling of one."""
+
+
+class TestShardedEvaluation:
+    """run_experiment plays its rows in one contiguous shard per usable CPU, the first in
+    this process and each other in a forked child. The tests force the shard count, so
+    they behave alike on a machine of any size."""
+
+    @pytest.fixture
+    def shards(self, monkeypatch):
+        return lambda n: monkeypatch.setattr(metrics, "usable_cpus", lambda: n)
+
+    @pytest.fixture
+    def failing(self, monkeypatch):
+        """failing(policy, where, exc): rollout_batch raises exc on `policy` in this process
+        (where="parent") or in the children ("child"); a child given SystemExit dies unsent."""
+        parent, real = os.getpid(), metrics.rollout_batch
+
+        def install(policy, where, exc):
+            def rollout(env, user, played, seeds, T):
+                if played is policy and (os.getpid() == parent) == (where == "parent"):
+                    if exc is SystemExit:
+                        os._exit(1)
+                    raise exc
+                return real(env, user, played, seeds, T)
+
+            monkeypatch.setattr(metrics, "rollout_batch", rollout)
+        return install
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 40],
+                             ids=["1", "2", "3", "5-uneven", "12-one-row-each", "40-more-than-rows"])
+    def test_metric_files_match_golden_bytes(self, tmp_path, shards, n):
+        shards(n)
+        run_experiment(criterion9_spec(tmp_path, tmp_path / "out"))
+        assert written(tmp_path / "out") == written(GOLDEN)
+
+    def test_forks_once_per_extra_shard_not_per_policy(self, tmp_path, shards, monkeypatch):
+        forked, real_fork = [], os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        shards(3)
+        run_experiment(criterion9_spec(tmp_path, tmp_path / "out"))
+        assert len(forked) == 2
+        assert written(tmp_path / "out") == written(GOLDEN)
+
+    def test_without_fork_one_shard_runs_here(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert metrics.usable_cpus() == 1
+        run_experiment(criterion9_spec(tmp_path, tmp_path / "out"))
+        assert written(tmp_path / "out") == written(GOLDEN)
+
+    def test_shards_run_one_blas_thread_each_and_the_count_is_restored(self, tmp_path, shards, monkeypatch):
+        # a pool of BLAS threads per shard process oversubscribes the CPUs
+        original = metrics._blas_threads(2)  # a known count for the run to restore
+        seen, real = [], metrics.rollout_batch
+
+        def rollout(*args):
+            seen.append(metrics._blas_threads(1))  # the count in this process, set again unchanged
+            return real(*args)
+
+        monkeypatch.setattr(metrics, "rollout_batch", rollout)
+        shards(2)
+        run_experiment(criterion9_spec(tmp_path, tmp_path / "out"))
+        assert seen == [None if original is None else 1] * 3
+        assert metrics._blas_threads(original or 1) == (None if original is None else 2)
+
+    def test_usable_cpus_is_the_affinity_set(self):
+        assert metrics.usable_cpus() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("n", [2, 3, 12])
+    def test_overflowing_policy_fails_as_in_one_process(self, tmp_path, shards, n):
+        # every position-2 Q value overflows to -inf: no row can be played
+        qnet = init_cascade_net(4, 3, 2, 6, 3, np.random.default_rng(7))
+        qnet.heads[1].V[:] = 0.0
+        qnet.heads[1].b[:] = 1e3
+        qnet.heads[1].v[:] = -1e308
+        outcomes = []
+        for count, out in ((1, "one"), (n, "many")):
+            shards(count)
+            spec = criterion9_spec(tmp_path, tmp_path / out, cdqn=qnet)
+            spec.roster = [spec.roster[0], spec.roster[2], spec.roster[1]]  # cdqn before greedy
+            with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
+                run_experiment(spec)
+            outcomes.append((str(info.value), written(tmp_path / out)))
+        assert outcomes[0] == outcomes[1]
+        message, files = outcomes[1]
+        # the row counts are all rows', as one process gives them, not a shard's
+        assert message == (f"{tmp_path / 'cdqn_policy.ckpt'}: policy 'cdqn' cannot be evaluated: "
+                           "the chosen Q value of position 2 is not finite in 12 of 12 rows, "
+                           "the first row 0")
+        assert list(files) == ["random_metrics.csv"]
+
+    @pytest.mark.parametrize("exc", [RuntimeError("lost"), SystemExit],
+                             ids=["raises", "dies-before-sending"])
+    def test_a_child_that_fails_is_replayed_here(self, tmp_path, shards, failing, exc):
+        spec = criterion9_spec(tmp_path, tmp_path / "out")
+        loaded = metrics.load_experiment(spec)
+        failing(loaded[2][2][1], "child", exc)  # the roster's cdqn policy
+        shards(3)
+        run_experiment(spec, loaded=loaded)
+        assert written(tmp_path / "out") == written(GOLDEN)
+
+    def test_children_are_reaped_when_this_process_raises(self, tmp_path, shards, failing):
+        spec = criterion9_spec(tmp_path, tmp_path / "out")
+        loaded = metrics.load_experiment(spec)
+        failing(loaded[2][2][1], "parent", Interrupt())
+        shards(3)
+        with pytest.raises(Interrupt):
+            run_experiment(spec, loaded=loaded)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert written(tmp_path / "out") == {}  # files are written once every shard is in
 
 
 class TestConfigParsing:
@@ -147,7 +279,8 @@ class TestCli:
         code = cli_main(["train-user-model", "--data", str(path), "--out", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"{path}: trajectory for user 0 must start at step 1" in err
+        # the step-2 record now comes first, on 1-based line first + 1
+        assert f"{path}: line {first + 1}: trajectory for user 0 must start at step 1" in err
 
     def test_gradcheck_succeeds(self, capsys):
         code = cli_main(["gradcheck", "--seed", "7", "--trials", "8"])
@@ -427,6 +560,22 @@ class TestCli:
         assert proc.returncode == 2
         assert "--horizon" in proc.stderr
         assert not (tmp_path / "q_constraints.csv").exists()
+
+    def test_gen_data_zero_horizon_exits_2_naming_the_flag(self, tmp_path, capsys):
+        # it once wrote a data.txt with k=0 in its header and no record
+        code = cli_main(["gen-data", "--users", "2", "--horizon", "0", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --horizon must be >= 1 to log any record, got 0\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_log_without_records_exits_2_naming_the_file(self, tmp_path, capsys):
+        # it once failed with "error: empty user set", naming neither the file nor the cause
+        path = tmp_path / "data.txt"
+        path.write_text("meta d=1 m=0 k=0\nitem 1 0.5\nitem 2 0.25\n")
+        code = cli_main(["train-user-model", "--data", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: the log holds no click record to fit\n"
+        assert not (tmp_path / "out").exists()
 
     def test_config_file_merging_cli_wins(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
