@@ -415,8 +415,8 @@ def _train_replay(world: TrainingEnv, config: CDQNConfig, heads: int, act: Act,
                 before = hists.copy()  # env.step pushes clicks into hists in place
                 _, chosen, rewards = step(env, user, t, keys, hists, avail, (ids, mask), slates)
                 if config.reward_mode is RewardMode.PLUS_MINUS_ONE:
-                    rewards = [1.0 if c != NON_CLICK_ID else -1.0 for c in chosen]
-                memory.add(ReplayBatch(before, slates, np.array(rewards), hists, ids, mask,
+                    rewards = np.where(chosen != NON_CLICK_ID, 1.0, -1.0)
+                memory.add(ReplayBatch(before, slates, rewards, hists, ids, mask,
                                        np.full(B, t == config.horizon - 1)))
                 if len(memory) >= config.minibatch:
                     batch = memory.sample(config.minibatch, rng)

@@ -297,6 +297,8 @@ def _roster(opt: _Options) -> list[RosterEntry] | None:
         elif kind is PolicyKind.GREEDY_USER_MODEL:
             path = opt.get("greedy-user-model")
         roster.append(RosterEntry(name, kind, path))
+    if not roster:
+        raise ValueError(f"--roster names no policy: {names!r}")
     return roster
 
 

@@ -231,25 +231,25 @@ def step(env: SlateEnv, user: UserModel, t: int, keys: EpisodeKeys, hists: np.nd
     own (seed, click stream, t) generator, and pays the clicked item's score or
     the non-click constant (default 0). In place, a click is pushed into its
     row of `hists` and clears its item in `avail`, and `pools` is overwritten
-    with the next step's. Returns the slates as lists, the chosen ids (0 for no
-    click) and the rewards."""
+    with the next step's. Returns the checked slates (B, k), the chosen ids (B,)
+    (0 for no click) and the rewards (B,) as arrays."""
     k, catalog = env.config.k, env.catalog
     slates = _check_slates(slates, pools, k)
     feats = catalog.feature_matrix(slates)
     scores = slate_scores(user, hists, feats)
+    rows = np.arange(len(slates))
     idx = sample_choice(scores, user.config, [keys.rng(i, _CLICK_STREAM, t) for i in range(len(slates))])
-    shown, slots, slot_scores = slates.tolist(), idx.tolist(), scores.tolist()
-    chosen = [slate[j] if j < k else NON_CLICK_ID for slate, j in zip(shown, slots)]
-    nonclick = float(env.config.nonclick_reward)
-    rewards = [row[j] if j < k else nonclick for row, j in zip(slot_scores, slots)]
+    clicked = idx < k
+    chosen = np.where(clicked, slates[rows, np.minimum(idx, k - 1)], NON_CLICK_ID)
+    rewards = np.where(clicked, scores[rows, idx], float(env.config.nonclick_reward))
     # a click clears its item's row in `avail` and pushes its features into its history; a
     # non-click's row is the pseudo-item's, which is never available, and its history stays
     chosen_rows = catalog.id_array.searchsorted(chosen)
-    avail[np.arange(len(chosen)), chosen_rows] = False
+    avail[rows, chosen_rows] = False
     pushed = np.concatenate([hists[..., 1:], catalog.matrix[chosen_rows][..., None]], axis=2)
-    np.copyto(hists, pushed, where=(idx < k)[:, None, None])
+    np.copyto(hists, pushed, where=clicked[:, None, None])
     pools[0][...], pools[1][...] = draw_candidates(env, avail, t + 1, keys)
-    return shown, chosen, rewards
+    return slates, chosen, rewards
 
 
 def rollout_batch(
@@ -271,20 +271,17 @@ def rollout_batch(
     user_ids = [0] * len(keys) if user_ids is None else list(user_ids)
     hists, avail, pools = reset(env, user, keys)
     records: list[list[ClickRecord]] = [[] for _ in range(len(keys))]
+    totals, clicks = np.zeros(len(keys)), np.zeros(len(keys), dtype=int)
     for t in range(horizon):
         row_rng = lambda i, t=t: keys.rng(i, _POLICY_STREAM, t)
         slates = policy(hists, pools, row_rng)
         slates, chosen, rewards = step(env, user, t, keys, hists, avail, pools, slates)
-        for row, slate, c, r in zip(records, slates, chosen, rewards):
+        totals += rewards  # each row in step order, as the episode pays them
+        clicks += chosen != NON_CLICK_ID
+        for row, slate, c, r in zip(records, slates.tolist(), chosen.tolist(), rewards.tolist()):
             row.append(ClickRecord(step=t + 1, displayed=tuple(slate), chosen=c, reward=r))
-    out = []
-    for u, row in zip(user_ids, records):
-        total = 0.0
-        for rec in row:  # in step order, as the episode pays them (sum() may compensate)
-            total += rec.reward
-        out.append((Trajectory(user_id=u, records=tuple(row)),
-                    total / horizon if horizon > 0 else 0.0, sum(rec.clicked for rec in row)))
-    return out
+    return [(Trajectory(user_id=u, records=tuple(row)), avg, c) for u, row, avg, c
+            in zip(user_ids, records, (totals / max(horizon, 1)).tolist(), clicks.tolist())]
 
 
 def rollout(

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import ctypes
+import mmap
 import os
-import pickle
 import signal
 from dataclasses import dataclass, field
 
@@ -64,6 +64,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.repetitions < 1 or self.n_users < 1:
             raise ValueError("repetitions and n_users must be >= 1")
+        if not self.roster:  # else the run evaluates nothing and writes a header-only aggregate.csv
+            raise ValueError("roster must name at least one policy")
         if self.env.horizon < 1:  # an episode of no step has no reward or click rate
             raise ValueError(f"horizon must be >= 1, got {self.env.horizon}")
         if not (np.isfinite(self.gt_reward_scale) and self.gt_reward_scale > 0):  # else no or reversed taste
@@ -161,28 +163,26 @@ def _blas_threads(n: int) -> int | None:
     return None
 
 
-def _play(env: SlateEnv, user: UserModel, policies, seeds: list[int], T: int) -> list[list]:
-    """Each policy's (time-averaged reward, clicks) per seed, in roster order, up to the
-    first policy that raises (run_experiment replays that one over all rows)."""
-    played = []
-    for _, policy in policies:
+def _play(env: SlateEnv, user: UserModel, policies, seeds: list[int], T: int, out: np.ndarray) -> None:
+    """Write each policy's (time-averaged reward, click rate) per seed into its rows of out
+    (policies, seeds, 2), in roster order, up to the first policy that raises: its rows and
+    the later policies' are left as they were (run_experiment replays those over all rows)."""
+    for (_, policy), rows in zip(policies, out):
         try:
-            results = rollout_batch(env, user, policy, seeds, T)
+            rows[...] = [(r, c / T) for _, r, c in rollout_batch(env, user, policy, seeds, T)]
         except Exception:  # whatever it was, the replay in one process raises it again
             break
-        played.append([(reward, clicks) for _, reward, clicks in results])
-    return played
 
 
-def _collect(pid: int, fd: int) -> list:
-    """A child's _play, read to EOF before the child is reaped; [] if it died before sending it."""
-    with os.fdopen(fd, "rb") as fh:
-        sent = fh.read()
-    os.waitpid(pid, 0)
-    try:
-        return pickle.loads(sent)
-    except (EOFError, pickle.UnpicklingError):  # truncated or empty
-        return []
+def _stats(rows: np.ndarray, reps: int) -> list[float]:
+    """Mean, std (ddof 1 when reps > 1) and stderr over the reps of the per-rep means of each
+    column of rep-major rows (reps x users, 2): the reward's three, then the click rate's."""
+    stats = []
+    for column in rows.T:
+        per_rep = column.reshape(reps, -1).mean(axis=1)
+        std = float(np.std(per_rep, ddof=1 if reps > 1 else 0))
+        stats += [float(np.mean(per_rep)), std, std / np.sqrt(reps)]
+    return stats
 
 
 def run_experiment(spec: ExperimentSpec, loaded=None) -> list[MetricReport]:
@@ -191,80 +191,55 @@ def run_experiment(spec: ExperimentSpec, loaded=None) -> list[MetricReport]:
     The n_users x repetitions episode rows are cut into one contiguous shard per usable
     CPU. This process plays the first shard of each policy of `loaded` (load_experiment(spec)
     if not given), and one forked child each other shard, in one rollout_batch per policy.
-    A policy that a shard could not play is replayed here over all rows, so it fails as in
-    one process. Writes one per-rollout metrics file per policy plus aggregate.csv; byte
-    output is deterministic for a fixed spec."""
+    Every process writes its rows into one NaN-filled array in shared memory; a policy with
+    a row left NaN is replayed here over all rows, so it fails as in one process. Writes
+    one per-rollout metrics file per policy plus aggregate.csv; byte output is
+    deterministic for a fixed spec."""
     env, user, policies = load_experiment(spec) if loaded is None else loaded
     os.makedirs(spec.out_dir, exist_ok=True)
-    T = spec.env.horizon
-    reports = []
-    agg_lines = ["policy,n_users,reps,horizon,avg_cum_reward,std_cum_reward,"
-                 "stderr_cum_reward,avg_ctr,std_ctr,stderr_ctr"]
-    episodes = [(u, rep) for rep in range(spec.repetitions) for u in range(spec.n_users)]
+    T, reps = spec.env.horizon, spec.repetitions
+    episodes = [(u, rep) for rep in range(reps) for u in range(spec.n_users)]
     seeds = [eval_env_seed(spec.seed, u, rep, spec.n_users) for u, rep in episodes]
     shards = min(usable_cpus(), len(seeds))
     cuts = [len(seeds) * i // shards for i in range(shards + 1)]
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe), not yet reaped
+    # (policies, rows, 2) float64s in anonymous pages the forks share, mapped before them
+    out = np.frombuffer(mmap.mmap(-1, len(policies) * len(seeds) * 16)).reshape(len(policies), -1, 2)
+    out.fill(np.nan)
+    children: list[int] = []  # forked, not yet reaped
     blas = _blas_threads(1) if shards > 1 else None  # before the forks, which inherit it
     try:
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:  # the child never returns: os._exit skips the caller's stack
                 try:
-                    with os.fdopen(write_fd, "wb") as fh:
-                        pickle.dump(_play(env, user, policies, seeds[lo:hi], T), fh)
+                    _play(env, user, policies, seeds[lo:hi], T, out[:, lo:hi])
                 finally:
                     os._exit(0)
-            os.close(write_fd)  # before the next fork, so that only this child holds it
-            children.append((pid, read_fd))
-        played = [_play(env, user, policies, seeds[:cuts[1]], T)]
+            children.append(pid)
+        _play(env, user, policies, seeds[:cuts[1]], T, out[:, :cuts[1]])
         while children:
-            played.append(_collect(*children.pop(0)))
+            os.waitpid(children[-1], 0)
+            children.pop()
     finally:
-        for pid, fd in children:
+        for pid in children:
             os.kill(pid, signal.SIGKILL)
-            _collect(pid, fd)
+            os.waitpid(pid, 0)
         if blas is not None:
             _blas_threads(blas)
-    for p, (entry, policy) in enumerate(policies):
-        name = entry.name
-        if all(len(shard) > p for shard in played):
-            results = [row for shard in played for row in shard[p]]
-        else:  # a shard could not play it: replay it here, where it raises as it would alone
+    reports = []
+    agg_lines = ["policy,n_users,reps,horizon,avg_cum_reward,std_cum_reward,"
+                 "stderr_cum_reward,avg_ctr,std_ctr,stderr_ctr"]
+    for (entry, policy), rows in zip(policies, out):
+        if np.isnan(rows).any():  # a shard could not play it: replay it here, to fail as alone
             try:
-                results = [(r, c) for _, r, c in rollout_batch(env, user, policy, seeds, T)]
+                rows[...] = [(r, c / T) for _, r, c in rollout_batch(env, user, policy, seeds, T)]
             except NonFiniteQError as exc:
-                raise ValueError(f"{entry.path}: policy {name!r} cannot be evaluated: {exc}") from exc
-        rows = [(u, rep, avg_reward, clicks / T)
-                for (u, rep), (avg_reward, clicks) in zip(episodes, results)]
+                raise ValueError(f"{entry.path}: policy {entry.name!r} cannot be evaluated: {exc}") from exc
         lines = ["user_id,rep,cum_reward,ctr"]
-        lines += [f"{u},{rep},{fmt(cr)},{fmt(ct)}" for u, rep, cr, ct in rows]
-        write_lines(os.path.join(spec.out_dir, f"{name}_metrics.csv"), lines)
-        # rows are rep-major, so each rep's users are one row of the reshape
-        per_rep_reward = np.array([cr for _, _, cr, _ in rows]).reshape(spec.repetitions, -1).mean(axis=1)
-        per_rep_ctr = np.array([ct for _, _, _, ct in rows]).reshape(spec.repetitions, -1).mean(axis=1)
-        ddof = 1 if spec.repetitions > 1 else 0
-        std_r = float(np.std(per_rep_reward, ddof=ddof))
-        std_c = float(np.std(per_rep_ctr, ddof=ddof))
-        report = MetricReport(
-            policy=name,
-            n_users=spec.n_users,
-            horizon=T,
-            repetitions=spec.repetitions,
-            avg_cumulative_reward=float(np.mean(per_rep_reward)),
-            std_cumulative_reward=std_r,
-            stderr_cumulative_reward=std_r / np.sqrt(spec.repetitions),
-            ctr=float(np.mean(per_rep_ctr)),
-            std_ctr=std_c,
-            stderr_ctr=std_c / np.sqrt(spec.repetitions),
-        )
-        reports.append(report)
-        agg_lines.append(
-            f"{name},{spec.n_users},{spec.repetitions},{T},"
-            f"{fmt(report.avg_cumulative_reward)},{fmt(report.std_cumulative_reward)},"
-            f"{fmt(report.stderr_cumulative_reward)},{fmt(report.ctr)},"
-            f"{fmt(report.std_ctr)},{fmt(report.stderr_ctr)}"
-        )
+        lines += [f"{u},{rep},{fmt(cr)},{fmt(ct)}" for (u, rep), (cr, ct) in zip(episodes, rows.tolist())]
+        write_lines(os.path.join(spec.out_dir, f"{entry.name}_metrics.csv"), lines)
+        stats = _stats(rows, reps)
+        reports.append(MetricReport(entry.name, spec.n_users, T, reps, *stats))
+        agg_lines.append(",".join([f"{entry.name},{spec.n_users},{reps},{T}"] + [fmt(x) for x in stats]))
     write_lines(os.path.join(spec.out_dir, "aggregate.csv"), agg_lines)
     return reports

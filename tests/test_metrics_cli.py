@@ -59,21 +59,27 @@ class TestRunExperiment:
         assert (out1 / "aggregate.csv").read_bytes() == (out2 / "aggregate.csv").read_bytes()
         assert r1[0].avg_cumulative_reward == r2[0].avg_cumulative_reward
 
-    def test_aggregate_recomputable_from_per_user_file(self, tmp_path):
-        spec = small_spec(tmp_path / "out", reps=4)
+    @pytest.mark.parametrize("reps", [1, 4])
+    def test_aggregate_recomputable_from_per_user_file(self, tmp_path, reps):
+        # each column's mean, std (ddof 1 over several reps, 0 over one) and stderr of the
+        # per-rep means, recomputed from the per-user file's 9-digit numbers
+        spec = small_spec(tmp_path / "out", reps=reps)
         report = run_experiment(spec)[0]
         lines = (tmp_path / "out" / "random_metrics.csv").read_text().splitlines()[1:]
-        rows = [line.split(",") for line in lines]
-        cum = {}
-        ctr = {}
-        for u, rep, cr, ct in rows:
-            cum.setdefault(int(rep), []).append(float(cr))
-            ctr.setdefault(int(rep), []).append(float(ct))
-        per_rep_cum = [np.mean(cum[r]) for r in sorted(cum)]
-        per_rep_ctr = [np.mean(ctr[r]) for r in sorted(ctr)]
-        assert np.mean(per_rep_cum) == pytest.approx(report.avg_cumulative_reward, abs=1e-7)
-        assert np.mean(per_rep_ctr) == pytest.approx(report.ctr, abs=1e-7)
-        assert np.std(per_rep_cum, ddof=1) == pytest.approx(report.std_cumulative_reward, rel=1e-6)
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines])
+        assert len(rows) == reps * spec.n_users
+        stats = [report.avg_cumulative_reward, report.std_cumulative_reward,
+                 report.stderr_cumulative_reward, report.ctr, report.std_ctr, report.stderr_ctr]
+        for column, (mean, std, stderr) in ((2, stats[:3]), (3, stats[3:])):
+            per_rep = [np.mean(rows[rows[:, 1] == rep, column]) for rep in range(reps)]
+            want_std = np.std(per_rep, ddof=1 if reps > 1 else 0)
+            assert mean == pytest.approx(np.mean(per_rep), abs=1e-7)
+            assert std == pytest.approx(want_std, rel=1e-6, abs=1e-12)
+            assert (std > 0) == (reps > 1)
+            assert stderr == pytest.approx(want_std / np.sqrt(reps), rel=1e-6, abs=1e-12)
+        aggregate = (tmp_path / "out" / "aggregate.csv").read_text().splitlines()
+        head = ["random", str(spec.n_users), str(reps), str(spec.env.horizon)]
+        assert aggregate[1].split(",") == head + [format(x, ".9g") for x in stats]
 
     def test_greedy_beats_random(self, tmp_path):
         roster = [
@@ -340,6 +346,18 @@ class TestCli:
         assert code == 2
         assert ("unknown roster policy 'bogus'; choose from "
                 "['additive', 'cdqn', 'greedy', 'random']") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("roster", ["", ",", " , "], ids=["empty", "comma", "blank-names"])
+    def test_empty_roster_exits_2_naming_the_flag(self, tmp_path, capsys, roster):
+        # a run of no policy would write an aggregate.csv of only its header
+        code = cli_main(["evaluate", "--roster", roster, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"--roster names no policy: {roster!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_roster_is_refused_by_the_spec(self):
+        with pytest.raises(ValueError, match="roster must name at least one policy"):
+            ExperimentSpec(roster=[])
 
     @pytest.mark.parametrize("name", ["cdqn", "additive"])
     def test_roster_entry_without_checkpoint_exits_2_naming_the_flags(self, tmp_path, capsys, name):
