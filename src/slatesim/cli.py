@@ -219,6 +219,10 @@ def cmd_train_user_model(args: argparse.Namespace) -> int:
         raise ValueError(f"{data_path}: the log holds no click record to fit")
     # --m falls back to the history length the data file was written with
     config = opt.fields(TrainConfig, m=opt.get("m", m if m > 0 else None))
+    method = opt.get("method", "minimax" if config.regularizer is Regularizer.L2 else "mle")
+    if method == "mle" and config.regularizer is not Regularizer.SHANNON_ENTROPY:
+        raise ValueError(f"--method mle requires --regularizer {Regularizer.SHANNON_ENTROPY.value}, "
+                         f"got --regularizer {config.regularizer.value}")
     out_dir = _out_dir(opt)
     split = split_users([t.user_id for t in trajectories], seed=config.seed)
     train = [t for t in trajectories if t.user_id in split.train]
@@ -234,7 +238,6 @@ def cmd_train_user_model(args: argparse.Namespace) -> int:
         _log(f"[train-user-model] epoch={epoch} " +
              " ".join(f"{k}={v:.5g}" for k, v in stats.items()))
 
-    method = opt.get("method", "minimax" if config.regularizer is Regularizer.L2 else "mle")
     if method == "mle":
         model = training.train_mle(catalog, train, config, valid=valid, on_epoch=on_epoch)
     else:
@@ -332,6 +335,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_diagnose_q(args: argparse.Namespace) -> int:
     opt = _load_options(args)
+    n_states = opt.get("states", 500)
+    if n_states < 1:  # else every correlation is NaN over no state
+        raise ValueError(f"states must be >= 1, got {n_states}")
     policy_path = opt.file("policy", required=True)
     qnet = agent.load_policy(policy_path, PolicyKind.CDQN)
     _horizon(opt, EnvConfig.horizon, "to visit states")
@@ -339,7 +345,7 @@ def cmd_diagnose_q(args: argparse.Namespace) -> int:
     metrics.check_fits(policy_path, d=(qnet.pw.d, env.catalog.d), m=(qnet.pw.m, user.m))
     out_dir = _out_dir(opt)
     try:
-        hists, pools = collect_states(env, user, qnet, opt.get("states", 500), spec.seed)
+        hists, pools = collect_states(env, user, qnet, n_states, spec.seed)
         rows = agent.constraint_diagnostic(qnet, hists, pools, env.catalog)
     except agent.NonFiniteQError as exc:
         raise ValueError(f"{policy_path}: policy cannot be diagnosed: {exc}") from exc

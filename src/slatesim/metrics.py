@@ -6,6 +6,7 @@ import ctypes
 import mmap
 import os
 import signal
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,15 +63,13 @@ class ExperimentSpec:
     roster: list[RosterEntry] = field(default_factory=lambda: [RosterEntry("random", PolicyKind.RANDOM)])
 
     def __post_init__(self):
-        if self.repetitions < 1 or self.n_users < 1:
-            raise ValueError("repetitions and n_users must be >= 1")
         if not self.roster:  # else the run evaluates nothing and writes a header-only aggregate.csv
             raise ValueError("roster must name at least one policy")
         if self.env.horizon < 1:  # an episode of no step has no reward or click rate
             raise ValueError(f"horizon must be >= 1, got {self.env.horizon}")
         if not (np.isfinite(self.gt_reward_scale) and self.gt_reward_scale > 0):  # else no or reversed taste
             raise ValueError(f"gt_reward_scale must be finite and > 0, got {self.gt_reward_scale}")
-        for name in ("gt_m", "gt_n", "gt_hidden"):
+        for name in ("n_users", "repetitions", "gt_m", "gt_n", "gt_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -166,12 +165,17 @@ def _blas_threads(n: int) -> int | None:
 def _play(env: SlateEnv, user: UserModel, policies, seeds: list[int], T: int, out: np.ndarray) -> None:
     """Write each policy's (time-averaged reward, click rate) per seed into its rows of out
     (policies, seeds, 2), in roster order, up to the first policy that raises: its rows and
-    the later policies' are left as they were (run_experiment replays those over all rows)."""
+    the later policies' are left as they were. A policy that meets a warning is left
+    unwritten too, its warnings unshown. run_experiment replays those over all rows in one
+    process, which raises or warns once, as one process does."""
     for (_, policy), rows in zip(policies, out):
         try:
-            rows[...] = [(r, c / T) for _, r, c in rollout_batch(env, user, policy, seeds, T)]
+            with warnings.catch_warnings(record=True) as met:
+                played = [(r, c / T) for _, r, c in rollout_batch(env, user, policy, seeds, T)]
         except Exception:  # whatever it was, the replay in one process raises it again
             break
+        if not met:
+            rows[...] = played
 
 
 def _stats(rows: np.ndarray, reps: int) -> list[float]:
@@ -192,7 +196,7 @@ def run_experiment(spec: ExperimentSpec, loaded=None) -> list[MetricReport]:
     CPU. This process plays the first shard of each policy of `loaded` (load_experiment(spec)
     if not given), and one forked child each other shard, in one rollout_batch per policy.
     Every process writes its rows into one NaN-filled array in shared memory; a policy with
-    a row left NaN is replayed here over all rows, so it fails as in one process. Writes
+    a row left NaN is replayed here over all rows, so it fails or warns as in one process. Writes
     one per-rollout metrics file per policy plus aggregate.csv; byte output is
     deterministic for a fixed spec."""
     env, user, policies = load_experiment(spec) if loaded is None else loaded
@@ -230,7 +234,7 @@ def run_experiment(spec: ExperimentSpec, loaded=None) -> list[MetricReport]:
     agg_lines = ["policy,n_users,reps,horizon,avg_cum_reward,std_cum_reward,"
                  "stderr_cum_reward,avg_ctr,std_ctr,stderr_ctr"]
     for (entry, policy), rows in zip(policies, out):
-        if np.isnan(rows).any():  # a shard could not play it: replay it here, to fail as alone
+        if np.isnan(rows).any():  # a shard could not play it: replay it here, to fail or warn as alone
             try:
                 rows[...] = [(r, c / T) for _, r, c in rollout_batch(env, user, policy, seeds, T)]
             except NonFiniteQError as exc:

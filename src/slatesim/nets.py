@@ -479,6 +479,9 @@ def run_gradient_check(seed: int = 0, trials: int = 100, dims_max: int = 6, h: f
     Cycles through the four loss kinds; the regularizer of the two minimax kinds
     alternates every full cycle, so each (minimax kind, regularizer) pair occurs.
     Returns the worst relative error seen."""
+    for name, value in (("trials", trials), ("dims_max", dims_max)):
+        if value < 1:  # else a check of nothing passes, or the dimension draw fails
+            raise ValueError(f"{name} must be >= 1, got {value}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(trials):

@@ -108,66 +108,54 @@ class Example:
 
 
 class ExampleSet:
-    """Page views stacked once into dense arrays, one group per display slot count.
+    """Page views stacked once into dense arrays, one row per page view.
 
-    Group g (ascending slot count S_g) holds `hist[g]` (N_g, d, m) and `disp[g]`
-    (N_g, S_g, d); example i is row `row[i]` of group `group[i]`, and its
-    `chosen` slot and `n_items` are flat arrays in example order. `take(idx)`
-    selects examples by index and shares the group arrays. `len`, int
-    indexing and iteration give read-only `Example` rows."""
+    `hist` (N, d, m) holds the history windows and `disp` (N, S, d) the displays,
+    each padded to the widest one by all-zero rows; `slots` (a display's rows),
+    `chosen` and `n_items` are (N,) arrays. A set is the selection `rows` of
+    them, in set order; `take(idx)` selects from it and shares the arrays.
+    `len`, int indexing and iteration give read-only `Example` rows."""
 
-    def __init__(self, hist: tuple[np.ndarray, ...], disp: tuple[np.ndarray, ...],
-                 group: np.ndarray, row: np.ndarray, chosen: np.ndarray, n_items: np.ndarray):
-        self.hist, self.disp = hist, disp
-        self.group, self.row, self.chosen, self.n_items = group, row, chosen, n_items
-        for a in hist + disp:
+    def __init__(self, hist: np.ndarray, disp: np.ndarray, slots: np.ndarray, chosen: np.ndarray,
+                 n_items: np.ndarray, rows: np.ndarray | None = None):
+        self.hist, self.disp, self.slots, self.chosen, self.n_items = hist, disp, slots, chosen, n_items
+        self.rows = np.arange(len(slots)) if rows is None else rows
+        for a in (hist, disp):
             a.setflags(write=False)
 
     @classmethod
     def from_examples(cls, examples: Sequence[Example]) -> ExampleSet:
-        slots = np.array([ex.disp.shape[0] for ex in examples], dtype=int)
-        groups = np.unique(slots)
-        group = np.searchsorted(groups, slots)
-        row = np.zeros(len(examples), dtype=int)
-        hist, disp = [], []
-        for g in range(len(groups)):
-            members = np.flatnonzero(group == g)
-            row[members] = np.arange(len(members))
-            hist.append(np.stack([examples[i].hist for i in members]))
-            disp.append(np.stack([examples[i].disp for i in members]))
-        return cls(tuple(hist), tuple(disp), group, row,
-                   np.array([ex.chosen for ex in examples], dtype=int),
+        slots = np.array([len(ex.disp) for ex in examples], dtype=int)
+        width = slots.max(initial=0)
+        return cls(np.array([ex.hist for ex in examples]),
+                   np.array([np.pad(ex.disp, ((0, width - len(ex.disp)), (0, 0))) for ex in examples]),
+                   slots, np.array([ex.chosen for ex in examples], dtype=int),
                    np.array([ex.n_items for ex in examples], dtype=int))
 
     def take(self, idx) -> ExampleSet:
-        idx = np.asarray(idx, dtype=int)
-        return ExampleSet(self.hist, self.disp, self.group[idx], self.row[idx],
-                          self.chosen[idx], self.n_items[idx])
+        return ExampleSet(self.hist, self.disp, self.slots, self.chosen, self.n_items,
+                          self.rows[np.asarray(idx, dtype=int)])
 
     @property
     def clicked(self) -> np.ndarray:
-        return self.chosen < self.n_items
+        return self.chosen[self.rows] < self.n_items[self.rows]
 
     def blocks(self):
-        """Per group, ascending slot count: (positions, hist, disp, chosen, n_items) of the
-        examples in that group, in example order. A whole group in stored order is
-        passed as the read-only group arrays, any other selection as copies."""
-        for g, (hist, disp) in enumerate(zip(self.hist, self.disp)):
-            pos = np.flatnonzero(self.group == g)
-            if pos.size:
-                rows = self.row[pos]
-                if not (len(rows) == len(hist) and np.array_equal(rows, np.arange(len(hist)))):
-                    hist, disp = hist[rows], disp[rows]
-                yield pos, hist, disp, self.chosen[pos], self.n_items[pos]
+        """Per slot count, ascending: (positions, hist, disp, chosen, n_items) of the set's
+        rows with that count, in set order, gathered into fresh arrays."""
+        slots = self.slots[self.rows]
+        for s in np.flatnonzero(np.bincount(slots)):  # distinct counts; np.unique sorts and imports numpy.ma
+            pos = np.flatnonzero(slots == s)
+            rows = self.rows[pos]
+            yield pos, self.hist[rows], self.disp[rows, :s], self.chosen[rows], self.n_items[rows]
 
     def __len__(self) -> int:
-        return len(self.group)
+        return len(self.rows)
 
     def __getitem__(self, i) -> Example:
-        i = operator.index(i)
-        g, r = self.group[i], self.row[i]
-        return Example(hist=self.hist[g][r], disp=self.disp[g][r],
-                       chosen=int(self.chosen[i]), n_items=int(self.n_items[i]))
+        r = self.rows[operator.index(i)]
+        return Example(hist=self.hist[r], disp=self.disp[r, :self.slots[r]],
+                       chosen=int(self.chosen[r]), n_items=int(self.n_items[r]))
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -186,29 +174,24 @@ def build_examples(
 
     One pass over the records collects item ids: a history is the window of the
     last m clicked ids, padded with the non-click pseudo-item, whose all-zero
-    features also fill the non-click slot. Each slot-count group then looks up
-    all its features at once."""
-    groups: dict[int, tuple[list, list]] = {}  # slot count -> (history windows, shown ids)
-    slots, row, chosen, n_items = [], [], [], []
+    features also fill the non-click slot and pad each display to the widest.
+    The features of all windows, then of all displays, are looked up at once."""
+    windows, shown, chosen = [], [], []
     for traj in trajectories:
         window = (NON_CLICK_ID,) * m
         for rec in traj.records:
-            chosen.append(rec.displayed.index(rec.chosen) if rec.clicked else len(rec.displayed))
-            ids = rec.displayed + (NON_CLICK_ID,)
-            windows, shown = groups.setdefault(len(ids), ([], []))
-            slots.append(len(ids))
-            row.append(len(shown))
             windows.append(window)
-            shown.append(ids)
-            n_items.append(len(rec.displayed))
+            shown.append(rec.displayed)
+            chosen.append(rec.displayed.index(rec.chosen) if rec.clicked else len(rec.displayed))
             if rec.clicked:
                 window = window[1:] + (rec.chosen,)
-    order = sorted(groups)
-    hist = tuple(np.ascontiguousarray(catalog.feature_matrix(np.array(groups[s][0])).transpose(0, 2, 1))
-                 for s in order)
-    disp = tuple(catalog.feature_matrix(np.array(groups[s][1])) for s in order)
-    return ExampleSet(hist, disp, np.searchsorted(order, slots).astype(int), np.array(row, dtype=int),
-                      np.array(chosen, dtype=int), np.array(n_items, dtype=int))
+    n_items = np.array([len(ids) for ids in shown], dtype=int)
+    width = n_items.max(initial=0) + 1
+    ids = np.array([s + (NON_CLICK_ID,) * (width - len(s)) for s in shown], dtype=int)
+    hist = catalog.feature_matrix(np.array(windows, dtype=int).reshape(len(windows), m))
+    return ExampleSet(np.ascontiguousarray(hist.transpose(0, 2, 1)),
+                      catalog.feature_matrix(ids.reshape(len(shown), width)),
+                      n_items + 1, np.array(chosen, dtype=int), n_items)
 
 
 def _weighted(parts):
@@ -298,7 +281,7 @@ def precision_at_k(model: UserModel, examples: ExampleSet | Sequence[Example], k
     clicks = examples.take(np.flatnonzero(examples.clicked))
     if not len(clicks):
         raise ValueError("no clicked records to evaluate")
-    if k_eval < 1 or np.any(clicks.n_items < k_eval):
+    if k_eval < 1 or np.any(clicks.n_items[clicks.rows] < k_eval):
         raise ValueError("k_eval must be within the display size")
     hits = 0
     for _, scores, chosen, n_items in _reward_scores(model.theta, clicks):

@@ -130,9 +130,9 @@ class TestResolvedConfigs:
     def test_train_user_model_config_file(self, world, calls, tmp_path):
         cfg = {"data": world["data"], "out": tmp_path / "o", "seed": 7, "epochs": 2,
                "batch-size": 16, "lr-theta": 0.01, "lr-alpha": 0.02, "eta": 0.5,
-               "regularizer": "l2", "init-scheme": "entropy", "method": "mle", "m": 2, "n": 3,
+               "regularizer": "l2", "init-scheme": "entropy", "method": "minimax", "m": 2, "n": 3,
                "hidden": 5, "patience": 4, "k": 9, "gamma": 0.1}  # k, gamma: other stages' keys
-        _, _, config = run(["train-user-model", "--hidden", "6"], calls, "train_mle", cfg, tmp_path)
+        _, _, config = run(["train-user-model", "--hidden", "6"], calls, "train_minimax", cfg, tmp_path)
         assert config == train_config(eta=0.5, lr_alpha=0.02, lr_theta=0.01, batch_size=16,
                                       epochs=2, regularizer=Regularizer.L2,
                                       init_scheme=InitScheme.ENTROPY_INIT, seed=7, m=2, n=3,
@@ -384,6 +384,11 @@ def test_bad_numeric_option_exits_2_and_names_the_field(world, tmp_path, monkeyp
     (["train-user-model", "--hidden", "0"], "hidden"),
     (["train-user-model", "--batch-size", "0"], "batch_size"),
     (["train-user-model", "--patience", "0"], "patience"),
+    (["gradcheck", "--trials", "0"], "trials"),
+    (["gradcheck", "--dims-max", "0"], "dims_max"),
+    (["evaluate", "--reps", "0"], "repetitions"),
+    (["evaluate", "--n-users", "0"], "n_users"),
+    (["diagnose-q", "--states", "0"], "states"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_size_below_one_exits_2_and_names_the_field(world, tmp_path, monkeypatch, capsys, argv, field):
     # refused before --out is made; gen-data once failed with "min() arg is an empty sequence"
@@ -393,6 +398,22 @@ def test_size_below_one_exits_2_and_names_the_field(world, tmp_path, monkeypatch
         argv = argv + ["--data", world["data"]]
     assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"error: {field} must be >= 1, got {argv[2]}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("in_config", [False, True], ids=["flags", "config-file"])
+def test_mle_with_l2_exits_2_and_names_both_flags(world, tmp_path, monkeypatch, capsys, in_config):
+    # maximum likelihood fits the entropy choice rule only; refused before --out is made
+    monkeypatch.chdir(tmp_path)
+    argv = ["train-user-model", "--data", world["data"], "--out", str(tmp_path / "o")]
+    if in_config:
+        (tmp_path / "c.cfg").write_text("method=mle\nregularizer=l2\n")
+        argv += ["--config", str(tmp_path / "c.cfg")]
+    else:
+        argv += ["--method", "mle", "--regularizer", "l2"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == ("error: --method mle requires --regularizer entropy, "
+                                       "got --regularizer l2\n")
     assert not (tmp_path / "o").exists()
 
 

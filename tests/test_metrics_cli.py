@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,55 @@ class TestShardedEvaluation:
                            "the chosen Q value of position 2 is not finite in 12 of 12 rows, "
                            "the first row 0")
         assert list(files) == ["random_metrics.csv"]
+
+    @pytest.fixture
+    def run_warning(self, monkeypatch):
+        """run(spec, loaded=None): run_experiment with warnings printed to sys.stderr, where
+        capfd reads this process's and the children's alike (pytest otherwise records this
+        process's), each location once per run."""
+        def show(message, category, filename, lineno, file=None, line=None):
+            sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+        monkeypatch.setattr(warnings, "showwarning", show)
+
+        def run(spec, loaded=None):
+            with warnings.catch_warnings():
+                warnings.simplefilter("default")  # a fresh registry: no location shown yet
+                run_experiment(spec, loaded)
+        return run
+
+    @pytest.mark.parametrize("n", [2, 3, 12])
+    def test_overflow_warnings_print_once_as_in_one_process(self, tmp_path, shards, run_warning, capfd, n):
+        qnet = init_cascade_net(4, 3, 2, 6, 3, np.random.default_rng(7))
+        qnet.heads[1].V[:] = 0.0
+        qnet.heads[1].b[:] = 1e3
+        qnet.heads[1].v[:] = -1e308
+        errs = []
+        for count, out in ((1, "one"), (n, "many")):
+            shards(count)
+            with pytest.raises(ValueError, match="cannot be evaluated"):
+                run_warning(criterion9_spec(tmp_path, tmp_path / out, cdqn=qnet))
+            errs.append(capfd.readouterr().err)
+        assert "RuntimeWarning: overflow encountered" in errs[0]
+        assert errs[1] == errs[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 12])
+    def test_a_policy_that_warns_writes_the_one_process_files(self, tmp_path, shards, run_warning, capfd,
+                                                               monkeypatch, n):
+        spec = criterion9_spec(tmp_path, tmp_path / "out")
+        loaded = metrics.load_experiment(spec)
+        cdqn, real = loaded[2][2][1], metrics.rollout_batch
+
+        def rollout(env, user, played, seeds, T):
+            if played is cdqn:
+                warnings.warn("cdqn rows played", RuntimeWarning)
+            return real(env, user, played, seeds, T)
+
+        monkeypatch.setattr(metrics, "rollout_batch", rollout)
+        shards(n)
+        run_warning(spec, loaded)
+        assert written(tmp_path / "out") == written(GOLDEN)
+        assert capfd.readouterr().err.count("RuntimeWarning: cdqn rows played") == 1
 
     @pytest.mark.parametrize("exc", [RuntimeError("lost"), SystemExit],
                              ids=["raises", "dies-before-sending"])

@@ -16,6 +16,7 @@ from slatesim.nets import (
 )
 from slatesim.training import (
     Example,
+    ExampleSet,
     InitScheme,
     OscillationWarning,
     TrainConfig,
@@ -50,6 +51,22 @@ def make_user_model(rng, d=3, m=3, n=2, hidden=5, eta=1.0,
     theta = init_scorer_net(d, m, n, hidden, rng)
     return UserModel(theta=theta, alpha=induced_softmax_alpha(theta, eta),
                      config=ChoiceConfig(eta, regularizer))
+
+
+class TestExampleRows:
+    def test_a_take_of_a_take_sees_the_composed_rows(self):
+        # a set is one row selection of the shared table: indexing, iteration and the
+        # click mask follow the selection, not the table's own order
+        rng = np.random.default_rng(3)
+        examples = random_examples(rng, 7, slots=3) + random_examples(rng, 7, slots=5)
+        first, second = rng.permutation(14)[:10], rng.permutation(10)[:6]
+        taken = ExampleSet.from_examples(examples).take(first).take(second)
+        expected = [examples[i] for i in first[second]]
+        assert len(taken) == len(expected)
+        for got, ex in zip(taken, expected):
+            assert np.array_equal(got.hist, ex.hist) and np.array_equal(got.disp, ex.disp)
+            assert (got.chosen, got.n_items) == (ex.chosen, ex.n_items)
+        assert taken.clicked.tolist() == [ex.clicked for ex in expected]
 
 
 class TestBuildExamples:
