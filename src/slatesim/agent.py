@@ -156,11 +156,24 @@ QEval = Callable[[int, tuple[int, ...], tuple[int, ...]], np.ndarray]
 def net_qeval(qnet: CascadeQNet, state_vec: np.ndarray, catalog: ItemCatalog) -> QEval:
     """Vectorized per-position evaluator of a cascade net for one embedded state.
 
-    Head j scores each candidate as the last item after the fixed [s; f_1 .. f_{j-1}]."""
+    Head j scores each candidate as the last item after the fixed [s; f_1 .. f_{j-1}]:
+    the operations of nets.head_scores in its order, so the same floats, with each
+    head's blocks bound and the state's shape checked once here."""
+    state_vec, d = np.asarray(state_vec, dtype=float), catalog.d
+    blocks = []
+    for j, head in enumerate(qnet.heads, start=1):
+        dn = head.V.shape[1] - d
+        if state_vec.shape != (dn - (j - 1) * d,):
+            raise ValueError(f"state shape {state_vec.shape} incompatible with head {j}'s input "
+                             f"{head.V.shape[1]} and {d} item features")
+        blocks.append((head.V[:, :dn].T, head.V[:, dn:].T, head.b, head.v))
 
     def qeval(j: int, prefix: tuple[int, ...], cands: tuple[int, ...]) -> np.ndarray:
-        fixed = np.concatenate([state_vec] + [catalog.features(i) for i in prefix])
-        return nets.head_scores(qnet.heads[j - 1], fixed, catalog.feature_matrix(cands))
+        Vs, Vc, b, v = blocks[j - 1]
+        z = catalog.feature_matrix(cands) @ Vc
+        z += np.concatenate([state_vec] + [catalog.features(i) for i in prefix]) @ Vs
+        z += b
+        return nets.act(z) @ v
 
     return qeval
 
@@ -172,7 +185,7 @@ def cascade_plan(qeval: QEval, pool: Sequence[int], k: int,
     Returns the ordered slate and the per-position achieved values; the last
     value is Q^k at the full slate. Ties break toward the lowest item id. A chosen
     value that is not finite raises NonFiniteQError, as in cascade_batch."""
-    remaining = sorted(int(i) for i in set(pool))
+    remaining = sorted(set(np.asarray(pool, dtype=int).tolist()))
     if len(remaining) < k:
         raise ValueError(f"pool smaller than k: {len(remaining)} < {k}")
     slate: list[int] = []
@@ -181,12 +194,12 @@ def cascade_plan(qeval: QEval, pool: Sequence[int], k: int,
         vals = np.asarray(qeval(j, tuple(slate), tuple(remaining)), dtype=float)
         if counter is not None:
             counter.count += len(remaining)
-        best = int(np.argmax(vals))  # first maximum wins: lowest id on ties
-        if not math.isfinite(vals[best]):
+        best = int(vals.argmax())  # first maximum wins: lowest id on ties
+        value = vals.item(best)
+        if not math.isfinite(value):
             _check_finite(vals[best:best + 1], j)
-        slate.append(remaining[best])
-        values.append(float(vals[best]))
-        remaining.pop(best)
+        slate.append(remaining.pop(best))
+        values.append(value)
     return slate, values
 
 

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .choice import Regularizer, logsumexp, softmax
+from .choice import Regularizer, softmax
 from .data import write_lines
 
 
@@ -163,7 +163,7 @@ def head_scores(head: ScorerParams, state: np.ndarray, feats: np.ndarray, pre: b
     if state.shape != feats.shape[:-2] + (dn,):
         raise ValueError(f"state shape {state.shape} incompatible with head input "
                          f"{head.V.shape[1]} and item features {feats.shape}")
-    # in-place sums: this is the cascade argmax's inner call
+    # in-place sums: cascade_batch's per-head call (agent.net_qeval runs these steps inline)
     shape = feats.shape[:-1] + (head.V.shape[0],)
     z, scratch = (np.empty(shape), None) if work is None else work(shape)
     np.matmul(feats.reshape(-1, d), head.V[:, dn:].T, out=z.reshape(-1, shape[-1]))
@@ -233,8 +233,12 @@ def nll_value_and_grad(net: ScorerNet, F, feats, chosen, eta: float):
     logits = eta * cache.scores
     batch = logits.shape[0]
     rows = np.arange(batch)
-    value = float(np.mean(logsumexp(logits) - logits[rows, chosen]))
-    w = softmax(logits)
+    # one exp(logits - max) for both: logsumexp's and softmax's arithmetic, bit for bit
+    top = logits.max(axis=-1, keepdims=True)
+    w = np.exp(logits - top)
+    total = w.sum(axis=-1, keepdims=True)
+    value = float(np.mean(top[:, 0] + np.log(total[:, 0]) - logits[rows, chosen]))
+    w /= total
     w[rows, chosen] -= 1.0
     w *= eta / batch
     return value, scorer_batch_grad(net, cache, w)
@@ -246,8 +250,13 @@ def minimax_reward_value_and_grad(net: ScorerNet, F, feats, chosen, phi: np.ndar
 
     Value is the mean per-record objective  <phi, r> - R(phi)/eta - r_true;
     the gradient descends it (phi is a constant here)."""
+    return minimax_reward_cache_grad(net, scorer_batch(net, F, feats), chosen, phi, eta, regularizer)
+
+
+def minimax_reward_cache_grad(net: ScorerNet, cache: _ScorerCache, chosen, phi: np.ndarray,
+                              eta: float, regularizer: Regularizer):
+    """minimax_reward_value_and_grad on the scorer_batch forward `cache` of its F and feats."""
     chosen = np.asarray(chosen, dtype=int)
-    cache = scorer_batch(net, F, feats)
     batch = cache.scores.shape[0]
     rows = np.arange(batch)
     value = float(np.mean(

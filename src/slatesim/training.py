@@ -285,7 +285,7 @@ def precision_at_k(model: UserModel, examples: ExampleSet | Sequence[Example], k
         raise ValueError("k_eval must be within the display size")
     hits = 0
     for _, scores, chosen, n_items in _reward_scores(model.theta, clicks):
-        for n in np.unique(n_items):
+        for n in np.flatnonzero(np.bincount(n_items)):  # distinct counts, as blocks()
             sel = n_items == n
             top = np.argsort(-scores[sel, :n], axis=1, kind="stable")[:, :k_eval]
             hits += int(np.count_nonzero(top == chosen[sel, None]))
@@ -398,30 +398,33 @@ def train_mle(
                      config=ChoiceConfig(config.eta, Regularizer.SHANNON_ENTROPY))
 
 
+def _theta_forward(theta: ScorerNet, examples: ExampleSet | Sequence[Example]):
+    """Per slot-count block: (records, chosen, theta's scorer_batch cache of its histories and displays)."""
+    return [(len(pos), chosen, nets.scorer_batch(theta, F, feats))
+            for pos, F, feats, chosen, _ in _nonempty(examples).blocks()]
+
+
 def minimax_alpha_grad(theta: ScorerNet, alpha: ScorerNet, examples: ExampleSet | Sequence[Example],
-                       config: TrainConfig) -> dict[str, np.ndarray]:
+                       config: TrainConfig, forward=None) -> dict[str, np.ndarray]:
     """The behavior scorer's half of an alternating update: the gradient of the mean
-    generator objective against theta's rewards (the caller ascends it)."""
-    parts = []
-    for pos, F, feats, _, _ in _nonempty(examples).blocks():
-        r = nets.scorer_batch(theta, F, feats).scores
-        parts.append((len(pos),) + nets.minimax_behavior_value_and_grad(
-            alpha, F, feats, r, config.eta, config.regularizer))
-    return _weighted(parts)[1]
+    generator objective against theta's rewards (the caller ascends it). `forward` is
+    _theta_forward(theta, examples), when the caller has it."""
+    forward = _theta_forward(theta, examples) if forward is None else forward
+    return _weighted([(n,) + nets.minimax_behavior_value_and_grad(
+        alpha, cache.F, cache.feats, cache.scores, config.eta, config.regularizer)
+        for n, _, cache in forward])[1]
 
 
 def minimax_value_grads(theta: ScorerNet, alpha: ScorerNet,
-                        examples: ExampleSet | Sequence[Example], config: TrainConfig):
+                        examples: ExampleSet | Sequence[Example], config: TrainConfig, forward=None):
     """The reward scorer's half of an alternating update, against alpha's choice distribution.
 
     Returns (theta objective value, theta gradients). The expectation over the
-    generator is an exact sum over display slots."""
-    parts = []
-    for pos, F, feats, chosen, _ in _nonempty(examples).blocks():
-        parts.append((len(pos),) + nets.minimax_reward_value_and_grad(
-            theta, F, feats, chosen, behavior_probs(alpha, F, feats), config.eta,
-            config.regularizer))
-    return _weighted(parts)
+    generator is an exact sum over display slots. `forward` as in minimax_alpha_grad."""
+    forward = _theta_forward(theta, examples) if forward is None else forward
+    return _weighted([(n,) + nets.minimax_reward_cache_grad(
+        theta, cache, chosen, behavior_probs(alpha, cache.F, cache.feats), config.eta,
+        config.regularizer) for n, chosen, cache in forward])
 
 
 def train_minimax(
@@ -450,10 +453,11 @@ def train_minimax(
         theta = nets.init_scorer_net(catalog.d, config.m, config.n, config.hidden, rng)
         alpha = nets.init_scorer_net(catalog.d, config.m, config.n, config.hidden, rng)
 
-    def theta_grad(batch: ExampleSet):
-        nets.sgd_step(alpha, minimax_alpha_grad(theta, alpha, batch, config),
+    def theta_grad(batch: ExampleSet):  # the alpha step leaves theta, so its forward serves both
+        forward = _theta_forward(theta, batch)
+        nets.sgd_step(alpha, minimax_alpha_grad(theta, alpha, batch, config, forward),
                       config.lr_alpha, ascend=True)
-        return minimax_value_grads(theta, alpha, batch, config)
+        return minimax_value_grads(theta, alpha, batch, config, forward)
 
     def metric() -> float:
         probe = UserModel(theta, alpha, ChoiceConfig(config.eta, config.regularizer))

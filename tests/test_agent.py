@@ -30,12 +30,13 @@ from slatesim.agent import (
     train_cdqn,
     TrainingDivergedError,
 )
-from slatesim.data import synth_catalog
+from slatesim.data import ItemCatalog, synth_catalog
 from slatesim import agent
 from slatesim.env import EnvConfig, EpisodeKeys, SlateEnv, make_ground_truth_user, reset, rollout, step
-from slatesim.nets import (ScoreBuffers, embed_history, finite_difference_grad, head_scores, init_cascade_net,
-                            named_tensors)
+from slatesim.nets import (CascadeQNet, PositionWeightParams, ScoreBuffers, ScorerParams, embed_history,
+                            finite_difference_grad, head_scores, init_cascade_net, named_tensors)
 
+from cascade_oracle import oracle_cascade_plan, oracle_net_qeval
 from pools import pad_pools
 
 
@@ -106,6 +107,114 @@ class TestCascadeArgmax:
     def test_pool_smaller_than_k(self):
         with pytest.raises(ValueError, match="pool smaller"):
             cascade_plan(table_qeval([{}]), (1, 2), 3)[0]
+
+
+def pool_forms(rng, catalog, k):
+    """One random pool of at least k distinct ids in one of the forms a caller passes:
+    ragged, sometimes with repeats, shuffled, as a list, tuple or integer array."""
+    ids = [int(i) for i in catalog.item_ids]
+    pool = list(rng.choice(ids, size=int(rng.integers(k, len(ids) + 1)), replace=False))
+    if rng.random() < 0.3:
+        pool += list(rng.choice(pool, size=int(rng.integers(1, 4))))
+    rng.shuffle(pool)
+    form = int(rng.integers(0, 5))
+    if form == 0:
+        return [int(i) for i in pool]
+    if form == 1:
+        return tuple(int(i) for i in pool)
+    if form == 2:
+        return pool  # numpy integer scalars
+    return np.array(pool, dtype=np.int64 if form == 3 else np.int32)
+
+
+class TestPerRowCascadeOracle:
+    """net_qeval scores each head inline; the head_scores evaluator it replaced is the oracle."""
+
+    def _assert_same_as_oracle(self, qnet, state, pool, catalog):
+        counter, oracle_counter = EvalCounter(), EvalCounter()
+        slate, values = cascade_plan(net_qeval(qnet, state, catalog), pool, qnet.k, counter)
+        oracle_qeval = oracle_net_qeval(qnet, state, catalog)
+        oracle_slate, oracle_values = oracle_cascade_plan(oracle_qeval, pool, qnet.k, oracle_counter)
+        assert slate == oracle_slate
+        assert np.array(values).tobytes() == np.array(oracle_values).tobytes()
+        assert counter.count == oracle_counter.count
+        # every head's scores of the candidates left at its position, bit for bit
+        qeval, remaining = net_qeval(qnet, state, catalog), sorted(int(i) for i in set(pool))
+        for j in range(1, qnet.k + 1):
+            prefix = tuple(oracle_slate[:j - 1])
+            got, want = qeval(j, prefix, tuple(remaining)), oracle_qeval(j, prefix, tuple(remaining))
+            assert got.tobytes() == want.tobytes()
+            remaining.remove(oracle_slate[j - 1])
+        return slate, values
+
+    def test_byte_equal_to_the_head_scores_oracle_on_random_states(self):
+        states = 0
+        for trial in range(24):
+            rng = np.random.default_rng(700 + trial)
+            d, m, n, hidden, k = (int(rng.integers(1, hi)) for hi in (7, 6, 5, 13, 6))
+            catalog = synth_catalog(int(rng.integers(k, 31)), d, seed=trial)
+            qnet = init_cascade_net(d, m, n, hidden, k, rng)
+            for _ in range(50):
+                hist = rng.standard_normal((d, m)) * rng.choice([0.1, 1.0, 5.0])
+                pool = pool_forms(rng, catalog, k)
+                slate, _ = self._assert_same_as_oracle(qnet, embed_history(hist, qnet.pw), pool, catalog)
+                # the trainer's act: one history embedded, then the same cascade
+                assert cascade_slate(qnet, hist, pool, catalog) == slate
+                states += 1
+        assert states >= 1000
+
+    def test_exact_ties_resolve_to_the_lowest_id(self):
+        # small integer features and weights with zero biases keep every pre-activation an
+        # exact non-negative integer, where the ELU is the identity: scores tie exactly
+        ties = 0
+        for trial in range(40):
+            rng = np.random.default_rng(800 + trial)
+            d, k, hidden = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            size = int(rng.integers(k, 13))
+            catalog = ItemCatalog([(i, rng.integers(0, 3, size=d)) for i in range(1, size + 1)])
+            dn = int(rng.integers(1, 5))
+            heads = [ScorerParams(V=rng.integers(0, 2, size=(hidden, dn + d * j)).astype(float),
+                                  b=np.zeros(hidden), v=rng.integers(1, 3, size=hidden).astype(float))
+                     for j in range(1, k + 1)]
+            qnet = CascadeQNet(pw=PositionWeightParams(W=np.zeros((2, dn)), B=np.zeros((1, dn))),
+                               heads=heads)
+            for _ in range(10):
+                state = rng.integers(0, 3, size=dn).astype(float)
+                pool = pool_forms(rng, catalog, k)
+                slate, _ = self._assert_same_as_oracle(qnet, state, pool, catalog)
+                qeval, remaining = net_qeval(qnet, state, catalog), sorted(int(i) for i in set(pool))
+                for j, chosen in enumerate(slate, start=1):
+                    vals = qeval(j, tuple(slate[:j - 1]), tuple(remaining))
+                    tied = [i for i, v in zip(remaining, vals) if v == vals.max()]
+                    assert chosen == min(tied)
+                    ties += len(tied) > 1
+                    remaining.remove(chosen)
+        assert ties > 100
+
+    def test_overflowing_head_raises_the_oracles_error(self):
+        rng = np.random.default_rng(900)
+        catalog = synth_catalog(12, 3, seed=9)
+        qnet = break_head(init_cascade_net(3, 4, 2, 6, 3, rng), 2, -1e308)
+        for _ in range(20):
+            state, pool = embed_history(rng.standard_normal((3, 4)), qnet.pw), pool_forms(rng, catalog, 3)
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NonFiniteQError) as oracle_error:
+                    oracle_cascade_plan(oracle_net_qeval(qnet, state, catalog), pool, 3)
+                with pytest.raises(NonFiniteQError) as error:
+                    cascade_plan(net_qeval(qnet, state, catalog), pool, 3)
+            assert str(error.value) == str(oracle_error.value)
+            assert str(error.value) == ("the chosen Q value of position 2 is not finite in 1 of 1 rows, "
+                                        "the first row 0")
+
+    @pytest.mark.parametrize("state_len, d", [(5, 3), (7, 3), (6, 2), (0, 3)])
+    def test_shape_mismatch_is_refused(self, state_len, d):
+        # the net's state is 6 wide and its items 3; the oracle refuses the same inputs
+        qnet = init_cascade_net(3, 4, 2, 6, 3, np.random.default_rng(901))
+        catalog, pool = synth_catalog(8, d, seed=3), (1, 2, 3, 4)
+        with pytest.raises(ValueError):
+            oracle_cascade_plan(oracle_net_qeval(qnet, np.zeros(state_len), catalog), pool, 3)
+        with pytest.raises(ValueError, match="incompatible"):
+            cascade_plan(net_qeval(qnet, np.zeros(state_len), catalog), pool, 3)
 
 
 class TestReplayMemory:

@@ -71,3 +71,28 @@ def test_every_span_fires_in_one_chunk_of_each_stage(count_calls, tmp_path):
     assert tally.problems == [] and tally.failed == 0
     assert len(calls) == len(SPANS)
     assert [name for name, count in calls.items() if count == 0] == []
+
+
+def test_cascade_plan_work_matches_the_q_values_it_evaluates(monkeypatch):
+    # the tracer reads cascade_plan's pool and k from args[1] and args[2]: over one README
+    # training chunk its recorded work must equal, call by call, the Q values the cascade
+    # evaluates, k·P − k(k−1)/2 for a pool of P distinct ids
+    from slatesim import agent
+    monkeypatch.setitem(sys.modules, "spec", load_by_path("spec"))
+    tracing, workloads = load_by_path("tracing"), load_by_path("workloads")
+    recorder, evals, original = tracing.SpanRecorder(), [], agent.cascade_plan
+
+    def counted(qeval, *args, **kwargs):
+        def counting(j, prefix, cands):
+            evals[-1] += len(cands)
+            return qeval(j, prefix, cands)
+
+        evals.append(0)
+        return original(counting, *args, **kwargs)
+
+    monkeypatch.setattr(agent, "cascade_plan",
+                        recorder.wrap("agent.cascade_plan", counted, tracing.WORK["agent.cascade_plan"]))
+    tally = workloads.Tally()
+    workloads.Training(workloads.README).chunk(tally, 0, 0)
+    assert tally.problems == [] and tally.failed == 0
+    assert len(evals) > 0 and list(recorder.work) == [float(n) for n in evals]

@@ -7,14 +7,18 @@ equal the combined step that computed both halves on every call.
 """
 
 import copy
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slatesim import nets
+from slatesim import nets, training
 from slatesim.choice import ChoiceConfig, PROB_FLOOR, Regularizer, logsumexp, softmax
 from slatesim.data import ClickRecord, Trajectory, synth_catalog
 from slatesim.nets import init_scorer_net, named_tensors
@@ -23,6 +27,7 @@ from slatesim.training import (
     ExampleSet,
     TrainConfig,
     UserModel,
+    _theta_forward,
     build_examples,
     heldout_loglik,
     induced_softmax_alpha,
@@ -342,3 +347,42 @@ class TestSplitMinimaxStep:
         for new, old in ((theta, old_theta), (alpha, old_alpha)):
             for name, t in named_tensors(new).items():
                 assert np.array_equal(t, named_tensors(old)[name])
+
+    @pytest.mark.parametrize("regularizer", [Regularizer.SHANNON_ENTROPY, Regularizer.L2])
+    def test_theta_half_on_the_alpha_halfs_forward(self, regularizer):
+        # train_minimax hands the theta forward of its alpha half to its theta half: the
+        # alpha step leaves theta as it was, so the theta half gives the same bits
+        examples = ExampleSet.from_examples(ragged_examples(7, [2, 5, 3, 5, 7, 2, 4] * 4))
+        config = TrainConfig(eta=1.3, regularizer=regularizer, m=M, n=2, hidden=5)
+        theta, alpha = nets_pair(7)
+        forward = _theta_forward(theta, examples)
+        alpha_grads = minimax_alpha_grad(theta, alpha, examples, config, forward)
+        assert same_grads(alpha_grads, minimax_alpha_grad(theta, alpha, examples, config))
+        nets.sgd_step(alpha, alpha_grads, 0.1, ascend=True)
+        value, grads = minimax_value_grads(theta, alpha, examples, config, forward)
+        want_value, want_grads = minimax_value_grads(theta, alpha, examples, config)
+        assert value == want_value and same_grads(grads, want_grads)
+
+
+def test_precision_at_k_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call in a process (~10 ms): in a fresh
+    # process, precision_at_k must leave it unimported
+    code = """
+import sys
+import numpy as np
+from slatesim.nets import init_scorer_net
+from slatesim.training import Example, UserModel, precision_at_k
+from slatesim.choice import ChoiceConfig
+rng = np.random.default_rng(0)
+examples = [Example(hist=rng.standard_normal((3, 2)), disp=rng.standard_normal((n + 1, 3)),
+                    chosen=int(rng.integers(0, n)), n_items=n) for n in (2, 4, 3, 4, 2, 5)]
+theta = init_scorer_net(3, 2, 2, 4, rng)
+before = "numpy.ma" in sys.modules
+precision_at_k(UserModel(theta, theta, ChoiceConfig()), examples, 2)
+print(before, "numpy.ma" in sys.modules)
+"""
+    src = str(Path(training.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]

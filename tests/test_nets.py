@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from slatesim.agent import net_qeval
-from slatesim.choice import Regularizer
+from slatesim.choice import Regularizer, logsumexp, softmax
 from slatesim.data import synth_catalog
 from slatesim.nets import (
     PositionWeightParams,
@@ -179,6 +179,28 @@ class TestOnePass:
             state = embed_history(F, net.pw)
             assert np.array_equal(bits(cache.s), bits(state))
             assert np.array_equal(bits(cache.scores), bits(head_scores(net.head, state, feats)))
+
+    def test_nll_shares_one_exp_between_logsumexp_and_softmax(self):
+        # the value and gradient are bit for bit the separate logsumexp and softmax forms
+        rng = np.random.default_rng(13)
+        for _ in range(2000):
+            d, m, n, hidden = (int(x) for x in rng.integers(1, 6, size=4))
+            batch, slots = int(rng.integers(1, 20)), int(rng.integers(1, 8))
+            net = init_scorer_net(d, m, n, hidden, rng)
+            F = rng.standard_normal((batch, d, m)) * rng.choice([0.1, 1.0, 10.0])
+            feats = rng.standard_normal((batch, slots, d))
+            chosen, eta = rng.integers(0, slots, size=batch), float(rng.uniform(0.1, 5.0))
+            cache = scorer_batch(net, F, feats)
+            logits, rows = eta * cache.scores, np.arange(batch)
+            w = softmax(logits)
+            w[rows, chosen] -= 1.0
+            w *= eta / batch
+            want = scorer_batch_grad(net, cache, w)
+            value, grads = nll_value_and_grad(net, F, feats, chosen, eta)
+            want_value = np.float64(np.mean(logsumexp(logits) - logits[rows, chosen]))
+            assert bits(np.float64(value)) == bits(want_value)
+            assert grads.keys() == want.keys()
+            assert all(np.array_equal(bits(grads[name]), bits(want[name])) for name in want)
 
 
     def test_kept_work_arrays_give_fresh_bits(self):
