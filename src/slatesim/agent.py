@@ -12,7 +12,7 @@ import numpy as np
 from . import nets
 from .data import NON_CLICK_ID, ItemCatalog
 from .env import EpisodeKeys, Policy, Pools, SlateEnv, reset, step
-from .nets import CascadeQNet, ScorerNet
+from .nets import CascadeQNet
 from .training import UserModel
 
 
@@ -81,12 +81,7 @@ class RewardMode(Enum):
 class PolicyKind(Enum):
     CDQN = "cdqn"
     GREEDY_USER_MODEL = "greedy"
-    ADDITIVE_Q = "additive"
     RANDOM = "random"
-
-
-# the policy kinds backed by a trained Q-network checkpoint
-Q_KINDS = (PolicyKind.CDQN, PolicyKind.ADDITIVE_Q)
 
 
 @dataclass
@@ -127,8 +122,8 @@ class PolicyHandle:
     user_model: UserModel | None = None
 
     def __post_init__(self):
-        if self.kind in Q_KINDS and self.qnet is None:
-            raise ValueError(f"{self.kind.value} policy needs a qnet")
+        if self.kind is PolicyKind.CDQN and self.qnet is None:
+            raise ValueError("cdqn policy needs a qnet")
         if self.kind is PolicyKind.GREEDY_USER_MODEL and self.user_model is None:
             raise ValueError("greedy policy needs a user model")
 
@@ -277,56 +272,23 @@ def compute_target(rewards: Sequence[float], next_hists: np.ndarray, next_pools:
     return y
 
 
-def additive_target(rewards: Sequence[float], next_hists: np.ndarray, next_pools: np.ndarray,
-                    next_mask: np.ndarray, qnet: CascadeQNet, catalog: ItemCatalog, gamma: float,
-                    k: int, terminal: Sequence[bool] | None = None) -> np.ndarray:
-    """Additive-baseline TD targets y = r + gamma * (sum of the next state's top-k item values).
-
-    Arrays as in compute_target. Head 1 scores every live row's pool in one
-    _pool_scores call, the top-k policy's; terminal rows keep r."""
-    y, live, F, ids, mask = _live_rows(rewards, next_hists, next_pools, next_mask, terminal)
-    if len(live):
-        vals = _pool_scores(qnet.pw, qnet.heads[0], F, ids, mask, catalog)
-        y[live] += gamma * np.sort(vals, axis=1)[:, ::-1][:, :k].sum(axis=1)
-    return y
-
-
 # ---------------------------------------------------------------------------
 # policies
 
 
-def _pool_scores(pw: nets.PositionWeightParams, head: nets.ScorerParams, hists: np.ndarray, ids: np.ndarray,
-                 mask: np.ndarray, catalog: ItemCatalog, work: nets.ScoreBuffers | None = None) -> np.ndarray:
-    """`head`'s scores (B, P) of each row's padded pool against its history; -inf at the padding."""
-    scores = nets.head_scores(head, nets.embed_history(hists, pw), catalog.feature_matrix(ids), work=work)
-    return np.where(mask, scores, -np.inf)
-
-
-def _top_k(pw: nets.PositionWeightParams, head: nets.ScorerParams, hists: np.ndarray,
-           pools: Pools, k: int, catalog: ItemCatalog, work: nets.ScoreBuffers | None = None
-           ) -> np.ndarray:
-    """Per row of histories (B, d, m) and padded pools (see env.Policy), the k pool items
-    `head` scores highest, scored in `work`'s arrays when given.
+def greedy_user_model_policy(user_model: UserModel, hists: np.ndarray, pools: Pools, k: int,
+                             catalog: ItemCatalog, work: nets.ScoreBuffers | None = None) -> np.ndarray:
+    """Per row of histories (B, d, m) and padded pools (see env.Policy), the top-k pool items
+    by the behavior logit, scored in `work`'s arrays when given.
 
     Returns (B, k) ids, best first. Pools ascend, so the stable sort breaks
     ties toward the lower item id."""
     ids, mask = _cut_pools(*pools, k)
-    order = np.argsort(-_pool_scores(pw, head, hists, ids, mask, catalog, work),
-                       axis=1, kind="stable")[:, :k]
+    alpha = user_model.alpha
+    scores = nets.head_scores(alpha.head, nets.embed_history(hists, alpha.pw), catalog.feature_matrix(ids),
+                              work=work)
+    order = np.argsort(-np.where(mask, scores, -np.inf), axis=1, kind="stable")[:, :k]
     return np.take_along_axis(ids, order, axis=1)
-
-
-def greedy_user_model_policy(user_model: UserModel, hists: np.ndarray, pools: Pools, k: int,
-                             catalog: ItemCatalog, work: nets.ScoreBuffers | None = None) -> np.ndarray:
-    """Per row, the top-k pool items by the behavior logit, as (B, k) ids; ties go to the lower id."""
-    return _top_k(user_model.alpha.pw, user_model.alpha.head, hists, pools, k, catalog, work)
-
-
-def additive_q_policy(qnet: CascadeQNet, hists: np.ndarray, pools: Pools, k: int,
-                      catalog: ItemCatalog, work: nets.ScoreBuffers | None = None) -> np.ndarray:
-    """Per row, the top-k items by the single-item Q values (the argmax of the additive
-    slate value), as (B, k) ids; ties go to the lower id."""
-    return _top_k(qnet.pw, qnet.heads[0], hists, pools, k, catalog, work)
 
 
 def random_slate(pool: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -348,8 +310,6 @@ def make_policy(handle: PolicyHandle, catalog: ItemCatalog, k: int) -> Policy:
         model = handle.user_model
         return lambda hists, pools, row_rng: greedy_user_model_policy(model, hists, pools, k, catalog, work)
     qnet = handle.qnet
-    if handle.kind is PolicyKind.ADDITIVE_Q:
-        return lambda hists, pools, row_rng: additive_q_policy(qnet, hists, pools, k, catalog, work)
 
     def cascade(hists, pools, row_rng):
         return cascade_batch(qnet, nets.embed_history(hists, qnet.pw), *pools, catalog, work)[0]
@@ -469,32 +429,6 @@ def train_cdqn(world: TrainingEnv, config: CDQNConfig,
         on_iteration=on_iteration)
 
 
-def train_additive_q(world: TrainingEnv, config: CDQNConfig,
-                     on_iteration: Callable[[int, dict], None] | None = None) -> CascadeQNet:
-    """Same replay loop as train_cdqn for the additive baseline (one single-item network).
-
-    The slate value is the sum of its k single-item values; the greedy slate is the
-    top-k by single-item value and the bootstrap target uses the additive maximum,
-    i.e. the sum of the next state's top-k values."""
-    catalog, k = world.env.catalog, world.env.config.k
-
-    def slot_loss(qnet, batch, targets):  # Q is head 1's scores summed over the k one-item slots
-        view = ScorerNet(pw=qnet.pw, head=qnet.heads[0])
-        cache = nets.scorer_batch(view, batch.hist, catalog.feature_matrix(batch.slate))
-        resid = cache.scores.sum(axis=1) - targets
-        g = nets.scorer_batch_grad(view, cache, np.repeat((2.0 * resid / len(resid))[:, None], k, axis=1))
-        names = nets.cascade_head_names(1)
-        return float(np.mean(resid * resid)), {names.get(n, n): t for n, t in g.items()}
-
-    return _train_replay(
-        world, config, 1,
-        act=lambda qnet, hists, pools: additive_q_policy(qnet, hists, pools, k, catalog),
-        target=lambda qnet, batch: additive_target(
-            batch.reward, batch.next_hist, batch.next_pool, batch.next_mask, qnet, catalog,
-            config.gamma, k, batch.terminal),
-        loss=slot_loss, on_iteration=on_iteration)
-
-
 # ---------------------------------------------------------------------------
 # diagnostics and checkpoints
 
@@ -513,9 +447,9 @@ def constraint_diagnostic(qnet: CascadeQNet, hists: np.ndarray, pools: Pools,
             for idx, row in enumerate(values) for j in range(1, qnet.k + 1)]
 
 
-def save_policy(path, qnet: CascadeQNet, kind: PolicyKind = PolicyKind.CDQN,
-                extra_meta: dict[str, str] | None = None) -> None:
-    """Write the Q-net with its shape and the `kind` it was trained as, which load_policy checks."""
+def save_policy(path, qnet: CascadeQNet, extra_meta: dict[str, str] | None = None) -> None:
+    """Write the Q-net with its shape; the last meta line records it as a cdqn policy,
+    which load_policy checks."""
     tensors = dict(nets.named_tensors(qnet))
     meta = {
         "kind": "cascade_policy",
@@ -528,16 +462,17 @@ def save_policy(path, qnet: CascadeQNet, kind: PolicyKind = PolicyKind.CDQN,
     }
     if extra_meta:
         meta.update(extra_meta)
-    meta["policy_kind"] = kind.value
+    meta["policy_kind"] = PolicyKind.CDQN.value
     nets.save_tensors(path, tensors, meta)
 
 
-def load_policy(path, kind: PolicyKind) -> CascadeQNet:
-    """The Q-net of a policy checkpoint to play as `kind`; one whose recorded policy_kind
-    differs raises ValueError naming the file."""
+def load_policy(path) -> CascadeQNet:
+    """The Q-net of a cdqn policy checkpoint; one that records another policy_kind raises
+    ValueError naming the file."""
     with nets.read_checkpoint(path, "cascade_policy") as (tensors, meta):
-        if meta.get("policy_kind", kind.value) != kind.value:
-            raise ValueError(f"a policy trained as {meta['policy_kind']}, not {kind.value}")
+        trained = meta.get("policy_kind", PolicyKind.CDQN.value)
+        if trained != PolicyKind.CDQN.value:
+            raise ValueError(f"a policy trained as {trained}, not {PolicyKind.CDQN.value}")
         pw = nets.PositionWeightParams(W=tensors["W"], B=tensors["B"])
         heads = [{attr: tensors[name] for attr, name in nets.cascade_head_names(j).items()}
                  for j in range(1, int(meta["k"]) + 1)]

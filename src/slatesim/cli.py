@@ -48,16 +48,27 @@ def _one_of(choices: tuple[str, ...]):
     return cast
 
 
+def _seed(raw: str) -> int:
+    """Cast for a seed option: an integer >= 0, as numpy's generators take."""
+    seed = int(raw)
+    if seed < 0:
+        raise ValueError(f"a seed must be >= 0, got {seed}")
+    return seed
+
+
+_seed.__name__ = "non-negative seed"  # argparse's error reads "invalid non-negative seed value"
+
+
 # Every flag of every subcommand, declared once: name -> cast. The cast parses
 # the flag and its config-file key alike; an enum flag parses with its
 # constructor and offers the enum's values as argparse choices.
 _FLAGS = {
     # common
-    "seed": int, "out": str, "config": str,
+    "seed": _seed, "out": str, "config": str,
     # catalog
-    "data": str, "catalog-size": int, "dim": int, "catalog-seed": int,
+    "data": str, "catalog-size": int, "dim": int, "catalog-seed": _seed,
     # ground-truth user
-    "user-model": str, "gt-seed": int, "gt-m": int, "gt-n": int, "gt-hidden": int,
+    "user-model": str, "gt-seed": _seed, "gt-m": int, "gt-n": int, "gt-hidden": int,
     "gt-reward-scale": float,
     # env
     "k": int, "pool-size": int, "horizon": int, "nonclick-reward": float,
@@ -72,10 +83,9 @@ _FLAGS = {
     # train-policy
     "gamma": float, "epsilon": float, "epsilon-final": float, "iterations": int,
     "batch-users": int, "minibatch": int, "lr": float, "capacity": int,
-    "reward-mode": RewardMode, "policy-kind": _one_of(tuple(kind.value for kind in agent.Q_KINDS)),
+    "reward-mode": RewardMode,
     # evaluate
-    "spec": str, "roster": str, "policy": str, "policy-cdqn": str, "policy-additive": str,
-    "greedy-user-model": str, "n-users": int, "reps": int,
+    "spec": str, "roster": str, "policy": str, "greedy-user-model": str, "n-users": int, "reps": int,
     # diagnose-q, gradcheck
     "states": int, "trials": int, "dims-max": int,
 }
@@ -269,13 +279,9 @@ def cmd_train_policy(args: argparse.Namespace) -> int:
             _log(f"[train-policy] iter={it + 1}/{config.iterations} "
                  f"td_loss={stats['mean_td_loss']:.5g} eps={stats['epsilon']:.3f}")
 
-    kind = PolicyKind(opt.get("policy-kind", PolicyKind.CDQN.value))
-    if kind is PolicyKind.ADDITIVE_Q:
-        qnet = agent.train_additive_q(world, config, on_iteration=on_iteration)
-    else:
-        qnet = agent.train_cdqn(world, config, on_iteration=on_iteration)
+    qnet = agent.train_cdqn(world, config, on_iteration=on_iteration)
     ckpt = os.path.join(out_dir, "policy.ckpt")
-    agent.save_policy(ckpt, qnet, kind, extra_meta={"reward_mode": config.reward_mode.value})
+    agent.save_policy(ckpt, qnet, extra_meta={"reward_mode": config.reward_mode.value})
     _log(f"[train-policy] wrote {ckpt}")
     return 0
 
@@ -292,11 +298,10 @@ def _roster(opt: _Options) -> list[RosterEntry] | None:
             choices = sorted(member.value for member in PolicyKind)
             raise ValueError(f"unknown roster policy {name!r}; choose from {choices}") from None
         path = None
-        if kind in agent.Q_KINDS:
-            path = opt.get(f"policy-{name}") or opt.get("policy")
+        if kind is PolicyKind.CDQN:
+            path = opt.get("policy")
             if path is None:
-                raise ValueError(f"roster policy {name!r} needs a checkpoint: "
-                                 f"pass --policy-{name} or --policy")
+                raise ValueError(f"roster policy {name!r} needs a checkpoint: pass --policy")
         elif kind is PolicyKind.GREEDY_USER_MODEL:
             path = opt.get("greedy-user-model")
         roster.append(RosterEntry(name, kind, path))
@@ -339,7 +344,7 @@ def cmd_diagnose_q(args: argparse.Namespace) -> int:
     if n_states < 1:  # else every correlation is NaN over no state
         raise ValueError(f"states must be >= 1, got {n_states}")
     policy_path = opt.file("policy", required=True)
-    qnet = agent.load_policy(policy_path, PolicyKind.CDQN)
+    qnet = agent.load_policy(policy_path)
     _horizon(opt, EnvConfig.horizon, "to visit states")
     spec, env, user = _world(opt, k=qnet.k)
     metrics.check_fits(policy_path, d=(qnet.pw.d, env.catalog.d), m=(qnet.pw.m, user.m))
@@ -421,11 +426,9 @@ _COMMANDS = {
     "train-policy": (cmd_train_policy, "train a slate policy against a user model",
                      _COMMON + ("data",) + _CATALOG + _USER + _ENV
                      + ("gamma", "epsilon", "epsilon-final", "iterations", "batch-users",
-                        "minibatch", "lr", "capacity", "n", "hidden", "reward-mode",
-                        "policy-kind")),
+                        "minibatch", "lr", "capacity", "n", "hidden", "reward-mode")),
     "evaluate": (cmd_evaluate, "evaluate a policy roster on fixed test episodes",
-                 _COMMON + ("spec", "roster", "policy", "policy-cdqn", "policy-additive",
-                            "greedy-user-model") + _CATALOG + _USER + _ENV
+                 _COMMON + ("spec", "roster", "policy", "greedy-user-model") + _CATALOG + _USER + _ENV
                  + ("n-users", "reps")),
     "diagnose-q": (cmd_diagnose_q, "export per-position cascade values for a policy",
                    _COMMON + ("policy", "data") + _CATALOG + _USER

@@ -104,7 +104,7 @@ class EnvConfig:
 
     def __post_init__(self):
         if self.k < 1 or self.pool_size < self.k:
-            raise ValueError("need 1 <= k <= pool_size")
+            raise ValueError(f"need 1 <= k <= pool_size, got k={self.k} and pool_size={self.pool_size}")
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
         if not np.isfinite(self.nonclick_reward):

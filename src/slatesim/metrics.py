@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import Q_KINDS, NonFiniteQError, PolicyHandle, PolicyKind, load_policy, make_policy
+from .agent import NonFiniteQError, PolicyHandle, PolicyKind, load_policy, make_policy
 from .data import ItemCatalog, fmt, synth_catalog, write_lines
 from .env import EnvConfig, SlateEnv, make_ground_truth_user, rollout_batch
 from .training import UserModel, load_user_model
@@ -65,6 +65,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.roster:  # else the run evaluates nothing and writes a header-only aggregate.csv
             raise ValueError("roster must name at least one policy")
+        names = [entry.name for entry in self.roster]
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:  # else its metrics file is written twice and aggregate.csv repeats its row
+            raise ValueError(f"roster names {repeated[0]!r} more than once")
         if self.env.horizon < 1:  # an episode of no step has no reward or click rate
             raise ValueError(f"horizon must be >= 1, got {self.env.horizon}")
         if not (np.isfinite(self.gt_reward_scale) and self.gt_reward_scale > 0):  # else no or reversed taste
@@ -115,14 +119,11 @@ def load_experiment(spec: ExperimentSpec):
     env, user, catalog = build_experiment_env(spec)
     policies = []
     for entry in spec.roster:
-        if entry.kind in Q_KINDS:
+        if entry.kind is PolicyKind.CDQN:
             if entry.path is None or not os.path.exists(entry.path):
                 raise FileNotFoundError(f"policy checkpoint not found: {entry.path}")
-            qnet = load_policy(entry.path, entry.kind)
-            # the additive baseline ranks with its single-item head, whatever the slate size
-            if entry.kind is PolicyKind.CDQN:
-                check_fits(entry.path, k=(qnet.k, spec.env.k))
-            check_fits(entry.path, d=(qnet.pw.d, catalog.d), m=(qnet.pw.m, user.m))
+            qnet = load_policy(entry.path)
+            check_fits(entry.path, k=(qnet.k, spec.env.k), d=(qnet.pw.d, catalog.d), m=(qnet.pw.m, user.m))
             handle = PolicyHandle(entry.kind, qnet=qnet)
         elif entry.kind is PolicyKind.GREEDY_USER_MODEL:
             model = user

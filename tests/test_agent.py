@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from slatesim.agent import (
     ReplayBatch,
     ReplayMemory,
     RewardMode,
-    additive_q_policy,
-    additive_target,
     cascade_batch,
     cascade_plan,
     cascade_slate,
@@ -26,7 +25,6 @@ from slatesim.agent import (
     net_qeval,
     random_slate,
     save_policy,
-    train_additive_q,
     train_cdqn,
     TrainingDivergedError,
 )
@@ -34,7 +32,7 @@ from slatesim.data import ItemCatalog, synth_catalog
 from slatesim import agent
 from slatesim.env import EnvConfig, EpisodeKeys, SlateEnv, make_ground_truth_user, reset, rollout, step
 from slatesim.nets import (CascadeQNet, PositionWeightParams, ScoreBuffers, ScorerParams, embed_history,
-                            finite_difference_grad, head_scores, init_cascade_net, named_tensors)
+                            head_scores, init_cascade_net, named_tensors)
 
 from cascade_oracle import oracle_cascade_plan, oracle_net_qeval
 from pools import pad_pools
@@ -391,24 +389,6 @@ class TestCascadeBatch:
         wide = compute_target(rewards, hists, *pad_pools(pools, 30), qnet, catalog, 0.9, terminal)
         assert np.array_equal(wide, y)
 
-    def test_batched_additive_targets_match_per_row_loop(self):
-        catalog, _, hists, pools = self._random_case(n_states=200)
-        qnet = init_cascade_net(3, 4, 2, 6, 1, np.random.default_rng(34))
-        rng = np.random.default_rng(35)
-        rewards = rng.standard_normal(len(hists))
-        terminal = rng.random(len(hists)) < 0.25
-        y = additive_target(rewards, hists, *pad_pools(pools), qnet, catalog, 0.9, 3, terminal)
-        wide = additive_target(rewards, hists, *pad_pools(pools, 30), qnet, catalog, 0.9, 3, terminal)
-        assert np.array_equal(wide, y)
-        for row, (r, h, pool, done) in enumerate(zip(rewards, hists, pools, terminal)):
-            expected = r
-            if not done:
-                ids = tuple(sorted(set(pool)))
-                vals = net_qeval(qnet, embed_history(h, qnet.pw), catalog)(1, (), ids)
-                expected = r + 0.9 * np.sort(vals)[::-1][:3].sum()
-            assert abs(y[row] - expected) <= 1e-12
-
-
 class TestPolicies:
     def _setup(self):
         catalog = synth_catalog(12, 4, seed=4)
@@ -447,55 +427,22 @@ class TestPolicies:
         expected = [catalog.item_ids[i] for i in order[:3]]
         assert one_state(greedy_user_model_policy, user, hist, catalog.item_ids, 3, catalog) == expected
 
-    def test_additive_matches_subset_enumeration(self):
-        # top-k of a separable objective is the exact argmax over all C(6,2) subsets
-        catalog = synth_catalog(6, 3, seed=7)
-        rng = np.random.default_rng(8)
-        qnet = init_cascade_net(3, 3, 2, 5, 1, rng)
-        hist = np.zeros((3, 3))
-        pool = catalog.item_ids
-        s = embed_history(hist, qnet.pw)
-        single = dict(zip(pool, net_qeval(qnet, s, catalog)(1, (), pool)))
-        best_pair = max(itertools.combinations(pool, 2),
-                        key=lambda pair: single[pair[0]] + single[pair[1]])
-        slate = one_state(additive_q_policy, qnet, hist, pool, 2, catalog)
-        assert set(slate) == set(best_pair)
-
-    def test_additive_is_pool_order_invariant(self):
-        catalog = synth_catalog(9, 3, seed=9)
-        qnet = init_cascade_net(3, 3, 2, 5, 1, np.random.default_rng(10))
-        hist = np.zeros((3, 3))
-        a = one_state(additive_q_policy, qnet, hist, (1, 2, 3, 4, 5), 3, catalog)
-        b = one_state(additive_q_policy, qnet, hist, (5, 3, 1, 4, 2), 3, catalog)
-        assert a == b
-
-    @pytest.mark.parametrize("policy_fn", [greedy_user_model_policy, additive_q_policy])
-    def test_batched_top_k_matches_rows_alone(self, policy_fn):
+    def test_batched_top_k_matches_rows_alone(self):
         # ragged pools (padding), repeated and shuffled ids: each row of one
         # batched call is the slate that row gets alone
         catalog, user = self._setup()
-        model = user if policy_fn is greedy_user_model_policy else \
-            init_cascade_net(4, 3, 2, 5, 1, np.random.default_rng(13))
         rng = np.random.default_rng(14)
         hists = rng.standard_normal((40, 4, 3))
         pools = []
         for _ in range(40):
             pool = list(rng.choice(catalog.item_ids, size=rng.integers(3, 12), replace=False))
             pools.append(tuple(pool + pool[:2]) if rng.random() < 0.3 else tuple(pool))
-        batch = policy_fn(model, hists, pad_pools(pools), 3, catalog)
+        batch = greedy_user_model_policy(user, hists, pad_pools(pools), 3, catalog)
         assert batch.shape == (40, 3)
         for row, h, pool in zip(batch, hists, pools):
-            assert row.tolist() == one_state(policy_fn, model, h, pool, 3, catalog)
+            assert row.tolist() == one_state(greedy_user_model_policy, user, h, pool, 3, catalog)
         with pytest.raises(ValueError, match="pool smaller than k"):
-            policy_fn(model, hists[:2], pad_pools([pools[0], (1, 2, 2)]), 3, catalog)
-
-    def test_k1_additive_equals_cascade(self):
-        catalog = synth_catalog(7, 3, seed=11)
-        qnet = init_cascade_net(3, 3, 2, 5, 1, np.random.default_rng(12))
-        hist = np.zeros((3, 3))
-        pool = catalog.item_ids
-        assert one_state(additive_q_policy, qnet, hist, pool, 1, catalog) == \
-            cascade_slate(qnet, hist, pool, catalog)
+            greedy_user_model_policy(user, hists[:2], pad_pools([pools[0], (1, 2, 2)]), 3, catalog)
 
     def test_policy_handles_validate(self):
         with pytest.raises(ValueError, match="needs a qnet"):
@@ -542,7 +489,7 @@ class TestKeptScoreBuffers:
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("B", [1, 7, 80])
-    @pytest.mark.parametrize("kind", [PolicyKind.CDQN, PolicyKind.GREEDY_USER_MODEL, PolicyKind.ADDITIVE_Q],
+    @pytest.mark.parametrize("kind", [PolicyKind.CDQN, PolicyKind.GREEDY_USER_MODEL],
                              ids=lambda kind: kind.value)
     def test_policies_equal_fresh_calls(self, kind, B, k):
         catalog, rng, qnet, user = self._world(k, 45 + k)
@@ -552,20 +499,9 @@ class TestKeptScoreBuffers:
                 qnet, embed_history(hists, qnet.pw), *pools, catalog)[0],
             PolicyKind.GREEDY_USER_MODEL: lambda hists, pools: greedy_user_model_policy(
                 user, hists, pools, k, catalog),
-            PolicyKind.ADDITIVE_Q: lambda hists, pools: additive_q_policy(qnet, hists, pools, k, catalog),
         }[kind]
         for hists, ids, mask in self._calls(k, B, rng, catalog):
             assert np.array_equal(policy(hists, (ids, mask), None), fresh(hists, (ids, mask)))
-
-    @pytest.mark.parametrize("B", [1, 7, 80])
-    def test_top_k_scores_equal_fresh_calls(self, B):
-        # the values the greedy and additive policies rank, in one pair the two heads share
-        catalog, rng, qnet, user = self._world(1, 48)
-        work = ScoreBuffers()
-        for hists, ids, mask in self._calls(3, B, rng, catalog):
-            for pw, head in ((user.alpha.pw, user.alpha.head), (qnet.pw, qnet.heads[0])):
-                kept = agent._pool_scores(pw, head, hists, ids, mask, catalog, work)
-                assert kept.tobytes() == agent._pool_scores(pw, head, hists, ids, mask, catalog).tobytes()
 
     @pytest.mark.parametrize("value", [-1e308, np.nan], ids=["overflow", "nan"])
     def test_call_after_non_finite_error_equals_fresh_call(self, value):
@@ -650,13 +586,12 @@ class TestTrainCdqn:
         qnet = train_cdqn(factory, cfg)
         assert qnet.k == 3
 
-    @pytest.mark.parametrize("train", [train_cdqn, train_additive_q], ids=lambda f: f.__name__)
-    def test_training_deterministic(self, train):
+    def test_training_deterministic(self):
         factory, *_ = self._factory()
         cfg = CDQNConfig(iterations=3, horizon=4, batch_users=4, minibatch=8,
                          lr=0.05, seed=7, n=2, hidden=4)
-        q1 = train(factory, cfg)
-        q2 = train(factory, cfg)
+        q1 = train_cdqn(factory, cfg)
+        q2 = train_cdqn(factory, cfg)
         for name, t in named_tensors(q1).items():
             assert np.array_equal(t, named_tensors(q2)[name])
 
@@ -722,44 +657,6 @@ class TestTrainCdqn:
         assert calls == {"compute_target": updates, "td_value_and_grad": updates, "sgd_step": updates,
                          "sample": updates, "cascade_slate": greedy, "cascade_plan": greedy}
 
-    def test_additive_training_runs(self):
-        factory, env, user, catalog = self._factory()
-        cfg = CDQNConfig(iterations=3, horizon=4, batch_users=4, minibatch=8,
-                         lr=0.01, seed=9, n=2, hidden=4)
-        qnet = train_additive_q(factory, cfg)
-        assert qnet.k == 1
-        hist = np.zeros((4, 3))
-        slate = one_state(additive_q_policy, qnet, hist, catalog.item_ids, 3, catalog)
-        assert len(slate) == 3
-
-
-class TestTrainAdditive:
-    @pytest.mark.parametrize("slots", [1, 2, 5])
-    def test_slot_loss_matches_finite_differences(self, monkeypatch, slots):
-        # the additive learner's TD loss, as train_additive_q hands it to the replay loop:
-        # Q is head 1's scores summed over the slate's `slots` one-item slots
-        catalog = synth_catalog(9, 3, seed=40 + slots)
-        user = make_ground_truth_user(catalog, (4, 2, 6), seed=3)
-        env = SlateEnv(catalog, EnvConfig(k=slots, pool_size=9, horizon=2))
-        replay = {}
-        monkeypatch.setattr(agent, "_train_replay", lambda *args, **kwargs: replay.update(kwargs))
-        train_additive_q(make_env_factory(env, user, 0), CDQNConfig())
-        rng = np.random.default_rng(40 + slots)
-        qnet = init_cascade_net(3, 4, 2, 5, 1, rng)
-        batch = 4
-        F = rng.standard_normal((batch, 3, 4))
-        slate = np.array([rng.choice(catalog.item_ids, size=slots, replace=False) for _ in range(batch)])
-        rows = ReplayBatch(F, slate, *([None] * 5))
-        targets = rng.standard_normal(batch)
-        value, grads = replay["loss"](qnet, rows, targets)
-        q = head_scores(qnet.heads[0], embed_history(F, qnet.pw), catalog.feature_matrix(slate)).sum(axis=1)
-        assert value == pytest.approx(np.mean((q - targets) ** 2), rel=1e-12)
-        assert set(grads) == {"W", "B", "L1", "c1", "q1"}
-        numeric = finite_difference_grad(lambda: replay["loss"](qnet, rows, targets)[0], qnet)
-        for name, g in grads.items():
-            assert np.allclose(g, numeric[name], rtol=0, atol=1e-6), name
-
-
 class TestConstraintDiagnostic:
     def test_zero_networks_give_zero_pairs(self):
         catalog = synth_catalog(8, 3, seed=15)
@@ -784,18 +681,20 @@ class TestPolicyCheckpoint:
         qnet = init_cascade_net(3, 4, 2, 5, 3, np.random.default_rng(19))
         path = tmp_path / "policy.ckpt"
         save_policy(path, qnet, extra_meta={"reward_mode": "learned"})
-        loaded = load_policy(path, PolicyKind.CDQN)
+        loaded = load_policy(path)
         assert loaded.k == 3
         for name, t in named_tensors(qnet).items():
             assert np.array_equal(t, named_tensors(loaded)[name])
 
-    @pytest.mark.parametrize("kind, other", [(PolicyKind.CDQN, PolicyKind.ADDITIVE_Q),
-                                             (PolicyKind.ADDITIVE_Q, PolicyKind.CDQN)])
-    def test_saved_kind_loads_as_itself_only(self, tmp_path, kind, other):
+    @pytest.mark.parametrize("other", ["additive", "greedy", "random"])
+    def test_policy_of_another_kind_is_refused(self, tmp_path, other):
+        # every checkpoint records itself as cdqn in its last meta line; one that records
+        # another kind (here rewritten by hand) does not load
         path = tmp_path / "policy.ckpt"
-        save_policy(path, init_cascade_net(3, 4, 2, 5, 1, np.random.default_rng(19)), kind)
-        assert load_policy(path, kind).k == 1
-        meta = [line for line in path.read_text().splitlines() if line.startswith("meta ")]
-        assert meta[-1] == f"meta policy_kind {kind.value}"
-        with pytest.raises(ValueError, match=f"a policy trained as {kind.value}, not {other.value}"):
-            load_policy(path, other)
+        save_policy(path, init_cascade_net(3, 4, 2, 5, 1, np.random.default_rng(19)))
+        lines = path.read_text().splitlines()
+        assert [line for line in lines if line.startswith("meta ")][-1] == "meta policy_kind cdqn"
+        path.write_text("\n".join(line.replace("meta policy_kind cdqn", f"meta policy_kind {other}")
+                                  for line in lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: a policy trained as {other}, not cdqn")):
+            load_policy(path)

@@ -6,6 +6,7 @@ EnvConfig and ExperimentSpec a command builds, plus its catalog and user."""
 
 import dataclasses
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -31,15 +32,14 @@ class Stopped(Exception):
 
 @pytest.fixture(scope="module")
 def world(tmp_path_factory):
-    """A click log (d=3, m=3), its ground-truth user and two k=2 policy checkpoints."""
+    """A click log (d=3, m=3), its ground-truth user and a k=2 policy checkpoint."""
     root = tmp_path_factory.mktemp("world")
     assert cli_main(["gen-data", "--users", "4", "--horizon", "3", "--k", "2",
                      "--pool-size", "4", "--catalog-size", "8", "--dim", "3", "--m", "3",
                      "--n", "2", "--hidden", "4", "--seed", "1", "--out", str(root)]) == 0
-    for name, seed, kind in (("policy.ckpt", 0, PolicyKind.CDQN), ("additive.ckpt", 1, PolicyKind.ADDITIVE_Q)):
-        save_policy(root / name, init_cascade_net(3, 3, 2, 4, 2, np.random.default_rng(seed)), kind)
+    save_policy(root / "policy.ckpt", init_cascade_net(3, 3, 2, 4, 2, np.random.default_rng(0)))
     return {"data": str(root / "data.txt"), "user": str(root / "ground_truth_user.ckpt"),
-            "policy": str(root / "policy.ckpt"), "additive": str(root / "additive.ckpt")}
+            "policy": str(root / "policy.ckpt")}
 
 
 @pytest.fixture
@@ -54,8 +54,7 @@ def calls(monkeypatch, tmp_path):
         return record
 
     for owner, name in ((training, "train_mle"), (training, "train_minimax"),
-                        (agent, "train_cdqn"), (agent, "train_additive_q"),
-                        (cli, "run_experiment"), (cli, "collect_states")):
+                        (agent, "train_cdqn"), (cli, "run_experiment"), (cli, "collect_states")):
         monkeypatch.setattr(owner, name, stub(name))
     monkeypatch.chdir(tmp_path)
     return seen
@@ -139,10 +138,8 @@ class TestResolvedConfigs:
                                       hidden=6, patience=4)
         assert (tmp_path / "o").is_dir()
 
-    @pytest.mark.parametrize("kind, entry", [("cdqn", "train_cdqn"), ("additive", "train_additive_q")])
-    def test_train_policy_minimal(self, calls, tmp_path, kind, entry):
-        argv = ["train-policy"] + (["--policy-kind", kind] if kind == "additive" else [])
-        factory, config = run(argv, calls, entry)
+    def test_train_policy_minimal(self, calls, tmp_path):
+        factory, config = run(["train-policy"], calls, "train_cdqn")
         env, user, seed = factory
         assert config == cdqn_config()
         assert env.config == env_config()
@@ -150,15 +147,14 @@ class TestResolvedConfigs:
         assert_world(env, user, *default_catalog_and_user(), tmp_path)
         assert os.path.isdir("out")
 
-    @pytest.mark.parametrize("kind, entry", [("cdqn", "train_cdqn"), ("additive", "train_additive_q")])
-    def test_train_policy_config_file_with_data(self, world, calls, tmp_path, kind, entry):
+    def test_train_policy_config_file_with_data(self, world, calls, tmp_path):
         cfg = {"data": world["data"], "catalog-size": 99, "gt-seed": 5, "gt-m": 2, "gt-n": 3,
                "gt-hidden": 4, "gt-reward-scale": 2.5, "k": 2, "pool-size": 4, "horizon": 3,
                "nonclick-reward": -0.5, "gamma": 0.8, "epsilon": 0.4, "epsilon-final": 0.05,
                "iterations": 7, "batch-users": 3, "minibatch": 5, "lr": 0.01, "capacity": 99,
                "n": 2, "hidden": 5, "reward-mode": "pm1", "seed": 3, "out": tmp_path / "o",
-               "policy-kind": kind, "epochs": 4, "states": 8}  # epochs, states: other stages' keys
-        factory, config = run(["train-policy", "--lr", "0.03"], calls, entry, cfg, tmp_path)
+               "epochs": 4, "states": 8}  # epochs, states: other stages' keys
+        factory, config = run(["train-policy", "--lr", "0.03"], calls, "train_cdqn", cfg, tmp_path)
         env, user, seed = factory
         assert config == cdqn_config(gamma=0.8, epsilon=0.4, epsilon_final=0.05, iterations=7,
                                      horizon=3, batch_users=3, minibatch=5, lr=0.03, seed=3,
@@ -190,8 +186,8 @@ class TestResolvedConfigs:
             f"seed=4\ncatalog-size=10\ndim=3\ncatalog-seed=2\nuser-model={world['user']}\n"
             "gt-m=2\ngt-n=3\ngt-hidden=4\ngt-seed=6\ngt-reward-scale=1.5\n"
             "k=2\npool-size=5\nhorizon=4\nnonclick-reward=-1\nn-users=3\nreps=2\n"
-            f"out={tmp_path / 'o'}\nroster=random, greedy,cdqn,,additive\n"
-            f"policy={world['policy']}\npolicy-additive={world['additive']}\n"
+            f"out={tmp_path / 'o'}\nroster=random, greedy,cdqn,,\n"
+            f"policy={world['policy']}\n"
             f"greedy-user-model={world['user']}\nlr=0.5\n")
         (spec,) = run(["evaluate", how, str(path), "--reps", "3"], calls, "run_experiment")
         assert spec == experiment_spec(
@@ -201,8 +197,7 @@ class TestResolvedConfigs:
             repetitions=3, out_dir=str(tmp_path / "o"),
             roster=[RosterEntry("random", PolicyKind.RANDOM, None),
                     RosterEntry("greedy", PolicyKind.GREEDY_USER_MODEL, world["user"]),
-                    RosterEntry("cdqn", PolicyKind.CDQN, world["policy"]),
-                    RosterEntry("additive", PolicyKind.ADDITIVE_Q, world["additive"])])
+                    RosterEntry("cdqn", PolicyKind.CDQN, world["policy"])])
 
     def test_diagnose_q_minimal(self, world, calls, tmp_path):
         # a k=2 policy on the default world's d=8 features and m=5 clicks of history
@@ -450,3 +445,72 @@ def test_bad_ground_truth_user_exits_2_and_names_the_field(tmp_path, monkeypatch
     assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("gen-data", "seed"), ("train-user-model", "seed"),
+    ("train-policy", "seed"), ("train-policy", "catalog-seed"), ("train-policy", "gt-seed"),
+    ("evaluate", "seed"), ("evaluate", "catalog-seed"), ("evaluate", "gt-seed"),
+    ("diagnose-q", "seed"), ("diagnose-q", "catalog-seed"), ("diagnose-q", "gt-seed"),
+    ("gradcheck", "seed"),
+])
+@pytest.mark.parametrize("in_config", [False, True], ids=["flag", "config-file"])
+def test_negative_seed_exits_2_and_names_the_flag(world, tmp_path, monkeypatch, capsys, command, flag,
+                                                   in_config):
+    # numpy's generators take no negative seed; each stage once made --out before it failed
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--out", str(tmp_path / "o")]
+    if command == "train-user-model":
+        argv += ["--data", world["data"]]
+    if command == "diagnose-q":
+        argv += ["--policy", world["policy"]]
+    if in_config:
+        (tmp_path / "c.cfg").write_text(f"{flag}=-1\n")
+        argv += ["--config", str(tmp_path / "c.cfg")]
+        says = f"c.cfg: bad value for key '{flag}': a seed must be >= 0, got -1"
+    else:
+        argv += [f"--{flag}", "-1"]
+        says = f"argument --{flag}: invalid non-negative seed value: '-1'"
+    assert cli_main(argv) == 2
+    assert says in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, config, says", [
+    (["evaluate", "--roster", "additive"], None, "unknown roster policy 'additive'"),
+    (["evaluate", "--roster", "cdqn", "--policy-cdqn", "P"], None, "unrecognized arguments: --policy-cdqn"),
+    (["evaluate", "--roster", "cdqn", "--policy-additive", "P"], None,
+     "unrecognized arguments: --policy-additive"),
+    (["train-policy", "--policy-kind", "additive"], None, "unrecognized arguments: --policy-kind"),
+    (["train-policy"], "policy-kind=cdqn\n", "unknown key 'policy-kind'"),
+], ids=["roster", "policy-cdqn", "policy-additive", "policy-kind", "policy-kind-key"])
+def test_removed_policy_kind_options_exit_2(tmp_path, monkeypatch, capsys, argv, config, says):
+    # cdqn is the one Q-network policy: its checkpoint goes to --policy
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "c.cfg").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "c.cfg")]
+    assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert says in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def readme_commands() -> list[list[str]]:
+    """The `slatesim ...` commands of README.md's end-to-end example, continuation lines joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("End-to-end example:", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("slatesim ")]
+
+
+def test_readme_pipeline_parses():
+    # a flag the parser dropped would leave the README's example stale
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == ["gen-data", "train-user-model", "train-policy",
+                                              "evaluate", "diagnose-q", "gradcheck"]
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: slatesim {shlex.join(argv)}")

@@ -348,7 +348,6 @@ class TestCli:
         assert cli_main(["no-such-command"]) == 2
 
     @pytest.mark.parametrize("command, key, value", [
-        ("train-policy", "policy-kind", "Additive"),
         ("train-policy", "reward-mode", "PM1"),
         ("train-user-model", "regularizer", "L2"),
         ("train-user-model", "init-scheme", "Entropy"),
@@ -395,7 +394,7 @@ class TestCli:
         code = cli_main(["evaluate", "--roster", "random,bogus", "--out", str(tmp_path)])
         assert code == 2
         assert ("unknown roster policy 'bogus'; choose from "
-                "['additive', 'cdqn', 'greedy', 'random']") in capsys.readouterr().err
+                "['cdqn', 'greedy', 'random']") in capsys.readouterr().err
 
     @pytest.mark.parametrize("roster", ["", ",", " , "], ids=["empty", "comma", "blank-names"])
     def test_empty_roster_exits_2_naming_the_flag(self, tmp_path, capsys, roster):
@@ -405,16 +404,36 @@ class TestCli:
         assert f"--roster names no policy: {roster!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("roster, repeated", [("cdqn,random,cdqn", "cdqn"), ("random, random", "random"),
+                                                  ("greedy,,cdqn,greedy", "greedy")],
+                             ids=["cdqn", "random", "greedy"])
+    def test_repeated_roster_name_exits_2_naming_it(self, tmp_path, capsys, roster, repeated):
+        # else the policy plays twice, its metrics file is written twice and
+        # aggregate.csv holds two rows of it
+        path = str(tmp_path / "policy.ckpt")
+        save_policy(path, init_cascade_net(8, 5, 4, 16, 3, np.random.default_rng(0)))
+        code = cli_main(["evaluate", "--roster", roster, "--policy", path,
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: roster names {repeated!r} more than once" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_empty_roster_is_refused_by_the_spec(self):
         with pytest.raises(ValueError, match="roster must name at least one policy"):
             ExperimentSpec(roster=[])
 
-    @pytest.mark.parametrize("name", ["cdqn", "additive"])
-    def test_roster_entry_without_checkpoint_exits_2_naming_the_flags(self, tmp_path, capsys, name):
-        code = cli_main(["evaluate", "--roster", name, "--out", str(tmp_path / "out")])
+    def test_repeated_roster_name_is_refused_by_the_spec(self):
+        # the names, not the kinds, must differ: two random entries of other names may play
+        two = [RosterEntry("a", PolicyKind.RANDOM), RosterEntry("b", PolicyKind.RANDOM)]
+        assert ExperimentSpec(roster=two).roster == two
+        with pytest.raises(ValueError, match="roster names 'a' more than once"):
+            ExperimentSpec(roster=two + [RosterEntry("a", PolicyKind.GREEDY_USER_MODEL)])
+
+    def test_roster_entry_without_checkpoint_exits_2_naming_the_flag(self, tmp_path, capsys):
+        code = cli_main(["evaluate", "--roster", "cdqn", "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"--policy-{name} or --policy" in err
+        assert "roster policy 'cdqn' needs a checkpoint: pass --policy" in err
         assert "[evaluate]" not in err
         assert not (tmp_path / "out").exists()
 
@@ -424,8 +443,6 @@ class TestCli:
          "d=8 where the run has d=6"),
         (["evaluate", "--roster", "cdqn", "--policy", "P", "--k", "5", "--gt-m", "3"], "P",
          "m=5 where the run has m=3"),
-        (["evaluate", "--roster", "additive", "--policy-additive", "P", "--dim", "6"], "P",
-         "d=8 where the run has d=6"),
         (["diagnose-q", "--policy", "P", "--dim", "6"], "P", "d=8 where the run has d=6"),
         (["evaluate", "--roster", "greedy", "--greedy-user-model", "U", "--dim", "6"], "U",
          "d=8 where the run has d=6"),
@@ -437,11 +454,9 @@ class TestCli:
     ])
     def test_checkpoint_that_does_not_fit_exits_2_naming_the_file(self, tmp_path, capsys,
                                                                    argv, file, mismatch):
-        # a k=5 policy of the kind the run plays and a user model, both on d=8 features
-        # and m=5 clicks of history
+        # a k=5 policy and a user model, both on d=8 features and m=5 clicks of history
         paths = {"P": str(tmp_path / "policy.ckpt"), "U": str(tmp_path / "user.ckpt")}
-        save_policy(paths["P"], init_cascade_net(8, 5, 4, 16, 5, np.random.default_rng(0)),
-                    PolicyKind.ADDITIVE_Q if "--policy-additive" in argv else PolicyKind.CDQN)
+        save_policy(paths["P"], init_cascade_net(8, 5, 4, 16, 5, np.random.default_rng(0)))
         save_user_model(paths["U"], make_ground_truth_user(synth_catalog(10, 8), (5, 4, 16), seed=1))
         out = tmp_path / "out"
         code = cli_main([paths.get(arg, arg) for arg in argv]
@@ -460,6 +475,11 @@ class TestCli:
         assert code == 2
         assert f"error: {path} does not fit the run: k=5 where the run has k=3" in err
         assert "[evaluate]" not in err
+        # diagnose-q takes k from the policy, which a smaller pool cannot fill
+        code = cli_main(["diagnose-q", "--policy", path, "--pool-size", "4", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: need 1 <= k <= pool_size, got k=5 and pool_size=4\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, args", [
         ("evaluate", ["--k", "3", "--n-users", "5", "--reps", "2", "--gt-reward-scale", "3"]),
@@ -501,29 +521,19 @@ class TestCli:
                 "position 2 is not finite") in capsys.readouterr().err
         assert not (tmp_path / "out" / output).exists()
 
-    @pytest.mark.parametrize("trained, k, argv", [
-        (None, 5, ["evaluate", "--roster", "additive", "--policy-additive", "P"]),
-        ("additive", 1, ["evaluate", "--roster", "cdqn", "--policy-cdqn", "P", "--k", "1"]),
-        ("additive", 1, ["diagnose-q", "--policy", "P"]),
-    ], ids=["cdqn-as-additive", "additive-as-cdqn", "additive-diagnosed"])
-    def test_policy_trained_as_another_kind_exits_2_naming_the_file(self, tmp_path, capsys,
-                                                                  trained, k, argv):
-        # the checkpoints fit the run's d, m and k; only their recorded policy_kind differs.
-        # None saves with save_policy's default kind, as a net saved from the library is
-        path = str(tmp_path / "policy.ckpt")
-        qnet = init_cascade_net(8, 5, 4, 16, k, np.random.default_rng(0))
-        if trained is None:
-            save_policy(path, qnet)
-            trained = "cdqn"
-        else:
-            save_policy(path, qnet, PolicyKind(trained))
-        played = "cdqn" if trained == "additive" else "additive"
-        code = cli_main([path if arg == "P" else arg for arg in argv]
-                        + ["--n-users", "2", "--reps", "1"] * (argv[0] == "evaluate")
+    @pytest.mark.parametrize("argv", [["evaluate", "--roster", "cdqn", "--policy", "P"],
+                                      ["diagnose-q", "--policy", "P"]], ids=lambda argv: argv[0])
+    def test_policy_trained_as_another_kind_exits_2_naming_the_file(self, tmp_path, capsys, argv):
+        # the checkpoint fits the run's d, m and k; only its recorded policy_kind, rewritten
+        # by hand, differs
+        path = tmp_path / "policy.ckpt"
+        save_policy(path, init_cascade_net(8, 5, 4, 16, 5, np.random.default_rng(0)))
+        path.write_text(path.read_text().replace("meta policy_kind cdqn", "meta policy_kind additive"))
+        code = cli_main([str(path) if arg == "P" else arg for arg in argv]
+                        + ["--n-users", "2", "--reps", "1", "--k", "5"] * (argv[0] == "evaluate")
                         + ["--out", str(tmp_path / "out")])
         assert code == 2
-        assert (f"error: {path}: a policy trained as {trained}, not {played}"
-                in capsys.readouterr().err)
+        assert f"error: {path}: a policy trained as additive, not cdqn" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_end_to_end_pipeline(self, tmp_path, capsys):
@@ -560,7 +570,7 @@ class TestCli:
         # 4. evaluate random vs greedy vs the trained policy
         assert cli_main([
             "evaluate", "--roster", "random,greedy,cdqn",
-            "--policy-cdqn", policy_ckpt, "--user-model", user_ckpt,
+            "--policy", policy_ckpt, "--user-model", user_ckpt,
             "--catalog-size", "12", "--dim", "4", "--catalog-seed", "1",
             "--k", "3", "--pool-size", "6", "--horizon", "4",
             "--n-users", "3", "--reps", "2", "--seed", "1", "--out", out,

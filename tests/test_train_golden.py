@@ -1,4 +1,4 @@
-"""Trained Q-networks are byte-stable: both replay trainers in both reward modes against recorded digests.
+"""Trained Q-networks are byte-stable: the cdqn trainer in both reward modes against recorded digests.
 
 Each case records the sha256 of the trained tensors and of the (slate, chosen)
 sequence the trainer played, in the order the sessions played it (step by
@@ -8,11 +8,12 @@ stepping them in lockstep reproduces them bit for bit. The tensor digests
 were re-recorded twice. First, when the scorer's contractions moved from
 np.einsum to matmuls and the TD target's embedding to embed_history: that
 moved trained tensors in the last bits (at most 4.9e-16 of a tensor's largest
-entry) and left every played sequence unchanged. Second, the cdqn cases only,
-when the TD loss ran all k cascade heads as one block pass on one embedding
-(td_value_and_grad): trained tensors moved by at most 4.8e-16 of a tensor's
-largest entry (W of cdqn_learned); every played sequence and both additive
-cases kept their digests. Print the current digests with
+entry) and left every played sequence unchanged. Second, when the TD loss ran
+all k cascade heads as one block pass on one embedding (td_value_and_grad):
+trained tensors moved by at most 4.8e-16 of a tensor's largest entry (W of
+cdqn_learned); every played sequence kept its digest. The file once also held
+the digests of the additive-Q baseline, removed with that baseline; the cdqn
+entries kept their bytes. Print the current digests with
 `PYTHONPATH=src python tests/test_train_golden.py`.
 """
 
@@ -23,33 +24,31 @@ from pathlib import Path
 import pytest
 
 from slatesim import agent
-from slatesim.agent import CDQNConfig, RewardMode, make_env_factory, train_additive_q, train_cdqn
+from slatesim.agent import CDQNConfig, RewardMode, make_env_factory, train_cdqn
 from slatesim.data import synth_catalog
 from slatesim.env import EnvConfig, SlateEnv, make_ground_truth_user
 from slatesim.nets import named_tensors
 
 GOLDEN = Path(__file__).parent / "golden" / "train_digests.json"
 
-# name -> (trainer, reward mode, pool size). A pool the size of the 14-item
-# catalog holds every item not yet clicked, so replay holds ragged pools.
+# name -> (reward mode, pool size). A pool the size of the 14-item catalog
+# holds every item not yet clicked, so replay holds ragged pools.
 CASES = {
-    "cdqn_learned": (train_cdqn, RewardMode.LEARNED_REWARD, 6),
-    "cdqn_pm1": (train_cdqn, RewardMode.PLUS_MINUS_ONE, 14),
-    "additive_learned": (train_additive_q, RewardMode.LEARNED_REWARD, 14),
-    "additive_pm1": (train_additive_q, RewardMode.PLUS_MINUS_ONE, 6),
+    "cdqn_learned": (RewardMode.LEARNED_REWARD, 6),
+    "cdqn_pm1": (RewardMode.PLUS_MINUS_ONE, 14),
 }
 
 
 def train_case(name: str):
     """Train one case: 8 iterations of 6 sessions x 5 steps, into a replay of 100 (it wraps)."""
-    trainer, mode, pool_size = CASES[name]
+    mode, pool_size = CASES[name]
     catalog = synth_catalog(14, 4, seed=5)
     user = make_ground_truth_user(catalog, (3, 2, 6), seed=6, reward_scale=2.0)
     env = SlateEnv(catalog, EnvConfig(k=3, pool_size=pool_size, horizon=5, nonclick_reward=-0.1))
     config = CDQNConfig(gamma=0.8, epsilon=0.4, epsilon_final=0.05, iterations=8, horizon=5,
                         batch_users=6, minibatch=12, lr=0.01, seed=11, capacity=100,
                         reward_mode=mode, n=2, hidden=6)
-    return trainer(make_env_factory(env, user, 4), config)
+    return train_cdqn(make_env_factory(env, user, 4), config)
 
 
 def tensor_digest(qnet) -> str:
