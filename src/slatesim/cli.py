@@ -38,16 +38,6 @@ def parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _one_of(choices: tuple[str, ...]):
-    """Cast for a string option restricted to `choices` (shared with the argparse flag)."""
-    def cast(raw: str) -> str:
-        if raw not in choices:
-            raise ValueError(f"{raw!r} is not one of {', '.join(choices)}")
-        return raw
-    cast.choices = choices
-    return cast
-
-
 def _seed(raw: str) -> int:
     """Cast for a seed option: an integer >= 0, as numpy's generators take."""
     seed = int(raw)
@@ -72,20 +62,19 @@ _FLAGS = {
     "gt-reward-scale": float,
     # env
     "k": int, "pool-size": int, "horizon": int, "nonclick-reward": float,
-    # scorer architecture (gen-data, train-user-model, train-policy)
+    # scorer architecture (train-user-model, train-policy)
     "m": int, "n": int, "hidden": int,
     # gen-data
-    "users": int, "reward-scale": float,
+    "users": int,
     # train-user-model
     "epochs": int, "batch-size": int, "lr-theta": float, "lr-alpha": float, "eta": float,
-    "regularizer": Regularizer, "init-scheme": InitScheme,
-    "method": _one_of(("mle", "minimax")), "patience": int,
+    "regularizer": Regularizer, "init-scheme": InitScheme, "patience": int,
     # train-policy
     "gamma": float, "epsilon": float, "epsilon-final": float, "iterations": int,
     "batch-users": int, "minibatch": int, "lr": float, "capacity": int,
     "reward-mode": RewardMode,
     # evaluate
-    "spec": str, "roster": str, "policy": str, "greedy-user-model": str, "n-users": int, "reps": int,
+    "roster": str, "policy": str, "greedy-user-model": str, "n-users": int, "reps": int,
     # diagnose-q, gradcheck
     "states": int, "trials": int, "dims-max": int,
 }
@@ -172,6 +161,15 @@ def _horizon(opt: _Options, default: int, needs: str) -> int:
     return horizon
 
 
+def _episode_seeds(seed: int, episodes: int, parity: int) -> None:
+    """Refuse --seed before any output is made when the last of `episodes` episode
+    seeds 2 * (seed + i) + parity reaches 2**64, which the rollouts refuse mid-run."""
+    last = 2 * (seed + episodes - 1) + parity
+    if episodes > 0 and last >= 2**64:
+        raise ValueError(f"--seed {seed} is too large for {episodes} episodes: "
+                         f"episode seed {last} reaches 2**64")
+
+
 def _world(opt: _Options, **env_fields) -> tuple[ExperimentSpec, SlateEnv, UserModel]:
     """The options' experiment spec (`env_fields` fix EnvConfig fields), its env and its user.
 
@@ -189,31 +187,24 @@ def _world(opt: _Options, **env_fields) -> tuple[ExperimentSpec, SlateEnv, UserM
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
     opt = _load_options(args)
-    seed = opt.get("seed", 0)
     users = opt.get("users", 50)
     if users < 1:
         raise ValueError(f"users must be >= 1, got {users}")
     horizon = _horizon(opt, 20, "to log any record")
-    k = opt.get("k", 5)
-    pool_size = opt.get("pool-size", 20)
-    K = opt.get("catalog-size", 50)
-    d = opt.get("dim", 8)
-    m = opt.get("m", 5)
-    n = opt.get("n", 4)
-    hidden = opt.get("hidden", 16)
-    reward_scale = opt.get("reward-scale", 1.0)
-    spec = ExperimentSpec(catalog_size=K, dim=d, catalog_seed=seed, gt_m=m, gt_n=n, gt_hidden=hidden,
-                          gt_seed=seed + 1, gt_reward_scale=reward_scale,
-                          env=EnvConfig(k=k, pool_size=pool_size, horizon=horizon))
-    out_dir = _out_dir(opt)
+    # gen-data's own world: 50 items, k 5, pool 20; its catalog seeded --seed, its user --seed + 1
+    seed = opt.get("seed", 0)
+    spec = opt.fields(ExperimentSpec, catalog_size=opt.get("catalog-size", 50), catalog_seed=seed,
+                      gt_seed=seed + 1, env=opt.fields(EnvConfig, k=opt.get("k", 5), horizon=horizon))
+    _episode_seeds(seed, users, 0)
     env, user, catalog = metrics.build_experiment_env(spec)
-    policy = agent.make_policy(agent.PolicyHandle(PolicyKind.RANDOM), catalog, k)
+    out_dir = _out_dir(opt)
+    policy = agent.make_policy(agent.PolicyHandle(PolicyKind.RANDOM), catalog, spec.env.k)
     results = rollout_batch(env, user, policy, [2 * (seed + u) for u in range(users)],
                             T=horizon, user_ids=range(users))
     trajectories = [traj for traj, _, _ in results]
     _log(f"[gen-data] simulated {users} users")
     data_path = os.path.join(out_dir, "data.txt")
-    save_trajectories(catalog, trajectories, data_path, m=m)
+    save_trajectories(catalog, trajectories, data_path, m=user.m)
     user_path = os.path.join(out_dir, "ground_truth_user.ckpt")
     save_user_model(user_path, user)
     _log(f"[gen-data] wrote {data_path} and {user_path}")
@@ -229,10 +220,8 @@ def cmd_train_user_model(args: argparse.Namespace) -> int:
         raise ValueError(f"{data_path}: the log holds no click record to fit")
     # --m falls back to the history length the data file was written with
     config = opt.fields(TrainConfig, m=opt.get("m", m if m > 0 else None))
-    method = opt.get("method", "minimax" if config.regularizer is Regularizer.L2 else "mle")
-    if method == "mle" and config.regularizer is not Regularizer.SHANNON_ENTROPY:
-        raise ValueError(f"--method mle requires --regularizer {Regularizer.SHANNON_ENTROPY.value}, "
-                         f"got --regularizer {config.regularizer.value}")
+    # the entropy rule's inner maximum is closed-form, so its minimax fit is maximum likelihood
+    fit = training.train_minimax if config.regularizer is Regularizer.L2 else training.train_mle
     out_dir = _out_dir(opt)
     split = split_users([t.user_id for t in trajectories], seed=config.seed)
     train = [t for t in trajectories if t.user_id in split.train]
@@ -248,10 +237,7 @@ def cmd_train_user_model(args: argparse.Namespace) -> int:
         _log(f"[train-user-model] epoch={epoch} " +
              " ".join(f"{k}={v:.5g}" for k, v in stats.items()))
 
-    if method == "mle":
-        model = training.train_mle(catalog, train, config, valid=valid, on_epoch=on_epoch)
-    else:
-        model = training.train_minimax(catalog, train, config, valid=valid, on_epoch=on_epoch)
+    model = fit(catalog, train, config, valid=valid, on_epoch=on_epoch)
     ckpt = os.path.join(out_dir, "user_model.ckpt")
     save_user_model(ckpt, model)
     write_lines(os.path.join(out_dir, "train_log.csv"), log_lines)
@@ -270,6 +256,7 @@ def cmd_train_policy(args: argparse.Namespace) -> int:
     # the two defaults of this command that differ from CDQNConfig's
     epsilon, iterations = opt.get("epsilon", 0.2), opt.get("iterations", 150)
     config = opt.fields(CDQNConfig, horizon=env.config.horizon, epsilon=epsilon, iterations=iterations)
+    _episode_seeds(config.seed, config.iterations * config.batch_users, 0)
     out_dir = _out_dir(opt)
     # training episodes stay on even seeds; evaluation uses odd ones
     world = agent.make_env_factory(env, user, 2 * config.seed)
@@ -317,16 +304,9 @@ def _experiment_spec(opt: _Options, **env_fields) -> ExperimentSpec:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    spec_path = args.spec
-    if spec_path and args.config:
-        raise ValueError(f"--config {args.config} and --spec {spec_path} are both given; "
-                         "pass one of them")
-    if spec_path:
-        if not os.path.exists(spec_path):
-            raise FileNotFoundError(f"spec file not found: {spec_path}")
-        args.config = spec_path
     opt = _load_options(args)
     spec = _experiment_spec(opt)
+    _episode_seeds(spec.seed, spec.n_users * spec.repetitions, 1)
     loaded = load_experiment(spec)
     _log(f"[evaluate] {len(spec.roster)} policies x {spec.repetitions} reps x {spec.n_users} users")
     reports = run_experiment(spec, loaded=loaded)
@@ -348,6 +328,7 @@ def cmd_diagnose_q(args: argparse.Namespace) -> int:
     _horizon(opt, EnvConfig.horizon, "to visit states")
     spec, env, user = _world(opt, k=qnet.k)
     metrics.check_fits(policy_path, d=(qnet.pw.d, env.catalog.d), m=(qnet.pw.m, user.m))
+    _episode_seeds(spec.seed, -(-n_states // env.config.horizon), 1)
     out_dir = _out_dir(opt)
     try:
         hists, pools = collect_states(env, user, qnet, n_states, spec.seed)
@@ -418,17 +399,17 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 _COMMANDS = {
     "gen-data": (cmd_gen_data, "simulate click logs from a synthetic user",
                  _COMMON + ("users", "horizon", "k", "pool-size", "catalog-size", "dim",
-                            "m", "n", "hidden", "reward-scale")),
+                            "gt-m", "gt-n", "gt-hidden", "gt-reward-scale")),
     "train-user-model": (cmd_train_user_model, "fit the choice model from a click log",
                          _COMMON + ("data", "epochs", "batch-size", "lr-theta", "lr-alpha", "eta",
-                                    "regularizer", "init-scheme", "method", "m", "n", "hidden",
+                                    "regularizer", "init-scheme", "m", "n", "hidden",
                                     "patience")),
     "train-policy": (cmd_train_policy, "train a slate policy against a user model",
                      _COMMON + ("data",) + _CATALOG + _USER + _ENV
                      + ("gamma", "epsilon", "epsilon-final", "iterations", "batch-users",
                         "minibatch", "lr", "capacity", "n", "hidden", "reward-mode")),
     "evaluate": (cmd_evaluate, "evaluate a policy roster on fixed test episodes",
-                 _COMMON + ("spec", "roster", "policy", "greedy-user-model") + _CATALOG + _USER + _ENV
+                 _COMMON + ("roster", "policy", "greedy-user-model") + _CATALOG + _USER + _ENV
                  + ("n-users", "reps")),
     "diagnose-q": (cmd_diagnose_q, "export per-position cascade values for a policy",
                    _COMMON + ("policy", "data") + _CATALOG + _USER
@@ -443,13 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Simulated slate recommendation pipelines")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (func, help_text, flags) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        # allow_abbrev=False: a flag has one name, as its config-file key does
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         for name in flags:
             cast = _FLAGS[name]
             if isinstance(cast, EnumMeta):
                 p.add_argument(f"--{name}", choices=[member.value for member in cast])
-            elif hasattr(cast, "choices"):
-                p.add_argument(f"--{name}", choices=cast.choices)
             else:
                 p.add_argument(f"--{name}", type=cast)
         p.set_defaults(func=func, flags=frozenset(flags))

@@ -35,8 +35,8 @@ def world(tmp_path_factory):
     """A click log (d=3, m=3), its ground-truth user and a k=2 policy checkpoint."""
     root = tmp_path_factory.mktemp("world")
     assert cli_main(["gen-data", "--users", "4", "--horizon", "3", "--k", "2",
-                     "--pool-size", "4", "--catalog-size", "8", "--dim", "3", "--m", "3",
-                     "--n", "2", "--hidden", "4", "--seed", "1", "--out", str(root)]) == 0
+                     "--pool-size", "4", "--catalog-size", "8", "--dim", "3", "--gt-m", "3",
+                     "--gt-n", "2", "--gt-hidden", "4", "--seed", "1", "--out", str(root)]) == 0
     save_policy(root / "policy.ckpt", init_cascade_net(3, 3, 2, 4, 2, np.random.default_rng(0)))
     return {"data": str(root / "data.txt"), "user": str(root / "ground_truth_user.ckpt"),
             "policy": str(root / "policy.ckpt")}
@@ -129,7 +129,7 @@ class TestResolvedConfigs:
     def test_train_user_model_config_file(self, world, calls, tmp_path):
         cfg = {"data": world["data"], "out": tmp_path / "o", "seed": 7, "epochs": 2,
                "batch-size": 16, "lr-theta": 0.01, "lr-alpha": 0.02, "eta": 0.5,
-               "regularizer": "l2", "init-scheme": "entropy", "method": "minimax", "m": 2, "n": 3,
+               "regularizer": "l2", "init-scheme": "entropy", "m": 2, "n": 3,
                "hidden": 5, "patience": 4, "k": 9, "gamma": 0.1}  # k, gamma: other stages' keys
         _, _, config = run(["train-user-model", "--hidden", "6"], calls, "train_minimax", cfg, tmp_path)
         assert config == train_config(eta=0.5, lr_alpha=0.02, lr_theta=0.01, batch_size=16,
@@ -179,8 +179,7 @@ class TestResolvedConfigs:
         (spec,) = run(["evaluate"], calls, "run_experiment")
         assert spec == experiment_spec()
 
-    @pytest.mark.parametrize("how", ["--config", "--spec"])
-    def test_evaluate_config_file(self, world, calls, tmp_path, how):
+    def test_evaluate_config_file(self, world, calls, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(
             f"seed=4\ncatalog-size=10\ndim=3\ncatalog-seed=2\nuser-model={world['user']}\n"
@@ -189,7 +188,7 @@ class TestResolvedConfigs:
             f"out={tmp_path / 'o'}\nroster=random, greedy,cdqn,,\n"
             f"policy={world['policy']}\n"
             f"greedy-user-model={world['user']}\nlr=0.5\n")
-        (spec,) = run(["evaluate", how, str(path), "--reps", "3"], calls, "run_experiment")
+        (spec,) = run(["evaluate", "--config", str(path), "--reps", "3"], calls, "run_experiment")
         assert spec == experiment_spec(
             seed=4, catalog_size=10, dim=3, catalog_seed=2, user_model_path=world["user"],
             gt_m=2, gt_n=3, gt_hidden=4, gt_seed=6, gt_reward_scale=1.5,
@@ -396,22 +395,6 @@ def test_size_below_one_exits_2_and_names_the_field(world, tmp_path, monkeypatch
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("in_config", [False, True], ids=["flags", "config-file"])
-def test_mle_with_l2_exits_2_and_names_both_flags(world, tmp_path, monkeypatch, capsys, in_config):
-    # maximum likelihood fits the entropy choice rule only; refused before --out is made
-    monkeypatch.chdir(tmp_path)
-    argv = ["train-user-model", "--data", world["data"], "--out", str(tmp_path / "o")]
-    if in_config:
-        (tmp_path / "c.cfg").write_text("method=mle\nregularizer=l2\n")
-        argv += ["--config", str(tmp_path / "c.cfg")]
-    else:
-        argv += ["--method", "mle", "--regularizer", "l2"]
-    assert cli_main(argv) == 2
-    assert capsys.readouterr().err == ("error: --method mle requires --regularizer entropy, "
-                                       "got --regularizer l2\n")
-    assert not (tmp_path / "o").exists()
-
-
 @pytest.mark.parametrize("argv, field", [
     (["train-policy", "--iterations", "-1"], "iterations"),
     (["train-user-model", "--epochs", "-1"], "epochs"),
@@ -433,11 +416,11 @@ def test_negative_count_exits_2_and_names_the_field(world, tmp_path, monkeypatch
     (["evaluate", "--gt-m", "0"], "gt_m must be >= 1"),
     (["evaluate", "--gt-n", "0"], "gt_n must be >= 1"),
     (["evaluate", "--gt-hidden", "0"], "gt_hidden must be >= 1"),
-    (["gen-data", "--reward-scale", "-1"], "gt_reward_scale must be finite and > 0"),
-    (["gen-data", "--reward-scale", "inf"], "gt_reward_scale must be finite and > 0"),
-    (["gen-data", "--m", "0"], "gt_m must be >= 1"),
-    (["gen-data", "--n", "0"], "gt_n must be >= 1"),
-    (["gen-data", "--hidden", "0"], "gt_hidden must be >= 1"),
+    (["gen-data", "--gt-reward-scale", "-1"], "gt_reward_scale must be finite and > 0"),
+    (["gen-data", "--gt-reward-scale", "inf"], "gt_reward_scale must be finite and > 0"),
+    (["gen-data", "--gt-m", "0"], "gt_m must be >= 1"),
+    (["gen-data", "--gt-n", "0"], "gt_n must be >= 1"),
+    (["gen-data", "--gt-hidden", "0"], "gt_hidden must be >= 1"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_bad_ground_truth_user_exits_2_and_names_the_field(tmp_path, monkeypatch, capsys, argv, message):
     # a scale <= 0 flattens or reverses the user's preferences; m = 0 makes it memoryless
@@ -493,6 +476,97 @@ def test_removed_policy_kind_options_exit_2(tmp_path, monkeypatch, capsys, argv,
     assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert says in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, config, says", [
+    (["gen-data", "--reward-scale", "3"], None, "unrecognized arguments: --reward-scale 3"),
+    (["gen-data", "--m", "5"], None, "unrecognized arguments: --m 5"),
+    (["evaluate", "--spec", "f"], None, "unrecognized arguments: --spec f"),
+    (["train-user-model", "--method", "mle"], None, "unrecognized arguments: --method mle"),
+    (["gen-data"], "reward-scale=3\n", "c.cfg: unknown key 'reward-scale'"),
+    (["train-user-model"], "method=mle\n", "c.cfg: unknown key 'method'"),
+    (["evaluate"], "spec=f\n", "c.cfg: unknown key 'spec'"),
+    (["gen-data", "--gt-reward", "3"], None, "unrecognized arguments: --gt-reward 3"),
+], ids=["reward-scale", "gen-data-m", "spec", "method", "reward-scale-key", "method-key", "spec-key",
+        "abbreviation"])
+def test_removed_flags_exit_2(tmp_path, monkeypatch, capsys, argv, config, says):
+    # --gt-reward-scale, --gt-m and --config name these settings; --regularizer picks the
+    # estimator; a flag is not taken by a prefix of its name
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "c.cfg").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "c.cfg")]
+    assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert says in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def scorer_shapes(user) -> set[tuple[int, int, int]]:
+    """The (m, n, hidden) of a user model's reward and behavior scorers."""
+    return {(net.pw.m, net.pw.n, net.head.V.shape[0]) for net in (user.theta, user.alpha)}
+
+
+def test_one_config_file_sets_the_truth_and_the_fit(tmp_path, monkeypatch):
+    # gen-data sizes its ground-truth user by the gt-* keys, train-user-model its fit by m, n, hidden
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gt-m=3\ngt-n=2\ngt-hidden=4\nm=2\nn=3\nhidden=5\n"
+                   "users=6\nhorizon=3\nepochs=1\ndata=out/data.txt\n")
+    assert cli_main(["gen-data", "--config", str(cfg)]) == 0
+    assert cli_main(["train-user-model", "--config", str(cfg)]) == 0
+    assert scorer_shapes(load_user_model("out/ground_truth_user.ckpt")) == {(3, 2, 4)}
+    assert scorer_shapes(load_user_model("out/user_model.ckpt")) == {(2, 3, 5)}
+    assert Path("out/data.txt").read_text().startswith("meta d=8 m=3 k=5\n")
+
+
+BIG_SEED = 2**63 - 1  # episode seed 2 * (BIG_SEED + 1) is 2**64, past numpy's bound
+
+
+def big_seed_argv(command, world, episodes):
+    """`command` on a world where it plays `episodes` episodes (1 or 2), with its required flags."""
+    return {
+        "gen-data": ["gen-data", "--users", str(episodes), "--horizon", "2"],
+        "train-policy": ["train-policy", "--iterations", "1", "--batch-users", str(episodes)],
+        "evaluate": ["evaluate", "--n-users", str(episodes), "--reps", "1", "--horizon", "2"],
+        "diagnose-q": ["diagnose-q", "--policy", world["policy"], "--data", world["data"],
+                       "--user-model", world["user"], "--pool-size", "4", "--horizon", "3",
+                       "--states", str(3 * episodes)],
+    }[command]
+
+
+COMMANDS_WITH_EPISODES = ["gen-data", "train-policy", "evaluate", "diagnose-q"]
+
+
+@pytest.mark.parametrize("command", COMMANDS_WITH_EPISODES)
+@pytest.mark.parametrize("in_config", [False, True], ids=["flag", "config-file"])
+def test_seed_past_the_episode_seed_bound_exits_2_naming_the_flag(world, tmp_path, monkeypatch, capsys,
+                                                                  command, in_config):
+    # the rollouts refused it mid-run, after the header and --out, without naming --seed
+    monkeypatch.chdir(tmp_path)
+    argv = big_seed_argv(command, world, 2) + ["--out", str(tmp_path / "o")]
+    if in_config:
+        (tmp_path / "c.cfg").write_text(f"seed={BIG_SEED}\n")
+        argv += ["--config", str(tmp_path / "c.cfg")]
+    else:
+        argv += ["--seed", str(BIG_SEED)]
+    assert cli_main(argv) == 2
+    last = 2 * (BIG_SEED + 1) + (command in ("evaluate", "diagnose-q"))
+    assert capsys.readouterr().err == (f"error: --seed {BIG_SEED} is too large for 2 episodes: "
+                                       f"episode seed {last} reaches 2**64\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS_WITH_EPISODES)
+def test_seed_whose_episodes_fit_runs(world, tmp_path, monkeypatch, command):
+    # one episode on seed 2 * BIG_SEED (+ 1) lies just below 2**64
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(big_seed_argv(command, world, 1) + ["--seed", str(BIG_SEED)]) == 0
+
+
+def test_every_flag_is_taken_by_a_command():
+    # a flag no command takes is a cast left behind by a deleted option
+    taken = {name for _, _, flags in cli._COMMANDS.values() for name in flags}
+    assert sorted(set(cli._FLAGS) - taken) == []
 
 
 def readme_commands() -> list[list[str]]:

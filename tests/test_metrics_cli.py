@@ -317,10 +317,10 @@ class TestConfigParsing:
 
 
 class TestCli:
-    def test_missing_spec_exits_2_and_names_path(self, tmp_path, capsys):
-        code = cli_main(["evaluate", "--spec", str(tmp_path / "missing.cfg")])
+    def test_missing_config_exits_2_and_names_path(self, tmp_path, capsys):
+        code = cli_main(["evaluate", "--config", str(tmp_path / "missing.cfg")])
         assert code == 2
-        assert "missing.cfg" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: config file not found: {tmp_path / 'missing.cfg'}\n"
 
     def test_swapped_log_lines_exit_2_and_name_file_and_user(self, tmp_path, capsys):
         assert cli_main(["gen-data", "--users", "2", "--horizon", "3", "--k", "2",
@@ -351,14 +351,13 @@ class TestCli:
         ("train-policy", "reward-mode", "PM1"),
         ("train-user-model", "regularizer", "L2"),
         ("train-user-model", "init-scheme", "Entropy"),
-        ("train-user-model", "method", "MLE"),
     ])
     def test_bad_config_value_exits_2_and_names_file_and_key(self, tmp_path, capsys,
                                                              command, key, value):
         # config-file values are not checked by argparse; a near miss must not fall back silently
         assert cli_main(["gen-data", "--users", "3", "--horizon", "2", "--k", "2",
-                         "--pool-size", "3", "--catalog-size", "5", "--dim", "2", "--m", "2",
-                         "--n", "2", "--hidden", "3", "--seed", "1", "--out", str(tmp_path)]) == 0
+                         "--pool-size", "3", "--catalog-size", "5", "--dim", "2", "--gt-m", "2",
+                         "--gt-n", "2", "--gt-hidden", "3", "--seed", "1", "--out", str(tmp_path)]) == 0
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"k=2\npool-size=3\nhorizon=3\niterations=1\nepochs=1\n{key} = {value}\n")
         out = tmp_path / "out"
@@ -374,21 +373,10 @@ class TestCli:
         # keys use dashes like the flags; a key no subcommand takes must not be dropped silently
         cfg = tmp_path / "typo.cfg"
         cfg.write_text(f"pool_size=6\nout={tmp_path / 'out'}\n")
-        code = cli_main(["evaluate", "--spec", str(cfg)])
+        code = cli_main(["evaluate", "--config", str(cfg)])
         assert code == 2
         assert "typo.cfg: unknown key 'pool_size'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-
-    def test_config_with_spec_exits_2_and_names_both_files(self, tmp_path, capsys):
-        # evaluate reads its options from one file; the second must not be dropped silently
-        a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
-        a.write_text(f"out={tmp_path / 'A'}\n")
-        b.write_text(f"out={tmp_path / 'B'}\n")
-        code = cli_main(["evaluate", "--config", str(a), "--spec", str(b)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "a.cfg" in err and "b.cfg" in err
-        assert not (tmp_path / "A").exists() and not (tmp_path / "B").exists()
 
     def test_unknown_roster_policy_exits_2(self, tmp_path, capsys):
         code = cli_main(["evaluate", "--roster", "random,bogus", "--out", str(tmp_path)])
@@ -542,7 +530,7 @@ class TestCli:
         assert cli_main([
             "gen-data", "--users", "8", "--horizon", "6", "--k", "3",
             "--pool-size", "6", "--catalog-size", "12", "--dim", "4",
-            "--m", "3", "--n", "2", "--hidden", "6", "--reward-scale", "2",
+            "--gt-m", "3", "--gt-n", "2", "--gt-hidden", "6", "--gt-reward-scale", "2",
             "--seed", "1", "--out", out,
         ]) == 0
         data = os.path.join(out, "data.txt")
@@ -593,7 +581,7 @@ class TestCli:
     def test_gen_data_bit_reproducible(self, tmp_path):
         args = ["gen-data", "--users", "5", "--horizon", "4", "--k", "3",
                 "--pool-size", "6", "--catalog-size", "10", "--dim", "3",
-                "--m", "3", "--n", "2", "--hidden", "4", "--seed", "9"]
+                "--gt-m", "3", "--gt-n", "2", "--gt-hidden", "4", "--seed", "9"]
         assert cli_main(args + ["--out", str(tmp_path / "a")]) == 0
         assert cli_main(args + ["--out", str(tmp_path / "b")]) == 0
         for name in ("data.txt", "ground_truth_user.ckpt"):
@@ -604,7 +592,7 @@ class TestCli:
         assert cli_main([
             "gen-data", "--users", "4", "--horizon", "4", "--k", "2",
             "--pool-size", "5", "--catalog-size", "8", "--dim", "3",
-            "--m", "3", "--n", "2", "--hidden", "4", "--seed", "2", "--out", out,
+            "--gt-m", "3", "--gt-n", "2", "--gt-hidden", "4", "--seed", "2", "--out", out,
         ]) == 0
         assert cli_main([
             "train-policy", "--user-model", f"{out}/ground_truth_user.ckpt",
@@ -665,8 +653,8 @@ class TestCli:
             "n-users=2\nreps=2\ngt-m=3\ngt-n=2\ngt-hidden=6\ngt-seed=4\n"
             f"out={tmp_path / 'cfg_out'}\nroster=random\nseed=5\n"
         )
-        assert cli_main(["evaluate", "--spec", str(cfg)]) == 0
+        assert cli_main(["evaluate", "--config", str(cfg)]) == 0
         assert (tmp_path / "cfg_out" / "aggregate.csv").exists()
         # CLI flag overrides the file
-        assert cli_main(["evaluate", "--spec", str(cfg), "--out", str(tmp_path / "cli_out")]) == 0
+        assert cli_main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "cli_out")]) == 0
         assert (tmp_path / "cli_out" / "aggregate.csv").exists()
