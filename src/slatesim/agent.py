@@ -11,21 +11,20 @@ import numpy as np
 
 from . import nets
 from .data import NON_CLICK_ID, ItemCatalog
-from .env import EpisodeKeys, Policy, Pools, SlateEnv, reset, step
+from .env import EpisodeKeys, Policy, SlateEnv, reset, step
 from .nets import CascadeQNet
 from .training import UserModel
 
 
 class ReplayBatch(NamedTuple):
     """Transitions as row-aligned arrays: histories (N, d, m), slates (N, k), rewards,
-    next histories, next pools (N, P) padded as the env's with their mask, terminal flags."""
+    next histories, next pools (N, P) padded as the env's, terminal flags."""
 
     hist: np.ndarray
     slate: np.ndarray
     reward: np.ndarray
     next_hist: np.ndarray
     next_pool: np.ndarray
-    next_mask: np.ndarray
     terminal: np.ndarray
 
 
@@ -43,7 +42,6 @@ class ReplayMemory:
             hist=np.zeros((capacity, *hist_shape)), slate=np.zeros((capacity, k), dtype=int),
             reward=np.zeros(capacity), next_hist=np.zeros((capacity, *hist_shape)),
             next_pool=np.zeros((capacity, pool_width), dtype=int),
-            next_mask=np.zeros((capacity, pool_width), dtype=bool),
             terminal=np.zeros(capacity, dtype=bool))
         self._added = 0
 
@@ -206,33 +204,32 @@ def cascade_slate(qnet: CascadeQNet, hist: np.ndarray, pool: Sequence[int],
     return cascade_plan(net_qeval(qnet, s, catalog), pool, qnet.k, counter)[0]
 
 
-def _cut_pools(pools: np.ndarray, mask: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Padded pools cut to the widest real pool; a pool smaller than k raises ValueError."""
-    sizes = mask.sum(axis=1)
+def _cut_pools(pools: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Padded pools cut to the widest real pool, and their real entries; a pool smaller
+    than k raises ValueError."""
+    real = pools != NON_CLICK_ID
+    sizes = real.sum(axis=1)
     if len(sizes) and sizes.min() < k:
         raise ValueError(f"pool smaller than k: {int(sizes.min())} < {k}")
     width = sizes.max(initial=0)
-    return pools[:, :width], mask[:, :width]
+    return pools[:, :width], real[:, :width]
 
 
-def cascade_batch(qnet: CascadeQNet, S: np.ndarray, pools: np.ndarray, mask: np.ndarray,
-                  catalog: ItemCatalog, work: nets.ScoreBuffers | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def cascade_batch(qnet: CascadeQNet, S: np.ndarray, pools: np.ndarray, catalog: ItemCatalog,
+                  work: nets.ScoreBuffers | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The greedy cascade of `cascade_plan` for B embedded states at once.
 
     S: (B, dn) states; pools: (B, P) ascending ids per row, padded as the env's
-    (see env.Policy), of which `mask` marks the real ones, a prefix of the row. It
-    cuts them to the widest real pool. Head j scores all B x P candidates against
-    each row's [s; f_1 .. f_{j-1}]. Returns the slates (B, k) and the achieved
+    (see env.Policy), cut to the widest real pool. Head j scores all B x P
+    candidates against each row's [s; f_1 .. f_{j-1}]. Returns the slates (B, k) and the achieved
     per-position values (B, k); ties break toward the lowest item id. A chosen value
     that is not finite raises NonFiniteQError. The k heads share `work`, or one of the call's."""
     k = qnet.k
     work = nets.ScoreBuffers() if work is None else work
-    pools, mask = _cut_pools(np.asarray(pools, dtype=int), np.asarray(mask, dtype=bool), k)
+    pools, free = _cut_pools(np.asarray(pools, dtype=int), k)
     B = len(pools)
     feats = catalog.feature_matrix(pools)
     rows = np.arange(B)
-    free = mask.copy()
     prefix = np.asarray(S, dtype=float)
     slates = np.empty((B, k), dtype=int)
     values = np.empty((B, k))
@@ -248,26 +245,18 @@ def cascade_batch(qnet: CascadeQNet, S: np.ndarray, pools: np.ndarray, mask: np.
     return slates, values
 
 
-def _live_rows(rewards, next_hists, next_pools, next_mask, terminal):
-    """Targets set to the rewards, the non-terminal rows, and those rows' next histories
-    and padded pools, cut to the widest of them."""
-    y = np.array(rewards, dtype=float)
-    live = np.arange(len(y)) if terminal is None else np.flatnonzero(~np.asarray(terminal, bool))
-    return (y, live, np.asarray(next_hists, dtype=float)[live],
-            *_cut_pools(np.asarray(next_pools)[live], np.asarray(next_mask, dtype=bool)[live], 0))
-
-
 def compute_target(rewards: Sequence[float], next_hists: np.ndarray, next_pools: np.ndarray,
-                   next_mask: np.ndarray, qnet: CascadeQNet, catalog: ItemCatalog, gamma: float,
+                   qnet: CascadeQNet, catalog: ItemCatalog, gamma: float,
                    terminal: Sequence[bool] | None = None) -> np.ndarray:
     """TD targets y = r + gamma * Q^k at the greedy cascade slate of each next state.
 
-    next_hists: (B, d, m); next_pools and next_mask: (B, P) padded pools (see
-    cascade_batch). Terminal rows keep their reward; the live rows go through one
-    cascade_batch."""
-    y, live, F, ids, mask = _live_rows(rewards, next_hists, next_pools, next_mask, terminal)
+    next_hists: (B, d, m); next_pools: (B, P) padded pools (see cascade_batch).
+    Terminal rows keep their reward; the live rows go through one cascade_batch."""
+    y = np.array(rewards, dtype=float)
+    live = np.arange(len(y)) if terminal is None else np.flatnonzero(~np.asarray(terminal, bool))
     if len(live):
-        _, values = cascade_batch(qnet, nets.embed_history(F, qnet.pw), ids, mask, catalog)
+        S = nets.embed_history(np.asarray(next_hists, dtype=float)[live], qnet.pw)
+        _, values = cascade_batch(qnet, S, np.asarray(next_pools)[live], catalog)
         y[live] += gamma * values[:, -1]
     return y
 
@@ -276,23 +265,24 @@ def compute_target(rewards: Sequence[float], next_hists: np.ndarray, next_pools:
 # policies
 
 
-def greedy_user_model_policy(user_model: UserModel, hists: np.ndarray, pools: Pools, k: int,
+def greedy_user_model_policy(user_model: UserModel, hists: np.ndarray, pools: np.ndarray, k: int,
                              catalog: ItemCatalog, work: nets.ScoreBuffers | None = None) -> np.ndarray:
     """Per row of histories (B, d, m) and padded pools (see env.Policy), the top-k pool items
     by the behavior logit, scored in `work`'s arrays when given.
 
-    Returns (B, k) ids, best first. Pools ascend, so the stable sort breaks
+    Returns (B, k) ids, best first. Each pool ascends, so the stable sort breaks
     ties toward the lower item id."""
-    ids, mask = _cut_pools(*pools, k)
+    ids, real = _cut_pools(pools, k)
     alpha = user_model.alpha
     scores = nets.head_scores(alpha.head, nets.embed_history(hists, alpha.pw), catalog.feature_matrix(ids),
                               work=work)
-    order = np.argsort(-np.where(mask, scores, -np.inf), axis=1, kind="stable")[:, :k]
+    order = np.argsort(-np.where(real, scores, -np.inf), axis=1, kind="stable")[:, :k]
     return np.take_along_axis(ids, order, axis=1)
 
 
 def random_slate(pool: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k distinct items of a pool's real ids (one row of the Policy contract's pools)."""
+    """k distinct items of a pool's real ids (one padded row of the Policy contract's pools)."""
+    pool = pool[pool != NON_CLICK_ID]
     if len(pool) < k:
         raise ValueError(f"pool smaller than k: {len(pool)} < {k}")
     return pool[rng.choice(len(pool), size=k, replace=False)]
@@ -303,8 +293,7 @@ def make_policy(handle: PolicyHandle, catalog: ItemCatalog, k: int) -> Policy:
     scoring policy keeps its head_scores work arrays (nets.ScoreBuffers) for its lifetime."""
     if handle.kind is PolicyKind.RANDOM:
         return lambda hists, pools, row_rng: np.array(
-            [random_slate(ids[:n], k, row_rng(i))
-             for i, (ids, n) in enumerate(zip(pools[0], pools[1].sum(axis=1).tolist()))], dtype=int)
+            [random_slate(ids, k, row_rng(i)) for i, ids in enumerate(pools)], dtype=int)
     work = nets.ScoreBuffers()
     if handle.kind is PolicyKind.GREEDY_USER_MODEL:
         model = handle.user_model
@@ -312,7 +301,7 @@ def make_policy(handle: PolicyHandle, catalog: ItemCatalog, k: int) -> Policy:
     qnet = handle.qnet
 
     def cascade(hists, pools, row_rng):
-        return cascade_batch(qnet, nets.embed_history(hists, qnet.pw), *pools, catalog, work)[0]
+        return cascade_batch(qnet, nets.embed_history(hists, qnet.pw), pools, catalog, work)[0]
 
     return cascade
 
@@ -347,7 +336,7 @@ def _epsilon_at(config: CDQNConfig, iteration: int) -> float:
 
 
 # act(qnet, hists, pools): the greedy slates (G, k) of G sessions' histories (G, d, m) and pools
-Act = Callable[[CascadeQNet, np.ndarray, Pools], np.ndarray]
+Act = Callable[[CascadeQNet, np.ndarray, np.ndarray], np.ndarray]
 
 
 def _train_replay(world: TrainingEnv, config: CDQNConfig, heads: int, act: Act,
@@ -373,23 +362,23 @@ def _train_replay(world: TrainingEnv, config: CDQNConfig, heads: int, act: Act,
         eps = _epsilon_at(config, it)
         keys = EpisodeKeys([base_seed + 2 * episode for episode in range(it * B, (it + 1) * B)],
                            config.horizon)
-        hists, avail, (ids, mask) = reset(env, user, keys)
+        hists, avail, pools = reset(env, user, keys)
         losses = []
         try:  # a non-finite Q value met by the act, the target or the loss is divergence
             for t in range(config.horizon):
                 slates = np.empty((B, k), dtype=int)
                 greedy = np.ones(B, dtype=bool)
-                for i, n in enumerate(mask.sum(axis=1).tolist()):
+                for i in range(B):
                     if rng.random() < eps:
-                        slates[i] = random_slate(ids[i, :n], k, rng)
+                        slates[i] = random_slate(pools[i], k, rng)
                         greedy[i] = False
                 if greedy.any():
-                    slates[greedy] = act(qnet, hists[greedy], (ids[greedy], mask[greedy]))
+                    slates[greedy] = act(qnet, hists[greedy], pools[greedy])
                 before = hists.copy()  # env.step pushes clicks into hists in place
-                _, chosen, rewards = step(env, user, t, keys, hists, avail, (ids, mask), slates)
+                _, chosen, rewards = step(env, user, t, keys, hists, avail, pools, slates)
                 if config.reward_mode is RewardMode.PLUS_MINUS_ONE:
                     rewards = np.where(chosen != NON_CLICK_ID, 1.0, -1.0)
-                memory.add(ReplayBatch(before, slates, rewards, hists, ids, mask,
+                memory.add(ReplayBatch(before, slates, rewards, hists, pools,
                                        np.full(B, t == config.horizon - 1)))
                 if len(memory) >= config.minibatch:
                     batch = memory.sample(config.minibatch, rng)
@@ -419,11 +408,10 @@ def train_cdqn(world: TrainingEnv, config: CDQNConfig,
     return _train_replay(
         world, config, k,
         act=lambda qnet, hists, pools: np.array(
-            [cascade_slate(qnet, h, ids[real], catalog) for h, ids, real in zip(hists, *pools)],
+            [cascade_slate(qnet, h, ids[ids != NON_CLICK_ID], catalog) for h, ids in zip(hists, pools)],
             dtype=int),
         target=lambda qnet, batch: compute_target(
-            batch.reward, batch.next_hist, batch.next_pool, batch.next_mask, qnet, catalog,
-            config.gamma, batch.terminal),
+            batch.reward, batch.next_hist, batch.next_pool, qnet, catalog, config.gamma, batch.terminal),
         loss=lambda qnet, batch, targets: nets.td_value_and_grad(
             qnet, batch.hist, catalog.feature_matrix(batch.slate), targets),
         on_iteration=on_iteration)
@@ -433,7 +421,7 @@ def train_cdqn(world: TrainingEnv, config: CDQNConfig,
 # diagnostics and checkpoints
 
 
-def constraint_diagnostic(qnet: CascadeQNet, hists: np.ndarray, pools: Pools,
+def constraint_diagnostic(qnet: CascadeQNet, hists: np.ndarray, pools: np.ndarray,
                           catalog: ItemCatalog) -> list[tuple[int, int, float, float]]:
     """Per state and position: (state_idx, j, Q^j at the greedy prefix, Q^k at the full slate).
 
@@ -442,7 +430,7 @@ def constraint_diagnostic(qnet: CascadeQNet, hists: np.ndarray, pools: Pools,
     if len(hists) == 0:
         return []
     S = nets.embed_history(np.asarray(hists), qnet.pw)
-    _, values = cascade_batch(qnet, S, *pools, catalog)
+    _, values = cascade_batch(qnet, S, pools, catalog)
     return [(idx, j, float(row[j - 1]), float(row[-1]))
             for idx, row in enumerate(values) for j in range(1, qnet.k + 1)]
 
@@ -474,6 +462,10 @@ def load_policy(path) -> CascadeQNet:
         if trained != PolicyKind.CDQN.value:
             raise ValueError(f"a policy trained as {trained}, not {PolicyKind.CDQN.value}")
         pw = nets.PositionWeightParams(W=tensors["W"], B=tensors["B"])
-        heads = [{attr: tensors[name] for attr, name in nets.cascade_head_names(j).items()}
-                 for j in range(1, int(meta["k"]) + 1)]
-        return CascadeQNet(pw=pw, heads=[nets.ScorerParams(**head) for head in heads])
+        heads = [nets.ScorerParams(**{attr: tensors[name] for attr, name in names.items()})
+                 for names in map(nets.cascade_head_names, range(1, int(meta["k"]) + 1))]
+        for j, head in enumerate(heads, start=1):  # head j reads [s; f_1 .. f_j]
+            if head.V.shape[1:] != (pw.d * pw.n + j * pw.d,):
+                raise ValueError(f"tensor L{j} of shape {head.V.shape} needs d*n + {j}*d = "
+                                 f"{pw.d * pw.n + j * pw.d} columns")
+        return CascadeQNet(pw=pw, heads=heads)

@@ -355,10 +355,10 @@ def collect_states(env: SlateEnv, user, qnet, n_states: int, seed: int):
     step order, episode after episode, until n_states are in hand. The
     episodes play make_policy's cdqn policy through one rollout_batch, which
     records every step's histories and pools before it acts. Returns the
-    histories (N, d, m) and the padded pools as an (ids, mask) pair of (N, P) arrays."""
+    histories (N, d, m) and the padded pools (N, P) (see env.Policy)."""
     horizon = env.config.horizon
     if n_states <= 0:
-        return [], ([], [])
+        return [], []
     if horizon < 1:
         raise ValueError(f"--horizon must be >= 1 to visit states, got {horizon}")
     seeds = [2 * (seed + e) + 1 for e in range(-(-n_states // horizon))]
@@ -366,14 +366,14 @@ def collect_states(env: SlateEnv, user, qnet, n_states: int, seed: int):
     visited = []
 
     def recording(hists, pools, row_rng):
-        visited.append((hists.copy(), *(a.copy() for a in pools)))
+        visited.append((hists.copy(), pools.copy()))
         return cascade(hists, pools, row_rng)
 
     rollout_batch(env, user, recording, seeds, T=min(horizon, n_states))
     # each recorded array stacked (episodes, steps, ...) and read episode after episode
-    hists, ids, mask = (np.stack(arrays, axis=1).reshape(-1, *arrays[0].shape[1:])[:n_states]
-                        for arrays in zip(*visited))
-    return hists, (ids, mask)
+    hists, pools = (np.stack(arrays, axis=1).reshape(-1, *arrays[0].shape[1:])[:n_states]
+                    for arrays in zip(*visited))
+    return hists, pools
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:

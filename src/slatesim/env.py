@@ -121,14 +121,13 @@ class SlateEnv:
             raise ValueError("pool_size exceeds catalog size")
 
 
-# A policy maps B sessions to B slates in one call: the click histories (B, d, m),
-# the candidate pools as (B, pool_size) arrays (ids, mask) (each row's ids ascending,
-# padded with the non-click id; the mask marks the real ones, a prefix of the row) and
-# row_rng, where row_rng(i) builds row i's policy-stream generator for this step from
-# the episode keys (build it only to draw from it), to a (B, k) array of item ids.
+# A policy maps B sessions to B slates in one call: the click histories (B, d, m), the
+# candidate pools as a (B, pool_size) id array (each row's real ids ascending, then the
+# non-click id as padding; no real item has that id, so `pools != NON_CLICK_ID` marks the
+# real ones) and row_rng, where row_rng(i) builds row i's policy-stream generator for this
+# step from the episode keys (build it only to draw from it), to a (B, k) array of item ids.
 RowRng = Callable[[int], np.random.Generator]
-Pools = tuple[np.ndarray, np.ndarray]
-Policy = Callable[[np.ndarray, Pools, RowRng], np.ndarray]
+Policy = Callable[[np.ndarray, np.ndarray, RowRng], np.ndarray]
 
 
 def make_ground_truth_user(
@@ -150,10 +149,10 @@ def make_ground_truth_user(
                      config=ChoiceConfig(eta, Regularizer.SHANNON_ENTROPY))
 
 
-def draw_candidates(env: SlateEnv, avail: np.ndarray, t: int, keys: EpisodeKeys) -> Pools:
+def draw_candidates(env: SlateEnv, avail: np.ndarray, t: int, keys: EpisodeKeys) -> np.ndarray:
     """Every row's candidate pool for step t: up to pool_size of the items its availability
     mask (B, K+1) over the catalog rows leaves, drawn from the row's (seed, pool stream, t)
-    generator, as (B, pool_size) ascending ids padded with the non-click id, and their mask."""
+    generator, as (B, pool_size) ascending ids padded with the non-click id."""
     cfg, catalog = env.config, env.catalog
     picked = []
     for i, row in enumerate(avail):
@@ -169,7 +168,7 @@ def draw_candidates(env: SlateEnv, avail: np.ndarray, t: int, keys: EpisodeKeys)
         ids = np.full((len(avail), cfg.pool_size), NON_CLICK_ID)
         for row, items in zip(ids, picked):
             row[:len(items)] = np.sort(items)
-    return ids, ids != NON_CLICK_ID  # a real item's id is never the non-click id
+    return ids
 
 
 def reset(env: SlateEnv, user: UserModel, keys: EpisodeKeys):
@@ -198,7 +197,7 @@ def slate_scores(user: UserModel, hists: np.ndarray, slate_feats: np.ndarray) ->
     return nets.act(z) @ head.v
 
 
-def _check_slates(slates, pools: Pools, k: int) -> np.ndarray:
+def _check_slates(slates, pools: np.ndarray, k: int) -> np.ndarray:
     """The slates as a (B, k) id array. The first row that is the wrong size, repeats an
     item or shows one outside its pool raises ValueError."""
     try:
@@ -208,12 +207,13 @@ def _check_slates(slates, pools: Pools, k: int) -> np.ndarray:
     if arr is None or arr.shape[1:] != (k,):
         got = next(len(slate) for slate in slates if len(slate) != k)
         raise ValueError(f"slate wrong size: got {got}, expected {k}")
-    ids, mask = pools
-    # a slate of k distinct pool items covers k real pool entries; a repeat or an outsider fewer
-    covered = np.logical_or.reduce(arr[:, :, None] == ids[:, None, :], axis=1) & mask
+    # a slate of k distinct pool items covers k real pool entries; a repeat or an outsider
+    # fewer, and a non-click id in the slate matches only padding
+    real = pools != NON_CLICK_ID
+    covered = np.logical_or.reduce(arr[:, :, None] == pools[:, None, :], axis=1) & real
     if np.count_nonzero(covered) < covered.shape[0] * k:
         row = np.flatnonzero(np.add.reduce(covered, axis=1) < k)[0]
-        slate, pool = arr[row].tolist(), set(ids[row][mask[row]].tolist())
+        slate, pool = arr[row].tolist(), set(pools[row][real[row]].tolist())
         if len(set(slate)) != k:
             raise ValueError("duplicate items in slate")
         raise ValueError(f"slate not in pool: {[i for i in slate if i not in pool]}")
@@ -221,7 +221,7 @@ def _check_slates(slates, pools: Pools, k: int) -> np.ndarray:
 
 
 def step(env: SlateEnv, user: UserModel, t: int, keys: EpisodeKeys, hists: np.ndarray,
-         avail: np.ndarray, pools: Pools, slates):
+         avail: np.ndarray, pools: np.ndarray, slates):
     """Show B sessions their slates at step t, sample each user's choice, pay its reward.
 
     The rows are the state `reset` starts: episode keys, histories (B, d, m),
@@ -248,7 +248,7 @@ def step(env: SlateEnv, user: UserModel, t: int, keys: EpisodeKeys, hists: np.nd
     avail[rows, chosen_rows] = False
     pushed = np.concatenate([hists[..., 1:], catalog.matrix[chosen_rows][..., None]], axis=2)
     np.copyto(hists, pushed, where=clicked[:, None, None])
-    pools[0][...], pools[1][...] = draw_candidates(env, avail, t + 1, keys)
+    pools[...] = draw_candidates(env, avail, t + 1, keys)
     return slates, chosen, rewards
 
 

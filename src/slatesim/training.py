@@ -503,6 +503,9 @@ def load_user_model(path) -> UserModel:
             pw = nets.PositionWeightParams(W=tensors[f"{prefix}_W"], B=tensors[f"{prefix}_B"])
             head = nets.ScorerParams(V=tensors[f"{prefix}_V"], b=tensors[f"{prefix}_b"],
                                      v=tensors[f"{prefix}_v"])
+            if head.V.shape[1:] != (pw.d * pw.n + pw.d,):  # the head reads [s; f]
+                raise ValueError(f"tensor {prefix}_V of shape {head.V.shape} needs d*n + d = "
+                                 f"{pw.d * pw.n + pw.d} columns")
             return ScorerNet(pw=pw, head=head)
 
         config = ChoiceConfig(eta=float(meta["eta"]), regularizer=Regularizer(meta["regularizer"]))

@@ -28,14 +28,14 @@ from slatesim.agent import (
     train_cdqn,
     TrainingDivergedError,
 )
-from slatesim.data import ItemCatalog, synth_catalog
+from slatesim.data import NON_CLICK_ID, ItemCatalog, synth_catalog
 from slatesim import agent
 from slatesim.env import EnvConfig, EpisodeKeys, SlateEnv, make_ground_truth_user, reset, rollout, step
 from slatesim.nets import (CascadeQNet, PositionWeightParams, ScoreBuffers, ScorerParams, embed_history,
                             head_scores, init_cascade_net, named_tensors)
 
 from cascade_oracle import oracle_cascade_plan, oracle_net_qeval
-from pools import pad_pools
+from pools import assert_padded, pad_pools
 
 
 def break_head(qnet, position, value):
@@ -221,8 +221,7 @@ class TestReplayMemory:
         n = len(ids)
         slate = np.array(ids, dtype=int)[:, None]
         return ReplayBatch(hist=np.zeros((n, 1, 1)), slate=slate, reward=slate[:, 0].astype(float),
-                           next_hist=np.zeros((n, 1, 1)), next_pool=slate.copy(),
-                           next_mask=np.ones((n, 1), dtype=bool), terminal=np.zeros(n, dtype=bool))
+                           next_hist=np.zeros((n, 1, 1)), next_pool=slate.copy(), terminal=np.zeros(n, dtype=bool))
 
     def _memory(self, capacity):
         return ReplayMemory(capacity, (1, 1), 1, 1)
@@ -264,13 +263,13 @@ class TestComputeTarget:
 
     def test_gamma_zero(self):
         catalog, qnet = self._setup()
-        y = compute_target([1.5], [np.zeros((2, 3))], *pad_pools([(1, 2, 3)]), qnet, catalog, gamma=0.0)
+        y = compute_target([1.5], [np.zeros((2, 3))], pad_pools([(1, 2, 3)]), qnet, catalog, gamma=0.0)
         assert y.shape == (1,)
         assert y[0] == pytest.approx(1.5)
 
     def test_terminal(self):
         catalog, qnet = self._setup()
-        y = compute_target([-0.7], [np.zeros((2, 3))], *pad_pools([(1, 2, 3)]), qnet, catalog,
+        y = compute_target([-0.7], [np.zeros((2, 3))], pad_pools([(1, 2, 3)]), qnet, catalog,
                            gamma=0.9, terminal=[True])
         assert y[0] == pytest.approx(-0.7)
 
@@ -288,7 +287,7 @@ class TestComputeTarget:
         qnet = CascadeQNet(pw=pw, heads=heads)
         # embedded state is 0 (zero weights); Q^2(s, a1, a2) = f(a1) + f(a2)
         # greedy cascade over pool {1,2,3}: picks 3 then 2, value 6
-        y = compute_target([0.5], [np.zeros((1, 2))], *pad_pools([(1, 2, 3)]), qnet, catalog, gamma=0.5)
+        y = compute_target([0.5], [np.zeros((1, 2))], pad_pools([(1, 2, 3)]), qnet, catalog, gamma=0.5)
         assert y[0] == pytest.approx(0.5 + 0.5 * 6.0)
 
 
@@ -313,7 +312,7 @@ class TestCascadeBatch:
         assert min(len(set(p)) for p in pools) == qnet.k
         assert any(len(set(p)) != len(p) for p in pools)
         S = np.stack([embed_history(h, qnet.pw) for h in hists])
-        slates, values = cascade_batch(qnet, S, *pad_pools(pools), catalog)
+        slates, values = cascade_batch(qnet, S, pad_pools(pools), catalog)
         assert slates.shape == values.shape == (len(hists), qnet.k)
         for row, (h, pool) in enumerate(zip(hists, pools)):
             oracle_slate, oracle_values = cascade_plan(
@@ -334,7 +333,7 @@ class TestCascadeBatch:
                  for j in (1, 2, 3)]
         qnet = CascadeQNet(pw=pw, heads=heads)
         pools = [(5, 4, 3, 1, 2), (4, 5, 1, 3), (1, 2, 3)]
-        slates, values = cascade_batch(qnet, np.zeros((3, 2)), *pad_pools(pools), catalog)
+        slates, values = cascade_batch(qnet, np.zeros((3, 2)), pad_pools(pools), catalog)
         assert slates.tolist() == [[2, 3, 5], [3, 5, 1], [2, 3, 1]]
         assert values.tolist() == [[3.0, 6.0, 9.0], [3.0, 6.0, 7.0], [3.0, 6.0, 7.0]]
         for row, pool in enumerate(pools):
@@ -349,7 +348,7 @@ class TestCascadeBatch:
         S = np.stack([embed_history(h, qnet.pw) for h in hists])
         message = "position 2 is not finite in 4 of 4 rows, the first row 0"
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteQError, match=message):
-            cascade_batch(break_head(qnet, 2, value), S, *pad_pools(pools), catalog)
+            cascade_batch(break_head(qnet, 2, value), S, pad_pools(pools), catalog)
         # the one-state cascade the trainer acts with raises the same error
         for h, pool in zip(hists, pools):
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
@@ -359,14 +358,14 @@ class TestCascadeBatch:
     @pytest.mark.parametrize("pool", [(1, 2), (2, 1, 2, 1)])
     def test_pool_smaller_than_k(self, pool):
         catalog, qnet, _, _ = self._random_case(n_states=1)
-        ids, mask = pad_pools([(1, 2, 3, 4), pool])
+        S = np.zeros((2, qnet.pw.d * qnet.pw.n))
         with pytest.raises(ValueError, match="pool smaller than k: 2 < 3"):
-            cascade_batch(qnet, np.zeros((2, qnet.pw.d * qnet.pw.n)), ids, mask, catalog)
+            cascade_batch(qnet, S, pad_pools([(1, 2, 3, 4), pool]), catalog)
 
     def test_pad_pools(self):
-        ids, mask = pad_pools([(4, 2, 4), (3, 1, 2, 5)])
-        assert ids.tolist() == [[2, 4, 0, 0], [1, 2, 3, 5]]
-        assert mask.tolist() == [[True, True, False, False], [True, True, True, True]]
+        ids = pad_pools([(4, 2, 4), (3, 1, 2, 5)], 6)
+        assert ids.tolist() == [[2, 4, 0, 0, 0, 0], [1, 2, 3, 5, 0, 0]]
+        assert_padded(ids)
 
     def test_batched_targets_match_per_row_loop(self):
         catalog, qnet, hists, pools = self._random_case(n_states=200)
@@ -374,7 +373,7 @@ class TestCascadeBatch:
         rewards = rng.standard_normal(len(hists))
         terminal = rng.random(len(hists)) < 0.25
         assert terminal.any() and not terminal.all()
-        y = compute_target(rewards, hists, *pad_pools(pools), qnet, catalog, 0.9, terminal)
+        y = compute_target(rewards, hists, pad_pools(pools), qnet, catalog, 0.9, terminal)
         for row, (r, h, pool, done) in enumerate(zip(rewards, hists, pools, terminal)):
             if done:
                 expected = r
@@ -383,10 +382,10 @@ class TestCascadeBatch:
                                          pool, qnet.k)
                 expected = r + 0.9 * values[-1]
             assert abs(y[row] - expected) <= 1e-12
-        assert np.array_equal(compute_target(rewards, hists, *pad_pools(pools), qnet, catalog, 0.9,
+        assert np.array_equal(compute_target(rewards, hists, pad_pools(pools), qnet, catalog, 0.9,
                                              np.ones(len(hists), dtype=bool)), rewards)
         # padding wider than any pool changes no bit
-        wide = compute_target(rewards, hists, *pad_pools(pools, 30), qnet, catalog, 0.9, terminal)
+        wide = compute_target(rewards, hists, pad_pools(pools, 30), qnet, catalog, 0.9, terminal)
         assert np.array_equal(wide, y)
 
 class TestPolicies:
@@ -462,14 +461,14 @@ class TestKeptScoreBuffers:
         return catalog, rng, qnet, make_ground_truth_user(catalog, (4, 2, 6), seed=44)
 
     def _calls(self, k, B, rng, catalog):
-        """(hists, ids, mask) of B ragged rows per call, padded past the widest real pool,
+        """(hists, pools) of B ragged rows per call, padded past the widest real pool,
         for cut pool widths that shrink, grow and repeat."""
         calls = []
         for width in (max(w, k) for w in (12, 6, 20, 12, 12)):
             pools = [rng.choice(catalog.item_ids, size=int(rng.integers(k, width + 1)), replace=False)
                      for _ in range(B - 1)]
             pools.insert(int(rng.integers(B)), rng.choice(catalog.item_ids, size=width, replace=False))
-            calls.append((rng.standard_normal((B, 3, 4)), *pad_pools(pools, width + 2)))
+            calls.append((rng.standard_normal((B, 3, 4)), pad_pools(pools, width + 2)))
         return calls
 
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -477,10 +476,10 @@ class TestKeptScoreBuffers:
     def test_cascade_batch_equals_fresh_calls(self, B, k):
         catalog, rng, qnet, _ = self._world(k, 42 + k)
         work, pairs = ScoreBuffers(), []
-        for hists, ids, mask in self._calls(k, B, rng, catalog):
+        for hists, pools in self._calls(k, B, rng, catalog):
             S = embed_history(hists, qnet.pw)
-            slates, values = cascade_batch(qnet, S, ids, mask, catalog, work)
-            fresh_slates, fresh_values = cascade_batch(qnet, S, ids, mask, catalog)
+            slates, values = cascade_batch(qnet, S, pools, catalog, work)
+            fresh_slates, fresh_values = cascade_batch(qnet, S, pools, catalog)
             assert np.array_equal(slates, fresh_slates)
             assert values.tobytes() == fresh_values.tobytes()
             pairs.append(work.pair)
@@ -496,12 +495,12 @@ class TestKeptScoreBuffers:
         policy = make_policy(PolicyHandle(kind, qnet=qnet, user_model=user), catalog, k)
         fresh = {
             PolicyKind.CDQN: lambda hists, pools: cascade_batch(
-                qnet, embed_history(hists, qnet.pw), *pools, catalog)[0],
+                qnet, embed_history(hists, qnet.pw), pools, catalog)[0],
             PolicyKind.GREEDY_USER_MODEL: lambda hists, pools: greedy_user_model_policy(
                 user, hists, pools, k, catalog),
         }[kind]
-        for hists, ids, mask in self._calls(k, B, rng, catalog):
-            assert np.array_equal(policy(hists, (ids, mask), None), fresh(hists, (ids, mask)))
+        for hists, pools in self._calls(k, B, rng, catalog):
+            assert np.array_equal(policy(hists, pools, None), fresh(hists, pools))
 
     @pytest.mark.parametrize("value", [-1e308, np.nan], ids=["overflow", "nan"])
     def test_call_after_non_finite_error_equals_fresh_call(self, value):
@@ -509,21 +508,21 @@ class TestKeptScoreBuffers:
         catalog, rng, qnet, _ = self._world(3, 49)
         policy = make_policy(PolicyHandle(PolicyKind.CDQN, qnet=qnet), catalog, 3)
         work = ScoreBuffers()
-        hists, ids, mask = self._calls(3, 7, rng, catalog)[0]
+        hists, pools = self._calls(3, 7, rng, catalog)[0]
         S = embed_history(hists, qnet.pw)
         head = qnet.heads[1]
         kept = [t.copy() for t in (head.V, head.b, head.v)]
         break_head(qnet, 2, value)
         with np.errstate(over="ignore", invalid="ignore"):
-            for call in (lambda: policy(hists, (ids, mask), None),
-                         lambda: cascade_batch(qnet, S, ids, mask, catalog, work)):
+            for call in (lambda: policy(hists, pools, None),
+                         lambda: cascade_batch(qnet, S, pools, catalog, work)):
                 with pytest.raises(NonFiniteQError, match="position 2"):
                     call()
         for t, before in zip((head.V, head.b, head.v), kept):
             t[:] = before
-        fresh_slates, fresh_values = cascade_batch(qnet, S, ids, mask, catalog)
-        assert np.array_equal(policy(hists, (ids, mask), None), fresh_slates)
-        slates, values = cascade_batch(qnet, S, ids, mask, catalog, work)
+        fresh_slates, fresh_values = cascade_batch(qnet, S, pools, catalog)
+        assert np.array_equal(policy(hists, pools, None), fresh_slates)
+        slates, values = cascade_batch(qnet, S, pools, catalog, work)
         assert np.array_equal(slates, fresh_slates) and values.tobytes() == fresh_values.tobytes()
 
     @pytest.mark.parametrize("kind", [PolicyKind.CDQN, PolicyKind.GREEDY_USER_MODEL],
@@ -538,8 +537,7 @@ class TestKeptScoreBuffers:
                               user_model=make_ground_truth_user(catalog, (5, 4, hidden), seed=52))
         policy = make_policy(handle, catalog, k)
         hists = rng.standard_normal((B, 8, 5))
-        pools = (np.sort([rng.choice(catalog.item_ids, P, replace=False) for _ in range(B)], axis=1),
-                 np.ones((B, P), dtype=bool))
+        pools = np.sort([rng.choice(catalog.item_ids, P, replace=False) for _ in range(B)], axis=1)
         first = policy(hists, pools, None)
         second, peak = peak_alloc(lambda: policy(hists, pools, None))
         assert np.array_equal(first, second)
@@ -604,8 +602,7 @@ class TestTrainCdqn:
         hists, avail, pools = reset(env, user, keys)
         clicked = set()
         for t in range(4):
-            ids, mask = pools
-            slate = cascade_slate(qnet, hists[0], ids[0][mask[0]], catalog)
+            slate = cascade_slate(qnet, hists[0], pools[0][pools[0] != NON_CLICK_ID], catalog)
             assert not (set(slate) & clicked)
             clicked.update(c for c in step(env, user, t, keys, hists, avail, pools, [slate])[1] if c)
 

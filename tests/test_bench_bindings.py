@@ -96,3 +96,16 @@ def test_cascade_plan_work_matches_the_q_values_it_evaluates(monkeypatch):
     workloads.Training(workloads.README).chunk(tally, 0, 0)
     assert tally.problems == [] and tally.failed == 0
     assert len(evals) > 0 and list(recorder.work) == [float(n) for n in evals]
+
+
+@pytest.mark.parametrize("span, position, name", [
+    ("agent.cascade_plan", 1, "pool"), ("agent.cascade_plan", 2, "k"),
+    ("training.nll_value_grad", 1, "examples"), ("training.minimax_value_grads", 2, "examples"),
+    ("data.save_trajectories", 2, "path"),
+])
+def test_tracer_reads_the_argument_it_means_by_position(span, position, name):
+    # tracing.WORK reads these arguments as args[position]; a reordered signature would
+    # have it record the size of another argument
+    module_name, attr = SPANS[span]
+    function = getattr(importlib.import_module(f"slatesim.{module_name}"), attr)
+    assert list(inspect.signature(function).parameters)[position] == name

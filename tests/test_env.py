@@ -7,7 +7,7 @@ import pytest
 
 from slatesim.agent import PolicyHandle, PolicyKind, make_policy
 from slatesim.choice import ChoiceConfig, Regularizer
-from slatesim.data import ItemCatalog, load_trajectories, save_trajectories, synth_catalog
+from slatesim.data import NON_CLICK_ID, ItemCatalog, load_trajectories, save_trajectories, synth_catalog
 from slatesim.env import (
     _CLICK_STREAM,
     _POLICY_STREAM,
@@ -26,7 +26,7 @@ from slatesim.env import (
 )
 from slatesim.nets import embed_history, head_scores, init_cascade_net, named_tensors
 
-from pools import push_columns
+from pools import assert_padded, push_columns
 
 
 def random_policy(env):
@@ -40,8 +40,7 @@ def avail_of(catalog, clicked, rows=1):
 
 def pool_rows(pools):
     """Padded pools as one ascending id tuple per row."""
-    ids, mask = pools
-    return [tuple(row[real].tolist()) for row, real in zip(ids, mask)]
+    return [tuple(row[row != NON_CLICK_ID].tolist()) for row in pools]
 
 
 @pytest.fixture
@@ -63,7 +62,7 @@ class TestGroundTruthUser:
     def test_choice_distribution_sums_to_one(self, setup):
         catalog, user, env = setup
         hists, _, pools = reset(env, user, EpisodeKeys([3], 0))
-        feats = catalog.feature_matrix(pools[0][0, :3])
+        feats = catalog.feature_matrix(pools[0, :3])
         scores = slate_scores(user, hists, feats[None])[0]
         probs = user.config.regularizer.probs(scores, user.config.eta)
         assert probs.shape == (4,)
@@ -117,9 +116,9 @@ class TestEpisodeKeys:
                 keys.rng(0, _CLICK_STREAM, t)
         hists, avail, pools = reset(env, user, keys)
         for t in range(2):
-            step(env, user, t, keys, hists, avail, pools, [pools[0][0, :3]])
+            step(env, user, t, keys, hists, avail, pools, [pools[0, :3]])
         with pytest.raises(ValueError, match=re.escape("step 3 is outside")):
-            step(env, user, 2, keys, hists, avail, pools, [pools[0][0, :3]])
+            step(env, user, 2, keys, hists, avail, pools, [pools[0, :3]])
 
 
 class TestReset:
@@ -226,11 +225,10 @@ class TestPoolDrawMatchesListScan:
             clicked = frozenset(int(i) for i in rng.choice(ids, size=n_clicked, replace=False))
             if trial % 7 == 0:
                 clicked |= {999}  # an id outside the catalog changes nothing
-            pool_ids, mask = draw_candidates(env, avail_of(gappy_catalog, clicked), trial % 5,
-                                             EpisodeKeys([trial], 4))
-            assert pool_rows((pool_ids, mask)) == [list_scan_pool(env, clicked, trial % 5, trial)]
-            assert pool_ids.shape == mask.shape == (1, config.pool_size)
-            assert np.all(pool_ids[~mask] == 0) and np.array_equal(mask, np.sort(mask)[:, ::-1])
+            pools = draw_candidates(env, avail_of(gappy_catalog, clicked), trial % 5, EpisodeKeys([trial], 4))
+            assert pool_rows(pools) == [list_scan_pool(env, clicked, trial % 5, trial)]
+            assert pools.shape == (1, config.pool_size)
+            assert_padded(pools)
 
     def test_same_exhaustion_error(self, gappy_catalog):
         env = SlateEnv(gappy_catalog, EnvConfig(k=3, pool_size=5))
@@ -251,7 +249,7 @@ class TestStep:
         keys = EpisodeKeys(seeds, 1)
         hists, avail, pools = reset(env, user, keys)
         before = hists.copy()
-        slates = pools[0][:, :3].tolist()
+        slates = pools[:, :3].tolist()
         out = step(env, user, 0, keys, hists, avail, pools, slates)
         return before, slates, out, (hists, avail, pools)
 
@@ -311,7 +309,7 @@ class TestStep:
         _, user, env = setup
         keys = EpisodeKeys([3], 1)
         hists, avail, pools = reset(env, user, keys)
-        pool = pools[0][0]
+        pool = pools[0]
 
         def bad(slate):
             return step(env, user, 0, keys, hists, avail, pools, [slate])
@@ -348,13 +346,13 @@ class TestStep:
         _, user, env = setup
         keys = EpisodeKeys([3], 1)
         hists, avail, _ = reset(env, user, keys)
-        pools = (np.array([[1, 2, 3, 0, 0]]), np.array([[True] * 3 + [False] * 2]))
+        pools = np.array([[1, 2, 3, NON_CLICK_ID, NON_CLICK_ID]])
         with pytest.raises(ValueError) as caught:
             step(env, user, 0, keys, hists, avail, pools, [[1, 2, 0]])
         assert str(caught.value) == "slate not in pool: [0]"
 
     def test_batched_state_equals_rows_alone(self, setup):
-        # 12 sessions stepped together and each stepped alone: pools (ids and mask),
+        # 12 sessions stepped together and each stepped alone: pools,
         # availability, histories, slates, clicks and rewards agree bit for bit at every
         # step, steps where some rows' catalogs run short of the pool size included
         catalog, user, _ = setup
@@ -366,11 +364,12 @@ class TestStep:
             return step(env, user, t, keys, *state, slates)
 
         def assert_rows_equal():
-            hists, avail, (ids, mask) = batch
-            for i, (_, (h, a, (p, m))) in enumerate(alone):
-                for got, want in ((hists, h), (avail, a), (ids, p), (mask, m)):
+            hists, avail, pools = batch
+            for i, (_, (h, a, p)) in enumerate(alone):
+                for got, want in ((hists, h), (avail, a), (pools, p)):
                     assert got[i].tobytes() == want[0].tobytes()
-            sizes.add(tuple(mask.sum(axis=1).tolist()))
+            assert_padded(pools)
+            sizes.add(tuple((pools != NON_CLICK_ID).sum(axis=1).tolist()))
 
         keys, sizes = EpisodeKeys(seeds, 7), set()
         batch = reset(env, user, keys)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -23,6 +25,7 @@ from slatesim.nets import init_cascade_net
 from slatesim.training import save_user_model
 
 GOLDEN = Path(__file__).parent / "golden" / "eval_criterion9"
+PIPELINE_DIGESTS = Path(__file__).parent / "golden" / "pipeline_digests.json"
 
 
 class TestMetricFunctions:
@@ -524,6 +527,38 @@ class TestCli:
         assert f"error: {path}: a policy trained as additive, not cdqn" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--roster", "cdqn", "--policy", "BAD_POLICY", "--k", "5"],
+        ["diagnose-q", "--policy", "BAD_POLICY"],
+        ["evaluate", "--roster", "random", "--user-model", "BAD_USER"],
+        ["evaluate", "--roster", "greedy", "--greedy-user-model", "BAD_USER"],
+        ["diagnose-q", "--policy", "POLICY", "--user-model", "BAD_USER"],
+        ["train-policy", "--user-model", "BAD_USER"],
+    ], ids=["evaluate-policy", "diagnose-q-policy", "evaluate-user-model", "evaluate-greedy-user-model",
+            "diagnose-q-user-model", "train-policy-user-model"])
+    def test_head_of_the_wrong_input_width_exits_2_naming_the_file(self, tmp_path, capsys, argv):
+        # a policy's head 2 and a user model's reward head one column short of their input
+        # [s; f_1 .. f_j]; these once loaded, and the run failed mid-way in a matmul, naming
+        # no file, after evaluate had made --out
+        paths = {name: str(tmp_path / f"{name}.ckpt") for name in ("POLICY", "BAD_POLICY", "BAD_USER")}
+        qnet = init_cascade_net(8, 5, 4, 16, 5, np.random.default_rng(0))
+        save_policy(paths["POLICY"], qnet)
+        qnet.heads[1].V = qnet.heads[1].V[:, :-1]
+        save_policy(paths["BAD_POLICY"], qnet)
+        user = make_ground_truth_user(synth_catalog(10, 8), (5, 4, 16), seed=1)
+        user.theta.head.V = user.theta.head.V[:, :-1]
+        save_user_model(paths["BAD_USER"], user)
+        bad = next(arg for arg in argv if arg.startswith("BAD"))
+        says = {"BAD_POLICY": "tensor L2 of shape (16, 47) needs d*n + 2*d = 48 columns",
+                "BAD_USER": "tensor theta_V of shape (16, 39) needs d*n + d = 40 columns"}[bad]
+        out = tmp_path / "out"
+        code = cli_main([paths.get(arg, arg) for arg in argv]
+                        + ["--n-users", "2", "--reps", "1"] * (argv[0] == "evaluate")
+                        + ["--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {paths[bad]}: {says}\n"
+        assert not out.exists()
+
     def test_end_to_end_pipeline(self, tmp_path, capsys):
         out = str(tmp_path)
         # 1. generate a tiny synthetic click log
@@ -577,6 +612,11 @@ class TestCli:
         lines = open(diag).read().splitlines()
         assert lines[0] == "state_idx,j,qj,qk"
         assert len(lines) == 1 + 30 * 3
+        # every output file and the standard output, byte for byte
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in sorted(os.listdir(out))}
+        digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digests == json.loads(PIPELINE_DIGESTS.read_text())
 
     def test_gen_data_bit_reproducible(self, tmp_path):
         args = ["gen-data", "--users", "5", "--horizon", "4", "--k", "3",
