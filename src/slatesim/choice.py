@@ -54,8 +54,8 @@ class ChoiceConfig:
     regularizer: Regularizer = Regularizer.SHANNON_ENTROPY
 
     def __post_init__(self):
-        if not (self.eta > 0):
-            raise ValueError(f"eta must be > 0, got {self.eta}")
+        if not (np.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
 
 
 def _check_rewards(rewards: np.ndarray) -> np.ndarray:

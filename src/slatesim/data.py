@@ -271,6 +271,8 @@ def _parse_trajectories(lines: list[str]) -> tuple[ItemCatalog, list[Trajectory]
                     f"line {lineno}: inconsistent feature dimension "
                     f"(got {vals.shape[0]}, header says {d})"
                 )
+            if not np.isfinite(vals).all():
+                raise DataFormatError(f"line {lineno}: non-finite feature of item {item_id}")
             items.append((item_id, vals))
         elif line.startswith("rec "):
             head, _, tail = line[4:].partition("|")
@@ -289,6 +291,8 @@ def _parse_trajectories(lines: list[str]) -> tuple[ItemCatalog, list[Trajectory]
                     raise DataFormatError(f"line {lineno}: bad record extension {extra.strip()!r}")
                 try:
                     reward = float(val)
+                    if not np.isfinite(reward):
+                        raise ValueError
                 except ValueError:
                     raise DataFormatError(f"line {lineno}: bad reward value {val!r}") from None
             try:

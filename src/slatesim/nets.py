@@ -81,6 +81,9 @@ class ScorerParams:
         self.V = np.asarray(self.V, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
+        if (self.V.ndim, self.b.ndim, self.v.ndim) != (2, 1, 1):
+            raise ValueError(f"head tensors V, b, v need 2, 1, 1 dimensions, got "
+                             f"{self.V.ndim}, {self.b.ndim}, {self.v.ndim}")
         h = self.V.shape[0]
         if h < 1 or self.b.shape != (h,) or self.v.shape != (h,):
             raise ValueError("inconsistent head shapes")
@@ -226,10 +229,11 @@ def _embed_grad(pw: PositionWeightParams, F: np.ndarray, Ze: np.ndarray, ds: np.
 # losses and their exact gradients
 
 
-def nll_value_and_grad(net: ScorerNet, F, feats, chosen, eta: float):
-    """Mean negative log-likelihood of the observed choices under softmax(eta * scores)."""
+def nll_value_and_grad(net: ScorerNet, cache: _ScorerCache, chosen, eta: float):
+    """Mean negative log-likelihood of the observed choices under softmax(eta * scores).
+
+    This and the two minimax losses take `cache`, net's scorer_batch forward of the block."""
     chosen = np.asarray(chosen, dtype=int)
-    cache = scorer_batch(net, F, feats)
     logits = eta * cache.scores
     batch = logits.shape[0]
     rows = np.arange(batch)
@@ -244,18 +248,12 @@ def nll_value_and_grad(net: ScorerNet, F, feats, chosen, eta: float):
     return value, scorer_batch_grad(net, cache, w)
 
 
-def minimax_reward_value_and_grad(net: ScorerNet, F, feats, chosen, phi: np.ndarray,
+def minimax_reward_value_and_grad(net: ScorerNet, cache: _ScorerCache, chosen, phi: np.ndarray,
                                   eta: float, regularizer: Regularizer):
     """Adversarial update for the reward scorer, with the generator phi held fixed.
 
     Value is the mean per-record objective  <phi, r> - R(phi)/eta - r_true;
     the gradient descends it (phi is a constant here)."""
-    return minimax_reward_cache_grad(net, scorer_batch(net, F, feats), chosen, phi, eta, regularizer)
-
-
-def minimax_reward_cache_grad(net: ScorerNet, cache: _ScorerCache, chosen, phi: np.ndarray,
-                              eta: float, regularizer: Regularizer):
-    """minimax_reward_value_and_grad on the scorer_batch forward `cache` of its F and feats."""
     chosen = np.asarray(chosen, dtype=int)
     batch = cache.scores.shape[0]
     rows = np.arange(batch)
@@ -270,13 +268,12 @@ def minimax_reward_cache_grad(net: ScorerNet, cache: _ScorerCache, chosen, phi: 
     return value, scorer_batch_grad(net, cache, w)
 
 
-def minimax_behavior_value_and_grad(net: ScorerNet, F, feats, rewards: np.ndarray,
+def minimax_behavior_value_and_grad(net: ScorerNet, cache: _ScorerCache, rewards: np.ndarray,
                                     eta: float, regularizer: Regularizer):
     """Generator objective  <phi_alpha, r> - R(phi_alpha)/eta  with rewards held fixed.
 
     phi_alpha is the softmax of the behavior logits; the returned gradient is of
     the mean objective w.r.t. the behavior parameters (caller ascends)."""
-    cache = scorer_batch(net, F, feats)
     phi = softmax(cache.scores)
     value = float(np.mean(np.sum(phi * rewards, axis=1) - regularizer.omega(phi) / eta))
     g = rewards - regularizer.omega_grad(phi) / eta
@@ -502,32 +499,23 @@ def run_gradient_check(seed: int = 0, trials: int = 100, dims_max: int = 6, h: f
         kind = LOSS_KINDS[trial % len(LOSS_KINDS)]
         reg = list(Regularizer)[(trial // len(LOSS_KINDS)) % len(Regularizer)]
         if kind == "squared-td":
-            k = int(rng.integers(1, 4))
-            qnet = init_cascade_net(d, m, n, hid, k, rng)
-            slate = rng.standard_normal((batch, k, d))
-            targets = rng.standard_normal(batch)
-            analytic = td_value_and_grad(qnet, F, slate, targets)[1]  # of k times the value
-            numeric = finite_difference_grad(
-                lambda: k * td_value_and_grad(qnet, F, slate, targets)[0], qnet, h=h)
+            scale = k = int(rng.integers(1, 4))  # td_value_and_grad's gradient is of k times its value
+            net = init_cascade_net(d, m, n, hid, k, rng)
+            fn, rest = td_value_and_grad, (rng.standard_normal((batch, k, d)), rng.standard_normal(batch))
         else:
-            net = init_scorer_net(d, m, n, hid, rng)
+            scale, net = 1, init_scorer_net(d, m, n, hid, rng)
             chosen = rng.integers(0, slots, size=batch)
             if kind == "nll":
-                analytic = nll_value_and_grad(net, F, feats, chosen, eta)[1]
-                numeric = finite_difference_grad(
-                    lambda: nll_value_and_grad(net, F, feats, chosen, eta)[0], net, h=h)
+                fn, rest = nll_value_and_grad, (chosen, eta)
             elif kind == "minimax-reward":
                 raw = rng.random((batch, slots))
                 phi = raw / raw.sum(axis=1, keepdims=True)
-                analytic = minimax_reward_value_and_grad(net, F, feats, chosen, phi, eta, reg)[1]
-                numeric = finite_difference_grad(
-                    lambda: minimax_reward_value_and_grad(net, F, feats, chosen, phi, eta, reg)[0],
-                    net, h=h)
+                fn, rest = minimax_reward_value_and_grad, (chosen, phi, eta, reg)
             else:
-                rewards = rng.standard_normal((batch, slots))
-                analytic = minimax_behavior_value_and_grad(net, F, feats, rewards, eta, reg)[1]
-                numeric = finite_difference_grad(
-                    lambda: minimax_behavior_value_and_grad(net, F, feats, rewards, eta, reg)[0],
-                    net, h=h)
-        worst = max(worst, _rel_err(analytic, numeric))
+                fn, rest = minimax_behavior_value_and_grad, (rng.standard_normal((batch, slots)), eta, reg)
+
+        def loss():  # the TD loss runs its own forward; the scorer losses take scorer_batch's
+            return fn(net, F if kind == "squared-td" else scorer_batch(net, F, feats), *rest)
+        analytic = loss()[1]
+        worst = max(worst, _rel_err(analytic, finite_difference_grad(lambda: scale * loss()[0], net, h=h)))
     return worst

@@ -214,18 +214,24 @@ def _nonempty(examples: ExampleSet | Sequence[Example], message: str = "empty ba
     return examples
 
 
+def _theta_forward(theta: ScorerNet, examples: ExampleSet | Sequence[Example]):
+    """Per slot-count block: (positions, chosen, n_items, theta's scorer_batch cache of its
+    histories and displays). Every fit loss and metric reads theta's scores from here."""
+    return [(pos, chosen, n_items, nets.scorer_batch(theta, F, feats))
+            for pos, F, feats, chosen, n_items in _nonempty(examples).blocks()]
+
+
 def nll_value_grad(theta: ScorerNet, examples: ExampleSet | Sequence[Example], eta: float):
-    parts = [(len(pos),) + nets.nll_value_and_grad(theta, F, feats, chosen, eta)
-             for pos, F, feats, chosen, _ in _nonempty(examples).blocks()]
-    return _weighted(parts)
+    return _weighted([(len(pos),) + nets.nll_value_and_grad(theta, cache, chosen, eta)
+                      for pos, chosen, _, cache in _theta_forward(theta, examples)])
 
 
 def nll_loss(theta: ScorerNet, examples: ExampleSet | Sequence[Example], eta: float) -> float:
     """Mean per-record negative log-likelihood under softmax(eta * reward)."""
     examples = _nonempty(examples)
     value = 0.0
-    for pos, F, feats, chosen, _ in examples.blocks():
-        logits = eta * nets.scorer_batch(theta, F, feats).scores
+    for pos, chosen, _, cache in _theta_forward(theta, examples):
+        logits = eta * cache.scores
         value += float(np.sum(logsumexp(logits) - logits[np.arange(len(pos)), chosen]))
     return value / len(examples)
 
@@ -251,12 +257,12 @@ def minimax_objective(theta: ScorerNet, alpha: ScorerNet | None,
     (entropy: log-sum-exp; L2: simplex projection) instead of using alpha."""
     examples = _nonempty(examples)
     total = 0.0
-    for pos, F, feats, chosen, _ in examples.blocks():
-        r = nets.scorer_batch(theta, F, feats).scores
+    for pos, chosen, _, cache in _theta_forward(theta, examples):
+        r = cache.scores
         if exact_inner:
             inner = regularizer.inner_max(r, eta)
         else:
-            phi = behavior_probs(alpha, F, feats)
+            phi = behavior_probs(alpha, cache.F, cache.feats)
             inner = np.sum(phi * r, axis=1) - regularizer.omega(phi) / eta
         total += float(np.sum(inner - r[np.arange(len(pos)), chosen]))
     return total / len(examples)
@@ -269,12 +275,6 @@ def model_choice_probs(model: UserModel, hist: np.ndarray, disp: np.ndarray) -> 
     return model.config.regularizer.probs(rewards, model.config.eta)
 
 
-def _reward_scores(theta: ScorerNet, examples: ExampleSet):
-    """Per slot-count group: (positions, reward scores (records, slots), chosen, n_items)."""
-    for pos, F, feats, chosen, n_items in examples.blocks():
-        yield pos, nets.scorer_batch(theta, F, feats).scores, chosen, n_items
-
-
 def precision_at_k(model: UserModel, examples: ExampleSet | Sequence[Example], k_eval: int) -> float:
     """Fraction of clicked page views whose true item ranks in the model's top k_eval."""
     examples = _as_set(examples)
@@ -284,10 +284,10 @@ def precision_at_k(model: UserModel, examples: ExampleSet | Sequence[Example], k
     if k_eval < 1 or np.any(clicks.n_items[clicks.rows] < k_eval):
         raise ValueError("k_eval must be within the display size")
     hits = 0
-    for _, scores, chosen, n_items in _reward_scores(model.theta, clicks):
+    for _, chosen, n_items, cache in _theta_forward(model.theta, clicks):
         for n in np.flatnonzero(np.bincount(n_items)):  # distinct counts, as blocks()
             sel = n_items == n
-            top = np.argsort(-scores[sel, :n], axis=1, kind="stable")[:, :k_eval]
+            top = np.argsort(-cache.scores[sel, :n], axis=1, kind="stable")[:, :k_eval]
             hits += int(np.count_nonzero(top == chosen[sel, None]))
     return hits / len(clicks)
 
@@ -297,8 +297,8 @@ def heldout_loglik(model: UserModel, examples: ExampleSet | Sequence[Example]) -
     examples = _nonempty(examples, "empty evaluation set")
     reg, eta = model.config.regularizer, model.config.eta
     p = np.empty(len(examples))
-    for pos, scores, chosen, _ in _reward_scores(model.theta, examples):
-        p[pos] = reg.probs(scores, eta)[np.arange(len(pos)), chosen]
+    for pos, chosen, _, cache in _theta_forward(model.theta, examples):
+        p[pos] = reg.probs(cache.scores, eta)[np.arange(len(pos)), chosen]
     clamped = int(np.count_nonzero(p < PROB_FLOOR))
     logs = np.log(np.maximum(p, PROB_FLOOR))
     if clamped:
@@ -398,21 +398,15 @@ def train_mle(
                      config=ChoiceConfig(config.eta, Regularizer.SHANNON_ENTROPY))
 
 
-def _theta_forward(theta: ScorerNet, examples: ExampleSet | Sequence[Example]):
-    """Per slot-count block: (records, chosen, theta's scorer_batch cache of its histories and displays)."""
-    return [(len(pos), chosen, nets.scorer_batch(theta, F, feats))
-            for pos, F, feats, chosen, _ in _nonempty(examples).blocks()]
-
-
 def minimax_alpha_grad(theta: ScorerNet, alpha: ScorerNet, examples: ExampleSet | Sequence[Example],
                        config: TrainConfig, forward=None) -> dict[str, np.ndarray]:
     """The behavior scorer's half of an alternating update: the gradient of the mean
     generator objective against theta's rewards (the caller ascends it). `forward` is
     _theta_forward(theta, examples), when the caller has it."""
     forward = _theta_forward(theta, examples) if forward is None else forward
-    return _weighted([(n,) + nets.minimax_behavior_value_and_grad(
-        alpha, cache.F, cache.feats, cache.scores, config.eta, config.regularizer)
-        for n, _, cache in forward])[1]
+    return _weighted([(len(pos),) + nets.minimax_behavior_value_and_grad(
+        alpha, nets.scorer_batch(alpha, cache.F, cache.feats), cache.scores, config.eta, config.regularizer)
+        for pos, _, _, cache in forward])[1]
 
 
 def minimax_value_grads(theta: ScorerNet, alpha: ScorerNet,
@@ -422,9 +416,9 @@ def minimax_value_grads(theta: ScorerNet, alpha: ScorerNet,
     Returns (theta objective value, theta gradients). The expectation over the
     generator is an exact sum over display slots. `forward` as in minimax_alpha_grad."""
     forward = _theta_forward(theta, examples) if forward is None else forward
-    return _weighted([(n,) + nets.minimax_reward_cache_grad(
+    return _weighted([(len(pos),) + nets.minimax_reward_value_and_grad(
         theta, cache, chosen, behavior_probs(alpha, cache.F, cache.feats), config.eta,
-        config.regularizer) for n, chosen, cache in forward])
+        config.regularizer) for pos, chosen, _, cache in forward])
 
 
 def train_minimax(

@@ -330,6 +330,12 @@ class TestSerialization:
          "line 4: trajectory for user 3 must start at step 1"),
         ("meta d=1 m=0 k=1\nitem 1 0.5\nrec 5 1 0 | 1\nrec 5 3 1 | 1\nrec 5 2 0 | 1\n",
          "line 5: steps not strictly increasing for user 5"),
+        # a non-finite feature or reward would reach training as a diverged fit
+        ("meta d=2 m=0 k=1\nitem 1 0.5 0.5\nitem 3 nan 0.5\n", "line 3: non-finite feature of item 3"),
+        ("meta d=1 m=0 k=1\nitem 1 -inf\n", "line 2: non-finite feature of item 1"),
+        ("meta d=1 m=0 k=1\nitem 1 inf\n", "line 2: non-finite feature of item 1"),
+        ("meta d=1 m=0 k=1\nitem 1 0.5\nrec 0 1 1 | 1 ; r=nan\n", "line 3: bad reward value 'nan'"),
+        ("meta d=1 m=0 k=1\nitem 1 0.5\nrec 0 1 1 | 1 ; r=-inf\n", "line 3: bad reward value '-inf'"),
     ])
     def test_every_load_error_names_the_file(self, tmp_path, body, message):
         path = tmp_path / "bad.txt"

@@ -95,7 +95,7 @@ def old_weighted(parts):
 
 
 def old_nll_value_grad(theta, examples, eta):
-    return old_weighted([(n,) + nets.nll_value_and_grad(theta, F, feats, chosen, eta)
+    return old_weighted([(n,) + nets.nll_value_and_grad(theta, nets.scorer_batch(theta, F, feats), chosen, eta)
                          for n, F, feats, chosen in old_batch_groups(examples)])
 
 
@@ -157,11 +157,11 @@ def old_minimax_value_grads(theta, alpha, examples, config):
     for n, F, feats, chosen in old_batch_groups(examples):
         r = nets.scorer_batch(theta, F, feats).scores
         va, ga = nets.minimax_behavior_value_and_grad(
-            alpha, F, feats, r, config.eta, config.regularizer)
+            alpha, nets.scorer_batch(alpha, F, feats), r, config.eta, config.regularizer)
         alpha_parts.append((n, va, ga))
         phi = softmax(nets.scorer_batch(alpha, F, feats).scores)
         vt, gt = nets.minimax_reward_value_and_grad(
-            theta, F, feats, chosen, phi, config.eta, config.regularizer)
+            theta, nets.scorer_batch(theta, F, feats), chosen, phi, config.eta, config.regularizer)
         theta_parts.append((n, vt, gt))
     theta_value, theta_grads = old_weighted(theta_parts)
     return theta_value, theta_grads, old_weighted(alpha_parts)[1]
@@ -362,6 +362,40 @@ class TestSplitMinimaxStep:
         value, grads = minimax_value_grads(theta, alpha, examples, config, forward)
         want_value, want_grads = minimax_value_grads(theta, alpha, examples, config)
         assert value == want_value and same_grads(grads, want_grads)
+
+
+class TestForwardCounts:
+    """scorer_batch calls, counted the way the traced benchmark counts them: theta's
+    forward runs once per slot-count block, and every loss and metric reads it."""
+
+    @pytest.mark.parametrize("regularizer, forwards", [(Regularizer.SHANNON_ENTROPY, 1),
+                                                       (Regularizer.L2, 3)], ids=["mle", "l2"])
+    def test_one_minibatch_of_uniform_displays(self, monkeypatch, count_calls, regularizer, forwards):
+        # an MLE update runs theta once; a minimax update runs theta once, shared by its two
+        # halves, and alpha twice (for alpha's gradient, then for phi in theta's)
+        grabbed = {}
+        monkeypatch.setattr(training, "_fit", lambda params, examples, config, rng, theta_grad, *_, **__:
+                            grabbed.update(theta_grad=theta_grad))
+        batch = ExampleSet.from_examples(ragged_examples(3, [4] * 16))
+        fit = training.train_minimax if regularizer is Regularizer.L2 else training.train_mle
+        fit(synth_catalog(10, D), batch, TrainConfig(regularizer=regularizer, m=M, n=2, hidden=5))
+        calls = count_calls({nets: ("scorer_batch",)})
+        grabbed["theta_grad"](batch)
+        assert calls == {"scorer_batch": forwards}
+
+    @pytest.mark.parametrize("metric", ["nll_loss", "precision_at_k", "heldout_loglik"])
+    def test_metric_runs_one_forward_per_slot_count(self, count_calls, metric):
+        examples = ExampleSet.from_examples(ragged_examples(5, [2, 3, 5] * 12))
+        clicked_slots = examples.slots[examples.rows][examples.clicked]
+        assert set(clicked_slots) == {2, 3, 5}  # precision_at_k scores the clicked rows only
+        theta = nets_pair(0)[0]
+        model = UserModel(theta, induced_softmax_alpha(theta, 1.0), ChoiceConfig())
+        run = {"nll_loss": lambda: nll_loss(theta, examples, 1.0),
+               "precision_at_k": lambda: precision_at_k(model, examples, 1),
+               "heldout_loglik": lambda: heldout_loglik(model, examples)}[metric]
+        calls = count_calls({nets: ("scorer_batch",)})
+        run()
+        assert calls == {"scorer_batch": 3}
 
 
 def test_precision_at_k_leaves_numpy_ma_unimported():

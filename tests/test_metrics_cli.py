@@ -559,6 +559,64 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {paths[bad]}: {says}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--roster", "cdqn", "--policy", "BAD_POLICY", "--k", "5"],
+        ["diagnose-q", "--policy", "BAD_POLICY"],
+        ["evaluate", "--roster", "random", "--user-model", "BAD_USER"],
+        ["diagnose-q", "--policy", "POLICY", "--user-model", "BAD_USER"],
+    ], ids=["evaluate-policy", "diagnose-q-policy", "evaluate-user-model", "diagnose-q-user-model"])
+    def test_zero_d_head_tensor_exits_2_naming_the_file(self, tmp_path, capsys, argv):
+        # a policy's L1 and a user model's theta_V rewritten as 0-d tensors of one value; these
+        # once failed reading the head's shape, as an IndexError naming no file
+        paths = {name: tmp_path / f"{name}.ckpt" for name in ("POLICY", "BAD_POLICY", "BAD_USER")}
+        for name in ("POLICY", "BAD_POLICY"):
+            save_policy(paths[name], init_cascade_net(8, 5, 4, 16, 5, np.random.default_rng(0)))
+        save_user_model(paths["BAD_USER"], make_ground_truth_user(synth_catalog(10, 8), (5, 4, 16), seed=1))
+        for name, tensor in (("BAD_POLICY", "L1"), ("BAD_USER", "theta_V")):
+            lines = paths[name].read_text().splitlines()
+            at = next(i for i, line in enumerate(lines) if line.startswith(f"tensor {tensor} "))
+            lines[at:at + 2] = [f"tensor {tensor} 0", "0.5"]
+            paths[name].write_text("\n".join(lines) + "\n")
+        bad = paths[next(arg for arg in argv if arg.startswith("BAD"))]
+        out = tmp_path / "out"
+        code = cli_main([str(paths.get(arg, arg)) for arg in argv]
+                        + ["--n-users", "2", "--reps", "1"] * (argv[0] == "evaluate")
+                        + ["--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {bad}: head tensors V, b, v need 2, 1, 1 "
+                                           "dimensions, got 0, 1, 1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eta", ["inf", "nan"])
+    def test_non_finite_eta_exits_2_naming_the_file(self, tmp_path, capsys, eta):
+        # eta inf once loaded, and evaluate reported ctr=1.0000 for every policy
+        path = tmp_path / "user.ckpt"
+        save_user_model(path, make_ground_truth_user(synth_catalog(10, 8), (5, 4, 16), seed=1))
+        path.write_text(path.read_text().replace("meta eta 1\n", f"meta eta {eta}\n"))
+        out = tmp_path / "out"
+        code = cli_main(["evaluate", "--roster", "random,greedy", "--user-model", str(path),
+                         "--n-users", "2", "--reps", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: eta must be finite and > 0, got {eta}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train-user-model", "train-policy"])
+    def test_non_finite_item_feature_exits_2_naming_file_and_line(self, tmp_path, capsys, command):
+        # a nan feature once loaded: the fit diverged at epoch 1 and left an empty --out behind
+        assert cli_main(["gen-data", "--users", "2", "--horizon", "3", "--k", "2", "--pool-size", "4",
+                         "--catalog-size", "6", "--dim", "2", "--seed", "1", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "data.txt"
+        lines = path.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("item 3 "))
+        lines[at] = "item 3 nan " + lines[at].split(maxsplit=3)[3]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = cli_main([command, "--data", str(path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: line {at + 1}: non-finite feature of item 3\n"
+        assert not out.exists()
+
     def test_end_to_end_pipeline(self, tmp_path, capsys):
         out = str(tmp_path)
         # 1. generate a tiny synthetic click log

@@ -196,7 +196,7 @@ class TestOnePass:
             w[rows, chosen] -= 1.0
             w *= eta / batch
             want = scorer_batch_grad(net, cache, w)
-            value, grads = nll_value_and_grad(net, F, feats, chosen, eta)
+            value, grads = nll_value_and_grad(net, scorer_batch(net, F, feats), chosen, eta)
             want_value = np.float64(np.mean(logsumexp(logits) - logits[rows, chosen]))
             assert bits(np.float64(value)) == bits(want_value)
             assert grads.keys() == want.keys()
@@ -278,7 +278,7 @@ class TestGradients:
         net = init_scorer_net(3, 4, 2, 5, rng)
         F = rng.standard_normal((2, 3, 4))
         feats = rng.standard_normal((2, 1, 3))
-        value, grads = nll_value_and_grad(net, F, feats, np.zeros(2, dtype=int), eta=1.3)
+        value, grads = nll_value_and_grad(net, scorer_batch(net, F, feats), np.zeros(2, dtype=int), eta=1.3)
         assert value == pytest.approx(0.0, abs=1e-12)
         assert max(float(np.max(np.abs(g))) for g in grads.values()) <= 1e-12
 
@@ -287,7 +287,7 @@ class TestGradients:
         net = init_scorer_net(2, 3, 2, 4, rng)
         F = rng.standard_normal((3, 2, 3))
         feats = rng.standard_normal((3, 4, 2))
-        _, g1 = nll_value_and_grad(net, F, feats, np.array([0, 2, 3]), eta=1.0)
+        _, g1 = nll_value_and_grad(net, scorer_batch(net, F, feats), np.array([0, 2, 3]), eta=1.0)
         assert set(g1) == {"W", "B", "V", "b", "v"}
         qnet = init_cascade_net(2, 3, 2, 4, 2, rng)
         _, g2 = td_value_and_grad(qnet, F, rng.standard_normal((3, 2, 2)), np.ones(3))
@@ -313,7 +313,7 @@ class TestGradients:
         chosen = np.array([rng.choice(slots, p=row) for row in p])
 
         def grad_norm(model):
-            g = nll_value_and_grad(model, F, feats, chosen, eta=1.0)[1]
+            g = nll_value_and_grad(model, scorer_batch(model, F, feats), chosen, eta=1.0)[1]
             return np.sqrt(sum(float(np.sum(t * t)) for t in g.values()))
 
         base = grad_norm(net)
@@ -461,10 +461,10 @@ class TestMinimaxGradientSigns:
         F = rng.standard_normal((4, 2, 3))
         feats = rng.standard_normal((4, 5, 2))
         rewards = rng.standard_normal((4, 5))
-        v0, g = minimax_behavior_value_and_grad(net, F, feats, rewards, 1.0,
+        v0, g = minimax_behavior_value_and_grad(net, scorer_batch(net, F, feats), rewards, 1.0,
                                                 Regularizer.SHANNON_ENTROPY)
         sgd_step(net, g, 1e-3, ascend=True)
-        v1, _ = minimax_behavior_value_and_grad(net, F, feats, rewards, 1.0,
+        v1, _ = minimax_behavior_value_and_grad(net, scorer_batch(net, F, feats), rewards, 1.0,
                                                 Regularizer.SHANNON_ENTROPY)
         assert v1 > v0
 
@@ -476,9 +476,9 @@ class TestMinimaxGradientSigns:
         chosen = rng.integers(0, 5, size=4)
         raw = rng.random((4, 5))
         phi = raw / raw.sum(axis=1, keepdims=True)
-        v0, g = minimax_reward_value_and_grad(net, F, feats, chosen, phi, 1.0,
+        v0, g = minimax_reward_value_and_grad(net, scorer_batch(net, F, feats), chosen, phi, 1.0,
                                               Regularizer.SHANNON_ENTROPY)
         sgd_step(net, g, 1e-3)
-        v1, _ = minimax_reward_value_and_grad(net, F, feats, chosen, phi, 1.0,
+        v1, _ = minimax_reward_value_and_grad(net, scorer_batch(net, F, feats), chosen, phi, 1.0,
                                               Regularizer.SHANNON_ENTROPY)
         assert v1 < v0

@@ -229,8 +229,8 @@ class TestTrainMinimax:
         chosen = rng.integers(0, 6, size=30)
         phi = softmax(eta * scorer_batch(theta, F, feats).scores)
         mm_value, mm_grads = minimax_reward_value_and_grad(
-            theta, F, feats, chosen, phi, eta, Regularizer.SHANNON_ENTROPY)
-        nll_value, nll_grads = nll_value_and_grad(theta, F, feats, chosen, eta)
+            theta, scorer_batch(theta, F, feats), chosen, phi, eta, Regularizer.SHANNON_ENTROPY)
+        nll_value, nll_grads = nll_value_and_grad(theta, scorer_batch(theta, F, feats), chosen, eta)
         assert np.allclose(mm_value, nll_value / eta, rtol=0, atol=1e-12)
         assert mm_grads.keys() == nll_grads.keys() == named_tensors(theta).keys()
         for name, g in mm_grads.items():
