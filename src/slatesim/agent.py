@@ -197,11 +197,11 @@ def cascade_plan(qeval: QEval, pool: Sequence[int], k: int,
 
 
 def cascade_slate(qnet: CascadeQNet, hist: np.ndarray, pool: Sequence[int],
-                  catalog: ItemCatalog, counter: EvalCounter | None = None) -> list[int]:
+                  catalog: ItemCatalog) -> list[int]:
     """Embed one d x m history; the ordered slate the cascade picks from the pool, in at
     most k * |pool| evaluations."""
     s = nets.embed_history(hist, qnet.pw)
-    return cascade_plan(net_qeval(qnet, s, catalog), pool, qnet.k, counter)[0]
+    return cascade_plan(net_qeval(qnet, s, catalog), pool, qnet.k)[0]
 
 
 def _cut_pools(pools: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -247,13 +247,13 @@ def cascade_batch(qnet: CascadeQNet, S: np.ndarray, pools: np.ndarray, catalog: 
 
 def compute_target(rewards: Sequence[float], next_hists: np.ndarray, next_pools: np.ndarray,
                    qnet: CascadeQNet, catalog: ItemCatalog, gamma: float,
-                   terminal: Sequence[bool] | None = None) -> np.ndarray:
+                   terminal: Sequence[bool]) -> np.ndarray:
     """TD targets y = r + gamma * Q^k at the greedy cascade slate of each next state.
 
     next_hists: (B, d, m); next_pools: (B, P) padded pools (see cascade_batch).
     Terminal rows keep their reward; the live rows go through one cascade_batch."""
     y = np.array(rewards, dtype=float)
-    live = np.arange(len(y)) if terminal is None else np.flatnonzero(~np.asarray(terminal, bool))
+    live = np.flatnonzero(~np.asarray(terminal, bool))
     if len(live):
         S = nets.embed_history(np.asarray(next_hists, dtype=float)[live], qnet.pw)
         _, values = cascade_batch(qnet, S, np.asarray(next_pools)[live], catalog)

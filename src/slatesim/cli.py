@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import warnings
 from enum import EnumMeta
 
 import numpy as np
@@ -61,7 +62,7 @@ _FLAGS = {
     "user-model": str, "gt-seed": _seed, "gt-m": int, "gt-n": int, "gt-hidden": int,
     "gt-reward-scale": float,
     # env
-    "k": int, "pool-size": int, "horizon": int, "nonclick-reward": float,
+    "k": int, "pool-size": int, "horizon": int,
     # scorer architecture (train-user-model, train-policy)
     "m": int, "n": int, "hidden": int,
     # gen-data
@@ -81,7 +82,7 @@ _FLAGS = {
 _COMMON = ("seed", "out", "config")
 _CATALOG = ("catalog-size", "dim", "catalog-seed")
 _USER = ("user-model", "gt-seed", "gt-m", "gt-n", "gt-hidden", "gt-reward-scale")
-_ENV = ("k", "pool-size", "horizon", "nonclick-reward")
+_ENV = ("k", "pool-size", "horizon")
 
 
 class _Options:
@@ -244,8 +245,11 @@ def cmd_train_user_model(args: argparse.Namespace) -> int:
     if test:
         test_examples = training.build_examples(catalog, test, config.m)
         prec1 = training.precision_at_k(model, test_examples, 1)
-        loglik = training.heldout_loglik(model, test_examples)
-        _log(f"[train-user-model] test prec@1={prec1:.4f} heldout_loglik={loglik:.4f}")
+        with warnings.catch_warnings(record=True) as caught:  # an L2 model's clamped records
+            warnings.simplefilter("always")
+            loglik = training.heldout_loglik(model, test_examples)
+        _log(f"[train-user-model] test prec@1={prec1:.4f} heldout_loglik={loglik:.4f}"
+             + "".join(f" ({w.message})" for w in caught))
     _log(f"[train-user-model] wrote {ckpt}")
     return 0
 

@@ -34,7 +34,7 @@ class ItemCatalog:
     ascending `ids`.
     """
 
-    def __init__(self, items: Iterable[tuple[int, Sequence[float]]], d: int | None = None):
+    def __init__(self, items: Iterable[tuple[int, Sequence[float]]], d: int):
         feats: dict[int, np.ndarray] = {}
         for item_id, vec in items:
             item_id = int(item_id)
@@ -43,16 +43,12 @@ class ItemCatalog:
             arr = np.asarray(vec, dtype=float)
             if arr.ndim != 1:
                 raise ValueError("feature vectors must be one-dimensional")
-            if d is None:
-                d = arr.shape[0]
             if arr.shape[0] != d:
                 raise ValueError(
                     f"inconsistent feature dimension for item {item_id}: "
                     f"got {arr.shape[0]}, expected {d}"
                 )
             feats[item_id] = arr
-        if d is None:
-            raise ValueError("cannot build a catalog without items unless d is given")
         if d < 1:
             raise ValueError("feature dimension must be >= 1")
         if NON_CLICK_ID in feats:
@@ -144,22 +140,13 @@ class DatasetSplit:
             raise ValueError("splits must be disjoint")
 
 
-def split_users(
-    user_ids: Iterable[int],
-    proportions: Sequence[float] = (0.5, 0.125, 0.375),
-    seed: int = 0,
-) -> DatasetSplit:
+def split_users(user_ids: Iterable[int], seed: int) -> DatasetSplit:
     """Partition users into train/valid/test with largest-remainder rounding."""
     users = sorted(set(int(u) for u in user_ids))
     if not users:
         raise ValueError("empty user set")
-    props = np.asarray(proportions, dtype=float)
-    if props.shape != (3,) or np.any(props < 0):
-        raise ValueError("proportions must be three non-negative numbers")
-    if abs(props.sum() - 1.0) > 1e-9:
-        raise ValueError(f"proportions sum to {props.sum()}, expected 1")
     n = len(users)
-    exact = props * n
+    exact = np.array([0.5, 0.125, 0.375]) * n  # the paper's train / valid / test shares
     sizes = np.floor(exact).astype(int)
     remainders = exact - sizes
     # hand out leftover slots by largest remainder, ties to the earlier split

@@ -100,15 +100,12 @@ class EnvConfig:
     k: int = 3
     pool_size: int = 20
     horizon: int = 10
-    nonclick_reward: float = 0.0
 
     def __post_init__(self):
         if self.k < 1 or self.pool_size < self.k:
             raise ValueError(f"need 1 <= k <= pool_size, got k={self.k} and pool_size={self.pool_size}")
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
-        if not np.isfinite(self.nonclick_reward):
-            raise ValueError(f"nonclick_reward must be finite, got {self.nonclick_reward}")
 
 
 @dataclass(frozen=True)
@@ -229,7 +226,7 @@ def step(env: SlateEnv, user: UserModel, t: int, keys: EpisodeKeys, hists: np.nd
     Checks each row's slate against its pool, scores every slate plus the
     non-click slot with one slate_scores call, draws each row's choice from its
     own (seed, click stream, t) generator, and pays the clicked item's score or
-    the non-click constant (default 0). In place, a click is pushed into its
+    0.0 for a non-click. In place, a click is pushed into its
     row of `hists` and clears its item in `avail`, and `pools` is overwritten
     with the next step's. Returns the checked slates (B, k), the chosen ids (B,)
     (0 for no click) and the rewards (B,) as arrays."""
@@ -241,7 +238,7 @@ def step(env: SlateEnv, user: UserModel, t: int, keys: EpisodeKeys, hists: np.nd
     idx = sample_choice(scores, user.config, [keys.rng(i, _CLICK_STREAM, t) for i in range(len(slates))])
     clicked = idx < k
     chosen = np.where(clicked, slates[rows, np.minimum(idx, k - 1)], NON_CLICK_ID)
-    rewards = np.where(clicked, scores[rows, idx], float(env.config.nonclick_reward))
+    rewards = np.where(clicked, scores[rows, idx], 0.0)
     # a click clears its item's row in `avail` and pushes its features into its history; a
     # non-click's row is the pseudo-item's, which is never available, and its history stays
     chosen_rows = catalog.id_array.searchsorted(chosen)

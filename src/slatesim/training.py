@@ -111,14 +111,14 @@ class ExampleSet:
     """Page views stacked once into dense arrays, one row per page view.
 
     `hist` (N, d, m) holds the history windows and `disp` (N, S, d) the displays,
-    each padded to the widest one by all-zero rows; `slots` (a display's rows),
-    `chosen` and `n_items` are (N,) arrays. A set is the selection `rows` of
-    them, in set order; `take(idx)` selects from it and shares the arrays.
-    `len`, int indexing and iteration give read-only `Example` rows."""
+    each padded to the widest one by all-zero rows; `slots` (a display's rows: its
+    items, then the non-click slot) and `chosen` are (N,) arrays. A set is the
+    selection `rows` of them, in set order; `take(idx)` selects from it and shares
+    the arrays. `len`, int indexing and iteration give read-only `Example` rows."""
 
     def __init__(self, hist: np.ndarray, disp: np.ndarray, slots: np.ndarray, chosen: np.ndarray,
-                 n_items: np.ndarray, rows: np.ndarray | None = None):
-        self.hist, self.disp, self.slots, self.chosen, self.n_items = hist, disp, slots, chosen, n_items
+                 rows: np.ndarray | None = None):
+        self.hist, self.disp, self.slots, self.chosen = hist, disp, slots, chosen
         self.rows = np.arange(len(slots)) if rows is None else rows
         for a in (hist, disp):
             a.setflags(write=False)
@@ -126,28 +126,30 @@ class ExampleSet:
     @classmethod
     def from_examples(cls, examples: Sequence[Example]) -> ExampleSet:
         slots = np.array([len(ex.disp) for ex in examples], dtype=int)
+        bad = [i for i, ex in enumerate(examples) if ex.n_items != len(ex.disp) - 1]
+        if bad:
+            raise ValueError(f"example {bad[0]}: n_items is not its display's rows less the non-click slot")
         width = slots.max(initial=0)
         return cls(np.array([ex.hist for ex in examples]),
                    np.array([np.pad(ex.disp, ((0, width - len(ex.disp)), (0, 0))) for ex in examples]),
-                   slots, np.array([ex.chosen for ex in examples], dtype=int),
-                   np.array([ex.n_items for ex in examples], dtype=int))
+                   slots, np.array([ex.chosen for ex in examples], dtype=int))
 
     def take(self, idx) -> ExampleSet:
-        return ExampleSet(self.hist, self.disp, self.slots, self.chosen, self.n_items,
+        return ExampleSet(self.hist, self.disp, self.slots, self.chosen,
                           self.rows[np.asarray(idx, dtype=int)])
 
     @property
     def clicked(self) -> np.ndarray:
-        return self.chosen[self.rows] < self.n_items[self.rows]
+        return self.chosen[self.rows] < self.slots[self.rows] - 1
 
     def blocks(self):
-        """Per slot count, ascending: (positions, hist, disp, chosen, n_items) of the set's
-        rows with that count, in set order, gathered into fresh arrays."""
+        """Per slot count, ascending: (positions, hist, disp, chosen) of the set's rows with
+        that count, in set order, gathered into fresh arrays."""
         slots = self.slots[self.rows]
         for s in np.flatnonzero(np.bincount(slots)):  # distinct counts; np.unique sorts and imports numpy.ma
             pos = np.flatnonzero(slots == s)
             rows = self.rows[pos]
-            yield pos, self.hist[rows], self.disp[rows, :s], self.chosen[rows], self.n_items[rows]
+            yield pos, self.hist[rows], self.disp[rows, :s], self.chosen[rows]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -155,7 +157,7 @@ class ExampleSet:
     def __getitem__(self, i) -> Example:
         r = self.rows[operator.index(i)]
         return Example(hist=self.hist[r], disp=self.disp[r, :self.slots[r]],
-                       chosen=int(self.chosen[r]), n_items=int(self.n_items[r]))
+                       chosen=int(self.chosen[r]), n_items=int(self.slots[r]) - 1)
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -185,13 +187,13 @@ def build_examples(
             chosen.append(rec.displayed.index(rec.chosen) if rec.clicked else len(rec.displayed))
             if rec.clicked:
                 window = window[1:] + (rec.chosen,)
-    n_items = np.array([len(ids) for ids in shown], dtype=int)
-    width = n_items.max(initial=0) + 1
+    slots = np.array([len(ids) + 1 for ids in shown], dtype=int)  # the items, then the non-click slot
+    width = slots.max(initial=1)
     ids = np.array([s + (NON_CLICK_ID,) * (width - len(s)) for s in shown], dtype=int)
     hist = catalog.feature_matrix(np.array(windows, dtype=int).reshape(len(windows), m))
     return ExampleSet(np.ascontiguousarray(hist.transpose(0, 2, 1)),
                       catalog.feature_matrix(ids.reshape(len(shown), width)),
-                      n_items + 1, np.array(chosen, dtype=int), n_items)
+                      slots, np.array(chosen, dtype=int))
 
 
 def _weighted(parts):
@@ -215,22 +217,22 @@ def _nonempty(examples: ExampleSet | Sequence[Example], message: str = "empty ba
 
 
 def _theta_forward(theta: ScorerNet, examples: ExampleSet | Sequence[Example]):
-    """Per slot-count block: (positions, chosen, n_items, theta's scorer_batch cache of its
-    histories and displays). Every fit loss and metric reads theta's scores from here."""
-    return [(pos, chosen, n_items, nets.scorer_batch(theta, F, feats))
-            for pos, F, feats, chosen, n_items in _nonempty(examples).blocks()]
+    """Per slot-count block: (positions, chosen, theta's scorer_batch cache of its histories
+    and displays). Every fit loss and metric reads theta's scores from here."""
+    return [(pos, chosen, nets.scorer_batch(theta, F, feats))
+            for pos, F, feats, chosen in _nonempty(examples).blocks()]
 
 
 def nll_value_grad(theta: ScorerNet, examples: ExampleSet | Sequence[Example], eta: float):
     return _weighted([(len(pos),) + nets.nll_value_and_grad(theta, cache, chosen, eta)
-                      for pos, chosen, _, cache in _theta_forward(theta, examples)])
+                      for pos, chosen, cache in _theta_forward(theta, examples)])
 
 
 def nll_loss(theta: ScorerNet, examples: ExampleSet | Sequence[Example], eta: float) -> float:
     """Mean per-record negative log-likelihood under softmax(eta * reward)."""
     examples = _nonempty(examples)
     value = 0.0
-    for pos, chosen, _, cache in _theta_forward(theta, examples):
+    for pos, chosen, cache in _theta_forward(theta, examples):
         logits = eta * cache.scores
         value += float(np.sum(logsumexp(logits) - logits[np.arange(len(pos)), chosen]))
     return value / len(examples)
@@ -257,7 +259,7 @@ def minimax_objective(theta: ScorerNet, alpha: ScorerNet | None,
     (entropy: log-sum-exp; L2: simplex projection) instead of using alpha."""
     examples = _nonempty(examples)
     total = 0.0
-    for pos, chosen, _, cache in _theta_forward(theta, examples):
+    for pos, chosen, cache in _theta_forward(theta, examples):
         r = cache.scores
         if exact_inner:
             inner = regularizer.inner_max(r, eta)
@@ -281,14 +283,12 @@ def precision_at_k(model: UserModel, examples: ExampleSet | Sequence[Example], k
     clicks = examples.take(np.flatnonzero(examples.clicked))
     if not len(clicks):
         raise ValueError("no clicked records to evaluate")
-    if k_eval < 1 or np.any(clicks.n_items[clicks.rows] < k_eval):
+    if k_eval < 1 or np.any(clicks.slots[clicks.rows] - 1 < k_eval):
         raise ValueError("k_eval must be within the display size")
     hits = 0
-    for _, chosen, n_items, cache in _theta_forward(model.theta, clicks):
-        for n in np.flatnonzero(np.bincount(n_items)):  # distinct counts, as blocks()
-            sel = n_items == n
-            top = np.argsort(-cache.scores[sel, :n], axis=1, kind="stable")[:, :k_eval]
-            hits += int(np.count_nonzero(top == chosen[sel, None]))
+    for _, chosen, cache in _theta_forward(model.theta, clicks):  # a block's items: all slots but the last
+        top = np.argsort(-cache.scores[:, :-1], axis=1, kind="stable")[:, :k_eval]
+        hits += int(np.count_nonzero(top == chosen[:, None]))
     return hits / len(clicks)
 
 
@@ -297,7 +297,7 @@ def heldout_loglik(model: UserModel, examples: ExampleSet | Sequence[Example]) -
     examples = _nonempty(examples, "empty evaluation set")
     reg, eta = model.config.regularizer, model.config.eta
     p = np.empty(len(examples))
-    for pos, chosen, _, cache in _theta_forward(model.theta, examples):
+    for pos, chosen, cache in _theta_forward(model.theta, examples):
         p[pos] = reg.probs(cache.scores, eta)[np.arange(len(pos)), chosen]
     clamped = int(np.count_nonzero(p < PROB_FLOOR))
     logs = np.log(np.maximum(p, PROB_FLOOR))
@@ -406,7 +406,7 @@ def minimax_alpha_grad(theta: ScorerNet, alpha: ScorerNet, examples: ExampleSet 
     forward = _theta_forward(theta, examples) if forward is None else forward
     return _weighted([(len(pos),) + nets.minimax_behavior_value_and_grad(
         alpha, nets.scorer_batch(alpha, cache.F, cache.feats), cache.scores, config.eta, config.regularizer)
-        for pos, _, _, cache in forward])[1]
+        for pos, _, cache in forward])[1]
 
 
 def minimax_value_grads(theta: ScorerNet, alpha: ScorerNet,
@@ -418,7 +418,7 @@ def minimax_value_grads(theta: ScorerNet, alpha: ScorerNet,
     forward = _theta_forward(theta, examples) if forward is None else forward
     return _weighted([(len(pos),) + nets.minimax_reward_value_and_grad(
         theta, cache, chosen, behavior_probs(alpha, cache.F, cache.feats), config.eta,
-        config.regularizer) for pos, chosen, _, cache in forward])
+        config.regularizer) for pos, chosen, cache in forward])
 
 
 def train_minimax(

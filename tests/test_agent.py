@@ -169,7 +169,7 @@ class TestPerRowCascadeOracle:
             rng = np.random.default_rng(800 + trial)
             d, k, hidden = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
             size = int(rng.integers(k, 13))
-            catalog = ItemCatalog([(i, rng.integers(0, 3, size=d)) for i in range(1, size + 1)])
+            catalog = ItemCatalog([(i, rng.integers(0, 3, size=d)) for i in range(1, size + 1)], d=d)
             dn = int(rng.integers(1, 5))
             heads = [ScorerParams(V=rng.integers(0, 2, size=(hidden, dn + d * j)).astype(float),
                                   b=np.zeros(hidden), v=rng.integers(1, 3, size=hidden).astype(float))
@@ -263,7 +263,8 @@ class TestComputeTarget:
 
     def test_gamma_zero(self):
         catalog, qnet = self._setup()
-        y = compute_target([1.5], [np.zeros((2, 3))], pad_pools([(1, 2, 3)]), qnet, catalog, gamma=0.0)
+        y = compute_target([1.5], [np.zeros((2, 3))], pad_pools([(1, 2, 3)]), qnet, catalog, gamma=0.0,
+                           terminal=[False])
         assert y.shape == (1,)
         assert y[0] == pytest.approx(1.5)
 
@@ -279,7 +280,7 @@ class TestComputeTarget:
         # coordinates and the bootstrap is hand-computable
         from slatesim.data import ItemCatalog
         from slatesim.nets import CascadeQNet, PositionWeightParams, ScorerParams
-        catalog = ItemCatalog([(1, [1.0]), (2, [2.0]), (3, [4.0])])
+        catalog = ItemCatalog([(1, [1.0]), (2, [2.0]), (3, [4.0])], d=1)
         d, m, n, k = 1, 2, 1, 2
         pw = PositionWeightParams(W=np.zeros((m, n)), B=np.zeros((d, n)))
         heads = [ScorerParams(V=np.ones((1, d * n + d * j)), b=np.zeros(1), v=np.ones(1))
@@ -287,7 +288,8 @@ class TestComputeTarget:
         qnet = CascadeQNet(pw=pw, heads=heads)
         # embedded state is 0 (zero weights); Q^2(s, a1, a2) = f(a1) + f(a2)
         # greedy cascade over pool {1,2,3}: picks 3 then 2, value 6
-        y = compute_target([0.5], [np.zeros((1, 2))], pad_pools([(1, 2, 3)]), qnet, catalog, gamma=0.5)
+        y = compute_target([0.5], [np.zeros((1, 2))], pad_pools([(1, 2, 3)]), qnet, catalog, gamma=0.5,
+                           terminal=[False])
         assert y[0] == pytest.approx(0.5 + 0.5 * 6.0)
 
 
@@ -327,7 +329,7 @@ class TestCascadeBatch:
         from slatesim.data import ItemCatalog
         from slatesim.nets import CascadeQNet, PositionWeightParams, ScorerParams
         catalog = ItemCatalog([(1, [1.0, 0.0]), (2, [2.0, 1.0]), (3, [2.0, 1.0]),
-                               (4, [0.0, 1.0]), (5, [2.0, 1.0])])
+                               (4, [0.0, 1.0]), (5, [2.0, 1.0])], d=2)
         pw = PositionWeightParams(W=np.zeros((2, 1)), B=np.zeros((2, 1)))
         heads = [ScorerParams(V=np.ones((1, 2 + 2 * j)), b=np.zeros(1), v=np.ones(1))
                  for j in (1, 2, 3)]

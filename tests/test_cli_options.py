@@ -87,8 +87,8 @@ def default_catalog_and_user():
     return catalog, make_ground_truth_user(catalog, (5, 4, 16), 1, 1.0)
 
 
-def env_config(k=3, pool_size=20, horizon=10, nonclick_reward=0.0):
-    return EnvConfig(k=k, pool_size=pool_size, horizon=horizon, nonclick_reward=nonclick_reward)
+def env_config(k=3, pool_size=20, horizon=10):
+    return EnvConfig(k=k, pool_size=pool_size, horizon=horizon)
 
 
 def train_config(**set_values):
@@ -150,7 +150,7 @@ class TestResolvedConfigs:
     def test_train_policy_config_file_with_data(self, world, calls, tmp_path):
         cfg = {"data": world["data"], "catalog-size": 99, "gt-seed": 5, "gt-m": 2, "gt-n": 3,
                "gt-hidden": 4, "gt-reward-scale": 2.5, "k": 2, "pool-size": 4, "horizon": 3,
-               "nonclick-reward": -0.5, "gamma": 0.8, "epsilon": 0.4, "epsilon-final": 0.05,
+               "gamma": 0.8, "epsilon": 0.4, "epsilon-final": 0.05,
                "iterations": 7, "batch-users": 3, "minibatch": 5, "lr": 0.01, "capacity": 99,
                "n": 2, "hidden": 5, "reward-mode": "pm1", "seed": 3, "out": tmp_path / "o",
                "epochs": 4, "states": 8}  # epochs, states: other stages' keys
@@ -160,7 +160,7 @@ class TestResolvedConfigs:
                                      horizon=3, batch_users=3, minibatch=5, lr=0.03, seed=3,
                                      capacity=99, reward_mode=RewardMode.PLUS_MINUS_ONE, n=2,
                                      hidden=5)
-        assert env.config == env_config(k=2, pool_size=4, horizon=3, nonclick_reward=-0.5)
+        assert env.config == env_config(k=2, pool_size=4, horizon=3)
         assert seed == 6
         catalog, _ = load_trajectories(world["data"])
         assert_world(env, user, catalog, make_ground_truth_user(catalog, (2, 3, 4), 5, 2.5), tmp_path)
@@ -184,7 +184,7 @@ class TestResolvedConfigs:
         path.write_text(
             f"seed=4\ncatalog-size=10\ndim=3\ncatalog-seed=2\nuser-model={world['user']}\n"
             "gt-m=2\ngt-n=3\ngt-hidden=4\ngt-seed=6\ngt-reward-scale=1.5\n"
-            "k=2\npool-size=5\nhorizon=4\nnonclick-reward=-1\nn-users=3\nreps=2\n"
+            "k=2\npool-size=5\nhorizon=4\nn-users=3\nreps=2\n"
             f"out={tmp_path / 'o'}\nroster=random, greedy,cdqn,,\n"
             f"policy={world['policy']}\n"
             f"greedy-user-model={world['user']}\nlr=0.5\n")
@@ -192,7 +192,7 @@ class TestResolvedConfigs:
         assert spec == experiment_spec(
             seed=4, catalog_size=10, dim=3, catalog_seed=2, user_model_path=world["user"],
             gt_m=2, gt_n=3, gt_hidden=4, gt_seed=6, gt_reward_scale=1.5,
-            env=env_config(k=2, pool_size=5, horizon=4, nonclick_reward=-1.0), n_users=3,
+            env=env_config(k=2, pool_size=5, horizon=4), n_users=3,
             repetitions=3, out_dir=str(tmp_path / "o"),
             roster=[RosterEntry("random", PolicyKind.RANDOM, None),
                     RosterEntry("greedy", PolicyKind.GREEDY_USER_MODEL, world["user"]),
@@ -212,7 +212,7 @@ class TestResolvedConfigs:
     def test_diagnose_q_config_file_with_data(self, world, calls, tmp_path):
         cfg = {"policy": world["policy"], "data": world["data"], "user-model": world["user"],
                "pool-size": 4, "horizon": 3, "states": 7, "seed": 2, "out": tmp_path / "o",
-               "k": 5, "nonclick-reward": -1}  # diagnose-q takes k from the policy
+               "k": 5}  # diagnose-q takes k from the policy
         env, user, _, n_states, seed = run(["diagnose-q", "--states", "9"], calls,
                                            "collect_states", cfg, tmp_path)
         assert env.config == env_config(k=2, pool_size=4, horizon=3)
@@ -351,10 +351,9 @@ def test_module_entry_point_runs_without_runtime_warning(tmp_path):
     (["train-user-model", "--lr-theta", "nan"], "lr_theta"),
     (["train-user-model", "--lr-theta", "inf"], "lr_theta"),
     (["train-user-model", "--eta", "nan"], "eta"),
-    (["evaluate", "--roster", "random", "--nonclick-reward", "nan"], "nonclick_reward"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_bad_numeric_option_exits_2_and_names_the_field(world, tmp_path, monkeypatch, capsys, argv, field):
-    # a non-finite or negative rate, or a non-finite reward, is refused before any run starts
+    # a non-finite or negative rate, or a non-finite eta, is refused before any run starts
     monkeypatch.chdir(tmp_path)
     if argv[0] == "train-user-model":
         argv = argv + ["--data", world["data"]]
@@ -487,11 +486,13 @@ def test_removed_policy_kind_options_exit_2(tmp_path, monkeypatch, capsys, argv,
     (["train-user-model"], "method=mle\n", "c.cfg: unknown key 'method'"),
     (["evaluate"], "spec=f\n", "c.cfg: unknown key 'spec'"),
     (["gen-data", "--gt-reward", "3"], None, "unrecognized arguments: --gt-reward 3"),
+    (["train-policy", "--nonclick-reward", "-0.5"], None, "unrecognized arguments: --nonclick-reward -0.5"),
+    (["evaluate", "--roster", "random"], "nonclick-reward=-0.5\n", "c.cfg: unknown key 'nonclick-reward'"),
 ], ids=["reward-scale", "gen-data-m", "spec", "method", "reward-scale-key", "method-key", "spec-key",
-        "abbreviation"])
+        "abbreviation", "nonclick-reward", "nonclick-reward-key"])
 def test_removed_flags_exit_2(tmp_path, monkeypatch, capsys, argv, config, says):
     # --gt-reward-scale, --gt-m and --config name these settings; --regularizer picks the
-    # estimator; a flag is not taken by a prefix of its name
+    # estimator; a non-click pays 0.0, as in the paper; a flag is not taken by a prefix of its name
     monkeypatch.chdir(tmp_path)
     if config is not None:
         (tmp_path / "c.cfg").write_text(config)

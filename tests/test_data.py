@@ -32,15 +32,15 @@ class TestItemCatalog:
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            ItemCatalog([(1, [0.0]), (1, [1.0])])
+            ItemCatalog([(1, [0.0]), (1, [1.0])], d=1)
 
     def test_inconsistent_dim_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            ItemCatalog([(1, [0.0, 1.0]), (2, [1.0])])
+            ItemCatalog([(1, [0.0, 1.0]), (2, [1.0])], d=2)
 
     def test_nonzero_pseudo_rejected(self):
         with pytest.raises(ValueError, match="reserved"):
-            ItemCatalog([(0, [1.0, 0.0]), (1, [0.0, 1.0])])
+            ItemCatalog([(0, [1.0, 0.0]), (1, [0.0, 1.0])], d=2)
 
     def test_feature_matrix_order(self):
         cat = make_catalog(d=2)
@@ -76,7 +76,7 @@ class TestItemCatalog:
     @staticmethod
     def _gappy(seed):
         rng = np.random.default_rng(seed)
-        return rng, ItemCatalog([(i, rng.standard_normal(3)) for i in (-4, 2, 5, 6, 11, 40, 300)])
+        return rng, ItemCatalog([(i, rng.standard_normal(3)) for i in (-4, 2, 5, 6, 11, 40, 300)], d=3)
 
     @pytest.mark.parametrize("shape", [(7,), (4, 6), (9, 5)], ids=["n", "B-P", "N-m"])
     def test_array_lookup_equals_the_sequence_lookup(self, shape):
@@ -100,7 +100,7 @@ class TestItemCatalog:
         assert str(array.value) == str(sequence.value)
 
     def test_item_ids_ascending_without_pseudo_item(self):
-        cat = ItemCatalog([(9, [1.0]), (3, [2.0]), (0, [0.0]), (5, [3.0])])
+        cat = ItemCatalog([(9, [1.0]), (3, [2.0]), (0, [0.0]), (5, [3.0])], d=1)
         assert cat.item_ids == (3, 5, 9)
         assert cat.ids == (0, 3, 5, 9)
         assert cat.matrix[:, 0].tolist() == [0.0, 2.0, 3.0, 1.0]
@@ -164,17 +164,13 @@ class TestPushColumns:
 
 class TestSplitUsers:
     def test_paper_proportions_eight_users(self):
-        split = split_users(range(8), (0.5, 0.125, 0.375), seed=0)
+        split = split_users(range(8), seed=0)
         assert (len(split.train), len(split.valid), len(split.test)) == (4, 1, 3)
 
     def test_deterministic(self):
         a = split_users(range(20), seed=3)
         b = split_users(range(20), seed=3)
         assert a == b
-
-    def test_all_in_train(self):
-        split = split_users(range(5), (1.0, 0.0, 0.0), seed=1)
-        assert len(split.train) == 5 and not split.valid and not split.test
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):

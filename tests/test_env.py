@@ -206,7 +206,7 @@ class TestPoolDrawMatchesListScan:
         ids = [2, 5, 6, 11, 17, 23, 40, 41, 57, 90, 91, 300]
         rng = np.random.default_rng(3)
         path = tmp_path_factory.mktemp("cat") / "data.txt"
-        save_trajectories(ItemCatalog([(i, rng.standard_normal(3)) for i in ids]), [], path)
+        save_trajectories(ItemCatalog([(i, rng.standard_normal(3)) for i in ids], d=3), [], path)
         catalog, _ = load_trajectories(path)
         assert catalog.item_ids == tuple(ids)
         return catalog
@@ -491,13 +491,13 @@ class TestRolloutBatch:
         self._assert_rows_independent(env, user)
 
     def test_l2_user_nonclick_reward(self, setup):
-        # the inverse-CDF branch of the row-batched sample_choice, and a paid non-click
+        # the inverse-CDF branch of the row-batched sample_choice, and a non-click paying 0.0
         catalog, user, _ = setup
         l2 = dataclasses.replace(user, config=ChoiceConfig(1.0, Regularizer.L2))
-        env = SlateEnv(catalog, EnvConfig(k=3, pool_size=5, horizon=6, nonclick_reward=-0.25))
+        env = SlateEnv(catalog, EnvConfig(k=3, pool_size=5, horizon=6))
         batch = rollout_batch(env, l2, self._policies(env, l2)[0], self.SEEDS)
         assert any(not r.clicked for traj, _, _ in batch for r in traj.records)
-        assert all(r.reward == -0.25 for traj, _, _ in batch for r in traj.records if not r.clicked)
+        assert all(r.reward == 0.0 for traj, _, _ in batch for r in traj.records if not r.clicked)
         self._assert_rows_independent(env, l2)
 
     def test_nan_scores_raise(self, setup):

@@ -172,17 +172,15 @@ def old_minimax_value_grads(theta, alpha, examples, config):
 
 
 def ragged_examples(seed, slot_counts):
-    """One Example per entry of `slot_counts`, in that (shuffled) order. Most displays
-    end in the all-zero non-click slot, which some records choose; the rest show
-    items only, so one slot count can hold two item counts."""
+    """One Example per entry of `slot_counts`, in that (shuffled) order. Each display
+    is its items, then the all-zero non-click slot, which some records choose."""
     rng = np.random.default_rng(seed)
     out = []
     for slots in slot_counts:
         disp = rng.standard_normal((slots, D))
-        n_items = slots - int(rng.random() < 0.8)
-        disp[n_items:] = 0.0
+        disp[-1] = 0.0
         out.append(Example(hist=rng.standard_normal((D, M)), disp=disp,
-                           chosen=int(rng.integers(0, slots)), n_items=n_items))
+                           chosen=int(rng.integers(0, slots)), n_items=slots - 1))
     return out
 
 
@@ -211,12 +209,11 @@ class TestExampleSetEquivalence:
         blocks = list(batch.blocks())
         oracle = old_batch_groups([examples[i] for i in idx])
         assert len(blocks) == len(oracle)
-        for (pos, F, feats, chosen, n_items), (n, oF, ofeats, ochosen) in zip(blocks, oracle):
+        for (pos, F, feats, chosen), (n, oF, ofeats, ochosen) in zip(blocks, oracle):
             assert len(pos) == n
             assert F.dtype == oF.dtype and np.array_equal(F, oF)
             assert feats.dtype == ofeats.dtype and np.array_equal(feats, ofeats)
             assert chosen.dtype == ochosen.dtype and np.array_equal(chosen, ochosen)
-            assert np.array_equal(n_items, [examples[i].n_items for i in idx[pos]])
 
     @given(case=ragged, seed=st.integers(0, 1000), eta=st.floats(0.3, 3.0))
     @settings(max_examples=40, deadline=None)
@@ -278,6 +275,17 @@ class TestExampleSetEquivalence:
         with pytest.raises(ValueError):
             example_set[0].hist[0, 0] = 1.0
 
+    @pytest.mark.parametrize("n_items", [3, 1, 0])
+    def test_from_examples_refuses_an_item_count_off_its_display(self, n_items):
+        # a row's item count is its display's rows less the non-click slot; the set
+        # keeps no count of its own, so it refuses an example that says otherwise
+        examples = ragged_examples(1, [3, 4, 3, 5])
+        examples[2] = Example(examples[2].hist, examples[2].disp, 0, n_items)
+        with pytest.raises(ValueError, match="^example 2: n_items is not its display's rows"):
+            ExampleSet.from_examples(examples)
+        with pytest.raises(ValueError, match="^example 2: "):
+            precision_at_k(UserModel(*nets_pair(0), ChoiceConfig()), examples, 1)
+
 
 class TestBuildExamples:
     @given(seed=st.integers(0, 2**32 - 1), users=st.integers(1, 6))
@@ -301,7 +309,7 @@ class TestBuildExamples:
         for got, ex in zip(example_set, oracle):
             assert np.array_equal(got.hist, ex.hist) and np.array_equal(got.disp, ex.disp)
             assert (got.chosen, got.n_items) == (ex.chosen, ex.n_items)
-        for (_, F, feats, chosen, _), (_, oF, ofeats, ochosen) in zip(
+        for (_, F, feats, chosen), (_, oF, ofeats, ochosen) in zip(
                 example_set.blocks(), old_batch_groups(oracle)):
             assert F.flags.c_contiguous and feats.flags.c_contiguous
             assert np.array_equal(F, oF) and np.array_equal(feats, ofeats)

@@ -1,8 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -303,6 +306,48 @@ class TestShardedEvaluation:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert written(tmp_path / "out") == {}  # files are written once every shard is in
+
+
+def pipeline_stages(out: Path) -> list[list[str]]:
+    """A tiny run of the README pipeline: gen-data, train-user-model, train-policy,
+    evaluate and diagnose-q, each writing into `out`."""
+    data, user_ckpt, policy_ckpt = (str(out / name)
+                                    for name in ("data.txt", "user_model.ckpt", "policy.ckpt"))
+    world = ["--catalog-size", "12", "--dim", "4", "--catalog-seed", "1"]
+    return [
+        # 1. generate a tiny synthetic click log
+        ["gen-data", "--users", "8", "--horizon", "6", "--k", "3",
+         "--pool-size", "6", "--catalog-size", "12", "--dim", "4",
+         "--gt-m", "3", "--gt-n", "2", "--gt-hidden", "6", "--gt-reward-scale", "2"],
+        # 2. fit a user model on it
+        ["train-user-model", "--data", data, "--epochs", "3",
+         "--batch-size", "32", "--n", "2", "--hidden", "6"],
+        # 3. train a small policy against the fitted model
+        ["train-policy", "--user-model", user_ckpt, *world,
+         "--k", "3", "--pool-size", "6", "--horizon", "4",
+         "--iterations", "4", "--batch-users", "4", "--minibatch", "8",
+         "--lr", "0.02", "--n", "2", "--hidden", "6"],
+        # 4. evaluate random vs greedy vs the trained policy
+        ["evaluate", "--roster", "random,greedy,cdqn",
+         "--policy", policy_ckpt, "--user-model", user_ckpt, *world,
+         "--k", "3", "--pool-size", "6", "--horizon", "4", "--n-users", "3", "--reps", "2"],
+        # 5. constraint diagnostics on the trained policy
+        ["diagnose-q", "--policy", policy_ckpt, "--user-model", user_ckpt, *world,
+         "--pool-size", "6", "--horizon", "4", "--states", "30"],
+    ]
+
+
+def pipeline_digests(out: Path) -> dict[str, str]:
+    """Run pipeline_stages into `out` with --seed 1: the sha256 of every file it
+    writes and of its standard output, as golden/pipeline_digests.json records them."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        for argv in pipeline_stages(out):
+            assert cli_main(argv + ["--seed", "1", "--out", str(out)]) == 0, argv[0]
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in sorted(os.listdir(out))}
+    digests["stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+    return digests
 
 
 class TestConfigParsing:
@@ -617,64 +662,34 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {path}: line {at + 1}: non-finite feature of item 3\n"
         assert not out.exists()
 
-    def test_end_to_end_pipeline(self, tmp_path, capsys):
-        out = str(tmp_path)
-        # 1. generate a tiny synthetic click log
-        assert cli_main([
-            "gen-data", "--users", "8", "--horizon", "6", "--k", "3",
-            "--pool-size", "6", "--catalog-size", "12", "--dim", "4",
-            "--gt-m", "3", "--gt-n", "2", "--gt-hidden", "6", "--gt-reward-scale", "2",
-            "--seed", "1", "--out", out,
-        ]) == 0
-        data = os.path.join(out, "data.txt")
-        assert os.path.exists(data)
-        # 2. fit a user model on it
-        assert cli_main([
-            "train-user-model", "--data", data, "--epochs", "3",
-            "--batch-size", "32", "--n", "2", "--hidden", "6",
-            "--seed", "1", "--out", out,
-        ]) == 0
-        user_ckpt = os.path.join(out, "user_model.ckpt")
-        assert os.path.exists(user_ckpt)
-        assert os.path.exists(os.path.join(out, "train_log.csv"))
-        # 3. train a small policy against the fitted model
-        assert cli_main([
-            "train-policy", "--user-model", user_ckpt,
-            "--catalog-size", "12", "--dim", "4", "--catalog-seed", "1",
-            "--k", "3", "--pool-size", "6", "--horizon", "4",
-            "--iterations", "4", "--batch-users", "4", "--minibatch", "8",
-            "--lr", "0.02", "--n", "2", "--hidden", "6",
-            "--seed", "1", "--out", out,
-        ]) == 0
-        policy_ckpt = os.path.join(out, "policy.ckpt")
-        assert os.path.exists(policy_ckpt)
-        # 4. evaluate random vs greedy vs the trained policy
-        assert cli_main([
-            "evaluate", "--roster", "random,greedy,cdqn",
-            "--policy", policy_ckpt, "--user-model", user_ckpt,
-            "--catalog-size", "12", "--dim", "4", "--catalog-seed", "1",
-            "--k", "3", "--pool-size", "6", "--horizon", "4",
-            "--n-users", "3", "--reps", "2", "--seed", "1", "--out", out,
-        ]) == 0
-        assert os.path.exists(os.path.join(out, "aggregate.csv"))
-        assert os.path.exists(os.path.join(out, "cdqn_metrics.csv"))
-        # 5. constraint diagnostics on the trained policy
-        assert cli_main([
-            "diagnose-q", "--policy", policy_ckpt, "--user-model", user_ckpt,
-            "--catalog-size", "12", "--dim", "4", "--catalog-seed", "1",
-            "--pool-size", "6", "--horizon", "4", "--states", "30",
-            "--seed", "1", "--out", out,
-        ]) == 0
-        diag = os.path.join(out, "q_constraints.csv")
-        assert os.path.exists(diag)
-        lines = open(diag).read().splitlines()
+    def test_end_to_end_pipeline(self, tmp_path):
+        # every output file and the standard output, byte for byte
+        digests = pipeline_digests(tmp_path)
+        lines = (tmp_path / "q_constraints.csv").read_text().splitlines()
         assert lines[0] == "state_idx,j,qj,qk"
         assert len(lines) == 1 + 30 * 3
-        # every output file and the standard output, byte for byte
-        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                   for name in sorted(os.listdir(out))}
-        digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digests == json.loads(PIPELINE_DIGESTS.read_text())
+
+    def test_l2_fit_logs_clamped_test_records_as_one_line(self, tmp_path):
+        # heldout_loglik warns when it clamps a zero-probability choice; the test-split
+        # report gives the count on its [train-user-model] line, not as a raw Python
+        # warning that names a source file. A child process sees stderr as a user would.
+        assert cli_main(["gen-data", "--users", "8", "--horizon", "6", "--k", "3",
+                         "--pool-size", "6", "--catalog-size", "12", "--dim", "4",
+                         "--gt-m", "3", "--gt-n", "2", "--gt-hidden", "6", "--gt-reward-scale", "3",
+                         "--seed", "1", "--out", str(tmp_path)]) == 0
+        src = str(Path(slatesim.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "from slatesim.cli import main; main()", "train-user-model",
+             "--data", str(tmp_path / "data.txt"), "--epochs", "1", "--batch-size", "32",
+             "--n", "2", "--hidden", "6", "--eta", "3", "--regularizer", "l2",
+             "--init-scheme", "entropy", "--seed", "1", "--out", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "UserWarning" not in proc.stderr and "training.py:" not in proc.stderr
+        report = [line for line in proc.stderr.splitlines() if line.startswith("[train-user-model] test ")]
+        assert len(report) == 1
+        assert report[0].endswith(" (2 record(s) had zero model probability; clamped to 1e-300)")
 
     def test_gen_data_bit_reproducible(self, tmp_path):
         args = ["gen-data", "--users", "5", "--horizon", "4", "--k", "3",
@@ -756,3 +771,8 @@ class TestCli:
         # CLI flag overrides the file
         assert cli_main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "cli_out")]) == 0
         assert (tmp_path / "cli_out" / "aggregate.csv").exists()
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as out:
+        print(json.dumps(pipeline_digests(Path(out)), indent=1))

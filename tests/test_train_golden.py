@@ -13,19 +13,22 @@ all k cascade heads as one block pass on one embedding (td_value_and_grad):
 trained tensors moved by at most 4.8e-16 of a tensor's largest entry (W of
 cdqn_learned); every played sequence kept its digest. The file once also held
 the digests of the additive-Q baseline, removed with that baseline; the cdqn
-entries kept their bytes. Print the current digests with
-`PYTHONPATH=src python tests/test_train_golden.py`.
+entries kept their bytes. The cases were recorded in a world that paid -0.1
+for a non-click; env.step pays 0.0, so the recording step below pays the
+recorded -0.1 in its place, and the trainer sees the rewards it saw then. Print
+the current digests with `PYTHONPATH=src python tests/test_train_golden.py`.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from slatesim import agent
 from slatesim.agent import CDQNConfig, RewardMode, make_env_factory, train_cdqn
-from slatesim.data import synth_catalog
+from slatesim.data import NON_CLICK_ID, synth_catalog
 from slatesim.env import EnvConfig, SlateEnv, make_ground_truth_user
 from slatesim.nets import named_tensors
 
@@ -37,6 +40,7 @@ CASES = {
     "cdqn_learned": (RewardMode.LEARNED_REWARD, 6),
     "cdqn_pm1": (RewardMode.PLUS_MINUS_ONE, 14),
 }
+NONCLICK_REWARD = -0.1  # what the cases' world pays for a non-click
 
 
 def train_case(name: str):
@@ -44,7 +48,7 @@ def train_case(name: str):
     mode, pool_size = CASES[name]
     catalog = synth_catalog(14, 4, seed=5)
     user = make_ground_truth_user(catalog, (3, 2, 6), seed=6, reward_scale=2.0)
-    env = SlateEnv(catalog, EnvConfig(k=3, pool_size=pool_size, horizon=5, nonclick_reward=-0.1))
+    env = SlateEnv(catalog, EnvConfig(k=3, pool_size=pool_size, horizon=5))
     config = CDQNConfig(gamma=0.8, epsilon=0.4, epsilon_final=0.05, iterations=8, horizon=5,
                         batch_users=6, minibatch=12, lr=0.01, seed=11, capacity=100,
                         reward_mode=mode, n=2, hidden=6)
@@ -68,14 +72,15 @@ def played_digest(played) -> str:
 
 
 def case_digests(name: str) -> dict[str, str]:
-    """Train a case with the replay loop's env.step wrapped to record every row it plays."""
+    """Train a case with the replay loop's env.step wrapped to record every row it plays
+    and to pay NONCLICK_REWARD for its non-clicks."""
     played = []
     real_step = agent.step
 
     def recording_step(*args):
         shown, chosen, rewards = real_step(*args)
         played.extend(zip(shown, chosen))
-        return shown, chosen, rewards
+        return shown, chosen, np.where(chosen != NON_CLICK_ID, rewards, NONCLICK_REWARD)
 
     agent.step = recording_step
     try:

@@ -71,7 +71,7 @@ class TestExampleRows:
 
 class TestBuildExamples:
     def _toy(self):
-        catalog = ItemCatalog([(1, [1.0, 0.0]), (2, [0.0, 1.0]), (3, [1.0, 1.0])])
+        catalog = ItemCatalog([(1, [1.0, 0.0]), (2, [0.0, 1.0]), (3, [1.0, 1.0])], d=2)
         traj = Trajectory(0, (
             ClickRecord(1, (1, 2), 2),
             ClickRecord(2, (2, 3), 0),
@@ -96,13 +96,6 @@ class TestBuildExamples:
 
 
 class TestNllLoss:
-    def test_single_slot_is_zero(self):
-        rng = np.random.default_rng(0)
-        theta = init_scorer_net(3, 3, 2, 4, rng)
-        ex = [Example(hist=rng.standard_normal((3, 3)),
-                      disp=rng.standard_normal((1, 3)), chosen=0, n_items=1)]
-        assert nll_loss(theta, ex, eta=1.0) == pytest.approx(0.0, abs=1e-12)
-
     def test_zero_scorer_gives_log_slots(self):
         rng = np.random.default_rng(1)
         theta = init_scorer_net(3, 3, 2, 4, rng)
