@@ -111,6 +111,8 @@ class CDQNConfig:
         for name in ("horizon", "batch_users", "minibatch", "n", "hidden", "capacity"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.capacity < self.minibatch:  # else no minibatch is ever drawn and no step taken
+            raise ValueError(f"capacity must be >= minibatch, got {self.capacity} < {self.minibatch}")
 
 
 @dataclass

@@ -244,11 +244,13 @@ def cmd_train_user_model(args: argparse.Namespace) -> int:
     write_lines(os.path.join(out_dir, "train_log.csv"), log_lines)
     if test:
         test_examples = training.build_examples(catalog, test, config.m)
-        prec1 = training.precision_at_k(model, test_examples, 1)
+        # a test split without a click has no prec@1, as the per-epoch stats skip it
+        prec1 = (f" prec@1={training.precision_at_k(model, test_examples, 1):.4f}"
+                 if test_examples.clicked.any() else "")
         with warnings.catch_warnings(record=True) as caught:  # an L2 model's clamped records
             warnings.simplefilter("always")
             loglik = training.heldout_loglik(model, test_examples)
-        _log(f"[train-user-model] test prec@1={prec1:.4f} heldout_loglik={loglik:.4f}"
+        _log(f"[train-user-model] test{prec1} heldout_loglik={loglik:.4f}"
              + "".join(f" ({w.message})" for w in caught))
     _log(f"[train-user-model] wrote {ckpt}")
     return 0

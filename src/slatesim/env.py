@@ -177,21 +177,11 @@ def reset(env: SlateEnv, user: UserModel, keys: EpisodeKeys):
     return np.zeros((len(keys), env.catalog.d, user.m)), avail, draw_candidates(env, avail, 0, keys)
 
 
-def slate_scores(user: UserModel, hists: np.ndarray, slate_feats: np.ndarray) -> np.ndarray:
-    """User rewards for each slate item plus the zero-feature non-click slot (last).
-
-    B histories (B, d, m) with slate features (B, k, d) give (B, k+1) scores.
-    Every product runs per row, so each row's scores are bitwise those of its
-    history scored alone (B=1), whatever B is."""
-    slate_feats = np.asarray(slate_feats, dtype=float)
-    feats = np.concatenate([slate_feats, np.zeros((len(slate_feats), 1, slate_feats.shape[2]))], axis=1)
-    head = user.theta.head
-    state = nets.embed_history(hists, user.theta.pw)
-    dn = state.shape[1]
-    z = feats @ head.V[:, dn:].T
-    z += state[:, None, :] @ head.V[:, :dn].T
-    z += head.b
-    return nets.act(z) @ head.v
+def slate_scores(user: UserModel, hists: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """User rewards (B, slots) of B histories (B, d, m) for their slots' features (B, slots, d),
+    in `step` a slate's items, then the zero-feature non-click slot. It is nets.head_scores'
+    forward, so each row's scores are bit for bit those of its history scored alone (B=1)."""
+    return nets.head_scores(user.theta.head, nets.embed_history(hists, user.theta.pw), feats)
 
 
 def _check_slates(slates, pools: np.ndarray, k: int) -> np.ndarray:
@@ -232,16 +222,19 @@ def step(env: SlateEnv, user: UserModel, t: int, keys: EpisodeKeys, hists: np.nd
     (0 for no click) and the rewards (B,) as arrays."""
     k, catalog = env.config.k, env.catalog
     slates = _check_slates(slates, pools, k)
-    feats = catalog.feature_matrix(slates)
-    scores = slate_scores(user, hists, feats)
     rows = np.arange(len(slates))
-    idx = sample_choice(scores, user.config, [keys.rng(i, _CLICK_STREAM, t) for i in range(len(slates))])
+    # each row's slots, its slate and then the non-click id, and their catalog rows: the
+    # non-click slot's is the pseudo-item's zero-feature row, which is never available
+    slots = np.full((len(slates), k + 1), NON_CLICK_ID)
+    slots[:, :k] = slates
+    slot_rows = catalog.id_array.searchsorted(slots)
+    scores = slate_scores(user, hists, catalog.matrix[slot_rows])
+    idx = sample_choice(scores, user.config, [keys.rng(i, _CLICK_STREAM, t) for i in rows])
     clicked = idx < k
-    chosen = np.where(clicked, slates[rows, np.minimum(idx, k - 1)], NON_CLICK_ID)
+    chosen, chosen_rows = slots[rows, idx], slot_rows[rows, idx]
     rewards = np.where(clicked, scores[rows, idx], 0.0)
     # a click clears its item's row in `avail` and pushes its features into its history; a
-    # non-click's row is the pseudo-item's, which is never available, and its history stays
-    chosen_rows = catalog.id_array.searchsorted(chosen)
+    # non-click's history stays
     avail[rows, chosen_rows] = False
     pushed = np.concatenate([hists[..., 1:], catalog.matrix[chosen_rows][..., None]], axis=2)
     np.copyto(hists, pushed, where=clicked[:, None, None])

@@ -155,7 +155,8 @@ class ScoreBuffers:
 
 def head_scores(head: ScorerParams, state: np.ndarray, feats: np.ndarray, pre: bool = False,
                 work: ScoreBuffers | None = None):
-    """Scores (..., slots) of each row of `feats` (..., slots, d) against its state (..., dn).
+    """Scores (..., slots) of each row of `feats` (..., slots, d) against its state (..., dn);
+    both products run per row, so a row's scores are bit for bit its scores alone (B=1).
 
     With `pre`, returns the pre-activation z, act(z) and the scores, which the
     backward pass reuses. With `work`, z and act(z) reuse its arrays, bit for bit."""
@@ -169,8 +170,8 @@ def head_scores(head: ScorerParams, state: np.ndarray, feats: np.ndarray, pre: b
     # in-place sums: cascade_batch's per-head call (agent.net_qeval runs these steps inline)
     shape = feats.shape[:-1] + (head.V.shape[0],)
     z, scratch = (np.empty(shape), None) if work is None else work(shape)
-    np.matmul(feats.reshape(-1, d), head.V[:, dn:].T, out=z.reshape(-1, shape[-1]))
-    z += (state @ head.V[:, :dn].T)[..., None, :]
+    np.matmul(feats, head.V[:, dn:].T, out=z)
+    z += state[..., None, :] @ head.V[:, :dn].T
     z += head.b
     h = act(z, None if pre else scratch)
     return (z, h, h @ head.v) if pre else h @ head.v

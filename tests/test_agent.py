@@ -293,6 +293,30 @@ class TestComputeTarget:
         assert y[0] == pytest.approx(0.5 + 0.5 * 6.0)
 
 
+    def test_replay_minibatch_rows_equal_their_targets_alone(self):
+        # a target does not depend on the rows that share its minibatch, bit for bit
+        catalog = synth_catalog(30, 8, seed=5)
+        user = make_ground_truth_user(catalog, (4, 3, 16), seed=6, reward_scale=2.0)
+        env = SlateEnv(catalog, EnvConfig(k=4, pool_size=10, horizon=5))
+        qnet = init_cascade_net(8, 4, 3, 16, 4, np.random.default_rng(7))
+        memory = ReplayMemory(200, (8, 4), 4, 10)
+        keys = EpisodeKeys(range(10), 5)
+        hists, avail, pools = reset(env, user, keys)
+        for t in range(5):
+            before, slates = hists.copy(), pools[:, :4].copy()
+            _, _, rewards = step(env, user, t, keys, hists, avail, pools, slates)
+            memory.add(ReplayBatch(before, slates, rewards, hists, pools, np.full(10, t == 4)))
+        batch = memory.sample(32, np.random.default_rng(8))
+        assert not batch.terminal.all()
+        y = compute_target(batch.reward, batch.next_hist, batch.next_pool, qnet, catalog, 0.9,
+                           batch.terminal)
+        for i in range(32):
+            row = ReplayBatch(*(a[i:i + 1] for a in batch))
+            alone = compute_target(row.reward, row.next_hist, row.next_pool, qnet, catalog, 0.9,
+                                   row.terminal)
+            assert y[i:i + 1].tobytes() == alone.tobytes()
+
+
 class TestCascadeBatch:
     def _random_case(self, n_states=1000, k=3):
         catalog = synth_catalog(20, 3, seed=31)
@@ -578,6 +602,12 @@ class TestTrainCdqn:
                 freq[i] += 1
         rates = freq[1:] / len(seen)
         assert np.all(np.abs(rates - 2.0 / 8.0) <= 0.05)
+
+    def test_capacity_below_the_minibatch_is_refused(self):
+        # such a memory never fills one minibatch: no SGD step would ever run
+        with pytest.raises(ValueError, match="capacity must be >= minibatch, got 10 < 32"):
+            CDQNConfig(capacity=10)
+        assert CDQNConfig(capacity=32).capacity == 32
 
     def test_replay_contents_fifo_in_training(self):
         factory, *_ = self._factory(horizon=2)

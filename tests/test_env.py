@@ -62,7 +62,7 @@ class TestGroundTruthUser:
     def test_choice_distribution_sums_to_one(self, setup):
         catalog, user, env = setup
         hists, _, pools = reset(env, user, EpisodeKeys([3], 0))
-        feats = catalog.feature_matrix(pools[0, :3])
+        feats = catalog.feature_matrix([*pools[0, :3], NON_CLICK_ID])
         scores = slate_scores(user, hists, feats[None])[0]
         probs = user.config.regularizer.probs(scores, user.config.eta)
         assert probs.shape == (4,)
@@ -75,7 +75,7 @@ class TestGroundTruthUser:
         env = SlateEnv(catalog, EnvConfig(k=3, pool_size=10, horizon=2))
         slate = [1, 2, 3]
         hists, _, _ = reset(env, user, EpisodeKeys([1], 0))
-        feats = catalog.feature_matrix(slate)
+        feats = catalog.feature_matrix([*slate, NON_CLICK_ID])
         scores = slate_scores(user, hists, feats[None])[0]
         probs = user.config.regularizer.probs(scores, user.config.eta)
         draws = 100_000
@@ -260,11 +260,11 @@ class TestStep:
         user.theta.head.v *= 60.0
         try:
             hists, _, _ = reset(env, user, EpisodeKeys([1], 0))
-            all_scores = slate_scores(user, hists, catalog.feature_matrix(catalog.item_ids)[None])[0, :-1]
+            all_scores = slate_scores(user, hists, catalog.feature_matrix(catalog.item_ids)[None])[0]
             order = np.argsort(-all_scores)
             slate = [catalog.item_ids[order[0]], catalog.item_ids[order[-1]],
                      catalog.item_ids[order[-2]]]
-            scores = slate_scores(user, hists, catalog.feature_matrix(slate)[None])[0]
+            scores = slate_scores(user, hists, catalog.feature_matrix([*slate, NON_CLICK_ID])[None])[0]
             assert scores[0] - np.partition(scores, -2)[-2] > 20
             draws = 10_000
             keys = EpisodeKeys(range(draws), 1)
@@ -293,7 +293,8 @@ class TestStep:
             assert chosen[i] in slates[i]
             assert np.array_equal(hists[i][:, -1], catalog.features(chosen[i]))
             assert np.array_equal(avail[i], avail_of(catalog, {chosen[i]})[0])
-            scores = slate_scores(user, before[i:i + 1], catalog.feature_matrix(slates[i])[None])[0]
+            slots = catalog.feature_matrix([*slates[i], NON_CLICK_ID])
+            scores = slate_scores(user, before[i:i + 1], slots[None])[0]
             assert rewards[i] == scores[slates[i].index(chosen[i])]
 
     def test_determinism(self, setup):
@@ -398,7 +399,7 @@ class TestSlateScores:
         catalog, user, _ = setup
         rng = np.random.default_rng(B)
         hists = rng.standard_normal((B, catalog.d, user.m))
-        feats = rng.standard_normal((B, 3, catalog.d))
+        feats = rng.standard_normal((B, 4, catalog.d))
         scores = slate_scores(user, hists, feats)
         assert scores.shape == (B, 4)
         for i in range(B):
@@ -411,7 +412,7 @@ class TestSlateScores:
         feats = rng.standard_normal((6, 3, catalog.d))
         with_nonclick = np.concatenate([feats, np.zeros((6, 1, catalog.d))], axis=1)
         expected = head_scores(user.theta.head, embed_history(hists, user.theta.pw), with_nonclick)
-        assert np.allclose(slate_scores(user, hists, feats), expected, rtol=0, atol=1e-12)
+        assert slate_scores(user, hists, with_nonclick).tobytes() == expected.tobytes()
 
 
 class TestRollout:

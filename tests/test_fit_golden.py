@@ -2,9 +2,12 @@
 
 The digests in golden/fit_digests.json were first recorded when each
 minibatch was still stacked from per-example arrays, and the dense example
-set reproduced them bit for bit. They were re-recorded once, when the
-scorer's contractions moved from np.einsum to matmuls, which moves fitted
-tensors in the last bits. Print the current digests with
+set reproduced them bit for bit. They were re-recorded twice. First, when
+the scorer's contractions moved from np.einsum to matmuls, which moves fitted
+tensors in the last bits. Second, when nets.head_scores came to run its state
+and item products per row, so that a row's scores no longer depend on its
+batch: fitted tensors moved by at most 1.9e-16 of a tensor's largest entry
+(theta V of mle, alpha V of l2_entropy_init). Print the current digests with
 `PYTHONPATH=src python tests/test_fit_golden.py`.
 """
 

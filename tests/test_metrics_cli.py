@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ import slatesim
 from slatesim import metrics
 from slatesim.agent import PolicyKind, save_policy
 from slatesim.cli import cli_main, parse_config_file
-from slatesim.data import synth_catalog
+from slatesim.data import Trajectory, load_trajectories, save_trajectories, split_users, synth_catalog
 from slatesim.env import EnvConfig, make_ground_truth_user
 from slatesim.metrics import (
     ExperimentSpec,
@@ -339,7 +340,12 @@ def pipeline_stages(out: Path) -> list[list[str]]:
 
 def pipeline_digests(out: Path) -> dict[str, str]:
     """Run pipeline_stages into `out` with --seed 1: the sha256 of every file it
-    writes and of its standard output, as golden/pipeline_digests.json records them."""
+    writes and of its standard output, as golden/pipeline_digests.json records them.
+
+    Its user_model.ckpt and policy.ckpt digests were re-recorded when nets.head_scores
+    came to run its products per row: their tensors moved by at most 1.6e-16 of a
+    tensor's largest entry (q3 of policy.ckpt); every other file and the standard
+    output kept its bytes."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         for argv in pipeline_stages(out):
@@ -755,6 +761,36 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == f"error: {path}: the log holds no click record to fit\n"
         assert not (tmp_path / "out").exists()
+
+    def test_capacity_below_the_minibatch_exits_2_before_any_output(self, tmp_path, capsys):
+        # it once ran every iteration with no SGD step, printed td_loss=nan, exited 0 and
+        # wrote a policy equal to the seed's initial net
+        out = tmp_path / "out"
+        code = cli_main(["train-policy", "--catalog-size", "8", "--dim", "3", "--k", "2",
+                         "--pool-size", "4", "--horizon", "3", "--iterations", "2", "--capacity", "10",
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: capacity must be >= minibatch, got 10 < 32\n"
+        assert not out.exists()
+
+    def test_test_split_without_a_click_reports_the_loglik_and_exits_0(self, tmp_path, capsys):
+        # it once wrote its outputs, then failed with "no clicked records to evaluate"
+        stages = pipeline_stages(tmp_path)
+        assert cli_main(stages[0] + ["--seed", "1", "--out", str(tmp_path)]) == 0
+        data = tmp_path / "data.txt"
+        catalog, trajectories = load_trajectories(data)
+        test = split_users([t.user_id for t in trajectories], seed=1).test
+        save_trajectories(catalog, [
+            Trajectory(t.user_id, tuple(r._replace(chosen=0) for r in t.records)) if t.user_id in test
+            else t for t in trajectories], data, m=3)
+        capsys.readouterr()
+        out = tmp_path / "fit"
+        assert cli_main(stages[1] + ["--seed", "1", "--out", str(out)]) == 0
+        report = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("[train-user-model] test")]
+        assert len(report) == 1 and re.fullmatch(r"\[train-user-model\] test heldout_loglik=-\d+\.\d{4}",
+                                                  report[0]), report
+        assert {"user_model.ckpt", "train_log.csv"} <= set(os.listdir(out))
 
     def test_config_file_merging_cli_wins(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

@@ -5,13 +5,17 @@ sequence the trainer played, in the order the sessions played it (step by
 step, sessions in order). The played digests in golden/train_digests.json
 were recorded when the replay loop still stepped its sessions one at a time;
 stepping them in lockstep reproduces them bit for bit. The tensor digests
-were re-recorded twice. First, when the scorer's contractions moved from
+were re-recorded three times. First, when the scorer's contractions moved from
 np.einsum to matmuls and the TD target's embedding to embed_history: that
 moved trained tensors in the last bits (at most 4.9e-16 of a tensor's largest
 entry) and left every played sequence unchanged. Second, when the TD loss ran
 all k cascade heads as one block pass on one embedding (td_value_and_grad):
 trained tensors moved by at most 4.8e-16 of a tensor's largest entry (W of
-cdqn_learned); every played sequence kept its digest. The file once also held
+cdqn_learned); every played sequence kept its digest. Third, when
+nets.head_scores came to run its state and item products per row, so that a TD
+target no longer depends on its minibatch: trained tensors moved by at most
+3.6e-16 of a tensor's largest entry (L1 of cdqn_learned); every played
+sequence kept its digest. The file once also held
 the digests of the additive-Q baseline, removed with that baseline; the cdqn
 entries kept their bytes. The cases were recorded in a world that paid -0.1
 for a non-click; env.step pays 0.0, so the recording step below pays the
