@@ -206,15 +206,13 @@ def cascade_slate(qnet: CascadeQNet, hist: np.ndarray, pool: Sequence[int],
     return cascade_plan(net_qeval(qnet, s, catalog), pool, qnet.k)[0]
 
 
-def _cut_pools(pools: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Padded pools cut to the widest real pool, and their real entries; a pool smaller
-    than k raises ValueError."""
+def _real_entries(pools: np.ndarray, k: int) -> np.ndarray:
+    """The real (not padding) entries of padded pools; a pool smaller than k raises ValueError."""
     real = pools != NON_CLICK_ID
     sizes = real.sum(axis=1)
     if len(sizes) and sizes.min() < k:
         raise ValueError(f"pool smaller than k: {int(sizes.min())} < {k}")
-    width = sizes.max(initial=0)
-    return pools[:, :width], real[:, :width]
+    return real
 
 
 def cascade_batch(qnet: CascadeQNet, S: np.ndarray, pools: np.ndarray, catalog: ItemCatalog,
@@ -222,13 +220,14 @@ def cascade_batch(qnet: CascadeQNet, S: np.ndarray, pools: np.ndarray, catalog: 
     """The greedy cascade of `cascade_plan` for B embedded states at once.
 
     S: (B, dn) states; pools: (B, P) ascending ids per row, padded as the env's
-    (see env.Policy), cut to the widest real pool. Head j scores all B x P
-    candidates against each row's [s; f_1 .. f_{j-1}]. Returns the slates (B, k) and the achieved
-    per-position values (B, k); ties break toward the lowest item id. A chosen value
-    that is not finite raises NonFiniteQError. The k heads share `work`, or one of the call's."""
+    (see env.Policy). Head j scores all B x P candidates against each row's
+    [s; f_1 .. f_{j-1}]. Returns the slates (B, k) and the achieved per-position values
+    (B, k); ties break toward the lowest item id. A chosen value that is not finite
+    raises NonFiniteQError. The k heads share `work`, or one of the call's."""
     k = qnet.k
     work = nets.ScoreBuffers() if work is None else work
-    pools, free = _cut_pools(np.asarray(pools, dtype=int), k)
+    pools = np.asarray(pools, dtype=int)
+    free = _real_entries(pools, k)
     B = len(pools)
     feats = catalog.feature_matrix(pools)
     rows = np.arange(B)
@@ -274,12 +273,12 @@ def greedy_user_model_policy(user_model: UserModel, hists: np.ndarray, pools: np
 
     Returns (B, k) ids, best first. Each pool ascends, so the stable sort breaks
     ties toward the lower item id."""
-    ids, real = _cut_pools(pools, k)
+    real = _real_entries(pools, k)
     alpha = user_model.alpha
-    scores = nets.head_scores(alpha.head, nets.embed_history(hists, alpha.pw), catalog.feature_matrix(ids),
+    scores = nets.head_scores(alpha.head, nets.embed_history(hists, alpha.pw), catalog.feature_matrix(pools),
                               work=work)
     order = np.argsort(-np.where(real, scores, -np.inf), axis=1, kind="stable")[:, :k]
-    return np.take_along_axis(ids, order, axis=1)
+    return np.take_along_axis(pools, order, axis=1)
 
 
 def random_slate(pool: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 from . import agent, metrics, nets, training
 from .agent import CDQNConfig, PolicyKind, RewardMode
 from .choice import Regularizer
-from .data import fmt, load_trajectories, read_meta, save_trajectories, split_users, write_lines
+from .data import fmt, load_trajectories, read_lines, read_meta, save_trajectories, split_users, write_lines
 from .env import EnvConfig, SlateEnv, rollout_batch
 from .metrics import ExperimentSpec, RosterEntry, load_experiment, run_experiment
 from .training import InitScheme, TrainConfig, UserModel, save_user_model
@@ -27,15 +27,14 @@ def _log(msg: str) -> None:
 def parse_config_file(path: str) -> dict[str, str]:
     """Flat key=value lines; '#' starts a comment."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, val = line.partition("=")
-            if not sep or not key.strip():
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-            out[key.strip()] = val.strip()
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, val = line.partition("=")
+        if not sep or not key.strip():
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
+        out[key.strip()] = val.strip()
     return out
 
 
@@ -124,23 +123,17 @@ class _Options:
         return cls(**{name: value for name, value in given.items() if value is not None})
 
     def file(self, name: str, required: bool = False) -> str | None:
-        """The path flag `name` names, which must exist; None when unset and not required."""
+        """The path flag `name` names, for its reader to open; None when unset and not required."""
         path = self.get(name)
-        if not path:
-            if required:
-                raise ValueError(f"--{name} is required")
-            return None
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"--{name} file not found: {path}")
-        return path
+        if not path and required:
+            raise ValueError(f"--{name} is required")
+        return path or None
 
 
 def _load_options(args: argparse.Namespace) -> _Options:
     config: dict[str, str] = {}
     path = args.config
     if path:
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"config file not found: {path}")
         config = parse_config_file(path)
         unknown = [key for key in config if key not in _FLAGS]
         if unknown:
@@ -443,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    """Exit codes: 0 success, 1 runtime failure, 2 argument/input errors."""
+    """Exit codes: 0 success, 1 runtime failure, 2 argument/input errors: a bad value,
+    unreadable input, or a path that is missing, of the wrong kind or not permitted."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -451,7 +445,8 @@ def cli_main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (ValueError, FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:
         _log(f"error: {exc}")
         return 2
     except Exception as exc:  # runtime failure

@@ -25,6 +25,15 @@ def write_lines(path, lines: Sequence[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; undecodable text raises ValueError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 class ItemCatalog:
     """Items with fixed-dimension feature vectors.
 

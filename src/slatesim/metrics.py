@@ -97,8 +97,6 @@ def build_experiment_env(spec: ExperimentSpec, catalog: ItemCatalog | None = Non
     if catalog is None:
         catalog = synth_catalog(spec.catalog_size, spec.dim, spec.catalog_seed)
     if spec.user_model_path is not None:
-        if not os.path.exists(spec.user_model_path):
-            raise FileNotFoundError(f"user model checkpoint not found: {spec.user_model_path}")
         user = load_user_model(spec.user_model_path)
         check_fits(spec.user_model_path, d=(user.d, catalog.d))
     else:
@@ -120,16 +118,14 @@ def load_experiment(spec: ExperimentSpec):
     policies = []
     for entry in spec.roster:
         if entry.kind is PolicyKind.CDQN:
-            if entry.path is None or not os.path.exists(entry.path):
-                raise FileNotFoundError(f"policy checkpoint not found: {entry.path}")
+            if entry.path is None:
+                raise ValueError(f"roster policy {entry.name!r} names no checkpoint")
             qnet = load_policy(entry.path)
             check_fits(entry.path, k=(qnet.k, spec.env.k), d=(qnet.pw.d, catalog.d), m=(qnet.pw.m, user.m))
             handle = PolicyHandle(entry.kind, qnet=qnet)
         elif entry.kind is PolicyKind.GREEDY_USER_MODEL:
             model = user
             if entry.path is not None:
-                if not os.path.exists(entry.path):
-                    raise FileNotFoundError(f"user model checkpoint not found: {entry.path}")
                 model = load_user_model(entry.path)
                 check_fits(entry.path, d=(model.d, catalog.d), m=(model.m, user.m))
             handle = PolicyHandle(entry.kind, user_model=model)

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .choice import Regularizer, softmax
-from .data import write_lines
+from .data import read_lines, write_lines
 
 
 def act(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -401,8 +401,7 @@ def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, str] | No
 
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """A checkpoint's tensors and meta; malformed content raises ValueError naming the file and line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines or lines[0] != _CKPT_HEADER:
         raise ValueError(f"{path}: not a checkpoint file")
     tensors: dict[str, np.ndarray] = {}

@@ -23,8 +23,8 @@ class InitScheme(Enum):
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, epoch: int, message: str = "training diverged (non-finite loss)"):
-        super().__init__(f"{message} at epoch {epoch}")
+    def __init__(self, epoch: int):
+        super().__init__(f"training diverged (non-finite loss) at epoch {epoch}")
         self.epoch = epoch
 
 
@@ -442,7 +442,7 @@ def train_minimax(
                              init_scheme=InitScheme.FRESH,
                              epochs=config.init_epochs if config.init_epochs is not None else config.epochs)
         base = train_mle(catalog, examples, mle_config, valid=valid_examples)
-        theta, alpha = copy.deepcopy(base.theta), copy.deepcopy(base.alpha)
+        theta, alpha = base.theta, base.alpha  # train_mle's own nets, held nowhere else
     else:
         theta = nets.init_scorer_net(catalog.d, config.m, config.n, config.hidden, rng)
         alpha = nets.init_scorer_net(catalog.d, config.m, config.n, config.hidden, rng)

@@ -488,7 +488,7 @@ class TestKeptScoreBuffers:
 
     def _calls(self, k, B, rng, catalog):
         """(hists, pools) of B ragged rows per call, padded past the widest real pool,
-        for cut pool widths that shrink, grow and repeat."""
+        for pool widths that shrink, grow and repeat."""
         calls = []
         for width in (max(w, k) for w in (12, 6, 20, 12, 12)):
             pools = [rng.choice(catalog.item_ids, size=int(rng.integers(k, width + 1)), replace=False)

@@ -176,6 +176,20 @@ class TestShardedEvaluation:
         run_experiment(criterion9_spec(tmp_path, tmp_path / "out"))
         assert written(tmp_path / "out") == written(GOLDEN)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 12], ids=["2", "3", "5-uneven", "12-one-row-each"])
+    def test_short_pools_give_the_one_shard_bytes(self, tmp_path, shards, n):
+        # pools of 8 from 12 items over 9 steps: as clicks take items, late steps draw
+        # pools of 5 to 8 real ids, so the rows a shard holds differ in their real widths
+        spec = criterion9_spec(tmp_path, tmp_path / "one")
+        spec.catalog_size, spec.env = 12, EnvConfig(k=3, pool_size=8, horizon=9)
+        runs = []
+        for count, out in ((1, "one"), (n, "many")):
+            shards(count)
+            spec.out_dir = str(tmp_path / out)
+            run_experiment(spec)
+            runs.append(written(tmp_path / out))
+        assert runs[1] == runs[0]
+
     def test_forks_once_per_extra_shard_not_per_policy(self, tmp_path, shards, monkeypatch):
         forked, real_fork = [], os.fork
 
@@ -374,7 +388,47 @@ class TestCli:
     def test_missing_config_exits_2_and_names_path(self, tmp_path, capsys):
         code = cli_main(["evaluate", "--config", str(tmp_path / "missing.cfg")])
         assert code == 2
-        assert capsys.readouterr().err == f"error: config file not found: {tmp_path / 'missing.cfg'}\n"
+        assert capsys.readouterr().err == (f"error: [Errno 2] No such file or directory: "
+                                           f"'{tmp_path / 'missing.cfg'}'\n")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["train-user-model"], "--data"),
+        (["train-policy"], "--data"),
+        (["diagnose-q"], "--policy"),
+        (["evaluate", "--roster", "cdqn"], "--policy"),
+        (["train-policy"], "--user-model"),
+        (["evaluate"], "--user-model"),
+        (["evaluate", "--roster", "greedy"], "--greedy-user-model"),
+        (["gen-data"], "--config"),
+    ])
+    @pytest.mark.parametrize("unreadable", ["directory", "non-utf8"])
+    def test_unreadable_input_exits_2_naming_it_before_any_output(self, tmp_path, capsys, argv, flag,
+                                                                 unreadable):
+        # a directory once exited 1 as a runtime error, and an undecodable checkpoint or
+        # config file exited 2 naming no file
+        path = tmp_path / "input"
+        if unreadable == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe\n")
+        out = tmp_path / "out"
+        assert cli_main(argv + [flag, str(path), "--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and str(path) in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--users", "2", "--horizon", "3", "--k", "2", "--pool-size", "4", "--catalog-size", "8",
+         "--dim", "2"],
+        ["evaluate", "--n-users", "2", "--reps", "1"],
+    ], ids=["gen-data", "evaluate"])
+    def test_out_that_is_a_file_exits_2_naming_it(self, tmp_path, capsys, argv):
+        # both once exited 1 as a runtime error
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        assert cli_main(argv + ["--out", str(out)]) == 2
+        assert f"error: [Errno 17] File exists: '{out}'" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
 
     def test_swapped_log_lines_exit_2_and_name_file_and_user(self, tmp_path, capsys):
         assert cli_main(["gen-data", "--users", "2", "--horizon", "3", "--k", "2",

@@ -2,8 +2,9 @@
 
 nets.head_scores runs its state and item products per row, and the env's
 rewards, the greedy and cascade policies and the TD targets all score through
-it, so none of them depends on which rows share the call: an evaluation cut
-into shards or a TD minibatch scores each row as a run of that row alone does.
+it at the width the pools were drawn at, so none of them depends on which rows
+share the call, full pools or short: an evaluation cut into shards or a TD
+minibatch scores each row as a run of that row alone does.
 """
 
 import numpy as np
@@ -13,6 +14,8 @@ from slatesim.agent import cascade_batch, compute_target, greedy_user_model_poli
 from slatesim.data import synth_catalog
 from slatesim.env import EnvConfig, EpisodeKeys, SlateEnv, make_ground_truth_user, reset, slate_scores, step
 from slatesim.nets import embed_history, head_scores, init_cascade_net
+
+from pools import pad_pools
 
 M, N, HIDDEN, K, POOL = 5, 3, 16, 4, 12
 
@@ -30,12 +33,17 @@ def world(request):
     return catalog, user, qnet
 
 
-def states(catalog, B: int, seed: int):
-    """B random histories (B, d, M) and full pools (B, POOL) of ascending ids."""
+def states(catalog, B: int, seed: int, short: bool = False):
+    """B random histories (B, d, M) and pools (B, POOL) of ascending ids: full, or when
+    `short` of K to POOL real ids each, padded as the env's."""
     rng = np.random.default_rng(seed)
     hists = rng.standard_normal((B, catalog.d, M))
-    pools = np.sort([rng.choice(catalog.item_ids, size=POOL, replace=False) for _ in range(B)], axis=1)
+    sizes = rng.integers(K, POOL + 1, size=B) if short else np.full(B, POOL)
+    pools = pad_pools([rng.choice(catalog.item_ids, size=n, replace=False) for n in sizes], POOL)
     return hists, pools
+
+
+short_pools = pytest.mark.parametrize("short", [False, True], ids=["full-pools", "short-pools"])
 
 
 @pytest.mark.parametrize("B", [1, 2, 7, 80])
@@ -49,17 +57,19 @@ class TestRowsEqualRowsAlone:
             assert bits(scores[i]) == bits(head_scores(user.theta.head, S[i:i + 1], feats[i:i + 1])[0])
             assert bits(scores[i]) == bits(head_scores(user.theta.head, S[i], feats[i]))
 
-    def test_cascade_batch(self, world, B):
+    @short_pools
+    def test_cascade_batch(self, world, B, short):
         catalog, _, qnet = world
-        hists, pools = states(catalog, B, B + 1)
+        hists, pools = states(catalog, B, B + 1, short)
         slates, values = cascade_batch(qnet, embed_history(hists, qnet.pw), pools, catalog)
         for i in range(B):
             alone = cascade_batch(qnet, embed_history(hists[i:i + 1], qnet.pw), pools[i:i + 1], catalog)
             assert bits(slates[i], values[i]) == bits(alone[0][0], alone[1][0])
 
-    def test_compute_target(self, world, B):
+    @short_pools
+    def test_compute_target(self, world, B, short):
         catalog, _, qnet = world
-        hists, pools = states(catalog, B, B + 2)
+        hists, pools = states(catalog, B, B + 2, short)
         rng = np.random.default_rng(B)
         rewards, terminal = rng.standard_normal(B), rng.random(B) < 0.25
         y = compute_target(rewards, hists, pools, qnet, catalog, 0.9, terminal)
@@ -68,9 +78,10 @@ class TestRowsEqualRowsAlone:
                                    terminal[i:i + 1])
             assert bits(y[i]) == bits(alone[0])
 
-    def test_greedy_user_model_policy(self, world, B):
+    @short_pools
+    def test_greedy_user_model_policy(self, world, B, short):
         catalog, user, _ = world
-        hists, pools = states(catalog, B, B + 3)
+        hists, pools = states(catalog, B, B + 3, short)
         slates = greedy_user_model_policy(user, hists, pools, K, catalog)
         for i in range(B):
             assert bits(slates[i]) == bits(greedy_user_model_policy(user, hists[i:i + 1], pools[i:i + 1],
