@@ -85,8 +85,10 @@ def project_to_simplex(y: np.ndarray) -> np.ndarray:
     """Euclidean projection of each row (last axis) onto the probability simplex.
 
     Sort and threshold, O(n log n): the support is every index up to the last
-    rho with u_rho - css_rho / rho > 0."""
+    rho with u_rho - css_rho / rho > 0. A row is taken relative to its maximum,
+    which leaves its projection unchanged and keeps the sums exact at any scale."""
     y = np.asarray(y, dtype=float)
+    y = y - y.max(axis=-1, keepdims=True)
     u = np.sort(y, axis=-1)[..., ::-1]
     css = np.cumsum(u, axis=-1) - 1.0
     idx = np.arange(1, y.shape[-1] + 1)

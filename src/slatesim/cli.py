@@ -214,24 +214,29 @@ def cmd_train_user_model(args: argparse.Namespace) -> int:
         raise ValueError(f"{data_path}: the log holds no click record to fit")
     # --m falls back to the history length the data file was written with
     config = opt.fields(TrainConfig, m=opt.get("m", m if m > 0 else None))
-    # the entropy rule's inner maximum is closed-form, so its minimax fit is maximum likelihood
-    fit = training.train_minimax if config.regularizer is Regularizer.L2 else training.train_mle
+    # the entropy rule's inner maximum is closed-form, so its minimax fit is maximum likelihood;
+    # train_log.csv's columns are the per-epoch stats the estimator reports
+    fit, columns = training.train_mle, ("train_nll", "valid_nll", "prec1")
+    if config.regularizer is Regularizer.L2:
+        fit, columns = training.train_minimax, ("objective", "valid_nll")
     out_dir = _out_dir(opt)
     split = split_users([t.user_id for t in trajectories], seed=config.seed)
-    train = [t for t in trajectories if t.user_id in split.train]
-    valid = [t for t in trajectories if t.user_id in split.valid]
-    test = [t for t in trajectories if t.user_id in split.test]
+    train, valid, test = ([t for t in trajectories if t.user_id in users] for users in split)
     _log(f"[train-user-model] users: {len(train)} train / {len(valid)} valid / {len(test)} test")
-    log_lines = ["epoch,train_nll,valid_nll,prec1"]
+    log_lines = [",".join(("epoch",) + columns)]
 
     def on_epoch(epoch: int, stats: dict) -> None:
-        train_nll = stats.get("train_nll", stats.get("objective", float("nan")))
-        log_lines.append(",".join([str(epoch)] + [fmt(x) for x in (
-            train_nll, stats.get("valid_nll", float("nan")), stats.get("prec1", float("nan")))]))
-        _log(f"[train-user-model] epoch={epoch} " +
-             " ".join(f"{k}={v:.5g}" for k, v in stats.items()))
+        # prec1 is nan when the scored split has no click
+        log_lines.append(",".join([str(epoch)] + [fmt(stats.get(name, float("nan"))) for name in columns]))
+        _log(f"[train-user-model] epoch={epoch} " + " ".join(f"{k}={v:.5g}" for k, v in stats.items()))
 
-    model = fit(catalog, train, config, valid=valid, on_epoch=on_epoch)
+    with warnings.catch_warnings(record=True) as caught:  # the fit's warnings, each shown once
+        warnings.simplefilter("always")
+        try:
+            model = fit(catalog, train, config, valid=valid, on_epoch=on_epoch)
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                _log(f"[train-user-model] warning: {message}")
     ckpt = os.path.join(out_dir, "user_model.ckpt")
     save_user_model(ckpt, model)
     write_lines(os.path.join(out_dir, "train_log.csv"), log_lines)

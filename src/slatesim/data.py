@@ -136,17 +136,12 @@ class Trajectory:
         return len(self.records)
 
 
-@dataclass(frozen=True)
-class DatasetSplit:
+class DatasetSplit(NamedTuple):
+    """The user ids of each split; `split_users` cuts one permutation in three."""
+
     train: frozenset[int]
     valid: frozenset[int]
     test: frozenset[int]
-
-    def __post_init__(self):
-        for name in ("train", "valid", "test"):
-            object.__setattr__(self, name, frozenset(getattr(self, name)))
-        if (self.train & self.valid) or (self.train & self.test) or (self.valid & self.test):
-            raise ValueError("splits must be disjoint")
 
 
 def split_users(user_ids: Iterable[int], seed: int) -> DatasetSplit:
@@ -246,11 +241,13 @@ def load_trajectories(path) -> tuple[ItemCatalog, list[Trajectory]]:
 
 
 def _parse_trajectories(lines: list[str]) -> tuple[ItemCatalog, list[Trajectory]]:
+    """One pass: a record's display ids are checked against the item lines above it."""
     if not lines:
         return ItemCatalog([], d=1), []
     d, _m, _k = _parse_meta(lines[0], 1)
     items: list[tuple[int, np.ndarray]] = []
-    by_user: dict[int, list[tuple[int, ClickRecord]]] = {}  # user -> (line number, record)
+    known: set[int] = set()  # real item ids read so far; never the non-click id
+    by_user: dict[int, list[ClickRecord]] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
@@ -270,6 +267,8 @@ def _parse_trajectories(lines: list[str]) -> tuple[ItemCatalog, list[Trajectory]
             if not np.isfinite(vals).all():
                 raise DataFormatError(f"line {lineno}: non-finite feature of item {item_id}")
             items.append((item_id, vals))
+            if item_id != NON_CLICK_ID:
+                known.add(item_id)
         elif line.startswith("rec "):
             head, _, tail = line[4:].partition("|")
             parts = head.split()
@@ -303,24 +302,17 @@ def _parse_trajectories(lines: list[str]) -> tuple[ItemCatalog, list[Trajectory]
                 raise DataFormatError(f"line {lineno}: duplicate item in displayed set {displayed}")
             if chosen != NON_CLICK_ID and chosen not in displayed:
                 raise DataFormatError(f"line {lineno}: chosen not displayed: {chosen} not in {displayed}")
-            by_user.setdefault(user_id, []).append((lineno, ClickRecord(step, displayed, chosen, reward)))
+            if not known.issuperset(displayed):
+                unknown = next(i for i in displayed if i not in known)
+                raise DataFormatError(
+                    f"line {lineno}: record for user {user_id} step {step} displays unknown item {unknown}"
+                )
+            records = by_user.setdefault(user_id, [])
+            if not records and step != 1:
+                raise DataFormatError(f"line {lineno}: trajectory for user {user_id} must start at step 1")
+            if records and step <= records[-1].step:
+                raise DataFormatError(f"line {lineno}: steps not strictly increasing for user {user_id}")
+            records.append(ClickRecord(step, displayed, chosen, reward))
         else:
             raise DataFormatError(f"line {lineno}: unknown directive {line.split()[0]!r}")
-    catalog = ItemCatalog(items, d=d)
-    trajectories = []
-    for user_id, numbered in by_user.items():
-        for lineno, rec in numbered:
-            for item_id in rec.displayed:
-                if item_id not in catalog:
-                    raise DataFormatError(
-                        f"line {lineno}: record for user {user_id} step {rec.step} displays "
-                        f"unknown item {item_id}"
-                    )
-        first, head = numbered[0]
-        if head.step != 1:
-            raise DataFormatError(f"line {first}: trajectory for user {user_id} must start at step 1")
-        for (_, prev), (lineno, rec) in zip(numbered, numbered[1:]):
-            if rec.step <= prev.step:
-                raise DataFormatError(f"line {lineno}: steps not strictly increasing for user {user_id}")
-        trajectories.append(Trajectory(user_id=user_id, records=tuple(rec for _, rec in numbered)))
-    return catalog, trajectories
+    return ItemCatalog(items, d=d), [Trajectory(user_id, tuple(records)) for user_id, records in by_user.items()]

@@ -101,6 +101,17 @@ class TestL2Choice:
         rows = np.stack([y, -y, 0.1 * y, np.zeros(n)])
         assert np.array_equal(project_to_simplex(rows), np.stack([project_to_simplex(r) for r in rows]))
 
+    def test_projection_is_exact_past_two_to_the_53(self):
+        # sorted and thresholded as given, this row once projected to [5e16, 5e16, 0, 0],
+        # which sums to 1e17: the -1 of the threshold was lost against the scores
+        assert np.array_equal(project_to_simplex([[1e17, 1e17 + 64, -3, 5]]), [[0.0, 1.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("scale", [1e20, 1e100, 1e200])
+    def test_projection_of_huge_rows_is_a_distribution(self, scale):
+        p = project_to_simplex(np.random.default_rng(5).standard_normal((50, 6)) * scale)
+        assert np.all(p >= 0)
+        assert np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-9)
+
 
 # The sampler is row-batched: n draws for one reward vector are n rows of it, and
 # a generator listed once per row draws the rows' uniforms in turn.

@@ -172,6 +172,11 @@ class TestSplitUsers:
         b = split_users(range(20), seed=3)
         assert a == b
 
+    def test_split_is_a_tuple_of_three_frozensets(self):
+        train, valid, test = split_users(range(8), seed=0)
+        assert all(type(users) is frozenset for users in (train, valid, test))
+        assert not (train & valid or train & test or valid & test)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             split_users([], seed=0)
@@ -332,6 +337,15 @@ class TestSerialization:
         ("meta d=1 m=0 k=1\nitem 1 inf\n", "line 2: non-finite feature of item 1"),
         ("meta d=1 m=0 k=1\nitem 1 0.5\nrec 0 1 1 | 1 ; r=nan\n", "line 3: bad reward value 'nan'"),
         ("meta d=1 m=0 k=1\nitem 1 0.5\nrec 0 1 1 | 1 ; r=-inf\n", "line 3: bad reward value '-inf'"),
+        # a display shows real items only: the non-click id 0 was once scored as a zero-feature slot
+        ("meta d=1 m=0 k=2\nitem 1 0.5\nrec 0 1 0 | 0 1\n",
+         "line 3: record for user 0 step 1 displays unknown item 0"),
+        # items come before the records that show them, as save_trajectories writes them
+        ("meta d=1 m=0 k=1\nitem 1 0.5\nrec 0 1 2 | 2\nitem 2 0.25\n",
+         "line 3: record for user 0 step 1 displays unknown item 2"),
+        # of two bad records, the one on the earlier line is reported, whoever's it is
+        ("meta d=1 m=0 k=1\nitem 1 0.5\nrec 0 1 0 | 1\nrec 1 2 0 | 1\nrec 0 1 0 | 1\n",
+         "line 4: trajectory for user 1 must start at step 1"),
     ])
     def test_every_load_error_names_the_file(self, tmp_path, body, message):
         path = tmp_path / "bad.txt"

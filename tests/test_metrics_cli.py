@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import slatesim
-from slatesim import metrics
+from slatesim import metrics, training
 from slatesim.agent import PolicyKind, save_policy
 from slatesim.cli import cli_main, parse_config_file
 from slatesim.data import Trajectory, load_trajectories, save_trajectories, split_users, synth_catalog
@@ -750,6 +750,63 @@ class TestCli:
         report = [line for line in proc.stderr.splitlines() if line.startswith("[train-user-model] test ")]
         assert len(report) == 1
         assert report[0].endswith(" (2 record(s) had zero model probability; clamped to 1e-300)")
+
+    def test_fit_warnings_print_as_train_user_model_lines(self, tmp_path):
+        # the fit's OscillationWarning once printed as a raw Python warning, naming
+        # training.py and followed by its `warnings.warn(` source line
+        assert cli_main(pipeline_stages(tmp_path)[0] + ["--seed", "1", "--out", str(tmp_path)]) == 0
+        src = str(Path(slatesim.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "from slatesim.cli import main; main()", "train-user-model",
+             "--data", str(tmp_path / "data.txt"), "--epochs", "3", "--batch-size", "1",
+             "--n", "2", "--hidden", "6", "--regularizer", "l2", "--eta", "5", "--lr-theta", "1",
+             "--lr-alpha", "2", "--seed", "1", "--out", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr and "warnings.warn(" not in proc.stderr
+        warned = [line for line in proc.stderr.splitlines() if line.startswith("[train-user-model] warning: ")]
+        assert len(warned) == 1
+        assert re.fullmatch(r"\[train-user-model\] warning: objective variance \S+ over the last 50 updates "
+                            r"exceeds 5\.0", warned[0]), warned
+
+    def test_fit_warnings_print_once_before_a_fit_failure(self, tmp_path, capsys, monkeypatch):
+        def diverging_fit(*args, **kwargs):
+            for _ in range(3):
+                warnings.warn("overflow encountered in matmul", RuntimeWarning)
+            raise training.TrainingDiverged(1)
+
+        monkeypatch.setattr(training, "train_mle", diverging_fit)
+        path = tmp_path / "data.txt"
+        path.write_text("meta d=1 m=1 k=2\nitem 1 0.5\nitem 2 0.25\nrec 0 1 1 | 1 2\n")
+        assert cli_main(["train-user-model", "--data", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-2] == "[train-user-model] warning: overflow encountered in matmul"
+        assert err[-1].startswith("runtime error: TrainingDiverged")
+
+    @pytest.mark.parametrize("regularizer, columns", [
+        ("entropy", ["train_nll", "valid_nll", "prec1"]),
+        # the L2 fit once wrote its objective under train_nll and a prec1 column of nan
+        ("l2", ["objective", "valid_nll"]),
+    ])
+    def test_train_log_names_the_stats_of_its_estimator(self, tmp_path, capsys, regularizer, columns):
+        stages = pipeline_stages(tmp_path)
+        assert cli_main(stages[0] + ["--seed", "1", "--out", str(tmp_path)]) == 0
+        assert cli_main(stages[1] + ["--regularizer", regularizer, "--seed", "1", "--out", str(tmp_path)]) == 0
+        header, *rows = (tmp_path / "train_log.csv").read_text().splitlines()
+        assert header.split(",") == ["epoch"] + columns
+        assert [row.split(",")[0] for row in rows] == ["1", "2", "3"]
+        assert all(len(row.split(",")) == 1 + len(columns) and "nan" not in row for row in rows)
+
+    def test_display_of_the_non_click_id_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        # it once fitted, scoring the non-click id as a zero-feature item, and exited 0
+        path = tmp_path / "data.txt"
+        path.write_text("meta d=1 m=1 k=2\nitem 1 0.5\nitem 2 0.25\nrec 0 1 1 | 1 2\nrec 0 2 0 | 0 2\n")
+        out = tmp_path / "out"
+        code = cli_main(["train-user-model", "--data", str(path), "--epochs", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 5: record for user 0 step 2 displays unknown item 0\n")
+        assert not out.exists()
 
     def test_gen_data_bit_reproducible(self, tmp_path):
         args = ["gen-data", "--users", "5", "--horizon", "4", "--k", "3",
