@@ -353,6 +353,8 @@ def _train_replay(world: TrainingEnv, config: CDQNConfig, heads: int, act: Act,
     `heads` value heads then regresses `loss` on a replay minibatch against
     the bootstrapped targets `target` computes with the current net."""
     env, user, base_seed = world
+    if config.horizon != env.config.horizon:  # the world's rule that k items outlast the clicks is the env's
+        raise ValueError(f"horizon {config.horizon} differs from the env's horizon {env.config.horizon}")
     catalog, k, B = env.catalog, env.config.k, config.batch_users
     rng = np.random.default_rng(config.seed)
     qnet = nets.init_cascade_net(catalog.d, user.m, config.n, config.hidden, heads, rng)
@@ -439,34 +441,19 @@ def constraint_diagnostic(qnet: CascadeQNet, hists: np.ndarray, pools: np.ndarra
 def save_policy(path, qnet: CascadeQNet, extra_meta: dict[str, str] | None = None) -> None:
     """Write the Q-net with its shape; the last meta line records it as a cdqn policy,
     which load_policy checks."""
-    tensors = dict(nets.named_tensors(qnet))
-    meta = {
-        "kind": "cascade_policy",
-        "k": str(qnet.k),
-        "d": str(qnet.pw.d),
-        "m": str(qnet.pw.m),
-        "n": str(qnet.pw.n),
-        "hidden": str(qnet.heads[0].v.shape[0]),
-        "activation": nets.ACTIVATION,
-    }
-    if extra_meta:
-        meta.update(extra_meta)
-    meta["policy_kind"] = PolicyKind.CDQN.value
-    nets.save_tensors(path, tensors, meta)
+    meta = {"k": str(qnet.k), "d": str(qnet.pw.d), "m": str(qnet.pw.m), "n": str(qnet.pw.n),
+            "hidden": str(qnet.heads[0].v.shape[0]), "activation": nets.ACTIVATION,
+            **(extra_meta or {}), "policy_kind": PolicyKind.CDQN.value}
+    nets.save_checkpoint(path, "cascade_policy", meta, {"": qnet})
 
 
-def load_policy(path) -> CascadeQNet:
-    """The Q-net of a cdqn policy checkpoint; one that records another policy_kind raises
-    ValueError naming the file."""
-    with nets.read_checkpoint(path, "cascade_policy") as (tensors, meta):
-        trained = meta.get("policy_kind", PolicyKind.CDQN.value)
+def load_policy(path, **run: int) -> CascadeQNet:
+    """The Q-net of a cdqn policy checkpoint, read as nets.load_checkpoint reads it; one that
+    records another policy_kind raises ValueError naming the file."""
+    def build(meta: dict[str, str], qnet: CascadeQNet) -> CascadeQNet:
+        trained = meta.get("policy_kind", PolicyKind.CDQN.value)  # files written before it was recorded
         if trained != PolicyKind.CDQN.value:
             raise ValueError(f"a policy trained as {trained}, not {PolicyKind.CDQN.value}")
-        pw = nets.PositionWeightParams(W=tensors["W"], B=tensors["B"])
-        heads = [nets.ScorerParams(**{attr: tensors[name] for attr, name in names.items()})
-                 for names in map(nets.cascade_head_names, range(1, int(meta["k"]) + 1))]
-        for j, head in enumerate(heads, start=1):  # head j reads [s; f_1 .. f_j]
-            if head.V.shape[1:] != (pw.d * pw.n + j * pw.d,):
-                raise ValueError(f"tensor L{j} of shape {head.V.shape} needs d*n + {j}*d = "
-                                 f"{pw.d * pw.n + j * pw.d} columns")
-        return CascadeQNet(pw=pw, heads=heads)
+        return qnet
+
+    return nets.load_checkpoint(path, "cascade_policy", {"": CascadeQNet}, build, **run)

@@ -331,7 +331,7 @@ def cmd_diagnose_q(args: argparse.Namespace) -> int:
     qnet = agent.load_policy(policy_path)
     _horizon(opt, EnvConfig.horizon, "to visit states")
     spec, env, user = _world(opt, k=qnet.k)
-    metrics.check_fits(policy_path, d=(qnet.pw.d, env.catalog.d), m=(qnet.pw.m, user.m))
+    nets.check_fits(policy_path, qnet, d=env.catalog.d, m=user.m)
     _episode_seeds(spec.seed, -(-n_states // env.config.horizon), 1)
     out_dir = _out_dir(opt)
     try:

@@ -245,7 +245,7 @@ def _parse_trajectories(lines: list[str]) -> tuple[ItemCatalog, list[Trajectory]
     if not lines:
         return ItemCatalog([], d=1), []
     d, _m, _k = _parse_meta(lines[0], 1)
-    items: list[tuple[int, np.ndarray]] = []
+    items: dict[int, np.ndarray] = {}
     known: set[int] = set()  # real item ids read so far; never the non-click id
     by_user: dict[int, list[ClickRecord]] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
@@ -266,7 +266,12 @@ def _parse_trajectories(lines: list[str]) -> tuple[ItemCatalog, list[Trajectory]
                 )
             if not np.isfinite(vals).all():
                 raise DataFormatError(f"line {lineno}: non-finite feature of item {item_id}")
-            items.append((item_id, vals))
+            if item_id in items:  # ItemCatalog refuses both too, but names no line
+                raise DataFormatError(f"line {lineno}: duplicate item id {item_id}")
+            if item_id == NON_CLICK_ID and vals.any():
+                raise DataFormatError(f"line {lineno}: item id 0 is reserved for the zero-feature "
+                                      "non-click pseudo-item")
+            items[item_id] = vals
             if item_id != NON_CLICK_ID:
                 known.add(item_id)
         elif line.startswith("rec "):
@@ -315,4 +320,4 @@ def _parse_trajectories(lines: list[str]) -> tuple[ItemCatalog, list[Trajectory]
             records.append(ClickRecord(step, displayed, chosen, reward))
         else:
             raise DataFormatError(f"line {lineno}: unknown directive {line.split()[0]!r}")
-    return ItemCatalog(items, d=d), [Trajectory(user_id, tuple(records)) for user_id, records in by_user.items()]
+    return ItemCatalog(items.items(), d=d), [Trajectory(uid, tuple(recs)) for uid, recs in by_user.items()]

@@ -83,22 +83,13 @@ def eval_env_seed(base_seed: int, user: int, rep: int, n_users: int) -> int:
     return 2 * (base_seed + rep * n_users + user) + 1
 
 
-def check_fits(path: str, **dims: tuple[int, int]) -> None:
-    """Refuse a checkpoint whose dimensions differ from the run's: name=(checkpoint's, run's)."""
-    wrong = [f"{name}={have} where the run has {name}={want}"
-             for name, (have, want) in dims.items() if have != want]
-    if wrong:
-        raise ValueError(f"{path} does not fit the run: {', '.join(wrong)}")
-
-
 def build_experiment_env(spec: ExperimentSpec, catalog: ItemCatalog | None = None
                          ) -> tuple[SlateEnv, UserModel, ItemCatalog]:
     """The spec's environment, user and catalog; the catalog is synthesised from the spec unless given."""
     if catalog is None:
         catalog = synth_catalog(spec.catalog_size, spec.dim, spec.catalog_seed)
     if spec.user_model_path is not None:
-        user = load_user_model(spec.user_model_path)
-        check_fits(spec.user_model_path, d=(user.d, catalog.d))
+        user = load_user_model(spec.user_model_path, d=catalog.d)
     else:
         user = make_ground_truth_user(catalog, (spec.gt_m, spec.gt_n, spec.gt_hidden),
                                       spec.gt_seed, spec.gt_reward_scale)
@@ -120,14 +111,9 @@ def load_experiment(spec: ExperimentSpec):
         if entry.kind is PolicyKind.CDQN:
             if entry.path is None:
                 raise ValueError(f"roster policy {entry.name!r} names no checkpoint")
-            qnet = load_policy(entry.path)
-            check_fits(entry.path, k=(qnet.k, spec.env.k), d=(qnet.pw.d, catalog.d), m=(qnet.pw.m, user.m))
-            handle = PolicyHandle(entry.kind, qnet=qnet)
+            handle = PolicyHandle(entry.kind, qnet=load_policy(entry.path, k=spec.env.k, d=catalog.d, m=user.m))
         elif entry.kind is PolicyKind.GREEDY_USER_MODEL:
-            model = user
-            if entry.path is not None:
-                model = load_user_model(entry.path)
-                check_fits(entry.path, d=(model.d, catalog.d), m=(model.m, user.m))
+            model = user if entry.path is None else load_user_model(entry.path, d=catalog.d, m=user.m)
             handle = PolicyHandle(entry.kind, user_model=model)
         else:
             handle = PolicyHandle(entry.kind)

@@ -17,7 +17,6 @@ and returned as name -> array dicts keyed as named_tensors, which sgd_step appli
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,6 +66,10 @@ class PositionWeightParams:
     @property
     def d(self) -> int:
         return self.B.shape[0]
+
+    def head_inputs(self, j: int) -> int:
+        """Input width d*n + j*d of a head that scores the state against j items [f_1; ...; f_j]."""
+        return self.d * self.n + j * self.d
 
 
 @dataclass
@@ -368,14 +371,13 @@ def init_scorer_head(in_dim: int, hidden: int, rng: np.random.Generator) -> Scor
 
 
 def init_scorer_net(d: int, m: int, n: int, hidden: int, rng: np.random.Generator) -> ScorerNet:
-    pw = init_position_weight(d, m, n, rng)
-    head = init_scorer_head(d * n + d, hidden, rng)
-    return ScorerNet(pw=pw, head=head)
+    net = init_cascade_net(d, m, n, hidden, 1, rng)  # the same draws: the embedding, then one head
+    return ScorerNet(pw=net.pw, head=net.heads[0])
 
 
 def init_cascade_net(d: int, m: int, n: int, hidden: int, k: int, rng: np.random.Generator) -> CascadeQNet:
     pw = init_position_weight(d, m, n, rng)
-    heads = [init_scorer_head(d * n + d * j, hidden, rng) for j in range(1, k + 1)]
+    heads = [init_scorer_head(pw.head_inputs(j), hidden, rng) for j in range(1, k + 1)]
     return CascadeQNet(pw=pw, heads=heads)
 
 
@@ -431,22 +433,51 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     return tensors, meta
 
 
-@contextmanager
-def read_checkpoint(path, kind: str):
-    """Yield the tensors and meta of the `kind` checkpoint at `path`; a missing entry,
-    an activation other than ACTIVATION, or a value the `with` block cannot parse
-    raises ValueError naming the file."""
+def save_checkpoint(path, kind: str, meta: dict[str, str], parts: dict[str, ScorerNet | CascadeQNet]) -> None:
+    """A `kind` checkpoint: `meta` in order, then each net of `parts`' named_tensors under its prefix."""
+    save_tensors(path, {prefix + name: t for prefix, net in parts.items()
+                        for name, t in named_tensors(net).items()}, {"kind": kind, **meta})
+
+
+def load_checkpoint(path, kind: str, parts: dict[str, type], build: Callable, **run: int):
+    """build(meta, *nets) of the `kind` checkpoint at `path`: a net of each type of `parts`, from the
+    tensors under its prefix. Another kind or activation, a missing entry, a head j not pw.head_inputs(j)
+    wide, a meta value `build` refuses or a first net unlike `run` (check_fits) raise ValueError naming it."""
     tensors, meta = load_tensors(path)
     if meta.get("kind") != kind:
         raise ValueError(f"{path}: not a {kind} checkpoint")
     try:
         if meta["activation"] != ACTIVATION:
             raise ValueError(f"activation {meta['activation']!r} is not supported, only {ACTIVATION!r}")
-        yield tensors, meta
+        loaded = []
+        for prefix, net in parts.items():  # a CascadeQNet has meta k heads; a ScorerNet one, V b v
+            k = int(meta["k"]) if net is CascadeQNet else None
+            layouts = ([dict(V="V", b="b", v="v")] if k is None
+                       else [cascade_head_names(j) for j in range(1, k + 1)])
+            pw = PositionWeightParams(W=tensors[prefix + "W"], B=tensors[prefix + "B"])
+            heads = [ScorerParams(**{attr: tensors[prefix + name] for attr, name in names.items()})
+                     for names in layouts]
+            for j, (head, names) in enumerate(zip(heads, layouts), start=1):  # head j reads [s; f_1 .. f_j]
+                if head.V.shape[1:] != (pw.head_inputs(j),):
+                    raise ValueError(f"tensor {prefix}{names['V']} of shape {head.V.shape} needs d*n + "
+                                     f"{'d' if k is None else f'{j}*d'} = {pw.head_inputs(j)} columns")
+            loaded.append(ScorerNet(pw, heads[0]) if k is None else CascadeQNet(pw, heads))
+        built = build(meta, *loaded)
     except KeyError as exc:
         raise ValueError(f"{path}: missing entry {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    check_fits(path, loaded[0], **run)
+    return built
+
+
+def check_fits(path, net: ScorerNet | CascadeQNet, **run: int) -> None:
+    """Refuse the checkpoint at `path` when its net's k, d or m differs from the `run` value of that name."""
+    have = {"k": getattr(net, "k", None), "d": net.pw.d, "m": net.pw.m}
+    wrong = [f"{name}={have[name]} where the run has {name}={want}"
+             for name, want in run.items() if have[name] != want]
+    if wrong:
+        raise ValueError(f"{path} does not fit the run: {', '.join(wrong)}")
 
 
 # ---------------------------------------------------------------------------

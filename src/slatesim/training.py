@@ -474,33 +474,16 @@ def train_minimax(
 
 
 def save_user_model(path, model: UserModel) -> None:
-    tensors = {}
-    for prefix, net in (("theta", model.theta), ("alpha", model.alpha)):
-        for name, t in nets.named_tensors(net).items():
-            tensors[f"{prefix}_{name}"] = t
-    meta = {
-        "kind": "user_model",
-        "eta": format(model.config.eta, ".17g"),
-        "regularizer": model.config.regularizer.value,
-        "activation": nets.ACTIVATION,
-        "d": str(model.d),
-        "m": str(model.m),
-        "n": str(model.theta.pw.n),
-        "hidden": str(model.theta.head.v.shape[0]),
-    }
-    nets.save_tensors(path, tensors, meta)
+    meta = {"eta": format(model.config.eta, ".17g"), "regularizer": model.config.regularizer.value,
+            "activation": nets.ACTIVATION, "d": str(model.d), "m": str(model.m),
+            "n": str(model.theta.pw.n), "hidden": str(model.theta.head.v.shape[0])}
+    nets.save_checkpoint(path, "user_model", meta, {"theta_": model.theta, "alpha_": model.alpha})
 
 
-def load_user_model(path) -> UserModel:
-    with nets.read_checkpoint(path, "user_model") as (tensors, meta):
-        def scorer(prefix: str) -> ScorerNet:
-            pw = nets.PositionWeightParams(W=tensors[f"{prefix}_W"], B=tensors[f"{prefix}_B"])
-            head = nets.ScorerParams(V=tensors[f"{prefix}_V"], b=tensors[f"{prefix}_b"],
-                                     v=tensors[f"{prefix}_v"])
-            if head.V.shape[1:] != (pw.d * pw.n + pw.d,):  # the head reads [s; f]
-                raise ValueError(f"tensor {prefix}_V of shape {head.V.shape} needs d*n + d = "
-                                 f"{pw.d * pw.n + pw.d} columns")
-            return ScorerNet(pw=pw, head=head)
-
+def load_user_model(path, **run: int) -> UserModel:
+    """The user model of a user_model checkpoint, read as nets.load_checkpoint reads it."""
+    def build(meta: dict[str, str], theta: ScorerNet, alpha: ScorerNet) -> UserModel:
         config = ChoiceConfig(eta=float(meta["eta"]), regularizer=Regularizer(meta["regularizer"]))
-        return UserModel(theta=scorer("theta"), alpha=scorer("alpha"), config=config)
+        return UserModel(theta=theta, alpha=alpha, config=config)
+
+    return nets.load_checkpoint(path, "user_model", {"theta_": ScorerNet, "alpha_": ScorerNet}, build, **run)

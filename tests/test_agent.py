@@ -603,6 +603,22 @@ class TestTrainCdqn:
         rates = freq[1:] / len(seen)
         assert np.all(np.abs(rates - 2.0 / 8.0) <= 0.05)
 
+    @pytest.mark.parametrize("horizon", [9, 2])
+    def test_a_horizon_other_than_the_envs_is_refused_before_any_step(self, monkeypatch, horizon):
+        # the world rule (k items outlast the clicks) holds for the env's 5 steps: 9 steps once
+        # exhausted the pool mid-run (EnvError), and 2 trained on cut episodes without a word
+        catalog = synth_catalog(8, 4, 1)
+        user = make_ground_truth_user(catalog, (3, 2, 6), seed=14, reward_scale=2.0)
+        env = SlateEnv(catalog, EnvConfig(k=3, pool_size=8, horizon=5))
+
+        def no_step(*args):
+            raise AssertionError("env.step was called")
+
+        monkeypatch.setattr(agent, "step", no_step)
+        cfg = CDQNConfig(horizon=horizon, iterations=3, batch_users=4, minibatch=4, n=2, hidden=4)
+        with pytest.raises(ValueError, match=f"^horizon {horizon} differs from the env's horizon 5$"):
+            train_cdqn(make_env_factory(env, user, 0), cfg)
+
     def test_capacity_below_the_minibatch_is_refused(self):
         # such a memory never fills one minibatch: no SGD step would ever run
         with pytest.raises(ValueError, match="capacity must be >= minibatch, got 10 < 32"):

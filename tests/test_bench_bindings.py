@@ -51,6 +51,29 @@ def test_workloads_import_and_every_slatesim_name_they_use_exists():
     assert not missing, f"names the benchmark workloads use that slatesim lacks: {missing}"
 
 
+def test_workloads_call_every_slatesim_name_in_a_shape_its_signature_binds():
+    # a name that still exists can have been reshaped: a removed parameter or keyword, or
+    # one more required positional, fails the benchmark run and not the tests above
+    workloads = load_by_path("workloads")
+    modules = {alias: value for alias, value in vars(workloads).items()
+               if isinstance(value, types.ModuleType) and value.__name__.startswith("slatesim.")}
+    tree = ast.parse((BENCHMARKS / "workloads.py").read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name) and node.func.value.id in modules
+             and not any(isinstance(arg, ast.Starred) for arg in node.args)
+             and all(kw.arg is not None for kw in node.keywords)]
+    assert calls, "workloads.py no longer calls slatesim's modules"
+    unbound = []
+    for node in calls:
+        target = getattr(modules[node.func.value.id], node.func.attr)
+        try:
+            inspect.signature(target).bind(*node.args, **{kw.arg: kw.value for kw in node.keywords})
+        except TypeError as exc:
+            unbound.append(f"line {node.lineno}: {node.func.value.id}.{node.func.attr}: {exc}")
+    assert not unbound, f"calls the benchmark workloads make that slatesim would refuse: {unbound}"
+
+
 def test_every_span_fires_in_one_chunk_of_each_stage(count_calls, tmp_path):
     # the traced benchmark fails when a span it predicts records no call; one chunk of
     # each pipeline stage in the README world must call every span at least once

@@ -318,6 +318,14 @@ class TestSerialization:
          "line 4: steps not strictly increasing for user 4"),
         ("meta d=1 m=0 k=1\nitem 1 0.5\nitem 1 0.25\n", "duplicate item id 1"),
         ("meta d=1 m=0 k=1\nitem 0 0.5\n", "reserved"),
+        # the catalog's own errors carry their line, and come before a later line's
+        ("meta d=1 m=0 k=1\nitem 1 0.5\nitem 1 0.25\nrec 0 2 0 | 1\nrec 0 1 0 | 1\n",
+         "line 3: duplicate item id 1"),
+        ("meta d=1 m=0 k=1\nitem 0 0\nitem 0 0\n", "line 3: duplicate item id 0"),
+        ("meta d=1 m=0 k=1\nitem 0 0.5\n",
+         "line 2: item id 0 is reserved for the zero-feature non-click pseudo-item"),
+        ("meta d=1 m=0 k=1\nitem 1 0.5\nitem 0 0.5\nrec 0 1 7 | 1\n",
+         "line 3: item id 0 is reserved for the zero-feature non-click pseudo-item"),
         ("meta d=1 m=0\n", "line 1"),
         ("meta d=1 m=0 k=1\nitem x 0.5\n", "line 2"),
         # the record checks: the loader is the one place a log enters the program

@@ -15,7 +15,7 @@ import pytest
 
 import slatesim
 from slatesim import metrics, training
-from slatesim.agent import PolicyKind, save_policy
+from slatesim.agent import PolicyKind, load_policy, save_policy
 from slatesim.cli import cli_main, parse_config_file
 from slatesim.data import Trajectory, load_trajectories, save_trajectories, split_users, synth_catalog
 from slatesim.env import EnvConfig, make_ground_truth_user
@@ -631,6 +631,40 @@ class TestCli:
         assert code == 2
         assert f"error: {path}: a policy trained as additive, not cdqn" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, file, kind", [
+        (["evaluate", "--roster", "cdqn", "--policy", "U", "--k", "5"], "U", "cascade_policy"),
+        (["diagnose-q", "--policy", "U"], "U", "cascade_policy"),
+        (["evaluate", "--roster", "random", "--user-model", "P"], "P", "user_model"),
+        (["evaluate", "--roster", "greedy", "--greedy-user-model", "P"], "P", "user_model"),
+        (["train-policy", "--user-model", "P", "--iterations", "1"], "P", "user_model"),
+    ], ids=["evaluate-policy", "diagnose-q-policy", "evaluate-user-model", "evaluate-greedy-user-model",
+            "train-policy-user-model"])
+    def test_checkpoint_of_the_wrong_kind_exits_2_naming_the_file(self, tmp_path, capsys, argv, file, kind):
+        # a user model where a policy belongs and a policy where a user model belongs, each
+        # of the run's d=8 and m=5: only the recorded kind is wrong
+        paths = {"P": str(tmp_path / "policy.ckpt"), "U": str(tmp_path / "user.ckpt")}
+        save_policy(paths["P"], init_cascade_net(8, 5, 4, 16, 5, np.random.default_rng(0)))
+        save_user_model(paths["U"], make_ground_truth_user(synth_catalog(10, 8), (5, 4, 16), seed=1))
+        out = tmp_path / "out"
+        code = cli_main([paths.get(arg, arg) for arg in argv]
+                        + ["--n-users", "2", "--reps", "1"] * (argv[0] == "evaluate")
+                        + ["--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {paths[file]}: not a {kind} checkpoint\n"
+        assert not out.exists()
+
+    def test_readme_shaped_checkpoints_read_and_written_back_are_byte_identical(self, tmp_path):
+        # the README pipeline's shapes: d=8, m=5, n=4, hidden=16, and a k=5 policy
+        policy, user = tmp_path / "policy.ckpt", tmp_path / "user.ckpt"
+        save_policy(policy, init_cascade_net(8, 5, 4, 16, 5, np.random.default_rng(1)),
+                    extra_meta={"reward_mode": "learned"})
+        save_user_model(user, make_ground_truth_user(synth_catalog(50, 8, 1), (5, 4, 16), seed=2,
+                                                     reward_scale=3.0))
+        save_policy(tmp_path / "policy2.ckpt", load_policy(policy), extra_meta={"reward_mode": "learned"})
+        save_user_model(tmp_path / "user2.ckpt", training.load_user_model(user))
+        assert (tmp_path / "policy2.ckpt").read_bytes() == policy.read_bytes()
+        assert (tmp_path / "user2.ckpt").read_bytes() == user.read_bytes()
 
     @pytest.mark.parametrize("argv", [
         ["evaluate", "--roster", "cdqn", "--policy", "BAD_POLICY", "--k", "5"],
