@@ -147,14 +147,6 @@ def _out_dir(opt: _Options) -> str:
     return out_dir
 
 
-def _horizon(opt: _Options, default: int, needs: str) -> int:
-    """The --horizon option, refused below 1 before any output is made."""
-    horizon = opt.get("horizon", default)
-    if horizon < 1:
-        raise ValueError(f"--horizon must be >= 1 {needs}, got {horizon}")
-    return horizon
-
-
 def _episode_seeds(seed: int, episodes: int, parity: int) -> None:
     """Refuse --seed before any output is made when the last of `episodes` episode
     seeds 2 * (seed + i) + parity reaches 2**64, which the rollouts refuse mid-run."""
@@ -184,17 +176,17 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     users = opt.get("users", 50)
     if users < 1:
         raise ValueError(f"users must be >= 1, got {users}")
-    horizon = _horizon(opt, 20, "to log any record")
     # gen-data's own world: 50 items, k 5, pool 20; its catalog seeded --seed, its user --seed + 1
     seed = opt.get("seed", 0)
+    env_config = opt.fields(EnvConfig, k=opt.get("k", 5), horizon=opt.get("horizon", 20))
     spec = opt.fields(ExperimentSpec, catalog_size=opt.get("catalog-size", 50), catalog_seed=seed,
-                      gt_seed=seed + 1, env=opt.fields(EnvConfig, k=opt.get("k", 5), horizon=horizon))
+                      gt_seed=seed + 1, env=env_config)
     _episode_seeds(seed, users, 0)
     env, user, catalog = metrics.build_experiment_env(spec)
     out_dir = _out_dir(opt)
     policy = agent.make_policy(agent.PolicyHandle(PolicyKind.RANDOM), catalog, spec.env.k)
     results = rollout_batch(env, user, policy, [2 * (seed + u) for u in range(users)],
-                            T=horizon, user_ids=range(users))
+                            user_ids=range(users))
     trajectories = [traj for traj, _, _ in results]
     _log(f"[gen-data] simulated {users} users")
     data_path = os.path.join(out_dir, "data.txt")
@@ -248,8 +240,10 @@ def cmd_train_user_model(args: argparse.Namespace) -> int:
         with warnings.catch_warnings(record=True) as caught:  # an L2 model's clamped records
             warnings.simplefilter("always")
             loglik = training.heldout_loglik(model, test_examples)
-        _log(f"[train-user-model] test{prec1} heldout_loglik={loglik:.4f}"
-             + "".join(f" ({w.message})" for w in caught))
+        notes = [str(w.message) for w in caught]
+        uniform = float(np.mean(-np.log(test_examples.slots[test_examples.rows])))  # p = 1/slots a record
+        notes += [f"no better than a uniform guess, {uniform:.4f}"] if loglik <= uniform else []
+        _log(f"[train-user-model] test{prec1} heldout_loglik={loglik:.4f}" + "".join(f" ({n})" for n in notes))
     _log(f"[train-user-model] wrote {ckpt}")
     return 0
 
@@ -329,7 +323,6 @@ def cmd_diagnose_q(args: argparse.Namespace) -> int:
         raise ValueError(f"states must be >= 1, got {n_states}")
     policy_path = opt.file("policy", required=True)
     qnet = agent.load_policy(policy_path)
-    _horizon(opt, EnvConfig.horizon, "to visit states")
     spec, env, user = _world(opt, k=qnet.k)
     nets.check_fits(policy_path, qnet, d=env.catalog.d, m=user.m)
     _episode_seeds(spec.seed, -(-n_states // env.config.horizon), 1)
@@ -363,8 +356,6 @@ def collect_states(env: SlateEnv, user, qnet, n_states: int, seed: int):
     horizon = env.config.horizon
     if n_states <= 0:
         return [], []
-    if horizon < 1:
-        raise ValueError(f"--horizon must be >= 1 to visit states, got {horizon}")
     seeds = [2 * (seed + e) + 1 for e in range(-(-n_states // horizon))]
     cascade = agent.make_policy(agent.PolicyHandle(PolicyKind.CDQN, qnet=qnet), env.catalog, qnet.k)
     visited = []

@@ -104,8 +104,8 @@ class EnvConfig:
     def __post_init__(self):
         if self.k < 1 or self.pool_size < self.k:
             raise ValueError(f"need 1 <= k <= pool_size, got k={self.k} and pool_size={self.pool_size}")
-        if self.horizon < 0:
-            raise ValueError("horizon must be >= 0")
+        if self.horizon < 1:  # an episode of no step has no reward or click rate
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,13 @@ class SlateEnv:
     config: EnvConfig
 
     def __post_init__(self):
-        if self.config.pool_size > len(self.catalog.item_ids):
+        size, cfg = len(self.catalog.item_ids), self.config
+        if cfg.pool_size > size:
             raise ValueError("pool_size exceeds catalog size")
+        # every step also draws the next step's pool, so k items must outlast `horizon` clicks
+        if size - cfg.horizon < cfg.k:
+            raise ValueError(f"a catalog of {size} items minus a horizon of {cfg.horizon} clicks "
+                             f"leaves fewer than k={cfg.k} items for a slate")
 
 
 # A policy maps B sessions to B slates in one call: the click histories (B, d, m), the
@@ -255,8 +260,10 @@ def rollout_batch(
     Each row draws its pools, clicks and policy randomness from generators
     keyed (seed, stream, t), so a row's episode is the one that seed gives when
     run alone. Returns one (trajectory with per-step rewards, time-averaged
-    reward, clicks) per seed, in order."""
+    reward, clicks) per seed, in order. T above the env's horizon raises ValueError."""
     horizon = env.config.horizon if T is None else T
+    if horizon > env.config.horizon:  # the env's catalog fills every slate only up to its horizon
+        raise ValueError(f"T={horizon} exceeds the env's horizon {env.config.horizon}")
     keys = EpisodeKeys(seeds, horizon)
     user_ids = [0] * len(keys) if user_ids is None else list(user_ids)
     hists, avail, pools = reset(env, user, keys)

@@ -69,8 +69,6 @@ class ExperimentSpec:
         repeated = [name for i, name in enumerate(names) if name in names[:i]]
         if repeated:  # else its metrics file is written twice and aggregate.csv repeats its row
             raise ValueError(f"roster names {repeated[0]!r} more than once")
-        if self.env.horizon < 1:  # an episode of no step has no reward or click rate
-            raise ValueError(f"horizon must be >= 1, got {self.env.horizon}")
         if not (np.isfinite(self.gt_reward_scale) and self.gt_reward_scale > 0):  # else no or reversed taste
             raise ValueError(f"gt_reward_scale must be finite and > 0, got {self.gt_reward_scale}")
         for name in ("n_users", "repetitions", "gt_m", "gt_n", "gt_hidden"):
@@ -93,13 +91,7 @@ def build_experiment_env(spec: ExperimentSpec, catalog: ItemCatalog | None = Non
     else:
         user = make_ground_truth_user(catalog, (spec.gt_m, spec.gt_n, spec.gt_hidden),
                                       spec.gt_seed, spec.gt_reward_scale)
-    size, env = len(catalog.item_ids), spec.env
-    # refused before any run starts: every step also draws the next step's pool, so k
-    # items must outlast `horizon` clicks (draw_candidates raises EnvError mid-run)
-    if size - env.horizon < env.k:
-        raise ValueError(f"a catalog of {size} items minus a horizon of {env.horizon} clicks "
-                         f"leaves fewer than k={env.k} items for a slate")
-    return SlateEnv(catalog=catalog, config=env), user, catalog
+    return SlateEnv(catalog=catalog, config=spec.env), user, catalog
 
 
 def load_experiment(spec: ExperimentSpec):

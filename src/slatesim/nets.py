@@ -442,7 +442,8 @@ def save_checkpoint(path, kind: str, meta: dict[str, str], parts: dict[str, Scor
 def load_checkpoint(path, kind: str, parts: dict[str, type], build: Callable, **run: int):
     """build(meta, *nets) of the `kind` checkpoint at `path`: a net of each type of `parts`, from the
     tensors under its prefix. Another kind or activation, a missing entry, a head j not pw.head_inputs(j)
-    wide, a meta value `build` refuses or a first net unlike `run` (check_fits) raise ValueError naming it."""
+    wide, a meta value `build` refuses, a first net unlike `run` (check_fits), a meta d, m, n or hidden
+    unlike the first net's or a tensor no net reads raise ValueError naming it."""
     tensors, meta = load_tensors(path)
     if meta.get("kind") != kind:
         raise ValueError(f"{path}: not a {kind} checkpoint")
@@ -468,6 +469,15 @@ def load_checkpoint(path, kind: str, parts: dict[str, type], build: Callable, **
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     check_fits(path, loaded[0], **run)
+    first = loaded[0]  # the meta d, m, n and hidden that are present must be its tensors'
+    hidden = (first.heads[0] if isinstance(first, CascadeQNet) else first.head).v.shape[0]
+    have = {"d": first.pw.d, "m": first.pw.m, "n": first.pw.n, "hidden": hidden}
+    wrong = [f"meta {name} {meta[name]} where its tensors have {name}={value}"
+             for name, value in have.items() if meta.get(name, str(value)) != str(value)]
+    read = {prefix + name for prefix, net in zip(parts, loaded) for name in named_tensors(net)}
+    wrong += [f"tensor {name!r} that no net reads" for name in tensors if name not in read]
+    if wrong:
+        raise ValueError(f"{path}: {', '.join(wrong)}")
     return built
 
 

@@ -743,3 +743,13 @@ class TestPolicyCheckpoint:
                                   for line in lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: a policy trained as {other}, not cdqn")):
             load_policy(path)
+
+    def test_tensors_of_a_head_beyond_meta_k_are_refused(self, tmp_path):
+        # a k=3 net's file relabelled k=2 once loaded two heads and dropped the third unseen
+        path = tmp_path / "policy.ckpt"
+        save_policy(path, init_cascade_net(3, 4, 2, 5, 3, np.random.default_rng(19)))
+        path.write_text(path.read_text().replace("meta k 3\n", "meta k 2\n"))
+        with pytest.raises(ValueError) as caught:
+            load_policy(path)
+        assert str(caught.value) == (f"{path}: tensor 'L3' that no net reads, tensor 'c3' that no "
+                                     "net reads, tensor 'q3' that no net reads")

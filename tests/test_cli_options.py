@@ -370,8 +370,10 @@ def test_bad_numeric_option_exits_2_and_names_the_field(world, tmp_path, monkeyp
     (["train-policy", "--capacity", "0"], "capacity"),
     (["train-policy", "--batch-users", "0"], "batch_users"),
     (["train-policy", "--minibatch", "0"], "minibatch"),
+    (["gen-data", "--horizon", "0"], "horizon"),
     (["train-policy", "--horizon", "0"], "horizon"),
     (["evaluate", "--horizon", "0"], "horizon"),
+    (["diagnose-q", "--horizon", "0"], "horizon"),
     (["train-user-model", "--m", "0"], "m"),
     (["train-user-model", "--n", "0"], "n"),
     (["train-user-model", "--hidden", "0"], "hidden"),
@@ -389,6 +391,8 @@ def test_size_below_one_exits_2_and_names_the_field(world, tmp_path, monkeypatch
     monkeypatch.chdir(tmp_path)
     if argv[0] == "train-user-model":
         argv = argv + ["--data", world["data"]]
+    if argv[0] == "diagnose-q":  # its policy is read first, for the world's k
+        argv = argv + ["--policy", world["policy"]]
     assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"error: {field} must be >= 1, got {argv[2]}\n"
     assert not (tmp_path / "o").exists()

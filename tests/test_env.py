@@ -211,9 +211,9 @@ class TestPoolDrawMatchesListScan:
         assert catalog.item_ids == tuple(ids)
         return catalog
 
-    @pytest.mark.parametrize("config", [
-        EnvConfig(k=3, pool_size=5),
-        EnvConfig(k=3, pool_size=12),
+    @pytest.mark.parametrize("config", [  # 12 items leave k=3 for a slate up to a horizon of 9
+        EnvConfig(k=3, pool_size=5, horizon=9),
+        EnvConfig(k=3, pool_size=12, horizon=9),
         EnvConfig(k=2, pool_size=4),
     ])
     def test_same_pools(self, gappy_catalog, config):
@@ -231,7 +231,7 @@ class TestPoolDrawMatchesListScan:
             assert_padded(pools)
 
     def test_same_exhaustion_error(self, gappy_catalog):
-        env = SlateEnv(gappy_catalog, EnvConfig(k=3, pool_size=5))
+        env = SlateEnv(gappy_catalog, EnvConfig(k=3, pool_size=5, horizon=9))
         clicked = frozenset(gappy_catalog.item_ids[:-2])
         with pytest.raises(EnvError) as expected:
             list_scan_pool(env, clicked, 0, 1)
@@ -461,6 +461,33 @@ class TestRollout:
         t2, a2, c2 = rollout(env, user, pol, seed=13)
         assert a1 == a2 and c1 == c2
         assert [r.chosen for r in t1.records] == [r.chosen for r in t2.records]
+
+
+class TestWorldRules:
+    """The env refuses a world that cannot fill a k-item slate at every step, before any step."""
+
+    def test_zero_horizon_config_raises(self):
+        with pytest.raises(ValueError, match=re.escape("horizon must be >= 1, got 0")):
+            EnvConfig(horizon=0)
+
+    def test_catalog_that_clicks_exhaust_raises(self):
+        # every step also draws the next pool: 12 items less 10 clicks leave 2 < k
+        with pytest.raises(ValueError) as caught:
+            SlateEnv(synth_catalog(12, 3), EnvConfig(k=3, pool_size=5, horizon=10))
+        assert str(caught.value) == ("a catalog of 12 items minus a horizon of 10 clicks "
+                                     "leaves fewer than k=3 items for a slate")
+
+    def test_rollout_beyond_the_horizon_raises_before_any_step(self, setup):
+        _, user, env = setup
+        calls = []
+
+        def policy(hists, pools, row_rng):
+            calls.append(len(hists))
+            return pools[:, :env.config.k]
+
+        with pytest.raises(ValueError, match=re.escape("T=7 exceeds the env's horizon 6")):
+            rollout(env, user, policy, T=env.config.horizon + 1)
+        assert calls == []
 
 
 class TestRolloutBatch:

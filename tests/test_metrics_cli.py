@@ -666,6 +666,23 @@ class TestCli:
         assert (tmp_path / "policy2.ckpt").read_bytes() == policy.read_bytes()
         assert (tmp_path / "user2.ckpt").read_bytes() == user.read_bytes()
 
+    def test_meta_lines_unlike_the_tensors_exit_2_naming_the_file(self, tmp_path, capsys):
+        # a README-shaped policy whose meta d and hidden were rewritten by hand; evaluate in
+        # the README world once ran it to exit 0
+        path = tmp_path / "policy.ckpt"
+        save_policy(path, init_cascade_net(8, 5, 4, 16, 5, np.random.default_rng(0)))
+        path.write_text(path.read_text().replace("meta d 8\n", "meta d 9\n")
+                        .replace("meta hidden 16\n", "meta hidden 3\n"))
+        out = tmp_path / "out"
+        code = cli_main(["evaluate", "--roster", "random,cdqn", "--policy", str(path),
+                         "--catalog-size", "50", "--dim", "8", "--catalog-seed", "1", "--k", "5",
+                         "--pool-size", "20", "--horizon", "10", "--n-users", "2", "--reps", "1",
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {path}: meta d 9 where its tensors have d=8, "
+                                           "meta hidden 3 where its tensors have hidden=16\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["evaluate", "--roster", "cdqn", "--policy", "BAD_POLICY", "--k", "5"],
         ["diagnose-q", "--policy", "BAD_POLICY"],
@@ -783,7 +800,9 @@ class TestCli:
         assert "UserWarning" not in proc.stderr and "training.py:" not in proc.stderr
         report = [line for line in proc.stderr.splitlines() if line.startswith("[train-user-model] test ")]
         assert len(report) == 1
-        assert report[0].endswith(" (2 record(s) had zero model probability; clamped to 1e-300)")
+        # the two clamped records put the fit below a uniform guess over its 4 slots
+        assert report[0].endswith(" (2 record(s) had zero model probability; clamped to 1e-300)"
+                                  " (no better than a uniform guess, -1.3863)")
 
     def test_fit_warnings_print_as_train_user_model_lines(self, tmp_path):
         # the fit's OscillationWarning once printed as a raw Python warning, naming
@@ -888,14 +907,14 @@ class TestCli:
              "--horizon", "0", "--out", str(tmp_path)],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
-        assert "--horizon" in proc.stderr
+        assert proc.stderr == "error: horizon must be >= 1, got 0\n"
         assert not (tmp_path / "q_constraints.csv").exists()
 
     def test_gen_data_zero_horizon_exits_2_naming_the_flag(self, tmp_path, capsys):
         # it once wrote a data.txt with k=0 in its header and no record
         code = cli_main(["gen-data", "--users", "2", "--horizon", "0", "--out", str(tmp_path / "out")])
         assert code == 2
-        assert capsys.readouterr().err == "error: --horizon must be >= 1 to log any record, got 0\n"
+        assert capsys.readouterr().err == "error: horizon must be >= 1, got 0\n"
         assert not (tmp_path / "out").exists()
 
     def test_log_without_records_exits_2_naming_the_file(self, tmp_path, capsys):
@@ -936,6 +955,22 @@ class TestCli:
         assert len(report) == 1 and re.fullmatch(r"\[train-user-model\] test heldout_loglik=-\d+\.\d{4}",
                                                   report[0]), report
         assert {"user_model.ckpt", "train_log.csv"} <= set(os.listdir(out))
+
+    def test_fit_no_better_than_a_uniform_guess_says_so(self, tmp_path, capsys):
+        # on the README log this L2 fit scores every test record 1/6, bit for bit ln(1/6) on
+        # average, and once reported it as if it had learned something
+        assert cli_main(["gen-data", "--users", "50", "--horizon", "20", "--k", "5", "--pool-size", "20",
+                         "--catalog-size", "50", "--dim", "8", "--gt-m", "5", "--gt-n", "4",
+                         "--gt-hidden", "16", "--gt-reward-scale", "3", "--seed", "1",
+                         "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert cli_main(["train-user-model", "--data", str(tmp_path / "data.txt"), "--regularizer", "l2",
+                         "--eta", "5", "--lr-theta", "5", "--lr-alpha", "2", "--epochs", "20",
+                         "--seed", "1", "--out", str(tmp_path / "fit")]) == 0
+        report = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("[train-user-model] test")]
+        assert report == ["[train-user-model] test prec@1=0.1768 heldout_loglik=-1.7918 "
+                          "(no better than a uniform guess, -1.7918)"]
 
     def test_config_file_merging_cli_wins(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

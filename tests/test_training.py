@@ -452,3 +452,12 @@ class TestUserModelCheckpoint:
             assert np.array_equal(t, named_tensors(loaded.theta)[name])
         for name, t in named_tensors(model.alpha).items():
             assert np.array_equal(t, named_tensors(loaded.alpha)[name])
+
+    def test_meta_hidden_unlike_the_tensors_is_refused(self, tmp_path):
+        # the meta lines record the shape; one edited by hand no longer describes the nets
+        path = tmp_path / "user.ckpt"
+        save_user_model(path, make_user_model(np.random.default_rng(61)))
+        path.write_text(path.read_text().replace("meta hidden 5\n", "meta hidden 7\n"))
+        with pytest.raises(ValueError) as caught:
+            load_user_model(path)
+        assert str(caught.value) == f"{path}: meta hidden 7 where its tensors have hidden=5"
