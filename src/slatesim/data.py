@@ -244,7 +244,8 @@ def _parse_trajectories(lines: list[str]) -> tuple[ItemCatalog, list[Trajectory]
     """One pass: a record's display ids are checked against the item lines above it."""
     if not lines:
         return ItemCatalog([], d=1), []
-    d, _m, _k = _parse_meta(lines[0], 1)
+    d, _m, k = _parse_meta(lines[0], 1)
+    widest = 0  # the most items a record displays; the header's k must equal it
     items: dict[int, np.ndarray] = {}
     known: set[int] = set()  # real item ids read so far; never the non-click id
     by_user: dict[int, list[ClickRecord]] = {}
@@ -318,6 +319,9 @@ def _parse_trajectories(lines: list[str]) -> tuple[ItemCatalog, list[Trajectory]
             if records and step <= records[-1].step:
                 raise DataFormatError(f"line {lineno}: steps not strictly increasing for user {user_id}")
             records.append(ClickRecord(step, displayed, chosen, reward))
+            widest = max(widest, len(displayed))
         else:
             raise DataFormatError(f"line {lineno}: unknown directive {line.split()[0]!r}")
+    if k != widest:
+        raise DataFormatError(f"line 1: meta k={k}, but the widest display holds {widest} items")
     return ItemCatalog(items.items(), d=d), [Trajectory(uid, tuple(recs)) for uid, recs in by_user.items()]

@@ -60,22 +60,22 @@ class _SeedState(ISeedSequence):
 
 
 class EpisodeKeys:
-    """The generators of B episodes, hashed for every row, stream and step 0..horizon in one
-    array pass and built on demand: row i's for (stream, t) is bit for bit the one
+    """The generators of B episodes, hashed for every row, stream and step 0..horizon - 1 in
+    one array pass and built on demand: row i's for (stream, t) is bit for bit the one
     np.random.default_rng gives the key (seeds[i], stream, t)."""
 
     def __init__(self, seeds: Sequence[int], horizon: int):
         seeds = [int(s) for s in seeds]
-        if any(not 0 <= s < 2**64 for s in seeds) or horizon < 0:
-            raise ValueError("episode seeds must lie in [0, 2**64) and the horizon be >= 0")
+        if any(not 0 <= s < 2**64 for s in seeds) or horizon < 1:
+            raise ValueError("episode seeds must lie in [0, 2**64) and the horizon be >= 1")
         self.horizon = horizon
         seed = np.array(seeds, dtype=np.uint64)
         # default_rng cuts each int of (seed, stream, t) into 32-bit words, low first, and 0
         # into one word: (lo, stream, t, 0), or (lo, hi, stream, t) for a two-word seed
-        words = np.zeros((4, len(seeds), len(_STREAMS), horizon + 1), dtype=np.uint32)
+        words = np.zeros((4, len(seeds), len(_STREAMS), horizon), dtype=np.uint32)
         words[0] = seed.astype(np.uint32)[:, None, None]  # the cast keeps the low word
         words[1] = np.array(_STREAMS, dtype=np.uint32)[:, None]
-        words[2] = np.arange(horizon + 1, dtype=np.uint32)
+        words[2] = np.arange(horizon, dtype=np.uint32)
         wide = np.flatnonzero(seed >> np.uint64(32))
         words[2:, wide] = words[1:3, wide]
         words[1, wide] = (seed[wide] >> np.uint64(32)).astype(np.uint32)[:, None, None]
@@ -85,14 +85,10 @@ class EpisodeKeys:
         return len(self._states)
 
     def rng(self, row: int, stream: int, t: int) -> np.random.Generator:
-        if not 0 <= t <= self.horizon:
-            raise ValueError(f"step {t} is outside the keyed steps 0..{self.horizon}")
+        if not 0 <= t < self.horizon:
+            raise ValueError(f"step {t} is outside the keyed steps 0..{self.horizon - 1}")
         state = self._states[row, _STREAMS.index(stream), t]
         return np.random.Generator(np.random.PCG64(_SeedState(state)))
-
-
-class EnvError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -116,8 +112,8 @@ class SlateEnv:
     def __post_init__(self):
         size, cfg = len(self.catalog.item_ids), self.config
         if cfg.pool_size > size:
-            raise ValueError("pool_size exceeds catalog size")
-        # every step also draws the next step's pool, so k items must outlast `horizon` clicks
+            raise ValueError(f"pool_size {cfg.pool_size} exceeds the catalog's {size} items")
+        # k items outlast the episode's clicks, so every pool the episode draws holds k
         if size - cfg.horizon < cfg.k:
             raise ValueError(f"a catalog of {size} items minus a horizon of {cfg.horizon} clicks "
                              f"leaves fewer than k={cfg.k} items for a slate")
@@ -159,8 +155,6 @@ def draw_candidates(env: SlateEnv, avail: np.ndarray, t: int, keys: EpisodeKeys)
     picked = []
     for i, row in enumerate(avail):
         items = catalog.id_array[row]
-        if len(items) < cfg.k:
-            raise EnvError(f"pool exhausted: {len(items)} items remain, slate needs {cfg.k}")
         rng = keys.rng(i, _POOL_STREAM, t)
         picked.append(items[rng.choice(len(items), size=min(len(items), cfg.pool_size), replace=False)])
     if min(map(len, picked)) == cfg.pool_size:
@@ -221,10 +215,10 @@ def step(env: SlateEnv, user: UserModel, t: int, keys: EpisodeKeys, hists: np.nd
     Checks each row's slate against its pool, scores every slate plus the
     non-click slot with one slate_scores call, draws each row's choice from its
     own (seed, click stream, t) generator, and pays the clicked item's score or
-    0.0 for a non-click. In place, a click is pushed into its
-    row of `hists` and clears its item in `avail`, and `pools` is overwritten
-    with the next step's. Returns the checked slates (B, k), the chosen ids (B,)
-    (0 for no click) and the rewards (B,) as arrays."""
+    0.0 for a non-click. In place, a click is pushed into its row of `hists` and
+    clears its item in `avail`, and `pools` is overwritten with the next step's
+    unless t is the keys' last. Returns the checked slates (B, k), the chosen ids
+    (B,) (0 for no click) and the rewards (B,) as arrays."""
     k, catalog = env.config.k, env.catalog
     slates = _check_slates(slates, pools, k)
     rows = np.arange(len(slates))
@@ -243,7 +237,8 @@ def step(env: SlateEnv, user: UserModel, t: int, keys: EpisodeKeys, hists: np.nd
     avail[rows, chosen_rows] = False
     pushed = np.concatenate([hists[..., 1:], catalog.matrix[chosen_rows][..., None]], axis=2)
     np.copyto(hists, pushed, where=clicked[:, None, None])
-    pools[...] = draw_candidates(env, avail, t + 1, keys)
+    if t + 1 < keys.horizon:
+        pools[...] = draw_candidates(env, avail, t + 1, keys)
     return slates, chosen, rewards
 
 
@@ -257,15 +252,17 @@ def rollout_batch(
 ) -> list[tuple[Trajectory, float, int]]:
     """Run one episode per seed for T steps in lockstep, one policy call and one step per t.
 
-    Each row draws its pools, clicks and policy randomness from generators
-    keyed (seed, stream, t), so a row's episode is the one that seed gives when
-    run alone. Returns one (trajectory with per-step rewards, time-averaged
-    reward, clicks) per seed, in order. T above the env's horizon raises ValueError."""
+    Each row draws its pools, clicks and policy randomness from generators keyed (seed, stream,
+    t), so a row's episode is the one that seed gives when run alone. Returns one (trajectory
+    with per-step rewards, time-averaged reward, clicks) per seed, in order. A T outside
+    1..horizon or a user id count other than the seed count raises ValueError before any step."""
     horizon = env.config.horizon if T is None else T
     if horizon > env.config.horizon:  # the env's catalog fills every slate only up to its horizon
         raise ValueError(f"T={horizon} exceeds the env's horizon {env.config.horizon}")
     keys = EpisodeKeys(seeds, horizon)
     user_ids = [0] * len(keys) if user_ids is None else list(user_ids)
+    if len(user_ids) != len(keys):  # else zip stops at the shorter list
+        raise ValueError(f"{len(user_ids)} user ids for {len(keys)} seeds")
     hists, avail, pools = reset(env, user, keys)
     records: list[list[ClickRecord]] = [[] for _ in range(len(keys))]
     totals, clicks = np.zeros(len(keys)), np.zeros(len(keys), dtype=int)
@@ -278,7 +275,7 @@ def rollout_batch(
         for row, slate, c, r in zip(records, slates.tolist(), chosen.tolist(), rewards.tolist()):
             row.append(ClickRecord(step=t + 1, displayed=tuple(slate), chosen=c, reward=r))
     return [(Trajectory(user_id=u, records=tuple(row)), avg, c) for u, row, avg, c
-            in zip(user_ids, records, (totals / max(horizon, 1)).tolist(), clicks.tolist())]
+            in zip(user_ids, records, (totals / horizon).tolist(), clicks.tolist())]
 
 
 def rollout(

@@ -71,7 +71,7 @@ class ExperimentSpec:
             raise ValueError(f"roster names {repeated[0]!r} more than once")
         if not (np.isfinite(self.gt_reward_scale) and self.gt_reward_scale > 0):  # else no or reversed taste
             raise ValueError(f"gt_reward_scale must be finite and > 0, got {self.gt_reward_scale}")
-        for name in ("n_users", "repetitions", "gt_m", "gt_n", "gt_hidden"):
+        for name in ("catalog_size", "dim", "n_users", "repetitions", "gt_m", "gt_n", "gt_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 

@@ -371,6 +371,12 @@ def test_bad_numeric_option_exits_2_and_names_the_field(world, tmp_path, monkeyp
     (["train-policy", "--batch-users", "0"], "batch_users"),
     (["train-policy", "--minibatch", "0"], "minibatch"),
     (["gen-data", "--horizon", "0"], "horizon"),
+    (["gen-data", "--catalog-size", "0"], "catalog_size"),
+    (["gen-data", "--dim", "0"], "dim"),
+    (["train-policy", "--catalog-size", "0"], "catalog_size"),
+    (["train-policy", "--dim", "0"], "dim"),
+    (["evaluate", "--catalog-size", "0"], "catalog_size"),
+    (["evaluate", "--dim", "0"], "dim"),
     (["train-policy", "--horizon", "0"], "horizon"),
     (["evaluate", "--horizon", "0"], "horizon"),
     (["diagnose-q", "--horizon", "0"], "horizon"),

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from slatesim.agent import PolicyHandle, PolicyKind, make_policy
+import slatesim.env as envlib
+from slatesim.agent import PolicyHandle, PolicyKind, make_policy, random_slate
 from slatesim.choice import ChoiceConfig, Regularizer
 from slatesim.data import NON_CLICK_ID, ItemCatalog, load_trajectories, save_trajectories, synth_catalog
 from slatesim.env import (
@@ -13,7 +14,6 @@ from slatesim.env import (
     _POLICY_STREAM,
     _POOL_STREAM,
     EnvConfig,
-    EnvError,
     EpisodeKeys,
     SlateEnv,
     draw_candidates,
@@ -61,7 +61,7 @@ class TestGroundTruthUser:
 
     def test_choice_distribution_sums_to_one(self, setup):
         catalog, user, env = setup
-        hists, _, pools = reset(env, user, EpisodeKeys([3], 0))
+        hists, _, pools = reset(env, user, EpisodeKeys([3], 1))
         feats = catalog.feature_matrix([*pools[0, :3], NON_CLICK_ID])
         scores = slate_scores(user, hists, feats[None])[0]
         probs = user.config.regularizer.probs(scores, user.config.eta)
@@ -74,7 +74,7 @@ class TestGroundTruthUser:
         catalog, user, _ = setup
         env = SlateEnv(catalog, EnvConfig(k=3, pool_size=10, horizon=2))
         slate = [1, 2, 3]
-        hists, _, _ = reset(env, user, EpisodeKeys([1], 0))
+        hists, _, _ = reset(env, user, EpisodeKeys([1], 1))
         feats = catalog.feature_matrix([*slate, NON_CLICK_ID])
         scores = slate_scores(user, hists, feats[None])[0]
         probs = user.config.regularizer.probs(scores, user.config.eta)
@@ -94,7 +94,7 @@ class TestEpisodeKeys:
         seeds = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
         seeds += rng.integers(0, 2**16, 400).tolist()
         seeds += rng.integers(0, 2**64, 430, dtype=np.uint64).tolist()
-        keys = EpisodeKeys(seeds, 3)
+        keys = EpisodeKeys(seeds, 4)
         for i, seed in enumerate(seeds):
             for stream in (_POOL_STREAM, _CLICK_STREAM, _POLICY_STREAM):
                 for t in range(4):
@@ -108,23 +108,39 @@ class TestEpisodeKeys:
         with pytest.raises(ValueError, match=re.escape("[0, 2**64)")):
             EpisodeKeys([3, seed], 2)
 
+    def test_zero_horizon_raises(self):
+        with pytest.raises(ValueError, match=re.escape("the horizon be >= 1")):
+            EpisodeKeys([3], 0)
+
     def test_step_beyond_the_horizon_raises(self, setup):
         _, user, env = setup
         keys = EpisodeKeys([3], 2)
-        for t in (-1, 3):
-            with pytest.raises(ValueError, match=re.escape("outside the keyed steps 0..2")):
+        for t in (-1, 2):
+            with pytest.raises(ValueError, match=re.escape("outside the keyed steps 0..1")):
                 keys.rng(0, _CLICK_STREAM, t)
         hists, avail, pools = reset(env, user, keys)
         for t in range(2):
             step(env, user, t, keys, hists, avail, pools, [pools[0, :3]])
-        with pytest.raises(ValueError, match=re.escape("step 3 is outside")):
+        with pytest.raises(ValueError, match=re.escape("step 2 is outside")):
             step(env, user, 2, keys, hists, avail, pools, [pools[0, :3]])
+
+    def test_step_beyond_the_keys_writes_nothing(self, setup):
+        # the click draw refuses the unkeyed step before any click reaches the state
+        _, user, env = setup
+        keys = EpisodeKeys(range(20), 1)
+        hists, avail, pools = reset(env, user, keys)
+        hists[...] = np.random.default_rng(0).standard_normal(hists.shape)
+        state = hists.copy(), avail.copy(), pools.copy()
+        with pytest.raises(ValueError, match="is outside the keyed steps"):
+            step(env, user, 1, keys, hists, avail, pools, pools[:, :3])
+        for got, want in zip((hists, avail, pools), state):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestReset:
     def test_zero_state(self, setup):
         catalog, user, env = setup
-        hists, avail, pools = reset(env, user, EpisodeKeys([5, 6], 0))
+        hists, avail, pools = reset(env, user, EpisodeKeys([5, 6], 1))
         assert hists.shape == (2, catalog.d, user.m)
         assert np.array_equal(avail, avail_of(catalog, (), 2))
         assert np.all(hists == 0.0)
@@ -132,7 +148,7 @@ class TestReset:
 
     def test_zero_embedding_with_zero_bias(self, setup):
         _, user, env = setup
-        hists, _, _ = reset(env, user, EpisodeKeys([5], 0))
+        hists, _, _ = reset(env, user, EpisodeKeys([5], 1))
         pw = user.theta.pw
         saved = pw.B.copy()
         pw.B[:] = 0.0
@@ -141,37 +157,42 @@ class TestReset:
 
     def test_same_seed_same_pool(self, setup):
         _, user, env = setup
-        assert pool_rows(reset(env, user, EpisodeKeys([7], 0))[2]) == \
-            pool_rows(reset(env, user, EpisodeKeys([7], 0))[2])
+        assert pool_rows(reset(env, user, EpisodeKeys([7], 1))[2]) == \
+            pool_rows(reset(env, user, EpisodeKeys([7], 1))[2])
 
 
 class TestCandidates:
     def test_full_catalog_returns_everything(self, setup):
         catalog, user, _ = setup
         env = SlateEnv(catalog, EnvConfig(k=3, pool_size=10, horizon=3))
-        _, _, pools = reset(env, user, EpisodeKeys([1], 0))
+        _, _, pools = reset(env, user, EpisodeKeys([1], 1))
         assert pool_rows(pools) == [catalog.item_ids]
 
     def test_excludes_clicked(self, setup):
         catalog, _, env = setup
         clicked = frozenset({1, 2, 3})
-        keys = EpisodeKeys([4], 19)
+        keys = EpisodeKeys([4], 20)
         for t in range(20):
             (pool,) = pool_rows(draw_candidates(env, avail_of(catalog, clicked), t, keys))
             assert not (set(pool) & clicked)
 
-    def test_pool_exhausted(self, setup):
+    def test_mask_short_of_k_gives_a_short_pool_that_slates_refuse(self, setup):
+        # no valid world leaves fewer than k items; a hand-made mask gets the padded pool
         catalog, _, env = setup
         clicked = frozenset(catalog.item_ids[:-2])
-        with pytest.raises(EnvError, match="pool exhausted"):
-            draw_candidates(env, avail_of(catalog, clicked), 0, EpisodeKeys([1], 0))
+        pools = draw_candidates(env, avail_of(catalog, clicked), 0, EpisodeKeys([1], 1))
+        assert pool_rows(pools) == [catalog.item_ids[-2:]]
+        assert pools.shape == (1, env.config.pool_size)
+        assert_padded(pools)
+        with pytest.raises(ValueError, match=re.escape("pool smaller than k: 2 < 3")):
+            random_slate(pools[0], env.config.k, np.random.default_rng(0))
 
     def test_inclusion_frequencies_uniform(self, setup):
         # K=10, pool of 5: every item appears with frequency 0.5 +- 0.02
         catalog, _, env = setup
         counts = {i: 0 for i in catalog.item_ids}
         draws = 10_000
-        keys = EpisodeKeys(range(draws), 0)
+        keys = EpisodeKeys(range(draws), 1)
         for pool in pool_rows(draw_candidates(env, avail_of(catalog, (), draws), 0, keys)):
             for i in pool:
                 counts[i] += 1
@@ -180,9 +201,9 @@ class TestCandidates:
 
     def test_deterministic_per_seed_and_t(self, setup):
         catalog, _, env = setup
-        a = pool_rows(draw_candidates(env, avail_of(catalog, ()), 3, EpisodeKeys([11], 4)))
-        b = pool_rows(draw_candidates(env, avail_of(catalog, ()), 3, EpisodeKeys([11], 4)))
-        c = pool_rows(draw_candidates(env, avail_of(catalog, ()), 4, EpisodeKeys([11], 4)))
+        a = pool_rows(draw_candidates(env, avail_of(catalog, ()), 3, EpisodeKeys([11], 5)))
+        b = pool_rows(draw_candidates(env, avail_of(catalog, ()), 3, EpisodeKeys([11], 5)))
+        c = pool_rows(draw_candidates(env, avail_of(catalog, ()), 4, EpisodeKeys([11], 5)))
         assert a == b
         assert a != c or True  # different t may coincide; equality of (a, b) is the contract
 
@@ -191,8 +212,6 @@ def list_scan_pool(env, clicked_ids, t, seed):
     """The pool draw as first written: a Python scan of the catalog for unclicked ids."""
     cfg = env.config
     avail = [i for i in env.catalog.item_ids if i not in clicked_ids]
-    if len(avail) < cfg.k:
-        raise EnvError(f"pool exhausted: {len(avail)} items remain, slate needs {cfg.k}")
     size = min(cfg.pool_size, len(avail))
     rng = np.random.default_rng((seed, _POOL_STREAM, t))
     picked = rng.choice(len(avail), size=size, replace=False)
@@ -225,19 +244,10 @@ class TestPoolDrawMatchesListScan:
             clicked = frozenset(int(i) for i in rng.choice(ids, size=n_clicked, replace=False))
             if trial % 7 == 0:
                 clicked |= {999}  # an id outside the catalog changes nothing
-            pools = draw_candidates(env, avail_of(gappy_catalog, clicked), trial % 5, EpisodeKeys([trial], 4))
+            pools = draw_candidates(env, avail_of(gappy_catalog, clicked), trial % 5, EpisodeKeys([trial], 5))
             assert pool_rows(pools) == [list_scan_pool(env, clicked, trial % 5, trial)]
             assert pools.shape == (1, config.pool_size)
             assert_padded(pools)
-
-    def test_same_exhaustion_error(self, gappy_catalog):
-        env = SlateEnv(gappy_catalog, EnvConfig(k=3, pool_size=5, horizon=9))
-        clicked = frozenset(gappy_catalog.item_ids[:-2])
-        with pytest.raises(EnvError) as expected:
-            list_scan_pool(env, clicked, 0, 1)
-        with pytest.raises(EnvError, match="pool exhausted") as got:
-            draw_candidates(env, avail_of(gappy_catalog, clicked), 0, EpisodeKeys([1], 0))
-        assert str(got.value) == str(expected.value)
 
 
 class TestStep:
@@ -259,7 +269,7 @@ class TestStep:
         env = SlateEnv(catalog, EnvConfig(k=3, pool_size=10, horizon=2))
         user.theta.head.v *= 60.0
         try:
-            hists, _, _ = reset(env, user, EpisodeKeys([1], 0))
+            hists, _, _ = reset(env, user, EpisodeKeys([1], 1))
             all_scores = slate_scores(user, hists, catalog.feature_matrix(catalog.item_ids)[None])[0]
             order = np.argsort(-all_scores)
             slate = [catalog.item_ids[order[0]], catalog.item_ids[order[-1]],
@@ -416,10 +426,22 @@ class TestSlateScores:
 
 
 class TestRollout:
-    def test_zero_horizon(self, setup):
+    def test_zero_horizon_raises_before_any_draw(self, setup, count_calls):
         _, user, env = setup
-        traj, avg, clicks = rollout(env, user, random_policy(env), T=0, seed=1)
-        assert len(traj) == 0 and avg == 0.0 and clicks == 0
+        calls = count_calls({envlib: ["draw_candidates"]})
+        with pytest.raises(ValueError, match=re.escape("the horizon be >= 1")):
+            rollout(env, user, random_policy(env), T=0, seed=1)
+        assert calls == {"draw_candidates": 0}
+
+    def test_an_episode_of_t_steps_draws_t_pools(self, count_calls):
+        # reset draws step 0's pool and each step but the last draws the next one
+        catalog = synth_catalog(20, 4, seed=1)
+        user = make_ground_truth_user(catalog, (3, 2, 6), seed=2)
+        env = SlateEnv(catalog, EnvConfig(k=3, pool_size=5, horizon=10))
+        calls = count_calls({envlib: ["draw_candidates"]})
+        batch = rollout_batch(env, user, random_policy(env), [1, 2, 3], T=10)
+        assert calls == {"draw_candidates": 10}
+        assert [len(traj) for traj, _, _ in batch] == [10, 10, 10]
 
     def test_uniform_user_ctr_near_k_over_k_plus_one(self, setup):
         # all-equal rewards make the choice uniform over k+1 slots; 20 items leave a
@@ -470,8 +492,13 @@ class TestWorldRules:
         with pytest.raises(ValueError, match=re.escape("horizon must be >= 1, got 0")):
             EnvConfig(horizon=0)
 
+    def test_pool_larger_than_the_catalog_raises(self):
+        with pytest.raises(ValueError) as caught:
+            SlateEnv(synth_catalog(50, 3), EnvConfig(k=5, pool_size=100, horizon=10))
+        assert str(caught.value) == "pool_size 100 exceeds the catalog's 50 items"
+
     def test_catalog_that_clicks_exhaust_raises(self):
-        # every step also draws the next pool: 12 items less 10 clicks leave 2 < k
+        # 12 items less 10 clicks leave 2 < k
         with pytest.raises(ValueError) as caught:
             SlateEnv(synth_catalog(12, 3), EnvConfig(k=3, pool_size=5, horizon=10))
         assert str(caught.value) == ("a catalog of 12 items minus a horizon of 10 clicks "
@@ -527,6 +554,19 @@ class TestRolloutBatch:
         assert any(not r.clicked for traj, _, _ in batch for r in traj.records)
         assert all(r.reward == 0.0 for traj, _, _ in batch for r in traj.records if not r.clicked)
         self._assert_rows_independent(env, l2)
+
+    @pytest.mark.parametrize("user_ids, message", [
+        ([7], "1 user ids for 3 seeds"),
+        ([7, 8, 9, 10], "4 user ids for 3 seeds"),
+    ])
+    def test_user_ids_unlike_the_seeds_raise_before_reset(self, setup, count_calls, user_ids, message):
+        # zip once played three episodes and returned one
+        _, user, env = setup
+        calls = count_calls({envlib: ["reset"]})
+        with pytest.raises(ValueError) as caught:
+            rollout_batch(env, user, random_policy(env), [1, 3, 5], user_ids=user_ids)
+        assert str(caught.value) == message
+        assert calls == {"reset": 0}
 
     def test_nan_scores_raise(self, setup):
         catalog, user, env = setup

@@ -861,6 +861,22 @@ class TestCli:
             f"error: {path}: line 5: record for user 0 step 2 displays unknown item 0\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("header_k", [2, 9])
+    def test_header_k_unlike_the_widest_display_exits_2_naming_the_file(self, tmp_path, capsys, header_k):
+        # it once fitted and wrote user_model.ckpt whatever k the header gave
+        assert cli_main(pipeline_stages(tmp_path)[0] + ["--seed", "1", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "data.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[0] == "meta d=4 m=3 k=3\n"
+        path.write_text(f"meta d=4 m=3 k={header_k}\n" + "".join(lines[1:]))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = cli_main(["train-user-model", "--data", str(path), "--epochs", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 1: meta k={header_k}, but the widest display holds 3 items\n")
+        assert not out.exists()
+
     def test_gen_data_bit_reproducible(self, tmp_path):
         args = ["gen-data", "--users", "5", "--horizon", "4", "--k", "3",
                 "--pool-size", "6", "--catalog-size", "10", "--dim", "3",

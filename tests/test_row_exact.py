@@ -88,14 +88,15 @@ class TestRowsEqualRowsAlone:
                                                                     K, catalog)[0])
 
     def test_env_step(self, world, B):
-        # the step's slot scores, and the choice, reward and history each row takes from them
+        # the step's slot scores, the choice, reward and history each row takes from them, and
+        # the next step's pool (two keyed steps, so that step 0 draws it)
         catalog, user, _ = world
-        env = SlateEnv(catalog, EnvConfig(k=K, pool_size=POOL, horizon=1))
+        env = SlateEnv(catalog, EnvConfig(k=K, pool_size=POOL, horizon=2))
         seeds = [2 * i + 1 for i in range(B)]
         history = states(catalog, B, B + 4)[0]
 
         def run(rows):
-            keys = EpisodeKeys([seeds[i] for i in rows], 1)
+            keys = EpisodeKeys([seeds[i] for i in rows], 2)
             hists, avail, pools = reset(env, user, keys)
             hists[...] = history[rows]
             slates = pools[:, :K].copy()
