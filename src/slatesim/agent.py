@@ -198,12 +198,11 @@ def cascade_plan(qeval: QEval, pool: Sequence[int], k: int,
     return slate, values
 
 
-def cascade_slate(qnet: CascadeQNet, hist: np.ndarray, pool: Sequence[int],
+def cascade_slate(qnet: CascadeQNet, state: np.ndarray, pool: Sequence[int],
                   catalog: ItemCatalog) -> list[int]:
-    """Embed one d x m history; the ordered slate the cascade picks from the pool, in at
-    most k * |pool| evaluations."""
-    s = nets.embed_history(hist, qnet.pw)
-    return cascade_plan(net_qeval(qnet, s, catalog), pool, qnet.k)[0]
+    """The ordered slate the cascade picks from the pool for one embedded state (a row of
+    cascade_batch's S), in at most k * |pool| evaluations."""
+    return cascade_plan(net_qeval(qnet, state, catalog), pool, qnet.k)[0]
 
 
 def _real_entries(pools: np.ndarray, k: int) -> np.ndarray:
@@ -405,14 +404,14 @@ def train_cdqn(world: TrainingEnv, config: CDQNConfig,
 
     Every position's network regresses on the shared target
     y = r + gamma * Q^k(next state, greedy cascade slate); the reported loss
-    is the mean over positions. Each greedy session acts through its own
-    cascade_slate."""
+    is the mean over positions. The act embeds a step's greedy sessions in one
+    embed_history call, and each acts through its own cascade_slate."""
     catalog, k = world.env.catalog, world.env.config.k
     return _train_replay(
         world, config, k,
         act=lambda qnet, hists, pools: np.array(
-            [cascade_slate(qnet, h, ids[ids != NON_CLICK_ID], catalog) for h, ids in zip(hists, pools)],
-            dtype=int),
+            [cascade_slate(qnet, s, ids[ids != NON_CLICK_ID], catalog)
+             for s, ids in zip(nets.embed_history(hists, qnet.pw), pools)], dtype=int),
         target=lambda qnet, batch: compute_target(
             batch.reward, batch.next_hist, batch.next_pool, qnet, catalog, config.gamma, batch.terminal),
         loss=lambda qnet, batch, targets: nets.td_value_and_grad(

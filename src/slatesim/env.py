@@ -66,8 +66,10 @@ class EpisodeKeys:
 
     def __init__(self, seeds: Sequence[int], horizon: int):
         seeds = [int(s) for s in seeds]
-        if any(not 0 <= s < 2**64 for s in seeds) or horizon < 1:
-            raise ValueError("episode seeds must lie in [0, 2**64) and the horizon be >= 1")
+        if bad := [s for s in seeds if not 0 <= s < 2**64]:
+            raise ValueError(f"episode seed {bad[0]} is outside [0, 2**64)")
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
         self.horizon = horizon
         seed = np.array(seeds, dtype=np.uint64)
         # default_rng cuts each int of (seed, stream, t) into 32-bit words, low first, and 0
@@ -255,11 +257,15 @@ def rollout_batch(
     Each row draws its pools, clicks and policy randomness from generators keyed (seed, stream,
     t), so a row's episode is the one that seed gives when run alone. Returns one (trajectory
     with per-step rewards, time-averaged reward, clicks) per seed, in order. A T outside
-    1..horizon or a user id count other than the seed count raises ValueError before any step."""
+    1..horizon, no seed or a user id count unlike the seed count raises ValueError before any step."""
     horizon = env.config.horizon if T is None else T
+    if horizon < 1:
+        raise ValueError(f"T must be >= 1, got {horizon}")
     if horizon > env.config.horizon:  # the env's catalog fills every slate only up to its horizon
         raise ValueError(f"T={horizon} exceeds the env's horizon {env.config.horizon}")
     keys = EpisodeKeys(seeds, horizon)
+    if not len(keys):
+        raise ValueError("rollout_batch needs at least one seed")
     user_ids = [0] * len(keys) if user_ids is None else list(user_ids)
     if len(user_ids) != len(keys):  # else zip stops at the shorter list
         raise ValueError(f"{len(user_ids)} user ids for {len(keys)} seeds")

@@ -156,8 +156,8 @@ class TestPerRowCascadeOracle:
                 hist = rng.standard_normal((d, m)) * rng.choice([0.1, 1.0, 5.0])
                 pool = pool_forms(rng, catalog, k)
                 slate, _ = self._assert_same_as_oracle(qnet, embed_history(hist, qnet.pw), pool, catalog)
-                # the trainer's act: one history embedded, then the same cascade
-                assert cascade_slate(qnet, hist, pool, catalog) == slate
+                # the trainer's act: one embedded state, then the same cascade
+                assert cascade_slate(qnet, embed_history(hist, qnet.pw), pool, catalog) == slate
                 states += 1
         assert states >= 1000
 
@@ -318,23 +318,29 @@ class TestComputeTarget:
 
 
 class TestCascadeBatch:
-    def _random_case(self, n_states=1000, k=3):
-        catalog = synth_catalog(20, 3, seed=31)
+    def _random_case(self, n_states=1000, k=3, d=3, m=4, n=2, hidden=6, catalog_size=20, max_pool=12):
+        catalog = synth_catalog(catalog_size, d, seed=31)
         rng = np.random.default_rng(32)
-        qnet = init_cascade_net(3, 4, 2, 6, k, rng)
-        hists = [rng.standard_normal((3, 4)) for _ in range(n_states)]
+        qnet = init_cascade_net(d, m, n, hidden, k, rng)
+        hists = [rng.standard_normal((d, m)) for _ in range(n_states)]
         pools = []
         for _ in range(n_states):
-            pool = list(rng.choice(catalog.item_ids, size=int(rng.integers(k, 13)), replace=False))
+            pool = list(rng.choice(catalog.item_ids, size=int(rng.integers(k, max_pool + 1)), replace=False))
             if rng.random() < 0.3:  # repeat some ids, in any order
                 pool += list(rng.choice(pool, size=int(rng.integers(1, 4))))
             rng.shuffle(pool)
             pools.append(tuple(int(i) for i in pool))
         return catalog, qnet, hists, pools
 
-    def test_matches_cascade_plan_on_random_states(self):
+    @pytest.mark.parametrize("shapes", [
+        {},
+        # the README world's shapes, with the pool widths of its training and wide-catalog worlds
+        dict(k=5, d=8, m=5, n=4, hidden=16, catalog_size=50, max_pool=20),
+        dict(k=5, d=8, m=5, n=4, hidden=16, catalog_size=1000, max_pool=50),
+    ], ids=["small", "readme-pool-20", "readme-pool-50"])
+    def test_matches_cascade_plan_on_random_states(self, shapes):
         # ragged pools, duplicate ids and pools of exactly k items, all in one batch
-        catalog, qnet, hists, pools = self._random_case()
+        catalog, qnet, hists, pools = self._random_case(**shapes)
         assert min(len(set(p)) for p in pools) == qnet.k
         assert any(len(set(p)) != len(p) for p in pools)
         S = np.stack([embed_history(h, qnet.pw) for h in hists])
@@ -379,7 +385,7 @@ class TestCascadeBatch:
         for h, pool in zip(hists, pools):
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                     NonFiniteQError, match="position 2 is not finite in 1 of 1 rows, the first row 0"):
-                cascade_slate(qnet, h, pool, catalog)
+                cascade_slate(qnet, embed_history(h, qnet.pw), pool, catalog)
 
     @pytest.mark.parametrize("pool", [(1, 2), (2, 1, 2, 1)])
     def test_pool_smaller_than_k(self, pool):
@@ -650,7 +656,8 @@ class TestTrainCdqn:
         hists, avail, pools = reset(env, user, keys)
         clicked = set()
         for t in range(4):
-            slate = cascade_slate(qnet, hists[0], pools[0][pools[0] != NON_CLICK_ID], catalog)
+            slate = cascade_slate(qnet, embed_history(hists[0], qnet.pw),
+                                  pools[0][pools[0] != NON_CLICK_ID], catalog)
             assert not (set(slate) & clicked)
             clicked.update(c for c in step(env, user, t, keys, hists, avail, pools, [slate])[1] if c)
 
@@ -701,6 +708,47 @@ class TestTrainCdqn:
         assert stats[-1]["updates"] == updates and 0 < greedy < iterations * horizon * users
         assert calls == {"compute_target": updates, "td_value_and_grad": updates, "sgd_step": updates,
                          "sample": updates, "cascade_slate": greedy, "cascade_plan": greedy}
+
+    def test_act_embeds_a_steps_greedy_sessions_in_one_call(self, monkeypatch):
+        # the run of test_spans_fire_once_per_update_and_greedy_row; the env step, the TD
+        # target and the loss embed their own histories, so embed_history calls made inside
+        # them are not the act's
+        from slatesim import nets
+        events, inside = [], [0]
+
+        def spy(owner, name, event=None, nests=False):
+            original = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                if event and not inside[0]:
+                    events.append(event)
+                inside[0] += nests
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    inside[0] -= nests
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        spy(agent, "random_slate", "random")
+        spy(nets, "embed_history", "embed")
+        spy(agent, "step", "step", nests=True)
+        spy(agent, "compute_target", nests=True)
+        spy(nets, "td_value_and_grad", nests=True)
+        factory, *_ = self._factory()
+        iterations, horizon, users = 3, 4, 4
+        train_cdqn(factory, CDQNConfig(iterations=iterations, horizon=horizon, batch_users=users, minibatch=8,
+                                       epsilon=0.3, lr=0.01, seed=12, n=2, hidden=4))
+        per_step, since = [], []  # per step: (greedy sessions, the act's embed_history calls)
+        for event in events:
+            if event == "step":
+                per_step.append((users - since.count("random"), since.count("embed")))
+                since = []
+            else:
+                since.append(event)
+        assert len(per_step) == iterations * horizon
+        assert any(greedy > 1 for greedy, _ in per_step)  # else once per row is once per step
+        assert per_step == [(greedy, int(greedy > 0)) for greedy, _ in per_step]
 
 class TestConstraintDiagnostic:
     def test_zero_networks_give_zero_pairs(self):

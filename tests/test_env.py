@@ -109,7 +109,7 @@ class TestEpisodeKeys:
             EpisodeKeys([3, seed], 2)
 
     def test_zero_horizon_raises(self):
-        with pytest.raises(ValueError, match=re.escape("the horizon be >= 1")):
+        with pytest.raises(ValueError, match=re.escape("horizon must be >= 1, got 0")):
             EpisodeKeys([3], 0)
 
     def test_step_beyond_the_horizon_raises(self, setup):
@@ -429,7 +429,7 @@ class TestRollout:
     def test_zero_horizon_raises_before_any_draw(self, setup, count_calls):
         _, user, env = setup
         calls = count_calls({envlib: ["draw_candidates"]})
-        with pytest.raises(ValueError, match=re.escape("the horizon be >= 1")):
+        with pytest.raises(ValueError, match=re.escape("T must be >= 1, got 0")):
             rollout(env, user, random_policy(env), T=0, seed=1)
         assert calls == {"draw_candidates": 0}
 
@@ -567,6 +567,14 @@ class TestRolloutBatch:
             rollout_batch(env, user, random_policy(env), [1, 3, 5], user_ids=user_ids)
         assert str(caught.value) == message
         assert calls == {"reset": 0}
+
+    def test_no_seed_raises_before_the_policy_is_called(self, setup):
+        # draw_candidates once met no row and raised "min() arg is an empty sequence"
+        _, user, env = setup
+        called = []
+        with pytest.raises(ValueError, match="rollout_batch needs at least one seed"):
+            rollout_batch(env, user, lambda *args: called.append(args), [])
+        assert called == []
 
     def test_nan_scores_raise(self, setup):
         catalog, user, env = setup
