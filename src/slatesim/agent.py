@@ -64,9 +64,6 @@ class ReplayMemory:
             raise ValueError("cannot sample from an empty memory")
         return self._take(rng.integers(0, len(self), size=size))
 
-    def items(self) -> ReplayBatch:
-        return self._take(np.arange(len(self)))
-
     def __len__(self) -> int:
         return min(self._added, self.capacity)
 
@@ -354,20 +351,19 @@ def _train_replay(world: TrainingEnv, config: CDQNConfig, heads: int, act: Act,
     env, user, base_seed = world
     if config.horizon != env.config.horizon:  # the world's rule that k items outlast the clicks is the env's
         raise ValueError(f"horizon {config.horizon} differs from the env's horizon {env.config.horizon}")
-    catalog, k, B = env.catalog, env.config.k, config.batch_users
+    catalog, k, B, horizon = env.catalog, env.config.k, config.batch_users, env.config.horizon
     rng = np.random.default_rng(config.seed)
     qnet = nets.init_cascade_net(catalog.d, user.m, config.n, config.hidden, heads, rng)
-    capacity = min(config.capacity, max(config.iterations * B * config.horizon, 1))
+    capacity = min(config.capacity, max(config.iterations * B * horizon, 1))
     memory = ReplayMemory(capacity, (catalog.d, user.m), k, env.config.pool_size)
     updates = 0
     for it in range(config.iterations):
         eps = _epsilon_at(config, it)
-        keys = EpisodeKeys([base_seed + 2 * episode for episode in range(it * B, (it + 1) * B)],
-                           config.horizon)
+        keys = EpisodeKeys([base_seed + 2 * episode for episode in range(it * B, (it + 1) * B)], horizon)
         hists, avail, pools = reset(env, user, keys)
         losses = []
         try:  # a non-finite Q value met by the act, the target or the loss is divergence
-            for t in range(config.horizon):
+            for t in range(horizon):
                 slates = np.empty((B, k), dtype=int)
                 greedy = np.ones(B, dtype=bool)
                 for i in range(B):
@@ -381,7 +377,7 @@ def _train_replay(world: TrainingEnv, config: CDQNConfig, heads: int, act: Act,
                 if config.reward_mode is RewardMode.PLUS_MINUS_ONE:
                     rewards = np.where(chosen != NON_CLICK_ID, 1.0, -1.0)
                 memory.add(ReplayBatch(before, slates, rewards, hists, pools,
-                                       np.full(B, t == config.horizon - 1)))
+                                       np.full(B, t == horizon - 1)))
                 if len(memory) >= config.minibatch:
                     batch = memory.sample(config.minibatch, rng)
                     value, grads = loss(qnet, batch, target(qnet, batch))

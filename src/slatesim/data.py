@@ -102,12 +102,6 @@ class ItemCatalog:
             raise KeyError(f"unknown item id {exc.args[0]}") from None
         return self.matrix.take(rows, axis=0)
 
-    def __contains__(self, item_id: int) -> bool:
-        return item_id in self._row
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
 
 class ClickRecord(NamedTuple):
     """One page view: the displayed slate and the user's choice (0 = no click).
@@ -131,9 +125,6 @@ class Trajectory:
 
     user_id: int
     records: tuple[ClickRecord, ...]
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 class DatasetSplit(NamedTuple):

@@ -66,6 +66,8 @@ class EpisodeKeys:
 
     def __init__(self, seeds: Sequence[int], horizon: int):
         seeds = [int(s) for s in seeds]
+        if not seeds:  # a batch of no row has no pool to draw
+            raise ValueError("an episode batch needs at least one seed")
         if bad := [s for s in seeds if not 0 <= s < 2**64]:
             raise ValueError(f"episode seed {bad[0]} is outside [0, 2**64)")
         if horizon < 1:
@@ -264,8 +266,6 @@ def rollout_batch(
     if horizon > env.config.horizon:  # the env's catalog fills every slate only up to its horizon
         raise ValueError(f"T={horizon} exceeds the env's horizon {env.config.horizon}")
     keys = EpisodeKeys(seeds, horizon)
-    if not len(keys):
-        raise ValueError("rollout_batch needs at least one seed")
     user_ids = [0] * len(keys) if user_ids is None else list(user_ids)
     if len(user_ids) != len(keys):  # else zip stops at the shorter list
         raise ValueError(f"{len(user_ids)} user ids for {len(keys)} seeds")

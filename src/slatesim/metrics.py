@@ -33,8 +33,6 @@ class MetricReport:
     def __post_init__(self):
         if not (0.0 <= self.ctr <= 1.0):
             raise ValueError(f"ctr out of range: {self.ctr}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
 
 
 @dataclass

@@ -231,13 +231,13 @@ class TestReplayMemory:
         for i in range(1, 151, 10):
             mem.add(self._rows(range(i, i + 10)))
         assert len(mem) == 100
-        assert mem.items().slate[:, 0].tolist() == list(range(51, 151))
+        assert mem._take(np.arange(len(mem))).slate[:, 0].tolist() == list(range(51, 151))
 
     def test_more_rows_than_capacity_keep_the_newest(self):
         mem = self._memory(4)
         mem.add(self._rows([1, 2, 3]))
         mem.add(self._rows(range(4, 11)))
-        assert mem.items().reward.tolist() == [7.0, 8.0, 9.0, 10.0]
+        assert mem._take(np.arange(len(mem))).reward.tolist() == [7.0, 8.0, 9.0, 10.0]
 
     def test_sampling_deterministic(self):
         mem = self._memory(10)

@@ -1,5 +1,5 @@
 """tools/bench_pairs.py summarizes paired benchmark runs; these tests feed its summarizer
-fake benchmarks/run.py outputs and check what it reports."""
+fake benchmarks/run.py outputs and check what it reports. None runs the benchmark."""
 
 import importlib.util
 import json
@@ -58,6 +58,45 @@ def test_a_change_worse_than_its_bound_is_flagged():
     runs = {"parent": {1: fake_output(100.0, 0.20)}, "change": {1: fake_output(74.0, 0.20)}}
     rate = bench_pairs.summarize(runs, END_TO_END)["summary"]["train-cdqn"]["train_transitions_per_s"]
     assert not rate["within_bound"] and rate["ratio_of_medians"] == pytest.approx(0.74)
+
+
+def test_verdict_of_clean_evidence():
+    runs = {side: {1: fake_output(100.0, 0.20), 2: fake_output(104.0, 0.21)} for side in ("parent", "change")}
+    assert bench_pairs.verdict(bench_pairs.summarize(runs, END_TO_END)) == {
+        "end_to_end_within_bounds": True, "failed_share_not_above_parent": True,
+        "quality_and_digests_equal_on_every_seed": True, "clean": True}
+
+
+@pytest.mark.parametrize("change, failing", [
+    (fake_output(74.0, 0.20), ["end_to_end_within_bounds"]),
+    (fake_output(100.0, 0.20, failed=1), ["failed_share_not_above_parent"]),
+    (fake_output(100.0, 0.20, digest="bb"), ["quality_and_digests_equal_on_every_seed"]),
+    # a change that never ran has no metric within its bound and no seed to compare
+    (None, ["end_to_end_within_bounds", "quality_and_digests_equal_on_every_seed"]),
+], ids=["slower", "failed", "digest", "no-run"])
+def test_verdict_fails_each_check(change, failing):
+    runs = {"parent": {1: fake_output(100.0, 0.20)}, "change": {1: change}}
+    verdict = bench_pairs.verdict(bench_pairs.summarize(runs, END_TO_END))
+    assert [name for name, ok in verdict.items() if not ok] == failing + ["clean"]
+
+
+def test_benchmark_sha256_reads_every_benchmark_file(tmp_path):
+    sides = {}
+    for side in ("parent", "change"):
+        root = tmp_path / side
+        (root / "benchmarks" / "__pycache__").mkdir(parents=True)
+        (root / "BENCHMARK.json").write_text('{"paths": ["benchmarks"]}')
+        (root / "benchmarks" / "run.py").write_text("print('run')\n")
+        (root / "benchmarks" / "__pycache__" / "run.cpython.pyc").write_bytes(side.encode())
+        (root / "src.py").write_text(side)  # outside benchmarks/: not hashed
+        sides[side] = root
+    parent, change = (bench_pairs.benchmark_sha256(sides[side]) for side in ("parent", "change"))
+    assert parent == change  # bytecode caches and files outside benchmarks/ aside
+    (sides["change"] / "benchmarks" / "workloads.py").write_text("")
+    assert bench_pairs.benchmark_sha256(sides["change"]) != parent  # a new file, even empty
+    (sides["change"] / "benchmarks" / "workloads.py").unlink()
+    (sides["change"] / "BENCHMARK.json").write_text('{"paths": ["bench"]}')
+    assert bench_pairs.benchmark_sha256(sides["change"]) != parent
 
 
 @pytest.mark.parametrize("text, seeds", [("1-10", list(range(1, 11))), ("3", [3])])

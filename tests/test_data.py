@@ -27,7 +27,7 @@ def make_catalog(d=3, K=4):
 class TestItemCatalog:
     def test_pseudo_item_injected(self):
         cat = make_catalog()
-        assert 0 in cat
+        assert 0 in cat.ids
         assert np.all(cat.features(0) == 0.0)
 
     def test_duplicate_ids_rejected(self):
@@ -104,7 +104,7 @@ class TestItemCatalog:
         assert cat.item_ids == (3, 5, 9)
         assert cat.ids == (0, 3, 5, 9)
         assert cat.matrix[:, 0].tolist() == [0.0, 2.0, 3.0, 1.0]
-        assert len(cat) == 4 and 0 in cat and 4 not in cat
+        assert len(cat.ids) == 4 and 0 in cat.ids and 4 not in cat.ids
 
 
 class TestClickRecord:
@@ -193,7 +193,7 @@ class TestSplitUsers:
 class TestSynthCatalog:
     def test_counts_and_pseudo(self):
         cat = synth_catalog(10, 4, seed=0)
-        assert len(cat) == 11
+        assert len(cat.ids) == 11
         assert np.all(cat.features(0) == 0.0)
 
     def test_deterministic(self):
@@ -284,7 +284,7 @@ class TestSerialization:
         save_trajectories(cat, [], path)
         cat2, trajs2 = load_trajectories(path)
         assert trajs2 == []
-        assert len(cat2) == len(cat)
+        assert len(cat2.ids) == len(cat.ids)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"

@@ -112,6 +112,10 @@ class TestEpisodeKeys:
         with pytest.raises(ValueError, match=re.escape("horizon must be >= 1, got 0")):
             EpisodeKeys([3], 0)
 
+    def test_no_seed_raises(self):
+        with pytest.raises(ValueError, match="an episode batch needs at least one seed"):
+            EpisodeKeys([], 3)
+
     def test_step_beyond_the_horizon_raises(self, setup):
         _, user, env = setup
         keys = EpisodeKeys([3], 2)
@@ -441,7 +445,7 @@ class TestRollout:
         calls = count_calls({envlib: ["draw_candidates"]})
         batch = rollout_batch(env, user, random_policy(env), [1, 2, 3], T=10)
         assert calls == {"draw_candidates": 10}
-        assert [len(traj) for traj, _, _ in batch] == [10, 10, 10]
+        assert [len(traj.records) for traj, _, _ in batch] == [10, 10, 10]
 
     def test_uniform_user_ctr_near_k_over_k_plus_one(self, setup):
         # all-equal rewards make the choice uniform over k+1 slots; 20 items leave a
@@ -572,7 +576,7 @@ class TestRolloutBatch:
         # draw_candidates once met no row and raised "min() arg is an empty sequence"
         _, user, env = setup
         called = []
-        with pytest.raises(ValueError, match="rollout_batch needs at least one seed"):
+        with pytest.raises(ValueError, match="an episode batch needs at least one seed"):
             rollout_batch(env, user, lambda *args: called.append(args), [])
         assert called == []
 

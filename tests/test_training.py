@@ -169,7 +169,7 @@ class TestTrainMle:
 
     def test_duplicated_data_full_batch_linearity(self):
         catalog, trajs, _ = self._dataset(users=5, T=4)
-        n_records = sum(len(t) for t in trajs)
+        n_records = sum(len(t.records) for t in trajs)
         doubled = trajs + [Trajectory(t.user_id + 1000, t.records) for t in trajs]
         # one full batch per epoch: the mean gradient of the doubled data is that of the data
         doubled_cfg = TrainConfig(epochs=4, batch_size=2 * n_records, lr_theta=0.05, m=3, n=2,
@@ -318,7 +318,7 @@ class TestFitLoop:
                           init_epochs=init_epochs, epochs=epochs, batch_size=batch_size,
                           patience=epochs, m=3, n=2, hidden=6, seed=2)
         training.train_minimax(catalog, train, cfg, valid=valid)
-        batches = -(-sum(len(t) for t in train) // batch_size)
+        batches = -(-sum(len(t.records) for t in train) // batch_size)
         assert calls == {
             "train_mle": 1,
             "train_minimax": 1,

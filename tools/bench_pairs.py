@@ -14,12 +14,17 @@ BENCHMARK.json, both sides' runs, medians and quartiles, the change/parent ratio
 of the medians, whether the change is within the metric's bound, and the pairs
 the change won (ties count for neither); per seed, whether the quality metrics
 and the output digests are equal; the operations attempted and failed; the
-traced runs' checks and per-layer metrics; and both sides' `src/` line counts.
+traced runs' checks and per-layer metrics; both sides' `src/` line counts; and a
+sha256 per side over BENCHMARK.json and the files under `benchmarks/`, with whether
+the two match. Its top-level verdict says whether the evidence is clean: every
+end-to-end metric within its bound on every workload, no larger share of failed
+operations than the parent's, and equal quality metrics and digests on every seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -132,6 +137,20 @@ def summarize(runs: dict[str, dict[int, str | None]], end_to_end: list[dict]) ->
             "quality_and_digests_equal_on_every_seed": equal}
 
 
+def verdict(report: dict) -> dict:
+    """The three checks of a summarize() report, and whether all hold."""
+    def failed_share(ops: dict) -> float:
+        return ops["failed"] / ops["attempted"] if ops["attempted"] else 0.0
+
+    checks = {
+        "end_to_end_within_bounds": all(entry.get("within_bound", False)  # no runs on a side is not within
+                                        for metrics in report["summary"].values() for entry in metrics.values()),
+        "failed_share_not_above_parent": all(failed_share(ops["change"]) <= failed_share(ops["parent"])
+                                             for ops in report["operations"].values()),
+        "quality_and_digests_equal_on_every_seed": report["quality_and_digests_equal_on_every_seed"]}
+    return {**checks, "clean": all(checks.values())}
+
+
 def summarize_traced(outputs: dict[str, str | None]) -> dict:
     """Per workload and side of one traced run each: correct, failed, problems and the per-layer
     metrics as [parent, change] pairs."""
@@ -154,6 +173,18 @@ def src_lines(checkout: Path) -> dict:
     modules = {str(path.relative_to(checkout / "src")): len(path.read_bytes().splitlines())
                for path in sorted((checkout / "src").rglob("*.py"))}
     return {"modules": modules, "total": sum(modules.values())}
+
+
+def benchmark_sha256(checkout: Path) -> str:
+    """sha256 over BENCHMARK.json and every file under benchmarks/ (bytecode caches aside), in
+    sorted path order; each file adds its path relative to the checkout and then its bytes."""
+    files = sorted(path for path in (checkout / "benchmarks").rglob("*")
+                   if path.is_file() and "__pycache__" not in path.parts)
+    digest = hashlib.sha256()
+    for path in [checkout / "BENCHMARK.json", *files]:
+        digest.update(path.relative_to(checkout).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def run_bench(checkout: Path, seed: int, trace: bool) -> str | None:
@@ -182,6 +213,7 @@ def main() -> int:
             parser.error(f"{checkout} holds no benchmarks/run.py")
         for cache in [*checkout.glob("src/**/__pycache__"), *checkout.glob("benchmarks/**/__pycache__")]:
             shutil.rmtree(cache)
+    benchmark = {side: benchmark_sha256(checkout) for side, checkout in checkouts.items()}
     runs: dict[str, dict[int, str | None]] = {side: {} for side in SIDES}
     for i, seed in enumerate(args.seeds):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
@@ -192,14 +224,17 @@ def main() -> int:
         print(f"traced seed {TRACED_SEED}: {side}", file=sys.stderr, flush=True)
         traced[side] = run_bench(checkouts[side], TRACED_SEED, trace=True)
     end_to_end = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
+    summary = summarize(runs, end_to_end)
     report = {
+        "verdict": verdict(summary),
         "commands": {"pairs": f"python3 benchmarks/run.py --workload all --seed S for S in {args.seeds}, "
                               "the parent first on the first, third, ... seed",
                      "traced": f"python3 benchmarks/run.py --workload all --seed {TRACED_SEED} --trace 1, "
                                "once per side after the pairs",
                      "environment": "PYTHONDONTWRITEBYTECODE=1, no __pycache__ under src/ or benchmarks/"},
-        **summarize(runs, end_to_end),
+        **summary,
         "traced": summarize_traced(traced),
+        "benchmark_sha256": {**benchmark, "equal": benchmark["parent"] == benchmark["change"]},
         "src_lines": {side: src_lines(checkout) for side, checkout in checkouts.items()},
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
