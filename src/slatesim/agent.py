@@ -195,11 +195,15 @@ def cascade_plan(qeval: QEval, pool: Sequence[int], k: int,
     return slate, values
 
 
-def cascade_slate(qnet: CascadeQNet, state: np.ndarray, pool: Sequence[int],
-                  catalog: ItemCatalog) -> list[int]:
-    """The ordered slate the cascade picks from the pool for one embedded state (a row of
-    cascade_batch's S), in at most k * |pool| evaluations."""
-    return cascade_plan(net_qeval(qnet, state, catalog), pool, qnet.k)[0]
+def cascade_slate(qnet: CascadeQNet, S: np.ndarray, pools: np.ndarray, catalog: ItemCatalog,
+                  work: nets.ScoreBuffers | None = None) -> np.ndarray:
+    """The (B, k) slates the cascade picks for B embedded states and padded pools, as
+    cascade_batch's. One row runs cascade_plan on net_qeval without the padding, which is
+    faster for one state (81 against 132 µs in the README shapes); more run cascade_batch."""
+    if len(pools) == 1:
+        pool = np.asarray(pools[0], dtype=int)
+        return np.array([cascade_plan(net_qeval(qnet, S[0], catalog), pool[pool != NON_CLICK_ID], qnet.k)[0]])
+    return cascade_batch(qnet, S, pools, catalog, work)[0]
 
 
 def _real_entries(pools: np.ndarray, k: int) -> np.ndarray:
@@ -296,11 +300,8 @@ def make_policy(handle: PolicyHandle, catalog: ItemCatalog, k: int) -> Policy:
         model = handle.user_model
         return lambda hists, pools, row_rng: greedy_user_model_policy(model, hists, pools, k, catalog, work)
     qnet = handle.qnet
-
-    def cascade(hists, pools, row_rng):
-        return cascade_batch(qnet, nets.embed_history(hists, qnet.pw), pools, catalog, work)[0]
-
-    return cascade
+    return lambda hists, pools, row_rng: cascade_slate(
+        qnet, nets.embed_history(hists, qnet.pw), pools, catalog, work)
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +402,13 @@ def train_cdqn(world: TrainingEnv, config: CDQNConfig,
     Every position's network regresses on the shared target
     y = r + gamma * Q^k(next state, greedy cascade slate); the reported loss
     is the mean over positions. The act embeds a step's greedy sessions in one
-    embed_history call, and each acts through its own cascade_slate."""
+    embed_history call and picks their slates in one cascade_slate call: a lone
+    greedy session through the per-row cascade, two or more through cascade_batch."""
     catalog, k = world.env.catalog, world.env.config.k
     return _train_replay(
         world, config, k,
-        act=lambda qnet, hists, pools: np.array(
-            [cascade_slate(qnet, s, ids[ids != NON_CLICK_ID], catalog)
-             for s, ids in zip(nets.embed_history(hists, qnet.pw), pools)], dtype=int),
+        act=lambda qnet, hists, pools: cascade_slate(
+            qnet, nets.embed_history(hists, qnet.pw), pools, catalog),
         target=lambda qnet, batch: compute_target(
             batch.reward, batch.next_hist, batch.next_pool, qnet, catalog, config.gamma, batch.terminal),
         loss=lambda qnet, batch, targets: nets.td_value_and_grad(

@@ -28,7 +28,7 @@ from slatesim.agent import (
     train_cdqn,
     TrainingDivergedError,
 )
-from slatesim.data import NON_CLICK_ID, ItemCatalog, synth_catalog
+from slatesim.data import ItemCatalog, synth_catalog
 from slatesim import agent
 from slatesim.env import EnvConfig, EpisodeKeys, SlateEnv, make_ground_truth_user, reset, rollout, step
 from slatesim.nets import (CascadeQNet, PositionWeightParams, ScoreBuffers, ScorerParams, embed_history,
@@ -156,8 +156,10 @@ class TestPerRowCascadeOracle:
                 hist = rng.standard_normal((d, m)) * rng.choice([0.1, 1.0, 5.0])
                 pool = pool_forms(rng, catalog, k)
                 slate, _ = self._assert_same_as_oracle(qnet, embed_history(hist, qnet.pw), pool, catalog)
-                # the trainer's act: one embedded state, then the same cascade
-                assert cascade_slate(qnet, embed_history(hist, qnet.pw), pool, catalog) == slate
+                # the act on a lone greedy session: one embedded state and padded pool, then the
+                # same cascade
+                assert cascade_slate(qnet, embed_history(hist[None], qnet.pw), pad_pools([pool]),
+                                     catalog)[0].tolist() == slate
                 states += 1
         assert states >= 1000
 
@@ -381,11 +383,31 @@ class TestCascadeBatch:
         message = "position 2 is not finite in 4 of 4 rows, the first row 0"
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteQError, match=message):
             cascade_batch(break_head(qnet, 2, value), S, pad_pools(pools), catalog)
-        # the one-state cascade the trainer acts with raises the same error
+        # the act and the cdqn policy raise the same error, of all rows or of a lone row
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteQError, match=message):
+            cascade_slate(qnet, S, pad_pools(pools), catalog)
         for h, pool in zip(hists, pools):
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                     NonFiniteQError, match="position 2 is not finite in 1 of 1 rows, the first row 0"):
-                cascade_slate(qnet, embed_history(h, qnet.pw), pool, catalog)
+                cascade_slate(qnet, embed_history(h[None], qnet.pw), pad_pools([pool]), catalog)
+
+    @pytest.mark.parametrize("max_pool", [20, 50], ids=["readme-pool-20", "readme-pool-50"])
+    def test_cascade_slate_runs_the_per_row_cascade_for_one_row_only(self, count_calls, max_pool):
+        # one row goes through cascade_plan, the faster path for a single state; two or
+        # more through one cascade_batch; both pick the per-row cascade's slates
+        catalog, qnet, hists, pools = self._random_case(
+            n_states=40, k=5, d=8, m=5, n=4, hidden=16, catalog_size=1000, max_pool=max_pool)
+        S = np.stack([embed_history(h, qnet.pw) for h in hists])
+        per_row = [cascade_plan(net_qeval(qnet, s, catalog), pool, qnet.k)[0] for s, pool in zip(S, pools)]
+        calls = count_calls({agent: ("cascade_plan", "cascade_batch")})
+        for rows in (1, 2, 8):
+            for start in range(0, len(hists), rows):
+                calls.update(cascade_plan=0, cascade_batch=0)
+                block = slice(start, start + rows)
+                slates = cascade_slate(qnet, S[block], pad_pools(pools[block], max_pool), catalog)
+                assert calls == ({"cascade_plan": 1, "cascade_batch": 0} if rows == 1
+                                 else {"cascade_plan": 0, "cascade_batch": 1})
+                assert slates.shape == (rows, qnet.k) and slates.tolist() == per_row[block]
 
     @pytest.mark.parametrize("pool", [(1, 2), (2, 1, 2, 1)])
     def test_pool_smaller_than_k(self, pool):
@@ -656,8 +678,7 @@ class TestTrainCdqn:
         hists, avail, pools = reset(env, user, keys)
         clicked = set()
         for t in range(4):
-            slate = cascade_slate(qnet, embed_history(hists[0], qnet.pw),
-                                  pools[0][pools[0] != NON_CLICK_ID], catalog)
+            slate = cascade_slate(qnet, embed_history(hists, qnet.pw), pools, catalog)[0].tolist()
             assert not (set(slate) & clicked)
             clicked.update(c for c in step(env, user, t, keys, hists, avail, pools, [slate])[1] if c)
 
@@ -690,29 +711,35 @@ class TestTrainCdqn:
         assert error.iteration == 0 and targets == 0
         assert isinstance(error.__cause__, NonFiniteQError)
 
-    def test_spans_fire_once_per_update_and_greedy_row(self, count_calls):
+    def test_spans_fire_once_per_update_and_greedy_row(self, count_calls, monkeypatch):
         # calls counted the way the traced benchmark wraps them, so a span that stops
         # firing (or a caller that bound one early) fails here and not only in a traced run
         from slatesim import nets
         calls = count_calls({agent: ("compute_target", "cascade_slate", "cascade_plan", "random_slate"),
                              nets: ("td_value_and_grad", "sgd_step"), ReplayMemory: ("sample",)})
+        explored, env_step = [], agent.step  # random_slate calls before each env step
+        monkeypatch.setattr(agent, "step",
+                            lambda *args: explored.append(calls["random_slate"]) or env_step(*args))
         factory, *_ = self._factory()
         iterations, horizon, users, minibatch = 3, 4, 4, 8
         cfg = CDQNConfig(iterations=iterations, horizon=horizon, batch_users=users, minibatch=minibatch,
-                         epsilon=0.3, lr=0.01, seed=12, n=2, hidden=4)
+                         epsilon=0.6, lr=0.01, seed=12, n=2, hidden=4)
         stats = []
         train_cdqn(factory, cfg, on_iteration=lambda it, s: stats.append(s))
         # the replay holds (step + 1) * users rows after each step; an update needs a minibatch
         updates = sum((s + 1) * users >= minibatch for s in range(iterations * horizon))
-        greedy = iterations * horizon * users - calls.pop("random_slate")
-        assert stats[-1]["updates"] == updates and 0 < greedy < iterations * horizon * users
+        greedy = users - np.diff(explored, prepend=0)  # per step
+        assert len(greedy) == iterations * horizon and explored[-1] == calls.pop("random_slate")
+        # a step with no greedy session does not act; one with a lone one runs the per-row cascade
+        assert stats[-1]["updates"] == updates and {0, 1, 2}.issubset(set(greedy.tolist()))
         assert calls == {"compute_target": updates, "td_value_and_grad": updates, "sgd_step": updates,
-                         "sample": updates, "cascade_slate": greedy, "cascade_plan": greedy}
+                         "sample": updates, "cascade_slate": int(np.sum(greedy > 0)),
+                         "cascade_plan": int(np.sum(greedy == 1))}
 
     def test_act_embeds_a_steps_greedy_sessions_in_one_call(self, monkeypatch):
-        # the run of test_spans_fire_once_per_update_and_greedy_row; the env step, the TD
-        # target and the loss embed their own histories, so embed_history calls made inside
-        # them are not the act's
+        # the run of test_spans_fire_once_per_update_and_greedy_row at a lower epsilon; the env
+        # step, the TD target and the loss embed their own histories, so embed_history calls
+        # made inside them are not the act's
         from slatesim import nets
         events, inside = [], [0]
 

@@ -75,8 +75,10 @@ def test_workloads_call_every_slatesim_name_in_a_shape_its_signature_binds():
 
 
 def test_every_span_fires_in_one_chunk_of_each_stage(count_calls, tmp_path):
-    # the traced benchmark fails when a span it predicts records no call; one chunk of
-    # each pipeline stage in the README world must call every span at least once
+    # the traced benchmark fails when a span it predicts records no call in the merged spans
+    # of all its processes; the first process plays its chunks and then Training.score, so
+    # one chunk of each pipeline stage in the README world and that score must call every
+    # span at least once
     workloads = load_by_path("workloads")
     spans: dict = {}
     for module_name, attr in SPANS.values():
@@ -88,17 +90,20 @@ def test_every_span_fires_in_one_chunk_of_each_stage(count_calls, tmp_path):
     calls = count_calls(spans)
     world, tally = workloads.README, workloads.Tally()
     logging = workloads.Logging(1, world, str(tmp_path))
-    for stage in (workloads.Training(world), workloads.Evaluation(1, world, str(tmp_path)), logging,
+    training = workloads.Training(world)
+    for stage in (training, workloads.Evaluation(1, world, str(tmp_path)), logging,
                   workloads.Fitting(1, logging)):
         stage.chunk(tally, 0, 0)
+    training.score(tally)
     assert tally.problems == [] and tally.failed == 0
     assert len(calls) == len(SPANS)
     assert [name for name, count in calls.items() if count == 0] == []
 
 
 def test_cascade_plan_work_matches_the_q_values_it_evaluates(monkeypatch):
-    # the tracer reads cascade_plan's pool and k from args[1] and args[2]: over one README
-    # training chunk its recorded work must equal, call by call, the Q values the cascade
+    # the tracer reads cascade_plan's pool and k from args[1] and args[2]: over the held-out
+    # scoring every benchmark run plays (Training.score, whose cdqn episodes act on one row
+    # at a time) its recorded work must equal, call by call, the Q values the cascade
     # evaluates, k·P − k(k−1)/2 for a pool of P distinct ids
     from slatesim import agent
     monkeypatch.setitem(sys.modules, "spec", load_by_path("spec"))
@@ -116,7 +121,7 @@ def test_cascade_plan_work_matches_the_q_values_it_evaluates(monkeypatch):
     monkeypatch.setattr(agent, "cascade_plan",
                         recorder.wrap("agent.cascade_plan", counted, tracing.WORK["agent.cascade_plan"]))
     tally = workloads.Tally()
-    workloads.Training(workloads.README).chunk(tally, 0, 0)
+    workloads.Training(workloads.README).score(tally)
     assert tally.problems == [] and tally.failed == 0
     assert len(evals) > 0 and list(recorder.work) == [float(n) for n in evals]
 
