@@ -78,7 +78,9 @@ def test_every_span_fires_in_one_chunk_of_each_stage(count_calls, tmp_path):
     # the traced benchmark fails when a span it predicts records no call in the merged spans
     # of all its processes; the first process plays its chunks and then Training.score, so
     # one chunk of each pipeline stage in the README world and that score must call every
-    # span at least once
+    # span at least once. Every span but the per-row cascade fires in the timed chunks; the
+    # per-row cascade fires only in the score's one-session episodes, the act batching two
+    # or more greedy sessions
     workloads = load_by_path("workloads")
     spans: dict = {}
     for module_name, attr in SPANS.values():
@@ -94,6 +96,7 @@ def test_every_span_fires_in_one_chunk_of_each_stage(count_calls, tmp_path):
     for stage in (training, workloads.Evaluation(1, world, str(tmp_path)), logging,
                   workloads.Fitting(1, logging)):
         stage.chunk(tally, 0, 0)
+    assert [name for name, count in calls.items() if count == 0] == ["cascade_plan"]
     training.score(tally)
     assert tally.problems == [] and tally.failed == 0
     assert len(calls) == len(SPANS)

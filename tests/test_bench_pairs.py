@@ -3,7 +3,6 @@ fake benchmarks/run.py outputs and check what it reports. None runs the benchmar
 
 import importlib.util
 import json
-import math
 from pathlib import Path
 
 import pytest
@@ -103,10 +102,3 @@ def test_benchmark_sha256_reads_every_benchmark_file(tmp_path):
 @pytest.mark.parametrize("text, seeds", [("1-10", list(range(1, 11))), ("3", [3])])
 def test_parse_seeds(text, seeds):
     assert bench_pairs.parse_seeds(text) == seeds
-
-
-def test_spare_cpu_probe_reaps_its_spin_processes():
-    # the only test here that starts processes: one short probe; the autouse fixture fails
-    # the test if any spin process is left running or unreaped
-    ratio = bench_pairs.spare_cpu(0.05)
-    assert math.isfinite(ratio) and ratio > 0

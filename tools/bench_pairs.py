@@ -16,12 +16,9 @@ the change won (ties count for neither); per seed, whether the quality metrics
 and the output digests are equal; the operations attempted and failed; the
 traced runs' checks and per-layer metrics; both sides' `src/` line counts; and a
 sha256 per side over BENCHMARK.json and the files under `benchmarks/`, with whether
-the two match; and the host's spare CPU, measured before each pair (see
-`spare_cpu`), per seed and its median, against which a shift of the sharded
-evaluation's `eval_steps_per_s` can be read. Its top-level verdict says whether
-the evidence is clean: every end-to-end metric within its bound on every
-workload, no larger share of failed operations than the parent's, and equal
-quality metrics and digests on every seed.
+the two match. Its top-level verdict says whether the evidence is clean: every
+end-to-end metric within its bound on every workload, no larger share of failed
+operations than the parent's, and equal quality metrics and digests on every seed.
 """
 
 from __future__ import annotations
@@ -38,18 +35,6 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 TRACED_SEED = 1
-SPIN_S = 0.25
-# A pure-Python spin: signals it has started, waits for a line on stdin, then
-# counts loop turns for argv[1] seconds and prints the count.
-SPIN = """
-import sys, time
-print(flush=True)
-sys.stdin.readline()
-end, turns = time.perf_counter() + float(sys.argv[1]), 0
-while time.perf_counter() < end:
-    turns += 1
-print(turns)
-"""
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -202,33 +187,6 @@ def benchmark_sha256(checkout: Path) -> str:
     return digest.hexdigest()
 
 
-def spin_turns(processes: int, seconds: float) -> int:
-    """Loop turns that `processes` concurrent spin processes finish in `seconds`; all start
-    spinning together, once every one has started, and all are reaped before it returns."""
-    procs = [subprocess.Popen([sys.executable, "-c", SPIN, str(seconds)], stdin=subprocess.PIPE,
-                              stdout=subprocess.PIPE, text=True) for _ in range(processes)]
-    try:
-        for proc in procs:
-            proc.stdout.readline()
-        for proc in procs:
-            proc.stdin.write("\n")
-            proc.stdin.close()
-        return sum(int(proc.stdout.read()) for proc in procs)
-    finally:
-        for proc in procs:
-            proc.kill()
-            proc.wait()
-            proc.stdin.close()
-            proc.stdout.close()
-
-
-def spare_cpu(seconds: float = SPIN_S) -> float:
-    """The work of two concurrent spin processes divided by the work of one: about 2 when a
-    second CPU is free, about 1 when it is not."""
-    one = spin_turns(1, seconds)
-    return spin_turns(2, seconds) / one
-
-
 def run_bench(checkout: Path, seed: int, trace: bool) -> str | None:
     """run.py's standard output for one seed in a checkout, or None (with its error on
     stderr) when it exits non-zero."""
@@ -257,9 +215,7 @@ def main() -> int:
             shutil.rmtree(cache)
     benchmark = {side: benchmark_sha256(checkout) for side, checkout in checkouts.items()}
     runs: dict[str, dict[int, str | None]] = {side: {} for side in SIDES}
-    spare: dict[str, float] = {}
     for i, seed in enumerate(args.seeds):
-        spare[str(seed)] = spare_cpu()
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
             print(f"seed {seed}: {side}", file=sys.stderr, flush=True)
             runs[side][seed] = run_bench(checkouts[side], seed, trace=False)
@@ -280,9 +236,6 @@ def main() -> int:
         "traced": summarize_traced(traced),
         "benchmark_sha256": {**benchmark, "equal": benchmark["parent"] == benchmark["change"]},
         "src_lines": {side: src_lines(checkout) for side, checkout in checkouts.items()},
-        "spare_cpu": {"how": f"work of two concurrent {SPIN_S} s pure-Python spin processes over the work "
-                             "of one, measured before each pair", "per_seed": spare,
-                      "median": statistics.median(spare.values())},
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
